@@ -2,9 +2,6 @@ GO ?= go
 
 .PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-json bench-diff bench-scale clean
 
-# PR number stamped into the bench-json report filename.
-PR ?= 6
-
 all: vet build test
 
 vet:
@@ -83,6 +80,9 @@ bench-serve:
 # Machine-readable benchmark snapshot: round loop, solver end-to-end and
 # serving cold/hot paths, with allocation stats, written to BENCH_$(PR).json.
 bench-json:
+	@if [ -z "$(PR)" ]; then \
+		echo "usage: make bench-json PR=<n>  (writes BENCH_<n>.json)" >&2; exit 2; \
+	fi
 	@{ $(GO) test -run='^$$' -benchmem -benchtime=5x \
 		-bench='^(BenchmarkE13Headline|BenchmarkServeColdVsCacheHit|BenchmarkServeSchedulerDepth1)$$' . ; \
 	   $(GO) test -run='^$$' -benchmem -benchtime=5x \

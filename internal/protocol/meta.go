@@ -81,14 +81,3 @@ type Meta struct {
 	// bandwidth; the planner only considers them when asked to.
 	Local bool
 }
-
-// Work converts the predicted round count into predicted work units — the
-// per-round cost of simulating (or really running) the instance, n message
-// handlers plus 2m directed deliveries. The planner's deadline budgets are
-// denominated in these units.
-func (m Meta) Work(p Profile, params Params, mis MIS) int64 {
-	if m.Rounds == nil {
-		return 0
-	}
-	return int64(m.Rounds(p, params, mis)) * int64(p.N+2*p.M+1)
-}

@@ -2,17 +2,12 @@ package server
 
 import (
 	"container/list"
-	"context"
-	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
 	"distmwis/internal/graph"
 	"distmwis/internal/maxis"
-	"distmwis/internal/plan"
-	"distmwis/internal/protocol"
 	"distmwis/internal/repair"
 )
 
@@ -167,148 +162,36 @@ func (s *Server) solveComponents(req *SolveRequest, g *graph.Graph, cfg maxis.Co
 	return maxis.SolveByComponent(req.Alg, g, req.Eps, req.Alpha, cfg, s.componentCache("inc|"+req.Fingerprint()))
 }
 
-// handleRefSolve is the graph_ref branch of POST /v1/solve: resolve the
-// handle to its current snapshot, then cache → shed → scheduled
-// component-wise solve, mirroring execute(). Every degraded answer is
-// published in the registry and queued for background upgrade, so shedding
-// under load is a promise deferred, not broken.
-func (s *Server) handleRefSolve(w http.ResponseWriter, r *http.Request, req *SolveRequest, start time.Time) {
-	g, hash, ok := s.graphs.snapshot(req.GraphRef)
-	if !ok {
-		errorResponse(w, http.StatusNotFound, "unknown graph %q", req.GraphRef)
-		return
-	}
-	cfg, err := req.maxisConfig(s.opts.SolveWorkers)
-	if err != nil {
-		errorResponse(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if cfg.Faults.Enabled() {
-		if err := cfg.Faults.ValidateFor(g.N()); err != nil {
-			errorResponse(w, http.StatusBadRequest, "fault schedule: %v", err)
-			return
-		}
-	}
-	// Planner resolution happens before refCacheKey for the same reason as
-	// prepare(): the answer key must name the concrete algorithm, so a tight
-	// deadline and a loose one address different answers.
-	if req.Alg == plan.Auto {
-		d, derr := plan.For(g, protocol.Params{Eps: req.Eps, Alpha: req.Alpha},
-			plan.ForDeadline(req.DeadlineMS, s.opts.PlannerOpsPerMS), cfg.MIS)
-		if derr != nil {
-			errorResponse(w, http.StatusBadRequest, "plan: %v", derr)
-			return
-		}
-		req.Alg = d.Alg
-		s.metrics.planned.Add(1)
-	}
-	cfg.Tracer = s.metrics.engine
-	cfg.TraceLabel = req.Alg
-	s.metrics.requests.Add(1)
-	id := fmt.Sprintf("job-%d", s.jobSeq.Add(1))
-	key := s.refCacheKey(g, req)
-
-	finish := func(resp SolveResponse) SolveResponse {
-		resp.ID = id
-		resp.GraphHash = hash
-		resp.AnswerKey = key
-		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-		return resp
-	}
-
-	if !req.NoCache && !req.Degraded {
-		if e, ok := s.cache.get(key); ok {
-			s.metrics.latency.observe("cache_hit", time.Since(start).Seconds())
-			resp := entryResponse(e, true, false)
-			resp.Quality = qualityFull
-			writeJSON(w, http.StatusOK, finish(resp))
-			return
-		}
-	}
-
-	// Degraded tier — explicit request or load shedding. Unlike the
-	// anonymous-graph path, a ref answer has an address, so the downgrade
-	// is recoverable: publish it, queue the upgrade, tell the client where
-	// to watch.
-	if req.Degraded || s.sched.depth() >= s.opts.ShedDepth {
-		set, weight := GreedyDegraded(g)
-		s.metrics.shed.Add(1)
-		s.answers.put(&storedAnswer{
-			Key:       key,
-			GraphHash: hash,
-			Set:       boolsToIndices(set),
-			Weight:    weight,
-			Quality:   qualityDegraded,
-			Alg:       "greedy-degraded",
-			Updated:   time.Now().UTC(),
-		})
-		s.enqueueUpgrade(key, hash, g, set, req)
-		s.metrics.latency.observe("degraded", time.Since(start).Seconds())
-		writeJSON(w, http.StatusOK, finish(SolveResponse{
-			Status:    "done",
-			Set:       setIndices(set),
-			Size:      graph.SetSize(set),
-			Weight:    weight,
-			Degraded:  true,
-			Quality:   qualityDegraded,
-			Alg:       "greedy-degraded",
-			Guarantee: greedyGuarantee(g),
-		}))
-		return
-	}
-
-	ctx := r.Context()
-	var cancel context.CancelFunc = func() {}
-	if req.DeadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-	}
-	defer cancel()
-
-	entry, shared, err := s.cache.do(ctx, key, func() (*cacheEntry, error) {
-		return s.runScheduledFn(ctx, req.Priority, key, func() (*cacheEntry, error) {
-			res, _, err := s.solveComponents(req, g, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &cacheEntry{
-				key:       key,
-				set:       boolsToIndices(res.Set),
-				weight:    res.Weight,
-				rounds:    res.Metrics.Rounds,
-				messages:  res.Metrics.Messages,
-				bits:      res.Metrics.Bits,
-				alg:       req.Alg,
-				guarantee: maxis.GuaranteeString(req.Alg, g, req.Eps, req.Alpha, res),
-				tag:       hash,
-			}, nil
-		}, !req.NoCache)
-	})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.metrics.deadlines.Add(1)
-			resp := finish(SolveResponse{Status: "deadline", Error: err.Error()})
-			writeJSON(w, statusCode(&resp), resp)
-			return
-		}
-		s.metrics.failures.Add(1)
-		resp := finish(SolveResponse{Status: "failed", Error: err.Error()})
-		writeJSON(w, statusCode(&resp), resp)
-		return
-	}
-	s.metrics.latency.observe(req.Alg, time.Since(start).Seconds())
+// publishDegraded is execute's graph_ref hook on the degraded tier. Unlike
+// an anonymous graph, a ref answer has an address, so a downgrade is
+// recoverable: publish the answer and queue its background upgrade.
+// PATCH healing publishes through the same hook.
+func (s *Server) publishDegraded(req *SolveRequest, p prepared, set []bool, weight int64, alg string) {
 	s.answers.put(&storedAnswer{
-		Key:       key,
-		GraphHash: hash,
-		Set:       entry.set,
-		Weight:    entry.weight,
-		Quality:   qualityFull,
-		Alg:       entry.alg,
+		Key:       p.key,
+		GraphHash: p.hash,
+		Set:       boolsToIndices(set),
+		Weight:    weight,
+		Quality:   qualityDegraded,
+		Alg:       alg,
 		Updated:   time.Now().UTC(),
 	})
-	s.graphs.recordFull(hash, req, entry.set, g.N())
-	resp := entryResponse(entry, false, shared)
-	resp.Quality = qualityFull
-	writeJSON(w, http.StatusOK, finish(resp))
+	s.enqueueUpgrade(p.key, p.hash, p.g, set, req)
+}
+
+// publishFull is execute's graph_ref hook after a fresh full solve: publish
+// the answer, and remember it as the seed the handle's next PATCH heals.
+func (s *Server) publishFull(req *SolveRequest, p prepared, e *cacheEntry) {
+	s.answers.put(&storedAnswer{
+		Key:       p.key,
+		GraphHash: p.hash,
+		Set:       e.set,
+		Weight:    e.weight,
+		Quality:   qualityFull,
+		Alg:       e.alg,
+		Updated:   time.Now().UTC(),
+	})
+	s.graphs.recordFull(p.hash, req, e.set, p.g.N())
 }
 
 // recordFull remembers a handle's latest full answer and the request that

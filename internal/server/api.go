@@ -2,19 +2,32 @@
 // that turns the single-shot solvers of internal/maxis into a shared,
 // observable, overload-safe HTTP service.
 //
-// The stack has three tiers, crossed in order by every request:
+// Every solve — inline graph, gen spec, graph_ref, or a journal replay —
+// crosses one pipeline, in this order:
 //
-//   - admission control (admission.go): a token bucket rejects traffic
-//     beyond the configured rate with 429; beyond a queue-depth threshold
-//     accepted requests are downgraded to a host-side greedy
+//   - admit (server.go): a draining server answers 503; a token bucket
+//     (admission.go) rejects traffic beyond the configured rate with 429.
+//   - decode: the JSON body is parsed and normalized; a repeat gen spec
+//     may short-circuit to its cached answer through the spec memo.
+//   - build, plan, key (prepare): the graph is materialised (a graph_ref
+//     resolves to its handle's current snapshot, graphstore.go), alg=auto
+//     is resolved by the planner, and the content-addressed cache key is
+//     computed from the canonical graph and a config fingerprint.
+//   - cache (cache.go): an LRU with a byte budget answers repeats.
+//   - shed: explicit degraded requests, and all requests beyond a
+//     queue-depth threshold, are answered by a host-side greedy
 //     Δ+1-approximation (the cheap tier of Bar-Yehuda et al. [8]) and
 //     marked degraded.
-//   - content-addressed cache (cache.go): the canonical graph hash plus a
-//     config fingerprint keys an LRU with a byte budget; single-flight
-//     collapses concurrent identical requests into one solve.
-//   - batching scheduler (scheduler.go): a bounded two-priority queue
-//     feeding a worker pool; per-job deadlines via context; graceful
-//     shutdown drains in-flight solves.
+//   - single-flight and schedule (cache.go, scheduler.go): concurrent
+//     identical requests collapse into one flight; the leader's solve
+//     joins a bounded two-priority queue feeding a worker pool, with
+//     per-job deadlines via context and a graceful drain on shutdown.
+//   - solve: maxis.Solve, or the component-wise maxis.SolveByComponent
+//     for graph_ref.
+//   - publish: the result is cached worker-side; graph_ref answers are
+//     also published to the answer registry (answers.go), and degraded
+//     ones are queued for the background repair tier.
+//   - encode: the response is written (202 and a job record for async).
 //
 // Determinism is the service's correctness contract: for a given graph,
 // algorithm and seed the returned independent set is bit-identical to what
@@ -70,8 +83,8 @@ type FaultSpec struct {
 	Seed    uint64  `json:"seed,omitempty"`
 }
 
-// SolveRequest is the body of POST /v1/solve. Exactly one of Graph and Gen
-// must be set.
+// SolveRequest is the body of POST /v1/solve. Exactly one of Graph, Gen and
+// GraphRef must be set.
 type SolveRequest struct {
 	// Graph is an inline graph in the cmd/graphgen JSON format
 	// (graph.ReadJSON): {"n":..., "ids":[...], "weights":[...], "edges":[[u,v],...]}.

@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"distmwis/internal/graph"
 	"distmwis/internal/maxis"
 )
 
@@ -48,13 +50,19 @@ func TestGoldenSolveResponses(t *testing.T) {
 		got[alg] = raw
 	}
 
-	path := filepath.Join("testdata", "golden_responses.json")
+	compareGolden(t, filepath.Join("testdata", "golden_responses.json"), got)
+}
+
+// compareGolden checks got against the golden file at path, or rewrites
+// the file under -update-golden.
+func compareGolden(t *testing.T, path string, got map[string]json.RawMessage) {
+	t.Helper()
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
@@ -71,20 +79,20 @@ func TestGoldenSolveResponses(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	for alg, wantBody := range want {
+	for name, wantBody := range want {
 		// The golden file stores each body indented; compact before the
 		// byte comparison so only real content drift fails the test.
 		var buf bytes.Buffer
 		if err := json.Compact(&buf, wantBody); err != nil {
-			t.Fatalf("%s: bad golden body: %v", alg, err)
+			t.Fatalf("%s: bad golden body: %v", name, err)
 		}
-		if !bytes.Equal(got[alg], buf.Bytes()) {
-			t.Errorf("response drift for %s:\n got  %s\n want %s", alg, got[alg], buf.Bytes())
+		if !bytes.Equal(got[name], buf.Bytes()) {
+			t.Errorf("response drift for %s:\n got  %s\n want %s", name, got[name], buf.Bytes())
 		}
 	}
-	for alg := range got {
-		if _, ok := want[alg]; !ok {
-			t.Errorf("algorithm %s missing from golden file (regenerate with -update-golden)", alg)
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s missing from golden file (regenerate with -update-golden)", name)
 		}
 	}
 }
@@ -99,4 +107,49 @@ func normalizeResponseBody(r interface{ Read([]byte) (int, error) }) ([]byte, er
 	resp.ID = ""
 	resp.ElapsedMS = 0
 	return json.Marshal(resp)
+}
+
+// TestGoldenRefResponses pins the graph_ref responses of POST /v1/solve on
+// a two-component graph: a fresh component-wise solve, the cache hit that
+// follows, an explicitly degraded solve, and the solve after a PATCH that
+// touches one component. The repair tier never ticks during the test, so
+// no background upgrade can race the pinned bodies.
+func TestGoldenRefResponses(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2, RepairInterval: time.Hour})
+	g := twoIslandGraph(t, 8, 20)
+	put := putGraph(t, ts, g)
+	req := SolveRequest{GraphRef: put.Hash, Alg: "goodnodes", Seed: 3}
+
+	got := make(map[string]json.RawMessage)
+	solve := func(name string, req SolveRequest) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		httpResp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := normalizeResponseBody(httpResp.Body)
+		httpResp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if httpResp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, httpResp.StatusCode, raw)
+		}
+		got[name] = raw
+	}
+	solve("1-full", req)
+	solve("2-cache-hit", req)
+	degraded := req
+	degraded.Degraded = true
+	solve("3-degraded", degraded)
+	if code, patch := patchGraph(t, ts, put.Hash, graph.Edit{AddEdges: [][2]int32{{9, 18}}}); code != http.StatusOK {
+		t.Fatalf("patch: %d %+v", code, patch)
+	}
+	solve("4-after-patch", req)
+
+	compareGolden(t, filepath.Join("testdata", "golden_ref_responses.json"), got)
 }

@@ -506,18 +506,9 @@ func (s *Server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 func (s *Server) healAnswer(ng *graph.Graph, hash string, req *SolveRequest, prevSet []bool) string {
 	set := append([]bool(nil), prevSet...)
 	reliable.Repair(ng, set)
-	key := s.refCacheKey(ng, req)
-	s.answers.put(&storedAnswer{
-		Key:       key,
-		GraphHash: hash,
-		Set:       boolsToIndices(set),
-		Weight:    ng.SetWeight(set),
-		Quality:   qualityDegraded,
-		Alg:       "healed",
-		Updated:   time.Now().UTC(),
-	})
-	s.enqueueUpgrade(key, hash, ng, set, req)
-	return key
+	p := prepared{g: ng, key: s.refCacheKey(ng, req), hash: hash, ref: true}
+	s.publishDegraded(req, p, set, ng.SetWeight(set), "healed")
+	return p.key
 }
 
 // enqueueUpgrade hands a degraded answer to the repair tier. The task

@@ -90,7 +90,9 @@ func (s *Server) recoverJob(id string, req SolveRequest) error {
 	}
 	rec := s.jobs.create(id)
 	start := time.Now()
+	s.async.Add(1)
 	go func() {
+		defer s.async.Done()
 		resp := s.executeRecovered(&req, p, id, start)
 		rec.store(resp)
 		s.journalCommit(id)

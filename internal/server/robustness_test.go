@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -253,37 +255,75 @@ func (s *Server) prepareAndSolveForTest(req SolveRequest) (SolveResponse, error)
 // TestSingleFlightLeaderCancelMidSolve pins the follower-retry fix: when
 // the single-flight leader dies of its own deadline mid-solve, a follower
 // with a healthy context still gets a completed result instead of
-// inheriting the leader's context error.
+// inheriting the leader's context error. Every graph source runs through
+// the same pipeline, so the fix must hold for each of them.
 func TestSingleFlightLeaderCancelMidSolve(t *testing.T) {
-	slow := chaos.NewInjector(chaos.Schedule{Seed: 4, SlowP: 1, Slow: 300 * time.Millisecond})
-	_, ts := newTestServer(t, Options{Workers: 1, Chaos: slow})
-	req := SolveRequest{
-		Gen:  &GenSpec{Kind: "gnp", N: 80, P: 0.05, Weights: "poly2", Seed: 21},
-		Alg:  "goodnodes",
-		Seed: 21,
-	}
+	spec := &GenSpec{Kind: "gnp", N: 80, P: 0.05, Weights: "poly2", Seed: 21}
+	for _, source := range []string{"gen", "graph_ref"} {
+		t.Run(source, func(t *testing.T) {
+			slow := chaos.NewInjector(chaos.Schedule{Seed: 4, SlowP: 1, Slow: 300 * time.Millisecond})
+			_, ts := newTestServer(t, Options{Workers: 1, Chaos: slow})
+			req := SolveRequest{Alg: "goodnodes", Seed: 21}
 
-	// Leader: async with a deadline far shorter than the 300ms slow solve.
-	leaderReq := req
-	leaderReq.Async = true
-	leaderReq.DeadlineMS = 100
-	code, accepted := postSolve(t, ts, leaderReq)
-	if code != http.StatusAccepted {
-		t.Fatalf("leader accept: code=%d", code)
-	}
-	time.Sleep(30 * time.Millisecond) // let the leader start its flight
+			// Leader: a deadline far shorter than the 300ms slow solve.
+			// graph_ref solves cannot be async, so that leader is a
+			// synchronous request running in the background.
+			leaderReq := req
+			leaderReq.DeadlineMS = 100
+			var leader func() SolveResponse
+			switch source {
+			case "gen":
+				leaderReq.Gen = spec
+				req.Gen = spec
+				leaderReq.Async = true
+				code, accepted := postSolve(t, ts, leaderReq)
+				if code != http.StatusAccepted {
+					t.Fatalf("leader accept: code=%d", code)
+				}
+				leader = func() SolveResponse { return waitJob(t, ts, accepted.ID) }
+			case "graph_ref":
+				g, err := (&SolveRequest{Gen: spec}).BuildGraph()
+				if err != nil {
+					t.Fatal(err)
+				}
+				leaderReq.GraphRef = putGraph(t, ts, g).Hash
+				req.GraphRef = leaderReq.GraphRef
+				done := make(chan SolveResponse, 1)
+				go func() {
+					body, _ := json.Marshal(leaderReq)
+					var resp SolveResponse
+					if httpResp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body)); err != nil {
+						resp.Error = err.Error()
+					} else {
+						_ = json.NewDecoder(httpResp.Body).Decode(&resp)
+						httpResp.Body.Close()
+					}
+					done <- resp
+				}()
+				leader = func() SolveResponse { return <-done }
+			}
+			time.Sleep(30 * time.Millisecond) // let the leader start its flight
 
-	// Follower: same request, no deadline. Must come back done even though
-	// the leader's context dies mid-solve.
-	code, resp := postSolve(t, ts, req)
-	if code != http.StatusOK || resp.Status != "done" {
-		t.Fatalf("follower: code=%d resp=%+v, want done despite leader cancel", code, resp)
+			// Follower: same request, no deadline. Must come back done even
+			// though the leader's context dies mid-solve.
+			code, resp := postSolve(t, ts, req)
+			if code != http.StatusOK || resp.Status != "done" {
+				t.Fatalf("follower: code=%d resp=%+v, want done despite leader cancel", code, resp)
+			}
+			// And the leader reports its own deadline honestly.
+			if rec := leader(); rec.Status != "deadline" {
+				t.Fatalf("leader = %+v, want deadline", rec)
+			}
+		})
 	}
+}
 
-	// And the leader's own record reports its deadline honestly.
+// waitJob polls GET /v1/jobs/{id} until the job leaves queued/running.
+func waitJob(t *testing.T, ts *httptest.Server, id string) SolveResponse {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		httpResp, err := http.Get(ts.URL + "/v1/jobs/" + accepted.ID)
+		httpResp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,14 +333,11 @@ func TestSingleFlightLeaderCancelMidSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Status == "deadline" {
-			break
-		}
 		if rec.Status != "queued" && rec.Status != "running" {
-			t.Fatalf("leader record = %+v, want deadline", rec)
+			return rec
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leader never reported its deadline: %+v", rec)
+			t.Fatalf("job %s never finished: %+v", id, rec)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

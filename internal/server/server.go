@@ -157,6 +157,10 @@ type Server struct {
 	// terminal state; see journal.go.
 	wal       *reliable.WAL
 	recovered atomic.Int64
+	// async counts async and recovered jobs that have not yet stored and
+	// committed their terminal response; Drain waits for them, so a clean
+	// drain leaves no accepted job uncommitted in the journal.
+	async sync.WaitGroup
 }
 
 // New assembles a Server; Handler exposes it over HTTP.
@@ -246,14 +250,19 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) BeginShutdown() { s.shutdown.Store(true) }
 
 // Drain completes graceful shutdown: stops the worker pool after every
-// accepted job finished, or errors after the configured drain timeout.
+// accepted job finished and committed, or errors after the configured
+// drain timeout.
 // The repair tier stops first — abandoning queued upgrades is safe (the
 // degraded answers stay served, and a future boot's solves re-derive the
 // full ones) while leaking its goroutine is not.
 func (s *Server) Drain() error {
 	s.BeginShutdown()
 	s.repairTier.Stop()
-	return s.sched.drain(s.opts.DrainTimeout)
+	if err := s.sched.drain(s.opts.DrainTimeout); err != nil {
+		return err
+	}
+	s.async.Wait()
+	return nil
 }
 
 // Close releases the journals (if open). Call after Drain; jobs completing
@@ -327,29 +336,45 @@ func errorResponse(w http.ResponseWriter, status int, format string, args ...any
 	writeJSON(w, status, SolveResponse{Status: "failed", Error: fmt.Sprintf(format, args...)})
 }
 
-// prepared is everything handleSolve derives from a normalized request
-// before executing it; recovery re-derives the identical values from the
+// prepared is everything prepare derives from a normalized request before
+// executing it; recovery re-derives the identical values from the
 // journaled request, which is what makes replayed solves bit-identical.
 type prepared struct {
 	g    *graph.Graph
 	cfg  maxis.Config
 	key  string
 	hash string
+	// ref marks a graph_ref solve and switches on the dynamic-graph hooks
+	// of execute: the component-wise solve, and publishing every answer to
+	// the answer registry (answers.go).
+	ref bool
 }
 
-// prepare materialises the graph, assembles the solve config and computes
-// the cache key for a normalized request.
+// errUnknownGraph is prepare's error for a graph_ref that names no stored
+// handle; handleSolve maps it to 404.
+var errUnknownGraph = errors.New("unknown graph")
+
+// prepare runs the build → plan → key stages for a normalized request: it
+// materialises the graph (a graph_ref resolves to its handle's current
+// snapshot), assembles the solve config, resolves alg=auto and computes
+// the cache key.
 func (s *Server) prepare(req *SolveRequest) (prepared, error) {
-	g, err := req.BuildGraph()
-	if err != nil {
+	var p prepared
+	var err error
+	if req.GraphRef != "" {
+		var ok bool
+		if p.g, p.hash, ok = s.graphs.snapshot(req.GraphRef); !ok {
+			return prepared{}, fmt.Errorf("%w %q", errUnknownGraph, req.GraphRef)
+		}
+		p.ref = true
+	} else if p.g, err = req.BuildGraph(); err != nil {
 		return prepared{}, fmt.Errorf("graph: %w", err)
 	}
-	cfg, err := req.maxisConfig(s.opts.SolveWorkers)
-	if err != nil {
+	if p.cfg, err = req.maxisConfig(s.opts.SolveWorkers); err != nil {
 		return prepared{}, err
 	}
-	if cfg.Faults.Enabled() {
-		if err := cfg.Faults.ValidateFor(g.N()); err != nil {
+	if p.cfg.Faults.Enabled() {
+		if err := p.cfg.Faults.ValidateFor(p.g.N()); err != nil {
 			return prepared{}, fmt.Errorf("fault schedule: %w", err)
 		}
 	}
@@ -357,9 +382,9 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 	// families hand the nominal bound W to the engine instead of letting it
 	// scan the graph.
 	if req.Gen != nil && (req.Gen.Weights == "uniform" || req.Gen.Weights == "skewed") {
-		cfg.MaxWeight = req.Gen.MaxW
-		if cfg.MaxWeight <= 0 {
-			cfg.MaxWeight = 1000
+		p.cfg.MaxWeight = req.Gen.MaxW
+		if p.cfg.MaxWeight <= 0 {
+			p.cfg.MaxWeight = 1000
 		}
 	}
 	// "auto" resolves through the planner here — before the cache key is
@@ -367,18 +392,26 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 	// always name a concrete algorithm: two auto requests with different
 	// deadlines can cache distinct answers, and replay is bit-identical.
 	if req.Alg == plan.Auto {
-		d, err := plan.For(g, protocol.Params{Eps: req.Eps, Alpha: req.Alpha},
-			plan.ForDeadline(req.DeadlineMS, s.opts.PlannerOpsPerMS), cfg.MIS)
+		d, err := plan.For(p.g, protocol.Params{Eps: req.Eps, Alpha: req.Alpha},
+			plan.ForDeadline(req.DeadlineMS, s.opts.PlannerOpsPerMS), p.cfg.MIS)
 		if err != nil {
 			return prepared{}, fmt.Errorf("plan: %w", err)
 		}
 		req.Alg = d.Alg
 		s.metrics.planned.Add(1)
 	}
-	key := cacheKey(g.Canonical(), req.Fingerprint()+fmt.Sprintf("|W=%d", cfg.MaxWeight))
-	return prepared{g: g, cfg: cfg, key: key, hash: g.HashString()}, nil
+	if p.ref {
+		p.key = s.refCacheKey(p.g, req)
+	} else {
+		p.key = cacheKey(p.g.Canonical(), req.Fingerprint()+fmt.Sprintf("|W=%d", p.cfg.MaxWeight))
+		p.hash = p.g.HashString()
+	}
+	return p, nil
 }
 
+// handleSolve is POST /v1/solve for every graph source. It runs the admit
+// and decode stages, hands build → plan → key to prepare and the rest to
+// execute, and encodes the response.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if s.shutdown.Load() {
@@ -397,11 +430,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := req.Normalize(); err != nil {
 		errorResponse(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Dynamic-graph solves take the component-wise incremental path.
-	if req.GraphRef != "" {
-		s.handleRefSolve(w, r, &req, start)
 		return
 	}
 	// Fast path: a repeat generator-spec request whose result is still
@@ -429,7 +457,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := s.prepare(&req)
 	if err != nil {
-		errorResponse(w, http.StatusBadRequest, "%v", err)
+		status := http.StatusBadRequest
+		if errors.Is(err, errUnknownGraph) {
+			status = http.StatusNotFound
+		}
+		errorResponse(w, status, "%v", err)
 		return
 	}
 	s.metrics.requests.Add(1)
@@ -439,30 +471,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.specs.put(specKey, specTarget{key: p.key, hash: p.hash})
 	}
 
-	// Explicitly degraded requests — the circuit-breaker fallback tier of
-	// internal/server/client — are answered host-side immediately: no
-	// scheduler, no cache, no simulator, deterministic. Always synchronous,
-	// even with Async set: the answer is cheaper than the bookkeeping.
-	if req.Degraded {
-		set, weight := GreedyDegraded(p.g)
-		s.metrics.shed.Add(1)
-		s.metrics.latency.observe("degraded", time.Since(start).Seconds())
-		writeJSON(w, http.StatusOK, SolveResponse{
-			ID:        id,
-			Status:    "done",
-			Set:       setIndices(set),
-			Size:      graph.SetSize(set),
-			Weight:    weight,
-			GraphHash: p.hash,
-			Degraded:  true,
-			Alg:       "greedy-degraded",
-			Guarantee: greedyGuarantee(p.g),
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		})
-		return
-	}
-
-	if req.Async {
+	// Explicitly degraded requests stay synchronous even with Async set:
+	// the host-side answer is cheaper than the job bookkeeping.
+	if req.Async && !req.Degraded {
 		rec := s.jobs.create(id)
 		// The write-ahead contract: the begin record is durable before the
 		// 202 acknowledgement, so a crash after this point cannot lose the
@@ -473,12 +484,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			errorResponse(w, http.StatusInternalServerError, "journal: %v", err)
 			return
 		}
-		ctx := context.Background()
-		var cancel context.CancelFunc = func() {}
-		if req.DeadlineMS > 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		}
+		ctx, cancel := withDeadline(context.Background(), &req)
+		s.async.Add(1)
 		go func() {
+			defer s.async.Done()
 			defer cancel()
 			resp := s.execute(ctx, &req, p, id, start, true)
 			rec.store(resp)
@@ -488,14 +497,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	var cancel context.CancelFunc = func() {}
-	if req.DeadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-	}
+	ctx, cancel := withDeadline(r.Context(), &req)
 	defer cancel()
 	resp := s.execute(ctx, &req, p, id, start, true)
 	writeJSON(w, statusCode(&resp), resp)
+}
+
+// withDeadline bounds ctx by the request's deadline_ms, if it has one.
+func withDeadline(ctx context.Context, req *SolveRequest) (context.Context, context.CancelFunc) {
+	if req.DeadlineMS > 0 {
+		return context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
+	}
+	return ctx, func() {}
 }
 
 // statusCode maps a terminal SolveResponse to its HTTP status.
@@ -513,35 +526,53 @@ func statusCode(resp *SolveResponse) int {
 	}
 }
 
-// execute runs the full pipeline for one request: cache lookup, shed
-// decision, single-flight, scheduling, solve. It always returns a terminal
-// response. allowShed is false for journal-recovered jobs: they were
-// accepted with full-solve semantics and must be replayed bit-identically,
-// never downgraded by present-day load.
+// execute runs the cache → shed → single-flight/schedule → solve → publish
+// stages for one prepared request — inline graph, gen spec, graph_ref or
+// journal replay alike — and always returns a terminal response. allowShed
+// is false for journal-recovered jobs: they were accepted with full-solve
+// semantics and must be replayed bit-identically, never downgraded by
+// present-day load.
 func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id string, start time.Time, allowShed bool) SolveResponse {
 	finish := func(resp SolveResponse) SolveResponse {
 		resp.ID = id
 		resp.GraphHash = p.hash
 		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+		if p.ref {
+			resp.AnswerKey = p.key
+			if resp.Status == "done" {
+				resp.Quality = qualityFull
+				if resp.Degraded {
+					resp.Quality = qualityDegraded
+				}
+			}
+		}
 		return resp
 	}
+	cacheHit := func(e *cacheEntry) SolveResponse {
+		s.metrics.latency.observe("cache_hit", time.Since(start).Seconds())
+		return finish(entryResponse(e, true, false))
+	}
 
-	if !req.NoCache {
+	if !req.NoCache && !req.Degraded {
 		if e, ok := s.cache.get(p.key); ok {
-			s.metrics.latency.observe("cache_hit", time.Since(start).Seconds())
-			return finish(entryResponse(e, true, false))
+			return cacheHit(e)
 		}
 	}
 
-	// Load shedding: past the queue-depth threshold, answer with the cheap
-	// deterministic greedy tier instead of queueing a full solve.
-	if allowShed && s.sched.depth() >= s.opts.ShedDepth {
+	// The degraded tier answers with the cheap deterministic host-side
+	// greedy: on explicit request (the circuit-breaker fallback of
+	// internal/server/client), or as load shedding past the queue-depth
+	// threshold instead of queueing a full solve.
+	if req.Degraded || (allowShed && s.sched.depth() >= s.opts.ShedDepth) {
 		set, weight := GreedyDegraded(p.g)
 		s.metrics.shed.Add(1)
+		if p.ref {
+			s.publishDegraded(req, p, set, weight, "greedy-degraded")
+		}
 		s.metrics.latency.observe("degraded", time.Since(start).Seconds())
 		return finish(SolveResponse{
 			Status:    "done",
-			Set:       setIndices(set),
+			Set:       boolsToIndices(set),
 			Size:      graph.SetSize(set),
 			Weight:    weight,
 			Degraded:  true,
@@ -552,7 +583,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 
 	for {
 		entry, shared, err := s.cache.do(ctx, p.key, func() (*cacheEntry, error) {
-			return s.runScheduled(ctx, req, p.g, p.cfg, p.key)
+			return s.runScheduled(ctx, req, p)
 		})
 		if err != nil {
 			isCtxErr := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
@@ -563,8 +594,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 				// with this request as (or following) a fresh leader rather
 				// than failing a healthy request with someone else's error.
 				if e, ok := s.cache.get(p.key); ok {
-					s.metrics.latency.observe("cache_hit", time.Since(start).Seconds())
-					return finish(entryResponse(e, true, false))
+					return cacheHit(e)
 				}
 				continue
 			}
@@ -578,38 +608,33 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 			}
 		}
 		s.metrics.latency.observe(req.Alg, time.Since(start).Seconds())
+		if p.ref {
+			s.publishFull(req, p, entry)
+		}
 		return finish(entryResponse(entry, false, shared))
 	}
 }
 
-// runScheduled enqueues the solve on the worker pool and waits for it (or
-// for ctx). The solve result is cached worker-side, so even if this waiter
-// times out the completed work is kept. A worker panic fails this job only:
-// the typed error surfaces here while the worker restarts.
-func (s *Server) runScheduled(ctx context.Context, req *SolveRequest, g *graph.Graph, cfg maxis.Config, key string) (*cacheEntry, error) {
-	return s.runScheduledFn(ctx, req.Priority, key, func() (*cacheEntry, error) {
-		return s.solve(req, g, cfg, key)
-	}, !req.NoCache)
-}
-
-// runScheduledFn is the scheduling core shared by the static and dynamic
-// solve paths: enqueue solve as one worker-pool job under key, cache its
-// entry on success when cacheResult is set, and wait.
-func (s *Server) runScheduledFn(ctx context.Context, priority, key string, solve func() (*cacheEntry, error), cacheResult bool) (*cacheEntry, error) {
+// runScheduled enqueues the solve on the worker pool as one job under
+// p.key and waits for it (or for ctx). The solve result is cached
+// worker-side, so even if this waiter times out the completed work is
+// kept. A worker panic fails this job only: the typed error surfaces here
+// while the worker restarts.
+func (s *Server) runScheduled(ctx context.Context, req *SolveRequest, p prepared) (*cacheEntry, error) {
 	type outcome struct {
 		entry *cacheEntry
 		err   error
 	}
 	ch := make(chan outcome, 1)
 	j := &job{
-		id:       key,
-		priority: priority,
+		id:       p.key,
+		priority: req.Priority,
 		ctx:      ctx,
 		skipped:  make(chan struct{}),
 		failed:   make(chan error, 1),
 		run: func(context.Context) {
-			entry, err := solve()
-			if err == nil && cacheResult {
+			entry, err := s.solve(req, p)
+			if err == nil && !req.NoCache {
 				s.cache.put(entry)
 			}
 			ch <- outcome{entry, err}
@@ -631,23 +656,36 @@ func (s *Server) runScheduledFn(ctx context.Context, priority, key string, solve
 }
 
 // solve performs the actual algorithm run; it executes on a scheduler
-// worker.
-func (s *Server) solve(req *SolveRequest, g *graph.Graph, cfg maxis.Config, key string) (*cacheEntry, error) {
+// worker. A graph_ref solve runs component-wise and its entry is tagged
+// with the graph hash, so a PATCH that moves the handle evicts it.
+func (s *Server) solve(req *SolveRequest, p prepared) (*cacheEntry, error) {
+	cfg := p.cfg
 	cfg.Tracer = s.metrics.engine
 	cfg.TraceLabel = req.Alg
-	res, err := maxis.Solve(req.Alg, g, req.Eps, req.Alpha, cfg)
+	var (
+		res *maxis.Result
+		err error
+		tag string
+	)
+	if p.ref {
+		res, _, err = s.solveComponents(req, p.g, cfg)
+		tag = p.hash
+	} else {
+		res, err = maxis.Solve(req.Alg, p.g, req.Eps, req.Alpha, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return &cacheEntry{
-		key:       key,
+		key:       p.key,
 		set:       boolsToIndices(res.Set),
 		weight:    res.Weight,
 		rounds:    res.Metrics.Rounds,
 		messages:  res.Metrics.Messages,
 		bits:      res.Metrics.Bits,
 		alg:       req.Alg,
-		guarantee: maxis.GuaranteeString(req.Alg, g, req.Eps, req.Alpha, res),
+		guarantee: maxis.GuaranteeString(req.Alg, p.g, req.Eps, req.Alpha, res),
+		tag:       tag,
 	}, nil
 }
 
@@ -684,8 +722,6 @@ func boolsToIndices(set []bool) []int32 {
 	}
 	return out
 }
-
-func setIndices(set []bool) []int32 { return boolsToIndices(set) }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
