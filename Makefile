@@ -35,6 +35,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEngineFaultDeterminism -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzParamsNormalize -fuzztime=10s ./internal/maxis/
 	$(GO) test -run='^$$' -fuzz=FuzzChoose -fuzztime=10s ./internal/plan/
+	$(GO) test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=10s ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzFromCanonical -fuzztime=10s ./internal/graph/
 
 build-cmds:
 	$(GO) build -o bin/ ./cmd/...

@@ -30,9 +30,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -374,11 +372,15 @@ func (c *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (Resp
 	if err != nil {
 		return Response{}, badRequest("graph: %v", err)
 	}
+	// The canonical form is built once per solve: it names the graph in the
+	// response and the routing key, and the whole-graph route sends it.
+	canon := req.CanonicalForm(g)
+	hash := graph.HashCanonical(canon)
 	c.solves.Add(1)
 	id := fmt.Sprintf("cl-%d", c.idSeq.Add(1))
 	finish := func(resp Response) Response {
 		resp.ID = id
-		resp.GraphHash = g.HashString()
+		resp.GraphHash = hash
 		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 		return resp
 	}
@@ -387,23 +389,11 @@ func (c *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (Resp
 		// Every backend is dead: the front tier degrades exactly like a
 		// saturated single node — the local greedy tier answers, marked
 		// degraded, rather than failing the request.
-		c.fallbacks.Add(1)
-		set, weight := server.GreedyDegraded(g)
-		return finish(Response{
-			SolveResponse: server.SolveResponse{
-				Status:   "done",
-				Set:      indices(set),
-				Size:     graph.SetSize(set),
-				Weight:   weight,
-				Degraded: true,
-			},
-			Parts:    []PartReport{{Part: 0, GraphHash: g.HashString(), N: g.N(), M: g.M(), Size: graph.SetSize(set), Weight: weight, Degraded: true, Local: true}},
-			Verified: true,
-		}), nil
+		return finish(c.localWhole(g, hash)), nil
 	}
 
 	if g.N() < c.opts.MinFanoutNodes || c.opts.Partitions <= 1 || req.Degraded {
-		resp, err := c.solveWhole(ctx, req, g)
+		resp, err := c.solveWhole(ctx, req, g, canon, hash)
 		if err != nil {
 			return Response{}, err
 		}
@@ -416,32 +406,46 @@ func (c *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (Resp
 	return finish(resp), nil
 }
 
+// localWhole answers the whole graph from the coordinator's own degraded
+// tier, for when no backend can.
+func (c *Coordinator) localWhole(g *graph.Graph, hash string) Response {
+	c.fallbacks.Add(1)
+	set, weight := server.GreedyDegraded(g)
+	return Response{
+		SolveResponse: server.SolveResponse{
+			Status:   "done",
+			Set:      indices(set),
+			Size:     graph.SetSize(set),
+			Weight:   weight,
+			Degraded: true,
+		},
+		Parts:    []PartReport{{Part: 0, GraphHash: hash, N: g.N(), M: g.M(), Size: graph.SetSize(set), Weight: weight, Degraded: true, Local: true}},
+		Verified: true,
+	}
+}
+
 // solveWhole routes the unpartitioned request to the ring owner of its
 // content key, failing over clockwise; repeat graphs therefore land on the
-// node whose cache already holds the answer.
-func (c *Coordinator) solveWhole(ctx context.Context, req *server.SolveRequest, g *graph.Graph) (Response, error) {
+// node whose cache already holds the answer. An inline graph travels as
+// its canonical bytes canon; a gen spec travels as the spec, so the
+// backend's spec memo keeps answering repeats without a rebuild.
+func (c *Coordinator) solveWhole(ctx context.Context, req *server.SolveRequest, g *graph.Graph, canon []byte, hash string) (Response, error) {
 	c.wholeGraph.Add(1)
-	key := g.HashString() + "|" + req.Fingerprint()
-	resp, backendName, rerouted, err := c.solveOn(ctx, key, *req)
+	wreq := *req
+	if wreq.Gen == nil {
+		wreq.Graph, wreq.Canonical = nil, canon
+	}
+	resp, backendName, rerouted, err := c.solveOn(ctx, hash+"|"+req.Fingerprint(), wreq)
 	if err != nil {
 		// No backend could answer; degrade locally rather than fail.
-		c.fallbacks.Add(1)
-		set, weight := server.GreedyDegraded(g)
-		return Response{
-			SolveResponse: server.SolveResponse{
-				Status:   "done",
-				Set:      indices(set),
-				Size:     graph.SetSize(set),
-				Weight:   weight,
-				Degraded: true,
-			},
-			Parts:    []PartReport{{Part: 0, GraphHash: g.HashString(), N: g.N(), M: g.M(), Size: graph.SetSize(set), Weight: weight, Degraded: true, Local: true}},
-			Verified: true,
-		}, nil
+		return c.localWhole(g, hash), nil
+	}
+	if err := checkHash(backendName, resp.GraphHash, hash); err != nil {
+		return Response{}, err
 	}
 	out := Response{SolveResponse: resp}
 	out.Parts = []PartReport{{
-		Part: 0, Backend: backendName, GraphHash: g.HashString(),
+		Part: 0, Backend: backendName, GraphHash: hash,
 		N: g.N(), M: g.M(), Size: resp.Size, Weight: resp.Weight,
 		Cached: resp.Cached, Degraded: resp.Degraded, Rerouted: rerouted,
 	}}
@@ -636,15 +640,13 @@ func (c *Coordinator) solvePartitioned(ctx context.Context, req *server.SolveReq
 // after fan-out overhead.
 func (c *Coordinator) solvePart(ctx context.Context, req *server.SolveRequest, sub *graph.Subgraph, idx int, deadlineMS int64) partOutcome {
 	partStart := time.Now()
-	hash := sub.G.HashString()
+	// The part travels as the canonical bytes it is hashed from.
+	canon := sub.G.Canonical()
+	hash := graph.HashCanonical(canon)
 	report := PartReport{Part: idx, GraphHash: hash, N: sub.G.N(), M: sub.G.M()}
 
-	var doc bytes.Buffer
-	if err := sub.G.WriteJSON(&doc); err != nil {
-		return partOutcome{err: fmt.Errorf("encode part: %w", err)}
-	}
 	preq := server.SolveRequest{
-		Graph:           json.RawMessage(doc.Bytes()),
+		Canonical:       canon,
 		Alg:             req.Alg,
 		Eps:             req.Eps,
 		Alpha:           req.Alpha,
@@ -660,6 +662,9 @@ func (c *Coordinator) solvePart(ctx context.Context, req *server.SolveRequest, s
 	c.partSolves.Add(1)
 	resp, backendName, rerouted, err := c.solveOn(ctx, hash+"|"+req.Fingerprint(), preq)
 	if err == nil {
+		if err := checkHash(backendName, resp.GraphHash, hash); err != nil {
+			return partOutcome{err: err, elapsed: time.Since(partStart)}
+		}
 		report.Backend = backendName
 		report.Rerouted = rerouted
 		report.Cached = resp.Cached
@@ -724,6 +729,16 @@ func (c *Coordinator) solveOn(ctx context.Context, key string, req server.SolveR
 		lastErr = fmt.Errorf("cluster: no alive backend for key")
 	}
 	return server.SolveResponse{}, "", false, lastErr
+}
+
+// checkHash rejects an answer for a graph other than the one sent: the
+// backend's graph_hash must be the hash of the canonical bytes the
+// coordinator shipped, or the set indexes some other graph's nodes.
+func checkHash(backend, got, want string) error {
+	if got != want {
+		return fmt.Errorf("backend %s answered for graph %s, sent %s", backend, got, want)
+	}
+	return nil
 }
 
 // readmit adds every admissible non-member in weight-descending,

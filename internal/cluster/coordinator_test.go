@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"distmwis/internal/graph"
+	"distmwis/internal/graph/gen"
 	"distmwis/internal/server"
 	"distmwis/internal/server/client"
 )
@@ -384,5 +387,106 @@ func TestReadmitMaximality(t *testing.T) {
 		if free {
 			t.Fatalf("node %d admissible but not re-admitted", v)
 		}
+	}
+}
+
+// TestClusterShipsCanonicalBytes: parts and whole inline graphs reach the
+// backend as canonical bytes, never as a JSON graph, while a whole-graph
+// gen spec stays a spec so the backend's spec memo still applies.
+func TestClusterShipsCanonicalBytes(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		seen []server.SolveRequest
+	)
+	backend := server.New(server.Options{Workers: 2})
+	recorder := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/solve" {
+			body, _ := io.ReadAll(r.Body)
+			var req server.SolveRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Errorf("backend got an undecodable request: %v", err)
+			}
+			mu.Lock()
+			seen = append(seen, req)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		backend.Handler().ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(recorder)
+	defer ts.Close()
+	c, err := New([]string{ts.URL}, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	var small bytes.Buffer
+	if err := gen.Cycle(12).WriteJSON(&small); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		req       server.SolveRequest
+		parts     int
+		canonical bool
+	}{
+		{"partitioned", server.SolveRequest{Gen: &server.GenSpec{Kind: "gnp", N: 150, P: 0.04, Seed: 3}}, 3, true},
+		{"whole-inline", server.SolveRequest{Graph: small.Bytes()}, 1, true},
+		{"whole-gen", server.SolveRequest{Gen: &server.GenSpec{Kind: "cycle", N: 12}}, 1, false},
+	}
+	for _, tc := range cases {
+		mu.Lock()
+		seen = nil
+		mu.Unlock()
+		resp, err := c.Solve(context.Background(), &tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		verifySet(t, &tc.req, resp)
+		mu.Lock()
+		got := seen
+		mu.Unlock()
+		if len(got) != tc.parts {
+			t.Fatalf("%s: backend saw %d requests, want %d", tc.name, len(got), tc.parts)
+		}
+		for i, r := range got {
+			if r.Graph != nil || (r.Canonical != nil) != tc.canonical || (r.Gen != nil) == tc.canonical {
+				t.Errorf("%s: request %d has graph=%t canonical=%t gen=%t", tc.name, i, r.Graph != nil, r.Canonical != nil, r.Gen != nil)
+			}
+		}
+	}
+}
+
+// TestClusterRejectsWrongPartHash: a backend that answers for a graph
+// other than the one it was sent fails the solve instead of having its
+// set merged into the answer.
+func TestClusterRejectsWrongPartHash(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(server.SolveResponse{
+			Status: "done", Set: []int32{0}, Size: 1, Weight: 1,
+			GraphHash: strings.Repeat("0", 64),
+		})
+	}))
+	defer stub.Close()
+	c, err := New([]string{stub.URL}, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	for _, req := range []server.SolveRequest{
+		{Gen: &server.GenSpec{Kind: "gnp", N: 150, P: 0.04, Seed: 3}},
+		{Gen: &server.GenSpec{Kind: "cycle", N: 12}},
+	} {
+		resp, err := c.Solve(context.Background(), &req)
+		var reqErr *RequestError
+		if err == nil || errors.As(err, &reqErr) || !strings.Contains(err.Error(), "answered for graph "+strings.Repeat("0", 64)) {
+			t.Fatalf("%s: err = %v (resp %+v), want a backend hash-mismatch error", req.Gen.Kind, err, resp)
+		}
+	}
+	if st := c.Stats(); st.LocalParts != 0 || st.Fallbacks != 0 {
+		t.Fatalf("a hash mismatch fell back locally: %+v", st)
 	}
 }

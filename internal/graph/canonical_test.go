@@ -2,11 +2,14 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
+	"runtime"
+	"strings"
 	"testing"
 )
 
-func randomGraph(t *testing.T, r *rand.Rand, n int) *Graph {
+func randomGraph(t testing.TB, r *rand.Rand, n int) *Graph {
 	t.Helper()
 	b := NewBuilder(n)
 	for v := 0; v < n; v++ {
@@ -139,19 +142,110 @@ func TestHashCollisionSweep(t *testing.T) {
 	}
 }
 
-func TestFromCanonicalRejectsGarbage(t *testing.T) {
-	g := randomGraph(t, rand.New(rand.NewPCG(3, 3)), 12)
-	data := g.Canonical()
-	cases := map[string][]byte{
-		"empty":      nil,
-		"bad-magic":  []byte("XXXXX123"),
-		"truncated":  data[:len(data)/2],
-		"trailing":   append(append([]byte{}, data...), 0x01),
-		"short-head": data[:3],
+// canonicalBytes assembles a canonical form by hand: magic, n, m, then the
+// given identifiers, weights and edge endpoints, each a minimal varint.
+func canonicalBytes(n, m uint64, ids []uint64, weights []int64, edges ...uint64) []byte {
+	b := append([]byte{}, canonicalMagic...)
+	b = binary.AppendUvarint(b, n)
+	b = binary.AppendUvarint(b, m)
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, id)
 	}
-	for name, in := range cases {
-		if _, err := FromCanonical(in); err == nil {
-			t.Errorf("%s: expected error, got none", name)
+	for _, w := range weights {
+		b = binary.AppendVarint(b, w)
+	}
+	for _, x := range edges {
+		b = binary.AppendUvarint(b, x)
+	}
+	return b
+}
+
+// TestFromCanonicalRejectsGarbage covers malformed input, and every input
+// shape FromCanonical refuses although it could decode it: each would
+// either allocate far more than the input's size, or decode to a graph
+// whose canonical form differs from the input, so that two byte strings
+// would name one graph.
+func TestFromCanonicalRejectsGarbage(t *testing.T) {
+	data := randomGraph(t, rand.New(rand.NewPCG(3, 3)), 12).Canonical()
+	ids, w := []uint64{1, 2, 3}, []int64{1, 1, 1}
+	valid := canonicalBytes(3, 2, ids, w, 0, 1, 1, 2)
+	if _, err := FromCanonical(valid); err != nil {
+		t.Fatalf("hand-built valid form rejected: %v", err)
+	}
+	padded := append([]byte{}, canonicalMagic...)
+	padded = append(padded, 0x83, 0x00) // n = 3 in two bytes
+	padded = append(padded, valid[len(canonicalMagic)+1:]...)
+	paddedWeight := canonicalBytes(3, 2, ids, nil)
+	paddedWeight = append(paddedWeight, 0x82, 0x00, 0x02, 0x02) // weight 1 in two bytes
+	paddedWeight = binary.AppendUvarint(paddedWeight, 0)
+	paddedWeight = append(paddedWeight, 1, 1, 2)
+
+	cases := []struct {
+		name, want string
+		in         []byte
+	}{
+		{"empty", "bad magic", nil},
+		{"bad-magic", "bad magic", []byte("XXXXX123")},
+		{"short-head", "bad magic", data[:3]},
+		{"truncated", "", data[:len(data)/2]},
+		{"trailing", "trailing", append(append([]byte{}, data...), 0x01)},
+		{"huge-n", "do not fit", canonicalBytes(1<<31, 0, nil, nil)},
+		{"huge-m", "do not fit", canonicalBytes(3, 1<<31, ids, w)},
+		{"n-beyond-input", "do not fit", canonicalBytes(4, 0, ids, w)},
+		{"m-beyond-input", "do not fit", canonicalBytes(3, 3, ids, w, 0, 1, 1, 2)},
+		{"varint-overflow", "overflows", append(append([]byte{}, canonicalMagic...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)},
+		{"padded-count", "not minimally encoded", padded},
+		{"padded-weight", "not minimally encoded", paddedWeight},
+		{"duplicate-edge", "does not follow", canonicalBytes(3, 2, ids, w, 0, 1, 0, 1)},
+		{"unsorted-edges", "does not follow", canonicalBytes(3, 2, ids, w, 1, 2, 0, 1)},
+		{"unsorted-second-endpoint", "does not follow", canonicalBytes(3, 2, ids, w, 0, 2, 0, 1)},
+		{"reversed-edge", "bad edge", canonicalBytes(3, 1, ids, w, 1, 0)},
+		{"self-loop", "bad edge", canonicalBytes(3, 1, ids, w, 1, 1)},
+		{"endpoint-out-of-range", "bad edge", canonicalBytes(3, 1, ids, w, 0, 3)},
+		{"duplicate-id", "share identifier", canonicalBytes(3, 0, []uint64{4, 4, 5}, w)},
+	}
+	for _, tc := range cases {
+		_, err := FromCanonical(tc.in)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestFromCanonicalHugeHeaderAllocatesNothing: a dozen bytes claiming
+// n = 2³¹ nodes are refused before any node array is allocated.
+func TestFromCanonicalHugeHeaderAllocatesNothing(t *testing.T) {
+	in := canonicalBytes(1<<31, 1<<32, nil, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		if _, err := FromCanonical(in); err == nil {
+			t.Fatal("huge header accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 1024 {
+		t.Fatalf("rejecting a %d-byte header allocated %d bytes per call", len(in), perCall)
+	}
+}
+
+func FuzzFromCanonical(f *testing.F) {
+	f.Add(randomGraph(f, rand.New(rand.NewPCG(5, 5)), 9).Canonical())
+	f.Add(NewBuilder(0).MustBuild().Canonical())
+	f.Add(NewBuilder(3).MustBuild().WithWeights([]int64{-5, 0, 17}).Canonical())
+	f.Add(canonicalBytes(3, 2, []uint64{1, 2, 3}, []int64{1, 1, 1}, 0, 1, 0, 1))
+	f.Add(canonicalBytes(1<<31, 0, nil, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := FromCanonical(data)
+		if err != nil {
+			return // malformed inputs must only error, never panic
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph fails validation: %v", err)
+		}
+		if got := g.Canonical(); !bytes.Equal(got, data) {
+			t.Fatalf("accepted input does not round-trip:\n in  %x\n out %x", data, got)
+		}
+	})
 }

@@ -80,30 +80,11 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, errors.New("graph: Builder used twice")
 	}
 	b.built = true
-	for v, w := range b.weights {
-		if w < 0 {
-			return nil, fmt.Errorf("graph: node %d has negative weight %d", v, w)
-		}
+	if err := checkWeights(b.weights); err != nil {
+		return nil, err
 	}
-	// Uniqueness check. Strictly increasing identifiers — the untouched
-	// NewBuilder default 1..n, and the common generator convention — are
-	// certified by one linear scan; only unordered identifier assignments
-	// pay for the map, which at 10M+ nodes would otherwise dominate Build.
-	increasing := true
-	for v := 1; v < b.n; v++ {
-		if b.ids[v] <= b.ids[v-1] {
-			increasing = false
-			break
-		}
-	}
-	if !increasing {
-		seen := make(map[uint64]int, b.n)
-		for v, id := range b.ids {
-			if prev, dup := seen[id]; dup {
-				return nil, fmt.Errorf("graph: nodes %d and %d share identifier %d", prev, v, id)
-			}
-			seen[id] = v
-		}
+	if err := checkIDs(b.ids); err != nil {
+		return nil, err
 	}
 	deg := make([]int32, b.n)
 	for _, e := range b.edges {
@@ -147,13 +128,60 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		g.off[v+1] = int32(len(g.adj))
 	}
-	for v := 0; v < b.n; v++ {
+	g.setMaxDegree()
+	return g, nil
+}
+
+// checkIDs is the identifier rule of Build: identifiers are unique.
+// Strictly increasing identifiers — the untouched NewBuilder default 1..n,
+// and the common generator convention — are certified by one linear scan;
+// only unordered identifier assignments pay for the map, which at 10M+
+// nodes would otherwise dominate Build.
+func checkIDs(ids []uint64) error {
+	increasing := true
+	for v := 1; v < len(ids); v++ {
+		if ids[v] <= ids[v-1] {
+			increasing = false
+			break
+		}
+	}
+	if increasing {
+		return nil
+	}
+	seen := make(map[uint64]int, len(ids))
+	for v, id := range ids {
+		if prev, dup := seen[id]; dup {
+			return fmt.Errorf("graph: nodes %d and %d share identifier %d", prev, v, id)
+		}
+		seen[id] = v
+	}
+	return nil
+}
+
+// setMaxDegree computes Δ from the CSR offsets.
+func (g *Graph) setMaxDegree() {
+	for v := 0; v+1 < len(g.off); v++ {
 		if d := int(g.off[v+1] - g.off[v]); d > g.maxDeg {
 			g.maxDeg = d
 		}
 	}
-	return g, nil
 }
+
+// checkWeights is the input-weight rule of Build: no negative weights.
+func checkWeights(w []int64) error {
+	for v, x := range w {
+		if x < 0 {
+			return fmt.Errorf("graph: node %d has negative weight %d", v, x)
+		}
+	}
+	return nil
+}
+
+// CheckInputWeights applies Build's weight rule to an already-built graph
+// and returns the error Build would have. Graphs decoded by FromCanonical
+// skip that rule (derived graphs may carry negative weights), so a boundary
+// that accepts canonical input graphs checks them here.
+func (g *Graph) CheckInputWeights() error { return checkWeights(g.weights) }
 
 // MustBuild is Build for statically-known-valid graphs (tests, generators).
 func (b *Builder) MustBuild() *Graph {

@@ -9,10 +9,11 @@
 //     (admission.go) rejects traffic beyond the configured rate with 429.
 //   - decode: the JSON body is parsed and normalized; a repeat gen spec
 //     may short-circuit to its cached answer through the spec memo.
-//   - build, plan, key (prepare): the graph is materialised (a graph_ref
-//     resolves to its handle's current snapshot, graphstore.go), alg=auto
-//     is resolved by the planner, and the content-addressed cache key is
-//     computed from the canonical graph and a config fingerprint.
+//   - build, plan, key (prepare): the graph is materialised (from JSON,
+//     canonical bytes or a gen spec; a graph_ref resolves to its handle's
+//     current snapshot, graphstore.go), alg=auto is resolved by the
+//     planner, and the content-addressed cache key and graph hash are
+//     computed from one canonical form and a config fingerprint.
 //   - cache (cache.go): an LRU with a byte budget answers repeats.
 //   - shed: explicit degraded requests, and all requests beyond a
 //     queue-depth threshold, are answered by a host-side greedy
@@ -83,12 +84,18 @@ type FaultSpec struct {
 	Seed    uint64  `json:"seed,omitempty"`
 }
 
-// SolveRequest is the body of POST /v1/solve. Exactly one of Graph, Gen and
-// GraphRef must be set.
+// SolveRequest is the body of POST /v1/solve. Exactly one of Graph,
+// Canonical, Gen and GraphRef must be set.
 type SolveRequest struct {
 	// Graph is an inline graph in the cmd/graphgen JSON format
 	// (graph.ReadJSON): {"n":..., "ids":[...], "weights":[...], "edges":[[u,v],...]}.
 	Graph json.RawMessage `json:"graph,omitempty"`
+	// Canonical is an inline graph in its canonical binary form
+	// (graph.Canonical, base64 in JSON). The cluster coordinator ships parts
+	// this way: the bytes it hashes are the bytes it sends, and the backend
+	// decodes them without a JSON graph codec. It solves, caches and hashes
+	// exactly as the same graph sent as Graph.
+	Canonical []byte `json:"canonical,omitempty"`
 	// Gen builds a generator graph server-side.
 	Gen *GenSpec `json:"gen,omitempty"`
 	// GraphRef solves a stored dynamic graph by content hash (any hash the
@@ -173,6 +180,9 @@ func (r *SolveRequest) Normalize() error {
 	if r.Graph != nil {
 		sources++
 	}
+	if r.Canonical != nil {
+		sources++
+	}
 	if r.Gen != nil {
 		sources++
 	}
@@ -180,7 +190,7 @@ func (r *SolveRequest) Normalize() error {
 		sources++
 	}
 	if sources != 1 {
-		return fmt.Errorf("exactly one of graph, gen and graph_ref must be set")
+		return fmt.Errorf("exactly one of graph, canonical, gen and graph_ref must be set")
 	}
 	if r.GraphRef != "" && r.Async {
 		// A journaled async job must replay bit-identically, but a graph_ref
@@ -250,6 +260,18 @@ func (r *SolveRequest) BuildGraph() (*graph.Graph, error) {
 		}
 		return g, nil
 	}
+	if r.Canonical != nil {
+		g, err := graph.FromCanonical(r.Canonical)
+		if err != nil {
+			return nil, err
+		}
+		// FromCanonical admits the negative weights of derived graphs; an
+		// input graph obeys the JSON path's builder rule.
+		if err := g.CheckInputWeights(); err != nil {
+			return nil, err
+		}
+		return g, nil
+	}
 	s := *r.Gen
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -306,6 +328,17 @@ func (r *SolveRequest) BuildGraph() (*graph.Graph, error) {
 		return nil, fmt.Errorf("unknown weight kind %q", s.Weights)
 	}
 	return g, nil
+}
+
+// CanonicalForm returns the canonical form of g, the graph BuildGraph built
+// for r. For a canonical source that is r.Canonical itself, with no
+// re-encoding: graph.FromCanonical accepts only bytes that re-encode to
+// themselves.
+func (r *SolveRequest) CanonicalForm(g *graph.Graph) []byte {
+	if r.Canonical != nil {
+		return r.Canonical
+	}
+	return g.Canonical()
 }
 
 // maxisConfig assembles the maxis.Config for this request, mirroring the

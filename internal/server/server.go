@@ -403,8 +403,9 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 	if p.ref {
 		p.key = s.refCacheKey(p.g, req)
 	} else {
-		p.key = cacheKey(p.g.Canonical(), req.Fingerprint()+fmt.Sprintf("|W=%d", p.cfg.MaxWeight))
-		p.hash = p.g.HashString()
+		canon := req.CanonicalForm(p.g)
+		p.key = cacheKey(canon, req.Fingerprint()+fmt.Sprintf("|W=%d", p.cfg.MaxWeight))
+		p.hash = graph.HashCanonical(canon)
 	}
 	return p, nil
 }

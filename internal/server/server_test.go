@@ -160,6 +160,33 @@ func TestSolveInlineGraphAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestSolveCanonicalMatchesJSON: a graph sent as canonical bytes is the
+// same request as the graph sent as JSON — same graph hash, same set and
+// weight, and the same cache line, so the second form is a cache hit.
+func TestSolveCanonicalMatchesJSON(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	g := gen.Weighted(gen.GNP(120, 0.05, 9), gen.UniformWeights(1000), 9)
+	var buf bytes.Buffer
+	if err := g.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	code, byJSON := postSolve(t, ts, SolveRequest{Graph: json.RawMessage(buf.Bytes()), Seed: 4})
+	if code != http.StatusOK || byJSON.Cached {
+		t.Fatalf("json solve: code=%d cached=%t err=%q", code, byJSON.Cached, byJSON.Error)
+	}
+	code, byCanon := postSolve(t, ts, SolveRequest{Canonical: g.Canonical(), Seed: 4})
+	if code != http.StatusOK || !byCanon.Cached {
+		t.Fatalf("canonical solve should hit the json solve's cache line: code=%d cached=%t err=%q",
+			code, byCanon.Cached, byCanon.Error)
+	}
+	if byCanon.GraphHash != g.HashString() || byCanon.GraphHash != byJSON.GraphHash {
+		t.Fatalf("graph_hash %s via canonical, %s via json, want %s", byCanon.GraphHash, byJSON.GraphHash, g.HashString())
+	}
+	if fmt.Sprint(byCanon.Set) != fmt.Sprint(byJSON.Set) || byCanon.Weight != byJSON.Weight {
+		t.Fatal("canonical and json forms of one graph got different answers")
+	}
+}
+
 func TestSolveAsyncJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	code, resp := postSolve(t, ts, SolveRequest{
@@ -205,12 +232,23 @@ func TestSolveAsyncJobLifecycle(t *testing.T) {
 
 func TestSolveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
+	// One path with a negative weight, in both inline forms: the builder
+	// rejects it on the JSON path, BuildGraph on the canonical path.
+	negative := gen.Path(3).WithWeights([]int64{2, -5, 1})
+	var negJSON bytes.Buffer
+	if err := negative.WriteJSON(&negJSON); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		req  SolveRequest
 	}{
 		{"no-graph", SolveRequest{Alg: "theorem2"}},
 		{"both-graphs", SolveRequest{Graph: json.RawMessage(`{"n":1,"edges":[]}`), Gen: &GenSpec{Kind: "cycle", N: 4}}},
+		{"graph-and-canonical", SolveRequest{Graph: json.RawMessage(`{"n":1,"edges":[]}`), Canonical: gen.Cycle(4).Canonical()}},
+		{"bad-canonical", SolveRequest{Canonical: []byte("DMWG1 not a graph")}},
+		{"negative-weight-json", SolveRequest{Graph: json.RawMessage(negJSON.Bytes())}},
+		{"negative-weight-canonical", SolveRequest{Canonical: negative.Canonical()}},
 		{"bad-alg", SolveRequest{Gen: &GenSpec{Kind: "cycle", N: 4}, Alg: "nope"}},
 		{"bad-kind", SolveRequest{Gen: &GenSpec{Kind: "nope", N: 4}}},
 		{"bad-mis", SolveRequest{Gen: &GenSpec{Kind: "cycle", N: 4}, MIS: "nope"}},
@@ -226,6 +264,9 @@ func TestSolveValidation(t *testing.T) {
 		}
 		if resp.Error == "" {
 			t.Errorf("%s: error message missing", tc.name)
+		}
+		if strings.HasPrefix(tc.name, "negative-weight") && !strings.Contains(resp.Error, "node 1 has negative weight -5") {
+			t.Errorf("%s: error %q does not name the negative weight", tc.name, resp.Error)
 		}
 	}
 }
