@@ -13,9 +13,9 @@
 //     need edges they cannot see, so every part answer is independent
 //     within its part;
 //  2. the union of part answers can conflict only on cut edges; for each,
-//     the lower-weight endpoint withdraws (deterministic tie-break:
-//     higher index), restoring independence;
-//  3. a weight-ordered re-admission pass makes the set maximal again
+//     the endpoint graph.Before ranks later (the lighter one, ties to the
+//     higher identifier) withdraws, restoring independence;
+//  3. a re-admission pass in graph.WeightOrder makes the set maximal again
 //     (withdrawals can strand admissible nodes);
 //  4. the answer is verified independent against the full graph and
 //     floored against the coordinator-local degraded greedy tier: the
@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -410,11 +409,11 @@ func (c *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (Resp
 // tier, for when no backend can.
 func (c *Coordinator) localWhole(g *graph.Graph, hash string) Response {
 	c.fallbacks.Add(1)
-	set, weight := server.GreedyDegraded(g)
+	set, weight := g.Greedy()
 	return Response{
 		SolveResponse: server.SolveResponse{
 			Status:   "done",
-			Set:      indices(set),
+			Set:      graph.Members(set),
 			Size:     graph.SetSize(set),
 			Weight:   weight,
 			Degraded: true,
@@ -450,8 +449,7 @@ func (c *Coordinator) solveWhole(ctx context.Context, req *server.SolveRequest, 
 		Cached: resp.Cached, Degraded: resp.Degraded, Rerouted: rerouted,
 	}}
 	if resp.Status == "done" {
-		set := boolsFrom(resp.Set, g.N())
-		out.Verified = g.IsIndependentSet(set)
+		out.Verified = g.IsIndependentSet(graph.FromMembers(resp.Set, g.N()))
 	}
 	return out, nil
 }
@@ -579,37 +577,33 @@ func (c *Coordinator) solvePartitioned(ctx context.Context, req *server.SolveReq
 		bits += o.bits
 	}
 
-	// Reconcile: only cut edges can conflict; for each, the lower-weight
-	// endpoint withdraws (ties: the higher index), matching the
-	// reliable.Repair rule. Ascending scan order + immediate application
-	// makes the outcome deterministic.
+	// Reconcile: only cut edges can conflict; on each, the endpoint
+	// graph.Before ranks later withdraws, as in reliable.Repair. Ascending
+	// scan order + immediate application makes the outcome deterministic.
 	for _, e := range part.CutEdges {
-		u, v := int(e[0]), int(e[1])
-		if !merged[u] || !merged[v] {
-			continue
+		if g.Withdraw(merged, int(e[0]), int(e[1])) >= 0 {
+			resp.Conflicts++
+			resp.Withdrawn++
 		}
-		resp.Conflicts++
-		loser := v
-		if g.Weight(u) < g.Weight(v) {
-			loser = u
-		}
-		merged[loser] = false
-		resp.Withdrawn++
 	}
 	// Re-admission: withdrawals can leave admissible nodes stranded (all
-	// their set neighbours withdrew). Weight-descending, identifier-
-	// ascending — the degraded tier's deterministic order — restores
-	// maximality without ever breaking independence.
-	resp.Readmitted = readmit(g, merged)
+	// their set neighbours withdrew). One pass in the weight order restores
+	// maximality without ever breaking independence; the floor below
+	// reuses the same order.
+	order := g.WeightOrder()
+	_, resp.Readmitted = g.Extend(merged, order, 0, n)
 	c.conflicts.Add(int64(resp.Conflicts))
 	c.withdrawn.Add(int64(resp.Withdrawn))
 	c.readmitted.Add(int64(resp.Readmitted))
 
 	weight := g.SetWeight(merged)
 	// The availability floor: never answer lighter than the single-node
-	// degraded tier would. The greedy answer is deterministic and cheap;
-	// the merge must strictly beat it to be published.
-	if floorSet, floorWeight := server.GreedyDegraded(g); floorWeight > weight {
+	// degraded tier would. The greedy answer (graph.Greedy, built here
+	// from the shared order) is deterministic and cheap; the merge must
+	// strictly beat it to be published.
+	floorSet := make([]bool, n)
+	g.Extend(floorSet, order, 0, n)
+	if floorWeight := g.SetWeight(floorSet); floorWeight > weight {
 		merged = floorSet
 		weight = floorWeight
 		resp.Floor = true
@@ -617,13 +611,13 @@ func (c *Coordinator) solvePartitioned(ctx context.Context, req *server.SolveReq
 	}
 	if !g.IsIndependentSet(merged) {
 		// Unreachable by construction (reconciliation restores independence,
-		// readmit preserves it, the floor set is independent); refuse to
+		// re-admission preserves it, the floor set is independent); refuse to
 		// publish rather than serve a conflicted set.
 		return Response{}, fmt.Errorf("cluster: reconciled set failed independence verification")
 	}
 	resp.Verified = true
 	resp.Status = "done"
-	resp.Set = indices(merged)
+	resp.Set = graph.Members(merged)
 	resp.Size = graph.SetSize(merged)
 	resp.Weight = weight
 	resp.Rounds = rounds
@@ -681,13 +675,13 @@ func (c *Coordinator) solvePart(ctx context.Context, req *server.SolveRequest, s
 	}
 	// Every backend failed this part: answer it from the local degraded
 	// tier so one part's bad luck does not fail the whole solve.
-	set, weight := server.GreedyDegraded(sub.G)
+	set, weight := sub.G.Greedy()
 	c.localParts.Add(1)
 	report.Local = true
 	report.Degraded = true
 	report.Size = graph.SetSize(set)
 	report.Weight = weight
-	return partOutcome{report: report, set: indices(set), elapsed: time.Since(partStart)}
+	return partOutcome{report: report, set: graph.Members(set), elapsed: time.Since(partStart)}
 }
 
 // solveOn routes one request along the ring sequence for key: the owner
@@ -739,66 +733,4 @@ func checkHash(backend, got, want string) error {
 		return fmt.Errorf("backend %s answered for graph %s, sent %s", backend, got, want)
 	}
 	return nil
-}
-
-// readmit adds every admissible non-member in weight-descending,
-// identifier-ascending order, returning how many joined. Preserves
-// independence by construction.
-func readmit(g *graph.Graph, set []bool) int {
-	n := g.N()
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	// Same deterministic order as the degraded greedy tier.
-	sortByWeight(g, order)
-	added := 0
-	for _, v := range order {
-		if set[v] {
-			continue
-		}
-		free := true
-		for _, u := range g.Neighbors(int(v)) {
-			if set[u] {
-				free = false
-				break
-			}
-		}
-		if free {
-			set[v] = true
-			added++
-		}
-	}
-	return added
-}
-
-func sortByWeight(g *graph.Graph, order []int32) {
-	sort.Slice(order, func(a, b int) bool {
-		u, v := order[a], order[b]
-		wu, wv := g.Weight(int(u)), g.Weight(int(v))
-		if wu != wv {
-			return wu > wv
-		}
-		return g.ID(int(u)) < g.ID(int(v))
-	})
-}
-
-func indices(set []bool) []int32 {
-	var out []int32
-	for v, in := range set {
-		if in {
-			out = append(out, int32(v))
-		}
-	}
-	return out
-}
-
-func boolsFrom(set []int32, n int) []bool {
-	out := make([]bool, n)
-	for _, v := range set {
-		if int(v) >= 0 && int(v) < n {
-			out[v] = true
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"distmwis/internal/graph"
 	"distmwis/internal/graph/gen"
+	"distmwis/internal/repair"
 	"distmwis/internal/server"
 	"distmwis/internal/server/client"
 )
@@ -104,7 +106,7 @@ func TestClusterPartitionedSolve(t *testing.T) {
 		weight := verifySet(t, req, resp)
 
 		g, _ := req.BuildGraph()
-		_, floor := server.GreedyDegraded(g)
+		_, floor := g.Greedy()
 		if weight < floor {
 			t.Fatalf("%s: cluster weight %d below degraded-tier floor %d", spec.Kind, weight, floor)
 		}
@@ -226,7 +228,7 @@ func TestClusterAllDeadFallback(t *testing.T) {
 	}
 	weight := verifySet(t, req, resp)
 	g, _ := req.BuildGraph()
-	if _, floor := server.GreedyDegraded(g); weight != floor {
+	if _, floor := g.Greedy(); weight != floor {
 		t.Fatalf("local fallback weight %d != degraded tier %d", weight, floor)
 	}
 	if st := c.Stats(); st.Fallbacks != 1 {
@@ -354,39 +356,137 @@ func TestClusterHandler(t *testing.T) {
 	}
 }
 
-// TestReadmitMaximality: after forced withdrawals the re-admission pass
-// restores maximality deterministically without breaking independence.
-func TestReadmitMaximality(t *testing.T) {
-	b := graph.NewBuilder(5)
-	// A path 0-1-2-3-4 with heavy ends.
-	for v := 1; v < 5; v++ {
-		b.AddEdge(v-1, v)
-	}
-	for v := 0; v < 5; v++ {
-		b.SetWeight(v, int64(10-v))
-	}
-	g := b.MustBuild()
-	set := make([]bool, 5) // empty after hypothetical withdrawals
-	added := readmit(g, set)
-	if added == 0 {
-		t.Fatal("readmit added nothing to an empty set")
-	}
-	if !g.IsIndependentSet(set) {
-		t.Fatal("readmit broke independence")
-	}
-	for v := 0; v < 5; v++ {
-		if set[v] {
-			continue
+// partStub is a backend that answers every part with answer applied to
+// the part graph it was sent, under that graph's hash.
+func partStub(t *testing.T, answer func(g *graph.Graph) []bool) *httptest.Server {
+	t.Helper()
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req server.SolveRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		free := true
-		for _, u := range g.Neighbors(v) {
-			if set[u] {
-				free = false
+		g, err := graph.FromCanonical(req.Canonical)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		set := answer(g)
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(server.SolveResponse{
+			Status: "done", Set: graph.Members(set), Size: graph.SetSize(set),
+			Weight: g.SetWeight(set), GraphHash: graph.HashCanonical(req.Canonical),
+		})
+	}))
+	t.Cleanup(stub.Close)
+	return stub
+}
+
+// stubSolve runs one partitioned solve of g against a partStub backend.
+func stubSolve(t *testing.T, g *graph.Graph, answer func(g *graph.Graph) []bool) Response {
+	t.Helper()
+	c, err := New([]string{partStub(t, answer).URL}, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	resp, err := c.Solve(context.Background(), &server.SolveRequest{Canonical: g.Canonical()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Parts) != 3 || !resp.Verified {
+		t.Fatalf("parts=%d verified=%t, want a verified 3-part answer", len(resp.Parts), resp.Verified)
+	}
+	return resp
+}
+
+// TestReadmitMaximality: parts answered with their own greedy sets
+// conflict on cut edges; after the withdrawals, re-admission restores
+// maximality without breaking independence.
+func TestReadmitMaximality(t *testing.T) {
+	g := gen.Weighted(gen.UnionOfForests(200, 4, 5), gen.UniformWeights(1000), 5)
+	resp := stubSolve(t, g, func(g *graph.Graph) []bool { set, _ := g.Greedy(); return set })
+	if resp.Withdrawn == 0 || resp.Readmitted == 0 || resp.Floor {
+		t.Fatalf("withdrawn=%d readmitted=%d floor=%t, want withdrawals healed by re-admission", resp.Withdrawn, resp.Readmitted, resp.Floor)
+	}
+	set := graph.FromMembers(resp.Set, g.N())
+	if !g.IsIndependentSet(set) || !g.IsMaximalIS(set) {
+		t.Fatal("re-admitted merge is not a maximal independent set")
+	}
+}
+
+// TestWeightOrderPathsAgree: every host-side answer — the server's shed
+// tier, the coordinator's local fallback, re-admission of an empty merge,
+// the availability floor and the repair tier's improved answer at any
+// budget — is graph.Greedy's set. The graphs have few distinct weights and
+// identifiers that do not ascend with index, so the paths agree only if
+// they share one tie-break.
+func TestWeightOrderPathsAgree(t *testing.T) {
+	fleet := newFleet(t, 1)
+	c, err := New(fleet.urls, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	var graphs []*graph.Graph
+	for seed := uint64(1); seed <= 3; seed++ {
+		planted, _ := gen.PlantedIS(300, 40, 3, 0.03, seed)
+		graphs = append(graphs, planted,
+			gen.RandomIDs(gen.Weighted(gen.GNP(300, 0.03, seed), gen.UniformWeights(3), seed), 1<<20, seed))
+	}
+	floors := 0
+	for i, g := range graphs {
+		want, wantWeight := g.Greedy()
+		check := func(path string, members []int32) {
+			t.Helper()
+			if !graph.SameSet(graph.FromMembers(members, g.N()), want) {
+				t.Errorf("graph %d: %s differs from graph.Greedy", i, path)
 			}
 		}
-		if free {
-			t.Fatalf("node %d admissible but not re-admitted", v)
+
+		shed, err := c.Solve(context.Background(), &server.SolveRequest{Canonical: g.Canonical(), Degraded: true})
+		if err != nil || !shed.Degraded {
+			t.Fatalf("graph %d: shed solve: err=%v degraded=%t", i, err, shed.Degraded)
 		}
+		check("server shed answer", shed.Set)
+		check("coordinator localWhole", c.localWhole(g, "").Set)
+
+		empty := stubSolve(t, g, func(g *graph.Graph) []bool { return make([]bool, g.N()) })
+		if empty.Floor || empty.Readmitted != graph.SetSize(want) || empty.Weight != wantWeight {
+			t.Errorf("graph %d: empty merge: floor=%t readmitted=%d weight=%d", i, empty.Floor, empty.Readmitted, empty.Weight)
+		}
+		check("re-admission of an empty merge", empty.Set)
+
+		// Each part offers only its last-ranked node; the re-admitted merge
+		// keeps those light nodes, so the floor usually wins.
+		light := stubSolve(t, g, func(g *graph.Graph) []bool {
+			set := make([]bool, g.N())
+			order := g.WeightOrder()
+			set[order[len(order)-1]] = true
+			return set
+		})
+		if light.Floor {
+			floors++
+			check("coordinator floor", light.Set)
+		}
+
+		for _, budget := range []int{1, 7, g.N()} {
+			var improved []bool
+			tier := repair.New(repair.Options{Budget: budget, Interval: time.Hour, Publish: func(_ string, a repair.Answer) {
+				if a.Quality == repair.QualityImproved {
+					improved = a.Set
+				}
+			}})
+			tier.Enqueue(repair.Task{Key: "k", G: g, Start: make([]bool, g.N())})
+			for tier.Step() {
+			}
+			tier.Stop()
+			check(fmt.Sprintf("repair tier at budget %d", budget), graph.Members(improved))
+		}
+	}
+	if floors == 0 {
+		t.Fatal("the floor never won, so its answer went unchecked")
 	}
 }
 

@@ -22,7 +22,6 @@ package mis
 
 import (
 	"fmt"
-	"sort"
 
 	"distmwis/internal/congest"
 	"distmwis/internal/graph"
@@ -614,28 +613,3 @@ func (p *rankProcess) Output() any { return p.joined }
 
 // TracePhase implements congest.PhaseLabeler.
 func (p *rankProcess) TracePhase(round int) string { return phaseName(round) }
-
-// GreedySequential computes the canonical greedy MIS in identifier order.
-// It is a centralized reference implementation used to validate the
-// distributed protocols and by the Section 7 gap-filling step.
-func GreedySequential(g *graph.Graph) []bool {
-	n := g.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Sort by identifier so the result is topology-determined.
-	sort.Slice(order, func(i, j int) bool { return g.ID(order[i]) < g.ID(order[j]) })
-	set := make([]bool, n)
-	blocked := make([]bool, n)
-	for _, v := range order {
-		if blocked[v] {
-			continue
-		}
-		set[v] = true
-		for _, u := range g.Neighbors(v) {
-			blocked[u] = true
-		}
-	}
-	return set
-}

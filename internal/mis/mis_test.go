@@ -108,27 +108,6 @@ func TestCongestComplianceWithTightBandwidth(t *testing.T) {
 	}
 }
 
-func TestGreedySequential(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		set := GreedySequential(g)
-		if err := Verify(g, set); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-func TestGreedySequentialFollowsIDOrder(t *testing.T) {
-	// On a path with increasing IDs, greedy picks nodes 0, 2, 4.
-	g := gen.Path(5)
-	set := GreedySequential(g)
-	want := []bool{true, false, true, false, true}
-	for v := range want {
-		if set[v] != want[v] {
-			t.Errorf("set[%d] = %v, want %v", v, set[v], want[v])
-		}
-	}
-}
-
 func TestVerifyRejectsBadSets(t *testing.T) {
 	g := gen.Path(4)
 	if err := Verify(g, []bool{true, true, false, false}); err == nil {

@@ -22,9 +22,9 @@ func (r *RepairReport) Merge(o RepairReport) {
 
 // Repair is the runtime self-healing monitor: it checks the independence
 // invariant over the candidate set and performs local repair in place —
-// for every conflicting edge the lower-weight endpoint withdraws, with a
-// deterministic tie-break (the higher-index endpoint withdraws, keeping the
-// lower index). Each decision looks only at the two endpoints of one edge,
+// for every conflicting edge the endpoint graph.Before ranks later
+// withdraws (graph.Withdraw: the lower-weight endpoint, ties to the higher
+// identifier). Each decision looks only at the two endpoints of one edge,
 // so the repair is a local rule a real deployment would run as a one-round
 // distributed check; here it runs on the host after output collection,
 // where it heals the residual failure modes the transport cannot mask — a
@@ -43,19 +43,15 @@ func Repair(g *graph.Graph, set []bool) RepairReport {
 		if !set[v] {
 			continue
 		}
-		for _, un := range g.Neighbors(v) {
-			u := int(un)
-			if u <= v || !set[v] || !set[u] {
+		for _, u := range g.Neighbors(v) {
+			if int(u) <= v {
 				continue
 			}
-			rep.Conflicts++
-			loser := u
-			if g.Weight(v) < g.Weight(u) {
-				loser = v
+			if loser := g.Withdraw(set, v, int(u)); loser >= 0 {
+				rep.Conflicts++
+				rep.Withdrawn++
+				rep.WithdrawnWeight += g.Weight(loser)
 			}
-			set[loser] = false
-			rep.Withdrawn++
-			rep.WithdrawnWeight += g.Weight(loser)
 		}
 	}
 	return rep

@@ -206,7 +206,7 @@ func TestCrashStopRepair(t *testing.T) {
 }
 
 // TestRepairRule pins the deterministic local repair rule: lower weight
-// withdraws, ties withdraw the higher index.
+// withdraws, ties withdraw the higher identifier (graph.Before).
 func TestRepairRule(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1)
@@ -235,7 +235,7 @@ func TestRepairRule(t *testing.T) {
 	set = []bool{true, true}
 	reliable.Repair(g, set)
 	if !set[0] || set[1] {
-		t.Errorf("tie-break kept %v, want the lower index", set)
+		t.Errorf("tie-break kept %v, want the lower identifier", set)
 	}
 }
 

@@ -12,11 +12,13 @@
 //
 // A task advances through phases, each publish monotonically better:
 //
-//	heal     reliable.Repair withdraws the lower-weight endpoint of every
-//	         conflicting edge, restoring independence;
-//	improve  a budgeted greedy pass re-admits every still-feasible node in
-//	         descending weight order (ascending index on ties) — one full
-//	         pass reaches maximality, published as "improved";
+//	heal     reliable.Repair withdraws, on every conflicting edge, the
+//	         endpoint graph.Before ranks later, restoring independence;
+//	improve  a budgeted graph.Extend pass re-admits every still-feasible
+//	         node in graph.WeightOrder (heavier first, lower identifier on
+//	         ties) — one full pass reaches maximality, published as
+//	         "improved". From an empty start it is graph.Greedy's answer,
+//	         the same set the degraded tier serves;
 //	full     the task's Full callback (a real solve) replaces the greedy
 //	         answer, published as "full".
 //
@@ -26,7 +28,6 @@
 package repair
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -93,8 +94,8 @@ type Task struct {
 	Full func() (set []bool, weight int64, err error)
 
 	enqueued   time.Time
-	order      []int32 // descending-weight admit order, built lazily
-	pos        int     // next order index to examine
+	order      []int32 // graph.WeightOrder of G, built lazily
+	pos        int     // graph.Extend resume cursor into order
 	improved   bool    // greedy pass done, improved answer published
 	rung       int     // next Rungs index to run
 	bestWeight int64   // best weight published so far (rung adoption bar)
@@ -266,40 +267,11 @@ func (t *Tier) advance(task *Task) bool {
 		// Start in place and only withdraws, so independence holds from
 		// here on.
 		reliable.Repair(g, task.Start)
-		order := make([]int32, g.N())
-		for v := range order {
-			order[v] = int32(v)
-		}
-		sort.SliceStable(order, func(i, j int) bool {
-			wi, wj := g.Weight(int(order[i])), g.Weight(int(order[j]))
-			if wi != wj {
-				return wi > wj
-			}
-			return order[i] < order[j]
-		})
-		task.order = order
+		task.order = g.WeightOrder()
 	}
 
 	if !task.improved {
-		budget := t.opts.Budget
-		for task.pos < len(task.order) && budget > 0 {
-			v := int(task.order[task.pos])
-			task.pos++
-			budget--
-			if task.Start[v] {
-				continue
-			}
-			feasible := true
-			for _, u := range g.Neighbors(v) {
-				if task.Start[u] {
-					feasible = false
-					break
-				}
-			}
-			if feasible {
-				task.Start[v] = true
-			}
-		}
+		task.pos, _ = g.Extend(task.Start, task.order, task.pos, t.opts.Budget)
 		if task.pos < len(task.order) {
 			return false // budget exhausted; resume next tick
 		}

@@ -1,11 +1,8 @@
 package server
 
 import (
-	"sort"
 	"sync"
 	"time"
-
-	"distmwis/internal/graph"
 )
 
 // tokenBucket is a classic rate limiter: capacity burst tokens, refilled at
@@ -51,42 +48,4 @@ func (b *tokenBucket) allow() bool {
 	}
 	b.tokens--
 	return true
-}
-
-// GreedyDegraded is the load-shedding tier: a host-side weight-ordered
-// greedy (heaviest node first, identifier ascending as the tie break). It
-// is the classic Δ+1-approximation — every rejected node charges its weight
-// to a heavier chosen neighbour, and a node has at most Δ neighbours — and
-// costs O(n log n + m) with no CONGEST simulation at all, so a saturated
-// server can still answer every request with a valid independent set. The
-// order is deterministic, keeping even degraded responses reproducible.
-func GreedyDegraded(g *graph.Graph) ([]bool, int64) {
-	n := g.N()
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		u, v := order[i], order[j]
-		wu, wv := g.Weight(int(u)), g.Weight(int(v))
-		if wu != wv {
-			return wu > wv
-		}
-		return g.ID(int(u)) < g.ID(int(v))
-	})
-	set := make([]bool, n)
-	blocked := make([]bool, n)
-	var weight int64
-	for _, v := range order {
-		if blocked[v] {
-			continue
-		}
-		set[v] = true
-		weight += g.Weight(int(v))
-		blocked[v] = true
-		for _, u := range g.Neighbors(int(v)) {
-			blocked[u] = true
-		}
-	}
-	return set, weight
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -54,10 +56,21 @@ func TestTokenBucketDisabled(t *testing.T) {
 	}
 }
 
+// solveDegraded answers g on the server's degraded tier.
+func solveDegraded(t *testing.T, ts *httptest.Server, g *graph.Graph) ([]bool, int64) {
+	t.Helper()
+	code, resp := postSolve(t, ts, SolveRequest{Canonical: g.Canonical(), Degraded: true})
+	if code != http.StatusOK || resp.Status != "done" || !resp.Degraded {
+		t.Fatalf("degraded solve: code=%d resp=%+v", code, resp)
+	}
+	return indicesToSet(g.N(), resp.Set), resp.Weight
+}
+
 func TestGreedyDegradedIsIndependentAndMaximal(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
 	for seed := uint64(1); seed <= 5; seed++ {
 		g := gen.Weighted(gen.GNP(300, 0.05, seed), gen.PolyWeights(2), seed)
-		set, weight := GreedyDegraded(g)
+		set, weight := solveDegraded(t, ts, g)
 		if !g.IsIndependentSet(set) {
 			t.Fatalf("seed %d: degraded set not independent", seed)
 		}
@@ -73,19 +86,25 @@ func TestGreedyDegradedIsIndependentAndMaximal(t *testing.T) {
 func TestGreedyDegradedGuarantee(t *testing.T) {
 	// Weight-ordered greedy is a (Δ+1)-approximation; since OPT ≤ w(V),
 	// w(greedy) ≥ w(V)/(Δ+1) is the checkable relaxation.
+	_, ts := newTestServer(t, Options{Workers: 1})
 	g := gen.Weighted(gen.GNP(500, 0.02, 3), gen.UniformWeights(1000), 3)
-	_, weight := GreedyDegraded(g)
+	_, weight := solveDegraded(t, ts, g)
 	bound := float64(g.TotalWeight()) / float64(g.MaxDegree()+1)
 	if float64(weight) < bound {
 		t.Fatalf("greedy weight %d below w(V)/(Δ+1) = %.1f", weight, bound)
 	}
 }
 
+// TestGreedyDegradedDeterministic: the degraded tier serves the kernel's
+// greedy set, so its answer depends on weights and identifiers only — not
+// on node indexing — and repeats exactly.
 func TestGreedyDegradedDeterministic(t *testing.T) {
-	g := gen.Weighted(gen.GNP(200, 0.05, 9), gen.UniformWeights(50), 9)
-	a, _ := GreedyDegraded(g)
-	b, _ := GreedyDegraded(g)
-	if !graph.SameSet(a, b) {
-		t.Fatal("degraded greedy must be deterministic")
+	_, ts := newTestServer(t, Options{Workers: 1})
+	g := gen.RandomIDs(gen.Weighted(gen.GNP(200, 0.05, 9), gen.UniformWeights(5), 9), 1<<20, 9)
+	want, _ := g.Greedy()
+	for i := 0; i < 2; i++ {
+		if got, _ := solveDegraded(t, ts, g); !graph.SameSet(got, want) {
+			t.Fatalf("solve %d: degraded tier differs from graph.Greedy", i)
+		}
 	}
 }

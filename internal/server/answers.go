@@ -113,7 +113,7 @@ func (s *Server) publishUpgrade(key string, a repair.Answer) {
 	if prev, ok := s.answers.get(key); ok {
 		hash = prev.GraphHash
 	}
-	set := boolsToIndices(a.Set)
+	set := graph.Members(a.Set)
 	s.answers.put(&storedAnswer{
 		Key:       key,
 		GraphHash: hash,
@@ -170,7 +170,7 @@ func (s *Server) publishDegraded(req *SolveRequest, p prepared, set []bool, weig
 	s.answers.put(&storedAnswer{
 		Key:       p.key,
 		GraphHash: p.hash,
-		Set:       boolsToIndices(set),
+		Set:       graph.Members(set),
 		Weight:    weight,
 		Quality:   qualityDegraded,
 		Alg:       alg,
@@ -205,11 +205,7 @@ func (gs *graphStore) recordFull(hash string, req *SolveRequest, set []int32, n 
 	if !ok || h.hash != hash {
 		return
 	}
-	bools := make([]bool, n)
-	for _, v := range set {
-		bools[v] = true
-	}
 	reqCopy := *req
 	h.lastReq = &reqCopy
-	h.lastSet = bools
+	h.lastSet = graph.FromMembers(set, n)
 }

@@ -561,11 +561,12 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 	}
 
 	// The degraded tier answers with the cheap deterministic host-side
-	// greedy: on explicit request (the circuit-breaker fallback of
-	// internal/server/client), or as load shedding past the queue-depth
-	// threshold instead of queueing a full solve.
+	// greedy (graph.Greedy, a (Δ+1)-approximation): on explicit request
+	// (the circuit-breaker fallback of internal/server/client), or as load
+	// shedding past the queue-depth threshold instead of queueing a full
+	// solve.
 	if req.Degraded || (allowShed && s.sched.depth() >= s.opts.ShedDepth) {
-		set, weight := GreedyDegraded(p.g)
+		set, weight := p.g.Greedy()
 		s.metrics.shed.Add(1)
 		if p.ref {
 			s.publishDegraded(req, p, set, weight, "greedy-degraded")
@@ -573,7 +574,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 		s.metrics.latency.observe("degraded", time.Since(start).Seconds())
 		return finish(SolveResponse{
 			Status:    "done",
-			Set:       boolsToIndices(set),
+			Set:       graph.Members(set),
 			Size:      graph.SetSize(set),
 			Weight:    weight,
 			Degraded:  true,
@@ -679,7 +680,7 @@ func (s *Server) solve(req *SolveRequest, p prepared) (*cacheEntry, error) {
 	}
 	return &cacheEntry{
 		key:       p.key,
-		set:       boolsToIndices(res.Set),
+		set:       graph.Members(res.Set),
 		weight:    res.Weight,
 		rounds:    res.Metrics.Rounds,
 		messages:  res.Metrics.Messages,
@@ -712,16 +713,6 @@ func entryResponse(e *cacheEntry, cached, shared bool) SolveResponse {
 // cheap tier.
 func greedyGuarantee(g *graph.Graph) string {
 	return fmt.Sprintf("(Δ+1)-approximation = %d (host-side greedy, degraded tier)", g.MaxDegree()+1)
-}
-
-func boolsToIndices(set []bool) []int32 {
-	var out []int32
-	for v, in := range set {
-		if in {
-			out = append(out, int32(v))
-		}
-	}
-	return out
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
