@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReaderRobust -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzWriteReadMirror -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzChecksumBurst -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzWriterRoundTrip -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzInjectorCorruptDetect -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzEngineFaultDeterminism -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzParamsNormalize -fuzztime=10s ./internal/maxis/

@@ -189,7 +189,7 @@ func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.M
 		w.WriteBool(false)
 		w.WriteUint(uint64(next), uint64(p.k-1))
 		w.WriteInt(p.sums[next], p.maxSum)
-		out := make([]*congest.Message, p.info.Degree)
+		out := p.info.Out
 		out[p.tree.ParentPort[p.info.Index]] = congest.NewMessage(&w)
 		return out, false
 	}
@@ -197,7 +197,7 @@ func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.M
 }
 
 func (p *classAggregate) forwardWinner() []*congest.Message {
-	out := make([]*congest.Message, p.info.Degree)
+	out := p.info.Out
 	if len(p.children()) == 0 {
 		return out
 	}

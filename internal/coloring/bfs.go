@@ -130,7 +130,7 @@ func (p *bfsBuild) Round(round int, recv []*congest.Message) ([]*congest.Message
 	var w wire.Writer
 	w.WriteUint(p.rootID, p.info.MaxID)
 	w.WriteUint(uint64(p.dist), uint64(p.info.NUpper))
-	return broadcast(congest.NewMessage(&w), p.info.Degree), done
+	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), done
 }
 
 func (p *bfsBuild) Output() any {

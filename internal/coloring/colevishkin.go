@@ -101,7 +101,7 @@ func (p *coleVishkin) sendColour(ports ...int) []*congest.Message {
 	var w wire.Writer
 	w.WriteUint(p.colour, p.space-1)
 	m := congest.NewMessage(&w)
-	out := make([]*congest.Message, p.info.Degree)
+	out := p.info.Out
 	for _, port := range ports {
 		out[port] = m
 	}

@@ -166,7 +166,7 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 		w.WriteBool(false)
 		w.WriteUint(uint64(p.proposal), p.colourField())
 		w.WriteUint(p.info.ID, p.info.MaxID)
-		return broadcast(congest.NewMessage(&w), p.info.Degree), false
+		return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), false
 	}
 
 	// resolve round
@@ -189,7 +189,7 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 	w.WriteBool(true)
 	w.WriteUint(uint64(p.colour), p.colourField())
 	w.WriteUint(p.info.ID, p.info.MaxID)
-	return broadcast(congest.NewMessage(&w), p.info.Degree), true
+	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), true
 }
 
 func (p *greedyColour) Output() any { return p.colour }
@@ -200,14 +200,6 @@ func (p *greedyColour) TracePhase(round int) string {
 		return "propose"
 	}
 	return "resolve"
-}
-
-func broadcast(m *congest.Message, deg int) []*congest.Message {
-	out := make([]*congest.Message, deg)
-	for i := range out {
-		out[i] = m
-	}
-	return out
 }
 
 // MISFromColoring converts a proper colouring into an MIS in NumColors+1
@@ -261,7 +253,7 @@ func (p *colourClassMIS) Round(round int, recv []*congest.Message) ([]*congest.M
 		p.joined = true
 		var w wire.Writer
 		w.WriteBool(true)
-		return broadcast(congest.NewMessage(&w), p.info.Degree), true
+		return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), true
 	}
 	if p.dominated || round > p.k {
 		return nil, true
@@ -316,7 +308,7 @@ func (p *colourClassMIS) faultyRound(round int, recv []*congest.Message) ([]*con
 	w.WriteBool(p.joined)
 	w.WriteUint(uint64(p.myColor+1), uint64(p.info.NUpper))
 	w.WriteUint(p.info.ID, p.info.MaxID)
-	return broadcast(congest.NewMessage(&w), p.info.Degree), false
+	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), false
 }
 
 func (p *colourClassMIS) Output() any { return p.joined }

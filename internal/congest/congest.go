@@ -37,6 +37,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
+	"sync"
 	"time"
 
 	"distmwis/internal/graph"
@@ -156,6 +157,28 @@ type NodeInfo struct {
 	Faulty bool
 	// Rand is the node's private randomness stream.
 	Rand *rand.Rand
+	// Out is the node's outbox: Degree slots, one per port, all nil when
+	// Round is called. A process fills the ports it sends on and returns
+	// Out from Round (Broadcast fills every port); the simulator clears it
+	// after delivery.
+	//
+	// Rand and Out belong to the simulator's per-run state, which the next
+	// Run reuses: both are valid only while the run lasts, and a process
+	// must not use them once Output has been called.
+	Out []*Message
+}
+
+// Broadcast puts m on every port of out and returns out, the send of a
+// node that tells all its neighbours the same thing. With no ports to send
+// on, a pooled m goes straight back to the message pool.
+func Broadcast(out []*Message, m *Message) []*Message {
+	if len(out) == 0 && m.pooled {
+		msgPool.Put(m)
+	}
+	for i := range out {
+		out[i] = m
+	}
+	return out
 }
 
 // Process is one node's state machine.
@@ -165,8 +188,9 @@ type Process interface {
 	// Round runs one synchronous round. recv[p] is the message received on
 	// port p this round (nil if none). The returned slice assigns outgoing
 	// messages to ports: send[p] goes to port p (nil sends nothing; a short
-	// or nil slice sends nothing on the remaining ports). Returning done
-	// halts the node after its outgoing messages are delivered.
+	// or nil slice sends nothing on the remaining ports). It is normally
+	// NodeInfo.Out. Returning done halts the node after its outgoing
+	// messages are delivered.
 	Round(round int, recv []*Message) (send []*Message, done bool)
 	// Output returns the node's final (or current, if truncated) output.
 	Output() any
@@ -355,60 +379,45 @@ func Run(g *graph.Graph, newProcess func() Process, opts ...Option) (*Result, er
 		maxID = 1
 	}
 
-	sim := &simulator{g: g, cfg: cfg, bandwidth: bandwidth, physBandwidth: bandwidth}
+	st := statePool.Get().(*runState)
+	st.reset(g)
+	defer st.release()
+	sim := &simulator{g: g, cfg: cfg, bandwidth: bandwidth, physBandwidth: bandwidth, runState: st}
 	if cfg.reliable != nil && bandwidth > 0 {
 		// Transport framing (seq/ack headers) rides above the CONGEST bound:
 		// inner processes still budget against B, physical frames may carry
 		// the exact header on top. See Reliability.HeaderBits.
 		sim.physBandwidth = bandwidth + cfg.reliable.HeaderBits()
 	}
-	sim.procs = make([]Process, n)
-	sim.done = graph.NewBitset(n)
-	// Inboxes are per-node views into two flat slabs (one per round parity).
-	// Two allocations instead of 2n keeps 10M-node setup out of the
-	// allocator, and the delivery phase can clear or recycle a whole round's
-	// messages with a single linear pass over the slab.
-	ports := 2 * g.M()
-	sim.inboxSlab = make([]*Message, ports)
-	sim.nextSlab = make([]*Message, ports)
-	sim.inbox = make([][]*Message, n)
-	sim.nextInbox = make([][]*Message, n)
-	sim.reversePort = buildReversePorts(g)
-	// Per-node randomness lives in two slabs as well: rand.New and
-	// rand.NewPCG both inline, so filling value slots allocates nothing
-	// beyond the two backing arrays.
-	pcgs := make([]rand.PCG, n)
-	rnds := make([]rand.Rand, n)
-	off := 0
 	for v := 0; v < n; v++ {
-		deg := g.Degree(v)
-		sim.inbox[v] = sim.inboxSlab[off : off+deg : off+deg]
-		sim.nextInbox[v] = sim.nextSlab[off : off+deg : off+deg]
-		off += deg
 		proc := newProcess()
 		if cfg.reliable != nil {
 			proc = cfg.reliable.Wrap(proc)
 		}
-		sim.procs[v] = proc
-		pcgs[v] = *rand.NewPCG(cfg.seed, 0x6a09e667f3bcc908^uint64(v))
-		rnds[v] = *rand.New(&pcgs[v])
-		sim.procs[v].Init(NodeInfo{
+		st.procs[v] = proc
+		// rand.New and rand.NewPCG both inline, so filling the value slots
+		// allocates nothing.
+		st.pcgs[v] = *rand.NewPCG(cfg.seed, 0x6a09e667f3bcc908^uint64(v))
+		st.rnds[v] = *rand.New(&st.pcgs[v])
+		proc.Init(NodeInfo{
 			Index:     v,
 			ID:        g.ID(v),
-			Degree:    deg,
+			Degree:    g.Degree(v),
 			Weight:    g.Weight(v),
 			NUpper:    cfg.nUpper,
 			MaxID:     maxID,
 			MaxWeight: maxWeight,
 			Bandwidth: bandwidth,
 			Faulty:    cfg.hook != nil,
-			Rand:      &rnds[v],
+			Rand:      &st.rnds[v],
+			Out:       st.out[v],
 		})
 	}
 	return sim.run()
 }
 
-// simulator holds one execution's state.
+// simulator holds one execution's configuration, its pooled run state and
+// the counters it reports.
 type simulator struct {
 	g         *graph.Graph
 	cfg       config
@@ -416,26 +425,107 @@ type simulator struct {
 	// physBandwidth is the enforced per-frame limit: bandwidth plus the
 	// reliable transport's header headroom (equal to bandwidth without one).
 	physBandwidth int
-	procs         []Process
-	done          graph.Bitset
-	// inbox/nextInbox are per-node windows into inboxSlab/nextSlab; the
-	// pairs swap together at the end of every delivery phase.
-	inbox     [][]*Message
-	nextInbox [][]*Message
-	inboxSlab []*Message
-	nextSlab  []*Message
-	// nextPooled records whether any message delivered into nextSlab this
-	// round is pool-recyclable; inboxPooled is the same fact for inboxSlab.
-	// They let the clear pass fall back to a plain memclr when no pooled
-	// messages are in flight.
-	nextPooled  bool
-	inboxPooled bool
+	*runState
+	res Result
+}
+
+// runState is every per-run buffer of a simulation whose size follows the
+// graph. A solve chains many short protocols (the Theorem 2 pipeline makes
+// about ten Run calls per request), so Run borrows the buffers from
+// statePool instead of building them per call, and gives them back when
+// the run ends however it ends. Nothing a caller keeps points into it:
+// Result.Outputs and TruncationError.Partial are allocated fresh.
+type runState struct {
+	procs []Process
+	done  graph.Bitset
+	// Inboxes are per-node windows into two flat slabs (one per round
+	// parity) that swap together at the end of every delivery phase, so
+	// clearing a round's inboxes is one clear() of a slab. sent and
+	// nextSent list the distinct pooled messages delivered into inboxSlab
+	// and nextSlab; they swap with the slabs.
+	inbox, nextInbox    [][]*Message
+	inboxSlab, nextSlab []*Message
+	sent, nextSent      []*Message
+	// out holds the nodes' NodeInfo.Out windows over outSlab.
+	out     [][]*Message
+	outSlab []*Message
+	// reversePort[v][p] is the port at v's p-th neighbour leading back to
+	// v; windows over revSlab, filled with the help of revCursor.
 	reversePort [][]int32
+	revSlab     []int32
+	revCursor   []int32
+	// Per-node randomness: value slabs, so seeding n streams allocates
+	// nothing.
+	pcgs []rand.PCG
+	rnds []rand.Rand
+	// Per-round compute results, written by the engine workers.
+	outboxes    [][]*Message
+	doneNow     []bool
+	errs        []error
 	pendingDups []pendingDup
-	// freeList is recycleSlab's scratch: pooled messages marked this pass,
-	// put back into the pool only after the whole slab has been walked.
-	freeList []*Message
-	res      Result
+}
+
+var statePool = sync.Pool{New: func() any { return new(runState) }}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when the capacity allows.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// reset sizes the state for g, clears it, and lays out the per-node windows
+// and the reverse-port table.
+func (st *runState) reset(g *graph.Graph) {
+	n, ports := g.N(), 2*g.M()
+	st.procs = resize(st.procs, n)
+	st.done = resize(st.done, (n+63)/64) // the words of graph.NewBitset(n)
+	st.inbox = resize(st.inbox, n)
+	st.nextInbox = resize(st.nextInbox, n)
+	st.inboxSlab = resize(st.inboxSlab, ports)
+	st.nextSlab = resize(st.nextSlab, ports)
+	st.out = resize(st.out, n)
+	st.outSlab = resize(st.outSlab, ports)
+	st.reversePort = resize(st.reversePort, n)
+	st.revSlab = resize(st.revSlab, ports)
+	st.revCursor = resize(st.revCursor, n)
+	st.pcgs = resize(st.pcgs, n)
+	st.rnds = resize(st.rnds, n)
+	st.outboxes = resize(st.outboxes, n)
+	st.doneNow = resize(st.doneNow, n)
+	st.errs = resize(st.errs, n)
+	off := 0
+	for v := 0; v < n; v++ {
+		hi := off + g.Degree(v)
+		st.inbox[v] = st.inboxSlab[off:hi:hi]
+		st.nextInbox[v] = st.nextSlab[off:hi:hi]
+		st.out[v] = st.outSlab[off:hi:hi]
+		st.reversePort[v] = st.revSlab[off:hi:hi]
+		off = hi
+	}
+	st.buildReversePorts(g)
+}
+
+// release is the one exit of every run — normal end, round limit, hard
+// stop, node error or panic. It returns the in-flight pooled messages to
+// the message pool, drops every reference the run left behind, and puts
+// the state back into statePool.
+func (st *runState) release() {
+	st.sent = releaseSent(st.sent)
+	st.nextSent = releaseSent(st.nextSent)
+	clear(st.procs)
+	clear(st.inboxSlab)
+	clear(st.nextSlab)
+	clear(st.outSlab)
+	clear(st.outboxes)
+	clear(st.errs)
+	clear(st.pendingDups)
+	st.pendingDups = st.pendingDups[:0]
+	statePool.Put(st)
 }
 
 // pendingDup is a duplicate copy scheduled by the fault hook: the original
@@ -446,30 +536,21 @@ type pendingDup struct {
 	m    *Message
 }
 
-// buildReversePorts computes, for every directed edge (v, p), the port q at
-// the far end u such that u's q-th neighbour is v. Because neighbour lists
-// are sorted ascending, scanning v in ascending order means each u sees its
-// neighbours arrive in exactly port order, so a per-node cursor assigns the
-// reverse ports in one O(n + m) pass — no per-edge binary search. The table
-// itself is per-node windows over a single flat slab (two allocations).
-func buildReversePorts(g *graph.Graph) [][]int32 {
-	n := g.N()
-	rev := make([][]int32, n)
-	slab := make([]int32, 2*g.M())
-	off := 0
-	for v := 0; v < n; v++ {
-		deg := g.Degree(v)
-		rev[v] = slab[off : off+deg : off+deg]
-		off += deg
-	}
-	cur := make([]int32, n)
-	for v := 0; v < n; v++ {
+// buildReversePorts fills st.reversePort: for every directed edge (v, p),
+// the port q at the far end u such that u's q-th neighbour is v. Because
+// neighbour lists are sorted ascending, scanning v in ascending order means
+// each u sees its neighbours arrive in exactly port order, so a per-node
+// cursor assigns the reverse ports in one O(n + m) pass — no per-edge binary
+// search. The table is per-node windows over the flat revSlab.
+func (st *runState) buildReversePorts(g *graph.Graph) {
+	cur := st.revCursor
+	for v := range st.reversePort {
+		rev := st.reversePort[v]
 		for p, u := range g.Neighbors(v) {
-			rev[v][p] = cur[u]
+			rev[p] = cur[u]
 			cur[u]++
 		}
 	}
-	return rev
 }
 
 func (s *simulator) run() (*Result, error) {
@@ -482,20 +563,24 @@ func (s *simulator) run() (*Result, error) {
 	if s.cfg.reliable != nil {
 		relBase = s.cfg.reliable.Counters()
 	}
-	finishReliable := func() {
-		if s.cfg.reliable == nil {
-			return
+	// finish completes the Result of a run that ended without a node error:
+	// the transport deltas and every node's output.
+	finish := func() Result {
+		if c := s.cfg.reliable; c != nil {
+			now := c.Counters()
+			s.res.Retransmits = now.Retransmits - relBase.Retransmits
+			s.res.TransportAcks = now.AckFrames - relBase.AckFrames
+			s.res.Recoveries = now.Recoveries - relBase.Recoveries
+			s.res.ReplayedRounds = now.ReplayedRounds - relBase.ReplayedRounds
+			s.res.DeadPorts = now.DeadPorts - relBase.DeadPorts
 		}
-		c := s.cfg.reliable.Counters()
-		s.res.Retransmits = c.Retransmits - relBase.Retransmits
-		s.res.TransportAcks = c.AckFrames - relBase.AckFrames
-		s.res.Recoveries = c.Recoveries - relBase.Recoveries
-		s.res.ReplayedRounds = c.ReplayedRounds - relBase.ReplayedRounds
-		s.res.DeadPorts = c.DeadPorts - relBase.DeadPorts
+		s.res.Outputs = make([]any, n)
+		for v := 0; v < n; v++ {
+			s.res.Outputs[v] = s.procs[v].Output()
+		}
+		return s.res
 	}
-	outboxes := make([][]*Message, n)
-	doneNow := make([]bool, n)
-	errs := make([]error, n)
+	outboxes, doneNow, errs := s.outboxes, s.doneNow, s.errs
 
 	step := func(v, round int) {
 		if s.done.Get(v) {
@@ -577,10 +662,7 @@ func (s *simulator) run() (*Result, error) {
 		}
 		if round > s.cfg.maxRounds {
 			s.res.Truncated = true
-			finishReliable()
-			s.collectOutputs()
-			s.recycleAll()
-			partial := s.res
+			partial := finish()
 			return nil, &TruncationError{Limit: s.cfg.maxRounds, Partial: &partial}
 		}
 		s.res.Rounds = round
@@ -618,17 +700,11 @@ func (s *simulator) run() (*Result, error) {
 
 		// Delivery phase: clear next inboxes, move messages. nextSlab holds
 		// the messages consumed during the *previous* round's compute phase
-		// (the slabs swapped after they were delivered), so this pass is the
-		// batched pool-return point: every surviving read happened at least
-		// one full compute phase ago. The free flag dedups broadcast fan-out
-		// (one object in many slots); when no pooled messages were delivered
-		// into this slab the whole pass degenerates to one memclr.
-		if s.nextPooled {
-			s.recycleSlab(s.nextSlab)
-			s.nextPooled = false
-		} else {
-			clear(s.nextSlab)
-		}
+		// (the slabs swapped after they were delivered), so this is the
+		// pool-return point for the pooled messages listed in nextSent:
+		// every read of them happened at least one full compute phase ago.
+		clear(s.nextSlab)
+		s.nextSent = releaseSent(s.nextSent)
 		// Duplicates scheduled during the previous round's delivery arrive
 		// first, so a fresh message on the same port overwrites the copy.
 		if len(s.pendingDups) > 0 {
@@ -664,10 +740,16 @@ func (s *simulator) run() (*Result, error) {
 						continue
 					}
 				}
-				s.nextPooled = s.nextPooled || m.pooled
+				if m.pooled && !m.free {
+					// First slot of this object this round: list it once
+					// for release, however many ports it fans out to.
+					m.free = true
+					s.nextSent = append(s.nextSent, m)
+				}
 				s.nextInbox[u][rport] = m
 			}
 			outboxes[v] = nil
+			clear(s.out[v])
 			if doneNow[v] {
 				s.done.Set(v)
 				doneNow[v] = false
@@ -679,7 +761,7 @@ func (s *simulator) run() (*Result, error) {
 		}
 		s.inbox, s.nextInbox = s.nextInbox, s.inbox
 		s.inboxSlab, s.nextSlab = s.nextSlab, s.inboxSlab
-		s.inboxPooled, s.nextPooled = s.nextPooled, s.inboxPooled
+		s.sent, s.nextSent = s.nextSent, s.sent
 
 		if tr != nil {
 			var retransmitsNow int64
@@ -708,10 +790,7 @@ func (s *simulator) run() (*Result, error) {
 		}
 	}
 
-	finishReliable()
-	s.collectOutputs()
-	s.recycleAll()
-	out := s.res
+	out := finish()
 	return &out, nil
 }
 
@@ -752,14 +831,6 @@ func (s *simulator) deliverFaulty(round, from, to, rport int, m *Message) *Messa
 		}
 	}
 	return out
-}
-
-func (s *simulator) collectOutputs() {
-	n := s.g.N()
-	s.res.Outputs = make([]any, n)
-	for v := 0; v < n; v++ {
-		s.res.Outputs[v] = s.procs[v].Output()
-	}
 }
 
 // BoolOutputs converts a Result's outputs to a []bool membership vector;

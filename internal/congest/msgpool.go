@@ -18,26 +18,33 @@ import (
 // Lifecycle of a pooled message (round numbers relative to the send):
 //
 //	round r   compute    process calls NewPooledMessage, returns it in send
-//	round r   delivery   simulator places it into receiver inbox slots
+//	round r   delivery   simulator places it into receiver inbox slots and
+//	                     lists it once on the slab's sent list
 //	round r+1 compute    receiver(s) parse it via Reader/AppendData
-//	round r+2 delivery   the clear pass releases it back to the pool
+//	round r+2 delivery   the slab is cleared, then its sent list goes back
+//	                     to the pool
 //
-// The release point runs strictly after the last possible read (compute
+// A run that ends — however it ends — releases both slabs' sent lists
+// (runState.release), so the final rounds' messages are recycled too. The
+// release point runs strictly after the last possible read (compute
 // precedes delivery within a round) and on the single delivery goroutine,
-// so no synchronisation beyond sync.Pool's own is needed.
+// so no synchronisation beyond sync.Pool's own is needed; and since the
+// slab is cleared before the first Put, a concurrent run's Get can never
+// hand out an object this run still references.
 //
-// Two per-message flags keep the batched return sound:
+// Two per-message flags keep the sent list exact:
 //
-//   - free guards against double-release when the same *Message occupies
-//     several inbox slots (broadcast fan-out delivers one object to every
-//     port); the clear pass releases the first occurrence and skips the rest.
+//   - free marks a message already listed: broadcast fan-out delivers one
+//     object to many ports, and it must be released once. NewPooledMessage
+//     clears it.
 //   - pooled marks objects eligible for recycling at all. The fault layer
-//     clears it in deliverFaulty: a delivery hook may retain the message
-//     (duplicates re-arrive a round later, and arbitrary hooks may log it),
-//     which would leave stale pointers behind after a release. Unpooled
-//     messages simply fall to the garbage collector, so the fault path is
-//     correct at the cost of recycling — acceptable, because fault runs
-//     measure behaviour, not throughput.
+//     clears it in deliverFaulty, before the message could be listed: a
+//     delivery hook may retain the message (duplicates re-arrive a round
+//     later, and arbitrary hooks may log it), which would leave stale
+//     pointers behind after a release. Unpooled messages simply fall to the
+//     garbage collector, so the fault path is correct at the cost of
+//     recycling — acceptable, because fault runs measure behaviour, not
+//     throughput.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // NewPooledMessage freezes the contents of w into a recycled Message. The
@@ -46,14 +53,18 @@ var msgPool = sync.Pool{New: func() any { return new(Message) }}
 // handed to the simulator (returned from Process.Round) and not retained
 // by the sender, because the simulator returns it to the pool one round
 // after delivery. Protocol code that stores messages across rounds must
-// keep using NewMessage.
+// keep using NewMessage. A pooled message sent on no port is never
+// delivered, so it falls to the garbage collector — unless it went through
+// Broadcast, which recycles it at once.
 func NewPooledMessage(w *wire.Writer) *Message {
 	m := msgPool.Get().(*Message)
 	m.pooled = true
 	m.free = false
 	b := w.Bytes()
 	if cap(m.data) < len(b) {
-		m.data = make([]byte, len(b))
+		// Room for any CONGEST payload, so a message recycled from a
+		// protocol with one-bit payloads still fits the next protocol's.
+		m.data = make([]byte, len(b), max(len(b), wire.CongestBytes))
 	} else {
 		m.data = m.data[:len(b)]
 	}
@@ -62,46 +73,13 @@ func NewPooledMessage(w *wire.Writer) *Message {
 	return m
 }
 
-// recycleSlab nils every slot of one inbox slab and returns its pooled
-// messages to the allocator. The scan marks (free flag) before any Put:
-// because nothing enters the pool until the whole slab has been walked, a
-// concurrent run's Get can never hand a marked object back out while later
-// fan-out slots of this slab still point at it — the mark/Put split is what
-// makes the batched return safe under concurrent simulations sharing the
-// package-level pool. Runs on the single delivery goroutine.
-func (s *simulator) recycleSlab(slab []*Message) {
-	fl := s.freeList[:0]
-	for i, m := range slab {
-		if m == nil {
-			continue
-		}
-		if m.pooled && !m.free {
-			m.free = true
-			fl = append(fl, m)
-		}
-		slab[i] = nil
-	}
-	for _, m := range fl {
+// releaseSent returns every message of a sent list to the pool and hands
+// back the emptied list. The caller has already cleared the slab the
+// messages were delivered into.
+func releaseSent(sent []*Message) []*Message {
+	for _, m := range sent {
 		msgPool.Put(m)
 	}
-	s.freeList = fl[:0]
-}
-
-// recycleAll returns the in-flight messages of both slabs once a run ends.
-// Outputs have been collected and no process will run again, so the final
-// rounds' messages — which the per-round clear pass never reached — are
-// reclaimable. Without this, protocols built from many short phases (the
-// boosting pipeline runs 2–3 round phases back to back) would leak a large
-// fraction of their messages to the garbage collector and refill the pool
-// from cold on every phase. A message only ever occupies slots of a single
-// slab (one delivery round), so the two passes never double-release.
-func (s *simulator) recycleAll() {
-	if s.inboxPooled {
-		s.recycleSlab(s.inboxSlab)
-		s.inboxPooled = false
-	}
-	if s.nextPooled {
-		s.recycleSlab(s.nextSlab)
-		s.nextPooled = false
-	}
+	clear(sent)
+	return sent[:0]
 }

@@ -81,14 +81,10 @@ type poolSeqProcess struct {
 	info   NodeInfo
 	rounds int
 	w      wire.Writer
-	out    []*Message
 	heard  []uint64
 }
 
-func (p *poolSeqProcess) Init(info NodeInfo) {
-	p.info = info
-	p.out = make([]*Message, info.Degree)
-}
+func (p *poolSeqProcess) Init(info NodeInfo) { p.info = info }
 
 func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
 	for _, m := range recv {
@@ -112,11 +108,7 @@ func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
 	p.w.Reset()
 	p.w.WriteUint(uint64(round), uint64(p.rounds))
 	p.w.WriteUint(p.info.ID, p.info.MaxID)
-	m := NewPooledMessage(&p.w)
-	for i := range p.out {
-		p.out[i] = m
-	}
-	return p.out, false
+	return Broadcast(p.info.Out, NewPooledMessage(&p.w)), false
 }
 
 func (p *poolSeqProcess) Output() any { return p.heard }

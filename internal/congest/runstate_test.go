@@ -1,0 +1,214 @@
+package congest
+
+import (
+	"fmt"
+	"reflect"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"distmwis/internal/graph"
+	"distmwis/internal/graph/gen"
+	"distmwis/internal/wire"
+)
+
+// misbehaver runs the pooled broadcast of poolSeqProcess and, in round
+// failAt, makes node culprit break a rule the simulator enforces while the
+// other nodes' pooled messages are in flight: it sends on one port more
+// than it has ("ports"), or sends a message far over the bandwidth
+// ("bandwidth").
+type misbehaver struct {
+	poolSeqProcess
+	failAt  int
+	culprit int
+	mode    string
+}
+
+func (p *misbehaver) Round(round int, recv []*Message) ([]*Message, bool) {
+	send, done := p.poolSeqProcess.Round(round, recv)
+	if round != p.failAt || p.info.Index != p.culprit {
+		return send, done
+	}
+	switch p.mode {
+	case "ports":
+		return append(send, nil), false
+	default:
+		var w wire.Writer
+		for i := 0; i < 64; i++ {
+			w.WriteBits(uint64(i), 64)
+		}
+		send[0] = NewPooledMessage(&w)
+		return send, false
+	}
+}
+
+// lastWithNeighbours is the highest-index node of g with degree ≥ 1.
+func lastWithNeighbours(t *testing.T, g *graph.Graph) int {
+	for v := g.N() - 1; v >= 0; v-- {
+		if g.Degree(v) > 0 {
+			return v
+		}
+	}
+	t.Fatal("graph has no edges")
+	return -1
+}
+
+// TestEveryExitLeavesRunStateClean pins the one-cleanup rule: a run that
+// fails mid-flight (port-count or bandwidth violation) and a run cut off by
+// WithHardStop must both hand their pooled state back clean, so the next
+// run on it is exactly the run made before them.
+func TestEveryExitLeavesRunStateClean(t *testing.T) {
+	g := gen.GNP(150, 0.05, 4)
+	culprit := lastWithNeighbours(t, g)
+	for _, engine := range []Engine{EngineSequential, EnginePool, EngineActors} {
+		for _, mode := range []string{"ports", "bandwidth"} {
+			t.Run(fmt.Sprintf("%s/%s", engineName(engine), mode), func(t *testing.T) {
+				opts := []Option{WithSeed(9), WithEngine(engine), WithWorkers(2)}
+				normal := func() (*Result, *Result) {
+					seq, err := Run(g, func() Process { return &poolSeqProcess{rounds: 7} }, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					coins, err := Run(g, func() Process { return &coinFlipper{} }, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return seq, coins
+				}
+				refSeq, refCoins := normal()
+
+				bad := func() Process {
+					return &misbehaver{poolSeqProcess: poolSeqProcess{rounds: 7}, failAt: 4, culprit: culprit, mode: mode}
+				}
+				if _, err := Run(g, bad, opts...); err == nil {
+					t.Fatal("rule violation went unreported")
+				}
+				cut, err := Run(g, bad, append(opts, WithHardStop(3))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cut.Truncated || cut.Rounds != 3 {
+					t.Fatalf("hard stop: truncated %v after %d rounds, want true after 3", cut.Truncated, cut.Rounds)
+				}
+
+				seq, coins := normal()
+				if !reflect.DeepEqual(seq, refSeq) {
+					t.Error("pooled broadcast run differs after a failed and a truncated run")
+				}
+				if !reflect.DeepEqual(coins, refCoins) {
+					t.Error("randomness differs after a failed and a truncated run")
+				}
+			})
+		}
+	}
+}
+
+// TestConcurrentRunsShareRunState runs eight simulations at once, each on
+// its own graph and each through all three engines, against the shared
+// state and message pools. Every result must equal its sequential
+// reference, and a Result kept from an earlier run must not change while
+// later runs reuse the pooled state it was computed on.
+func TestConcurrentRunsShareRunState(t *testing.T) {
+	const runs = 8
+	newProc := func() Process { return &poolSeqProcess{rounds: 6} }
+	gs := make([]*graph.Graph, runs)
+	refs := make([]*Result, runs)
+	for i := range gs {
+		gs[i] = gen.GNP(120+10*i, 0.06, uint64(i+1))
+		res, err := Run(gs[i], newProc, WithSeed(uint64(i+1)), WithEngine(EngineSequential))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = res
+	}
+	kept := make([]any, len(refs[0].Outputs))
+	for v, out := range refs[0].Outputs {
+		kept[v] = append([]uint64(nil), out.([]uint64)...)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, engine := range []Engine{EnginePool, EngineSequential, EngineActors} {
+				res, err := Run(gs[i], newProc, WithSeed(uint64(i+1)), WithEngine(engine), WithWorkers(2))
+				if err != nil {
+					t.Errorf("run %d, %s engine: %v", i, engineName(engine), err)
+					return
+				}
+				if !reflect.DeepEqual(res, refs[i]) {
+					t.Errorf("run %d, %s engine: result differs from its sequential reference", i, engineName(engine))
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(refs[0].Outputs, kept) {
+		t.Error("outputs kept from an earlier run changed when later runs reused the pooled state")
+	}
+}
+
+// xorFlood broadcasts one pooled (round, ID, coin) message per round and
+// folds everything it hears into one word, so its own per-round work
+// allocates nothing: any per-round allocation in a run of it is the round
+// loop's.
+type xorFlood struct {
+	info   NodeInfo
+	rounds int
+	acc    uint64
+}
+
+func (p *xorFlood) Init(info NodeInfo) { p.info = info }
+
+func (p *xorFlood) Round(round int, recv []*Message) ([]*Message, bool) {
+	for _, m := range recv {
+		if m == nil {
+			continue
+		}
+		v, err := m.Reader().ReadBits(m.Bits())
+		if err != nil {
+			panic(err)
+		}
+		p.acc ^= v
+	}
+	if round > p.rounds {
+		return nil, true
+	}
+	var w wire.Writer
+	w.WriteUint(uint64(round), uint64(p.rounds))
+	w.WriteUint(p.info.ID, p.info.MaxID)
+	w.WriteBits(p.info.Rand.Uint64(), 16)
+	return Broadcast(p.info.Out, NewPooledMessage(&w)), false
+}
+
+func (p *xorFlood) Output() any { return p.acc }
+
+// TestRoundLoopAllocsFlat pins the allocation-free round loop: on gnp
+// n = 2000 (which has an isolated node, whose Broadcast goes nowhere), a
+// 40-round run of a pooled broadcast may allocate at most a small constant
+// more than a 4-round run. Per-node outboxes, writer
+// buffers, message objects or a per-round walk of the inbox slabs would
+// each add O(n) allocations per round. The garbage collector is off while
+// counting, because a collection empties sync.Pool and the refill would be
+// charged to whichever run it lands in.
+func TestRoundLoopAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g := gen.GNP(2000, 0.004, 1)
+	allocs := func(rounds int) float64 {
+		run := func() {
+			if _, err := Run(g, func() Process { return &xorFlood{rounds: rounds} }, WithEngine(EngineSequential)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(5, run)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	short, long := allocs(4), allocs(40)
+	t.Logf("allocs per run: 4 rounds %.0f, 40 rounds %.0f", short, long)
+	if long-short > 64 {
+		t.Errorf("36 extra rounds cost %.0f allocations (4 rounds: %.0f, 40 rounds: %.0f), want ≤ 64", long-short, short, long)
+	}
+}

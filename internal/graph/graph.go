@@ -309,26 +309,44 @@ func (g *Graph) Induce(keep []bool) *Subgraph {
 	if len(keep) != g.N() {
 		panic(fmt.Sprintf("graph: Induce got %d flags for %d nodes", len(keep), g.N()))
 	}
+	// Count the kept nodes and arcs first, so every slice is allocated
+	// once at its final size (an empty one stays nil).
 	fromParent := make([]int32, g.N())
-	var toParent []int32
-	for v := range keep {
-		if keep[v] {
-			fromParent[v] = int32(len(toParent))
-			toParent = append(toParent, int32(v))
-		} else {
+	k, arcs := 0, 0
+	for v, in := range keep {
+		if !in {
 			fromParent[v] = -1
+			continue
+		}
+		fromParent[v] = int32(k)
+		k++
+		for _, u := range g.Neighbors(v) {
+			if keep[u] {
+				arcs++
+			}
 		}
 	}
-	k := len(toParent)
+	var toParent []int32
+	if k > 0 {
+		toParent = make([]int32, 0, k)
+	}
 	sub := &Graph{
 		off:     make([]int32, k+1),
 		weights: make([]int64, k),
 		ids:     make([]uint64, k),
 	}
-	for i, pv := range toParent {
-		sub.weights[i] = g.weights[pv]
-		sub.ids[i] = g.ids[pv]
-		for _, u := range g.Neighbors(int(pv)) {
+	if arcs > 0 {
+		sub.adj = make([]int32, 0, arcs)
+	}
+	for v, in := range keep {
+		if !in {
+			continue
+		}
+		i := len(toParent)
+		toParent = append(toParent, int32(v))
+		sub.weights[i] = g.weights[v]
+		sub.ids[i] = g.ids[v]
+		for _, u := range g.Neighbors(v) {
 			if keep[u] {
 				sub.adj = append(sub.adj, fromParent[u])
 			}

@@ -77,7 +77,6 @@ type bhrProcess struct {
 	nbrSeen []bool
 	joined  bool
 	w       wire.Writer
-	out     []*congest.Message
 }
 
 var _ congest.Process = (*bhrProcess)(nil)
@@ -92,18 +91,13 @@ func (p *bhrProcess) Init(info congest.NodeInfo) {
 	p.key = bhrKey(info.Rand, tie, info.Weight, p.bits)
 	p.nbrKeys = make([]uint64, info.Degree)
 	p.nbrSeen = make([]bool, info.Degree)
-	p.out = make([]*congest.Message, info.Degree)
 }
 
 func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
 	if round == 1 {
 		p.w.Reset()
 		p.w.WriteBits(p.key, p.bits)
-		m := congest.NewPooledMessage(&p.w)
-		for i := range p.out {
-			p.out[i] = m
-		}
-		return p.out, false
+		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&p.w)), false
 	}
 	// Round 2: absorb the keys sent in round 1 and decide.
 	for port, m := range recv {

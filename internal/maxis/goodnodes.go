@@ -64,7 +64,7 @@ func (p *goodDetect) Round(round int, recv []*congest.Message) ([]*congest.Messa
 		var w wire.Writer
 		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
 		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		return broadcast(congest.NewPooledMessage(&w), p.info.Degree), false
+		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&w)), false
 	default:
 		maxDeg := p.info.Degree
 		sumW := p.info.Weight

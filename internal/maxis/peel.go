@@ -125,7 +125,7 @@ func (p *peelProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		p.removed = true
 		var w wire.Writer
 		w.WriteBool(true)
-		out := make([]*congest.Message, p.info.Degree)
+		out := p.info.Out
 		m := congest.NewPooledMessage(&w)
 		p.alivePort.ForEach(func(port int) { out[port] = m })
 		return out, true

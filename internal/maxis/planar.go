@@ -73,7 +73,7 @@ func (p *degreeCapFlag) Init(info congest.NodeInfo) { p.info = info }
 func (p *degreeCapFlag) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
 	var w wire.Writer
 	w.WriteBool(p.info.Degree <= p.cap)
-	return broadcast(congest.NewPooledMessage(&w), p.info.Degree), true
+	return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&w)), true
 }
 
 func (p *degreeCapFlag) Output() any { return p.info.Degree <= p.cap }

@@ -92,8 +92,7 @@ type rankingProcess struct {
 	nbrBits  []int
 	nbrSeen  []uint64 // fault mode: bitmask of chunks received per port
 	joined   bool
-	w        wire.Writer        // per-round scratch, reset before each use
-	out      []*congest.Message // reused broadcast slice
+	w        wire.Writer // per-round scratch, reset before each use
 }
 
 func (p *rankingProcess) Init(info congest.NodeInfo) {
@@ -111,7 +110,6 @@ func (p *rankingProcess) Init(info congest.NodeInfo) {
 	}
 	p.nbrRanks = make([]uint64, info.Degree)
 	p.nbrBits = make([]int, info.Degree)
-	p.out = make([]*congest.Message, info.Degree)
 }
 
 // initChunkTags splits the bandwidth into tag + payload: the smallest tag
@@ -169,11 +167,7 @@ func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.M
 			p.w.WriteBits(uint64(round-1), p.seqBits)
 		}
 		p.w.WriteBits(p.rank>>uint(lo), hi-lo)
-		m := congest.NewPooledMessage(&p.w)
-		for i := range p.out {
-			p.out[i] = m
-		}
-		return p.out, false
+		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&p.w)), false
 	}
 	// round == rounds+1: all chunks received; decide.
 	p.joined = true

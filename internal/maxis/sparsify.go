@@ -118,7 +118,7 @@ func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.M
 		var w wire.Writer
 		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
 		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		return broadcast(congest.NewPooledMessage(&w), p.info.Degree), false
+		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&w)), false
 
 	case 2:
 		p.deltaV = p.info.Degree
@@ -139,7 +139,7 @@ func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.M
 		}
 		var w wire.Writer
 		w.WriteInt(p.wDeg, p.maxSumW)
-		return broadcast(congest.NewPooledMessage(&w), p.info.Degree), false
+		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&w)), false
 
 	default: // round 3
 		wmax := p.wDeg
@@ -182,14 +182,6 @@ func (p *sparsifySample) draw(wmax int64) bool {
 }
 
 func (p *sparsifySample) Output() any { return p.inH }
-
-func broadcast(m *congest.Message, deg int) []*congest.Message {
-	out := make([]*congest.Message, deg)
-	for i := range out {
-		out[i] = m
-	}
-	return out
-}
 
 // sparsifiedInner adapts Sparsified as a boosting black box. The constant
 // follows the Theorem 9 chain: H keeps a Θ(min{1, log n/Δ}) weight fraction

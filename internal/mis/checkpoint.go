@@ -1,7 +1,6 @@
 package mis
 
 import (
-	"distmwis/internal/congest"
 	"distmwis/internal/graph"
 	"distmwis/internal/wire"
 )
@@ -10,18 +9,18 @@ import (
 // interface (internal/reliable) for every MIS process: a snapshot is a
 // value copy of the process struct with its slices deep-copied, and Restore
 // copies back out of the snapshot so the same snapshot can serve repeated
-// crashes. The embedded NodeInfo is copied by value too; its Rand pointer
-// deliberately stays shared — the transport snapshots and restores the
-// underlying randomness stream itself (it substitutes a serializable PCG
-// when checkpointing is on), so duplicating it here would double-restore.
+// crashes. The embedded NodeInfo is copied by value too; its Rand and Out
+// stay shared — the transport snapshots and restores the underlying
+// randomness stream itself (it substitutes a serializable PCG when
+// checkpointing is on), and Out is the outbox the transport gave the node
+// for the whole run.
 
 func (p *lubyProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	// Scratch (writer buffer, broadcast slice) is rebuilt on Restore, never
-	// shared: retaining it in the snapshot would alias live per-round state.
+	// The scratch writer is reset before every use and never part of the
+	// snapshot.
 	s.w = wire.Writer{}
-	s.out = nil
 	return &s
 }
 
@@ -30,17 +29,12 @@ func (p *lubyProcess) Restore(state any) {
 	alive := append(graph.Bitset(nil), s.alive...)
 	*p = *s
 	p.alive = alive
-	p.w = wire.Writer{}
-	p.out = make([]*congest.Message, p.info.Degree)
 }
 
 func (p *ghaffariProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	// Scratch (writer buffer, broadcast slice) is rebuilt on Restore, never
-	// shared: retaining it in the snapshot would alias live per-round state.
 	s.w = wire.Writer{}
-	s.out = nil
 	return &s
 }
 
@@ -49,17 +43,12 @@ func (p *ghaffariProcess) Restore(state any) {
 	alive := append(graph.Bitset(nil), s.alive...)
 	*p = *s
 	p.alive = alive
-	p.w = wire.Writer{}
-	p.out = make([]*congest.Message, p.info.Degree)
 }
 
 func (p *rankProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	// Scratch (writer buffer, broadcast slice) is rebuilt on Restore, never
-	// shared: retaining it in the snapshot would alias live per-round state.
 	s.w = wire.Writer{}
-	s.out = nil
 	return &s
 }
 
@@ -68,8 +57,6 @@ func (p *rankProcess) Restore(state any) {
 	alive := append(graph.Bitset(nil), s.alive...)
 	*p = *s
 	p.alive = alive
-	p.w = wire.Writer{}
-	p.out = make([]*congest.Message, p.info.Degree)
 }
 
 func (p *greedyIDProcess) Checkpoint() any {
@@ -78,7 +65,6 @@ func (p *greedyIDProcess) Checkpoint() any {
 	s.nbrKnown = append(graph.Bitset(nil), p.nbrKnown...)
 	s.nbrActive = append(graph.Bitset(nil), p.nbrActive...)
 	s.w = wire.Writer{}
-	s.out = nil
 	return &s
 }
 
@@ -91,6 +77,4 @@ func (p *greedyIDProcess) Restore(state any) {
 	p.nbrID = nbrID
 	p.nbrKnown = nbrKnown
 	p.nbrActive = nbrActive
-	p.w = wire.Writer{}
-	p.out = make([]*congest.Message, p.info.Degree)
 }

@@ -42,8 +42,7 @@ type greedyIDProcess struct {
 	nbrActive graph.Bitset
 	joined    bool
 	dominated bool
-	w         wire.Writer        // per-round scratch, reset before each use
-	out       []*congest.Message // reused broadcast slice
+	w         wire.Writer // per-round scratch, reset before each use
 }
 
 func (p *greedyIDProcess) Init(info congest.NodeInfo) {
@@ -52,7 +51,6 @@ func (p *greedyIDProcess) Init(info congest.NodeInfo) {
 	p.nbrKnown = graph.NewBitset(info.Degree)
 	p.nbrActive = graph.NewBitset(info.Degree)
 	p.nbrActive.SetFirst(info.Degree)
-	p.out = make([]*congest.Message, info.Degree)
 }
 
 // Under faults every message carries a leading type bit (false = identifier
@@ -73,11 +71,7 @@ func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.
 			p.w.WriteBool(frameID)
 		}
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		m := congest.NewPooledMessage(&p.w)
-		for i := range p.out {
-			p.out[i] = m
-		}
-		return p.out, false
+		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&p.w)), false
 	}
 	if round == 2 {
 		for port, m := range recv {
@@ -149,16 +143,7 @@ func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.
 		p.w.WriteBool(frameStatus)
 	}
 	p.w.WriteUint(status, 2)
-	m := congest.NewPooledMessage(&p.w)
-	out := p.out
-	for port := range out {
-		if p.nbrActive.Get(port) {
-			out[port] = m
-		} else {
-			out[port] = nil
-		}
-	}
-	return out, done
+	return broadcastAlive(p.info.Out, p.nbrActive, congest.NewPooledMessage(&p.w)), done
 }
 
 func (p *greedyIDProcess) Output() any { return p.joined }

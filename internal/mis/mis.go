@@ -161,6 +161,17 @@ func retireMsg(w *wire.Writer, faulty, retiring, joined bool) *congest.Message {
 	return congest.NewPooledMessage(w)
 }
 
+// broadcastAlive puts m on the ports whose neighbour is still active (out
+// arrives all nil, so the other ports send nothing) and returns out.
+func broadcastAlive(out []*congest.Message, alive graph.Bitset, m *congest.Message) []*congest.Message {
+	for port := range out {
+		if alive.Get(port) {
+			out[port] = m
+		}
+	}
+	return out
+}
+
 // lubyProcess holds one node's Luby state.
 type lubyProcess struct {
 	info      congest.NodeInfo
@@ -173,12 +184,9 @@ type lubyProcess struct {
 	// scratch from phaseMark messages: which alive neighbours are marked and
 	// their (degree, id) priority.
 	loseToNeighbor bool
-	// w and out are per-round scratch, reused so the hot loop stops
-	// allocating: the simulator is done reading the previous round's out
-	// slice before the next Round call, and pooled messages are owned by
-	// the simulator the moment they are returned.
-	w   wire.Writer
-	out []*congest.Message
+	// w is per-round scratch: pooled messages are owned by the simulator
+	// the moment they are returned.
+	w wire.Writer
 }
 
 func (p *lubyProcess) Init(info congest.NodeInfo) {
@@ -186,7 +194,6 @@ func (p *lubyProcess) Init(info congest.NodeInfo) {
 	p.alive = graph.NewBitset(info.Degree)
 	p.alive.SetFirst(info.Degree)
 	p.aliveN = info.Degree
-	p.out = make([]*congest.Message, info.Degree)
 }
 
 // beats reports whether (d1,id1) has priority over (d2,id2).
@@ -226,7 +233,7 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		p.w.WriteBool(p.marked)
 		p.w.WriteUint(uint64(p.aliveN), uint64(p.info.NUpper))
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
 
 	case phaseJoin:
 		if p.marked && !p.dominated {
@@ -259,7 +266,7 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		}
 		p.w.Reset()
 		p.w.WriteBool(p.joined)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -272,7 +279,7 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			}
 		}
 		retiring := p.joined || p.dominated
-		return p.broadcastAlive(retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
+		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
 	}
 }
 
@@ -293,18 +300,6 @@ func (p *lubyProcess) absorbRetirements(round int, recv []*congest.Message) {
 			p.dominated = true
 		}
 	}
-}
-
-func (p *lubyProcess) broadcastAlive(m *congest.Message) []*congest.Message {
-	out := p.out
-	for port := range out {
-		if p.alive.Get(port) {
-			out[port] = m
-		} else {
-			out[port] = nil
-		}
-	}
-	return out
 }
 
 func (p *lubyProcess) Output() any { return p.joined }
@@ -348,7 +343,6 @@ type ghaffariProcess struct {
 	// maxExp caps the exponent so the wire field stays bounded.
 	maxExp int
 	w      wire.Writer
-	out    []*congest.Message
 }
 
 func (p *ghaffariProcess) Init(info congest.NodeInfo) {
@@ -356,7 +350,6 @@ func (p *ghaffariProcess) Init(info congest.NodeInfo) {
 	p.alive = graph.NewBitset(info.Degree)
 	p.alive.SetFirst(info.Degree)
 	p.aliveN = info.Degree
-	p.out = make([]*congest.Message, info.Degree)
 	p.pExp = 1
 	p.maxExp = 2 * wire.BitsFor(uint64(info.NUpper)) // p never below n^-2
 }
@@ -400,7 +393,7 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 		p.w.WriteBool(p.marked)
 		p.w.WriteUint(uint64(p.pExp), uint64(p.maxExp))
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
 
 	case phaseJoin:
 		var effDeg float64
@@ -442,7 +435,7 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 		}
 		p.w.Reset()
 		p.w.WriteBool(p.joined)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -455,7 +448,7 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 			}
 		}
 		retiring := p.joined || p.dominated
-		return p.broadcastAlive(retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
+		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
 	}
 }
 
@@ -465,18 +458,6 @@ func pow2neg(exp int) float64 {
 		v /= 2
 	}
 	return v
-}
-
-func (p *ghaffariProcess) broadcastAlive(m *congest.Message) []*congest.Message {
-	out := p.out
-	for port := range out {
-		if p.alive.Get(port) {
-			out[port] = m
-		} else {
-			out[port] = nil
-		}
-	}
-	return out
 }
 
 func (p *ghaffariProcess) Output() any { return p.joined }
@@ -512,7 +493,6 @@ type rankProcess struct {
 	wins      bool
 	lastRound int
 	w         wire.Writer
-	out       []*congest.Message
 }
 
 func (p *rankProcess) Init(info congest.NodeInfo) {
@@ -520,7 +500,6 @@ func (p *rankProcess) Init(info congest.NodeInfo) {
 	p.alive = graph.NewBitset(info.Degree)
 	p.alive.SetFirst(info.Degree)
 	p.aliveN = info.Degree
-	p.out = make([]*congest.Message, info.Degree)
 	n := uint64(info.NUpper)
 	p.rankSpace = n * n // collisions broken by ID
 }
@@ -550,7 +529,7 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		p.w.Reset()
 		p.w.WriteUint(p.rank, p.rankSpace)
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
 
 	case phaseJoin:
 		p.wins = true
@@ -580,7 +559,7 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		}
 		p.w.Reset()
 		p.w.WriteBool(p.joined)
-		return p.broadcastAlive(congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -593,20 +572,8 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			}
 		}
 		retiring := p.joined || p.dominated
-		return p.broadcastAlive(retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
+		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
 	}
-}
-
-func (p *rankProcess) broadcastAlive(m *congest.Message) []*congest.Message {
-	out := p.out
-	for port := range out {
-		if p.alive.Get(port) {
-			out[port] = m
-		} else {
-			out[port] = nil
-		}
-	}
-	return out
 }
 
 func (p *rankProcess) Output() any { return p.joined }

@@ -60,6 +60,7 @@ func (p *proc) recoverFromCheckpoint() {
 	for _, recv := range p.log {
 		round++
 		p.inner.Round(round, recv)
+		clear(p.innerOut) // the replayed sends were delivered the first time
 	}
 	p.t.recoveries.Add(1)
 	p.t.replayedRounds.Add(int64(len(p.log)))

@@ -204,6 +204,8 @@ type proc struct {
 	inner congest.Process
 	info  congest.NodeInfo
 	ports []portState
+	// innerOut is the inner process's NodeInfo.Out.
+	innerOut []*congest.Message
 
 	logical    int  // completed inner rounds
 	innerDone  bool // inner returned done
@@ -234,6 +236,11 @@ func (p *proc) Init(info congest.NodeInfo) {
 	}
 	inner := info
 	inner.Faulty = false
+	// The node's Out window carries this endpoint's frames; the inner
+	// process gets an outbox of its own, cleared after every logical round
+	// as the simulator clears Out.
+	p.innerOut = make([]*congest.Message, info.Degree)
+	inner.Out = p.innerOut
 	if p.t.opts.CheckpointEvery > 0 {
 		if cp, ok := p.inner.(Checkpointer); ok {
 			// Substitute a snapshottable randomness stream, seeded from the
@@ -287,7 +294,7 @@ func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bo
 
 	p.detectFailures(round)
 
-	send := make([]*congest.Message, len(p.ports))
+	send := p.info.Out
 	retransmitted := false
 	for port := range p.ports {
 		var wasRe bool
@@ -503,6 +510,7 @@ func (p *proc) advanceInner() {
 		}
 		ps.out = append(ps.out, outFrame{seq: next, m: m, nextSend: 0})
 	}
+	clear(p.innerOut)
 	if done {
 		p.innerDone = true
 		p.finalRound = next

@@ -122,3 +122,74 @@ func FuzzChecksumBurst(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWriterRoundTrip drives one Writer through a sequence of messages,
+// Reset between them. script is split into messages at 0xFF bytes; inside a
+// message each field is a width byte (mod 65) followed by up to eight
+// little-endian value bytes. Every message's field list is written
+// 1+repeat%8 times, so long scripts push the payload past the inline
+// buffer into the heap spill and later messages reuse a spilled writer.
+func FuzzWriterRoundTrip(f *testing.F) {
+	f.Add([]byte{8, 0xAB, 0xFF, 1, 1}, uint8(0))
+	f.Add([]byte{64, 1, 2, 3, 4, 5, 6, 7, 8, 63, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(7))
+	f.Add([]byte{64, 0xFF, 0, 0, 0, 0, 0, 0, 0}, uint8(5))
+	f.Add([]byte{3, 5, 0xFF, 64, 1, 1, 1, 1, 1, 1, 1, 1, 0xFF, 7, 0x7F}, uint8(4))
+	f.Add([]byte{0, 0, 0xFF, 0xFF}, uint8(0))
+	type field struct {
+		width int
+		value uint64
+	}
+	f.Fuzz(func(t *testing.T, script []byte, repeat uint8) {
+		var w Writer
+		for len(script) > 0 {
+			var fields []field
+			for len(script) > 0 && script[0] != 0xFF {
+				width := int(script[0]) % 65
+				script = script[1:]
+				var v uint64
+				for i := 0; i < 8 && len(script) > 0; i++ {
+					v |= uint64(script[0]) << (8 * i)
+					script = script[1:]
+				}
+				fields = append(fields, field{width, v})
+			}
+			if len(script) > 0 {
+				script = script[1:] // the 0xFF separator
+			}
+			w.Reset()
+			want := 0
+			for rep := 0; rep <= int(repeat%8); rep++ {
+				for _, fl := range fields {
+					w.WriteBits(fl.value, fl.width)
+					want += fl.width
+				}
+			}
+			if w.Len() != want {
+				t.Fatalf("Len %d, want %d", w.Len(), want)
+			}
+			buf := w.Bytes()
+			if len(buf) != (w.Len()+7)/8 {
+				t.Fatalf("len(Bytes()) = %d for %d bits", len(buf), w.Len())
+			}
+			if pad := w.Len() % 8; pad != 0 && buf[len(buf)-1]>>pad != 0 {
+				t.Fatalf("padding bits of final byte %08b set (%d valid bits)", buf[len(buf)-1], pad)
+			}
+			r := NewReader(buf, w.Len())
+			for rep := 0; rep <= int(repeat%8); rep++ {
+				for i, fl := range fields {
+					want := fl.value
+					if fl.width < 64 {
+						want &= 1<<fl.width - 1
+					}
+					got, err := r.ReadBits(fl.width)
+					if err != nil || got != want {
+						t.Fatalf("repeat %d field %d (width %d): got %#x err %v, want %#x", rep, i, fl.width, got, err, want)
+					}
+				}
+			}
+			if r.Remaining() != 0 {
+				t.Fatalf("%d bits left over", r.Remaining())
+			}
+		}
+	})
+}

@@ -31,9 +31,19 @@ func BitsFor(maxValue uint64) int {
 	return bits.Len64(maxValue)
 }
 
+// CongestBytes bounds a CONGEST message under the simulator's default
+// bandwidth for n < 2³²: B = 8⌈log₂ n⌉ ≤ 256 bits.
+const CongestBytes = 32
+
 // Writer accumulates a bit-packed message. The zero value is ready to use.
+// Payloads up to CongestBytes live in an array inside the Writer, so a
+// `var w wire.Writer` local to a function stays on the stack; only larger
+// ones (LOCAL-model payloads, transport frames) spill to the heap.
 type Writer struct {
-	buf   []byte
+	// small holds the payload until it outgrows CongestBytes; from then on
+	// spill does (non-nil marks the spilled state, kept across Reset).
+	small [CongestBytes]byte
+	spill []byte
 	nbits int
 }
 
@@ -50,14 +60,28 @@ func (w *Writer) WriteBits(v uint64, n int) {
 	for n > 0 {
 		byteIdx := w.nbits >> 3
 		bitIdx := w.nbits & 7
-		if byteIdx == len(w.buf) {
-			w.buf = append(w.buf, 0)
-		}
 		take := 8 - bitIdx
 		if take > n {
 			take = n
 		}
-		w.buf[byteIdx] |= byte(v) << uint(bitIdx)
+		// v holds at most n significant bits, so byte(v)<<bitIdx never
+		// sets a bit past the field.
+		b := byte(v) << uint(bitIdx)
+		if w.spill == nil && byteIdx < CongestBytes {
+			if bitIdx == 0 {
+				w.small[byteIdx] = b // a fresh byte: drop what a Reset left behind
+			} else {
+				w.small[byteIdx] |= b
+			}
+		} else {
+			if w.spill == nil {
+				w.spill = append(make([]byte, 0, 2*CongestBytes), w.small[:]...)
+			}
+			if byteIdx == len(w.spill) {
+				w.spill = append(w.spill, 0)
+			}
+			w.spill[byteIdx] |= b
+		}
 		v >>= uint(take)
 		w.nbits += take
 		n -= take
@@ -96,13 +120,21 @@ func (w *Writer) WriteInt(v, maxAbs int64) {
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.nbits }
 
-// Bytes returns the packed buffer. The final byte may contain up to seven
-// padding zero bits; Len disambiguates.
-func (w *Writer) Bytes() []byte { return w.buf }
+// Bytes returns the packed buffer, ⌈Len()/8⌉ bytes long. The final byte may
+// contain up to seven padding zero bits; Len disambiguates. The slice
+// aliases the writer and is valid until its next write or Reset.
+func (w *Writer) Bytes() []byte {
+	if w.spill != nil {
+		return w.spill
+	}
+	return w.small[:(w.nbits+7)>>3]
+}
 
 // Reset clears the writer for reuse without reallocating.
 func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
+	if w.spill != nil {
+		w.spill = w.spill[:0]
+	}
 	w.nbits = 0
 }
 
