@@ -314,8 +314,8 @@ func benchSeamRun(b *testing.B, g *graph.Graph, extra ...congest.Option) *conges
 // guided-chunking fix targets: hubs cluster at low indices) through every
 // delivery seam the simulator offers — plain, fault injection, event
 // tracing, and the reliable transport over a lossy link. Each sub-benchmark
-// first computes a sequential-engine reference outside the timed region,
-// then times the pool engine and requires its outputs bit-identical to that
+// first computes a one-worker reference outside the timed region, then
+// times four workers and requires their outputs bit-identical to that
 // reference on every iteration, so the numbers double as a standing proof
 // that message pooling and batched delivery are invisible to protocol
 // semantics at scale.
@@ -346,14 +346,14 @@ func BenchmarkPowerLawSeams1M(b *testing.B) {
 	}
 	for _, seam := range seams {
 		b.Run(seam.name, func(b *testing.B) {
-			ref := benchSeamRun(b, g, append(seam.opts(), congest.WithEngine(congest.EngineSequential))...)
+			ref := benchSeamRun(b, g, append(seam.opts(), congest.WithWorkers(1))...)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res := benchSeamRun(b, g,
-					append(seam.opts(), congest.WithEngine(congest.EnginePool), congest.WithWorkers(4))...)
+					append(seam.opts(), congest.WithWorkers(4))...)
 				b.StopTimer()
 				if !reflect.DeepEqual(ref.Outputs, res.Outputs) {
-					b.Fatalf("seam %q: pool-engine outputs diverge from the sequential engine", seam.name)
+					b.Fatalf("seam %q: 4-worker outputs diverge from the 1-worker run", seam.name)
 				}
 				b.StartTimer()
 			}
@@ -380,7 +380,7 @@ func BenchmarkRoundLoop10M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := congest.Run(g, mis.Luby{}.NewProcess,
 			congest.WithSeed(uint64(i+1)), congest.WithHardStop(9),
-			congest.WithEngine(congest.EnginePool), congest.WithWorkers(4))
+			congest.WithWorkers(4))
 		if err != nil {
 			b.Fatal(err)
 		}

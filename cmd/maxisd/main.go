@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
 		workers      = fs.Int("workers", 4, "scheduler worker pool size")
-		solveWorkers = fs.Int("solve-workers", 1, "congest engine parallelism per solve")
+		solveWorkers = fs.Int("solve-workers", 1, "goroutines stepping nodes per solve (1 = inline; graphs under 64 nodes run inline)")
 		queueDepth   = fs.Int("queue", 256, "per-priority submission queue depth")
 		cacheBytes   = fs.Int64("cache-bytes", 64<<20, "result cache byte budget (negative disables)")
 		rate         = fs.Float64("rate", 0, "token-bucket admission rate in req/s (0 = unlimited)")

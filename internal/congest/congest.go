@@ -16,19 +16,16 @@
 //   - ports are anonymous: a node cannot see its neighbours' identifiers
 //     until they are sent in messages.
 //
-// Three engines produce identical executions behind one shared round loop
-// (see engine.go): a sequential engine that steps nodes in index order on
-// one goroutine, a worker-pool engine that fans node steps out over a
-// bounded pool each round, and an actor engine that dedicates one
-// long-lived goroutine to every node. The actor engine's rounds are full
-// barriers realised with channels: each actor blocks until the delivery
-// goroutine releases it with the round number, and the delivery goroutine
-// blocks until every actor has reported back, so no node can observe
-// another node's mid-round state. Because per-node state is confined to
-// its goroutine within a round and per-node randomness is pre-seeded, all
-// three engines are bit-identical; the cross-cutting seams — delivery,
-// bandwidth enforcement, fault hooks, tracing, reliable transport — live
-// once in the shared loop, never per engine.
+// One shared round loop enforces the synchronous model; the cross-cutting
+// seams — delivery, bandwidth enforcement, fault hooks, tracing, reliable
+// transport — live there once. Each round's compute phase goes to one
+// executor (see pool.go) whose only scheduling choice is a worker count:
+// with one worker it steps nodes in index order on the calling goroutine,
+// with more it fans node steps out over persistent workers and joins them
+// at a round barrier, so no node can observe another node's mid-round
+// state. Because per-node state is confined to one goroutine within a
+// round and per-node randomness is pre-seeded, every worker count yields
+// bit-identical executions: scheduling changes no round, message or bit.
 package congest
 
 import (
@@ -240,24 +237,6 @@ type Result struct {
 	DeadPorts int64
 }
 
-// Engine selects how node steps are executed. All engines produce
-// identical results (per-node randomness is pre-seeded and state is
-// confined), differing only in scheduling.
-type Engine int
-
-const (
-	// EngineAuto picks Pool for large graphs and Sequential for small ones.
-	EngineAuto Engine = iota
-	// EngineSequential runs node steps in index order on one goroutine.
-	EngineSequential
-	// EnginePool fans node steps out over a worker pool each round.
-	EnginePool
-	// EngineActors runs one long-lived goroutine per node — the literal
-	// "goroutine as network node" mapping — with channel barriers between
-	// rounds.
-	EngineActors
-)
-
 type config struct {
 	model           Model
 	bandwidthFactor int
@@ -267,7 +246,6 @@ type config struct {
 	nUpper          int
 	workers         int
 	maxWeight       int64
-	engine          Engine
 	hook            DeliveryHook
 	tracer          trace.Tracer
 	traceLabel      string
@@ -301,10 +279,10 @@ func WithHardStop(r int) Option { return func(c *config) { c.hardStop = r } }
 // (default: the true n, the most charitable choice). It must be >= n.
 func WithNUpper(n int) Option { return func(c *config) { c.nUpper = n } }
 
-// WithWorkers sets the worker count of the pool engine (default:
-// GOMAXPROCS; values below 1 are clamped to 1). Under EngineAuto a worker
-// count of 1 selects the sequential engine; with an explicit
-// WithEngine(EnginePool) the pool runs with however many workers are set.
+// WithWorkers sets how many goroutines step nodes each round (default:
+// GOMAXPROCS). One worker, or any count on a graph of fewer than 64 nodes,
+// steps nodes inline in index order; otherwise the count is clamped to n.
+// The count changes only scheduling, never a round, message or bit.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // WithMaxWeight sets the upper bound W ≥ max|w(v)| on node weights that
@@ -315,9 +293,6 @@ func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 // would be sized by the realized maximum instead of the nominal bound).
 // Run rejects a bound below the true maximum absolute weight.
 func WithMaxWeight(w int64) Option { return func(c *config) { c.maxWeight = w } }
-
-// WithEngine selects the execution engine explicitly (default EngineAuto).
-func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // Bandwidth computes B for a given upper bound on n and factor.
 func Bandwidth(nUpper, factor int) int {
@@ -345,11 +320,6 @@ func Run(g *graph.Graph, newProcess func() Process, opts ...Option) (*Result, er
 	}
 	if cfg.nUpper < n {
 		return nil, fmt.Errorf("congest: NUpper %d below n %d", cfg.nUpper, n)
-	}
-	if cfg.workers < 1 {
-		// parallelFor would divide by zero on an explicit EnginePool with
-		// zero or negative workers; a floor of 1 keeps every engine valid.
-		cfg.workers = 1
 	}
 	bandwidth := 0
 	if cfg.model == ModelCongest {
@@ -458,7 +428,7 @@ type runState struct {
 	// nothing.
 	pcgs []rand.PCG
 	rnds []rand.Rand
-	// Per-round compute results, written by the engine workers.
+	// Per-round compute results, written by the executor's workers.
 	outboxes    [][]*Message
 	doneNow     []bool
 	errs        []error
@@ -606,16 +576,8 @@ func (s *simulator) run() (*Result, error) {
 		doneNow[v] = fin
 	}
 
-	engine := s.cfg.engine
-	if engine == EngineAuto {
-		if s.cfg.workers <= 1 || n < 64 {
-			engine = EngineSequential
-		} else {
-			engine = EnginePool
-		}
-	}
-	runner := newEngineRunner(engine, n, s.cfg.workers, step, errs)
-	defer runner.shutdown()
+	exec := newPoolEngine(n, s.cfg.workers, step, errs)
+	defer exec.shutdown()
 
 	if s.cfg.hook != nil {
 		s.cfg.hook.Begin(n)
@@ -640,7 +602,7 @@ func (s *simulator) run() (*Result, error) {
 			Label:     s.cfg.traceLabel,
 			N:         n,
 			Bandwidth: s.bandwidth,
-			Engine:    engineName(engine),
+			Workers:   exec.workers,
 			Seed:      s.cfg.seed,
 		})
 		defer func() {
@@ -671,10 +633,10 @@ func (s *simulator) run() (*Result, error) {
 			phaseT0 = time.Now()
 		}
 
-		runner.runRound(round)
-		// Every engine reports the error of the lowest-index failing node,
-		// so error selection is deterministic and engine-independent even
-		// when parallel workers record several errors in the same round.
+		exec.runRound(round)
+		// Report the error of the lowest-index failing node, so error
+		// selection is deterministic and independent of the worker count
+		// even when parallel workers record several errors in one round.
 		for v := 0; v < n; v++ {
 			if errs[v] != nil {
 				return nil, errs[v]
@@ -683,7 +645,7 @@ func (s *simulator) run() (*Result, error) {
 
 		// Crash-stop nodes halt permanently; their Output() keeps the state
 		// at crash time. Handled here, on the single delivery goroutine, so
-		// the live count never races with the engine workers.
+		// the live count never races with the workers.
 		if s.cfg.hook != nil {
 			for v := 0; v < n; v++ {
 				if !s.done.Get(v) && s.cfg.hook.State(round, v) == NodeStopped {

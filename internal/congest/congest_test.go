@@ -200,28 +200,9 @@ func TestBandwidthValue(t *testing.T) {
 	}
 }
 
-// Cross-engine agreement on every registered algorithm is covered by the
-// registry-generated parity suite in internal/protocol (parity_test.go),
-// which replaced the hand-listed TestEnginesAgree that lived here.
-
-func TestActorEngineErrorsAndShutdown(t *testing.T) {
-	// Bandwidth violations must surface cleanly through the actor engine
-	// (and its goroutines must be joined — the -race run guards leaks).
-	g := gen.Cycle(80)
-	if _, err := Run(g, func() Process { return &bigTalker{} }, WithEngine(EngineActors)); err == nil {
-		t.Fatal("expected bandwidth violation through actor engine")
-	}
-	// And a full successful protocol, twice, to exercise pool reuse paths.
-	for seed := uint64(1); seed <= 2; seed++ {
-		res, err := Run(g, func() Process { return &floodMax{rounds: 5} }, WithEngine(EngineActors), WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rounds == 0 {
-			t.Fatal("no rounds executed")
-		}
-	}
-}
+// Agreement across worker counts on every registered algorithm is covered
+// by the registry-generated parity suite in internal/protocol
+// (parity_test.go).
 
 func TestSeedChangesRandomness(t *testing.T) {
 	g := gen.Cycle(64)

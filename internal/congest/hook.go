@@ -20,13 +20,12 @@ const (
 )
 
 // DeliveryHook lets a fault injector intercept the simulator between send
-// and receive. The hook sees every message of every engine at the same
-// deterministic point — the single-threaded delivery phase — so an
-// execution under a given hook is identical across the sequential, pool,
-// and actor engines.
+// and receive. The hook sees every message at the same deterministic point
+// — the single-threaded delivery phase — so an execution under a given
+// hook is identical for every worker count.
 //
 // Begin is called once per Run, before round 1, with the node count.
-// State reports node availability; it is called from engine worker
+// State reports node availability; it is called from the executor's worker
 // goroutines and must be safe for concurrent use and pure (same answer for
 // the same arguments throughout a run). Deliver is called sequentially, in
 // deterministic (sender, port) order, once per sent message whose receiver

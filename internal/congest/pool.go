@@ -5,31 +5,58 @@ import (
 	"sync/atomic"
 )
 
-// poolEngine fans node steps out over a fixed set of persistent workers.
-// Workers are spawned once at construction and live across rounds, parked
-// on per-worker start channels between rounds (the same barrier discipline
-// as actorPool, amortised over workers instead of nodes); runRound releases
-// them and joins on a shared done channel, so per-round overhead is
-// `workers` channel operations instead of `workers` goroutine launches.
+// minParallelNodes is the smallest graph whose node steps are fanned out
+// over workers. Below it a round's compute is cheaper than the round
+// barrier, so the executor steps nodes inline whatever the worker count.
+const minParallelNodes = 64
+
+// poolEngine is the executor of the shared round loop in simulator.run. The
+// loop owns everything cross-cutting — delivery, bandwidth enforcement,
+// fault hooks, tracing, reliable-transport accounting — and per round asks
+// runRound to call step(v, round) once for every node v in [0, n). The
+// executor only schedules those calls and never touches simulator state,
+// which is what keeps every worker count bit-identical:
+//   - step(v, round) is called at most once per node per round;
+//   - node state is only ever touched from one goroutine within a round;
+//   - errors are reported by step writing errs[v], and the shared loop scans
+//     errs in index order afterwards, so the lowest-index failing node is
+//     reported whichever worker stepped it.
+//
+// With one worker runRound steps nodes in index order on the calling
+// goroutine and stops at the first error. With more, persistent workers are
+// spawned once and parked on per-worker start channels between rounds;
+// runRound releases them and joins on a shared done channel, so per-round
+// overhead is `workers` channel operations instead of `workers` goroutine
+// launches.
 //
 // Within a round, work is handed out by guided chunking: a shared atomic
 // cursor from which each worker repeatedly claims the next fixed-size chunk
 // of node indices. Small chunks mean a worker stuck on a run of hot
 // high-degree nodes (power-law graphs cluster hubs at low indices) only
 // monopolises one chunk's worth of them while the others drain the rest —
-// the static contiguous split this replaces pinned the entire hub range to
-// a single worker. Results stay deterministic regardless of which worker
-// claims which chunk: step confines each node's state to the claiming
-// goroutine for the round, and per-node randomness is pre-seeded.
+// a static contiguous split would pin the entire hub range to a single
+// worker. Which worker claims which chunk does not matter: per-node
+// randomness is pre-seeded.
 type poolEngine struct {
 	n       int
+	workers int
 	chunk   int
 	cursor  atomic.Int64
 	start   []chan int
 	done    chan struct{}
 	wg      sync.WaitGroup
 	step    func(v, round int)
-	workers int
+	errs    []error
+}
+
+// poolWorkers resolves a requested worker count for an n-node run: 1 when
+// at most one worker is asked for or n < minParallelNodes, otherwise the
+// request clamped to n.
+func poolWorkers(n, workers int) int {
+	if workers <= 1 || n < minParallelNodes {
+		return 1
+	}
+	return min(workers, n)
 }
 
 // poolChunk picks the guided chunk size: aim for several chunks per worker
@@ -43,22 +70,15 @@ func poolChunk(n, workers int) int {
 	return chunk
 }
 
-func newPoolEngine(n, workers int, step func(v, round int)) *poolEngine {
-	if workers < 1 {
-		workers = 1
+func newPoolEngine(n, workers int, step func(v, round int), errs []error) *poolEngine {
+	e := &poolEngine{n: n, workers: poolWorkers(n, workers), step: step, errs: errs}
+	if e.workers == 1 {
+		return e
 	}
-	if workers > n && n > 0 {
-		workers = n
-	}
-	e := &poolEngine{
-		n:       n,
-		chunk:   poolChunk(n, workers),
-		start:   make([]chan int, workers),
-		done:    make(chan struct{}, workers),
-		step:    step,
-		workers: workers,
-	}
-	for w := 0; w < workers; w++ {
+	e.chunk = poolChunk(n, e.workers)
+	e.start = make([]chan int, e.workers)
+	e.done = make(chan struct{}, e.workers)
+	for w := range e.start {
 		e.start[w] = make(chan int, 1)
 		e.wg.Add(1)
 		go func(ch chan int) {
@@ -69,10 +89,7 @@ func newPoolEngine(n, workers int, step func(v, round int)) *poolEngine {
 					if lo >= e.n {
 						break
 					}
-					hi := lo + e.chunk
-					if hi > e.n {
-						hi = e.n
-					}
+					hi := min(lo+e.chunk, e.n)
 					for v := lo; v < hi; v++ {
 						e.step(v, round)
 					}
@@ -84,10 +101,22 @@ func newPoolEngine(n, workers int, step func(v, round int)) *poolEngine {
 	return e
 }
 
-// runRound releases every worker for one round and joins them. The joins
-// form the round barrier: no worker can run ahead because its start channel
-// is only written here, and the cursor is reset before any release.
+// runRound executes one compute phase. With workers it releases every
+// worker and joins them; the joins form the round barrier, because no
+// worker can run ahead while its start channel is only written here, and
+// the cursor is reset before any release.
 func (e *poolEngine) runRound(round int) {
+	if e.workers == 1 {
+		for v := 0; v < e.n; v++ {
+			e.step(v, round)
+			if e.errs[v] != nil {
+				// The round is already doomed, and stopping here makes the
+				// reported error trivially the lowest-index one.
+				break
+			}
+		}
+		return
+	}
 	e.cursor.Store(0)
 	for _, ch := range e.start {
 		ch <- round
@@ -97,54 +126,11 @@ func (e *poolEngine) runRound(round int) {
 	}
 }
 
-// shutdown terminates and joins all workers.
+// shutdown terminates and joins all workers; the executor is unusable
+// afterwards.
 func (e *poolEngine) shutdown() {
 	for _, ch := range e.start {
 		close(ch)
 	}
 	e.wg.Wait()
-}
-
-// parallelFor runs fn(i) for i in [0, n) on up to workers goroutines and
-// waits for completion. Work is handed out by the same guided chunking as
-// poolEngine — an atomic cursor over fixed-size chunks — so a contiguous
-// run of expensive indices (hub nodes of a degree-skewed graph) rebalances
-// across workers instead of serialising on one. Worker counts below 1 are
-// treated as 1 (Run also clamps; second line of defence for direct callers).
-func parallelFor(n, workers int, fn func(int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := poolChunk(n, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -12,14 +12,23 @@ import (
 	"distmwis/internal/wire"
 )
 
-// TestParallelForCoversRange checks the guided chunking visits every index
-// exactly once and leaves results identical to a sequential loop.
+// runPoolRound drives one round of the executor over [0, n) with fn as the
+// node step and joins its workers.
+func runPoolRound(n, workers int, fn func(v int)) {
+	e := newPoolEngine(n, workers, func(v, _ int) { fn(v) }, make([]error, n))
+	defer e.shutdown()
+	e.runRound(1)
+}
+
+// TestParallelForCoversRange checks that the executor's parallel for over
+// node indices visits every index exactly once, inline below
+// minParallelNodes and in guided chunks above it.
 func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 15, 16, 17, 1000} {
+	for _, n := range []int{0, 1, 15, 16, 17, 64, 129, 1000} {
 		for _, workers := range []int{1, 2, 3, 8, 40} {
 			visits := make([]int32, n)
-			parallelFor(n, workers, func(i int) {
-				atomic.AddInt32(&visits[i], 1)
+			runPoolRound(n, workers, func(v int) {
+				atomic.AddInt32(&visits[v], 1)
 			})
 			for i, c := range visits {
 				if c != 1 {
@@ -30,19 +39,18 @@ func TestParallelForCoversRange(t *testing.T) {
 	}
 }
 
-// TestParallelForSkewRebalances is the regression test for the static
-// contiguous chunking this package used to ship: on a degree-skewed
-// workload where all the cost sits in the lowest indices (power-law graphs
-// cluster hubs there), a static split pins the entire hot range to worker 0
-// while the rest go idle. The test encodes that as a deadline: index 0
-// blocks until some other worker has entered the hot region. Guided
-// chunking passes because the hot region spans several chunks, so a second
-// worker claims one while the first is busy; static contiguous chunking
-// times out, because the whole hot region belongs to the one blocked
-// worker.
+// TestParallelForSkewRebalances is the regression test for static
+// contiguous chunking: on a degree-skewed workload where all the cost sits
+// in the lowest indices (power-law graphs cluster hubs there), a static
+// split pins the entire hot range to worker 0 while the rest go idle. The
+// test encodes that as a deadline: index 0 blocks until some other worker
+// has entered the hot region. Guided chunking passes because the hot
+// region spans several chunks, so a second worker claims one while the
+// first is busy; static contiguous chunking times out, because the whole
+// hot region belongs to the one blocked worker.
 func TestParallelForSkewRebalances(t *testing.T) {
 	const n, workers = 4096, 4
-	hot := n / workers // the old static chunk: [0, hot) all on worker 0
+	hot := n / workers // the static chunk: [0, hot) all on worker 0
 	chunk := poolChunk(n, workers)
 	if chunk >= hot {
 		t.Fatalf("guided chunk %d does not subdivide the hot region %d; test vacuous", chunk, hot)
@@ -50,9 +58,9 @@ func TestParallelForSkewRebalances(t *testing.T) {
 	var once sync.Once
 	otherWorkerInHot := make(chan struct{})
 	var timedOut atomic.Bool
-	parallelFor(n, workers, func(i int) {
+	runPoolRound(n, workers, func(v int) {
 		switch {
-		case i == 0:
+		case v == 0:
 			// Simulates the expensive hub: holds its worker until the hot
 			// region is shared. A worker that owns all of [0, hot) would
 			// never be joined and the deadline fires.
@@ -61,7 +69,7 @@ func TestParallelForSkewRebalances(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				timedOut.Store(true)
 			}
-		case i >= chunk && i < hot:
+		case v >= chunk && v < hot:
 			// Any index past the first chunk but inside the hot region can
 			// only run this early on a different worker.
 			once.Do(func() { close(otherWorkerInHot) })
@@ -113,26 +121,23 @@ func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
 
 func (p *poolSeqProcess) Output() any { return p.heard }
 
-// TestPooledMessagesBitIdentical runs the pooled-broadcast protocol under
-// all three engines and checks (a) payload integrity via the in-process
-// round stamps, (b) cross-engine equality of the full received sequences,
-// and (c) equality with a NewMessage-based control run, proving pooling is
-// invisible to protocol semantics.
+// TestPooledMessagesBitIdentical runs the pooled-broadcast protocol with
+// one and with four workers and checks (a) payload integrity via the
+// in-process round stamps and (b) equality of the full received sequences,
+// proving pooling is invisible to protocol semantics.
 func TestPooledMessagesBitIdentical(t *testing.T) {
 	g := gen.GNP(96, 0.07, 9)
 	newProc := func() Process { return &poolSeqProcess{rounds: 9} }
-	ref, err := Run(g, newProc, WithSeed(3), WithEngine(EngineSequential))
+	ref, err := Run(g, newProc, WithSeed(3), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EnginePool, EngineActors} {
-		res, err := Run(g, newProc, WithSeed(3), WithEngine(engine), WithWorkers(4))
-		if err != nil {
-			t.Fatalf("engine %d: %v", engine, err)
-		}
-		if !reflect.DeepEqual(ref.Outputs, res.Outputs) {
-			t.Fatalf("engine %d: outputs differ from sequential", engine)
-		}
+	res, err := Run(g, newProc, WithSeed(3), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref.Outputs, res.Outputs) {
+		t.Fatal("4-worker outputs differ from the 1-worker run")
 	}
 }
 
@@ -143,7 +148,7 @@ func TestPooledMessagesBitIdentical(t *testing.T) {
 func TestPoolEngineManyRounds(t *testing.T) {
 	g := gen.Cycle(256)
 	res, err := Run(g, func() Process { return &poolSeqProcess{rounds: 300} },
-		WithSeed(1), WithEngine(EnginePool), WithWorkers(6))
+		WithSeed(1), WithWorkers(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,13 @@ func lastWithNeighbours(t *testing.T, g *graph.Graph) int {
 func TestEveryExitLeavesRunStateClean(t *testing.T) {
 	g := gen.GNP(150, 0.05, 4)
 	culprit := lastWithNeighbours(t, g)
-	for _, engine := range []Engine{EngineSequential, EnginePool, EngineActors} {
+	for _, exec := range []struct {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"pool", 2}} {
 		for _, mode := range []string{"ports", "bandwidth"} {
-			t.Run(fmt.Sprintf("%s/%s", engineName(engine), mode), func(t *testing.T) {
-				opts := []Option{WithSeed(9), WithEngine(engine), WithWorkers(2)}
+			t.Run(fmt.Sprintf("%s/%s", exec.name, mode), func(t *testing.T) {
+				opts := []Option{WithSeed(9), WithWorkers(exec.workers)}
 				normal := func() (*Result, *Result) {
 					seq, err := Run(g, func() Process { return &poolSeqProcess{rounds: 7} }, opts...)
 					if err != nil {
@@ -104,8 +107,8 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 }
 
 // TestConcurrentRunsShareRunState runs eight simulations at once, each on
-// its own graph and each through all three engines, against the shared
-// state and message pools. Every result must equal its sequential
+// its own graph and each with one and with two workers, against the shared
+// state and message pools. Every result must equal its one-worker
 // reference, and a Result kept from an earlier run must not change while
 // later runs reuse the pooled state it was computed on.
 func TestConcurrentRunsShareRunState(t *testing.T) {
@@ -115,7 +118,7 @@ func TestConcurrentRunsShareRunState(t *testing.T) {
 	refs := make([]*Result, runs)
 	for i := range gs {
 		gs[i] = gen.GNP(120+10*i, 0.06, uint64(i+1))
-		res, err := Run(gs[i], newProc, WithSeed(uint64(i+1)), WithEngine(EngineSequential))
+		res, err := Run(gs[i], newProc, WithSeed(uint64(i+1)), WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,14 +134,14 @@ func TestConcurrentRunsShareRunState(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for _, engine := range []Engine{EnginePool, EngineSequential, EngineActors} {
-				res, err := Run(gs[i], newProc, WithSeed(uint64(i+1)), WithEngine(engine), WithWorkers(2))
+			for _, workers := range []int{2, 1} {
+				res, err := Run(gs[i], newProc, WithSeed(uint64(i+1)), WithWorkers(workers))
 				if err != nil {
-					t.Errorf("run %d, %s engine: %v", i, engineName(engine), err)
+					t.Errorf("run %d, %d workers: %v", i, workers, err)
 					return
 				}
 				if !reflect.DeepEqual(res, refs[i]) {
-					t.Errorf("run %d, %s engine: result differs from its sequential reference", i, engineName(engine))
+					t.Errorf("run %d, %d workers: result differs from its one-worker reference", i, workers)
 				}
 			}
 		}(i)
@@ -199,7 +202,7 @@ func TestRoundLoopAllocsFlat(t *testing.T) {
 	g := gen.GNP(2000, 0.004, 1)
 	allocs := func(rounds int) float64 {
 		run := func() {
-			if _, err := Run(g, func() Process { return &xorFlood{rounds: rounds} }, WithEngine(EngineSequential)); err != nil {
+			if _, err := Run(g, func() Process { return &xorFlood{rounds: rounds} }, WithWorkers(1)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,11 +1,6 @@
 package congest
 
-import (
-	"fmt"
-
-	"distmwis/internal/graph"
-	"distmwis/internal/trace"
-)
+import "distmwis/internal/trace"
 
 // WithTracer installs a round-level tracer (see internal/trace). The
 // simulator calls it from the single delivery goroutine: BeginRun before
@@ -58,44 +53,4 @@ func (s *simulator) snapshotCounters(live int) traceCounters {
 		c.retransmits = s.cfg.reliable.Counters().Retransmits
 	}
 	return c
-}
-
-// engineName maps a resolved engine to its trace name.
-func engineName(e Engine) string {
-	switch e {
-	case EngineSequential:
-		return "sequential"
-	case EnginePool:
-		return "pool"
-	case EngineActors:
-		return "actors"
-	default:
-		return "auto"
-	}
-}
-
-// MeasureEngines runs the same protocol once per engine — sequential,
-// pool, actors — on identical seeds and returns the wall-clock comparison.
-// The executions are identical by construction (TestEnginesAgree pins
-// this), so the numbers isolate pure scheduling cost: the baseline future
-// performance work is judged against. opts apply to every run and must not
-// themselves select an engine or install a tracer.
-func MeasureEngines(g *graph.Graph, newProcess func() Process, opts ...Option) (*trace.EngineStats, error) {
-	stats := &trace.EngineStats{}
-	for _, e := range []Engine{EngineSequential, EnginePool, EngineActors} {
-		tot := &trace.Totals{}
-		runOpts := append(append([]Option{}, opts...), WithEngine(e), WithTracer(tot))
-		res, err := Run(g, newProcess, runOpts...)
-		if err != nil {
-			return nil, fmt.Errorf("congest: measuring %s engine: %w", engineName(e), err)
-		}
-		stats.Add(trace.EngineTiming{
-			Engine:        engineName(e),
-			Rounds:        res.Rounds,
-			ComputeNanos:  tot.ComputeNanos,
-			DeliveryNanos: tot.DeliveryNanos,
-			WallNanos:     tot.ComputeNanos + tot.DeliveryNanos,
-		})
-	}
-	return stats, nil
 }

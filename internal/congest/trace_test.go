@@ -87,7 +87,7 @@ func TestTraceMatchesResultAggregates(t *testing.T) {
 }
 
 // stripTiming zeroes the wall-clock fields, which legitimately differ
-// between engines and runs.
+// between worker counts and runs.
 func stripTiming(rounds []trace.Round) []trace.Round {
 	out := make([]trace.Round, len(rounds))
 	for i, r := range rounds {
@@ -97,12 +97,14 @@ func stripTiming(rounds []trace.Round) []trace.Round {
 	return out
 }
 
+// TestTraceEngineParity checks that the worker count changes no traced
+// round and that RunInfo.Workers reports the resolved count.
 func TestTraceEngineParity(t *testing.T) {
 	g := gen.GNP(300, 0.03, 5)
-	record := func(e Engine) ([]trace.Round, string) {
+	record := func(workers int) ([]trace.Round, int) {
 		ring := trace.NewRing(0)
 		_, err := Run(g, func() Process { return &labeledFlood{floodMax{rounds: 8}} },
-			WithSeed(9), WithEngine(e), WithWorkers(8), WithTracer(ring))
+			WithSeed(9), WithWorkers(workers), WithTracer(ring))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,25 +112,19 @@ func TestTraceEngineParity(t *testing.T) {
 		if len(runs) != 1 {
 			t.Fatalf("runs = %d, want 1", len(runs))
 		}
-		return stripTiming(ring.Rounds()), runs[0].Engine
+		return stripTiming(ring.Rounds()), runs[0].Workers
 	}
-	seq, seqName := record(EngineSequential)
-	if seqName != "sequential" {
-		t.Errorf("engine name = %q, want sequential", seqName)
+	seq, seqWorkers := record(1)
+	if seqWorkers != 1 {
+		t.Errorf("RunInfo.Workers = %d, want 1", seqWorkers)
 	}
-	for _, tc := range []struct {
-		engine Engine
-		name   string
-	}{
-		{EnginePool, "pool"},
-		{EngineActors, "actors"},
-	} {
-		got, name := record(tc.engine)
-		if name != tc.name {
-			t.Errorf("engine name = %q, want %q", name, tc.name)
+	for _, workers := range []int{2, 8} {
+		got, resolved := record(workers)
+		if resolved != workers {
+			t.Errorf("RunInfo.Workers = %d, want %d", resolved, workers)
 		}
 		if !reflect.DeepEqual(seq, got) {
-			t.Errorf("%s trace differs from sequential trace", tc.name)
+			t.Errorf("%d-worker trace differs from the 1-worker trace", workers)
 		}
 	}
 }
@@ -227,16 +223,31 @@ func TestWithMaxWeight(t *testing.T) {
 	}
 }
 
+// TestPoolEngineClampsWorkers checks how a requested worker count resolves
+// on a graph large enough for the pool — counts below 1 run inline, counts
+// above n are clamped to n — and that every resolved count matches the
+// one-worker run.
 func TestPoolEngineClampsWorkers(t *testing.T) {
-	g := gen.Cycle(32)
-	for _, workers := range []int{0, -3} {
+	g := gen.Cycle(96)
+	run := func(workers int) (*Result, int) {
+		ring := trace.NewRing(0)
 		res, err := Run(g, func() Process { return &floodMax{rounds: 4} },
-			WithEngine(EnginePool), WithWorkers(workers), WithSeed(2))
+			WithWorkers(workers), WithSeed(2), WithTracer(ring))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if res.Rounds == 0 {
-			t.Fatalf("workers=%d: no rounds executed", workers)
+		return res, ring.Runs()[0].Workers
+	}
+	ref, _ := run(1)
+	for _, tc := range []struct{ workers, resolved int }{
+		{0, 1}, {-3, 1}, {2, 2}, {500, 96},
+	} {
+		res, resolved := run(tc.workers)
+		if resolved != tc.resolved {
+			t.Errorf("workers=%d resolved to %d, want %d", tc.workers, resolved, tc.resolved)
+		}
+		if res.Rounds == 0 || !reflect.DeepEqual(ref, res) {
+			t.Errorf("workers=%d: result differs from the 1-worker run", tc.workers)
 		}
 	}
 }
@@ -275,9 +286,8 @@ func TestDeterministicErrorSelection(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{name: "sequential", opts: []Option{WithEngine(EngineSequential)}},
-		{name: "pool", opts: []Option{WithEngine(EnginePool), WithWorkers(8)}},
-		{name: "actors", opts: []Option{WithEngine(EngineActors)}},
+		{name: "sequential", opts: []Option{WithWorkers(1)}},
+		{name: "pool", opts: []Option{WithWorkers(8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Run(g, func() Process { return &badAbove{from: firstBad} }, tc.opts...)
@@ -289,36 +299,6 @@ func TestDeterministicErrorSelection(t *testing.T) {
 				t.Errorf("error %q does not name the lowest-index failing node %d", err, firstBad)
 			}
 		})
-	}
-}
-
-func TestMeasureEngines(t *testing.T) {
-	g := gen.GNP(128, 0.05, 1)
-	stats, err := MeasureEngines(g, func() Process { return &floodMax{rounds: 6} }, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Timings) != 3 {
-		t.Fatalf("timings = %d, want 3 engines", len(stats.Timings))
-	}
-	names := map[string]bool{}
-	rounds := stats.Timings[0].Rounds
-	for _, tm := range stats.Timings {
-		names[tm.Engine] = true
-		if tm.Rounds != rounds {
-			t.Errorf("%s ran %d rounds, want %d (identical executions)", tm.Engine, tm.Rounds, rounds)
-		}
-		if tm.WallNanos != tm.ComputeNanos+tm.DeliveryNanos {
-			t.Errorf("%s wall %d != compute %d + delivery %d", tm.Engine, tm.WallNanos, tm.ComputeNanos, tm.DeliveryNanos)
-		}
-	}
-	for _, want := range []string{"sequential", "pool", "actors"} {
-		if !names[want] {
-			t.Errorf("missing engine %q in %v", want, names)
-		}
-	}
-	if !strings.Contains(stats.String(), "sequential") {
-		t.Error("String() missing engine rows")
 	}
 }
 
@@ -335,12 +315,12 @@ func BenchmarkRun(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { bench(b, WithEngine(EngineSequential)) })
+	b.Run("sequential", func(b *testing.B) { bench(b, WithWorkers(1)) })
 	b.Run("sequential-traced", func(b *testing.B) {
-		bench(b, WithEngine(EngineSequential), WithTracer(trace.NewRing(0)))
+		bench(b, WithWorkers(1), WithTracer(trace.NewRing(0)))
 	})
-	b.Run("pool", func(b *testing.B) { bench(b, WithEngine(EnginePool), WithWorkers(4)) })
+	b.Run("pool", func(b *testing.B) { bench(b, WithWorkers(4)) })
 	b.Run("pool-traced", func(b *testing.B) {
-		bench(b, WithEngine(EnginePool), WithWorkers(4), WithTracer(trace.NewRing(0)))
+		bench(b, WithWorkers(4), WithTracer(trace.NewRing(0)))
 	})
 }

@@ -154,19 +154,6 @@ func Run(id string, opts Options) (*Table, error) {
 	return t, nil
 }
 
-// RunAll executes every experiment in ID order.
-func RunAll(opts Options) ([]*Table, error) {
-	var out []*Table
-	for _, id := range IDs() {
-		t, err := Run(id, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // formatting helpers shared by the experiment files.
 
 func fi(v int) string      { return strconv.Itoa(v) }

@@ -8,8 +8,8 @@
 // per round, and crashes nodes (permanently or transiently) at chosen
 // rounds. Every decision derives from an explicit PCG seed and the
 // (round, sender, receiver) coordinates alone — no hidden state — so a run
-// is exactly replayable from its Schedule and independent of the execution
-// engine.
+// is exactly replayable from its Schedule and independent of the
+// simulator's worker count.
 //
 // The division of guarantees under faults is:
 //
@@ -189,14 +189,14 @@ func (st Stats) add(o Stats) Stats {
 
 // Injector realises a Schedule as a congest.DeliveryHook. Each per-message
 // decision is a pure function of (Seed, round, sender, receiver), so the
-// injection is stateless, engine-independent, and replayable. The zero
+// injection is stateless, independent of the worker count, and replayable. The zero
 // value is unusable; use NewInjector.
 type Injector struct {
 	sched Schedule
 	stats *Stats
 	// down[v] is v's crash window ({0,0} = never crashes). Written in
 	// Begin, read-only afterwards, so State is safe for concurrent use
-	// from engine workers.
+	// from the simulator's workers.
 	down []Crash
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // floodMax floods the maximum ID for a fixed number of rounds; a simple
-// deterministic protocol for engine-identity tests.
+// deterministic protocol for worker-count identity tests.
 type floodMax struct {
 	info   congest.NodeInfo
 	best   uint64
@@ -58,12 +58,12 @@ func (p *floodMax) Output() any { return p.best }
 
 // TestZeroScheduleIdentity is the acceptance criterion for the delivery
 // hook: installing an injector with an empty schedule must leave protocol
-// outputs byte-identical to a run without any injector, under both the
-// sequential and the worker-pool engine.
+// outputs byte-identical to a run without any injector, with one worker and
+// with eight.
 func TestZeroScheduleIdentity(t *testing.T) {
 	g := gen.GNP(200, 0.04, 11)
 	newProc := func() congest.Process { return &floodMax{rounds: 12} }
-	clean, err := congest.Run(g, newProc, congest.WithSeed(5), congest.WithEngine(congest.EngineSequential))
+	clean, err := congest.Run(g, newProc, congest.WithSeed(5), congest.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +71,8 @@ func TestZeroScheduleIdentity(t *testing.T) {
 		name string
 		opts []congest.Option
 	}{
-		{name: "sequential", opts: []congest.Option{congest.WithEngine(congest.EngineSequential)}},
-		{name: "pool", opts: []congest.Option{congest.WithEngine(congest.EnginePool), congest.WithWorkers(8)}},
+		{name: "sequential", opts: []congest.Option{congest.WithWorkers(1)}},
+		{name: "pool", opts: []congest.Option{congest.WithWorkers(8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := NewInjector(Schedule{Seed: 99})
@@ -92,27 +92,27 @@ func TestZeroScheduleIdentity(t *testing.T) {
 }
 
 // TestReplayDeterminism: the same schedule, graph and seed reproduce the
-// exact same outputs and fault counters, independent of the engine.
+// exact same outputs and fault counters, independent of the worker count.
 func TestReplayDeterminism(t *testing.T) {
 	g := gen.GNP(150, 0.05, 3)
 	sched := Schedule{Seed: 42, Loss: 0.2, Dup: 0.1, Corrupt: 0.1, CrashFrac: 0.1, CrashAt: 2}
-	run := func(engine congest.Engine) (*congest.Result, Stats) {
+	run := func(workers int) (*congest.Result, Stats) {
 		inj := NewInjector(sched)
 		res, err := congest.Run(g, func() congest.Process { return &floodMax{rounds: 10} },
-			congest.WithSeed(7), congest.WithFaults(inj), congest.WithEngine(engine))
+			congest.WithSeed(7), congest.WithFaults(inj), congest.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, inj.Stats()
 	}
-	a, sa := run(congest.EngineSequential)
-	b, sb := run(congest.EngineSequential)
-	c, sc := run(congest.EnginePool)
+	a, sa := run(1)
+	b, sb := run(1)
+	c, sc := run(4)
 	if !reflect.DeepEqual(a.Outputs, b.Outputs) || sa != sb {
 		t.Error("same schedule did not replay identically")
 	}
 	if !reflect.DeepEqual(a.Outputs, c.Outputs) || sa != sc {
-		t.Error("fault injection depends on the execution engine")
+		t.Error("fault injection depends on the worker count")
 	}
 	if sa.Lost == 0 || sa.Duplicated == 0 || sa.Corrupted == 0 {
 		t.Errorf("schedule injected nothing: %+v", sa)

@@ -11,19 +11,20 @@ import (
 	"distmwis/internal/mis"
 )
 
-// FuzzEngineFaultDeterminism checks the engine-identity contract under
-// arbitrary message-fault schedules: for any (seed, loss, dup, corrupt) the
-// sequential, pool and actor engines must produce byte-identical outputs,
+// FuzzEngineFaultDeterminism checks the worker-count identity contract
+// under arbitrary message-fault schedules: for any (seed, loss, dup,
+// corrupt) one worker and four workers must produce byte-identical outputs,
 // identical round/message/bit totals, and identical injector statistics.
 // The injector is the only randomness besides the protocol seed, so any
 // divergence means a scheduling-order dependence leaked into the fault
-// layer or the simulator.
+// layer or the simulator. The graph has 64 nodes, the smallest the
+// simulator fans out over workers.
 func FuzzEngineFaultDeterminism(f *testing.F) {
 	f.Add(uint64(1), 0.2, 0.0, 0.1)
 	f.Add(uint64(2), 0.5, 0.5, 0.5)
 	f.Add(uint64(3), 0.0, 0.0, 0.0)
 	f.Add(uint64(4), 0.9, 0.3, 0.2)
-	g := gen.Weighted(gen.GNP(48, 0.1, 7), gen.PolyWeights(1), 8)
+	g := gen.Weighted(gen.GNP(64, 0.1, 7), gen.PolyWeights(1), 8)
 	f.Fuzz(func(t *testing.T, seed uint64, loss, dup, corrupt float64) {
 		for _, p := range []float64{loss, dup, corrupt} {
 			if math.IsNaN(p) || p < 0 || p > 1 {
@@ -38,32 +39,26 @@ func FuzzEngineFaultDeterminism(f *testing.F) {
 			res   *congest.Result
 			stats Stats
 		}
-		run := func(engine congest.Engine) outcome {
+		run := func(workers int) outcome {
 			inj := NewInjector(sched)
 			res, err := congest.Run(g, mis.Luby{}.NewProcess, congest.WithSeed(21),
-				congest.WithEngine(engine), congest.WithFaults(inj),
+				congest.WithWorkers(workers), congest.WithFaults(inj),
 				congest.WithHardStop(400))
 			if err != nil {
-				t.Fatalf("engine %v: %v", engine, err)
+				t.Fatalf("%d workers: %v", workers, err)
 			}
 			return outcome{res, inj.Stats()}
 		}
-		seq := run(congest.EngineSequential)
-		for name, engine := range map[string]congest.Engine{
-			"pool":   congest.EnginePool,
-			"actors": congest.EngineActors,
-		} {
-			o := run(engine)
-			if !reflect.DeepEqual(seq.res.Outputs, o.res.Outputs) {
-				t.Errorf("%s outputs diverge from sequential", name)
-			}
-			if seq.res.Rounds != o.res.Rounds || seq.res.Messages != o.res.Messages ||
-				seq.res.Bits != o.res.Bits || seq.res.Truncated != o.res.Truncated {
-				t.Errorf("%s totals diverge: %+v vs %+v", name, seq.res, o.res)
-			}
-			if seq.stats != o.stats {
-				t.Errorf("%s fault stats diverge: %+v vs %+v", name, seq.stats, o.stats)
-			}
+		seq, o := run(1), run(4)
+		if !reflect.DeepEqual(seq.res.Outputs, o.res.Outputs) {
+			t.Error("4-worker outputs diverge from 1 worker")
+		}
+		if seq.res.Rounds != o.res.Rounds || seq.res.Messages != o.res.Messages ||
+			seq.res.Bits != o.res.Bits || seq.res.Truncated != o.res.Truncated {
+			t.Errorf("4-worker totals diverge: %+v vs %+v", seq.res, o.res)
+		}
+		if seq.stats != o.stats {
+			t.Errorf("4-worker fault stats diverge: %+v vs %+v", seq.stats, o.stats)
 		}
 	})
 }

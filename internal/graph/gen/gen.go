@@ -365,7 +365,7 @@ func ChungLu(n int, gamma float64, maxDeg int, seed uint64) *graph.Graph {
 // instances pinned by earlier experiments stay bit-identical.
 //
 // Weights are sorted descending, so hub nodes cluster at the low indices —
-// exactly the ID-clustered skew the engine's chunking has to survive.
+// exactly the ID-clustered skew the simulator's chunking has to survive.
 func PowerLaw(n int, gamma float64, maxDeg int, seed uint64) *graph.Graph {
 	r := rng(seed)
 	w := make([]float64, n)

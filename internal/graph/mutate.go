@@ -34,11 +34,6 @@ func (e Edit) Empty() bool {
 	return len(e.AddEdges) == 0 && len(e.RemoveEdges) == 0 && len(e.Weights) == 0
 }
 
-// Ops counts the individual operations in the edit.
-func (e Edit) Ops() int {
-	return len(e.AddEdges) + len(e.RemoveEdges) + len(e.Weights)
-}
-
 // EditReport summarises what an ApplyEdit actually changed.
 type EditReport struct {
 	// EdgesAdded / EdgesRemoved count edges whose presence actually

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkTheorem2Cold is one uncached Theorem 2 solve of the serving
 // benchmark's cold-solve shape: gnp n = 2000, p = 0.004, weights in
-// [1, n²], ε = 0.5, on the sequential engine. Each iteration solves a
+// [1, n²], ε = 0.5, with one worker. Each iteration solves a
 // different graph, as every cold request does, so the simulator's pooled
 // state and messages are exercised across phase and graph boundaries.
 func BenchmarkTheorem2Cold(b *testing.B) {

@@ -37,7 +37,7 @@ import (
 //
 // Every box in this package self-registers into the protocol registry
 // (init below), which is where Config.MIS defaults, the cmd/maxis -mis
-// flag, the maxisd API's mis field and the cross-engine parity suite all
+// flag, the maxisd API's mis field and the worker-count parity suite all
 // resolve names from.
 type Algorithm = protocol.MIS
 

@@ -1,9 +1,9 @@
-// Cross-engine parity suite, generated from the protocol registry: every
-// registered algorithm runs under all three execution engines (plus the
-// auto policy) and must produce a bit-identical Result. The table is built
-// from protocol.Solvers()/protocol.Protos() at run time, so registering a
-// new algorithm automatically extends the suite — no hand-listed
-// algorithm × engine matrix to keep in sync.
+// Worker-count parity suite, generated from the protocol registry: every
+// registered algorithm runs with one worker and with several, and must
+// produce a bit-identical Result. The table is built from
+// protocol.Solvers()/protocol.Protos() at run time, so registering a new
+// algorithm automatically extends the suite — no hand-listed
+// algorithm × worker-count matrix to keep in sync.
 package protocol_test
 
 import (
@@ -22,22 +22,13 @@ import (
 	_ "distmwis/internal/mis"
 )
 
-// engineCases is every non-reference execution mode, each checked against
-// the sequential engine. The auto row preserves the coverage of the old
-// hand-written TestEnginesAgree: with several workers the policy resolves
-// to the pool on large graphs, and must still match bit-for-bit.
-var engineCases = []struct {
-	name    string
-	engine  congest.Engine
-	workers int
-}{
-	{name: "pool", engine: congest.EnginePool, workers: 8},
-	{name: "actors", engine: congest.EngineActors},
-	{name: "auto", engine: congest.EngineAuto, workers: 8},
-}
+// parallelWorkers are the worker counts checked against the one-worker
+// run. Both test graphs have at least 64 nodes, so these counts run on the
+// parallel path wherever a phase keeps that many nodes.
+var parallelWorkers = []int{2, 8}
 
 // TestSolverEngineParity runs every registered MaxIS solver end to end on
-// each engine. The unit-weight graph keeps theorem5 in the table (it
+// each worker count. The unit-weight graph keeps theorem5 in the table (it
 // rejects weighted inputs by contract); eps 0.5 satisfies every boosted
 // pipeline's Normalize.
 func TestSolverEngineParity(t *testing.T) {
@@ -50,20 +41,18 @@ func TestSolverEngineParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(engine congest.Engine, workers int) *protocol.Result {
-				res, err := solver.Run(g, params, protocol.Config{
-					Seed: 11, Engine: engine, Workers: workers,
-				})
+			run := func(workers int) *protocol.Result {
+				res, err := solver.Run(g, params, protocol.Config{Seed: 11, Workers: workers})
 				if err != nil {
-					t.Fatalf("engine %v: %v", engine, err)
+					t.Fatalf("%d workers: %v", workers, err)
 				}
 				return res
 			}
-			seq := run(congest.EngineSequential, 0)
-			for _, tc := range engineCases {
-				got := run(tc.engine, tc.workers)
+			seq := run(1)
+			for _, workers := range parallelWorkers {
+				got := run(workers)
 				if !reflect.DeepEqual(seq, got) {
-					t.Errorf("%s: Result diverges from sequential:\nseq: %+v\ngot: %+v", tc.name, seq, got)
+					t.Errorf("%d workers: Result diverges from 1 worker:\nseq: %+v\ngot: %+v", workers, seq, got)
 				}
 			}
 		})
@@ -72,7 +61,7 @@ func TestSolverEngineParity(t *testing.T) {
 
 // TestProtoEngineParity runs every registered single-protocol algorithm
 // (MIS black boxes and colouring protocols) under congest.Run on each
-// engine, comparing the full simulator Result.
+// worker count, comparing the full simulator Result.
 func TestProtoEngineParity(t *testing.T) {
 	g := gen.GNP(150, 0.04, 5)
 	protos := protocol.Protos()
@@ -83,26 +72,22 @@ func TestProtoEngineParity(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			run := func(opts ...congest.Option) *congest.Result {
-				res, err := congest.Run(g, p.NewProcess, append(opts, congest.WithSeed(9))...)
+			run := func(workers int) *congest.Result {
+				res, err := congest.Run(g, p.NewProcess, congest.WithSeed(9), congest.WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			seq := run(congest.WithEngine(congest.EngineSequential))
-			for _, tc := range engineCases {
-				opts := []congest.Option{congest.WithEngine(tc.engine)}
-				if tc.workers > 0 {
-					opts = append(opts, congest.WithWorkers(tc.workers))
-				}
-				got := run(opts...)
+			seq := run(1)
+			for _, workers := range parallelWorkers {
+				got := run(workers)
 				if !reflect.DeepEqual(seq.Outputs, got.Outputs) {
-					t.Errorf("%s: outputs diverge from sequential", tc.name)
+					t.Errorf("%d workers: outputs diverge from 1 worker", workers)
 				}
 				if seq.Rounds != got.Rounds || seq.Messages != got.Messages ||
 					seq.Bits != got.Bits || seq.MaxMessageBits != got.MaxMessageBits {
-					t.Errorf("%s: metrics diverge: seq %+v, got %+v", tc.name, seq, got)
+					t.Errorf("%d workers: metrics diverge: seq %+v, got %+v", workers, seq, got)
 				}
 			}
 		})

@@ -6,10 +6,10 @@
 //
 //   - Config: the execution knobs common to all algorithms (seed, model,
 //     bandwidth, faults, reliable transport, checkpointing, repair,
-//     tracing, engine selection). Config.Opts compiles a Config into
-//     congest options exactly once, so every cross-cutting seam — fault
+//     tracing, worker count). Config.Opts compiles a Config into congest
+//     options exactly once, so every cross-cutting seam — fault
 //     injection, tracing, reliable delivery, checkpoint cadence — is wired
-//     in one place instead of per algorithm or per engine.
+//     in one place instead of per algorithm.
 //   - Params: the per-request algorithm parameters (ε, α) with
 //     per-algorithm normalisation via Solver.Normalize.
 //   - Result: the normalised outcome (set, weight, aggregated metrics,
@@ -84,13 +84,10 @@ type Config struct {
 	Lambda float64
 	// Local switches to the LOCAL model (no bandwidth bound).
 	Local bool
-	// Workers sets simulator parallelism (default GOMAXPROCS).
+	// Workers sets how many goroutines step nodes in every protocol phase
+	// (default GOMAXPROCS; see congest.WithWorkers). Every count produces
+	// bit-identical executions.
 	Workers int
-	// Engine selects the simulator execution engine for every protocol
-	// phase (default congest.EngineAuto). All engines produce bit-identical
-	// executions; the knob exists for measurement and for the registry's
-	// cross-engine parity suite.
-	Engine congest.Engine
 	// MaxWeight, when positive, is the nominal weight bound W handed to
 	// every protocol phase (congest.WithMaxWeight). Experiments that sweep
 	// W set it so wire fields are sized by the swept bound rather than by
@@ -203,8 +200,8 @@ func (c Config) Phase(label string) Config {
 
 // Opts assembles the congest options for one protocol phase. This is the
 // single place where the cross-cutting seams — fault injection, tracing,
-// reliable delivery, checkpoint cadence, engine selection — are compiled
-// into simulator options; algorithms and engines never wire them by hand.
+// reliable delivery, checkpoint cadence, worker count — are compiled into
+// simulator options; algorithms never wire them by hand.
 func (c Config) Opts(phaseSeed uint64) []congest.Option {
 	out := []congest.Option{
 		congest.WithSeed(phaseSeed),
@@ -218,9 +215,6 @@ func (c Config) Opts(phaseSeed uint64) []congest.Option {
 	}
 	if c.Workers > 0 {
 		out = append(out, congest.WithWorkers(c.Workers))
-	}
-	if c.Engine != congest.EngineAuto {
-		out = append(out, congest.WithEngine(c.Engine))
 	}
 	if c.MaxWeight > 0 {
 		out = append(out, congest.WithMaxWeight(c.MaxWeight))

@@ -7,7 +7,6 @@ import (
 
 	"distmwis/internal/congest"
 	"distmwis/internal/graph"
-	"distmwis/internal/reliable"
 )
 
 // Kind partitions the registry by algorithm role.
@@ -83,7 +82,7 @@ type Solver interface {
 	Normalize(p Params) (Params, error)
 	// Run executes the pipeline. Implementations inherit every
 	// cross-cutting seam (faults, tracing, reliable transport,
-	// checkpointing, engine selection) from cfg via Config.Opts.
+	// checkpointing, worker count) from cfg via Config.Opts.
 	Run(g *graph.Graph, p Params, cfg Config) (*Result, error)
 	// Guarantee renders the human-readable approximation guarantee for the
 	// given instance; res is the completed run (some guarantees report
@@ -98,26 +97,12 @@ type Solver interface {
 // Proto is a registered single-protocol algorithm — one congest process
 // per node — such as an MIS black box or a colouring protocol. The
 // optional per-process hooks (reliable.Checkpointer for crash recovery,
-// congest.PhaseLabeler for tracing) are discovered from the processes the
-// factory builds; see Checkpoints and LabelsPhases.
+// congest.PhaseLabeler for tracing) are interface assertions on the
+// processes the factory builds, made by the layers that use them.
 type Proto interface {
 	Algorithm
 	// NewProcess creates one node's protocol instance.
 	NewProcess() congest.Process
-}
-
-// Checkpoints reports whether p's processes implement the reliable
-// transport's Checkpointer hook (snapshot/restore crash recovery).
-func Checkpoints(p Proto) bool {
-	_, ok := p.NewProcess().(reliable.Checkpointer)
-	return ok
-}
-
-// LabelsPhases reports whether p's processes implement the tracer's
-// PhaseLabeler hook (per-round phase attribution).
-func LabelsPhases(p Proto) bool {
-	_, ok := p.NewProcess().(congest.PhaseLabeler)
-	return ok
 }
 
 // protoEntry adapts a process factory (plus metadata) to Proto; MIS
@@ -266,7 +251,7 @@ func MISByName(name string) (MIS, error) {
 }
 
 // Protos returns every registered process-factory algorithm (MIS boxes and
-// colouring protocols), sorted by kind then name. The cross-engine parity
+// colouring protocols), sorted by kind then name. The worker-count parity
 // suite iterates it so newly registered protocols are covered without
 // editing any test.
 func Protos() []Proto {

@@ -12,14 +12,6 @@ type RepairReport struct {
 	WithdrawnWeight int64
 }
 
-// Merge folds another pass into this report (a pipeline repairs after each
-// phase and aggregates).
-func (r *RepairReport) Merge(o RepairReport) {
-	r.Conflicts += o.Conflicts
-	r.Withdrawn += o.Withdrawn
-	r.WithdrawnWeight += o.WithdrawnWeight
-}
-
 // Repair is the runtime self-healing monitor: it checks the independence
 // invariant over the candidate set and performs local repair in place —
 // for every conflicting edge the endpoint graph.Before ranks later
@@ -35,7 +27,7 @@ func (r *RepairReport) Merge(o RepairReport) {
 // passive degraded run (independence after CheckIndependence-style
 // filtering) is preserved, and the result is always independent. Edges are
 // scanned in ascending (v, u) order and decisions apply immediately, which
-// makes the outcome deterministic and engine-independent.
+// makes the outcome deterministic and independent of the worker count.
 func Repair(g *graph.Graph, set []bool) RepairReport {
 	var rep RepairReport
 	n := g.N()

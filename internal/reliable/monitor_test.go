@@ -29,7 +29,7 @@ func TestRepairIdempotent(t *testing.T) {
 	}
 }
 
-// Property: Repair is a pure function of (graph, set) — the engine that
+// Property: Repair is a pure function of (graph, set) — the schedule that
 // produced the candidate set cannot matter, because Repair scans edges in
 // ascending (v, u) order with an order-free local rule. Verified by feeding
 // byte-identical copies and checking outcomes match element-wise.

@@ -245,7 +245,7 @@ func (p *proc) Init(info congest.NodeInfo) {
 		if cp, ok := p.inner.(Checkpointer); ok {
 			// Substitute a snapshottable randomness stream, seeded from the
 			// node's own stream so the substitution is deterministic and
-			// engine-independent. Without checkpointing the inner process
+			// independent of the worker count. Without checkpointing the inner process
 			// keeps the untouched stream and the logical execution is
 			// bit-identical to an unwrapped fault-free run.
 			p.cp = cp

@@ -145,34 +145,30 @@ func TestCheckpointRestore(t *testing.T) {
 }
 
 // TestEngineAgreement: the transport's buffering and counters are
-// deterministic and engine-independent, like everything else in the
-// simulator.
+// deterministic and independent of the worker count, like everything else
+// in the simulator.
 func TestEngineAgreement(t *testing.T) {
 	g := testGraph(19)
 	sched := fault.Schedule{Seed: 5, Loss: 0.25, Dup: 0.1, Corrupt: 0.1, CrashFrac: 0.1, CrashAt: 3, CrashBack: 8}
-	run := func(e congest.Engine) *congest.Result {
+	run := func(workers int) *congest.Result {
 		inj := fault.NewInjector(sched)
 		res, err := congest.Run(g, mis.Rank{}.NewProcess, congest.WithSeed(31),
-			congest.WithFaults(inj), congest.WithEngine(e), congest.WithWorkers(8),
+			congest.WithFaults(inj), congest.WithWorkers(workers),
 			congest.WithReliable(reliable.New(reliable.Options{CheckpointEvery: 5})))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a := run(congest.EngineSequential)
-	b := run(congest.EnginePool)
-	c := run(congest.EngineActors)
-	for name, o := range map[string]*congest.Result{"pool": b, "actors": c} {
-		if !reflect.DeepEqual(a.Outputs, o.Outputs) {
-			t.Errorf("%s outputs differ from sequential", name)
-		}
-		if a.Rounds != o.Rounds || a.Messages != o.Messages || a.Bits != o.Bits ||
-			a.Retransmits != o.Retransmits || a.TransportAcks != o.TransportAcks ||
-			a.Recoveries != o.Recoveries || a.ReplayedRounds != o.ReplayedRounds ||
-			a.DeadPorts != o.DeadPorts {
-			t.Errorf("%s counters differ from sequential:\n%+v\n%+v", name, a, o)
-		}
+	a, o := run(1), run(8)
+	if !reflect.DeepEqual(a.Outputs, o.Outputs) {
+		t.Error("8-worker outputs differ from 1 worker")
+	}
+	if a.Rounds != o.Rounds || a.Messages != o.Messages || a.Bits != o.Bits ||
+		a.Retransmits != o.Retransmits || a.TransportAcks != o.TransportAcks ||
+		a.Recoveries != o.Recoveries || a.ReplayedRounds != o.ReplayedRounds ||
+		a.DeadPorts != o.DeadPorts {
+		t.Errorf("8-worker counters differ from 1 worker:\n%+v\n%+v", a, o)
 	}
 }
 

@@ -26,8 +26,9 @@ import (
 type Options struct {
 	// Workers is the scheduler worker pool size (default 4).
 	Workers int
-	// SolveWorkers is the congest engine parallelism per solve (default 1:
-	// the service parallelises across requests, not within one).
+	// SolveWorkers is the number of goroutines that step nodes within one
+	// solve (default 1: the service parallelises across requests, not
+	// within one; see congest.WithWorkers).
 	SolveWorkers int
 	// QueueDepth bounds each priority queue (default 256).
 	QueueDepth int

@@ -110,7 +110,7 @@ func (r *Ring) Reset() {
 var _ Tracer = (*Ring)(nil)
 
 // Totals is a tracer that keeps only aggregate counters — the cheapest way
-// to time an execution. It is the backing store of EngineStats.
+// to time an execution.
 type Totals struct {
 	mu sync.Mutex
 	// Runs counts BeginRun calls; Rounds, Messages and Bits total the

@@ -32,8 +32,9 @@ type RunInfo struct {
 	N int `json:"n"`
 	// Bandwidth is the enforced per-message bit budget (0 = LOCAL).
 	Bandwidth int `json:"bandwidth"`
-	// Engine names the execution engine ("sequential", "pool", "actors").
-	Engine string `json:"engine"`
+	// Workers is the resolved number of goroutines that stepped nodes each
+	// round (1 = inline in index order).
+	Workers int `json:"workers"`
 	// Seed is the run's root randomness seed.
 	Seed uint64 `json:"seed"`
 }

@@ -203,22 +203,3 @@ func TestTeeFansOut(t *testing.T) {
 		t.Error("tee did not reach both tracers")
 	}
 }
-
-func TestEngineStats(t *testing.T) {
-	var s EngineStats
-	s.Add(EngineTiming{Engine: "sequential", Rounds: 10, ComputeNanos: 800, DeliveryNanos: 200, WallNanos: 1000})
-	s.Add(EngineTiming{Engine: "pool", Rounds: 10, ComputeNanos: 300, DeliveryNanos: 200, WallNanos: 500})
-	if v := s.Speedup("pool"); v != 2 {
-		t.Errorf("pool speedup = %v, want 2", v)
-	}
-	if v := s.Speedup("sequential"); v != 1 {
-		t.Errorf("reference speedup = %v, want 1", v)
-	}
-	if v := s.Speedup("missing"); v != 0 {
-		t.Errorf("unknown engine speedup = %v, want 0", v)
-	}
-	out := s.String()
-	if !strings.Contains(out, "pool") || !strings.Contains(out, "2.00x") {
-		t.Errorf("String() missing expected content:\n%s", out)
-	}
-}
