@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=10s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzFromCanonical -fuzztime=10s ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzWeightOrder -fuzztime=10s ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzApplyEdit -fuzztime=10s ./internal/graph/
 
 build-cmds:
 	$(GO) build -o bin/ ./cmd/...

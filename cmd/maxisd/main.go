@@ -59,6 +59,17 @@ import (
 	"distmwis/internal/server"
 )
 
+// Connection limits of the HTTP server. A client must send its complete
+// request headers within readHeaderTimeout, so a connection that trickles
+// or never finishes them is cut rather than held open forever; an idle
+// keep-alive connection is closed after idleTimeout. Request bodies and
+// responses are not bounded here: large inline graphs legitimately upload
+// slowly, and solves carry their own deadline_ms.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // splitCSV splits a comma-separated list, trimming whitespace and dropping
 // empty entries.
 func splitCSV(s string) []string {
@@ -187,7 +198,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		}
 		fmt.Fprintf(stdout, "maxisd: graph journal %s open, replayed %d mutations\n", *graphJournal, replayed)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// SIGINT and SIGTERM are deliberately identical — ^C in a terminal and a
 	// supervisor's stop must drain the same way. A plain Notify (rather than

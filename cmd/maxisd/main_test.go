@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -74,6 +77,59 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "drained, exiting") {
 		t.Fatalf("missing drain message in output:\n%s", out.String())
+	}
+}
+
+// TestDaemonCutsUnfinishedHeaders pins the slow-client guard: a connection
+// that starts a request and never finishes its headers is closed by the
+// daemon after readHeaderTimeout, without a response.
+func TestDaemonCutsUnfinishedHeaders(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	ready := make(chan string, 1)
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, &out, &errBuf, ready)
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("daemon never became ready; stderr: %s", errBuf.String())
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: maxisd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second))
+	got, err := io.ReadAll(conn)
+	waited := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after the unfinished headers", waited)
+	}
+	if len(got) != 0 {
+		t.Fatalf("unfinished request got a response: %q", got)
+	}
+	if waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("exit code %d; stderr: %s", code, errBuf.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
 	}
 }
 

@@ -1,9 +1,13 @@
 package graph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // This file is the mutation seam of the otherwise-immutable Graph type.
-// Graphs stay immutable: an Edit never modifies its receiver, it rebuilds a
+// Graphs stay immutable: an Edit never modifies its receiver, it derives a
 // new Graph with the edit applied. That keeps every existing consumer —
 // solvers, caches, in-flight solves holding a *Graph — sound under
 // concurrent mutation: a PATCH produces a new value while old snapshots
@@ -58,9 +62,14 @@ type EditReport struct {
 // legitimately collide (adding an edge that exists, removing one that
 // does not — both count as no-ops in the report). The receiver is never
 // modified.
+//
+// The edit costs the edit, not the graph: only the touched nodes'
+// neighbour lists are merged, the rest of the CSR is copied block-wise,
+// and every slice the edit leaves unchanged is shared with the receiver —
+// identifiers always, the topology on weight-only edits and the weights
+// on edge-only edits. Graphs are immutable, so sharing is safe.
 func (g *Graph) ApplyEdit(e Edit) (*Graph, EditReport, error) {
 	n := g.N()
-	rep := EditReport{Touched: make([]bool, n)}
 	checkEdge := func(u, v int32) error {
 		if u < 0 || v < 0 || int(u) >= n || int(v) >= n {
 			return fmt.Errorf("graph: edit edge {%d,%d} out of range [0,%d)", u, v, n)
@@ -89,70 +98,146 @@ func (g *Graph) ApplyEdit(e Edit) (*Graph, EditReport, error) {
 		}
 	}
 
-	// Removal set, normalised to u < v. Within one edit the last op on an
-	// edge wins add-vs-remove ties deterministically: removals are applied
-	// to the old edge set first, then additions.
+	rep := EditReport{Touched: make([]bool, n)}
+	touch := func(key [2]int32) {
+		rep.Touched[key[0]] = true
+		rep.Touched[key[1]] = true
+	}
+	// Within one edit the last op on an edge wins add-vs-remove ties
+	// deterministically: removals apply to the old edge set first, then
+	// additions in order. removed maps each distinct removal to whether it
+	// removed a real edge.
 	removed := make(map[[2]int32]bool, len(e.RemoveEdges))
 	for _, ed := range e.RemoveEdges {
-		u, v := ed[0], ed[1]
-		if u > v {
-			u, v = v, u
+		key := edgeKey(ed)
+		if _, dup := removed[key]; dup {
+			continue
 		}
-		removed[[2]int32{u, v}] = false // value flips true when it removes a real edge
-	}
-
-	b := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		b.SetID(v, g.ID(v))
-		b.SetWeight(v, g.Weight(v))
-	}
-	for _, wu := range e.Weights {
-		b.SetWeight(int(wu.V), wu.W)
-		rep.WeightsSet++
-		rep.Touched[wu.V] = true
-	}
-	present := make(map[[2]int32]bool, g.M()+len(e.AddEdges))
-	for v := 0; v < n; v++ {
-		for _, un := range g.Neighbors(v) {
-			if int(un) <= v {
-				continue
-			}
-			key := [2]int32{int32(v), un}
-			if _, drop := removed[key]; drop {
-				removed[key] = true
-				rep.EdgesRemoved++
-				rep.Touched[key[0]] = true
-				rep.Touched[key[1]] = true
-				continue
-			}
-			present[key] = true
-			b.AddEdge(v, int(un))
-		}
-	}
-	for _, hit := range removed {
-		if !hit {
+		hit := g.HasEdge(int(key[0]), int(key[1]))
+		removed[key] = hit
+		if hit {
+			rep.EdgesRemoved++
+			touch(key)
+		} else {
 			rep.Noops++ // removing an edge that was not there
 		}
 	}
+	added := make(map[[2]int32]bool, len(e.AddEdges))
 	for _, ed := range e.AddEdges {
-		u, v := ed[0], ed[1]
-		if u > v {
-			u, v = v, u
-		}
-		key := [2]int32{u, v}
-		if present[key] {
+		key := edgeKey(ed)
+		if added[key] || (!removed[key] && g.HasEdge(int(key[0]), int(key[1]))) {
 			rep.Noops++ // adding an edge that already exists
 			continue
 		}
-		present[key] = true
-		b.AddEdge(int(u), int(v))
+		added[key] = true
 		rep.EdgesAdded++
-		rep.Touched[u] = true
-		rep.Touched[v] = true
+		touch(key)
 	}
-	ng, err := b.Build()
-	if err != nil {
+
+	// The net change is what the CSR sees: an edge removed and re-added in
+	// one edit is reported twice but leaves the topology as it was.
+	var arcs []arc
+	for key, hit := range removed {
+		if hit && !added[key] {
+			arcs = append(arcs, arc{key[0], key[1], false}, arc{key[1], key[0], false})
+		}
+	}
+	for key := range added {
+		if !removed[key] {
+			arcs = append(arcs, arc{key[0], key[1], true}, arc{key[1], key[0], true})
+		}
+	}
+	ng := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg}
+	if len(arcs) > 0 {
+		ng.off, ng.adj = g.splice(arcs)
+		ng.maxDeg = 0
+		ng.setMaxDegree()
+	}
+	if len(e.Weights) > 0 {
+		ng.weights = slices.Clone(g.weights)
+		for _, wu := range e.Weights {
+			ng.weights[wu.V] = wu.W
+			rep.WeightsSet++
+			rep.Touched[wu.V] = true
+		}
+	}
+	// Build's weight rule covers the whole result: a derived receiver may
+	// carry negative weights the edit does not overwrite.
+	if err := checkWeights(ng.weights); err != nil {
 		return nil, EditReport{}, fmt.Errorf("graph: edit rebuild: %w", err)
 	}
 	return ng, rep, nil
+}
+
+// edgeKey normalises an undirected edge to u < v.
+func edgeKey(ed [2]int32) [2]int32 {
+	if ed[0] > ed[1] {
+		return [2]int32{ed[1], ed[0]}
+	}
+	return ed
+}
+
+// arc is one directed half of a net edge change: to joins or leaves
+// from's neighbour list.
+type arc struct {
+	from, to int32
+	add      bool
+}
+
+// splice returns the CSR of g with the arcs applied. Each arc's presence
+// must flip: an added arc is absent from g and a removed one present.
+// Untouched nodes' neighbour lists are copied block-wise between the
+// touched ones; each touched node's list is merged with its arcs, which
+// keeps it sorted.
+func (g *Graph) splice(arcs []arc) (off, adj []int32) {
+	slices.SortFunc(arcs, func(a, b arc) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
+	})
+	size := len(g.adj)
+	for _, a := range arcs {
+		if a.add {
+			size++
+		} else {
+			size--
+		}
+	}
+	n := g.N()
+	off = make([]int32, n+1)
+	adj = make([]int32, 0, size)
+	// copyRun copies the untouched lists of nodes [from, to) unchanged.
+	copyRun := func(from, to int) {
+		shift := int32(len(adj)) - g.off[from]
+		adj = append(adj, g.adj[g.off[from]:g.off[to]]...)
+		for v := from; v < to; v++ {
+			off[v+1] = g.off[v+1] + shift
+		}
+	}
+	next := 0
+	for i := 0; i < len(arcs); {
+		v := int(arcs[i].from)
+		j := i
+		for j < len(arcs) && int(arcs[j].from) == v {
+			j++
+		}
+		copyRun(next, v)
+		k := i
+		for _, u := range g.Neighbors(v) {
+			for k < j && arcs[k].to < u {
+				adj = append(adj, arcs[k].to) // only additions sort before a present neighbour
+				k++
+			}
+			if k < j && arcs[k].to == u {
+				k++ // the removal of u
+				continue
+			}
+			adj = append(adj, u)
+		}
+		for ; k < j; k++ {
+			adj = append(adj, arcs[k].to)
+		}
+		off[v+1] = int32(len(adj))
+		next, i = v+1, j
+	}
+	copyRun(next, n)
+	return off, adj
 }

@@ -51,32 +51,35 @@ type ComponentCache struct {
 // of a connected graph may legitimately differ from Solve on the same
 // graph. Callers must therefore key caches for component-wise answers
 // distinctly from whole-graph ones.
+//
+// SolveByComponent splits g itself; callers that already hold g's
+// components — a dynamic graph carries them across versions — pass them
+// to SolveComponents instead.
 func SolveByComponent(name string, g *graph.Graph, eps float64, alpha int, cfg Config, cache ComponentCache) (*Result, ComponentStats, error) {
-	n := g.N()
-	comp, count := g.Components()
-	stats := ComponentStats{Components: count}
-	out := &Result{Set: make([]bool, n)}
+	return SolveComponents(name, g, g.SplitComponents(), eps, alpha, cfg, cache)
+}
 
-	keep := make([]bool, n)
-	for c := 0; c < count; c++ {
-		for v := 0; v < n; v++ {
-			keep[v] = comp[v] == int32(c)
-		}
-		sub := g.Induce(keep)
-		hash := sub.G.HashString()
+// SolveComponents is SolveByComponent over given components: parts must be
+// g's connected components, as g.SplitComponents or g.CarryComponents
+// return them.
+func SolveComponents(name string, g *graph.Graph, parts []graph.Component, eps float64, alpha int, cfg Config, cache ComponentCache) (*Result, ComponentStats, error) {
+	count := len(parts)
+	stats := ComponentStats{Components: count}
+	out := &Result{Set: make([]bool, g.N())}
+	for c, part := range parts {
 		if cache.Lookup != nil {
-			if members, ok := cache.Lookup(hash); ok {
+			if members, ok := cache.Lookup(part.Hash); ok {
 				stats.Reused++
 				for _, i := range members {
-					if int(i) < 0 || int(i) >= len(sub.ToParent) {
-						return nil, stats, fmt.Errorf("maxis: component cache for %s returned out-of-range member %d", hash[:12], i)
+					if int(i) < 0 || int(i) >= len(part.ToParent) {
+						return nil, stats, fmt.Errorf("maxis: component cache for %s returned out-of-range member %d", part.Hash[:12], i)
 					}
-					out.Set[sub.ToParent[i]] = true
+					out.Set[part.ToParent[i]] = true
 				}
 				continue
 			}
 		}
-		res, err := Solve(name, sub.G, eps, alpha, cfg)
+		res, err := Solve(name, part.G, eps, alpha, cfg)
 		if err != nil {
 			return nil, stats, fmt.Errorf("maxis: component %d/%d: %w", c, count, err)
 		}
@@ -85,12 +88,12 @@ func SolveByComponent(name string, g *graph.Graph, eps float64, alpha int, cfg C
 		var members []int32
 		for i, in := range res.Set {
 			if in {
-				out.Set[sub.ToParent[i]] = true
+				out.Set[part.ToParent[i]] = true
 				members = append(members, int32(i))
 			}
 		}
 		if cache.Store != nil {
-			cache.Store(hash, members, res.Weight)
+			cache.Store(part.Hash, members, res.Weight)
 		}
 	}
 	out.Weight = g.SetWeight(out.Set)

@@ -2,6 +2,10 @@ package server
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -128,16 +132,24 @@ func (s *Server) publishUpgrade(key string, a repair.Answer) {
 	}
 }
 
-// refCacheKey is the content-addressed key of a graph_ref solve. The
+// refCacheKey is the content-addressed key of a graph_ref solve: it equals
+// cacheKey(ver.g.Canonical(), "inc|"+fingerprint), resumed from the
+// version's saved digest state instead of encoding the graph again. The
 // fingerprint namespace is "inc|": component-wise answers may legitimately
-// differ bitwise from whole-graph solves of the same content (per-component
-// node renumbering changes the randomness), so the two worlds never share
-// cache lines.
-func (s *Server) refCacheKey(g *graph.Graph, req *SolveRequest) string {
-	return cacheKey(g.Canonical(), "inc|"+req.Fingerprint())
+// differ bitwise from whole-graph solves of the same content
+// (per-component node renumbering changes the randomness), so the two
+// worlds never share cache lines.
+func refCacheKey(ver *graphVersion, req *SolveRequest) string {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ver.digest); err != nil {
+		panic(fmt.Sprintf("server: sha256 state: %v", err)) // newVersion marshalled it
+	}
+	h.Write([]byte{0})
+	h.Write([]byte("inc|" + req.Fingerprint()))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// componentCache adapts the result cache to maxis.SolveByComponent for one
+// componentCache adapts the result cache to maxis.SolveComponents for one
 // request fingerprint: per-component answers are ordinary cache entries,
 // keyed by component content hash + fingerprint and tagged with the
 // component hash so a mutation can invalidate exactly the components it
@@ -157,9 +169,10 @@ func (s *Server) componentCache(fp string) maxis.ComponentCache {
 	}
 }
 
-// solveComponents runs the component-wise solve for a graph_ref request.
-func (s *Server) solveComponents(req *SolveRequest, g *graph.Graph, cfg maxis.Config) (*maxis.Result, maxis.ComponentStats, error) {
-	return maxis.SolveByComponent(req.Alg, g, req.Eps, req.Alpha, cfg, s.componentCache("inc|"+req.Fingerprint()))
+// solveComponents runs the component-wise solve of a graph_ref request
+// over g's components parts.
+func (s *Server) solveComponents(req *SolveRequest, g *graph.Graph, parts []graph.Component, cfg maxis.Config) (*maxis.Result, maxis.ComponentStats, error) {
+	return maxis.SolveComponents(req.Alg, g, parts, req.Eps, req.Alpha, cfg, s.componentCache("inc|"+req.Fingerprint()))
 }
 
 // publishDegraded is execute's graph_ref hook on the degraded tier. Unlike
@@ -176,7 +189,7 @@ func (s *Server) publishDegraded(req *SolveRequest, p prepared, set []bool, weig
 		Alg:       alg,
 		Updated:   time.Now().UTC(),
 	})
-	s.enqueueUpgrade(p.key, p.hash, p.g, set, req)
+	s.enqueueUpgrade(p.key, p.g, set, req)
 }
 
 // publishFull is execute's graph_ref hook after a fresh full solve: publish
@@ -202,7 +215,7 @@ func (gs *graphStore) recordFull(hash string, req *SolveRequest, set []int32, n 
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	h, ok := gs.byHash[hash]
-	if !ok || h.hash != hash {
+	if !ok || h.ver.hash != hash {
 		return
 	}
 	reqCopy := *req

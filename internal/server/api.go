@@ -23,8 +23,8 @@
 //     identical requests collapse into one flight; the leader's solve
 //     joins a bounded two-priority queue feeding a worker pool, with
 //     per-job deadlines via context and a graceful drain on shutdown.
-//   - solve: maxis.Solve, or the component-wise maxis.SolveByComponent
-//     for graph_ref.
+//   - solve: maxis.Solve, or the component-wise maxis.SolveComponents
+//     over the version's carried components for graph_ref.
 //   - publish: the result is cached worker-side; graph_ref answers are
 //     also published to the answer registry (answers.go), and degraded
 //     ones are queued for the background repair tier.

@@ -2,6 +2,9 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,19 +51,49 @@ import (
 //     "improved" (budgeted greedy re-admission) and then "full" (a real
 //     component-wise re-solve), republishing at each step.
 
+// graphVersion is one version of a dynamic graph, derived from its edit and
+// encoded, hashed and decomposed exactly once; every later stage — the
+// PATCH acknowledgement, component invalidation, healing, ref solves and
+// their cache keys, journal replay — reuses it. It is immutable and may be
+// used freely outside the store lock.
+type graphVersion struct {
+	g     *graph.Graph
+	hash  string
+	parts []graph.Component // g's components, the granularity of reuse
+	// digest is the marshalled SHA-256 state after g's canonical bytes:
+	// refCacheKey resumes it rather than encoding the graph again.
+	digest []byte
+}
+
+// newVersion encodes and hashes g once; parts must be g's components.
+func newVersion(g *graph.Graph, parts []graph.Component) *graphVersion {
+	h := sha256.New()
+	h.Write(g.Canonical())
+	digest, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("server: sha256 state: %v", err)) // crypto/sha256 always marshals
+	}
+	return &graphVersion{g: g, hash: hex.EncodeToString(h.Sum(nil)), parts: parts, digest: digest}
+}
+
+// derive applies an edit to v, carrying every component the edit did not
+// touch into the new version.
+func (v *graphVersion) derive(e graph.Edit) (*graphVersion, graph.EditReport, error) {
+	ng, rep, err := v.g.ApplyEdit(e)
+	if err != nil {
+		return nil, rep, err
+	}
+	return newVersion(ng, ng.CarryComponents(v.parts, rep.Touched)), rep, nil
+}
+
 // dynGraph is one mutable graph handle. All fields are guarded by the
-// owning graphStore's mutex; g itself is immutable and may be snapshotted
-// out under the lock and used freely after.
+// owning graphStore's mutex; the current version is immutable and may be
+// snapshotted out under the lock and used freely after.
 type dynGraph struct {
 	id      string // journal identity, stable across hash changes
-	g       *graph.Graph
-	hash    string
+	ver     *graphVersion
 	aliases []string // prior hashes, oldest first
 	version int      // PATCHes applied since PUT
-
-	// compHashes is the content-hash set of the current components — the
-	// diff base for component-granular invalidation.
-	compHashes map[string]bool
 
 	// The last full-quality answer served for this handle, with the
 	// normalized request that produced it: the seed the healing pipeline
@@ -111,31 +144,10 @@ type graphWALData struct {
 	Edit *graph.Edit `json:"edit,omitempty"`
 }
 
-// componentHashes computes the content-hash set of g's components.
-func componentHashes(g *graph.Graph) map[string]bool {
-	comp, count := g.Components()
-	out := make(map[string]bool, count)
-	keep := make([]bool, g.N())
-	for c := 0; c < count; c++ {
-		for v := range keep {
-			keep[v] = comp[v] == int32(c)
-		}
-		out[g.Induce(keep).G.HashString()] = true
-	}
-	return out
-}
-
-// register creates a handle for g under the store lock.
-func (gs *graphStore) register(id string, g *graph.Graph, aliases []string, version int) *dynGraph {
-	h := &dynGraph{
-		id:         id,
-		g:          g,
-		hash:       g.HashString(),
-		aliases:    aliases,
-		version:    version,
-		compHashes: componentHashes(g),
-	}
-	gs.byHash[h.hash] = h
+// register creates a handle for a version under the store lock.
+func (gs *graphStore) register(id string, ver *graphVersion, aliases []string, version int) *dynGraph {
+	h := &dynGraph{id: id, ver: ver, aliases: aliases, version: version}
+	gs.byHash[ver.hash] = h
 	for _, a := range aliases {
 		gs.byHash[a] = h
 	}
@@ -143,16 +155,16 @@ func (gs *graphStore) register(id string, g *graph.Graph, aliases []string, vers
 	return h
 }
 
-// snapshot returns the handle's current graph and hash (immutable values,
-// safe to use unlocked).
-func (gs *graphStore) snapshot(hash string) (*graph.Graph, string, bool) {
+// snapshot returns the handle's current version (immutable, safe to use
+// unlocked).
+func (gs *graphStore) snapshot(hash string) (*graphVersion, bool) {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	h, ok := gs.byHash[hash]
 	if !ok {
-		return nil, "", false
+		return nil, false
 	}
-	return h.g, h.hash, true
+	return h.ver, true
 }
 
 // OpenGraphJournal attaches the graph write-ahead journal at path and
@@ -200,26 +212,26 @@ func (s *Server) OpenGraphJournal(path string) (int, error) {
 				wal.Close()
 				return 0, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
 			}
-			gs.register(rec.ID, g, d.Aliases, d.Version)
+			gs.register(rec.ID, newVersion(g, g.SplitComponents()), d.Aliases, d.Version)
 			gs.seq++
 		case "patch":
 			h, ok := gs.byHash[d.Prev]
-			if !ok || h.hash != d.Prev || d.Edit == nil {
+			if !ok || h.ver.hash != d.Prev || d.Edit == nil {
 				wal.Close()
 				return 0, fmt.Errorf("server: graph journal %s: patch against unknown state %s", rec.ID, d.Prev)
 			}
-			ng, _, err := h.g.ApplyEdit(*d.Edit)
+			nv, _, err := h.ver.derive(*d.Edit)
 			if err != nil {
 				wal.Close()
 				return 0, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
 			}
-			if got := ng.HashString(); got != d.Next {
+			if nv.hash != d.Next {
 				// Deterministic replay means this is impossible on an intact
 				// journal; refusing to boot beats serving forked state.
 				wal.Close()
-				return 0, fmt.Errorf("server: graph journal %s: replay hash %s != journaled %s", rec.ID, got, d.Next)
+				return 0, fmt.Errorf("server: graph journal %s: replay hash %s != journaled %s", rec.ID, nv.hash, d.Next)
 			}
-			gs.advance(h, ng)
+			gs.advance(h, nv)
 		default:
 			wal.Close()
 			return 0, fmt.Errorf("server: graph journal %s: unknown kind %q", rec.ID, d.Kind)
@@ -246,7 +258,7 @@ func (s *Server) OpenGraphJournal(path string) (int, error) {
 
 func putRecord(h *dynGraph) (json.RawMessage, error) {
 	var buf bytes.Buffer
-	if err := h.g.WriteJSON(&buf); err != nil {
+	if err := h.ver.g.WriteJSON(&buf); err != nil {
 		return nil, fmt.Errorf("server: graph journal snapshot %s: %w", h.id, err)
 	}
 	return json.Marshal(graphWALData{
@@ -257,24 +269,26 @@ func putRecord(h *dynGraph) (json.RawMessage, error) {
 	})
 }
 
-// advance moves a handle to a new graph version under the store lock: the
-// old hash becomes an alias and the component diff base updates.
-func (gs *graphStore) advance(h *dynGraph, ng *graph.Graph) (invalidated []string) {
-	newComps := componentHashes(ng)
-	for old := range h.compHashes {
-		if !newComps[old] {
-			invalidated = append(invalidated, old)
+// advance moves a handle to a new version under the store lock: the old
+// hash becomes an alias, and the components of the old version that the
+// new one lacks are returned for invalidation.
+func (gs *graphStore) advance(h *dynGraph, nv *graphVersion) (invalidated []string) {
+	live := make(map[string]bool, len(nv.parts))
+	for _, p := range nv.parts {
+		live[p.Hash] = true
+	}
+	for _, p := range h.ver.parts {
+		if !live[p.Hash] {
+			invalidated = append(invalidated, p.Hash)
 		}
 	}
 	sort.Strings(invalidated)
-	if nh := ng.HashString(); nh != h.hash {
-		h.aliases = append(h.aliases, h.hash)
-		h.hash = nh
-		gs.byHash[nh] = h
+	if nv.hash != h.ver.hash {
+		h.aliases = append(h.aliases, h.ver.hash)
+		gs.byHash[nv.hash] = h
 	}
-	h.g = ng
+	h.ver = nv
 	h.version++
-	h.compHashes = newComps
 	return invalidated
 }
 
@@ -336,11 +350,11 @@ func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, PutGraphResponse{Error: err.Error()})
 		return
 	}
-	hash := g.HashString()
+	ver := newVersion(g, g.SplitComponents())
 
 	gs := s.graphs
 	gs.mu.Lock()
-	if h, ok := gs.byHash[hash]; ok {
+	if h, ok := gs.byHash[ver.hash]; ok {
 		// Idempotent PUT: the content already has a handle (possibly as a
 		// prior version of one). Re-putting bytes that exist is a no-op.
 		resp := putResponse(h)
@@ -361,7 +375,7 @@ func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	h := gs.register(id, g, nil, 0)
+	h := gs.register(id, ver, nil, 0)
 	resp := putResponse(h)
 	gs.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
@@ -369,10 +383,10 @@ func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 
 func putResponse(h *dynGraph) PutGraphResponse {
 	return PutGraphResponse{
-		Hash:       h.hash,
-		N:          h.g.N(),
-		M:          h.g.M(),
-		Components: len(h.compHashes),
+		Hash:       h.ver.hash,
+		N:          h.ver.g.N(),
+		M:          h.ver.g.M(),
+		Components: len(h.ver.parts),
 		Version:    h.version,
 	}
 }
@@ -427,7 +441,7 @@ func (s *Server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 	// current state exactly (an alias is not enough — an alias by
 	// definition means someone else wrote in between), or the PATCH fails
 	// with 409 and the current hash to rebase onto.
-	prev := h.hash
+	prev := h.ver.hash
 	if body.PrevHash != "" && body.PrevHash != prev {
 		version := h.version
 		gs.casConflicts++
@@ -441,13 +455,13 @@ func (s *Server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	ng, rep, err := h.g.ApplyEdit(edit)
+	nv, rep, err := h.ver.derive(edit)
 	if err != nil {
 		gs.mu.Unlock()
 		writeJSON(w, http.StatusBadRequest, PatchGraphResponse{Error: err.Error()})
 		return
 	}
-	next := ng.HashString()
+	next := nv.hash
 	// The write-ahead contract, same as for async jobs: the apply record —
 	// with the expected resulting hash, for verified replay — is durable
 	// before the mutation is acknowledged or even visible in memory.
@@ -462,13 +476,13 @@ func (s *Server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	invalidated := gs.advance(h, ng)
+	invalidated := gs.advance(h, nv)
 	gs.mutations++
 	gs.invalidated += int64(len(invalidated))
 	// Snapshot what healing needs before releasing the lock.
 	lastReq, lastSet := h.lastReq, h.lastSet
 	version := h.version
-	comps := len(h.compHashes)
+	comps := len(nv.parts)
 	if lastSet != nil {
 		gs.healed++
 	}
@@ -492,7 +506,7 @@ func (s *Server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	if lastSet != nil {
 		resp.Healed = true
-		resp.AnswerKey = s.healAnswer(ng, next, lastReq, lastSet)
+		resp.AnswerKey = s.healAnswer(nv, lastReq, lastSet)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -503,11 +517,11 @@ func (s *Server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 // reliable.Repair withdraws the cheaper endpoint of each conflict, giving
 // an immediately-publishable independent answer tagged degraded, and a
 // repair-tier task upgrades it in the background. Returns the answer key.
-func (s *Server) healAnswer(ng *graph.Graph, hash string, req *SolveRequest, prevSet []bool) string {
+func (s *Server) healAnswer(ver *graphVersion, req *SolveRequest, prevSet []bool) string {
 	set := append([]bool(nil), prevSet...)
-	reliable.Repair(ng, set)
-	p := prepared{g: ng, key: s.refCacheKey(ng, req), hash: hash, ref: true}
-	s.publishDegraded(req, p, set, ng.SetWeight(set), "healed")
+	reliable.Repair(ver.g, set)
+	p := prepared{g: ver.g, hash: ver.hash, ver: ver, key: refCacheKey(ver, req)}
+	s.publishDegraded(req, p, set, ver.g.SetWeight(set), "healed")
 	return p.key
 }
 
@@ -516,13 +530,19 @@ func (s *Server) healAnswer(ng *graph.Graph, hash string, req *SolveRequest, pre
 // component-wise through the same cache adapters as foreground ref solves,
 // so the final answer is bit-identical to an unshedded solve.
 //
+// The task holds the version's graph but not its components: the Full
+// callback splits the graph again when it runs. Queued tasks wait long and
+// span many versions, so pinning every version's induced components would
+// keep a second copy of each graph alive in the queue, while the tier runs
+// only a few Full solves per second.
+//
 // Between the greedy improved answer and the full solve the task climbs the
 // planner's promotion ladder: one cheap whole-graph solve per budget step
 // (16 then 256 rounds' worth of work), each published only if it beats the
 // best weight so far. The ladder turns the degraded→full cliff into a
 // staircase — clients polling the answer key see quality climb in steps
 // whose cost the planner chose, not one long silence.
-func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, req *SolveRequest) {
+func (s *Server) enqueueUpgrade(key string, g *graph.Graph, set []bool, req *SolveRequest) {
 	cfg, err := req.maxisConfig(s.opts.SolveWorkers)
 	if err != nil {
 		return
@@ -557,7 +577,7 @@ func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, re
 		Rungs:   rungs,
 		FullAlg: req.Alg,
 		Full: func() ([]bool, int64, error) {
-			res, _, err := s.solveComponents(req, g, cfg)
+			res, _, err := s.solveComponents(req, g, g.SplitComponents(), cfg)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -15,7 +15,7 @@ import (
 	"distmwis/internal/reliable"
 )
 
-func graphJSON(t *testing.T, g *graph.Graph) []byte {
+func graphJSON(t testing.TB, g *graph.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := g.WriteJSON(&buf); err != nil {
@@ -24,7 +24,7 @@ func graphJSON(t *testing.T, g *graph.Graph) []byte {
 	return buf.Bytes()
 }
 
-func putGraph(t *testing.T, ts *httptest.Server, g *graph.Graph) PutGraphResponse {
+func putGraph(t testing.TB, ts *httptest.Server, g *graph.Graph) PutGraphResponse {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/graph", bytes.NewReader(graphJSON(t, g)))
 	if err != nil {
@@ -45,7 +45,7 @@ func putGraph(t *testing.T, ts *httptest.Server, g *graph.Graph) PutGraphRespons
 	return resp
 }
 
-func patchGraph(t *testing.T, ts *httptest.Server, hash string, edit graph.Edit) (int, PatchGraphResponse) {
+func patchGraph(t testing.TB, ts *httptest.Server, hash string, edit graph.Edit) (int, PatchGraphResponse) {
 	t.Helper()
 	body, err := json.Marshal(edit)
 	if err != nil {
@@ -323,12 +323,13 @@ func TestGraphJournalReplayAndCompaction(t *testing.T) {
 	// Both the current hash and the pre-patch alias resolve to the state
 	// the dead process acknowledged.
 	for _, h := range []string{patch.Hash, put.Hash} {
-		rg, hash, ok := s2.graphs.snapshot(h)
+		ver, ok := s2.graphs.snapshot(h)
 		if !ok {
 			t.Fatalf("hash %s lost across restart", h)
 		}
-		if hash != patch.Hash || rg.HashString() != patch.Hash {
-			t.Fatalf("replayed state %s, want %s", hash, patch.Hash)
+		rg := ver.g
+		if ver.hash != patch.Hash || rg.HashString() != patch.Hash {
+			t.Fatalf("replayed state %s, want %s", ver.hash, patch.Hash)
 		}
 		if rg.Weight(1) != 50 || !rg.HasEdge(0, 19) {
 			t.Fatal("replayed graph missing the journaled mutation")
@@ -350,6 +351,133 @@ func TestGraphJournalReplayAndCompaction(t *testing.T) {
 	if d.Kind != "put" || len(d.Aliases) != 1 || d.Aliases[0] != put.Hash {
 		t.Fatalf("snapshot record = kind %s aliases %v", d.Kind, d.Aliases)
 	}
+}
+
+// refObservation is what a client sees of one graph version: the handle's
+// hash and component count, and a graph_ref answer with its key.
+type refObservation struct {
+	Hash       string  `json:"hash"`
+	Components int     `json:"components"`
+	AnswerKey  string  `json:"answer_key"`
+	GraphHash  string  `json:"graph_hash"`
+	Set        []int32 `json:"set"`
+	Weight     int64   `json:"weight"`
+}
+
+func observeRef(t *testing.T, ts *httptest.Server, hash string) []byte {
+	t.Helper()
+	httpResp, err := http.Get(ts.URL + "/v1/graph/" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	var info PutGraphResponse
+	if err := json.NewDecoder(httpResp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	code, resp := postSolve(t, ts, SolveRequest{GraphRef: hash, Alg: "theorem2", Seed: 4})
+	if code != http.StatusOK || resp.Status != "done" {
+		t.Fatalf("ref solve of %s: %d %+v", short(hash), code, resp)
+	}
+	out, err := json.Marshal(refObservation{
+		Hash:       info.Hash,
+		Components: info.Components,
+		AnswerKey:  resp.AnswerKey,
+		GraphHash:  resp.GraphHash,
+		Set:        resp.Set,
+		Weight:     resp.Weight,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// Journal replay re-derives every version the dead process served: after a
+// journaled chain of PATCHes and graph_ref solves — weight updates, an
+// in-component toggle, a split, and edges joining components — a restart
+// replays the journal to the same hashes, component counts, answer keys
+// and ref answers, byte for byte, and the replayed version carries its
+// components into the next PATCH exactly as the live one did.
+func TestGraphJournalReplayMatchesRefChain(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "graphs.wal")
+	g := islandGraph(5, 20, 0.1, 3)
+	chain := []graph.Edit{
+		{Weights: []graph.WeightUpdate{{V: 3, W: 400}}},
+		{AddEdges: [][2]int32{{21, 35}}},
+		{RemoveEdges: [][2]int32{{21, 35}}, Weights: []graph.WeightUpdate{{V: 60, W: 7}}},
+		{RemoveEdges: [][2]int32{{66, 67}, {67, 68}}}, // node 67 splits off
+		{AddEdges: [][2]int32{{19, 20}, {59, 99}}},    // two pairs of components join
+	}
+	wantComponents := []int{5, 5, 5, 6, 4}
+	boot := func() (*Server, *httptest.Server, int) {
+		s := New(Options{Workers: 2})
+		n, err := s.OpenGraphJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, httptest.NewServer(s.Handler()), n
+	}
+	stop := func(s *Server, ts *httptest.Server) {
+		ts.Close()
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s1, ts1, _ := boot()
+	put := putGraph(t, ts1, g)
+	var seen [][]byte
+	observeRef(t, ts1, put.Hash)
+	for i, e := range chain {
+		code, patch := patchGraph(t, ts1, put.Hash, e)
+		if code != http.StatusOK {
+			t.Fatalf("patch %d: %d %+v", i, code, patch)
+		}
+		obs := observeRef(t, ts1, patch.Hash)
+		var o refObservation
+		if err := json.Unmarshal(obs, &o); err != nil {
+			t.Fatal(err)
+		}
+		if o.Components != wantComponents[i] {
+			t.Fatalf("patch %d: %d components, want %d", i, o.Components, wantComponents[i])
+		}
+		if o.Hash != patch.Hash || o.Components != patch.Components || o.AnswerKey != patch.AnswerKey {
+			t.Fatalf("patch %d: response %+v disagrees with the ref solve %s", i, patch, obs)
+		}
+		seen = append(seen, obs)
+	}
+	stop(s1, ts1)
+
+	// The whole chain replays from the journal to the last version.
+	s2, ts2, replayed := boot()
+	if replayed != 1+len(chain) {
+		t.Fatalf("replayed %d records, want %d", replayed, 1+len(chain))
+	}
+	if got, want := observeRef(t, ts2, put.Hash), seen[len(seen)-1]; !bytes.Equal(got, want) {
+		t.Fatalf("replayed final version:\n got  %s\n want %s", got, want)
+	}
+	stop(s2, ts2)
+
+	// The same chain with a restart before every PATCH: each version is
+	// re-derived from a replayed predecessor.
+	path = filepath.Join(t.TempDir(), "graphs.wal")
+	s, ts, _ := boot()
+	putGraph(t, ts, g)
+	for i, e := range chain {
+		if code, patch := patchGraph(t, ts, put.Hash, e); code != http.StatusOK {
+			t.Fatalf("patch %d: %d %+v", i, code, patch)
+		}
+		stop(s, ts)
+		s, ts, _ = boot()
+		if got := observeRef(t, ts, put.Hash); !bytes.Equal(got, seen[i]) {
+			t.Fatalf("version %d after restart:\n got  %s\n want %s", i+1, got, seen[i])
+		}
+	}
+	stop(s, ts)
 }
 
 // Crash-mid-PATCH simulation: a journaled-but-unacknowledged mutation is
@@ -388,8 +516,8 @@ func TestGraphJournalRecoversUnackedPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Drain(); _ = s.Close() })
-	rg, _, ok := s.graphs.snapshot(ng.HashString())
-	if !ok || !rg.HasEdge(3, 15) {
+	ver, ok := s.graphs.snapshot(ng.HashString())
+	if !ok || !ver.g.HasEdge(3, 15) {
 		t.Fatal("journaled-but-unacked mutation lost")
 	}
 }

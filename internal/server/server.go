@@ -345,10 +345,11 @@ type prepared struct {
 	cfg  maxis.Config
 	key  string
 	hash string
-	// ref marks a graph_ref solve and switches on the dynamic-graph hooks
-	// of execute: the component-wise solve, and publishing every answer to
-	// the answer registry (answers.go).
-	ref bool
+	// ver is the dynamic-graph version of a graph_ref solve (nil for every
+	// other source). It switches on the dynamic-graph hooks of execute:
+	// the component-wise solve over its carried components, and
+	// publishing every answer to the answer registry (answers.go).
+	ver *graphVersion
 }
 
 // errUnknownGraph is prepare's error for a graph_ref that names no stored
@@ -364,10 +365,10 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 	var err error
 	if req.GraphRef != "" {
 		var ok bool
-		if p.g, p.hash, ok = s.graphs.snapshot(req.GraphRef); !ok {
+		if p.ver, ok = s.graphs.snapshot(req.GraphRef); !ok {
 			return prepared{}, fmt.Errorf("%w %q", errUnknownGraph, req.GraphRef)
 		}
-		p.ref = true
+		p.g, p.hash = p.ver.g, p.ver.hash
 	} else if p.g, err = req.BuildGraph(); err != nil {
 		return prepared{}, fmt.Errorf("graph: %w", err)
 	}
@@ -401,8 +402,8 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 		req.Alg = d.Alg
 		s.metrics.planned.Add(1)
 	}
-	if p.ref {
-		p.key = s.refCacheKey(p.g, req)
+	if p.ver != nil {
+		p.key = refCacheKey(p.ver, req)
 	} else {
 		canon := req.CanonicalForm(p.g)
 		p.key = cacheKey(canon, req.Fingerprint()+fmt.Sprintf("|W=%d", p.cfg.MaxWeight))
@@ -539,7 +540,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 		resp.ID = id
 		resp.GraphHash = p.hash
 		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-		if p.ref {
+		if p.ver != nil {
 			resp.AnswerKey = p.key
 			if resp.Status == "done" {
 				resp.Quality = qualityFull
@@ -569,7 +570,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 	if req.Degraded || (allowShed && s.sched.depth() >= s.opts.ShedDepth) {
 		set, weight := p.g.Greedy()
 		s.metrics.shed.Add(1)
-		if p.ref {
+		if p.ver != nil {
 			s.publishDegraded(req, p, set, weight, "greedy-degraded")
 		}
 		s.metrics.latency.observe("degraded", time.Since(start).Seconds())
@@ -611,7 +612,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 			}
 		}
 		s.metrics.latency.observe(req.Alg, time.Since(start).Seconds())
-		if p.ref {
+		if p.ver != nil {
 			s.publishFull(req, p, entry)
 		}
 		return finish(entryResponse(entry, false, shared))
@@ -670,8 +671,8 @@ func (s *Server) solve(req *SolveRequest, p prepared) (*cacheEntry, error) {
 		err error
 		tag string
 	)
-	if p.ref {
-		res, _, err = s.solveComponents(req, p.g, cfg)
+	if p.ver != nil {
+		res, _, err = s.solveComponents(req, p.g, p.ver.parts, cfg)
 		tag = p.hash
 	} else {
 		res, err = maxis.Solve(req.Alg, p.g, req.Eps, req.Alpha, cfg)

@@ -18,7 +18,7 @@ import (
 	"distmwis/internal/mis"
 )
 
-func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
@@ -29,7 +29,7 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postSolve(t *testing.T, ts *httptest.Server, req SolveRequest) (int, SolveResponse) {
+func postSolve(t testing.TB, ts *httptest.Server, req SolveRequest) (int, SolveResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
