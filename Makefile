@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-json bench-diff bench-scale clean
+.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-json bench-diff bench-scale clean
 
 all: vet build test
 
@@ -81,6 +81,14 @@ cluster-soak:
 # Serving-layer benchmarks: cache hit vs cold solve, scheduler overhead.
 bench-serve:
 	$(GO) test -run='^$$' -bench=BenchmarkServe -benchtime=10x .
+
+# PATCH-path benchmarks on the 16 × 150 mutable-graph shape: the CSR
+# splice of one edit, the canonical-form splice, and one PATCH plus
+# graph_ref solve through the HTTP handlers.
+bench-patch:
+	$(GO) test -run='^$$' -benchmem -count=3 \
+		-bench='^(BenchmarkApplyEdit|BenchmarkSpliceCanonical)$$' ./internal/graph/
+	$(GO) test -run='^$$' -benchmem -count=3 -bench='^BenchmarkPatchRefSolve$$' ./internal/server/
 
 # Machine-readable benchmark snapshot: round loop, solver end-to-end and
 # serving cold/hot paths, with allocation stats, written to BENCH_$(PR).json.

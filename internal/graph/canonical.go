@@ -21,28 +21,130 @@ var canonicalMagic = []byte("DMWG1")
 // sets — regardless of the order edges were added to the Builder. It is the
 // preimage of Hash and round-trips through FromCanonical.
 func (g *Graph) Canonical() []byte {
+	return g.encode(nil).Bytes
+}
+
+// CanonicalForm is a graph's canonical bytes together with their layout:
+// where each section starts, and where each node's run of edges starts.
+// It is what SpliceCanonical derives the next version's bytes from. A form
+// is immutable once built; splices share its unchanged parts.
+type CanonicalForm struct {
+	Bytes []byte
+	// IDs, Weights and Edges are the offsets in Bytes where the identifier,
+	// weight and edge sections start; the header (magic, n, m) ends at IDs.
+	IDs, Weights, Edges int
+	// Runs is the run index: Runs[v] is the offset, relative to Edges, of
+	// node v's run — its edges (v, u) with u > v — and Runs[n] is the edge
+	// section's length.
+	Runs []int
+}
+
+// CanonicalForm returns Canonical() with its layout.
+func (g *Graph) CanonicalForm() *CanonicalForm {
+	f := g.encode(make([]int, g.N()+1))
+	return &f
+}
+
+// encode is the one canonical encoder. It fills runs, the run index, when
+// it is non-nil.
+func (g *Graph) encode(runs []int) CanonicalForm {
 	n := g.N()
 	buf := make([]byte, 0, len(canonicalMagic)+binary.MaxVarintLen64*(2+2*n)+8*len(g.adj))
-	buf = append(buf, canonicalMagic...)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(g.M()))
+	buf = appendHeader(buf, n, g.M())
+	f := CanonicalForm{IDs: len(buf), Runs: runs}
 	for v := 0; v < n; v++ {
 		buf = binary.AppendUvarint(buf, g.ids[v])
 	}
+	f.Weights = len(buf)
+	buf = appendWeights(buf, g.weights)
+	f.Edges = len(buf)
 	for v := 0; v < n; v++ {
-		buf = binary.AppendVarint(buf, g.weights[v])
+		if runs != nil {
+			runs[v] = len(buf) - f.Edges
+		}
+		buf = g.appendRun(buf, v)
 	}
-	// Neighbour lists are sorted, so emitting the v < u half in node order
-	// yields lexicographically sorted edges with no further work.
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			if int(u) > v {
-				buf = binary.AppendUvarint(buf, uint64(v))
-				buf = binary.AppendUvarint(buf, uint64(u))
-			}
+	if runs != nil {
+		runs[n] = len(buf) - f.Edges
+	}
+	f.Bytes = buf
+	return f
+}
+
+func appendHeader(buf []byte, n, m int) []byte {
+	buf = append(buf, canonicalMagic...)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	return binary.AppendUvarint(buf, uint64(m))
+}
+
+func appendWeights(buf []byte, weights []int64) []byte {
+	for _, w := range weights {
+		buf = binary.AppendVarint(buf, w)
+	}
+	return buf
+}
+
+// appendRun emits node v's run: (v, u) for every neighbour u > v, in
+// ascending u. Neighbour lists are sorted, so the runs in node order are
+// the lexicographically sorted edge list with no further work.
+func (g *Graph) appendRun(buf []byte, v int) []byte {
+	for _, u := range g.Neighbors(v) {
+		if int(u) > v {
+			buf = binary.AppendUvarint(buf, uint64(v))
+			buf = binary.AppendUvarint(buf, uint64(u))
 		}
 	}
 	return buf
+}
+
+// SpliceCanonical returns g's canonical form derived from prev, the form
+// of the graph that ApplyEdit turned into g with report rep. It costs the
+// edit, not the graph: the header is rebuilt, the identifier section is
+// copied, the weight section is re-emitted only when rep sets weights, and
+// when rep changes edges only the touched nodes' runs are re-emitted —
+// every other run is copied block-wise. Without edge changes the run index
+// is shared with prev. The result equals g.CanonicalForm().
+func (g *Graph) SpliceCanonical(prev *CanonicalForm, rep EditReport) *CanonicalForm {
+	n := g.N()
+	old := prev.Bytes
+	buf := make([]byte, 0, len(old)+binary.MaxVarintLen64*(1+rep.WeightsSet+2*rep.EdgesAdded))
+	buf = appendHeader(buf, n, g.M())
+	f := &CanonicalForm{IDs: len(buf), Runs: prev.Runs}
+	buf = append(buf, old[prev.IDs:prev.Weights]...)
+	f.Weights = len(buf)
+	if rep.WeightsSet > 0 {
+		buf = appendWeights(buf, g.weights)
+	} else {
+		buf = append(buf, old[prev.Weights:prev.Edges]...)
+	}
+	f.Edges = len(buf)
+	edges := old[prev.Edges:]
+	if rep.EdgesAdded+rep.EdgesRemoved == 0 {
+		f.Bytes = append(buf, edges...)
+		return f
+	}
+	f.Runs = make([]int, n+1)
+	// copyRuns copies the unchanged runs of nodes [from, to).
+	copyRuns := func(from, to int) {
+		shift := len(buf) - f.Edges - prev.Runs[from]
+		buf = append(buf, edges[prev.Runs[from]:prev.Runs[to]]...)
+		for v := from; v < to; v++ {
+			f.Runs[v] = prev.Runs[v] + shift
+		}
+	}
+	next := 0
+	for v, touched := range rep.Touched {
+		if touched {
+			copyRuns(next, v)
+			f.Runs[v] = len(buf) - f.Edges
+			buf = g.appendRun(buf, v)
+			next = v + 1
+		}
+	}
+	copyRuns(next, n)
+	f.Runs[n] = len(buf) - f.Edges
+	f.Bytes = buf
+	return f
 }
 
 // Hash returns the SHA-256 content hash of Canonical(). Equal hashes mean

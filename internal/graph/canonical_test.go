@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -248,4 +249,57 @@ func FuzzFromCanonical(f *testing.F) {
 			t.Fatalf("accepted input does not round-trip:\n in  %x\n out %x", data, got)
 		}
 	})
+}
+
+// A chain of 1000 edits, each version's form spliced from the previous
+// spliced form, never drifts from a fresh encode: the bytes match
+// Canonical() and the whole layout matches CanonicalForm() at every step.
+func TestSpliceCanonicalChain(t *testing.T) {
+	r := rand.New(rand.NewPCG(20, 20))
+	g := randomGraph(t, r, 160)
+	form := g.CanonicalForm()
+	n := int32(g.N())
+	node := func() int32 {
+		switch r.IntN(8) {
+		case 0:
+			return 0
+		case 1:
+			return n - 1
+		}
+		return r.Int32N(n)
+	}
+	pair := func() [2]int32 {
+		u := node()
+		v := node()
+		for v == u {
+			v = r.Int32N(n)
+		}
+		return [2]int32{u, v}
+	}
+	for step := 0; step < 1000; step++ {
+		var e Edit
+		for ops := 1 + r.IntN(3); ops > 0; ops-- {
+			switch r.IntN(3) {
+			case 0:
+				e.AddEdges = append(e.AddEdges, pair())
+			case 1:
+				e.RemoveEdges = append(e.RemoveEdges, pair())
+			case 2:
+				e.Weights = append(e.Weights, WeightUpdate{V: node(), W: 1<<r.IntN(16) - int64(r.IntN(2))})
+			}
+		}
+		ng, rep, err := g.ApplyEdit(e)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		next := ng.SpliceCanonical(form, rep)
+		if !bytes.Equal(next.Bytes, ng.Canonical()) {
+			t.Fatalf("step %d: edit %+v: spliced bytes differ from Canonical()", step, e)
+		}
+		if full := ng.CanonicalForm(); next.IDs != full.IDs || next.Weights != full.Weights ||
+			next.Edges != full.Edges || !slices.Equal(next.Runs, full.Runs) {
+			t.Fatalf("step %d: edit %+v: spliced layout differs from CanonicalForm()", step, e)
+		}
+		g, form = ng, next
+	}
 }

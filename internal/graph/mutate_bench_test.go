@@ -68,3 +68,43 @@ func BenchmarkApplyEdit(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSpliceCanonical times deriving a PATCHed version's canonical
+// form from its parent's on the 16 × 150 shape: a single weight update,
+// and one added edge inside one component. The full encode it replaces is
+// the "encode" case.
+func BenchmarkSpliceCanonical(b *testing.B) {
+	g := islands(16, 150, 0.04, 1)
+	form := g.CanonicalForm()
+	u, v := 3*150+7, 3*150+90
+	for g.HasEdge(u, v) {
+		v++
+	}
+	for _, c := range []struct {
+		name string
+		edit graph.Edit
+	}{
+		{"weight", graph.Edit{Weights: []graph.WeightUpdate{{V: 1000, W: 77}}}},
+		{"edge", graph.Edit{AddEdges: [][2]int32{{int32(u), int32(v)}}}},
+	} {
+		ng, rep, err := g.ApplyEdit(c.edit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spliced = ng.SpliceCanonical(form, rep)
+			}
+		})
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			spliced = g.CanonicalForm()
+		}
+	})
+}
+
+// spliced keeps the benchmarked result live.
+var spliced *graph.CanonicalForm

@@ -100,20 +100,25 @@ func applyEditRebuild(g *Graph, e Edit) (*Graph, EditReport, error) {
 
 // fuzzEdit decodes ops three bytes at a time into an edit on an n-node
 // graph. Endpoints range over [-1, n], so out-of-range nodes, self-loops,
-// duplicate adds and remove-then-add of one edge all occur on small n;
-// weights range over [-8, 247], so negative weights occur too.
+// duplicate adds and remove-then-add of one edge all occur on small n.
+// Weights range over [-8, 247], so negative weights occur too, or are a
+// power of two up to 2^15 or one less, so a weight crosses every varint
+// length boundary of the canonical form (63/64, 127/128, 8191/8192,
+// 16383/16384).
 func fuzzEdit(n int, ops []byte) Edit {
 	node := func(b byte) int32 { return int32(int(b)%(n+2)) - 1 }
 	var e Edit
 	for i := 0; i+2 < len(ops); i += 3 {
-		u, v := node(ops[i+1]), node(ops[i+2])
-		switch ops[i] % 3 {
+		u, v, b := node(ops[i+1]), node(ops[i+2]), ops[i+2]
+		switch ops[i] % 4 {
 		case 0:
 			e.AddEdges = append(e.AddEdges, [2]int32{u, v})
 		case 1:
 			e.RemoveEdges = append(e.RemoveEdges, [2]int32{u, v})
 		case 2:
-			e.Weights = append(e.Weights, WeightUpdate{V: u, W: int64(ops[i+2]) - 8})
+			e.Weights = append(e.Weights, WeightUpdate{V: u, W: int64(b) - 8})
+		case 3:
+			e.Weights = append(e.Weights, WeightUpdate{V: u, W: 1<<(b%16) - int64(b/16%2)})
 		}
 	}
 	return e
@@ -129,8 +134,22 @@ func FuzzApplyEdit(f *testing.F) {
 	f.Add(uint64(7), uint8(0), []byte{})                              // empty graph, empty edit
 	f.Add(uint64(1<<40|8), uint8(7), []byte{2, 1, 30, 0, 1, 4})       // negative receiver weights
 	f.Add(uint64(9), uint8(23), []byte{0, 1, 20, 1, 5, 6, 2, 7, 100}) // mixed
+	// Weights 63, 64, 127, 128, then 8191, 8192, 16383, 16384.
+	f.Add(uint64(10), uint8(6), []byte{3, 2, 22, 3, 3, 6, 3, 4, 23, 3, 5, 7})
+	f.Add(uint64(11), uint8(6), []byte{3, 2, 29, 3, 3, 13, 3, 4, 30, 3, 5, 14})
+	// n = 130: edge {128,129}, removal at 129, weight at 129 = n-1.
+	f.Add(uint64(12), uint8(245), []byte{0, 129, 130, 1, 5, 130, 2, 130, 200, 0, 1, 129})
+	f.Add(uint64(13), uint8(6), []byte{1, 1, 6, 0, 1, 3, 2, 6, 50, 3, 1, 14}) // nodes 0 and n-1
+	f.Add(uint64(14), uint8(6), []byte{1, 2, 3, 1, 2, 3, 0, 4, 5, 0, 4, 5})   // repeated ops
+	f.Add(uint64(15), uint8(12), []byte{                                      // multi-op
+		0, 1, 12, 0, 2, 9, 1, 3, 4, 3, 12, 45, 1, 1, 12, 0, 6, 7, 2, 9, 140, 1, 8, 11,
+	})
+	f.Add(uint64(16), uint8(6), []byte{}) // no-op edit
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, ops []byte) {
 		n := int(nRaw % 24)
+		if nRaw >= 240 {
+			n = 120 + 2*int(nRaw-240) // node indices past 127 take two varint bytes
+		}
 		r := rand.New(rand.NewPCG(seed, 7))
 		g := randomGraph(t, r, n)
 		if seed&(1<<40) != 0 && n > 0 {
@@ -142,6 +161,7 @@ func FuzzApplyEdit(f *testing.F) {
 		}
 		e := fuzzEdit(n, ops)
 		before := g.Canonical()
+		form := g.CanonicalForm()
 
 		got, gotRep, gotErr := g.ApplyEdit(e)
 		want, wantRep, wantErr := applyEditRebuild(g, e)
@@ -165,6 +185,17 @@ func FuzzApplyEdit(f *testing.F) {
 		}
 		if !reflect.DeepEqual(gotRep, wantRep) {
 			t.Fatalf("edit %+v: report %+v, reference %+v", e, gotRep, wantRep)
+		}
+		spliced := got.SpliceCanonical(form, gotRep)
+		if !bytes.Equal(spliced.Bytes, got.Canonical()) {
+			t.Fatalf("edit %+v: spliced canonical bytes differ from Canonical()", e)
+		}
+		if full := got.CanonicalForm(); !reflect.DeepEqual(spliced, full) {
+			t.Fatalf("edit %+v: spliced layout %v %v %v %v, encoded %v %v %v %v", e,
+				spliced.IDs, spliced.Weights, spliced.Edges, spliced.Runs, full.IDs, full.Weights, full.Edges, full.Runs)
+		}
+		if !reflect.DeepEqual(form, g.CanonicalForm()) {
+			t.Fatal("SpliceCanonical modified the parent form")
 		}
 	})
 }

@@ -10,6 +10,14 @@
 // described — a concurrent mutation enqueues its own task for the new
 // version instead of racing this one.
 //
+// Enqueueing is cheap: a task is planned on the tier's goroutine, not by
+// its producer. Its Ladder callback runs once, on the task's first step.
+// A task can also be answered before the tier reaches it — the server's
+// foreground solve publishes the same full answer under the same key — so
+// every step first sweeps the queue for tasks whose Done callback reports
+// them settled. A settled task leaves the queue with no further work and
+// no publish, and releases its graph snapshot.
+//
 // A task advances through phases, each publish monotonically better:
 //
 //	heal     reliable.Repair withdraws, on every conflicting edge, the
@@ -28,6 +36,7 @@
 package repair
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -55,6 +64,9 @@ type Answer struct {
 	// admit pass, a rung's name for ladder publishes, the task's FullAlg
 	// for the final solve.
 	Alg string
+	// GraphHash is the task's GraphHash, handed back so the publisher needs
+	// no other record of which version the answer describes.
+	GraphHash string
 }
 
 // Rung is one intermediate step of a task's promotion ladder: a bounded
@@ -78,14 +90,23 @@ type Task struct {
 	// G is the graph version the answer describes. Graphs are immutable, so
 	// holding the snapshot is safe under concurrent mutation.
 	G *graph.Graph
+	// GraphHash names G's version; every published Answer carries it.
+	GraphHash string
 	// Start is the degraded set to upgrade. The tier takes ownership.
 	Start []bool
-	// Rungs is the promotion ladder run between the greedy improved answer
-	// and Full: one rung per tick, ascending quality (see plan.Ladder). A
-	// rung that errors or fails to beat the best published weight is
-	// skipped silently — the ladder is best-effort refinement, never a
-	// regression.
-	Rungs []Rung
+	// Ladder optionally plans the promotion ladder run between the greedy
+	// improved answer and Full: one rung per tick, ascending quality (see
+	// plan.Ladder). The tier calls it once, on the task's first step, so
+	// planning costs nothing for a task that is dropped or settled. A rung
+	// that errors or fails to beat the best published weight is skipped
+	// silently — the ladder is best-effort refinement, never a regression.
+	Ladder func() []Rung
+	// Done optionally reports that the answer under Key is already at
+	// QualityFull — published by someone else — so the task has nothing
+	// left to do. Each step sweeps every queued task whose Done reports
+	// true before any work. Called on the tier's goroutine without the
+	// tier's lock; must not call back into the Tier.
+	Done func() bool
 	// FullAlg names the algorithm Full runs, for the published answer.
 	FullAlg string
 	// Full optionally computes the final answer (a real solve of G). It
@@ -95,9 +116,10 @@ type Task struct {
 
 	enqueued   time.Time
 	order      []int32 // graph.WeightOrder of G, built lazily
+	rungs      []Rung  // Ladder's plan, built with order
 	pos        int     // graph.Extend resume cursor into order
 	improved   bool    // greedy pass done, improved answer published
-	rung       int     // next Rungs index to run
+	rung       int     // next rungs index to run
 	bestWeight int64   // best weight published so far (rung adoption bar)
 }
 
@@ -122,6 +144,9 @@ type Stats struct {
 	QueueDepth int
 	// Enqueued / Dropped / Deduped count Enqueue outcomes.
 	Enqueued, Dropped, Deduped int64
+	// Settled counts queued tasks swept because their Done reported the
+	// answer already full: work the tier skipped, not work it did.
+	Settled int64
 	// Improved and Upgraded count publishes at each quality.
 	Improved, Upgraded int64
 	// RungsRun counts ladder rungs executed; RungsAdopted counts the ones
@@ -232,11 +257,13 @@ func (t *Tier) loop(stop, done chan struct{}) {
 	}
 }
 
-// Step performs one tick of work synchronously: it advances the head task
-// by at most Budget examinations, publishing any upgrades reached, and
-// reports whether any work was done. The loop calls it on each tick;
-// tests call it directly for deterministic scheduling.
+// Step performs one tick of work synchronously: it sweeps settled tasks,
+// advances the head task by at most Budget examinations, publishing any
+// upgrades reached, and reports whether any work was done — sweeping alone
+// is not work. The loop calls it on each tick; tests call it directly for
+// deterministic scheduling.
 func (t *Tier) Step() bool {
+	t.settle()
 	t.mu.Lock()
 	if len(t.queue) == 0 {
 		t.mu.Unlock()
@@ -252,10 +279,41 @@ func (t *Tier) Step() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if finished && len(t.queue) > 0 && t.queue[0] == task {
+		t.queue[0] = nil // release the task's graph
 		t.queue = t.queue[1:]
 		delete(t.pending, task.Key)
 	}
 	return true
+}
+
+// settle removes every queued task whose Done reports true, keeping the
+// others in FIFO order. Done runs without the lock: it is the server's
+// code, and only the Step caller removes tasks, so the ones it found
+// settled are still queued when it relocks.
+func (t *Tier) settle() {
+	t.mu.Lock()
+	queued := slices.Clone(t.queue)
+	t.mu.Unlock()
+	settled := make(map[*Task]bool)
+	for _, task := range queued {
+		if task.Done != nil && task.Done() {
+			settled[task] = true
+		}
+	}
+	if len(settled) == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// DeleteFunc clears the vacated tail, so swept tasks pin nothing.
+	t.queue = slices.DeleteFunc(t.queue, func(task *Task) bool {
+		if !settled[task] {
+			return false
+		}
+		delete(t.pending, task.Key)
+		t.stats.Settled++
+		return true
+	})
 }
 
 // advance runs one budgeted slice of the task's phase machine. Returns
@@ -268,6 +326,9 @@ func (t *Tier) advance(task *Task) bool {
 		// here on.
 		reliable.Repair(g, task.Start)
 		task.order = g.WeightOrder()
+		if task.Ladder != nil {
+			task.rungs = task.Ladder()
+		}
 	}
 
 	if !task.improved {
@@ -277,7 +338,7 @@ func (t *Tier) advance(task *Task) bool {
 		}
 		task.improved = true
 		task.bestWeight = g.SetWeight(task.Start)
-		t.publish(task.Key, Answer{
+		t.publish(task, Answer{
 			Set:     append([]bool(nil), task.Start...),
 			Weight:  task.bestWeight,
 			Quality: QualityImproved,
@@ -285,13 +346,13 @@ func (t *Tier) advance(task *Task) bool {
 		}, &t.stats.Improved)
 		// Ladder rungs and the full solve each get their own tick so one
 		// task never holds the queue for more than one solve per step.
-		return len(task.Rungs) == 0 && task.Full == nil
+		return len(task.rungs) == 0 && task.Full == nil
 	}
 
 	// Promotion ladder: one rung per tick, adopted only when it strictly
 	// improves on the best published weight.
-	if task.rung < len(task.Rungs) {
-		r := task.Rungs[task.rung]
+	if task.rung < len(task.rungs) {
+		r := task.rungs[task.rung]
 		task.rung++
 		t.mu.Lock()
 		t.stats.RungsRun++
@@ -299,14 +360,14 @@ func (t *Tier) advance(task *Task) bool {
 		set, weight, err := r.Run()
 		if err == nil && weight > task.bestWeight && len(set) == g.N() {
 			task.bestWeight = weight
-			t.publish(task.Key, Answer{
+			t.publish(task, Answer{
 				Set:     append([]bool(nil), set...),
 				Weight:  weight,
 				Quality: QualityImproved,
 				Alg:     r.Name,
 			}, &t.stats.RungsAdopted)
 		}
-		return task.rung >= len(task.Rungs) && task.Full == nil
+		return task.rung >= len(task.rungs) && task.Full == nil
 	}
 
 	set, weight, err := task.Full()
@@ -315,15 +376,16 @@ func (t *Tier) advance(task *Task) bool {
 		// the task there.
 		return true
 	}
-	t.publish(task.Key, Answer{Set: set, Weight: weight, Quality: QualityFull, Alg: task.FullAlg}, &t.stats.Upgraded)
+	t.publish(task, Answer{Set: set, Weight: weight, Quality: QualityFull, Alg: task.FullAlg}, &t.stats.Upgraded)
 	return true
 }
 
-func (t *Tier) publish(key string, a Answer, counter *int64) {
+func (t *Tier) publish(task *Task, a Answer, counter *int64) {
 	t.mu.Lock()
 	*counter++
 	t.mu.Unlock()
 	if t.opts.Publish != nil {
-		t.opts.Publish(key, a)
+		a.GraphHash = task.GraphHash
+		t.opts.Publish(task.Key, a)
 	}
 }

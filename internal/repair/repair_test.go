@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -255,24 +256,26 @@ func TestTierRungLadderMonotone(t *testing.T) {
 	}
 	task := Task{
 		Key: "lad", G: g, Start: make([]bool, g.N()),
-		Rungs: []Rung{
-			// Ties the greedy weight: not a strict improvement, skipped.
-			{Name: "tie", Run: func() ([]bool, int64, error) {
-				set := make([]bool, g.N())
-				return set, greedyWeight(), nil
-			}},
-			// Errors: skipped silently, ladder continues.
-			{Name: "boom", Run: func() ([]bool, int64, error) {
-				return nil, 1 << 40, errFake
-			}},
-			// Strictly better: adopted and published with its name.
-			{Name: "bhr-fewround", Run: func() ([]bool, int64, error) {
-				return better, greedyWeight() + 7, nil
-			}},
-			// Worse than the adopted rung: skipped — publishes stay monotone.
-			{Name: "slide", Run: func() ([]bool, int64, error) {
-				return better, greedyWeight() + 3, nil
-			}},
+		Ladder: func() []Rung {
+			return []Rung{
+				// Ties the greedy weight: not a strict improvement, skipped.
+				{Name: "tie", Run: func() ([]bool, int64, error) {
+					set := make([]bool, g.N())
+					return set, greedyWeight(), nil
+				}},
+				// Errors: skipped silently, ladder continues.
+				{Name: "boom", Run: func() ([]bool, int64, error) {
+					return nil, 1 << 40, errFake
+				}},
+				// Strictly better: adopted and published with its name.
+				{Name: "bhr-fewround", Run: func() ([]bool, int64, error) {
+					return better, greedyWeight() + 7, nil
+				}},
+				// Worse than the adopted rung: skipped — publishes stay monotone.
+				{Name: "slide", Run: func() ([]bool, int64, error) {
+					return better, greedyWeight() + 3, nil
+				}},
+			}
 		},
 		FullAlg: "baseline",
 		Full: func() ([]bool, int64, error) {
@@ -328,9 +331,11 @@ func TestTierRungsWithoutFull(t *testing.T) {
 	tier := manualTier(t, Options{Publish: col.publish})
 	tier.Enqueue(Task{
 		Key: "nf", G: g, Start: make([]bool, g.N()),
-		Rungs: []Rung{{Name: "noop", Run: func() ([]bool, int64, error) {
-			return nil, 0, errFake
-		}}},
+		Ladder: func() []Rung {
+			return []Rung{{Name: "noop", Run: func() ([]bool, int64, error) {
+				return nil, 0, errFake
+			}}}
+		},
 	})
 	steps := 0
 	for tier.Step() {
@@ -340,5 +345,125 @@ func TestTierRungsWithoutFull(t *testing.T) {
 	}
 	if st := tier.Stats(); st.QueueDepth != 0 || st.RungsRun != 1 || st.RungsAdopted != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Planning is the tier's work, not the producer's: Enqueue never calls
+// Ladder, and the first Step calls it exactly once for the task's life.
+func TestTierPlansLadderOnFirstStep(t *testing.T) {
+	g := pathGraph(12)
+	tier := manualTier(t, Options{Budget: 1 << 20})
+	planned := 0
+	tier.Enqueue(Task{
+		Key: "p", G: g, Start: make([]bool, g.N()),
+		Ladder: func() []Rung {
+			planned++
+			return []Rung{
+				{Name: "r1", Run: func() ([]bool, int64, error) { return nil, 0, errFake }},
+				{Name: "r2", Run: func() ([]bool, int64, error) { return nil, 0, errFake }},
+			}
+		},
+	})
+	if planned != 0 {
+		t.Fatalf("Enqueue called Ladder %d times", planned)
+	}
+	if !tier.Step() || planned != 1 {
+		t.Fatalf("first step: Ladder called %d times, want 1", planned)
+	}
+	for tier.Step() {
+	}
+	if st := tier.Stats(); planned != 1 || st.RungsRun != 2 || st.QueueDepth != 0 {
+		t.Fatalf("Ladder called %d times, stats %+v; want 1 call and both rungs run", planned, st)
+	}
+}
+
+// A task whose answer is already full is swept by the next Step with no
+// Ladder, Full or Publish call; the tasks behind and around it keep their
+// FIFO order, and the published answers carry their task's graph hash.
+func TestTierSettlesDoneTasks(t *testing.T) {
+	g := pathGraph(10)
+	var col collector
+	tier := manualTier(t, Options{Budget: 1 << 20, Publish: col.publish})
+	var mu sync.Mutex
+	full := map[string]bool{}
+	calls := map[string]int{}
+	mk := func(key string) Task {
+		count := func() {
+			mu.Lock()
+			calls[key]++
+			mu.Unlock()
+		}
+		return Task{
+			Key: key, G: g, GraphHash: "h-" + key, Start: make([]bool, g.N()),
+			Ladder: func() []Rung { count(); return nil },
+			Done: func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return full[key]
+			},
+			FullAlg: "alg",
+			Full: func() ([]bool, int64, error) {
+				count()
+				return make([]bool, g.N()), 0, nil
+			},
+		}
+	}
+	for _, key := range []string{"a", "b", "c", "d"} {
+		tier.Enqueue(mk(key))
+	}
+	mu.Lock()
+	full["a"], full["c"] = true, true
+	mu.Unlock()
+
+	for tier.Step() {
+	}
+	if calls["a"] != 0 || calls["c"] != 0 {
+		t.Fatalf("settled tasks did work: %v", calls)
+	}
+	if calls["b"] != 2 || calls["d"] != 2 {
+		t.Fatalf("live tasks: %v, want one Ladder and one Full call each", calls)
+	}
+	col.mu.Lock()
+	// Improved then full for each live task, in queue order.
+	if want := []string{"b", "b", "d", "d"}; !slices.Equal(col.keys, want) {
+		t.Errorf("publish keys %v, want %v", col.keys, want)
+	}
+	for i, a := range col.pubs {
+		if a.GraphHash != "h-"+col.keys[i] {
+			t.Errorf("publish %d for %s carries graph hash %q", i, col.keys[i], a.GraphHash)
+		}
+	}
+	col.mu.Unlock()
+	if st := tier.Stats(); st.Settled != 2 || st.Improved != 2 || st.Upgraded != 2 || st.QueueDepth != 0 {
+		t.Fatalf("stats = %+v, want 2 settled, 2 improved, 2 upgraded", st)
+	}
+	// A settled key may be queued again: it left the pending set.
+	if !tier.Enqueue(mk("a")) {
+		t.Fatal("re-enqueue of a settled key rejected")
+	}
+}
+
+// Step reports no work when the queue held only settled tasks, and a
+// settled head task mid-way through its phases is swept too.
+func TestTierStepFalseWhenOnlySettled(t *testing.T) {
+	g := pathGraph(40)
+	var col collector
+	tier := manualTier(t, Options{Budget: 8, Publish: col.publish})
+	done := false
+	for _, key := range []string{"x", "y"} {
+		tier.Enqueue(Task{Key: key, G: g, Start: make([]bool, g.N()), Done: func() bool { return done }})
+	}
+	if !tier.Step() {
+		t.Fatal("first step found no work")
+	}
+	done = true
+	if tier.Step() {
+		t.Fatal("Step reported work with only settled tasks queued")
+	}
+	if st := tier.Stats(); st.Settled != 2 || st.QueueDepth != 0 || st.Improved != 0 {
+		t.Fatalf("stats = %+v, want both tasks settled before any publish", st)
+	}
+	if len(col.pubs) != 0 {
+		t.Fatalf("settled tasks published %+v", col.pubs)
 	}
 }

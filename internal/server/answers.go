@@ -112,15 +112,13 @@ func (s *Server) handleGetAnswer(w http.ResponseWriter, r *http.Request) {
 // publishUpgrade is the repair tier's publish callback: it upgrades the
 // registry entry in place and, once the answer is full quality, promotes
 // it into the result cache so foreground solves of the same content hit.
+// The graph hash travels with the task, so an upgrade whose degraded entry
+// the registry has already evicted is republished under its own version.
 func (s *Server) publishUpgrade(key string, a repair.Answer) {
-	hash := ""
-	if prev, ok := s.answers.get(key); ok {
-		hash = prev.GraphHash
-	}
 	set := graph.Members(a.Set)
 	s.answers.put(&storedAnswer{
 		Key:       key,
-		GraphHash: hash,
+		GraphHash: a.GraphHash,
 		Set:       set,
 		Weight:    a.Weight,
 		Quality:   a.Quality,
@@ -128,7 +126,7 @@ func (s *Server) publishUpgrade(key string, a repair.Answer) {
 		Updated:   time.Now().UTC(),
 	})
 	if a.Quality == qualityFull {
-		s.cache.put(&cacheEntry{key: key, set: set, weight: a.Weight, alg: a.Alg, tag: hash})
+		s.cache.put(&cacheEntry{key: key, set: set, weight: a.Weight, alg: a.Alg, tag: a.GraphHash})
 	}
 }
 
@@ -189,7 +187,7 @@ func (s *Server) publishDegraded(req *SolveRequest, p prepared, set []bool, weig
 		Alg:       alg,
 		Updated:   time.Now().UTC(),
 	})
-	s.enqueueUpgrade(p.key, p.g, set, req)
+	s.enqueueUpgrade(p.key, p.hash, p.g, set, req)
 }
 
 // publishFull is execute's graph_ref hook after a fresh full solve: publish

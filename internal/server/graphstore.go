@@ -57,33 +57,41 @@ import (
 // their cache keys, journal replay — reuses it. It is immutable and may be
 // used freely outside the store lock.
 type graphVersion struct {
-	g     *graph.Graph
+	g *graph.Graph
+	// form is g's canonical bytes with their run index: the next version's
+	// form is spliced from it, so a PATCH never encodes the whole graph.
+	form  *graph.CanonicalForm
 	hash  string
 	parts []graph.Component // g's components, the granularity of reuse
 	// digest is the marshalled SHA-256 state after g's canonical bytes:
-	// refCacheKey resumes it rather than encoding the graph again.
+	// refCacheKey resumes it rather than hashing the graph again.
 	digest []byte
 }
 
-// newVersion encodes and hashes g once; parts must be g's components.
-func newVersion(g *graph.Graph, parts []graph.Component) *graphVersion {
+// newVersion hashes g's canonical form once; form and parts must be g's.
+func newVersion(g *graph.Graph, form *graph.CanonicalForm, parts []graph.Component) *graphVersion {
 	h := sha256.New()
-	h.Write(g.Canonical())
+	h.Write(form.Bytes)
 	digest, err := h.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
 		panic(fmt.Sprintf("server: sha256 state: %v", err)) // crypto/sha256 always marshals
 	}
-	return &graphVersion{g: g, hash: hex.EncodeToString(h.Sum(nil)), parts: parts, digest: digest}
+	return &graphVersion{g: g, form: form, hash: hex.EncodeToString(h.Sum(nil)), parts: parts, digest: digest}
 }
 
-// derive applies an edit to v, carrying every component the edit did not
-// touch into the new version.
+// putVersion builds the first version of a graph: a full encode and split.
+func putVersion(g *graph.Graph) *graphVersion {
+	return newVersion(g, g.CanonicalForm(), g.SplitComponents())
+}
+
+// derive applies an edit to v, splicing the new canonical form from v's and
+// carrying every component the edit did not touch into the new version.
 func (v *graphVersion) derive(e graph.Edit) (*graphVersion, graph.EditReport, error) {
 	ng, rep, err := v.g.ApplyEdit(e)
 	if err != nil {
 		return nil, rep, err
 	}
-	return newVersion(ng, ng.CarryComponents(v.parts, rep.Touched)), rep, nil
+	return newVersion(ng, ng.SpliceCanonical(v.form, rep), ng.CarryComponents(v.parts, rep.Touched)), rep, nil
 }
 
 // dynGraph is one mutable graph handle. All fields are guarded by the
@@ -212,7 +220,7 @@ func (s *Server) OpenGraphJournal(path string) (int, error) {
 				wal.Close()
 				return 0, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
 			}
-			gs.register(rec.ID, newVersion(g, g.SplitComponents()), d.Aliases, d.Version)
+			gs.register(rec.ID, putVersion(g), d.Aliases, d.Version)
 			gs.seq++
 		case "patch":
 			h, ok := gs.byHash[d.Prev]
@@ -350,7 +358,7 @@ func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, PutGraphResponse{Error: err.Error()})
 		return
 	}
-	ver := newVersion(g, g.SplitComponents())
+	ver := putVersion(g)
 
 	gs := s.graphs
 	gs.mu.Lock()
@@ -536,19 +544,48 @@ func (s *Server) healAnswer(ver *graphVersion, req *SolveRequest, prevSet []bool
 // keep a second copy of each graph alive in the queue, while the tier runs
 // only a few Full solves per second.
 //
+// Nothing is planned here, on the PATCH path: the tier calls Ladder on the
+// task's first step, and Done settles the task with no work at all once a
+// foreground solve has published the key at full quality — the same
+// bit-identical answer the task would have computed.
+//
 // Between the greedy improved answer and the full solve the task climbs the
 // planner's promotion ladder: one cheap whole-graph solve per budget step
 // (16 then 256 rounds' worth of work), each published only if it beats the
 // best weight so far. The ladder turns the degraded→full cliff into a
 // staircase — clients polling the answer key see quality climb in steps
 // whose cost the planner chose, not one long silence.
-func (s *Server) enqueueUpgrade(key string, g *graph.Graph, set []bool, req *SolveRequest) {
+func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, req *SolveRequest) {
 	cfg, err := req.maxisConfig(s.opts.SolveWorkers)
 	if err != nil {
 		return
 	}
 	cfg.Tracer = s.metrics.engine
 	cfg.TraceLabel = req.Alg
+	s.repairTier.Enqueue(repair.Task{
+		Key:       key,
+		G:         g,
+		GraphHash: hash,
+		Start:     append([]bool(nil), set...),
+		Ladder:    func() []repair.Rung { return upgradeLadder(g, req, cfg) },
+		Done: func() bool {
+			a, ok := s.answers.get(key)
+			return ok && a.Quality == qualityFull
+		},
+		FullAlg: req.Alg,
+		Full: func() ([]bool, int64, error) {
+			res, _, err := s.solveComponents(req, g, g.SplitComponents(), cfg)
+			if err != nil {
+				return nil, 0, err
+			}
+			return res.Set, res.Weight, nil
+		},
+	})
+}
+
+// upgradeLadder is the planner's promotion ladder for an upgrade task,
+// without req's own algorithm: the Full callback computes exactly that.
+func upgradeLadder(g *graph.Graph, req *SolveRequest, cfg maxis.Config) []repair.Rung {
 	prof := protocol.ProfileOf(g)
 	unit := int64(prof.N + 2*prof.M + 1)
 	ladder := plan.Ladder(plan.Request{
@@ -559,29 +596,16 @@ func (s *Server) enqueueUpgrade(key string, g *graph.Graph, set []bool, req *Sol
 	var rungs []repair.Rung
 	for _, d := range ladder {
 		if d.Alg == req.Alg {
-			continue // the Full callback already computes exactly this
+			continue
 		}
 		alg := d.Alg
 		rungs = append(rungs, repair.Rung{Name: alg, Run: func() ([]bool, int64, error) {
-			res, rerr := maxis.Solve(alg, g, req.Eps, req.Alpha, cfg)
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			return res.Set, res.Weight, nil
-		}})
-	}
-	s.repairTier.Enqueue(repair.Task{
-		Key:     key,
-		G:       g,
-		Start:   append([]bool(nil), set...),
-		Rungs:   rungs,
-		FullAlg: req.Alg,
-		Full: func() ([]bool, int64, error) {
-			res, _, err := s.solveComponents(req, g, g.SplitComponents(), cfg)
+			res, err := maxis.Solve(alg, g, req.Eps, req.Alpha, cfg)
 			if err != nil {
 				return nil, 0, err
 			}
 			return res.Set, res.Weight, nil
-		},
-	})
+		}})
+	}
+	return rungs
 }

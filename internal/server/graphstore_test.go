@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,6 +228,103 @@ func TestPatchHealsAndRepairTierUpgrades(t *testing.T) {
 		if resp.Set[i] != full.Set[i] {
 			t.Fatal("cache-promoted set not bit-identical to the published upgrade")
 		}
+	}
+}
+
+// A PATCH → graph_ref loop on one handle heals every version and queues an
+// upgrade for each, but each version's foreground solve publishes the same
+// key at full quality first. One Step settles the whole queue without
+// running anything, and every healed key stays full under its own hash.
+func TestPatchRefLoopSettlesRepairQueue(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2, RepairInterval: time.Hour})
+	g := twoIslandGraph(t, 8, 20)
+	put := putGraph(t, ts, g)
+	req := SolveRequest{GraphRef: put.Hash, Alg: "goodnodes", Seed: 3}
+	if _, resp := postSolve(t, ts, req); resp.Status != "done" {
+		t.Fatalf("seed solve failed: %+v", resp)
+	}
+	healed := map[string]string{} // answer key → graph hash
+	for i := 0; i < 6; i++ {
+		edit := graph.Edit{Weights: []graph.WeightUpdate{{V: int32(i), W: int64(40 + i)}}}
+		if i%2 == 1 {
+			edit = graph.Edit{AddEdges: [][2]int32{{int32(i), int32(10 + i)}}}
+		}
+		code, patch := patchGraph(t, ts, put.Hash, edit)
+		if code != http.StatusOK || !patch.Healed {
+			t.Fatalf("patch %d: %d %+v", i, code, patch)
+		}
+		healed[patch.AnswerKey] = patch.Hash
+		req.GraphRef = patch.Hash
+		code, resp := postSolve(t, ts, req)
+		if code != http.StatusOK || resp.Quality != "full" || resp.AnswerKey != patch.AnswerKey {
+			t.Fatalf("ref solve %d: %d %+v, want full under %s", i, code, resp, patch.AnswerKey)
+		}
+	}
+	if st := s.Stats(); st.RepairQueueDepth != int64(len(healed)) {
+		t.Fatalf("queue depth %d before the step, want %d", st.RepairQueueDepth, len(healed))
+	}
+	if s.repairTier.Step() {
+		t.Fatal("Step did work although every queued key was already full")
+	}
+	st := s.Stats()
+	if st.RepairQueueDepth != 0 || st.RepairSettled != int64(len(healed)) || st.RepairImproved != 0 || st.RepairUpgrades != 0 {
+		t.Fatalf("after one step: %+v, want %d settled and nothing run", st, len(healed))
+	}
+	for key, hash := range healed {
+		if _, a := getAnswer(t, ts, key); a.Quality != "full" || a.GraphHash != hash {
+			t.Fatalf("answer %s: quality %q hash %s, want full under %s", key, a.Quality, short(a.GraphHash), short(hash))
+		}
+	}
+	httpResp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	body, err := io.ReadAll(httpResp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("maxisd_repair_settled_total %d\n", len(healed)); !strings.Contains(string(body), want) {
+		t.Errorf("metrics output missing %q", want)
+	}
+}
+
+// An upgrade whose degraded entry the answer registry has already evicted
+// is republished under its own version's hash, and the full answer it
+// promotes into the cache is tagged with that hash, so the next PATCH of
+// the handle invalidates it.
+func TestUpgradeAfterRegistryEvictionKeepsGraphHash(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2, RepairInterval: time.Hour, AnswerHistory: 1})
+	g := twoIslandGraph(t, 8, 20)
+	put := putGraph(t, ts, g)
+	if _, resp := postSolve(t, ts, SolveRequest{GraphRef: put.Hash, Alg: "goodnodes", Seed: 3}); resp.Status != "done" {
+		t.Fatalf("seed solve failed: %+v", resp)
+	}
+	_, patch := patchGraph(t, ts, put.Hash, graph.Edit{AddEdges: [][2]int32{{2, 13}}})
+	if !patch.Healed {
+		t.Fatalf("expected heal: %+v", patch)
+	}
+	// A solve of another handle publishes the registry's one entry,
+	// evicting the healed answer before the tier upgrades it.
+	other := putGraph(t, ts, twoIslandGraph(t, 5, 12))
+	if _, resp := postSolve(t, ts, SolveRequest{GraphRef: other.Hash, Alg: "goodnodes", Seed: 3}); resp.Status != "done" {
+		t.Fatalf("other solve failed: %+v", resp)
+	}
+	if code, _ := getAnswer(t, ts, patch.AnswerKey); code != http.StatusNotFound {
+		t.Fatalf("healed answer not evicted: %d", code)
+	}
+	for s.repairTier.Step() {
+	}
+	_, a := getAnswer(t, ts, patch.AnswerKey)
+	if a.Quality != "full" || a.GraphHash != patch.Hash {
+		t.Fatalf("upgrade: quality %q hash %q, want full under %s", a.Quality, a.GraphHash, short(patch.Hash))
+	}
+	if _, ok := s.cache.get(patch.AnswerKey); !ok {
+		t.Fatal("full upgrade not promoted into the cache")
+	}
+	patchGraph(t, ts, patch.Hash, graph.Edit{Weights: []graph.WeightUpdate{{V: 0, W: 9}}})
+	if _, ok := s.cache.get(patch.AnswerKey); ok {
+		t.Fatal("the promoted upgrade survived a PATCH of its version")
 	}
 }
 

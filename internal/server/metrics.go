@@ -156,6 +156,8 @@ func (m *metrics) write(w io.Writer, srv *Server) {
 	gauge("maxisd_repair_queue_depth", "Degraded answers waiting for the background repair tier.", int64(rep.QueueDepth))
 	counter("maxisd_repair_improved_total", "Answers upgraded to improved quality (greedy re-admission).", rep.Improved)
 	counter("maxisd_repair_upgrades_total", "Answers upgraded to full quality (background re-solve).", rep.Upgraded)
+	counter("maxisd_repair_settled_total", "Upgrade tasks removed unrun because a foreground solve already published the answer at full quality.", rep.Settled)
+	counter("maxisd_repair_deduped_total", "Upgrade tasks not queued because the same answer key was already queued.", rep.Deduped)
 	counter("maxisd_repair_dropped_total", "Upgrade tasks dropped by the bounded repair queue.", rep.Dropped)
 	gaugeF("maxisd_answer_staleness_seconds", "Age of the oldest degraded answer awaiting upgrade.", rep.OldestWaitSeconds)
 

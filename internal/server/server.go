@@ -301,6 +301,7 @@ type ServiceStats struct {
 	RepairQueueDepth      int64 // degraded answers awaiting upgrade
 	RepairImproved        int64 // answers upgraded to improved quality
 	RepairUpgrades        int64 // answers upgraded to full quality
+	RepairSettled         int64 // upgrade tasks a foreground full answer made moot
 }
 
 // Stats snapshots the service counters.
@@ -323,6 +324,7 @@ func (s *Server) Stats() ServiceStats {
 		RepairQueueDepth:      int64(rep.QueueDepth),
 		RepairImproved:        rep.Improved,
 		RepairUpgrades:        rep.Upgraded,
+		RepairSettled:         rep.Settled,
 	}
 }
 
