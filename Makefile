@@ -26,20 +26,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short smoke runs of every fuzz target; extend -fuzztime for real campaigns.
+# Short smoke runs of every fuzz target, FUZZTIME each; CI runs
+# `make fuzz FUZZTIME=30s`. Raise FUZZTIME for real campaigns.
+FUZZTIME ?= 10s
+
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzReaderRobust -fuzztime=10s ./internal/wire/
-	$(GO) test -run='^$$' -fuzz=FuzzWriteReadMirror -fuzztime=10s ./internal/wire/
-	$(GO) test -run='^$$' -fuzz=FuzzChecksumBurst -fuzztime=10s ./internal/wire/
-	$(GO) test -run='^$$' -fuzz=FuzzWriterRoundTrip -fuzztime=10s ./internal/wire/
-	$(GO) test -run='^$$' -fuzz=FuzzInjectorCorruptDetect -fuzztime=10s ./internal/fault/
-	$(GO) test -run='^$$' -fuzz=FuzzEngineFaultDeterminism -fuzztime=10s ./internal/fault/
-	$(GO) test -run='^$$' -fuzz=FuzzParamsNormalize -fuzztime=10s ./internal/maxis/
-	$(GO) test -run='^$$' -fuzz=FuzzChoose -fuzztime=10s ./internal/plan/
-	$(GO) test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=10s ./internal/graph/
-	$(GO) test -run='^$$' -fuzz=FuzzFromCanonical -fuzztime=10s ./internal/graph/
-	$(GO) test -run='^$$' -fuzz=FuzzWeightOrder -fuzztime=10s ./internal/graph/
-	$(GO) test -run='^$$' -fuzz=FuzzApplyEdit -fuzztime=10s ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzReaderRobust -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzWriteReadMirror -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzChecksumBurst -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzWriterRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzInjectorCorruptDetect -fuzztime=$(FUZZTIME) ./internal/fault/
+	$(GO) test -run='^$$' -fuzz=FuzzEngineFaultDeterminism -fuzztime=$(FUZZTIME) ./internal/fault/
+	$(GO) test -run='^$$' -fuzz=FuzzParamsNormalize -fuzztime=$(FUZZTIME) ./internal/maxis/
+	$(GO) test -run='^$$' -fuzz=FuzzChoose -fuzztime=$(FUZZTIME) ./internal/plan/
+	$(GO) test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzFromCanonical -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzWeightOrder -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzApplyEdit -fuzztime=$(FUZZTIME) ./internal/graph/
 
 build-cmds:
 	$(GO) build -o bin/ ./cmd/...

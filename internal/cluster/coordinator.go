@@ -498,7 +498,7 @@ func (c *Coordinator) recordPartitionQuality(part *partition.Partition) {
 
 // partDeadline budgets one part's DeadlineMS: the request deadline minus
 // the EWMA fan-out overhead, floored at 1ms so a nearly-spent deadline
-// still reaches the backend (whose planner will pick its cheapest rung)
+// still reaches the backend (whose planner will pick its cheapest solver)
 // instead of silently becoming unlimited.
 func (c *Coordinator) partDeadline(reqDeadlineMS int64) int64 {
 	if reqDeadlineMS <= 0 {

@@ -5,7 +5,7 @@ import "math/bits"
 // Bitset is a fixed-capacity set of small integers packed 64 to a word. It
 // replaces the per-node (and per-port) []bool flag vectors on the
 // simulator's hot paths: an 8× denser footprint keeps 10M-node flag scans
-// inside the cache hierarchy, and word-at-a-time Count/None make the
+// inside the cache hierarchy, and a word-at-a-time Count makes the
 // "any survivor?" checks of the dense MIS/peeling phases O(n/64).
 //
 // A Bitset is not safe for concurrent mutation: two Set calls on indices
@@ -33,15 +33,6 @@ func (b Bitset) Set(i int) {
 // Unset removes index i.
 func (b Bitset) Unset(i int) {
 	b[i>>6] &^= 1 << uint(i&63)
-}
-
-// SetTo adds or removes index i according to v.
-func (b Bitset) SetTo(i int, v bool) {
-	if v {
-		b.Set(i)
-	} else {
-		b.Unset(i)
-	}
 }
 
 // SetFirst adds every index in [0, n). Bits at n and above are cleared, so
@@ -78,16 +69,6 @@ func (b Bitset) Count() int {
 	return c
 }
 
-// None reports whether the set is empty, scanning a word at a time.
-func (b Bitset) None() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every index in the set, in ascending order.
 func (b Bitset) ForEach(fn func(i int)) {
 	for wi, w := range b {
@@ -97,27 +78,4 @@ func (b Bitset) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// ToBools expands the set into a []bool of length n, the representation the
-// package's subgraph and verification APIs consume.
-func (b Bitset) ToBools(n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		if b.Get(i) {
-			out[i] = true
-		}
-	}
-	return out
-}
-
-// BitsetFromBools packs a []bool membership vector.
-func BitsetFromBools(v []bool) Bitset {
-	b := NewBitset(len(v))
-	for i, in := range v {
-		if in {
-			b.Set(i)
-		}
-	}
-	return b
 }

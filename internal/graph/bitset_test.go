@@ -7,7 +7,7 @@ import (
 
 func TestBitsetBasics(t *testing.T) {
 	b := NewBitset(130)
-	if !b.None() || b.Count() != 0 {
+	if b.Count() != 0 {
 		t.Fatal("fresh bitset not empty")
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
@@ -23,13 +23,13 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Get(64) {
 		t.Fatal("Unset(64) not visible")
 	}
-	b.SetTo(64, true)
-	b.SetTo(65, false)
+	b.Set(64)
+	b.Unset(65)
 	if !b.Get(64) || b.Get(65) {
-		t.Fatal("SetTo misbehaved")
+		t.Fatal("Set/Unset misbehaved")
 	}
 	b.Reset()
-	if !b.None() {
+	if b.Count() != 0 {
 		t.Fatal("Reset left bits")
 	}
 }
@@ -76,16 +76,9 @@ func TestBitsetForEachMatchesBools(t *testing.T) {
 			t.Fatalf("ForEach[%d] = %d, want %d (ascending order)", i, got[i], want[i])
 		}
 	}
-	round := BitsetFromBools(ref)
 	for i := range ref {
-		if round.Get(i) != ref[i] {
-			t.Fatalf("BitsetFromBools mismatch at %d", i)
-		}
-	}
-	back := b.ToBools(len(ref))
-	for i := range ref {
-		if back[i] != ref[i] {
-			t.Fatalf("ToBools mismatch at %d", i)
+		if b.Get(i) != ref[i] {
+			t.Fatalf("Get(%d) = %v, want %v", i, b.Get(i), ref[i])
 		}
 	}
 }

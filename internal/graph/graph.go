@@ -273,15 +273,6 @@ func (g *Graph) WithWeights(w []int64) *Graph {
 	return &Graph{off: g.off, adj: g.adj, weights: weights, ids: g.ids, maxDeg: g.maxDeg}
 }
 
-// Unweighted returns a copy of g with all weights set to one.
-func (g *Graph) Unweighted() *Graph {
-	w := make([]int64, g.N())
-	for i := range w {
-		w[i] = 1
-	}
-	return g.WithWeights(w)
-}
-
 // IsUnitWeight reports whether every node has weight exactly one.
 func (g *Graph) IsUnitWeight() bool {
 	for _, w := range g.weights {

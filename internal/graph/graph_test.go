@@ -128,9 +128,9 @@ func TestUnweightedAndUnitWeight(t *testing.T) {
 	if g.IsUnitWeight() {
 		t.Error("IsUnitWeight true on weighted graph")
 	}
-	u := g.Unweighted()
+	u := g.WithWeights([]int64{1, 1, 1, 1, 1})
 	if !u.IsUnitWeight() || u.TotalWeight() != 5 {
-		t.Error("Unweighted did not produce unit weights")
+		t.Error("IsUnitWeight false on unit weights")
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 //
 // (Cauchy–Schwarz, then Σ_v w(N⁺(v)) ≤ (Δ+1)·w(V)). The guarantee holds in
 // expectation only — the paper's Section 1 variance caveat applies — which
-// is exactly why the planner treats these as the tight-budget rungs, not
+// is exactly why the planner picks these only under tight budgets, not as
 // the quality tier.
 //
 // BHRFewRound repeats the race on the residual graph (winners keep their

@@ -1,9 +1,9 @@
 // Package plan is the budget-aware algorithm planner: given an instance
 // profile and a work budget, it picks the strongest registered solver
 // whose predicted cost fits. It is the single resolution point for the
-// "auto" algorithm name — maxis.Solve, the server's DeadlineMS path, the
-// cluster coordinator's per-part fan-out and the repair tier's promotion
-// ladder all delegate here instead of hard-coding an algorithm each.
+// "auto" algorithm name — maxis.Solve, the server's DeadlineMS path and the
+// cluster coordinator's per-part fan-out all delegate here instead of
+// hard-coding an algorithm each.
 //
 // The cost model is deliberately simple and fully deterministic: every
 // solver's registered Meta predicts a theory-faithful round budget for the
@@ -96,20 +96,15 @@ func (d Decision) String() string {
 		d.Alg, d.Ratio, d.Score, d.Rounds, d.Work, fit)
 }
 
-// candidate is one admissible solver with its predicted cost.
-type candidate struct {
-	Decision
-}
-
-// candidates enumerates the admissible solvers for req in registry name
-// order (sorted — this plus the deterministic tie-breaks below makes
+// candidates enumerates the admissible solvers for req, each with its
+// predicted cost, in registry name order (sorted — this plus the deterministic tie-breaks below makes
 // Choose a pure function).
-func candidates(req Request) []candidate {
+func candidates(req Request) []Decision {
 	m := req.MIS
 	if m == nil {
 		m = protocol.DefaultMIS()
 	}
-	var out []candidate
+	var out []Decision
 	for _, s := range protocol.Solvers() {
 		meta := s.Meta()
 		if meta.Score == nil || meta.Rounds == nil {
@@ -133,14 +128,14 @@ func candidates(req Request) []candidate {
 			continue
 		}
 		work := int64(rounds) * int64(req.Profile.N+2*req.Profile.M+1)
-		out = append(out, candidate{Decision{
+		out = append(out, Decision{
 			Alg:    s.Name(),
 			Ratio:  meta.Ratio,
 			Score:  meta.Score(req.Profile, params),
 			Rounds: rounds,
 			Work:   work,
 			Fits:   req.Budget.WorkUnits <= 0 || work <= req.Budget.WorkUnits,
-		}})
+		})
 	}
 	return out
 }
@@ -156,7 +151,7 @@ func Choose(req Request) (Decision, error) {
 		return Decision{}, fmt.Errorf("plan: no admissible solver for profile n=%d Δ=%d (unit=%t)",
 			req.Profile.N, req.Profile.MaxDegree, req.Profile.UnitWeights)
 	}
-	var best, cheapest *candidate
+	var best, cheapest *Decision
 	for i := range cands {
 		c := &cands[i]
 		if cheapest == nil || c.Work < cheapest.Work {
@@ -170,33 +165,13 @@ func Choose(req Request) (Decision, error) {
 		}
 	}
 	if best == nil {
-		return cheapest.Decision, nil
+		return *cheapest, nil
 	}
-	return best.Decision, nil
+	return *best, nil
 }
 
 // For profiles g and plans in one call — the convenience entry the solve
 // paths use.
 func For(g *graph.Graph, params protocol.Params, b Budget, m protocol.MIS) (Decision, error) {
 	return Choose(Request{Profile: protocol.ProfileOf(g), Params: params, Budget: b, MIS: m})
-}
-
-// Ladder plans one decision per ascending work budget and keeps the
-// strictly improving ones: the repair tier's promotion rungs. Consecutive
-// budgets that resolve to the same (or a no-better) algorithm collapse, so
-// the returned ladder climbs monotonically in guarantee quality.
-func Ladder(req Request, budgets []int64) []Decision {
-	var out []Decision
-	for _, b := range budgets {
-		req.Budget = Budget{WorkUnits: b}
-		d, err := Choose(req)
-		if err != nil {
-			continue
-		}
-		if n := len(out); n > 0 && (d.Alg == out[n-1].Alg || d.Score >= out[n-1].Score) {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }

@@ -144,27 +144,6 @@ func TestForDeadline(t *testing.T) {
 	}
 }
 
-func TestLadderClimbsMonotonically(t *testing.T) {
-	req := plan.Request{Profile: weightedProfile(t)}
-	budgets := []int64{1_000, 10_000, 100_000, 1 << 20, 1 << 30, 0}
-	// Budget 0 means unlimited, so express it as a huge cap instead to keep
-	// the ladder ascending.
-	budgets[len(budgets)-1] = 1 << 40
-	ladder := plan.Ladder(req, budgets)
-	if len(ladder) == 0 {
-		t.Fatal("empty ladder")
-	}
-	for i := 1; i < len(ladder); i++ {
-		if ladder[i].Score >= ladder[i-1].Score {
-			t.Errorf("rung %d (%s, score %.2f) does not improve on rung %d (%s, score %.2f)",
-				i, ladder[i].Alg, ladder[i].Score, i-1, ladder[i-1].Alg, ladder[i-1].Score)
-		}
-		if ladder[i].Alg == ladder[i-1].Alg {
-			t.Errorf("consecutive rungs share algorithm %s", ladder[i].Alg)
-		}
-	}
-}
-
 func TestDecisionString(t *testing.T) {
 	d := choose(t, plan.Request{Profile: weightedProfile(t)})
 	s := d.String()

@@ -10,15 +10,14 @@
 // described — a concurrent mutation enqueues its own task for the new
 // version instead of racing this one.
 //
-// Enqueueing is cheap: a task is planned on the tier's goroutine, not by
-// its producer. Its Ladder callback runs once, on the task's first step.
-// A task can also be answered before the tier reaches it — the server's
-// foreground solve publishes the same full answer under the same key — so
-// every step first sweeps the queue for tasks whose Done callback reports
-// them settled. A settled task leaves the queue with no further work and
-// no publish, and releases its graph snapshot.
+// Enqueueing is cheap: all phase work runs on the tier's goroutine, not
+// in its producer. A task can also be answered before the tier reaches it
+// — the server's foreground solve publishes the same full answer under the
+// same key — so every step first sweeps the queue for tasks whose Done
+// callback reports them settled. A settled task leaves the queue with no
+// further work and no publish, and releases its graph snapshot.
 //
-// A task advances through phases, each publish monotonically better:
+// A task advances through three phases, each publish monotonically better:
 //
 //	heal     reliable.Repair withdraws, on every conflicting edge, the
 //	         endpoint graph.Before ranks later, restoring independence;
@@ -28,7 +27,8 @@
 //	         "improved". From an empty start it is graph.Greedy's answer,
 //	         the same set the degraded tier serves;
 //	full     the task's Full callback (a real solve) replaces the greedy
-//	         answer, published as "full".
+//	         answer, published as "full", on the tick after the improved
+//	         publish.
 //
 // Work per tick is bounded: the greedy pass examines at most Budget nodes
 // before yielding, so one huge component cannot starve the queue or stall
@@ -61,24 +61,11 @@ type Answer struct {
 	// Quality is QualityImproved or QualityFull.
 	Quality string
 	// Alg names what produced the set: "greedy-improved" for the budgeted
-	// admit pass, a rung's name for ladder publishes, the task's FullAlg
-	// for the final solve.
+	// admit pass, the task's FullAlg for the final solve.
 	Alg string
 	// GraphHash is the task's GraphHash, handed back so the publisher needs
 	// no other record of which version the answer describes.
 	GraphHash string
-}
-
-// Rung is one intermediate step of a task's promotion ladder: a bounded
-// solve (typically a cheap planner-chosen algorithm) between the greedy
-// improved answer and the full-quality solve. Rungs run one per tick and
-// publish only when they beat the best weight so far, so the published
-// sequence is monotone in weight as well as quality rank.
-type Rung struct {
-	// Name is the algorithm name recorded in the published answer.
-	Name string
-	// Run computes the rung's candidate set on the task's graph snapshot.
-	Run func() (set []bool, weight int64, err error)
 }
 
 // Task is one degraded answer awaiting upgrade.
@@ -94,13 +81,6 @@ type Task struct {
 	GraphHash string
 	// Start is the degraded set to upgrade. The tier takes ownership.
 	Start []bool
-	// Ladder optionally plans the promotion ladder run between the greedy
-	// improved answer and Full: one rung per tick, ascending quality (see
-	// plan.Ladder). The tier calls it once, on the task's first step, so
-	// planning costs nothing for a task that is dropped or settled. A rung
-	// that errors or fails to beat the best published weight is skipped
-	// silently — the ladder is best-effort refinement, never a regression.
-	Ladder func() []Rung
 	// Done optionally reports that the answer under Key is already at
 	// QualityFull — published by someone else — so the task has nothing
 	// left to do. Each step sweeps every queued task whose Done reports
@@ -110,17 +90,14 @@ type Task struct {
 	// FullAlg names the algorithm Full runs, for the published answer.
 	FullAlg string
 	// Full optionally computes the final answer (a real solve of G). It
-	// runs on the tier's goroutine after the improved publish; nil stops
-	// the task at QualityImproved.
+	// runs on the tier's goroutine, one tick after the improved publish;
+	// nil stops the task at QualityImproved.
 	Full func() (set []bool, weight int64, err error)
 
-	enqueued   time.Time
-	order      []int32 // graph.WeightOrder of G, built lazily
-	rungs      []Rung  // Ladder's plan, built with order
-	pos        int     // graph.Extend resume cursor into order
-	improved   bool    // greedy pass done, improved answer published
-	rung       int     // next rungs index to run
-	bestWeight int64   // best weight published so far (rung adoption bar)
+	enqueued time.Time
+	order    []int32 // graph.WeightOrder of G, built lazily
+	pos      int     // graph.Extend resume cursor into order
+	improved bool    // greedy pass done, improved answer published
 }
 
 // Options configures a Tier. Zero values select the defaults noted.
@@ -149,9 +126,6 @@ type Stats struct {
 	Settled int64
 	// Improved and Upgraded count publishes at each quality.
 	Improved, Upgraded int64
-	// RungsRun counts ladder rungs executed; RungsAdopted counts the ones
-	// whose answer beat the best weight and was published.
-	RungsRun, RungsAdopted int64
 	// OldestWaitSeconds is the age of the oldest queued task (0 if empty):
 	// the staleness bound on published degraded answers.
 	OldestWaitSeconds float64
@@ -326,9 +300,6 @@ func (t *Tier) advance(task *Task) bool {
 		// here on.
 		reliable.Repair(g, task.Start)
 		task.order = g.WeightOrder()
-		if task.Ladder != nil {
-			task.rungs = task.Ladder()
-		}
 	}
 
 	if !task.improved {
@@ -337,37 +308,15 @@ func (t *Tier) advance(task *Task) bool {
 			return false // budget exhausted; resume next tick
 		}
 		task.improved = true
-		task.bestWeight = g.SetWeight(task.Start)
 		t.publish(task, Answer{
 			Set:     append([]bool(nil), task.Start...),
-			Weight:  task.bestWeight,
+			Weight:  g.SetWeight(task.Start),
 			Quality: QualityImproved,
 			Alg:     "greedy-improved",
 		}, &t.stats.Improved)
-		// Ladder rungs and the full solve each get their own tick so one
-		// task never holds the queue for more than one solve per step.
-		return len(task.rungs) == 0 && task.Full == nil
-	}
-
-	// Promotion ladder: one rung per tick, adopted only when it strictly
-	// improves on the best published weight.
-	if task.rung < len(task.rungs) {
-		r := task.rungs[task.rung]
-		task.rung++
-		t.mu.Lock()
-		t.stats.RungsRun++
-		t.mu.Unlock()
-		set, weight, err := r.Run()
-		if err == nil && weight > task.bestWeight && len(set) == g.N() {
-			task.bestWeight = weight
-			t.publish(task, Answer{
-				Set:     append([]bool(nil), set...),
-				Weight:  weight,
-				Quality: QualityImproved,
-				Alg:     r.Name,
-			}, &t.stats.RungsAdopted)
-		}
-		return task.rung >= len(task.rungs) && task.Full == nil
+		// The full solve gets its own tick so one task never holds the
+		// queue for a greedy pass and a solve in the same step.
+		return task.Full == nil
 	}
 
 	set, weight, err := task.Full()

@@ -230,155 +230,8 @@ func (fakeErr) Error() string { return "solver exploded" }
 
 var errFake = fakeErr{}
 
-// The promotion ladder runs one rung per tick between the greedy improved
-// answer and Full; rungs publish only on strict weight improvement, carry
-// algorithm provenance, and failures never regress the served answer.
-func TestTierRungLadderMonotone(t *testing.T) {
-	g := pathGraph(20)
-	var col collector
-	tier := manualTier(t, Options{Budget: 1 << 20, Publish: col.publish})
-
-	greedyWeight := func() int64 {
-		col.mu.Lock()
-		defer col.mu.Unlock()
-		if len(col.pubs) == 0 {
-			t.Fatal("rung ran before the greedy improved publish")
-		}
-		return col.pubs[0].Weight
-	}
-	better := make([]bool, g.N())
-	for v := 0; v < g.N(); v += 2 {
-		better[v] = true
-	}
-	fullSet := make([]bool, g.N())
-	for v := 1; v < g.N(); v += 2 {
-		fullSet[v] = true
-	}
-	task := Task{
-		Key: "lad", G: g, Start: make([]bool, g.N()),
-		Ladder: func() []Rung {
-			return []Rung{
-				// Ties the greedy weight: not a strict improvement, skipped.
-				{Name: "tie", Run: func() ([]bool, int64, error) {
-					set := make([]bool, g.N())
-					return set, greedyWeight(), nil
-				}},
-				// Errors: skipped silently, ladder continues.
-				{Name: "boom", Run: func() ([]bool, int64, error) {
-					return nil, 1 << 40, errFake
-				}},
-				// Strictly better: adopted and published with its name.
-				{Name: "bhr-fewround", Run: func() ([]bool, int64, error) {
-					return better, greedyWeight() + 7, nil
-				}},
-				// Worse than the adopted rung: skipped — publishes stay monotone.
-				{Name: "slide", Run: func() ([]bool, int64, error) {
-					return better, greedyWeight() + 3, nil
-				}},
-			}
-		},
-		FullAlg: "baseline",
-		Full: func() ([]bool, int64, error) {
-			return fullSet, greedyWeight() + 100, nil
-		},
-	}
-	if !tier.Enqueue(task) {
-		t.Fatal("enqueue rejected")
-	}
-	steps := 0
-	for tier.Step() {
-		if steps++; steps > 20 {
-			t.Fatal("ladder never drained")
-		}
-	}
-	// 1 greedy tick + 4 rung ticks + 1 full tick.
-	if steps != 6 {
-		t.Fatalf("ladder took %d steps, want 6 (one solve per tick)", steps)
-	}
-
-	col.mu.Lock()
-	defer col.mu.Unlock()
-	if len(col.pubs) != 3 {
-		t.Fatalf("got %d publishes, want 3 (greedy, adopted rung, full): %+v", len(col.pubs), col.pubs)
-	}
-	if alg := col.pubs[0].Alg; alg != "greedy-improved" {
-		t.Errorf("greedy publish alg = %q", alg)
-	}
-	rung := col.pubs[1]
-	if rung.Alg != "bhr-fewround" || rung.Quality != QualityImproved {
-		t.Errorf("rung publish = alg %q quality %q", rung.Alg, rung.Quality)
-	}
-	if rung.Weight <= col.pubs[0].Weight {
-		t.Errorf("rung weight %d does not improve on greedy %d", rung.Weight, col.pubs[0].Weight)
-	}
-	full := col.pubs[2]
-	if full.Alg != "baseline" || full.Quality != QualityFull {
-		t.Errorf("full publish = alg %q quality %q", full.Alg, full.Quality)
-	}
-	st := tier.Stats()
-	if st.RungsRun != 4 || st.RungsAdopted != 1 {
-		t.Errorf("rung stats = run %d adopted %d, want 4/1", st.RungsRun, st.RungsAdopted)
-	}
-	if st.Improved != 1 || st.Upgraded != 1 || st.QueueDepth != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-// A ladder with no Full callback still terminates after its last rung.
-func TestTierRungsWithoutFull(t *testing.T) {
-	g := pathGraph(8)
-	var col collector
-	tier := manualTier(t, Options{Publish: col.publish})
-	tier.Enqueue(Task{
-		Key: "nf", G: g, Start: make([]bool, g.N()),
-		Ladder: func() []Rung {
-			return []Rung{{Name: "noop", Run: func() ([]bool, int64, error) {
-				return nil, 0, errFake
-			}}}
-		},
-	})
-	steps := 0
-	for tier.Step() {
-		if steps++; steps > 10 {
-			t.Fatal("task never completed")
-		}
-	}
-	if st := tier.Stats(); st.QueueDepth != 0 || st.RungsRun != 1 || st.RungsAdopted != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// Planning is the tier's work, not the producer's: Enqueue never calls
-// Ladder, and the first Step calls it exactly once for the task's life.
-func TestTierPlansLadderOnFirstStep(t *testing.T) {
-	g := pathGraph(12)
-	tier := manualTier(t, Options{Budget: 1 << 20})
-	planned := 0
-	tier.Enqueue(Task{
-		Key: "p", G: g, Start: make([]bool, g.N()),
-		Ladder: func() []Rung {
-			planned++
-			return []Rung{
-				{Name: "r1", Run: func() ([]bool, int64, error) { return nil, 0, errFake }},
-				{Name: "r2", Run: func() ([]bool, int64, error) { return nil, 0, errFake }},
-			}
-		},
-	})
-	if planned != 0 {
-		t.Fatalf("Enqueue called Ladder %d times", planned)
-	}
-	if !tier.Step() || planned != 1 {
-		t.Fatalf("first step: Ladder called %d times, want 1", planned)
-	}
-	for tier.Step() {
-	}
-	if st := tier.Stats(); planned != 1 || st.RungsRun != 2 || st.QueueDepth != 0 {
-		t.Fatalf("Ladder called %d times, stats %+v; want 1 call and both rungs run", planned, st)
-	}
-}
-
 // A task whose answer is already full is swept by the next Step with no
-// Ladder, Full or Publish call; the tasks behind and around it keep their
+// Full or Publish call; the tasks behind and around it keep their
 // FIFO order, and the published answers carry their task's graph hash.
 func TestTierSettlesDoneTasks(t *testing.T) {
 	g := pathGraph(10)
@@ -388,14 +241,8 @@ func TestTierSettlesDoneTasks(t *testing.T) {
 	full := map[string]bool{}
 	calls := map[string]int{}
 	mk := func(key string) Task {
-		count := func() {
-			mu.Lock()
-			calls[key]++
-			mu.Unlock()
-		}
 		return Task{
 			Key: key, G: g, GraphHash: "h-" + key, Start: make([]bool, g.N()),
-			Ladder: func() []Rung { count(); return nil },
 			Done: func() bool {
 				mu.Lock()
 				defer mu.Unlock()
@@ -403,7 +250,9 @@ func TestTierSettlesDoneTasks(t *testing.T) {
 			},
 			FullAlg: "alg",
 			Full: func() ([]bool, int64, error) {
-				count()
+				mu.Lock()
+				calls[key]++
+				mu.Unlock()
 				return make([]bool, g.N()), 0, nil
 			},
 		}
@@ -420,8 +269,8 @@ func TestTierSettlesDoneTasks(t *testing.T) {
 	if calls["a"] != 0 || calls["c"] != 0 {
 		t.Fatalf("settled tasks did work: %v", calls)
 	}
-	if calls["b"] != 2 || calls["d"] != 2 {
-		t.Fatalf("live tasks: %v, want one Ladder and one Full call each", calls)
+	if calls["b"] != 1 || calls["d"] != 1 {
+		t.Fatalf("live tasks: %v, want one Full call each", calls)
 	}
 	col.mu.Lock()
 	// Improved then full for each live task, in queue order.

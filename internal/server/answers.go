@@ -49,7 +49,7 @@ type storedAnswer struct {
 	// upgraded in place by the background repair tier.
 	Quality string `json:"quality"`
 	// Alg names the algorithm that produced the current set — the repair
-	// ladder rewrites it as the answer climbs rungs.
+	// tier rewrites it to greedy-improved, then to the full solve's name.
 	Alg     string    `json:"alg,omitempty"`
 	Updated time.Time `json:"updated"`
 	Error   string    `json:"error,omitempty"`

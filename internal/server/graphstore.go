@@ -13,9 +13,6 @@ import (
 	"time"
 
 	"distmwis/internal/graph"
-	"distmwis/internal/maxis"
-	"distmwis/internal/plan"
-	"distmwis/internal/protocol"
 	"distmwis/internal/reliable"
 	"distmwis/internal/repair"
 )
@@ -544,17 +541,10 @@ func (s *Server) healAnswer(ver *graphVersion, req *SolveRequest, prevSet []bool
 // keep a second copy of each graph alive in the queue, while the tier runs
 // only a few Full solves per second.
 //
-// Nothing is planned here, on the PATCH path: the tier calls Ladder on the
-// task's first step, and Done settles the task with no work at all once a
-// foreground solve has published the key at full quality — the same
+// The tier heals the set, publishes its greedy extension as improved, and
+// runs Full on the next tick. Done settles the task with no work at all
+// once a foreground solve has published the key at full quality — the same
 // bit-identical answer the task would have computed.
-//
-// Between the greedy improved answer and the full solve the task climbs the
-// planner's promotion ladder: one cheap whole-graph solve per budget step
-// (16 then 256 rounds' worth of work), each published only if it beats the
-// best weight so far. The ladder turns the degraded→full cliff into a
-// staircase — clients polling the answer key see quality climb in steps
-// whose cost the planner chose, not one long silence.
 func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, req *SolveRequest) {
 	cfg, err := req.maxisConfig(s.opts.SolveWorkers)
 	if err != nil {
@@ -567,7 +557,6 @@ func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, re
 		G:         g,
 		GraphHash: hash,
 		Start:     append([]bool(nil), set...),
-		Ladder:    func() []repair.Rung { return upgradeLadder(g, req, cfg) },
 		Done: func() bool {
 			a, ok := s.answers.get(key)
 			return ok && a.Quality == qualityFull
@@ -581,31 +570,4 @@ func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, re
 			return res.Set, res.Weight, nil
 		},
 	})
-}
-
-// upgradeLadder is the planner's promotion ladder for an upgrade task,
-// without req's own algorithm: the Full callback computes exactly that.
-func upgradeLadder(g *graph.Graph, req *SolveRequest, cfg maxis.Config) []repair.Rung {
-	prof := protocol.ProfileOf(g)
-	unit := int64(prof.N + 2*prof.M + 1)
-	ladder := plan.Ladder(plan.Request{
-		Profile: prof,
-		Params:  protocol.Params{Eps: req.Eps, Alpha: req.Alpha},
-		MIS:     cfg.MIS,
-	}, []int64{16 * unit, 256 * unit})
-	var rungs []repair.Rung
-	for _, d := range ladder {
-		if d.Alg == req.Alg {
-			continue
-		}
-		alg := d.Alg
-		rungs = append(rungs, repair.Rung{Name: alg, Run: func() ([]bool, int64, error) {
-			res, err := maxis.Solve(alg, g, req.Eps, req.Alpha, cfg)
-			if err != nil {
-				return nil, 0, err
-			}
-			return res.Set, res.Weight, nil
-		}})
-	}
-	return rungs
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -286,6 +287,38 @@ func TestPatchRefLoopSettlesRepairQueue(t *testing.T) {
 	}
 	if want := fmt.Sprintf("maxisd_repair_settled_total %d\n", len(healed)); !strings.Contains(string(body), want) {
 		t.Errorf("metrics output missing %q", want)
+	}
+}
+
+// A healed key climbs in exactly two working steps of the repair tier: the
+// greedy improved answer, then the full solve under the request's own
+// algorithm. No other solve runs or publishes between them.
+func TestPatchUpgradeTakesTwoSteps(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2, RepairInterval: time.Hour})
+	g := twoIslandGraph(t, 8, 20)
+	put := putGraph(t, ts, g)
+	if _, resp := postSolve(t, ts, SolveRequest{GraphRef: put.Hash, Alg: "goodnodes", Seed: 3}); resp.Status != "done" {
+		t.Fatalf("seed solve failed: %+v", resp)
+	}
+	_, patch := patchGraph(t, ts, put.Hash, graph.Edit{AddEdges: [][2]int32{{2, 13}}})
+	if !patch.Healed {
+		t.Fatalf("expected heal: %+v", patch)
+	}
+	// Each working step publishes at most once, so reading the key after
+	// every step sees every publish.
+	var climb []string
+	for steps := 0; s.repairTier.Step(); steps++ {
+		if steps == 10 {
+			t.Fatal("repair tier never drained")
+		}
+		_, a := getAnswer(t, ts, patch.AnswerKey)
+		climb = append(climb, a.Quality+"/"+a.Alg)
+	}
+	if want := []string{"improved/greedy-improved", "full/goodnodes"}; !slices.Equal(climb, want) {
+		t.Fatalf("answer after each working step: %v, want %v", climb, want)
+	}
+	if st := s.Stats(); st.RepairImproved != 1 || st.RepairUpgrades != 1 || st.RepairQueueDepth != 0 {
+		t.Fatalf("stats = %+v, want one improved and one full publish", st)
 	}
 }
 
