@@ -56,8 +56,10 @@ loadtest:
 	$(GO) run ./cmd/loadgen -addr http://localhost:8080 -rps 1000 \
 		-concurrency 16 -duration 10s -repeat 0.9
 
-# End-to-end serving smoke: boot maxisd, probe health + metrics, 5s loadgen
-# burst with zero failures, clean SIGTERM drain. Used by CI.
+# End-to-end serving smoke: boot maxisd with a journal, probe health +
+# metrics, 5s loadgen burst with zero failures, PUT + PATCH a graph, clean
+# SIGTERM drain, then reboot on the journal and serve the patched graph.
+# Used by CI.
 smoke:
 	./scripts/smoke.sh
 
@@ -69,7 +71,7 @@ chaos-soak:
 
 # Deterministic mutation soak: storms of journaled PATCHes raced against
 # readers under injected 500s/resets/panics, shadow-state hash verification,
-# healed-answer quality climb to "full", crash/replay of the graph journal.
+# healed-answer quality climb to "full", crash/replay of the journal.
 # Used by the CI chaos-smoke job.
 mutate-soak:
 	$(GO) test -race -run TestMutationSoak -count=1 -v ./internal/soak/

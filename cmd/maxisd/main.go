@@ -19,15 +19,21 @@
 // Usage:
 //
 //	maxisd -addr :8080 -workers 4 -cache-bytes 67108864 -rate 2000 \
-//	       -journal /var/lib/maxisd/jobs.wal
+//	       -journal /var/lib/maxisd/maxisd.wal
 //
-// -journal enables the write-ahead request journal: accepted async jobs
-// are durably logged before the 202 and replayed deterministically on the
-// next boot if the process dies mid-solve. -graph-journal does the same for
-// graph mutations: every accepted PUT/PATCH is durable before its ack and
-// replayed (hash-verified) on boot. -repair-interval and -repair-budget
-// tune the background tier that upgrades degraded answers. -chaos installs
-// the seeded fault injector of internal/chaos for soak testing.
+// -journal enables the write-ahead journal, one file for both kinds of
+// accepted work. Every graph PUT/PATCH is durable before it is acknowledged
+// or visible, and is replayed (hash-verified) on boot. Every async job is
+// durable before its 202 and, if the process dies mid-solve, is replayed
+// deterministically on the next boot. Concurrent records share fsyncs: an
+// append waits for the next sync to start after it was written and issues
+// that sync itself when none is in flight, so there is nothing to tune. A
+// deployment that ran the earlier two-file layout carries over after a
+// clean drain with `cat graphs.wal jobs.wal > maxisd.wal`.
+//
+// -repair-interval and -repair-budget tune the background tier that
+// upgrades degraded answers. -chaos installs the seeded fault injector of
+// internal/chaos for soak testing.
 //
 // -cluster turns the node into a sharded-serving front tier: POST
 // /v1/cluster/solve partitions the request's graph (internal/partition),
@@ -103,13 +109,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		shedDepth    = fs.Int("shed-depth", 0, "queue depth beyond which requests degrade to the greedy tier (default queue/2)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		restarts     = fs.Int("restart-budget", 32, "worker restarts beyond which /readyz degrades (negative disables)")
-		journal      = fs.String("journal", "", "write-ahead journal path for accepted async jobs (empty disables)")
-		graphJournal = fs.String("graph-journal", "", "write-ahead journal path for dynamic graph mutations (empty disables)")
+		journal      = fs.String("journal", "", "write-ahead journal path for graph mutations and accepted async jobs (empty disables)")
 		repairEvery  = fs.Duration("repair-interval", 0, "background repair tier tick interval (0 = default 50ms)")
 		repairBudget = fs.Int("repair-budget", 0, "re-admission examinations per repair tick (0 = default 4096)")
 		chaosSpec    = fs.String("chaos", "", "chaos schedule, e.g. seed=7,err=0.05,latency=0.1:20ms,panic-every=40 (empty disables)")
-		fsyncWindow  = fs.Duration("graph-fsync-window", 0, "graph journal group-commit window (0 = default 2ms, negative = sync per record)")
-		fsyncBatch   = fs.Int("graph-fsync-batch", 0, "graph journal records forcing an early group-commit sync (0 = default 32)")
 		planOpsPerMS = fs.Int64("plan-ops-per-ms", 0, "planner work-unit throughput for alg=auto deadline budgets (0 = default)")
 		clusterMode  = fs.Bool("cluster", false, "front a backend fleet: fan solves out over -backends via POST /v1/cluster/solve")
 		backendsCSV  = fs.String("backends", "", "comma-separated backend base URLs for -cluster, e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
@@ -150,21 +153,19 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 
 	opts := server.Options{
-		Workers:                 *workers,
-		SolveWorkers:            *solveWorkers,
-		QueueDepth:              *queueDepth,
-		CacheBytes:              *cacheBytes,
-		Rate:                    *rate,
-		Burst:                   *burst,
-		ShedDepth:               *shedDepth,
-		PlannerOpsPerMS:         *planOpsPerMS,
-		DrainTimeout:            *drainTimeout,
-		RestartBudget:           *restarts,
-		Chaos:                   injector,
-		RepairInterval:          *repairEvery,
-		RepairBudget:            *repairBudget,
-		GraphJournalGroupWindow: *fsyncWindow,
-		GraphJournalGroupBatch:  *fsyncBatch,
+		Workers:         *workers,
+		SolveWorkers:    *solveWorkers,
+		QueueDepth:      *queueDepth,
+		CacheBytes:      *cacheBytes,
+		Rate:            *rate,
+		Burst:           *burst,
+		ShedDepth:       *shedDepth,
+		PlannerOpsPerMS: *planOpsPerMS,
+		DrainTimeout:    *drainTimeout,
+		RestartBudget:   *restarts,
+		Chaos:           injector,
+		RepairInterval:  *repairEvery,
+		RepairBudget:    *repairBudget,
 	}
 	var coord *cluster.Coordinator
 	if *clusterMode {
@@ -183,20 +184,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	s := server.New(opts)
 	if *journal != "" {
-		recovered, err := s.OpenJournal(*journal)
+		recovered, replayed, err := s.OpenJournal(*journal)
 		if err != nil {
 			fmt.Fprintf(stderr, "maxisd: journal: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "maxisd: journal %s open, recovered %d jobs\n", *journal, recovered)
-	}
-	if *graphJournal != "" {
-		replayed, err := s.OpenGraphJournal(*graphJournal)
-		if err != nil {
-			fmt.Fprintf(stderr, "maxisd: graph journal: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "maxisd: graph journal %s open, replayed %d mutations\n", *graphJournal, replayed)
+		fmt.Fprintf(stdout, "maxisd: journal %s open, recovered %d jobs, replayed %d mutations\n", *journal, recovered, replayed)
 	}
 	httpSrv := &http.Server{
 		Addr:              *addr,

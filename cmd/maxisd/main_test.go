@@ -179,7 +179,7 @@ func TestDaemonSIGINTWithJournalAndChaos(t *testing.T) {
 	for _, want := range []string{
 		"shutdown signal received (interrupt)",
 		"drained, exiting",
-		"journal " + journal + " open, recovered 0 jobs",
+		"journal " + journal + " open, recovered 0 jobs, replayed 0 mutations",
 		"chaos injection armed",
 	} {
 		if !strings.Contains(out.String(), want) {
@@ -201,12 +201,12 @@ func TestDaemonSIGINTWithJournalAndChaos(t *testing.T) {
 	}
 }
 
-// TestDaemonGraphJournalSurvivesRestart boots the daemon with
-// -graph-journal, PUTs and PATCHes a graph, stops the daemon, then boots a
-// second one on the same journal: the mutation must have been replayed and
-// the handle must resolve through its original hash.
+// TestDaemonGraphJournalSurvivesRestart boots the daemon with -journal,
+// PUTs and PATCHes a graph, stops the daemon, then boots a second one on
+// the same journal: the mutation must have been replayed and the handle
+// must resolve through its original hash.
 func TestDaemonGraphJournalSurvivesRestart(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "graphs.wal")
+	journal := filepath.Join(t.TempDir(), "maxisd.wal")
 	boot := func() (addr string, out *bytes.Buffer, done chan int) {
 		out = &bytes.Buffer{}
 		ready := make(chan string, 1)
@@ -214,7 +214,7 @@ func TestDaemonGraphJournalSurvivesRestart(t *testing.T) {
 		go func() {
 			done <- run([]string{
 				"-addr", "127.0.0.1:0", "-workers", "2",
-				"-graph-journal", journal,
+				"-journal", journal,
 				"-repair-interval", "1ms", "-repair-budget", "64",
 			}, out, out, ready)
 		}()
@@ -274,8 +274,8 @@ func TestDaemonGraphJournalSurvivesRestart(t *testing.T) {
 	// Read the output only after the daemon exited — the done channel is the
 	// happens-before edge; reading the shared buffer while the daemon can
 	// still write (its shutdown lines) is a data race.
-	if !strings.Contains(out.String(), "graph journal "+journal+" open, replayed 0 mutations") {
-		t.Fatalf("missing graph journal boot line:\n%s", out.String())
+	if !strings.Contains(out.String(), "journal "+journal+" open, recovered 0 jobs, replayed 0 mutations") {
+		t.Fatalf("missing journal boot line:\n%s", out.String())
 	}
 
 	addr, out, done = boot()

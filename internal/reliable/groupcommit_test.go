@@ -8,9 +8,26 @@ import (
 	"time"
 )
 
-// TestWALGroupCommitAmortisesSyncs: N concurrent appends under group
-// commit must complete with far fewer fsyncs than appends, and every
-// record must still be on disk when its append returns.
+// readRecords reads the journal at path without opening it for append.
+func readRecords(t *testing.T, path string) []WALRecord {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := ReadWAL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestWALGroupCommitAmortisesSyncs: appends that write their lines while a
+// sync is in flight share the next sync, with no setup call, and every
+// record is on disk when its append returns. The in-flight sync is held
+// open by the test: on a filesystem whose fsync returns before the next
+// append arrives (tmpfs) nothing would overlap, and no batch could form.
 func TestWALGroupCommitAmortisesSyncs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, _, err := OpenWAL(path)
@@ -18,9 +35,11 @@ func TestWALGroupCommitAmortisesSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	w.SetGroupCommit(5*time.Millisecond, 16)
 
 	const appends = 64
+	w.mu.Lock()
+	w.syncing = true
+	w.mu.Unlock()
 	var wg sync.WaitGroup
 	errs := make([]error, appends)
 	for i := 0; i < appends; i++ {
@@ -30,87 +49,126 @@ func TestWALGroupCommitAmortisesSyncs(t *testing.T) {
 			errs[i] = w.Apply("gc", map[string]int{"i": i})
 		}(i)
 	}
+	waitWritten(t, w, appends)
+	finishStalledSync(w)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-
-	// Every returned append is durable: the file holds all records.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadWAL(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != appends {
+	if recs := readRecords(t, path); len(recs) != appends {
 		t.Fatalf("%d records on disk, want %d", len(recs), appends)
 	}
-
-	// The whole point: far fewer syncs than appends. 64 appends racing a
-	// 16-record batch trigger can need at most ~appends/2 syncs even under
-	// worst-case scheduling; without batching it would be exactly 64.
-	if syncs := w.Syncs(); syncs >= appends/2 {
-		t.Fatalf("%d syncs for %d appends — group commit not amortising", syncs, appends)
-	} else if syncs == 0 {
-		t.Fatal("zero syncs recorded")
+	// One sync per append would be exactly 64; the first waiter to wake
+	// syncs everything written.
+	if syncs := w.Syncs(); syncs != 1 {
+		t.Fatalf("%d syncs for %d appends written behind one in-flight sync, want 1", syncs, appends)
 	}
 }
 
-// TestWALGroupCommitWindowFlush: a single append must not wait for a full
-// batch — the window timer flushes it.
-func TestWALGroupCommitWindowFlush(t *testing.T) {
+// TestWALLoneAppendSyncsOnce: an append with no sync in flight issues its
+// own sync at once and returns with nothing left pending.
+func TestWALLoneAppendSyncsOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, _, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	w.SetGroupCommit(2*time.Millisecond, 1<<20) // batch trigger unreachable
 
-	start := time.Now()
 	if err := w.Begin("solo", map[string]string{"k": "v"}); err != nil {
 		t.Fatal(err)
 	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("lone append waited %v for a batch that never fills", waited)
-	}
 	if w.Syncs() != 1 {
-		t.Fatalf("Syncs = %d after one append", w.Syncs())
+		t.Fatalf("Syncs = %d after one append, want 1", w.Syncs())
+	}
+	w.mu.Lock()
+	written, synced, syncing := w.written, w.synced, w.syncing
+	w.mu.Unlock()
+	if written != 1 || synced != 1 || syncing {
+		t.Fatalf("after a lone append: written %d synced %d syncing %v", written, synced, syncing)
+	}
+	if recs := readRecords(t, path); len(recs) != 1 || recs[0].ID != "solo" {
+		t.Fatalf("on disk: %+v", recs)
 	}
 }
 
-// TestWALGroupCommitCloseFlushes: Close with a batch pending must sync it
-// and release the waiter rather than hang or drop the record.
+// stallSync marks a sync as in flight, as if another append's fsync had
+// started before the next line was written, and starts an append that must
+// wait behind it. It returns once that append has written its line, with
+// the append's result channel.
+func stallSync(t *testing.T, w *WAL, id string) <-chan error {
+	t.Helper()
+	w.mu.Lock()
+	w.syncing = true
+	w.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- w.Apply(id, map[string]int{"x": 1}) }()
+	waitWritten(t, w, 1)
+	return done
+}
+
+// waitWritten waits until n lines have been written to w.
+func waitWritten(t *testing.T, w *WAL, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		w.mu.Lock()
+		written := w.written
+		w.mu.Unlock()
+		if written == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d lines written", written, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// finishStalledSync completes the sync stallSync put in flight. It covered
+// nothing: it started before the waiting append's line was written.
+func finishStalledSync(w *WAL) {
+	w.mu.Lock()
+	w.syncing = false
+	w.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// waitOp runs op in the background and checks it does not complete while
+// the stalled sync is in flight; it then finishes that sync and returns
+// op's result.
+func waitOp(t *testing.T, w *WAL, op func() error) error {
+	t.Helper()
+	res := make(chan error, 1)
+	go func() { res <- op() }()
+	select {
+	case err := <-res:
+		t.Fatalf("returned with a sync in flight (err %v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	finishStalledSync(w)
+	select {
+	case err := <-res:
+		return err
+	case <-time.After(2 * time.Second):
+		t.Fatal("hung after the in-flight sync completed")
+	}
+	return nil
+}
+
+// TestWALGroupCommitCloseFlushes: Close with a sync in flight waits for it,
+// then syncs the line an append is still waiting on, releasing the waiter
+// with its record on disk.
 func TestWALGroupCommitCloseFlushes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, _, err := OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetGroupCommit(10*time.Second, 1<<20) // neither trigger can fire
-
-	done := make(chan error, 1)
-	go func() { done <- w.Begin("pending", nil) }()
-	// Wait until the append has joined the batch, then Close underneath it.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		w.mu.Lock()
-		joined := w.batch != nil
-		w.mu.Unlock()
-		if joined {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("append never joined a batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := w.Close(); err != nil {
+	done := stallSync(t, w, "pending")
+	if err := waitOp(t, w, w.Close); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -121,16 +179,13 @@ func TestWALGroupCommitCloseFlushes(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("append hung after Close")
 	}
-	f, _ := os.Open(path)
-	recs, err := ReadWAL(f)
-	f.Close()
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("recs=%d err=%v; the pre-Close append must be durable", len(recs), err)
+	if recs := readRecords(t, path); len(recs) != 1 || recs[0].ID != "pending" {
+		t.Fatalf("on disk: %+v; the pre-Close append must be durable", recs)
 	}
 }
 
-// TestWALGroupCommitRewriteFlushes: Rewrite must flush the open batch
-// before swapping files, releasing waiters with a successful sync.
+// TestWALGroupCommitRewriteFlushes: Rewrite with a sync in flight waits for
+// it and syncs the waiting append's line before swapping files.
 func TestWALGroupCommitRewriteFlushes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	w, _, err := OpenWAL(path)
@@ -138,24 +193,13 @@ func TestWALGroupCommitRewriteFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	w.SetGroupCommit(10*time.Second, 1<<20)
-
-	done := make(chan error, 1)
-	go func() { done <- w.Apply("state", map[string]int{"x": 1}) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		w.mu.Lock()
-		joined := w.batch != nil
-		w.mu.Unlock()
-		if joined {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("append never joined a batch")
-		}
-		time.Sleep(time.Millisecond)
+	// The hard link keeps the pre-Rewrite file readable after the swap.
+	old := path + ".old"
+	if err := os.Link(path, old); err != nil {
+		t.Fatal(err)
 	}
-	if err := w.Rewrite(nil); err != nil {
+	done := stallSync(t, w, "state")
+	if err := waitOp(t, w, func() error { return w.Rewrite(nil) }); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -166,27 +210,14 @@ func TestWALGroupCommitRewriteFlushes(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("append hung across Rewrite")
 	}
+	if recs := readRecords(t, old); len(recs) != 1 || recs[0].ID != "state" {
+		t.Fatalf("replaced file: %+v; the waiting append must be durable", recs)
+	}
 	// Appends still work after the rewrite reopened the file.
 	if err := w.Commit("state"); err != nil {
 		t.Fatalf("append after Rewrite: %v", err)
 	}
-}
-
-// TestWALSyncPerAppendDefault: without SetGroupCommit every append costs
-// its own fsync — the pre-batching behaviour, still the default.
-func TestWALSyncPerAppendDefault(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	w, _, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for i := 0; i < 5; i++ {
-		if err := w.Commit("x"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Syncs() != 5 {
-		t.Fatalf("Syncs = %d for 5 unbatched appends", w.Syncs())
+	if recs := readRecords(t, path); len(recs) != 1 || recs[0].Op != WALCommit {
+		t.Fatalf("after Rewrite and one append: %+v", recs)
 	}
 }

@@ -10,16 +10,15 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file exports the write-ahead journal the serving tier uses for
-// accepted batch jobs. It is the durable-storage sibling of the
-// Checkpointer snapshot+replay idiom above: the journal file plays the
-// role of the transport's input log (every accepted unit of work is logged
-// before it is acknowledged), and compaction-on-open plays the role of the
-// snapshot (completed work is dropped, only pending work survives into the
-// rewritten file). Recovery is then deterministic replay: re-executing a
+// accepted batch jobs and graph mutations, one file for both. It is the
+// durable-storage sibling of the Checkpointer snapshot+replay idiom above:
+// the journal file plays the role of the transport's input log (every
+// accepted unit of work is logged before it is acknowledged), and
+// compaction-on-open plays the role of the snapshot (completed work is
+// dropped, only pending work survives into the rewritten file). Recovery is then deterministic replay: re-executing a
 // pending record reproduces the lost result exactly, because solves are
 // pure functions of their logged request.
 
@@ -49,55 +48,35 @@ type WALRecord struct {
 }
 
 // WAL is an append-only, fsync-before-return write-ahead journal of
-// begin/commit records. Concurrency-safe; every append is durable before
-// the method returns, so a record present in memory is present on disk —
-// the invariant crash recovery builds on.
+// begin/commit/apply records. Concurrency-safe; every append is durable
+// before the method returns, so a record present in memory is present on
+// disk — the invariant crash recovery builds on.
 //
-// By default each append issues its own fsync. SetGroupCommit enables
-// group commit: appends arriving within a small window share one fsync,
-// which turns a mutation storm's per-record fsync cost into one sync per
-// batch without weakening the contract — each append still blocks until
-// the sync covering its record has completed.
+// Durability is self-clocking group commit. An append writes its line and
+// then waits for an fsync that started after the line was written; if no
+// fsync is in flight it issues one itself, covering everything written so
+// far. A lone append therefore syncs at once, and appends that arrive while
+// a sync is in flight share the next one: the batch size follows the load
+// and the fsync latency, with no window or batch knob to tune.
 type WAL struct {
 	mu   sync.Mutex
+	cond *sync.Cond // signalled when a sync completes; uses mu
 	path string
 	f    *os.File
 
-	// Group-commit state (all guarded by mu). window <= 0 means each
-	// append syncs individually.
-	window   time.Duration
-	maxBatch int
-	batch    *walBatch // open batch collecting unsynced appends, or nil
-	timer    *time.Timer
-	syncs    atomic.Int64
+	written int64 // lines written to f
+	synced  int64 // lines covered by a completed fsync
+	syncing bool  // an fsync is in flight (mu released for its duration)
+	// err is a failed fsync. It leaves the durability of every line written
+	// since the last good sync unknown, so it fails their appends and every
+	// later one; the journal has to be reopened.
+	err   error
+	syncs atomic.Int64
 }
 
-// walBatch is one group of appends sharing an fsync. Waiters block on done
-// and read err afterwards.
-type walBatch struct {
-	done    chan struct{}
-	err     error
-	pending int
-}
-
-// SetGroupCommit enables batched fsyncs: a sync is issued when the oldest
-// unsynced record has waited window, or when maxBatch records are pending,
-// whichever comes first (maxBatch <= 0 selects 32). window <= 0 restores
-// sync-per-append. Safe to call on a live WAL; in-flight batches flush
-// under their original settings.
-func (w *WAL) SetGroupCommit(window time.Duration, maxBatch int) {
-	if maxBatch <= 0 {
-		maxBatch = 32
-	}
-	w.mu.Lock()
-	w.window = window
-	w.maxBatch = maxBatch
-	w.mu.Unlock()
-}
-
-// Syncs reports how many fsyncs the WAL has issued through append paths —
-// the observable group-commit amortisation (Rewrite/compaction syncs are
-// not counted).
+// Syncs reports how many fsyncs of the open file the WAL has issued — the
+// observable group-commit amortisation (the whole-file syncs of compaction
+// and Rewrite are not counted).
 func (w *WAL) Syncs() int64 { return w.syncs.Load() }
 
 // OpenWAL opens (creating if needed) the journal at path, returning the
@@ -124,7 +103,9 @@ func OpenWAL(path string) (*WAL, []WALRecord, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("reliable: wal open: %w", err)
 	}
-	return &WAL{path: path, f: f}, retained, nil
+	w := &WAL{path: path, f: f}
+	w.cond = sync.NewCond(&w.mu)
+	return w, retained, nil
 }
 
 // retainWAL reduces a record sequence to what compaction must keep:
@@ -222,8 +203,8 @@ func (w *WAL) Rewrite(recs []WALRecord) error {
 	if w.f == nil {
 		return fmt.Errorf("reliable: wal rewrite after Close")
 	}
-	// A pending group-commit batch must reach disk (and release its
-	// waiters) before the file is swapped out from under it.
+	// Appends waiting on a sync must be released, their records on disk,
+	// before the file is swapped out from under them.
 	w.flushLocked()
 	if err := w.f.Close(); err != nil {
 		w.f = nil
@@ -255,74 +236,67 @@ func (w *WAL) append(rec WALRecord) error {
 	}
 	line = append(line, '\n')
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.f == nil {
-		w.mu.Unlock()
 		return fmt.Errorf("reliable: wal append after Close")
 	}
+	if w.err != nil {
+		return fmt.Errorf("reliable: wal sync: %w", w.err)
+	}
 	if _, err := w.f.Write(line); err != nil {
-		w.mu.Unlock()
 		return fmt.Errorf("reliable: wal append: %w", err)
 	}
-	if w.window <= 0 {
-		// Sync-per-append: durable before return, no sharing.
-		err := w.f.Sync()
-		w.syncs.Add(1)
-		w.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("reliable: wal sync: %w", err)
+	w.written++
+	seq := w.written
+	// A sync in flight may have started before this line was written, so
+	// only a completed sync whose coverage reaches seq releases it.
+	for w.synced < seq {
+		switch {
+		case w.err != nil:
+			return fmt.Errorf("reliable: wal sync: %w", w.err)
+		case w.syncing:
+			w.cond.Wait()
+		default:
+			w.syncLocked()
 		}
-		return nil
-	}
-	// Group commit: join (or open) the current batch, then wait for the
-	// sync that covers this record. The record is on the OS side of the
-	// file already; only its durability point is shared.
-	if w.batch == nil {
-		b := &walBatch{done: make(chan struct{})}
-		w.batch = b
-		w.timer = time.AfterFunc(w.window, func() {
-			w.mu.Lock()
-			if w.batch == b { // still open — not already flushed by maxBatch
-				w.flushLocked()
-			}
-			w.mu.Unlock()
-		})
-	}
-	b := w.batch
-	b.pending++
-	if b.pending >= w.maxBatch {
-		w.flushLocked()
-	}
-	w.mu.Unlock()
-	<-b.done
-	if b.err != nil {
-		return fmt.Errorf("reliable: wal sync: %w", b.err)
 	}
 	return nil
 }
 
-// flushLocked syncs and releases the open batch. Caller holds w.mu and has
-// checked w.batch != nil (or calls only when it is).
-func (w *WAL) flushLocked() {
-	b := w.batch
-	if b == nil {
-		return
-	}
-	w.batch = nil
-	if w.timer != nil {
-		w.timer.Stop()
-		w.timer = nil
-	}
-	if w.f == nil {
-		b.err = fmt.Errorf("wal closed before batch sync")
+// syncLocked fsyncs every line written so far. Caller holds w.mu, which is
+// released for the duration of the fsync so that appends arriving meanwhile
+// write their lines and queue for the next sync.
+func (w *WAL) syncLocked() {
+	w.syncing = true
+	target, f := w.written, w.f
+	w.mu.Unlock()
+	err := f.Sync()
+	w.mu.Lock()
+	w.syncing = false
+	w.syncs.Add(1)
+	if err != nil {
+		w.err = err
 	} else {
-		b.err = w.f.Sync()
-		w.syncs.Add(1)
+		w.synced = target
 	}
-	close(b.done)
+	w.cond.Broadcast()
 }
 
-// Close releases the journal file, first flushing any pending group-commit
-// batch so no waiter hangs. Appends after Close fail.
+// flushLocked returns, holding w.mu, once no sync is in flight and every
+// line written is covered by a completed one (or a sync has failed), so no
+// append is left waiting on the file. Caller holds w.mu and w.f is open.
+func (w *WAL) flushLocked() {
+	for w.err == nil && (w.syncing || w.synced < w.written) {
+		if w.syncing {
+			w.cond.Wait()
+		} else {
+			w.syncLocked()
+		}
+	}
+}
+
+// Close releases the journal file, first syncing every line an append is
+// still waiting on so no waiter hangs. Appends after Close fail.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -340,26 +314,28 @@ func (w *WAL) Close() error {
 // writing.
 func ReadWAL(r io.Reader) ([]WALRecord, error) {
 	var recs []WALRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	// No line-length cap: every line was written by an append that was
+	// acknowledged, however large its payload.
+	br := bufio.NewReader(r)
+	for {
+		line, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("reliable: wal read: %w", err)
 		}
-		var rec WALRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A malformed line can only be the torn tail of a crashed
-			// append; everything after it is unreachable by construction
-			// (appends are sequential), so stop here.
-			break
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			var rec WALRecord
+			if json.Unmarshal(line, &rec) != nil {
+				// A malformed line can only be the torn tail of a crashed
+				// append; everything after it is unreachable by construction
+				// (appends are sequential), so stop here.
+				return recs, nil
+			}
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
+		if err == io.EOF {
+			return recs, nil
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reliable: wal read: %w", err)
-	}
-	return recs, nil
 }
 
 // PendingWAL reduces a record sequence to the begins that were never

@@ -227,3 +227,28 @@ func TestWALRewriteSnapshotsApplyLog(t *testing.T) {
 		t.Fatalf("rewritten journal = %+v, want [snapshot, mut-after]", applies)
 	}
 }
+
+// A record longer than any fixed line buffer (here 17 MB) is acknowledged
+// by Apply, so reopening the journal must read it back whole.
+func TestWALReopensOversizedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.wal")
+	w, _ := openTestWAL(t, path)
+	big := walPayload{Graph: strings.Repeat("g", 17<<20), Seed: 7}
+	if err := w.Apply("g-1", big); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, retained := openTestWAL(t, path)
+	if len(retained) != 1 {
+		t.Fatalf("retained %d records, want the oversized apply", len(retained))
+	}
+	var got walPayload
+	if err := json.Unmarshal(retained[0].Data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Graph) != len(big.Graph) || got.Seed != big.Seed {
+		t.Fatalf("oversized record read back as %d bytes, seed %d", len(got.Graph), got.Seed)
+	}
+}

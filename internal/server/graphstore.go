@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"distmwis/internal/graph"
 	"distmwis/internal/reliable"
@@ -27,14 +26,14 @@ import (
 // in-flight solves and queued repair tasks holding the old snapshot remain
 // sound.
 //
-// Durability mirrors the request journal (journal.go) but records state
-// changes, not pending work: every accepted PUT and PATCH is an apply
-// record in its own reliable.WAL, fsynced before the acknowledgement.
-// PATCH records carry the expected resulting hash, so boot-time replay
-// verifies bit-identical reconstruction — ApplyEdit is deterministic, so a
-// hash mismatch can only mean a corrupt journal, which is refused loudly
-// rather than served quietly. After replay the journal is snapshot-
-// compacted (Rewrite): one put record per live handle, so it is bounded by
+// Durability shares the server's one journal file with async jobs
+// (journal.go), but records state changes, not pending work: every
+// accepted PUT and PATCH is an apply record, fsynced before the mutation is
+// acknowledged or visible. PATCH records carry the expected resulting hash,
+// so boot-time replay verifies bit-identical reconstruction — ApplyEdit is
+// deterministic, so a hash mismatch can only mean a corrupt journal, which
+// is refused loudly rather than served quietly. After replay the journal is
+// snapshot-compacted: one put record per live handle, so it is bounded by
 // live state, not mutation history.
 //
 // Each mutation also drives the self-healing pipeline:
@@ -113,7 +112,6 @@ type graphStore struct {
 	byHash map[string]*dynGraph
 	order  []*dynGraph // insertion order, for deterministic snapshots
 	seq    int
-	wal    *reliable.WAL
 
 	mutations    int64
 	invalidated  int64
@@ -133,7 +131,7 @@ func newGraphStore() *graphStore {
 	return &graphStore{byHash: make(map[string]*dynGraph)}
 }
 
-// graphWALData is the payload of one graph-journal apply record.
+// graphWALData is the payload of one graph apply record in the journal.
 type graphWALData struct {
 	Kind string `json:"kind"` // "put" or "patch"
 	// Graph is the jsonDoc bytes of a put (or snapshot) record.
@@ -172,93 +170,55 @@ func (gs *graphStore) snapshot(hash string) (*graphVersion, bool) {
 	return h.ver, true
 }
 
-// OpenGraphJournal attaches the graph write-ahead journal at path and
-// replays it: put records re-register handles, patch records re-apply
-// their edits and are verified against the journaled resulting hash.
-// After replay the journal is snapshot-compacted to one record per live
-// handle. Must be called before traffic, at most once. Returns the number
-// of records replayed.
-func (s *Server) OpenGraphJournal(path string) (int, error) {
-	gs := s.graphs
+// replay rebuilds the handles from a journal's apply records: put records
+// re-register handles, patch records re-apply their edits and are verified
+// against the journaled resulting hash. It returns the number of records
+// replayed and the snapshot that replaces them, one put record per live
+// handle.
+func (gs *graphStore) replay(recs []reliable.WALRecord) (int, []reliable.WALRecord, error) {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	if gs.wal != nil {
-		return 0, fmt.Errorf("server: graph journal already open at %s", gs.wal.Path())
-	}
-	wal, retained, err := reliable.OpenWAL(path)
-	if err != nil {
-		return 0, err
-	}
-	// Mutation storms ack at fsync cadence, so the graph WAL group-commits:
-	// appends landing within the window share one sync, still blocking the
-	// acknowledgement until their record is durable.
-	window := s.opts.GraphJournalGroupWindow
-	if window == 0 {
-		window = 2 * time.Millisecond
-	}
-	if window > 0 {
-		batch := s.opts.GraphJournalGroupBatch
-		if batch <= 0 {
-			batch = 32
-		}
-		wal.SetGroupCommit(window, batch)
-	}
-	replayed := 0
-	for _, rec := range reliable.ApplyWAL(retained) {
+	for _, rec := range recs {
 		var d graphWALData
 		if err := json.Unmarshal(rec.Data, &d); err != nil {
-			wal.Close()
-			return 0, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
+			return 0, nil, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
 		}
 		switch d.Kind {
 		case "put":
 			g, err := graph.ReadJSON(bytes.NewReader(d.Graph))
 			if err != nil {
-				wal.Close()
-				return 0, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
+				return 0, nil, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
 			}
 			gs.register(rec.ID, putVersion(g), d.Aliases, d.Version)
 			gs.seq++
 		case "patch":
 			h, ok := gs.byHash[d.Prev]
 			if !ok || h.ver.hash != d.Prev || d.Edit == nil {
-				wal.Close()
-				return 0, fmt.Errorf("server: graph journal %s: patch against unknown state %s", rec.ID, d.Prev)
+				return 0, nil, fmt.Errorf("server: graph journal %s: patch against unknown state %s", rec.ID, d.Prev)
 			}
 			nv, _, err := h.ver.derive(*d.Edit)
 			if err != nil {
-				wal.Close()
-				return 0, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
+				return 0, nil, fmt.Errorf("server: graph journal %s: %w", rec.ID, err)
 			}
 			if nv.hash != d.Next {
 				// Deterministic replay means this is impossible on an intact
 				// journal; refusing to boot beats serving forked state.
-				wal.Close()
-				return 0, fmt.Errorf("server: graph journal %s: replay hash %s != journaled %s", rec.ID, nv.hash, d.Next)
+				return 0, nil, fmt.Errorf("server: graph journal %s: replay hash %s != journaled %s", rec.ID, nv.hash, d.Next)
 			}
 			gs.advance(h, nv)
 		default:
-			wal.Close()
-			return 0, fmt.Errorf("server: graph journal %s: unknown kind %q", rec.ID, d.Kind)
+			return 0, nil, fmt.Errorf("server: graph journal %s: unknown kind %q", rec.ID, d.Kind)
 		}
-		replayed++
 	}
-	// Snapshot-compact: mutation history collapses to one put per handle.
 	snap := make([]reliable.WALRecord, 0, len(gs.order))
 	for _, h := range gs.order {
 		data, err := putRecord(h)
 		if err != nil {
-			wal.Close()
-			return 0, err
+			return 0, nil, err
 		}
 		snap = append(snap, reliable.WALRecord{Op: reliable.WALApply, ID: h.id, Data: data})
 	}
-	if err := wal.Rewrite(snap); err != nil {
-		wal.Close()
-		return 0, err
-	}
-	gs.wal = wal
-	return replayed, nil
+	return len(recs), snap, nil
 }
 
 func putRecord(h *dynGraph) (json.RawMessage, error) {
@@ -369,10 +329,10 @@ func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	gs.seq++
 	id := fmt.Sprintf("g-%d", gs.seq)
-	if gs.wal != nil {
+	if s.wal != nil {
 		data, err := json.Marshal(graphWALData{Kind: "put", Graph: raw})
 		if err == nil {
-			err = gs.wal.Apply(id, json.RawMessage(data))
+			err = s.wal.Apply(id, json.RawMessage(data))
 		}
 		if err != nil {
 			gs.mu.Unlock()
@@ -469,11 +429,14 @@ func (s *Server) handlePatchGraph(w http.ResponseWriter, r *http.Request) {
 	next := nv.hash
 	// The write-ahead contract, same as for async jobs: the apply record —
 	// with the expected resulting hash, for verified replay — is durable
-	// before the mutation is acknowledged or even visible in memory.
-	if gs.wal != nil {
+	// before the mutation is acknowledged or even visible in memory. The
+	// store lock stays held across the sync, so graph records reach the
+	// journal in the order their edits applied (replay checks each Prev);
+	// they share syncs only with concurrent job records.
+	if s.wal != nil {
 		data, jerr := json.Marshal(graphWALData{Kind: "patch", Prev: prev, Next: next, Edit: &edit})
 		if jerr == nil {
-			jerr = gs.wal.Apply(h.id, json.RawMessage(data))
+			jerr = s.wal.Apply(h.id, json.RawMessage(data))
 		}
 		if jerr != nil {
 			gs.mu.Unlock()

@@ -327,7 +327,13 @@ func TestPatchUpgradeTakesTwoSteps(t *testing.T) {
 // promotes into the cache is tagged with that hash, so the next PATCH of
 // the handle invalidates it.
 func TestUpgradeAfterRegistryEvictionKeepsGraphHash(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 2, RepairInterval: time.Hour, AnswerHistory: 1})
+	s := New(Options{Workers: 2, RepairInterval: time.Hour})
+	s.answers = newAnswerRegistry(1)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = s.Drain()
+	})
 	g := twoIslandGraph(t, 8, 20)
 	put := putGraph(t, ts, g)
 	if _, resp := postSolve(t, ts, SolveRequest{GraphRef: put.Hash, Alg: "goodnodes", Seed: 3}); resp.Status != "done" {
@@ -426,7 +432,7 @@ func TestGraphJournalReplayAndCompaction(t *testing.T) {
 	edit := graph.Edit{AddEdges: [][2]int32{{0, 19}}, Weights: []graph.WeightUpdate{{V: 1, W: 50}}}
 
 	s1 := New(Options{Workers: 2})
-	if n, err := s1.OpenGraphJournal(path); err != nil || n != 0 {
+	if _, n, err := s1.OpenJournal(path); err != nil || n != 0 {
 		t.Fatalf("first open: n=%d err=%v", n, err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
@@ -444,7 +450,7 @@ func TestGraphJournalReplayAndCompaction(t *testing.T) {
 	}
 
 	s2 := New(Options{Workers: 2})
-	replayed, err := s2.OpenGraphJournal(path)
+	_, replayed, err := s2.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +551,7 @@ func TestGraphJournalReplayMatchesRefChain(t *testing.T) {
 	wantComponents := []int{5, 5, 5, 6, 4}
 	boot := func() (*Server, *httptest.Server, int) {
 		s := New(Options{Workers: 2})
-		n, err := s.OpenGraphJournal(path)
+		_, n, err := s.OpenJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,7 +651,7 @@ func TestGraphJournalRecoversUnackedPatch(t *testing.T) {
 	wal.Close() // the crash: no ack ever left the process
 
 	s := New(Options{Workers: 1})
-	if _, err := s.OpenGraphJournal(path); err != nil {
+	if _, _, err := s.OpenJournal(path); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Drain(); _ = s.Close() })

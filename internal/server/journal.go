@@ -12,7 +12,11 @@ import (
 )
 
 // This file wires the reliable.WAL write-ahead journal into the serving
-// tier. The contract, verified by the chaos soak test:
+// tier. One file holds both record kinds: apply records of graph PUTs and
+// PATCHes (graphstore.go) and begin/commit records of async jobs. Every
+// record is fsynced before what it records is acknowledged; concurrent
+// appends share fsyncs through the WAL's self-clocking group commit. The
+// job contract, verified by the chaos soak test:
 //
 //  1. Every async job is journaled (begin record with the full normalized
 //     request) BEFORE the 202 acknowledgement is written.
@@ -26,22 +30,30 @@ import (
 // exactly-once-equivalent: a job that completed but crashed before its
 // commit reached disk is simply solved again to the same answer.
 
-// OpenJournal attaches the write-ahead journal at path and replays every
-// pending (accepted-but-uncommitted) job from a previous process. It must
-// be called before the server starts accepting traffic, and at most once.
-// Returns the number of jobs recovered.
-func (s *Server) OpenJournal(path string) (int, error) {
+// OpenJournal attaches the write-ahead journal at path. It must be called
+// before the server starts accepting traffic, and at most once. In order,
+// it replays the apply records into graph handles (hash-verified), rewrites
+// the file as one put record per live handle followed by every uncommitted
+// begin, and re-enqueues the pending jobs. Returns the number of jobs
+// recovered and of graph records replayed.
+func (s *Server) OpenJournal(path string) (jobs, mutations int, err error) {
 	if s.wal != nil {
-		return 0, fmt.Errorf("server: journal already open at %s", s.wal.Path())
+		return 0, 0, fmt.Errorf("server: journal already open at %s", s.wal.Path())
 	}
 	wal, retained, err := reliable.OpenWAL(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
+	}
+	mutations, snap, err := s.graphs.replay(reliable.ApplyWAL(retained))
+	pending := reliable.PendingWAL(retained)
+	if err == nil {
+		err = wal.Rewrite(append(snap, pending...))
+	}
+	if err != nil {
+		wal.Close()
+		return 0, 0, err
 	}
 	s.wal = wal
-	// The request journal holds only begin/commit records; PendingWAL also
-	// screens out any apply records a misconfigured path might mix in.
-	pending := reliable.PendingWAL(retained)
 
 	// Job IDs keep their original names across the restart so clients can
 	// still poll them; bump the sequence past every recovered ID so new
@@ -73,7 +85,7 @@ func (s *Server) OpenJournal(path string) (int, error) {
 		}
 		s.recovered.Add(1)
 	}
-	return int(s.recovered.Load()), nil
+	return int(s.recovered.Load()), mutations, nil
 }
 
 // recoverJob re-enqueues one journaled job under its original ID. The

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"distmwis/internal/chaos"
+	"distmwis/internal/graph"
 	"distmwis/internal/reliable"
 )
 
@@ -150,7 +151,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	// guaranteed un-committed when the "crash" snapshot is taken.
 	slow := chaos.NewInjector(chaos.Schedule{Seed: 2, SlowP: 1, Slow: 200 * time.Millisecond})
 	s1, ts1 := newTestServer(t, Options{Workers: 1, Chaos: slow})
-	if _, err := s1.OpenJournal(live); err != nil {
+	if _, _, err := s1.OpenJournal(live); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s1.Close() })
@@ -183,7 +184,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 
 	// Server 2 boots from the crashed image.
 	s2, ts2 := newTestServer(t, Options{Workers: 2})
-	recovered, err := s2.OpenJournal(crashed)
+	recovered, _, err := s2.OpenJournal(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,26 +193,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered %d jobs, want 1", recovered)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	var final SolveResponse
-	for {
-		httpResp, err := http.Get(ts2.URL + "/v1/jobs/" + accepted.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(httpResp.Body).Decode(&final)
-		httpResp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final.Status != "queued" && final.Status != "running" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("recovered job never finished: %+v", final)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	final := waitJob(t, ts2, accepted.ID)
 	if final.Status != "done" {
 		t.Fatalf("recovered job = %+v, want done", final)
 	}
@@ -231,6 +213,87 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 	if pending := reliable.PendingWAL(recs); len(pending) != 0 {
 		t.Fatalf("journal still pending after recovery: %+v", pending)
+	}
+}
+
+// One journal file holds both record kinds. A crash image taken while an
+// async job is pending, after a PUT → PATCH chain, boots into both: the
+// job replays bit-identically, the handle resolves at its patched hash and
+// at its alias, and the rewritten file keeps the graph snapshot and the
+// pending begin.
+func TestJournalRecoversJobsAndGraphs(t *testing.T) {
+	dir := t.TempDir()
+	live := filepath.Join(dir, "live.wal")
+	slow := chaos.NewInjector(chaos.Schedule{Seed: 2, SlowP: 1, Slow: 200 * time.Millisecond})
+	s1, ts1 := newTestServer(t, Options{Workers: 1, Chaos: slow})
+	if _, _, err := s1.OpenJournal(live); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s1.Close() })
+
+	put := putGraph(t, ts1, twoIslandGraph(t, 8, 20))
+	code, patch := patchGraph(t, ts1, put.Hash, graph.Edit{AddEdges: [][2]int32{{0, 19}}})
+	if code != http.StatusOK {
+		t.Fatalf("patch: %d %+v", code, patch)
+	}
+	req := SolveRequest{
+		Gen:   &GenSpec{Kind: "gnp", N: 80, P: 0.06, Weights: "poly2", Seed: 17},
+		Alg:   "theorem2",
+		Seed:  17,
+		Async: true,
+	}
+	code, accepted := postSolve(t, ts1, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("async accept: code=%d resp=%+v", code, accepted)
+	}
+	img, err := os.ReadFile(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := filepath.Join(dir, "crashed.wal")
+	if err := os.WriteFile(crashed, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(Options{Workers: 1}).prepareAndSolveForTest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Options{Workers: 2})
+	jobs, mutations, err := s2.OpenJournal(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s2.Close() })
+	if jobs != 1 || mutations != 2 {
+		t.Fatalf("recovered %d jobs and replayed %d mutations, want 1 and 2", jobs, mutations)
+	}
+	// The rewrite ran before the job was re-enqueued: a snapshot put record,
+	// then the begin (a commit may follow it once the replay finishes).
+	recs, err := reliable.ReadWAL(bytes.NewReader(readFile(t, crashed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 2 || recs[0].Op != reliable.WALApply || recs[1].Op != reliable.WALBegin || recs[1].ID != accepted.ID {
+		t.Fatalf("rewritten journal = %+v, want the snapshot then the pending begin", recs)
+	}
+
+	final := waitJob(t, ts2, accepted.ID)
+	if final.Status != "done" || fmt.Sprint(final.Set) != fmt.Sprint(want.Set) || final.Weight != want.Weight {
+		t.Fatalf("replayed job differs from the lost solve:\n got %+v\nwant %+v", final, want)
+	}
+	for _, h := range []string{patch.Hash, put.Hash} {
+		httpResp, err := http.Get(ts2.URL + "/v1/graph/" + h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info PutGraphResponse
+		err = json.NewDecoder(httpResp.Body).Decode(&info)
+		httpResp.Body.Close()
+		if err != nil || httpResp.StatusCode != http.StatusOK || info.Hash != patch.Hash || info.Version != 1 {
+			t.Fatalf("GET %s after reboot: %d %+v (err %v), want hash %s version 1",
+				short(h), httpResp.StatusCode, info, err, short(patch.Hash))
+		}
 	}
 }
 
@@ -321,7 +384,7 @@ func TestSingleFlightLeaderCancelMidSolve(t *testing.T) {
 // waitJob polls GET /v1/jobs/{id} until the job leaves queued/running.
 func waitJob(t *testing.T, ts *httptest.Server, id string) SolveResponse {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		httpResp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {

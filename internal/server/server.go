@@ -49,8 +49,6 @@ type Options struct {
 	PlannerOpsPerMS int64
 	// DrainTimeout bounds graceful shutdown (default 30s).
 	DrainTimeout time.Duration
-	// JobHistory bounds the GET /v1/jobs records kept (default 4096).
-	JobHistory int
 	// RestartBudget is the worker-restart count beyond which /readyz
 	// reports 503 (default 32; negative disables the check). Worker panics
 	// are isolated and the pool self-heals, but a process that keeps
@@ -60,15 +58,11 @@ type Options struct {
 	// wraps the HTTP API and its job hook runs before every scheduled
 	// solve (see internal/chaos). Nil means no injection.
 	Chaos *chaos.Injector
-	// RepairInterval, RepairBudget and RepairQueueDepth configure the
-	// background repair tier that upgrades degraded graph_ref answers
-	// (defaults 50ms, 4096 admit-examinations per tick, 256 queued tasks;
-	// see internal/repair).
-	RepairInterval   time.Duration
-	RepairBudget     int
-	RepairQueueDepth int
-	// AnswerHistory bounds the GET /v1/answers registry (default 4096).
-	AnswerHistory int
+	// RepairInterval and RepairBudget configure the background repair tier
+	// that upgrades degraded graph_ref answers (defaults 50ms and 4096
+	// admit-examinations per tick; see internal/repair).
+	RepairInterval time.Duration
+	RepairBudget   int
 	// Cluster, when non-nil, mounts a cluster coordinator's handler at
 	// POST /v1/cluster/solve — the front-tier composition: this node keeps
 	// its full single-node API and additionally fans solves out over a
@@ -79,17 +73,6 @@ type Options struct {
 	// ClusterMetrics, when non-nil, is appended to the /metrics exposition
 	// so the coordinator's counters share the node's scrape endpoint.
 	ClusterMetrics func(io.Writer)
-	// GraphJournalGroupWindow and GraphJournalGroupBatch configure
-	// group-commit fsync batching on the graph mutation journal opened by
-	// OpenGraphJournal: an fsync is issued when the oldest unsynced record
-	// has waited GroupWindow, or when GroupBatch records are pending,
-	// whichever comes first. Every PATCH still blocks until its record is
-	// synced — fsync-before-ack is preserved, the syncs are just shared.
-	// Zero values select 2ms and 32; negative GroupWindow disables
-	// batching (every record syncs individually, the pre-batching
-	// behaviour).
-	GraphJournalGroupWindow time.Duration
-	GraphJournalGroupBatch  int
 }
 
 func (o Options) withDefaults() Options {
@@ -120,20 +103,18 @@ func (o Options) withDefaults() Options {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 30 * time.Second
 	}
-	if o.JobHistory <= 0 {
-		o.JobHistory = 4096
-	}
 	if o.RestartBudget == 0 {
 		o.RestartBudget = 32
-	}
-	if o.AnswerHistory <= 0 {
-		o.AnswerHistory = 4096
 	}
 	return o
 }
 
+// historyCap bounds the async job records GET /v1/jobs serves and the
+// published answers GET /v1/answers serves, each evicted oldest first.
+const historyCap = 4096
+
 // Server is the MaxIS service: scheduler + cache + admission + HTTP API,
-// with optional chaos injection and a write-ahead request journal.
+// with optional chaos injection and a write-ahead journal.
 type Server struct {
 	opts    Options
 	sched   *scheduler
@@ -153,9 +134,10 @@ type Server struct {
 	answers    *answerRegistry
 	repairTier *repair.Tier
 
-	// wal, when set via OpenJournal, durably records every accepted async
-	// job before the 202 is written and retires it when it reaches a
-	// terminal state; see journal.go.
+	// wal, when set via OpenJournal, is the one journal file: it durably
+	// records every accepted async job before the 202 is written (retiring
+	// it when it reaches a terminal state) and every graph PUT/PATCH before
+	// it is acknowledged or visible; see journal.go.
 	wal       *reliable.WAL
 	recovered atomic.Int64
 	// async counts async and recovered jobs that have not yet stored and
@@ -174,15 +156,14 @@ func New(opts Options) *Server {
 		specs:   newSpecMemo(1 << 16),
 		bucket:  newTokenBucket(opts.Rate, opts.Burst),
 		metrics: newMetrics(),
-		jobs:    newJobStore(opts.JobHistory),
+		jobs:    newJobStore(historyCap),
 		graphs:  newGraphStore(),
-		answers: newAnswerRegistry(opts.AnswerHistory),
+		answers: newAnswerRegistry(historyCap),
 	}
 	s.repairTier = repair.New(repair.Options{
-		Budget:     opts.RepairBudget,
-		Interval:   opts.RepairInterval,
-		QueueDepth: opts.RepairQueueDepth,
-		Publish:    s.publishUpgrade,
+		Budget:   opts.RepairBudget,
+		Interval: opts.RepairInterval,
+		Publish:  s.publishUpgrade,
 	})
 	if opts.Chaos != nil {
 		s.sched.hook = opts.Chaos.JobHook()
@@ -266,23 +247,14 @@ func (s *Server) Drain() error {
 	return nil
 }
 
-// Close releases the journals (if open). Call after Drain; jobs completing
+// Close releases the journal (if open). Call after Drain; jobs completing
 // later will fail to commit and simply be re-run on the next boot, which
 // determinism makes harmless.
 func (s *Server) Close() error {
-	var err error
-	if s.wal != nil {
-		err = s.wal.Close()
+	if s.wal == nil {
+		return nil
 	}
-	s.graphs.mu.Lock()
-	gwal := s.graphs.wal
-	s.graphs.mu.Unlock()
-	if gwal != nil {
-		if gerr := gwal.Close(); err == nil {
-			err = gerr
-		}
-	}
-	return err
+	return s.wal.Close()
 }
 
 // ServiceStats is a point-in-time snapshot of the scheduler and journal
@@ -734,7 +706,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// jobStore keeps the last JobHistory async job records with FIFO eviction.
+// jobStore keeps the last historyCap async job records with FIFO eviction.
 type jobStore struct {
 	mu    sync.Mutex
 	cap   int

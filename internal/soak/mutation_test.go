@@ -73,7 +73,7 @@ func soakMutationStorm(t *testing.T) {
 		StormOps:   6,
 	})
 	s1 := server.New(server.Options{Workers: 4, Chaos: inj, RepairInterval: time.Millisecond})
-	if _, err := s1.OpenGraphJournal(journal); err != nil {
+	if _, _, err := s1.OpenJournal(journal); err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
@@ -262,7 +262,7 @@ func soakMutationStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := server.New(server.Options{Workers: 2})
-	replayed, err := s2.OpenGraphJournal(crashed)
+	_, replayed, err := s2.OpenJournal(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}

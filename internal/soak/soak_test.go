@@ -157,7 +157,7 @@ func soakCrashRecovery(t *testing.T) {
 	// is provably un-committed when the crash image is frozen.
 	slow := chaos.NewInjector(chaos.Schedule{Seed: soakSeed, SlowP: 1, Slow: 150 * time.Millisecond})
 	s1 := server.New(server.Options{Workers: 1, Chaos: slow})
-	if _, err := s1.OpenJournal(live); err != nil {
+	if _, _, err := s1.OpenJournal(live); err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
@@ -221,7 +221,7 @@ func soakCrashRecovery(t *testing.T) {
 
 	// Server 2 boots from the crash image and must replay the backlog.
 	s2 := server.New(server.Options{Workers: 2})
-	recovered, err := s2.OpenJournal(crashed)
+	recovered, _, err := s2.OpenJournal(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
