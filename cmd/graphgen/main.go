@@ -1,29 +1,26 @@
-// Command graphgen emits a generated workload graph as JSON (node weights,
-// identifiers and an edge list) for external inspection or plotting.
+// Command graphgen emits a generated workload graph as JSON for external
+// inspection or plotting, or as an inline graph for maxisd. The document is
+// the graph.WriteJSON format (node count, identifiers, weights and an edge
+// list) with a "stats" object added, so it can be piped straight into
+// PUT /v1/graph.
 //
 // Usage:
 //
 //	graphgen -graph coc -n 16 -k 4 | jq .stats
+//	graphgen -graph cycle -n 64 | curl -X PUT --data-binary @- localhost:8080/v1/graph
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"distmwis/internal/graph"
 	"distmwis/internal/graph/gen"
 )
-
-// output is the JSON document shape.
-type output struct {
-	Stats statsDoc   `json:"stats"`
-	IDs   []uint64   `json:"ids"`
-	W     []int64    `json:"weights"`
-	Edges [][2]int32 `json:"edges"`
-}
 
 type statsDoc struct {
 	N           int    `json:"n"`
@@ -43,90 +40,45 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("graphgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		kind    = fs.String("graph", "gnp", "cycle|path|clique|star|grid|torus|gnp|tree|forests|apollonian|caterpillar|coc")
-		n       = fs.Int("n", 100, "nodes (or per-dimension size)")
-		p       = fs.Float64("p", 0.05, "gnp edge probability")
-		k       = fs.Int("k", 2, "auxiliary size parameter")
-		weights = fs.String("weights", "unit", "unit|uniform|poly2|expspread")
-		maxW    = fs.Int64("maxw", 1000, "uniform max weight")
-		seed    = fs.Uint64("seed", 1, "seed")
-	)
+	var spec gen.Spec
+	fs.StringVar(&spec.Kind, "graph", "gnp", strings.Join(gen.Kinds(), "|"))
+	fs.IntVar(&spec.N, "n", 100, "nodes (or per-dimension size)")
+	fs.Float64Var(&spec.P, "p", 0.05, "gnp edge probability")
+	fs.IntVar(&spec.K, "k", 2, "forest count for forests / legs for caterpillar / clique size for coc")
+	fs.StringVar(&spec.Weights, "weights", "unit", strings.Join(gen.WeightFamilies(), "|"))
+	fs.Int64Var(&spec.MaxW, "maxw", 1000, "max weight for -weights uniform|skewed")
+	fs.Uint64Var(&spec.Seed, "seed", 1, "seed")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	g, err := build(*kind, *n, *p, *k, *seed)
+	g, err := spec.Build()
 	if err != nil {
 		fmt.Fprintf(stderr, "graphgen: %v\n", err)
 		return 1
 	}
-	switch *weights {
-	case "unit":
-	case "uniform":
-		g = gen.Weighted(g, gen.UniformWeights(*maxW), *seed)
-	case "poly2":
-		g = gen.Weighted(g, gen.PolyWeights(2), *seed)
-	case "expspread":
-		g = gen.Weighted(g, gen.ExponentialSpreadWeights(20), *seed)
-	default:
-		fmt.Fprintf(stderr, "graphgen: unknown weights %q\n", *weights)
+	stats, err := json.Marshal(statsDoc{
+		N: g.N(), M: g.M(), MaxDegree: g.MaxDegree(),
+		MaxWeight: g.MaxWeight(), TotalWeight: g.TotalWeight(),
+		Degeneracy: g.ArboricityUpperBound(), ArbLower: g.ArboricityLowerBound(),
+		Kind: spec.Kind,
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "graphgen: %v\n", err)
 		return 1
 	}
-
-	doc := output{
-		Stats: statsDoc{
-			N: g.N(), M: g.M(), MaxDegree: g.MaxDegree(),
-			MaxWeight: g.MaxWeight(), TotalWeight: g.TotalWeight(),
-			Degeneracy: g.ArboricityUpperBound(), ArbLower: g.ArboricityLowerBound(),
-			Kind: *kind,
-		},
-		IDs: make([]uint64, g.N()),
-		W:   g.Weights(),
+	// WriteJSON emits one object and a newline; reopen the object to add
+	// the stats, which graph.ReadJSON ignores.
+	var doc bytes.Buffer
+	if err := g.WriteJSON(&doc); err != nil {
+		fmt.Fprintf(stderr, "graphgen: %v\n", err)
+		return 1
 	}
-	for v := 0; v < g.N(); v++ {
-		doc.IDs[v] = g.ID(v)
-		for _, u := range g.Neighbors(v) {
-			if int(u) > v {
-				doc.Edges = append(doc.Edges, [2]int32{int32(v), u})
-			}
-		}
-	}
-	enc := json.NewEncoder(stdout)
-	if err := enc.Encode(doc); err != nil {
+	doc.Truncate(doc.Len() - len("}\n"))
+	fmt.Fprintf(&doc, `,"stats":%s}`+"\n", stats)
+	if _, err := stdout.Write(doc.Bytes()); err != nil {
 		fmt.Fprintf(stderr, "graphgen: %v\n", err)
 		return 1
 	}
 	return 0
-}
-
-func build(kind string, n int, p float64, k int, seed uint64) (*graph.Graph, error) {
-	switch kind {
-	case "cycle":
-		return gen.Cycle(n), nil
-	case "path":
-		return gen.Path(n), nil
-	case "clique":
-		return gen.Clique(n), nil
-	case "star":
-		return gen.Star(n), nil
-	case "grid":
-		return gen.Grid(n, n), nil
-	case "torus":
-		return gen.Torus(n, n), nil
-	case "gnp":
-		return gen.GNP(n, p, seed), nil
-	case "tree":
-		return gen.RandomTree(n, seed), nil
-	case "forests":
-		return gen.UnionOfForests(n, k, seed), nil
-	case "apollonian":
-		return gen.Apollonian(n, seed), nil
-	case "caterpillar":
-		return gen.Caterpillar(n, k), nil
-	case "coc":
-		return gen.CycleOfCliques(n, k), nil
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
-	}
 }

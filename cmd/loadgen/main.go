@@ -178,7 +178,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var storm *chaos.Injector
 	var stormSeq atomic.Int64
 	if *mutate > 0 {
-		g := gen.Weighted(gen.GNP(*n, *p, *seed), gen.PolyWeights(2), *seed)
+		g, err := gen.Spec{Kind: "gnp", N: *n, P: *p, Weights: "poly2", Seed: *seed}.Build()
+		if err != nil {
+			fmt.Fprintf(stderr, "loadgen: seed graph: %v\n", err)
+			return 1
+		}
 		var doc bytes.Buffer
 		if err := g.WriteJSON(&doc); err != nil {
 			fmt.Fprintf(stderr, "loadgen: encode seed graph: %v\n", err)

@@ -42,12 +42,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("maxis", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		graphKind  = fs.String("graph", "gnp", "cycle|path|clique|star|grid|torus|gnp|tree|forests|apollonian|caterpillar|coc")
+		graphKind  = fs.String("graph", "gnp", strings.Join(gen.Kinds(), "|"))
 		n          = fs.Int("n", 1000, "number of nodes (or per-dimension size)")
 		p          = fs.Float64("p", 0.05, "edge probability for gnp")
 		k          = fs.Int("k", 2, "forest count for -graph forests / legs for caterpillar / n1 for coc")
-		weights    = fs.String("weights", "unit", "unit|uniform|poly2|poly3|expspread|skewed")
-		maxW       = fs.Int64("maxw", 1000, "max weight for -weights uniform")
+		weights    = fs.String("weights", "unit", strings.Join(gen.WeightFamilies(), "|"))
+		maxW       = fs.Int64("maxw", 1000, "max weight for -weights uniform|skewed")
 		algName    = fs.String("alg", "theorem2", "auto|"+strings.Join(maxis.AlgorithmNames(), "|"))
 		eps        = fs.Float64("eps", 0.5, "epsilon for boosted algorithms")
 		alpha      = fs.Int("alpha", 0, "arboricity bound for theorem3 (0 = degeneracy)")
@@ -82,12 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	g, err := buildGraph(*graphKind, *n, *p, *k, *seed)
-	if err != nil {
-		fmt.Fprintf(stderr, "maxis: %v\n", err)
-		return 1
-	}
-	g, err = applyWeights(g, *weights, *maxW, *seed)
+	spec := gen.Spec{Kind: *graphKind, N: *n, P: *p, K: *k, Weights: *weights, MaxW: *maxW, Seed: *seed}
+	g, err := spec.Build()
 	if err != nil {
 		fmt.Fprintf(stderr, "maxis: %v\n", err)
 		return 1
@@ -118,27 +114,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// The uniform and skewed generators bound their weights by -maxw, so
 	// the runtime can skip its own weight scan.
-	if *weights == "uniform" || *weights == "skewed" {
-		cfg.MaxWeight = *maxW
-	}
+	cfg.MaxWeight = spec.WeightBound()
 	var ring *trace.Ring
 	if *doTrace || *traceOut != "" {
 		ring = trace.NewRing(0)
 		cfg.Tracer = ring
 		cfg.TraceLabel = *algName
 	}
-	sched := fault.Schedule{
-		Seed:      *faultSeed,
-		Loss:      *faultRate,
-		Dup:       *faultDup,
-		Corrupt:   *faultCorrupt,
-		CrashFrac: *faultCrash,
-		CrashAt:   3,
-		CrashBack: *faultBack,
-	}
-	if sched.Seed == 0 {
-		sched.Seed = *seed + 77
-	}
+	sched := fault.Spec{
+		Loss: *faultRate, Dup: *faultDup, Corrupt: *faultCorrupt,
+		Crash: *faultCrash, Back: *faultBack, Seed: *faultSeed,
+	}.Schedule(*seed)
 	var stats fault.Stats
 	if err := sched.ValidateFor(g.N()); err != nil {
 		fmt.Fprintf(stderr, "maxis: %v\n", err)
@@ -155,11 +141,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "graph: %s  n=%d m=%d Δ=%d W=%d w(V)=%d\n",
 		*graphKind, g.N(), g.M(), g.MaxDegree(), g.MaxWeight(), g.TotalWeight())
 
-	res, guarantee, err := runAlgorithm(*algName, g, *eps, *alpha, cfg)
+	res, err := maxis.Solve(*algName, g, *eps, *alpha, cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "maxis: %v\n", err)
 		return 1
 	}
+	guarantee := maxis.GuaranteeString(*algName, g, *eps, *alpha, res)
 
 	fmt.Fprintf(stdout, "algorithm: %s (mis=%s, eps=%g)\n", *algName, *misName, *eps)
 	fmt.Fprintf(stdout, "independent set: size=%d weight=%d\n", graph.SetSize(res.Set), res.Weight)
@@ -174,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cleanCfg := cfg
 		cleanCfg.Faults = fault.Schedule{}
 		cleanCfg.FaultStats = nil
-		clean, _, err := runAlgorithm(*algName, g, *eps, *alpha, cleanCfg)
+		clean, err := maxis.Solve(*algName, g, *eps, *alpha, cleanCfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "maxis: fault-free baseline: %v\n", err)
 			return 1
@@ -305,73 +292,4 @@ func writeTrace(path string, rounds []trace.Round) error {
 		err = cerr
 	}
 	return err
-}
-
-func buildGraph(kind string, n int, p float64, k int, seed uint64) (*graph.Graph, error) {
-	switch kind {
-	case "cycle":
-		return gen.Cycle(n), nil
-	case "path":
-		return gen.Path(n), nil
-	case "clique":
-		return gen.Clique(n), nil
-	case "star":
-		return gen.Star(n), nil
-	case "grid":
-		return gen.Grid(n, n), nil
-	case "torus":
-		return gen.Torus(n, n), nil
-	case "gnp":
-		return gen.GNP(n, p, seed), nil
-	case "tree":
-		return gen.RandomTree(n, seed), nil
-	case "forests":
-		return gen.UnionOfForests(n, k, seed), nil
-	case "apollonian":
-		return gen.Apollonian(n, seed), nil
-	case "caterpillar":
-		return gen.Caterpillar(n, k), nil
-	case "coc":
-		return gen.CycleOfCliques(n, k), nil
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
-	}
-}
-
-func applyWeights(g *graph.Graph, kind string, maxW int64, seed uint64) (*graph.Graph, error) {
-	switch kind {
-	case "unit":
-		return g, nil
-	case "uniform":
-		return gen.Weighted(g, gen.UniformWeights(maxW), seed), nil
-	case "poly2":
-		return gen.Weighted(g, gen.PolyWeights(2), seed), nil
-	case "poly3":
-		return gen.Weighted(g, gen.PolyWeights(3), seed), nil
-	case "expspread":
-		return gen.Weighted(g, gen.ExponentialSpreadWeights(24), seed), nil
-	case "skewed":
-		return gen.Weighted(g, gen.SkewedWeights(0.05, maxW), seed), nil
-	default:
-		return nil, fmt.Errorf("unknown weight kind %q", kind)
-	}
-}
-
-// runAlgorithm resolves name through the protocol registry and returns the
-// result together with the algorithm's certified guarantee line. Any solver
-// registered with protocol.Register is runnable here without edits.
-func runAlgorithm(name string, g *graph.Graph, eps float64, alpha int, cfg maxis.Config) (*maxis.Result, string, error) {
-	solver, err := protocol.SolverByName(name)
-	if err != nil {
-		return nil, "", err
-	}
-	params, err := solver.Normalize(protocol.Params{Eps: eps, Alpha: alpha})
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := solver.Run(g, params, cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	return res, solver.Guarantee(g, params, res), nil
 }

@@ -92,6 +92,20 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLISpecErrorsExitOne: a generator spec that gen.Spec.Build rejects
+// is a usage error of the run, not of the flag syntax.
+func TestCLISpecErrorsExitOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"-graph", "moebius"},
+		{"-weights", "golden"},
+		{"-graph", "cycle", "-n", "0"},
+	} {
+		if code, _, errOut := runCLI(t, args...); code != 1 {
+			t.Errorf("args %v: exit %d, want 1 (stderr %s)", args, code, errOut)
+		}
+	}
+}
+
 func TestCLIFlagValidation(t *testing.T) {
 	// Combinations that used to be silently ignored must now exit non-zero
 	// with a message naming the offending flag.

@@ -49,13 +49,6 @@ type Options struct {
 	// Partitions is the part count per fan-out solve (default: the backend
 	// count).
 	Partitions int
-	// Balance is the partition balance factor (see partition.Options).
-	Balance float64
-	// MinFanoutNodes is the graph size below which the coordinator skips
-	// partitioning and routes the whole request to the ring owner of its
-	// content key (default 64) — fan-out overhead beats solve time on
-	// small graphs, and whole-graph routing keeps their cache locality.
-	MinFanoutNodes int
 	// Client configures the per-backend fault-tolerant clients.
 	Client client.Options
 	// ProbeInterval is the /readyz poll cadence (default 250ms; negative
@@ -63,19 +56,17 @@ type Options struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /readyz probe (default 1s).
 	ProbeTimeout time.Duration
-	// Replicas is the ring's virtual points per backend (default 128).
-	Replicas int
 }
+
+// minFanoutNodes is the graph size below which the coordinator skips
+// partitioning and routes the whole request to the ring owner of its
+// content key — fan-out overhead beats solve time on small graphs, and
+// whole-graph routing keeps their cache locality.
+const minFanoutNodes = 64
 
 func (o Options) withDefaults(backends int) Options {
 	if o.Partitions <= 0 {
 		o.Partitions = backends
-	}
-	if o.Balance == 0 {
-		o.Balance = 1.2
-	}
-	if o.MinFanoutNodes <= 0 {
-		o.MinFanoutNodes = 64
 	}
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = 250 * time.Millisecond
@@ -175,7 +166,7 @@ func New(backends []string, opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:   opts,
 		byName: make(map[string]*backend, len(backends)),
-		ring:   NewRing(opts.Replicas),
+		ring:   NewRing(0),
 		probeC: &http.Client{Timeout: opts.ProbeTimeout},
 		stopCh: make(chan struct{}),
 	}
@@ -391,7 +382,7 @@ func (c *Coordinator) Solve(ctx context.Context, req *server.SolveRequest) (Resp
 		return finish(c.localWhole(g, hash)), nil
 	}
 
-	if g.N() < c.opts.MinFanoutNodes || c.opts.Partitions <= 1 || req.Degraded {
+	if g.N() < minFanoutNodes || c.opts.Partitions <= 1 || req.Degraded {
 		resp, err := c.solveWhole(ctx, req, g, canon, hash)
 		if err != nil {
 			return Response{}, err
@@ -525,7 +516,7 @@ func (c *Coordinator) observeFanout(total, maxPart time.Duration) {
 // solvePartitioned fans the solve out over an edge-cut partition and
 // reconciles the merged answer.
 func (c *Coordinator) solvePartitioned(ctx context.Context, req *server.SolveRequest, g *graph.Graph) (Response, error) {
-	part, err := partition.Split(g, partition.Options{Parts: c.opts.Partitions, Balance: c.opts.Balance})
+	part, err := partition.Split(g, partition.Options{Parts: c.opts.Partitions})
 	if err != nil {
 		return Response{}, badRequest("partition: %v", err)
 	}

@@ -73,6 +73,40 @@ type Schedule struct {
 	MaxRounds int
 }
 
+// Spec is the flag-level fault vocabulary shared by the cmd/maxis -fault-*
+// flags and the maxisd "fault" request field; Schedule expands it the same
+// way for both, so a CLI run and a served solve see the same adversary.
+type Spec struct {
+	Loss    float64 `json:"loss,omitempty"`
+	Dup     float64 `json:"dup,omitempty"`
+	Corrupt float64 `json:"corrupt,omitempty"`
+	// Crash is the fraction of nodes crash-stopped at round 3 of each
+	// phase; Back, if positive, is the round they recover at.
+	Crash float64 `json:"crash,omitempty"`
+	Back  int     `json:"back,omitempty"`
+	// Seed is the adversary seed (0 = derive from the run's root seed).
+	Seed uint64 `json:"seed,omitempty"`
+}
+
+// Schedule expands s for a run whose root seed is rootSeed. A zero Seed
+// becomes rootSeed+77, an offset that keeps the adversary's stream apart
+// from the protocol's own.
+func (s Spec) Schedule(rootSeed uint64) Schedule {
+	seed := s.Seed
+	if seed == 0 {
+		seed = rootSeed + 77
+	}
+	return Schedule{
+		Seed:      seed,
+		Loss:      s.Loss,
+		Dup:       s.Dup,
+		Corrupt:   s.Corrupt,
+		CrashFrac: s.Crash,
+		CrashAt:   3,
+		CrashBack: s.Back,
+	}
+}
+
 // Enabled reports whether the schedule perturbs the execution at all. A
 // schedule with only MaxRounds set is a pure-truncation adversary: no
 // message faults, but phases are cut off at the budget.

@@ -270,3 +270,14 @@ func FuzzInjectorCorruptDetect(f *testing.F) {
 		}
 	})
 }
+
+func TestSpecSchedule(t *testing.T) {
+	got := Spec{Loss: 0.1, Crash: 0.2, Back: 6}.Schedule(5)
+	want := Schedule{Seed: 82, Loss: 0.1, CrashFrac: 0.2, CrashAt: 3, CrashBack: 6}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("derived schedule %+v, want %+v", got, want)
+	}
+	if s := (Spec{Seed: 9}).Schedule(5); s.Seed != 9 {
+		t.Errorf("explicit adversary seed replaced: %d", s.Seed)
+	}
+}

@@ -384,3 +384,38 @@ func TestPowerLaw(t *testing.T) {
 		t.Errorf("PowerLaw not deterministic: m=%d vs %d", g.M(), h.M())
 	}
 }
+
+func TestSpecDefaults(t *testing.T) {
+	build := func(s Spec) string {
+		t.Helper()
+		g, err := s.Build()
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		return g.HashString()
+	}
+	if build(Spec{Kind: "gnp", N: 50, P: 0.1}) != build(Spec{Kind: "gnp", N: 50, P: 0.1, Seed: 1, Weights: "unit"}) {
+		t.Error("zero seed / empty weights do not default to seed 1 / unit")
+	}
+	if build(Spec{Kind: "tree", N: 50, Weights: "skewed"}) != build(Spec{Kind: "tree", N: 50, Weights: "skewed", MaxW: 1000}) {
+		t.Error("zero maxw does not default to 1000")
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want int64
+	}{
+		{Spec{Weights: "uniform", MaxW: 7}, 7},
+		{Spec{Weights: "skewed"}, 1000},
+		{Spec{Weights: "poly2", MaxW: 7}, 0},
+		{Spec{}, 0},
+	} {
+		if got := tc.spec.WeightBound(); got != tc.want {
+			t.Errorf("%+v: WeightBound = %d, want %d", tc.spec, got, tc.want)
+		}
+	}
+	for _, bad := range []Spec{{Kind: "moebius", N: 4}, {Kind: "cycle", N: 4, Weights: "golden"}, {Kind: "cycle"}} {
+		if _, err := bad.Build(); err == nil {
+			t.Errorf("%+v: Build accepted it", bad)
+		}
+	}
+}

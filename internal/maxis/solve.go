@@ -10,8 +10,7 @@ import (
 
 // Solve dispatches to the named algorithm through the protocol registry,
 // normalising the per-algorithm result types to *Result. It is the entry
-// point used by the serving layer (internal/server); cmd/maxis layers its
-// guarantee strings on top of the same registry entries. Any solver
+// point of both the serving layer (internal/server) and cmd/maxis. Any solver
 // registered with protocol.Register — including ones registered outside
 // this package — is resolvable here without edits.
 //

@@ -54,41 +54,23 @@ import (
 )
 
 // GenSpec asks the server to build one of the seeded generator graphs
-// instead of shipping an explicit edge list. The same (spec) always builds
-// the same graph, so repeated specs are cache hits.
-type GenSpec struct {
-	// Kind is one of cycle|path|clique|star|grid|torus|gnp|tree|forests|
-	// apollonian|caterpillar|coc — the cmd/maxis -graph vocabulary.
-	Kind string `json:"kind"`
-	// N is the node count (or per-dimension size for grid/torus).
-	N int `json:"n"`
-	// P is the edge probability for gnp.
-	P float64 `json:"p,omitempty"`
-	// K is the forest count / caterpillar legs / coc clique size.
-	K int `json:"k,omitempty"`
-	// Weights is unit|uniform|poly2|poly3|expspread|skewed (default unit).
-	Weights string `json:"weights,omitempty"`
-	// MaxW bounds uniform/skewed weights (default 1000).
-	MaxW int64 `json:"maxw,omitempty"`
-	// Seed drives the generator (default 1).
-	Seed uint64 `json:"seed,omitempty"`
-}
+// instead of shipping an explicit edge list: the gen.Spec vocabulary that
+// cmd/maxis and cmd/graphgen take as flags, built by the same gen.Spec.Build.
+// The same spec always builds the same graph, so repeated specs are cache
+// hits.
+type GenSpec = gen.Spec
 
-// FaultSpec mirrors the cmd/maxis fault flags; see internal/fault.
-type FaultSpec struct {
-	Loss    float64 `json:"loss,omitempty"`
-	Dup     float64 `json:"dup,omitempty"`
-	Corrupt float64 `json:"corrupt,omitempty"`
-	Crash   float64 `json:"crash,omitempty"`
-	Back    int     `json:"back,omitempty"`
-	Seed    uint64  `json:"seed,omitempty"`
-}
+// FaultSpec is fault.Spec, the cmd/maxis -fault-* flags as a request field;
+// its seed derivation is fault.Spec.Schedule's.
+type FaultSpec = fault.Spec
 
 // SolveRequest is the body of POST /v1/solve. Exactly one of Graph,
 // Canonical, Gen and GraphRef must be set.
 type SolveRequest struct {
-	// Graph is an inline graph in the cmd/graphgen JSON format
-	// (graph.ReadJSON): {"n":..., "ids":[...], "weights":[...], "edges":[[u,v],...]}.
+	// Graph is an inline graph in the graph.ReadJSON format that
+	// graph.WriteJSON and cmd/graphgen emit:
+	// {"n":..., "ids":[...], "weights":[...], "edges":[[u,v],...]}; other
+	// top-level fields, such as graphgen's "stats", are ignored.
 	Graph json.RawMessage `json:"graph,omitempty"`
 	// Canonical is an inline graph in its canonical binary form
 	// (graph.Canonical, base64 in JSON). The cluster coordinator ships parts
@@ -250,15 +232,10 @@ func (r *SolveRequest) Normalize() error {
 	return nil
 }
 
-// BuildGraph materialises the request's graph. The generator vocabulary is
-// deliberately identical to cmd/maxis so loadgen mixes and CLI runs agree.
+// BuildGraph materialises the request's graph.
 func (r *SolveRequest) BuildGraph() (*graph.Graph, error) {
 	if r.Graph != nil {
-		g, err := graph.ReadJSON(bytes.NewReader(r.Graph))
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
+		return graph.ReadJSON(bytes.NewReader(r.Graph))
 	}
 	if r.Canonical != nil {
 		g, err := graph.FromCanonical(r.Canonical)
@@ -272,62 +249,7 @@ func (r *SolveRequest) BuildGraph() (*graph.Graph, error) {
 		}
 		return g, nil
 	}
-	s := *r.Gen
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.N <= 0 {
-		return nil, fmt.Errorf("gen.n must be positive, got %d", s.N)
-	}
-	var g *graph.Graph
-	switch s.Kind {
-	case "cycle":
-		g = gen.Cycle(s.N)
-	case "path":
-		g = gen.Path(s.N)
-	case "clique":
-		g = gen.Clique(s.N)
-	case "star":
-		g = gen.Star(s.N)
-	case "grid":
-		g = gen.Grid(s.N, s.N)
-	case "torus":
-		g = gen.Torus(s.N, s.N)
-	case "gnp":
-		g = gen.GNP(s.N, s.P, s.Seed)
-	case "tree":
-		g = gen.RandomTree(s.N, s.Seed)
-	case "forests":
-		g = gen.UnionOfForests(s.N, s.K, s.Seed)
-	case "apollonian":
-		g = gen.Apollonian(s.N, s.Seed)
-	case "caterpillar":
-		g = gen.Caterpillar(s.N, s.K)
-	case "coc":
-		g = gen.CycleOfCliques(s.N, s.K)
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", s.Kind)
-	}
-	maxW := s.MaxW
-	if maxW <= 0 {
-		maxW = 1000
-	}
-	switch s.Weights {
-	case "", "unit":
-	case "uniform":
-		g = gen.Weighted(g, gen.UniformWeights(maxW), s.Seed)
-	case "poly2":
-		g = gen.Weighted(g, gen.PolyWeights(2), s.Seed)
-	case "poly3":
-		g = gen.Weighted(g, gen.PolyWeights(3), s.Seed)
-	case "expspread":
-		g = gen.Weighted(g, gen.ExponentialSpreadWeights(24), s.Seed)
-	case "skewed":
-		g = gen.Weighted(g, gen.SkewedWeights(0.05, maxW), s.Seed)
-	default:
-		return nil, fmt.Errorf("unknown weight kind %q", s.Weights)
-	}
-	return g, nil
+	return r.Gen.Build()
 }
 
 // CanonicalForm returns the canonical form of g, the graph BuildGraph built
@@ -342,8 +264,8 @@ func (r *SolveRequest) CanonicalForm(g *graph.Graph) []byte {
 }
 
 // maxisConfig assembles the maxis.Config for this request, mirroring the
-// cmd/maxis flag wiring (including the seed+77 fault-seed derivation) so
-// service results are bit-identical to CLI runs.
+// cmd/maxis flag wiring (the fault schedule comes from the same
+// fault.Spec.Schedule) so service results are bit-identical to CLI runs.
 func (r *SolveRequest) maxisConfig(solveWorkers int) (maxis.Config, error) {
 	misAlg, err := protocol.MISByName(r.MIS)
 	if err != nil {
@@ -357,20 +279,8 @@ func (r *SolveRequest) maxisConfig(solveWorkers int) (maxis.Config, error) {
 		CheckpointEvery: r.CheckpointEvery,
 		Repair:          r.Repair,
 	}
-	if f := r.Fault; f != nil {
-		sched := fault.Schedule{
-			Seed:      f.Seed,
-			Loss:      f.Loss,
-			Dup:       f.Dup,
-			Corrupt:   f.Corrupt,
-			CrashFrac: f.Crash,
-			CrashAt:   3,
-			CrashBack: f.Back,
-		}
-		if sched.Seed == 0 {
-			sched.Seed = r.Seed + 77
-		}
-		if sched.Enabled() {
+	if r.Fault != nil {
+		if sched := r.Fault.Schedule(r.Seed); sched.Enabled() {
 			cfg.Faults = sched
 		}
 	}

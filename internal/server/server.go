@@ -354,14 +354,10 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 			return prepared{}, fmt.Errorf("fault schedule: %w", err)
 		}
 	}
-	// Mirror the cmd/maxis wiring: generator specs with bounded weight
-	// families hand the nominal bound W to the engine instead of letting it
-	// scan the graph.
-	if req.Gen != nil && (req.Gen.Weights == "uniform" || req.Gen.Weights == "skewed") {
-		p.cfg.MaxWeight = req.Gen.MaxW
-		if p.cfg.MaxWeight <= 0 {
-			p.cfg.MaxWeight = 1000
-		}
+	// As in cmd/maxis: generator specs with bounded weight families hand
+	// the nominal bound W to the engine instead of letting it scan the graph.
+	if req.Gen != nil {
+		p.cfg.MaxWeight = req.Gen.WeightBound()
 	}
 	// "auto" resolves through the planner here — before the cache key is
 	// computed and before async journalling — so the key and the journal

@@ -255,6 +255,8 @@ func TestSolveValidation(t *testing.T) {
 		{"bad-priority", SolveRequest{Gen: &GenSpec{Kind: "cycle", N: 4}, Priority: "urgent"}},
 		{"checkpoint-without-reliable", SolveRequest{Gen: &GenSpec{Kind: "cycle", N: 4}, CheckpointEvery: 4}},
 		{"negative-n", SolveRequest{Gen: &GenSpec{Kind: "cycle", N: -1}}},
+		{"zero-n", SolveRequest{Gen: &GenSpec{Kind: "cycle"}}},
+		{"bad-weights", SolveRequest{Gen: &GenSpec{Kind: "cycle", N: 4, Weights: "golden"}}},
 		{"bad-fault", SolveRequest{Gen: &GenSpec{Kind: "cycle", N: 4}, Fault: &FaultSpec{Loss: 1.5}}},
 	}
 	for _, tc := range cases {
@@ -267,6 +269,27 @@ func TestSolveValidation(t *testing.T) {
 		}
 		if strings.HasPrefix(tc.name, "negative-weight") && !strings.Contains(resp.Error, "node 1 has negative weight -5") {
 			t.Errorf("%s: error %q does not name the negative weight", tc.name, resp.Error)
+		}
+	}
+}
+
+// TestGenSolveHashMatchesSpecBuild: for every generator kind and weight
+// family, a gen solve reports the hash of the graph gen.Spec.Build builds —
+// the graph cmd/maxis and cmd/graphgen build for the same flags.
+func TestGenSolveHashMatchesSpecBuild(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	for _, kind := range gen.Kinds() {
+		for _, weights := range gen.WeightFamilies() {
+			spec := gen.Spec{Kind: kind, N: 6, P: 0.4, K: 2, Weights: weights, Seed: 3}
+			g, err := spec.Build()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kind, weights, err)
+			}
+			code, resp := postSolve(t, ts, SolveRequest{Gen: &spec, Alg: "goodnodes"})
+			if code != http.StatusOK || resp.GraphHash != g.HashString() {
+				t.Errorf("%s/%s: code=%d graph_hash=%s, want 200 and %s (resp %+v)",
+					kind, weights, code, resp.GraphHash, g.HashString(), resp)
+			}
 		}
 	}
 }

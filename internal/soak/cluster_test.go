@@ -113,7 +113,7 @@ func TestClusterSoak(t *testing.T) {
 					})
 				}
 				// Deterministic mix over a 16-seed pool: gnp n=240 fans out
-				// over all three parts, cycle n=60 stays under MinFanoutNodes
+				// over all three parts, cycle n=60 stays under minFanoutNodes
 				// and routes whole to its ring owner — both paths must ride
 				// out the death.
 				seed := uint64(1 + (w*perWorker+i)%16)

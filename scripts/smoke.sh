@@ -4,7 +4,9 @@
 # journal, probe the health and metrics endpoints, push a short closed-loop
 # loadgen burst (zero failed requests allowed), PUT and PATCH a graph, and
 # require a clean SIGTERM drain. A second daemon then boots on the same
-# journal and must serve the patched graph.
+# journal and must serve the patched graph, and graphgen's output must be
+# accepted by PUT /v1/graph and as an inline solve with the hash a gen
+# solve of the same spec reports.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -107,5 +109,29 @@ grep -q 'replayed 2 mutations' "$LOG" || {
 	cat "$LOG" >&2
 	exit 1
 }
+
+# post METHOD PATH BODY_FILE prints the response body and requires 200.
+post() {
+	local code
+	code=$(curl -sS -o "$BIN/resp.json" -w '%{http_code}' -X "$1" "$BASE$2" --data-binary @"$3")
+	if [ "$code" != 200 ]; then
+		echo "smoke: $1 $2 returned $code: $(cat "$BIN/resp.json")" >&2
+		exit 1
+	fi
+	cat "$BIN/resp.json"
+}
+hash_of() { sed -n "s/.*\"$1\":\"\([0-9a-f]*\)\".*/\1/p"; }
+
+echo "smoke: graphgen output as PUT and inline graphs"
+printf '{"gen":{"kind":"apollonian","n":40,"weights":"poly3","seed":5},"alg":"goodnodes"}' >"$BIN/gen.json"
+"$BIN/graphgen" -graph apollonian -n 40 -weights poly3 -seed 5 >"$BIN/graph.json"
+{ printf '{"alg":"goodnodes","graph":'; cat "$BIN/graph.json"; printf '}'; } >"$BIN/inline.json"
+GEN_HASH=$(post POST /v1/solve "$BIN/gen.json" | hash_of graph_hash)
+PUT_HASH=$(post PUT /v1/graph "$BIN/graph.json" | hash_of hash)
+INLINE_HASH=$(post POST /v1/solve "$BIN/inline.json" | hash_of graph_hash)
+if [ -z "$GEN_HASH" ] || [ "$PUT_HASH" != "$GEN_HASH" ] || [ "$INLINE_HASH" != "$GEN_HASH" ]; then
+	echo "smoke: graphgen hashes differ (gen '$GEN_HASH', put '$PUT_HASH', inline '$INLINE_HASH')" >&2
+	exit 1
+fi
 stop
-echo "smoke: OK (cache hits: $HITS, replayed graph $PATCHED)"
+echo "smoke: OK (cache hits: $HITS, replayed graph $PATCHED, graphgen graph $GEN_HASH)"
