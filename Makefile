@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-json bench-diff bench-scale clean
+.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-solve bench-json bench-diff bench-scale clean
 
 all: vet build test
 
@@ -94,6 +94,11 @@ bench-patch:
 	$(GO) test -run='^$$' -benchmem -count=3 \
 		-bench='^(BenchmarkApplyEdit|BenchmarkSpliceCanonical)$$' ./internal/graph/
 	$(GO) test -run='^$$' -benchmem -count=3 -bench='^BenchmarkPatchRefSolve$$' ./internal/server/
+
+# The round loop per worker count: one cold Theorem 2 solve of the
+# cold-solve shape (gnp n = 2000, poly2, eps 0.5) with one and two workers.
+bench-solve:
+	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkTheorem2Cold$$' ./internal/maxis/
 
 # Machine-readable benchmark snapshot: round loop, solver end-to-end and
 # serving cold/hot paths, with allocation stats, written to BENCH_$(PR).json.

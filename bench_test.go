@@ -302,14 +302,14 @@ func BenchmarkTableE3(b *testing.B) {
 func benchSeamRun(b *testing.B, g *graph.Graph, extra ...congest.Option) *congest.Result {
 	b.Helper()
 	opts := append([]congest.Option{congest.WithSeed(11), congest.WithHardStop(9)}, extra...)
-	res, err := congest.Run(g, mis.Luby{}.NewProcess, opts...)
+	res, err := mis.Luby{}.Run(g, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return res
 }
 
-// BenchmarkPowerLawSeams1M drives the pooled, batched-delivery round loop
+// BenchmarkPowerLawSeams1M drives the slot-message, batched-delivery round loop
 // over a degree-skewed 1,000,000-node power-law graph (the workload the
 // guided-chunking fix targets: hubs cluster at low indices) through every
 // delivery seam the simulator offers — plain, fault injection, event
@@ -317,7 +317,7 @@ func benchSeamRun(b *testing.B, g *graph.Graph, extra ...congest.Option) *conges
 // first computes a one-worker reference outside the timed region, then
 // times four workers and requires their outputs bit-identical to that
 // reference on every iteration, so the numbers double as a standing proof
-// that message pooling and batched delivery are invisible to protocol
+// that message slots and batched delivery are invisible to protocol
 // semantics at scale.
 func BenchmarkPowerLawSeams1M(b *testing.B) {
 	if testing.Short() {
@@ -363,7 +363,7 @@ func BenchmarkPowerLawSeams1M(b *testing.B) {
 }
 
 // BenchmarkRoundLoop10M is the ROADMAP scale target: ten million nodes
-// through the full round loop — pooled messages, flat inbox slabs, batched
+// through the full round loop — message slots, flat inbox slabs, batched
 // delivery, persistent pool workers — on a sparse GNP graph (mean degree
 // 2.5, so ~12.5M edges). The hard stop bounds the run at nine simulator
 // rounds of Luby's MIS; completing at all is the acceptance criterion, the
@@ -378,8 +378,7 @@ func BenchmarkRoundLoop10M(b *testing.B) {
 	b.ResetTimer()
 	inSet := 0
 	for i := 0; i < b.N; i++ {
-		res, err := congest.Run(g, mis.Luby{}.NewProcess,
-			congest.WithSeed(uint64(i+1)), congest.WithHardStop(9),
+		res, err := mis.Luby{}.Run(g, congest.WithSeed(uint64(i+1)), congest.WithHardStop(9),
 			congest.WithWorkers(4))
 		if err != nil {
 			b.Fatal(err)

@@ -72,8 +72,8 @@ func BuildBFSTree(g *graph.Graph, root int) (*Tree, error) {
 // an independent set (colour classes of proper colourings are independent).
 func MaxWeightClass(g *graph.Graph, col *Result, tree *Tree, opts ...congest.Option) ([]bool, int, *congest.Result, error) {
 	k := col.NumColors
-	res, err := congest.Run(g, func() congest.Process {
-		return &classAggregate{colors: col.Colors, k: k, tree: tree}
+	res, err := congest.Run(g, func(p *classAggregate) {
+		p.colors, p.k, p.tree = col.Colors, k, tree
 	}, opts...)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("coloring: aggregation: %w", err)

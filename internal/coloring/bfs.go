@@ -24,9 +24,7 @@ func DistributedBFSTree(g *graph.Graph, budget int, opts ...congest.Option) (*Tr
 	if g.N() == 0 {
 		return &Tree{}, &congest.Result{}, nil
 	}
-	res, err := congest.Run(g, func() congest.Process {
-		return &bfsBuild{budget: budget}
-	}, opts...)
+	res, err := congest.Run(g, func(p *bfsBuild) { p.budget = budget }, opts...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("coloring: distributed BFS: %w", err)
 	}

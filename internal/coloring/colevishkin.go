@@ -50,9 +50,7 @@ func ColeVishkinRing(g *graph.Graph, succPort []int, opts ...congest.Option) (*R
 			return nil, fmt.Errorf("coloring: bad successor port for node %d", v)
 		}
 	}
-	res, err := congest.Run(g, func() congest.Process {
-		return &coleVishkin{succPorts: succPort}
-	}, opts...)
+	res, err := congest.Run(g, func(p *coleVishkin) { p.succPorts = succPort }, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: cole-vishkin: %w", err)
 	}

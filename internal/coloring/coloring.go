@@ -34,7 +34,7 @@ func init() {
 	// call (ColeVishkinRing).
 	protocol.RegisterProcess(protocol.KindColoring, "randomgreedy",
 		"randomized (Δ+1)-colouring by conflict-free proposals; O(log n) rounds w.h.p.",
-		func() congest.Process { return &greedyColour{} })
+		congest.Bind[greedyColour](nil))
 }
 
 // Result is a computed colouring.
@@ -76,7 +76,7 @@ func Verify(g *graph.Graph, colors []int, limit int) error {
 // Terminates in O(log n) rounds with high probability; each node uses at
 // most deg(v)+1 ≤ Δ+1 colours.
 func RandomGreedy(g *graph.Graph, opts ...congest.Option) (*Result, error) {
-	res, err := congest.Run(g, func() congest.Process { return &greedyColour{} }, opts...)
+	res, err := congest.Run[greedyColour](g, nil, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: random greedy: %w", err)
 	}
@@ -208,8 +208,8 @@ func (p *greedyColour) TracePhase(round int) string {
 func MISFromColoring(g *graph.Graph, col *Result, opts ...congest.Option) ([]bool, *congest.Result, error) {
 	colors := col.Colors
 	k := col.NumColors
-	res, err := congest.Run(g, func() congest.Process {
-		return &colourClassMIS{colors: colors, k: k}
+	res, err := congest.Run(g, func(p *colourClassMIS) {
+		p.colors, p.k = colors, k
 	}, opts...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("coloring: MIS conversion: %w", err)

@@ -26,6 +26,15 @@
 // state. Because per-node state is confined to one goroutine within a
 // round and per-node randomness is pre-seeded, every worker count yields
 // bit-identical executions: scheduling changes no round, message or bit.
+//
+// A run allocates in proportion to itself, not to n (see slots.go). Run
+// takes a process type and hands node v element v of a recycled, zeroed
+// []T; NodeInfo.Message builds a node's message in one of two per-node
+// slots that the simulator reuses every other round. A slot message is
+// valid until its sender's step two rounds later, so a process must never
+// retain or forward one; NewMessage builds a message that may be kept.
+// Slots are off, and every message is a heap one, in runs with a fault
+// hook or the reliable transport.
 package congest
 
 import (
@@ -61,15 +70,12 @@ var ErrRoundLimit = errors.New("congest: protocol exceeded round limit")
 type Message struct {
 	data []byte
 	bitN int
-	// pooled marks the message as recyclable via the round-boundary batch
-	// return (see msgpool.go); free guards against double-release when one
-	// broadcast object occupies several inbox slots.
-	pooled bool
-	free   bool
 }
 
-// NewMessage freezes the contents of w into a Message. The writer can be
-// reused afterwards.
+// NewMessage freezes the contents of w into a heap Message. The writer can
+// be reused afterwards. A process that retains or forwards a message must
+// build it here; NodeInfo.Message is the allocation-free path for the
+// common send-once case.
 func NewMessage(w *wire.Writer) *Message {
 	data := make([]byte, len(w.Bytes()))
 	copy(data, w.Bytes())
@@ -163,15 +169,30 @@ type NodeInfo struct {
 	// Run reuses: both are valid only while the run lasts, and a process
 	// must not use them once Output has been called.
 	Out []*Message
+	// slots backs Message; nil when the run has slots off.
+	slots *slotTable
+}
+
+// Message freezes the contents of w into this node's message slot for the
+// current round and returns it; the writer can be reused afterwards. It is
+// NewMessage without the allocation, under the ownership rule of slots.go:
+// the message is valid until the node's step two rounds later, so it may
+// only be returned from this round's Round, never retained or forwarded.
+// When no slot can take the payload — slots are off for the run, the node
+// already filled its slot this round, or the payload exceeds
+// wire.CongestBytes — it falls back to NewMessage.
+func (info *NodeInfo) Message(w *wire.Writer) *Message {
+	if info.slots != nil {
+		if m := info.slots.fill(info.Index, w); m != nil {
+			return m
+		}
+	}
+	return NewMessage(w)
 }
 
 // Broadcast puts m on every port of out and returns out, the send of a
-// node that tells all its neighbours the same thing. With no ports to send
-// on, a pooled m goes straight back to the message pool.
+// node that tells all its neighbours the same thing.
 func Broadcast(out []*Message, m *Message) []*Message {
-	if len(out) == 0 && m.pooled {
-		msgPool.Put(m)
-	}
 	for i := range out {
 		out[i] = m
 	}
@@ -302,8 +323,47 @@ func Bandwidth(nUpper, factor int) int {
 	return factor * bits.Len(uint(nUpper-1))
 }
 
+// Runner runs one protocol on g: a process type bound to its per-run
+// constants (see Bind). The phase-composition layers and the protocol
+// registry take protocols in this form.
+type Runner func(g *graph.Graph, opts ...Option) (*Result, error)
+
+// Bind returns the Runner that calls Run for process type T with set.
+func Bind[T any, P interface {
+	*T
+	Process
+}](set func(P)) Runner {
+	return func(g *graph.Graph, opts ...Option) (*Result, error) { return Run(g, set, opts...) }
+}
+
 // Run executes one protocol instance per node of g until every node halts.
-func Run(g *graph.Graph, newProcess func() Process, opts ...Option) (*Result, error) {
+// Node v's process is element v of a recycled []T (see slots.go), zeroed,
+// so it starts exactly as &T{} would; set, when non-nil, then applies the
+// per-run constants to each process before Init.
+func Run[T any, P interface {
+	*T
+	Process
+}](g *graph.Graph, set func(P), opts ...Option) (*Result, error) {
+	sim, err := newSimulator(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer sim.release()
+	procs := borrowProcs[T](g.N())
+	defer returnProcs(procs)
+	for v := range *procs {
+		p := P(&(*procs)[v])
+		if set != nil {
+			set(p)
+		}
+		sim.procs[v] = p
+	}
+	return sim.run()
+}
+
+// newSimulator validates the options for g and prepares a simulator on a
+// borrowed runState; the caller fills procs, then calls run and release.
+func newSimulator(g *graph.Graph, opts []Option) (*simulator, error) {
 	cfg := config{
 		model:           ModelCongest,
 		bandwidthFactor: 8,
@@ -350,40 +410,48 @@ func Run(g *graph.Graph, newProcess func() Process, opts ...Option) (*Result, er
 	}
 
 	st := statePool.Get().(*runState)
-	st.reset(g)
-	defer st.release()
-	sim := &simulator{g: g, cfg: cfg, bandwidth: bandwidth, physBandwidth: bandwidth, runState: st}
+	st.reset(g, cfg.slotsOn())
+	sim := &simulator{g: g, cfg: cfg, bandwidth: bandwidth, physBandwidth: bandwidth,
+		maxID: maxID, maxWeight: maxWeight, runState: st}
 	if cfg.reliable != nil && bandwidth > 0 {
 		// Transport framing (seq/ack headers) rides above the CONGEST bound:
 		// inner processes still budget against B, physical frames may carry
 		// the exact header on top. See Reliability.HeaderBits.
 		sim.physBandwidth = bandwidth + cfg.reliable.HeaderBits()
 	}
-	for v := 0; v < n; v++ {
-		proc := newProcess()
-		if cfg.reliable != nil {
-			proc = cfg.reliable.Wrap(proc)
+	return sim, nil
+}
+
+// initProcs wraps every process in the reliable transport, if any, seeds
+// its randomness and calls Init.
+func (s *simulator) initProcs() {
+	var slots *slotTable
+	if s.cfg.slotsOn() {
+		slots = &s.slots
+	}
+	for v := range s.procs {
+		if s.cfg.reliable != nil {
+			s.procs[v] = s.cfg.reliable.Wrap(s.procs[v])
 		}
-		st.procs[v] = proc
 		// rand.New and rand.NewPCG both inline, so filling the value slots
 		// allocates nothing.
-		st.pcgs[v] = *rand.NewPCG(cfg.seed, 0x6a09e667f3bcc908^uint64(v))
-		st.rnds[v] = *rand.New(&st.pcgs[v])
-		proc.Init(NodeInfo{
+		s.pcgs[v] = *rand.NewPCG(s.cfg.seed, 0x6a09e667f3bcc908^uint64(v))
+		s.rnds[v] = *rand.New(&s.pcgs[v])
+		s.procs[v].Init(NodeInfo{
 			Index:     v,
-			ID:        g.ID(v),
-			Degree:    g.Degree(v),
-			Weight:    g.Weight(v),
-			NUpper:    cfg.nUpper,
-			MaxID:     maxID,
-			MaxWeight: maxWeight,
-			Bandwidth: bandwidth,
-			Faulty:    cfg.hook != nil,
-			Rand:      &st.rnds[v],
-			Out:       st.out[v],
+			ID:        s.g.ID(v),
+			Degree:    s.g.Degree(v),
+			Weight:    s.g.Weight(v),
+			NUpper:    s.cfg.nUpper,
+			MaxID:     s.maxID,
+			MaxWeight: s.maxWeight,
+			Bandwidth: s.bandwidth,
+			Faulty:    s.cfg.hook != nil,
+			Rand:      &s.rnds[v],
+			Out:       s.out[v],
+			slots:     slots,
 		})
 	}
-	return sim.run()
 }
 
 // simulator holds one execution's configuration, its pooled run state and
@@ -395,9 +463,18 @@ type simulator struct {
 	// physBandwidth is the enforced per-frame limit: bandwidth plus the
 	// reliable transport's header headroom (equal to bandwidth without one).
 	physBandwidth int
+	// maxID and maxWeight are the bounds every node is told.
+	maxID     uint64
+	maxWeight int64
 	*runState
 	res Result
 }
+
+// slotsOn reports whether the run hands out message slots. They are off
+// whenever a message can outlive its two-round window: a fault hook may
+// retain it or deliver a duplicate a round late, and the reliable
+// transport keeps inner messages for retransmission and replay.
+func (c *config) slotsOn() bool { return c.hook == nil && c.reliable == nil }
 
 // runState is every per-run buffer of a simulation whose size follows the
 // graph. A solve chains many short protocols (the Theorem 2 pipeline makes
@@ -410,12 +487,11 @@ type runState struct {
 	done  graph.Bitset
 	// Inboxes are per-node windows into two flat slabs (one per round
 	// parity) that swap together at the end of every delivery phase, so
-	// clearing a round's inboxes is one clear() of a slab. sent and
-	// nextSent list the distinct pooled messages delivered into inboxSlab
-	// and nextSlab; they swap with the slabs.
+	// clearing a round's inboxes is one clear() of a slab.
 	inbox, nextInbox    [][]*Message
 	inboxSlab, nextSlab []*Message
-	sent, nextSent      []*Message
+	// slots are the nodes' message slots (slots.go).
+	slots slotTable
 	// out holds the nodes' NodeInfo.Out windows over outSlab.
 	out     [][]*Message
 	outSlab []*Message
@@ -449,8 +525,8 @@ func resize[S ~[]E, E any](s S, n int) S {
 }
 
 // reset sizes the state for g, clears it, and lays out the per-node windows
-// and the reverse-port table.
-func (st *runState) reset(g *graph.Graph) {
+// and the reverse-port table, and the message slots when slotsOn.
+func (st *runState) reset(g *graph.Graph, slotsOn bool) {
 	n, ports := g.N(), 2*g.M()
 	st.procs = resize(st.procs, n)
 	st.done = resize(st.done, (n+63)/64) // the words of graph.NewBitset(n)
@@ -478,15 +554,15 @@ func (st *runState) reset(g *graph.Graph) {
 		off = hi
 	}
 	st.buildReversePorts(g)
+	if slotsOn {
+		st.slots.reset(n)
+	}
 }
 
 // release is the one exit of every run — normal end, round limit, hard
-// stop, node error or panic. It returns the in-flight pooled messages to
-// the message pool, drops every reference the run left behind, and puts
-// the state back into statePool.
+// stop, node error or panic. It drops every reference the run left
+// behind and puts the state back into statePool.
 func (st *runState) release() {
-	st.sent = releaseSent(st.sent)
-	st.nextSent = releaseSent(st.nextSent)
 	clear(st.procs)
 	clear(st.inboxSlab)
 	clear(st.nextSlab)
@@ -524,6 +600,7 @@ func (st *runState) buildReversePorts(g *graph.Graph) {
 }
 
 func (s *simulator) run() (*Result, error) {
+	s.initProcs()
 	n := s.g.N()
 	live := n
 	s.res.Bandwidth = s.bandwidth
@@ -633,6 +710,7 @@ func (s *simulator) run() (*Result, error) {
 			phaseT0 = time.Now()
 		}
 
+		s.slots.round = round
 		exec.runRound(round)
 		// Report the error of the lowest-index failing node, so error
 		// selection is deterministic and independent of the worker count
@@ -662,11 +740,8 @@ func (s *simulator) run() (*Result, error) {
 
 		// Delivery phase: clear next inboxes, move messages. nextSlab holds
 		// the messages consumed during the *previous* round's compute phase
-		// (the slabs swapped after they were delivered), so this is the
-		// pool-return point for the pooled messages listed in nextSent:
-		// every read of them happened at least one full compute phase ago.
+		// (the slabs swapped after they were delivered).
 		clear(s.nextSlab)
-		s.nextSent = releaseSent(s.nextSent)
 		// Duplicates scheduled during the previous round's delivery arrive
 		// first, so a fresh message on the same port overwrites the copy.
 		if len(s.pendingDups) > 0 {
@@ -702,12 +777,6 @@ func (s *simulator) run() (*Result, error) {
 						continue
 					}
 				}
-				if m.pooled && !m.free {
-					// First slot of this object this round: list it once
-					// for release, however many ports it fans out to.
-					m.free = true
-					s.nextSent = append(s.nextSent, m)
-				}
 				s.nextInbox[u][rport] = m
 			}
 			outboxes[v] = nil
@@ -723,7 +792,6 @@ func (s *simulator) run() (*Result, error) {
 		}
 		s.inbox, s.nextInbox = s.nextInbox, s.inbox
 		s.inboxSlab, s.nextSlab = s.nextSlab, s.inboxSlab
-		s.sent, s.nextSent = s.nextSent, s.sent
 
 		if tr != nil {
 			var retransmitsNow int64
@@ -762,11 +830,6 @@ func (s *simulator) run() (*Result, error) {
 // that is down when it would arrive (round+1). Duplicates of the original
 // payload are queued for the following round.
 func (s *simulator) deliverFaulty(round, from, to, rport int, m *Message) *Message {
-	// A hook may retain the message beyond this round — duplicates re-arrive
-	// a round later via pendingDups, and arbitrary hooks may log payloads —
-	// so messages that cross the fault seam are withdrawn from pool
-	// recycling and left to the garbage collector.
-	m.pooled = false
 	if s.cfg.hook.State(round+1, to) != NodeUp {
 		s.res.FaultLost++
 		return nil

@@ -80,10 +80,10 @@ func TestParallelForSkewRebalances(t *testing.T) {
 	}
 }
 
-// poolSeqProcess broadcasts round-stamped payloads through pooled messages
-// and records every (round, value) pair heard per port. It exists to pin
-// message-pool integrity: if a recycled buffer were handed out while still
-// readable through a stale inbox slot, the recorded sequences would show a
+// poolSeqProcess broadcasts round-stamped payloads through its message
+// slot and records every (round, value) pair heard per port. It exists to
+// pin slot integrity: if a slot were refilled while its previous message
+// was still readable through an inbox, the recorded sequences would show a
 // value from the wrong round.
 type poolSeqProcess struct {
 	info   NodeInfo
@@ -103,10 +103,10 @@ func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
 		rd, e1 := r.ReadUint(uint64(p.rounds))
 		id, e2 := r.ReadUint(p.info.MaxID)
 		if e1 != nil || e2 != nil {
-			panic("garbled payload from pooled message")
+			panic("garbled payload from slot message")
 		}
 		if int(rd) != round-1 {
-			panic(fmt.Sprintf("node %d round %d: payload stamped %d (stale recycled buffer?)", p.info.Index, round, rd))
+			panic(fmt.Sprintf("node %d round %d: payload stamped %d (slot refilled too early?)", p.info.Index, round, rd))
 		}
 		p.heard = append(p.heard, id)
 	}
@@ -116,18 +116,18 @@ func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
 	p.w.Reset()
 	p.w.WriteUint(uint64(round), uint64(p.rounds))
 	p.w.WriteUint(p.info.ID, p.info.MaxID)
-	return Broadcast(p.info.Out, NewPooledMessage(&p.w)), false
+	return Broadcast(p.info.Out, p.info.Message(&p.w)), false
 }
 
 func (p *poolSeqProcess) Output() any { return p.heard }
 
-// TestPooledMessagesBitIdentical runs the pooled-broadcast protocol with
-// one and with four workers and checks (a) payload integrity via the
+// TestPooledMessagesBitIdentical runs the slot-broadcast protocol with one
+// and with four workers and checks (a) payload integrity via the
 // in-process round stamps and (b) equality of the full received sequences,
-// proving pooling is invisible to protocol semantics.
+// proving message slots are invisible to protocol semantics.
 func TestPooledMessagesBitIdentical(t *testing.T) {
 	g := gen.GNP(96, 0.07, 9)
-	newProc := func() Process { return &poolSeqProcess{rounds: 9} }
+	newProc := func(p *poolSeqProcess) { p.rounds = 9 }
 	ref, err := Run(g, newProc, WithSeed(3), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestPooledMessagesBitIdentical(t *testing.T) {
 // this kind were impossible by construction — now they must be tested).
 func TestPoolEngineManyRounds(t *testing.T) {
 	g := gen.Cycle(256)
-	res, err := Run(g, func() Process { return &poolSeqProcess{rounds: 300} },
+	res, err := Run(g, func(p *poolSeqProcess) { p.rounds = 300 },
 		WithSeed(1), WithWorkers(6))
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,9 @@ import (
 	"distmwis/internal/wire"
 )
 
-// misbehaver runs the pooled broadcast of poolSeqProcess and, in round
+// misbehaver runs the slot broadcast of poolSeqProcess and, in round
 // failAt, makes node culprit break a rule the simulator enforces while the
-// other nodes' pooled messages are in flight: it sends on one port more
+// other nodes' slot messages are in flight: it sends on one port more
 // than it has ("ports"), or sends a message far over the bandwidth
 // ("bandwidth").
 type misbehaver struct {
@@ -37,7 +37,7 @@ func (p *misbehaver) Round(round int, recv []*Message) ([]*Message, bool) {
 		for i := 0; i < 64; i++ {
 			w.WriteBits(uint64(i), 64)
 		}
-		send[0] = NewPooledMessage(&w)
+		send[0] = p.info.Message(&w) // over CongestBytes: a heap message
 		return send, false
 	}
 }
@@ -68,11 +68,11 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", exec.name, mode), func(t *testing.T) {
 				opts := []Option{WithSeed(9), WithWorkers(exec.workers)}
 				normal := func() (*Result, *Result) {
-					seq, err := Run(g, func() Process { return &poolSeqProcess{rounds: 7} }, opts...)
+					seq, err := Run(g, func(p *poolSeqProcess) { p.rounds = 7 }, opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					coins, err := Run(g, func() Process { return &coinFlipper{} }, opts...)
+					coins, err := Run[coinFlipper](g, nil, opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -80,8 +80,8 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 				}
 				refSeq, refCoins := normal()
 
-				bad := func() Process {
-					return &misbehaver{poolSeqProcess: poolSeqProcess{rounds: 7}, failAt: 4, culprit: culprit, mode: mode}
+				bad := func(p *misbehaver) {
+					*p = misbehaver{poolSeqProcess: poolSeqProcess{rounds: 7}, failAt: 4, culprit: culprit, mode: mode}
 				}
 				if _, err := Run(g, bad, opts...); err == nil {
 					t.Fatal("rule violation went unreported")
@@ -96,7 +96,7 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 
 				seq, coins := normal()
 				if !reflect.DeepEqual(seq, refSeq) {
-					t.Error("pooled broadcast run differs after a failed and a truncated run")
+					t.Error("slot broadcast run differs after a failed and a truncated run")
 				}
 				if !reflect.DeepEqual(coins, refCoins) {
 					t.Error("randomness differs after a failed and a truncated run")
@@ -108,12 +108,12 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 
 // TestConcurrentRunsShareRunState runs eight simulations at once, each on
 // its own graph and each with one and with two workers, against the shared
-// state and message pools. Every result must equal its one-worker
-// reference, and a Result kept from an earlier run must not change while
-// later runs reuse the pooled state it was computed on.
+// run-state and process-array pools. Every result must equal its
+// one-worker reference, and a Result kept from an earlier run must not
+// change while later runs reuse the pooled state it was computed on.
 func TestConcurrentRunsShareRunState(t *testing.T) {
 	const runs = 8
-	newProc := func() Process { return &poolSeqProcess{rounds: 6} }
+	newProc := func(p *poolSeqProcess) { p.rounds = 6 }
 	gs := make([]*graph.Graph, runs)
 	refs := make([]*Result, runs)
 	for i := range gs {
@@ -152,7 +152,7 @@ func TestConcurrentRunsShareRunState(t *testing.T) {
 	}
 }
 
-// xorFlood broadcasts one pooled (round, ID, coin) message per round and
+// xorFlood broadcasts one slot (round, ID, coin) message per round and
 // folds everything it hears into one word, so its own per-round work
 // allocates nothing: any per-round allocation in a run of it is the round
 // loop's.
@@ -182,19 +182,22 @@ func (p *xorFlood) Round(round int, recv []*Message) ([]*Message, bool) {
 	w.WriteUint(uint64(round), uint64(p.rounds))
 	w.WriteUint(p.info.ID, p.info.MaxID)
 	w.WriteBits(p.info.Rand.Uint64(), 16)
-	return Broadcast(p.info.Out, NewPooledMessage(&w)), false
+	return Broadcast(p.info.Out, p.info.Message(&w)), false
 }
 
-func (p *xorFlood) Output() any { return p.acc }
+// Output is a bool, which converts to any without allocating, so a run's
+// allocation count is the simulator's alone.
+func (p *xorFlood) Output() any { return p.acc&1 == 1 }
 
 // TestRoundLoopAllocsFlat pins the allocation-free round loop: on gnp
 // n = 2000 (which has an isolated node, whose Broadcast goes nowhere), a
-// 40-round run of a pooled broadcast may allocate at most a small constant
-// more than a 4-round run. Per-node outboxes, writer
-// buffers, message objects or a per-round walk of the inbox slabs would
-// each add O(n) allocations per round. The garbage collector is off while
-// counting, because a collection empties sync.Pool and the refill would be
-// charged to whichever run it lands in.
+// 40-round run of a slot broadcast may allocate at most a small constant
+// more than a 4-round run, and the 4-round run itself only a constant:
+// processes come from a recycled array and messages from the nodes'
+// slots. Per-node processes, outboxes, writer buffers or message objects
+// would each add O(n) allocations per run or per round. The garbage
+// collector is off while counting, because a collection empties sync.Pool
+// and the refill would be charged to whichever run it lands in.
 func TestRoundLoopAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -202,7 +205,7 @@ func TestRoundLoopAllocsFlat(t *testing.T) {
 	g := gen.GNP(2000, 0.004, 1)
 	allocs := func(rounds int) float64 {
 		run := func() {
-			if _, err := Run(g, func() Process { return &xorFlood{rounds: rounds} }, WithWorkers(1)); err != nil {
+			if _, err := Run(g, func(p *xorFlood) { p.rounds = rounds }, WithWorkers(1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -211,6 +214,9 @@ func TestRoundLoopAllocsFlat(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	short, long := allocs(4), allocs(40)
 	t.Logf("allocs per run: 4 rounds %.0f, 40 rounds %.0f", short, long)
+	if short > 64 {
+		t.Errorf("a 4-round run on 2000 nodes costs %.0f allocations, want ≤ 64", short)
+	}
 	if long-short > 64 {
 		t.Errorf("36 extra rounds cost %.0f allocations (4 rounds: %.0f, 40 rounds: %.0f), want ≤ 64", long-short, short, long)
 	}

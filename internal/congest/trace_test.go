@@ -24,7 +24,7 @@ func (p *labeledFlood) TracePhase(round int) string {
 func TestTraceMatchesResultAggregates(t *testing.T) {
 	g := gen.GNP(200, 0.05, 7)
 	ring := trace.NewRing(0)
-	res, err := Run(g, func() Process { return &labeledFlood{floodMax{rounds: 12}} },
+	res, err := Run(g, func(p *labeledFlood) { p.rounds = 12 },
 		WithSeed(3), WithTracer(ring), WithTraceLabel("flood-test"))
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestTraceEngineParity(t *testing.T) {
 	g := gen.GNP(300, 0.03, 5)
 	record := func(workers int) ([]trace.Round, int) {
 		ring := trace.NewRing(0)
-		_, err := Run(g, func() Process { return &labeledFlood{floodMax{rounds: 8}} },
+		_, err := Run(g, func(p *labeledFlood) { p.rounds = 8 },
 			WithSeed(9), WithWorkers(workers), WithTracer(ring))
 		if err != nil {
 			t.Fatal(err)
@@ -131,11 +131,11 @@ func TestTraceEngineParity(t *testing.T) {
 
 func TestTracerAbsentIsBitIdentical(t *testing.T) {
 	g := gen.GNP(150, 0.05, 11)
-	plain, err := Run(g, func() Process { return &floodMax{rounds: 6} }, WithSeed(4))
+	plain, err := Run(g, func(p *floodMax) { p.rounds = 6 }, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Run(g, func() Process { return &floodMax{rounds: 6} }, WithSeed(4),
+	traced, err := Run(g, func(p *floodMax) { p.rounds = 6 }, WithSeed(4),
 		WithTracer(trace.NewRing(0)))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestTracerAbsentIsBitIdentical(t *testing.T) {
 func TestTraceEndRunOnTruncation(t *testing.T) {
 	ring := trace.NewRing(0)
 	g := gen.Path(20)
-	res, err := Run(g, func() Process { return &floodMax{rounds: 50} },
+	res, err := Run(g, func(p *floodMax) { p.rounds = 50 },
 		WithHardStop(5), WithTracer(ring))
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestTraceEndRunOnTruncation(t *testing.T) {
 
 func TestTraceRecordsFaultDrops(t *testing.T) {
 	ring := trace.NewRing(0)
-	res, err := Run(gen.Path(10), func() Process { return &floodMax{rounds: 10} },
+	res, err := Run(gen.Path(10), func(p *floodMax) { p.rounds = 10 },
 		WithFaults(&stubHook{dropFrom: 0, crashNode: -1}), WithTracer(ring))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestWithMaxWeight(t *testing.T) {
 
 	// A sweep bound at least the true maximum is handed to every node
 	// verbatim, decoupling wire sizing from the realized maximum.
-	res, err := Run(g, func() Process { return &maxWeightProbe{} }, WithMaxWeight(1<<20))
+	res, err := Run[maxWeightProbe](g, nil, WithMaxWeight(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +206,15 @@ func TestWithMaxWeight(t *testing.T) {
 
 	// A bound below the true maximum is a misconfiguration, not a silent
 	// re-derivation.
-	if _, err := Run(g, func() Process { return &maxWeightProbe{} }, WithMaxWeight(trueMax-1)); err == nil {
+	if _, err := Run[maxWeightProbe](g, nil, WithMaxWeight(trueMax-1)); err == nil {
 		t.Error("expected error for MaxWeight below the true maximum")
 	}
-	if _, err := Run(g, func() Process { return &maxWeightProbe{} }, WithMaxWeight(-5)); err == nil {
+	if _, err := Run[maxWeightProbe](g, nil, WithMaxWeight(-5)); err == nil {
 		t.Error("expected error for negative MaxWeight")
 	}
 
 	// Default: the scan result.
-	res, err = Run(g, func() Process { return &maxWeightProbe{} })
+	res, err = Run[maxWeightProbe](g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPoolEngineClampsWorkers(t *testing.T) {
 	g := gen.Cycle(96)
 	run := func(workers int) (*Result, int) {
 		ring := trace.NewRing(0)
-		res, err := Run(g, func() Process { return &floodMax{rounds: 4} },
+		res, err := Run(g, func(p *floodMax) { p.rounds = 4 },
 			WithWorkers(workers), WithSeed(2), WithTracer(ring))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -290,7 +290,7 @@ func TestDeterministicErrorSelection(t *testing.T) {
 		{name: "pool", opts: []Option{WithWorkers(8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(g, func() Process { return &badAbove{from: firstBad} }, tc.opts...)
+			_, err := Run(g, func(p *badAbove) { p.from = firstBad }, tc.opts...)
 			if err == nil {
 				t.Fatal("expected bandwidth violation")
 			}
@@ -310,7 +310,7 @@ func BenchmarkRun(b *testing.B) {
 	bench := func(b *testing.B, opts ...Option) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, func() Process { return &floodMax{rounds: 8} }, opts...); err != nil {
+			if _, err := Run(g, func(p *floodMax) { p.rounds = 8 }, opts...); err != nil {
 				b.Fatal(err)
 			}
 		}

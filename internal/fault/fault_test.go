@@ -62,7 +62,7 @@ func (p *floodMax) Output() any { return p.best }
 // with eight.
 func TestZeroScheduleIdentity(t *testing.T) {
 	g := gen.GNP(200, 0.04, 11)
-	newProc := func() congest.Process { return &floodMax{rounds: 12} }
+	newProc := func(p *floodMax) { p.rounds = 12 }
 	clean, err := congest.Run(g, newProc, congest.WithSeed(5), congest.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestReplayDeterminism(t *testing.T) {
 	sched := Schedule{Seed: 42, Loss: 0.2, Dup: 0.1, Corrupt: 0.1, CrashFrac: 0.1, CrashAt: 2}
 	run := func(workers int) (*congest.Result, Stats) {
 		inj := NewInjector(sched)
-		res, err := congest.Run(g, func() congest.Process { return &floodMax{rounds: 10} },
+		res, err := congest.Run(g, func(p *floodMax) { p.rounds = 10 },
 			congest.WithSeed(7), congest.WithFaults(inj), congest.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
@@ -135,8 +135,7 @@ func TestMISIndependenceUnderFaults(t *testing.T) {
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Ghaffari{}, mis.Rank{}, mis.GreedyByID{}} {
 		for i, sched := range scheds {
 			inj := NewInjector(sched)
-			res, err := congest.Run(g, alg.NewProcess,
-				congest.WithSeed(23), congest.WithFaults(inj),
+			res, err := alg.Run(g, congest.WithSeed(23), congest.WithFaults(inj),
 				congest.WithHardStop(sched.HardStop(g.N())))
 			if err != nil {
 				t.Fatalf("%s schedule %d: %v", alg.Name(), i, err)

@@ -41,7 +41,7 @@ func FuzzEngineFaultDeterminism(f *testing.F) {
 		}
 		run := func(workers int) outcome {
 			inj := NewInjector(sched)
-			res, err := congest.Run(g, mis.Luby{}.NewProcess, congest.WithSeed(21),
+			res, err := mis.Luby{}.Run(g, congest.WithSeed(21),
 				congest.WithWorkers(workers), congest.WithFaults(inj),
 				congest.WithHardStop(400))
 			if err != nil {

@@ -295,10 +295,21 @@ type Subgraph struct {
 }
 
 // Induce returns the subgraph induced by the nodes with keep[v] == true.
-// Weights and identifiers carry over.
+// Weights and identifiers carry over. When keep selects every node the
+// subgraph shares g's CSR, weights and identifiers, as WithWeights does;
+// only the identity maps are allocated.
 func (g *Graph) Induce(keep []bool) *Subgraph {
 	if len(keep) != g.N() {
 		panic(fmt.Sprintf("graph: Induce got %d flags for %d nodes", len(keep), g.N()))
+	}
+	if g.N() > 0 && !slices.Contains(keep, false) {
+		toParent, fromParent := make([]int32, g.N()), make([]int32, g.N())
+		for v := range toParent {
+			toParent[v] = int32(v)
+			fromParent[v] = int32(v)
+		}
+		sub := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg}
+		return &Subgraph{G: sub, ToParent: toParent, FromParent: fromParent}
 	}
 	// Count the kept nodes and arcs first, so every slice is allocated
 	// once at its final size (an empty one stays nil).

@@ -58,7 +58,7 @@ func BarYehuda(g *graph.Graph, cfg Config) (*Result, error) {
 		scales++
 		// All ⌈log W⌉ scales share the "scale" label, mirroring boost's
 		// unindexed "push".
-		set, _, err := dist.RunOnInduced(g, active, cfg.MISAlg().NewProcess, &acc, cfg.Phase("scale").Opts(seeds.Next())...)
+		set, _, err := dist.RunOnInduced(g, active, cfg.MISAlg().Run, &acc, cfg.Phase("scale").Opts(seeds.Next())...)
 		if err != nil {
 			return nil, fmt.Errorf("maxis: baseline scale 2^%d: %w", j, err)
 		}

@@ -97,7 +97,7 @@ func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Messa
 	if round == 1 {
 		p.w.Reset()
 		p.w.WriteBits(p.key, p.bits)
-		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&p.w)), false
+		return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), false
 	}
 	// Round 2: absorb the keys sent in round 1 and decide.
 	for port, m := range recv {
@@ -166,7 +166,7 @@ func BHR(g *graph.Graph, phases int, cfg Config) (*Result, error) {
 			break
 		}
 		ran++
-		set, _, err := dist.RunOnInduced(g, active, func() congest.Process { return &bhrProcess{} }, &acc, cfg.Phase("race").Opts(seeds.Next())...)
+		set, _, err := dist.RunOnInduced(g, active, congest.Bind[bhrProcess](nil), &acc, cfg.Phase("race").Opts(seeds.Next())...)
 		if err != nil {
 			return nil, fmt.Errorf("maxis: bhr phase %d: %w", ph+1, err)
 		}

@@ -120,24 +120,24 @@ func boostPush(g *graph.Graph, t int, inner Inner, cfg Config, seeds *protocol.S
 	return stack, stackValue, nil
 }
 
-// applyReduction performs w_{i+1}(v) = wᵢ(v) − wᵢ(N⁺(v) ∩ Iᵢ) in place,
-// reading all wᵢ values from the pre-phase snapshot.
+// applyReduction performs w_{i+1}(v) = wᵢ(v) − wᵢ(N⁺(v) ∩ Iᵢ) in place.
+// Non-members read only members' weights, which stay wᵢ until the second
+// pass zeroes them (a member's reduction is its own weight).
 func applyReduction(g *graph.Graph, cur []int64, set []bool) {
-	n := g.N()
-	reduce := make([]int64, n)
-	for v := 0; v < n; v++ {
-		if set[v] {
-			reduce[v] = cur[v] // member zeroes itself
+	for v, in := range set {
+		if in {
 			continue
 		}
 		for _, u := range g.Neighbors(v) {
 			if set[u] {
-				reduce[v] += cur[u]
+				cur[v] -= cur[u]
 			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		cur[v] -= reduce[v]
+	for v, in := range set {
+		if in {
+			cur[v] = 0
+		}
 	}
 }
 

@@ -136,7 +136,7 @@ func localRatioRun(g *graph.Graph, cur []int64, unit int64, cfg Config, alg stri
 			return nil, fmt.Errorf("maxis: %s exceeded its %d-phase bound (bug)", alg, maxPhases)
 		}
 		phases++
-		set, _, err := dist.RunOnInduced(g, active, cfg.MISAlg().NewProcess, &acc, cfg.Phase("ratio").Opts(seeds.Next())...)
+		set, _, err := dist.RunOnInduced(g, active, cfg.MISAlg().Run, &acc, cfg.Phase("ratio").Opts(seeds.Next())...)
 		if err != nil {
 			return nil, fmt.Errorf("maxis: %s phase %d: %w", alg, phases, err)
 		}

@@ -63,9 +63,9 @@ func EstimateDegeneracy(g *graph.Graph, cfg Config) (*DegeneracyEstimate, error)
 		est.Estimate = threshold
 		sub := g.Induce(alive)
 		est.Metrics.AddRounds(1) // survivors exchange liveness flags
-		res, err := dist.RunPhase(sub.G, func() congest.Process {
-			return &peelProcess{threshold: threshold, budget: peelRounds}
-		}, &est.Metrics, cfg.Phase("peel").Opts(seeds.Next())...)
+		res, err := dist.RunPhase(sub.G, congest.Bind(func(p *peelProcess) {
+			p.threshold, p.budget = threshold, peelRounds
+		}), &est.Metrics, cfg.Phase("peel").Opts(seeds.Next())...)
 		if err != nil {
 			return nil, fmt.Errorf("maxis: peel threshold %d: %w", threshold, err)
 		}
@@ -126,7 +126,7 @@ func (p *peelProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		var w wire.Writer
 		w.WriteBool(true)
 		out := p.info.Out
-		m := congest.NewPooledMessage(&w)
+		m := p.info.Message(&w)
 		p.alivePort.ForEach(func(port int) { out[port] = m })
 		return out, true
 	}

@@ -39,7 +39,7 @@ func PlanarConstantRound(g *graph.Graph, cfg Config) (*Result, error) {
 
 	// One round to learn which neighbours are low-degree (each node
 	// broadcasts a single bit).
-	res, err := dist.RunPhase(g, func() congest.Process { return &degreeCapFlag{cap: planarDegreeCap} }, &acc, cfg.Phase("lowdeg-flag").Opts(seeds.Next())...)
+	res, err := dist.RunPhase(g, congest.Bind(func(p *degreeCapFlag) { p.cap = planarDegreeCap }), &acc, cfg.Phase("lowdeg-flag").Opts(seeds.Next())...)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func (p *degreeCapFlag) Init(info congest.NodeInfo) { p.info = info }
 func (p *degreeCapFlag) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
 	var w wire.Writer
 	w.WriteBool(p.info.Degree <= p.cap)
-	return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&w)), true
+	return congest.Broadcast(p.info.Out, p.info.Message(&w)), true
 }
 
 func (p *degreeCapFlag) Output() any { return p.info.Degree <= p.cap }

@@ -64,7 +64,7 @@ func rankingRun(g *graph.Graph, c int, cfg Config, seeds *protocol.SeedSeq, acc 
 		return nil, nil
 	}
 	space := rankSpace(cfg.NUpper, c)
-	res, err := dist.RunPhase(g, func() congest.Process { return &rankingProcess{space: space} }, acc, cfg.Phase("ranking").Opts(seeds.Next())...)
+	res, err := dist.RunPhase(g, congest.Bind(func(p *rankingProcess) { p.space = space }), acc, cfg.Phase("ranking").Opts(seeds.Next())...)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.M
 			p.w.WriteBits(uint64(round-1), p.seqBits)
 		}
 		p.w.WriteBits(p.rank>>uint(lo), hi-lo)
-		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&p.w)), false
+		return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), false
 	}
 	// round == rounds+1: all chunks received; decide.
 	p.joined = true

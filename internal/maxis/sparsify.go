@@ -72,7 +72,7 @@ func SampleSparsifier(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *
 		acc = &dist.Accumulator{}
 	}
 	lam := cfg.LambdaOrDefault()
-	res, err := dist.RunPhase(g, func() congest.Process { return &sparsifySample{lambda: lam} }, acc, cfg.Phase("sparsify/sample").Opts(seeds.Next())...)
+	res, err := dist.RunPhase(g, congest.Bind(func(p *sparsifySample) { p.lambda = lam }), acc, cfg.Phase("sparsify/sample").Opts(seeds.Next())...)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.M
 		var w wire.Writer
 		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
 		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&w)), false
+		return congest.Broadcast(p.info.Out, p.info.Message(&w)), false
 
 	case 2:
 		p.deltaV = p.info.Degree
@@ -139,7 +139,7 @@ func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.M
 		}
 		var w wire.Writer
 		w.WriteInt(p.wDeg, p.maxSumW)
-		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&w)), false
+		return congest.Broadcast(p.info.Out, p.info.Message(&w)), false
 
 	default: // round 3
 		wmax := p.wDeg

@@ -20,8 +20,10 @@ type GreedyByID struct{}
 // Name implements Algorithm.
 func (GreedyByID) Name() string { return "greedy-id" }
 
-// NewProcess implements Algorithm.
-func (GreedyByID) NewProcess() congest.Process { return &greedyIDProcess{} }
+// Run implements Algorithm.
+func (GreedyByID) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
+	return congest.Run[greedyIDProcess](g, nil, opts...)
+}
 
 // RoundBudget implements Algorithm: the deterministic chain bound.
 func (GreedyByID) RoundBudget(nUpper, _ int) int { return nUpper + 2 }
@@ -71,7 +73,7 @@ func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.
 			p.w.WriteBool(frameID)
 		}
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return congest.Broadcast(p.info.Out, congest.NewPooledMessage(&p.w)), false
+		return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), false
 	}
 	if round == 2 {
 		for port, m := range recv {
@@ -143,7 +145,7 @@ func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.
 		p.w.WriteBool(frameStatus)
 	}
 	p.w.WriteUint(status, 2)
-	return broadcastAlive(p.info.Out, p.nbrActive, congest.NewPooledMessage(&p.w)), done
+	return broadcastAlive(p.info.Out, p.nbrActive, p.info.Message(&p.w)), done
 }
 
 func (p *greedyIDProcess) Output() any { return p.joined }

@@ -71,7 +71,7 @@ type Result struct {
 
 // Compute runs alg on g and returns the membership vector plus metrics.
 func Compute(alg Algorithm, g *graph.Graph, opts ...congest.Option) (*Result, error) {
-	res, err := congest.Run(g, alg.NewProcess, opts...)
+	res, err := alg.Run(g, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("mis: %s: %w", alg.Name(), err)
 	}
@@ -95,8 +95,10 @@ type Luby struct{}
 // Name implements Algorithm.
 func (Luby) Name() string { return "luby" }
 
-// NewProcess implements Algorithm.
-func (Luby) NewProcess() congest.Process { return &lubyProcess{} }
+// Run implements Algorithm.
+func (Luby) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
+	return congest.Run[lubyProcess](g, nil, opts...)
+}
 
 // RoundBudget implements Algorithm: Luby terminates in O(log n) iterations
 // with high probability independent of Δ; three simulator rounds each.
@@ -150,15 +152,27 @@ func parseRetire(faulty bool, m *congest.Message) (retired, dominated bool) {
 	return true, joined || err != nil
 }
 
-// retireMsg builds the retirement announcement parseRetire expects, using
-// the caller's scratch writer and the simulator's message pool.
-func retireMsg(w *wire.Writer, faulty, retiring, joined bool) *congest.Message {
+// retireMsg builds the retirement announcement parseRetire expects in the
+// node's message slot, using the caller's scratch writer.
+func retireMsg(info *congest.NodeInfo, w *wire.Writer, retiring, joined bool) *congest.Message {
 	w.Reset()
 	w.WriteBool(retiring)
-	if faulty {
+	if info.Faulty {
 		w.WriteBool(joined)
 	}
-	return congest.NewPooledMessage(w)
+	return info.Message(w)
+}
+
+// portSet returns a bitset with the first degree ports set. For degree at
+// most 64 its storage is *word, a field of the calling process, so the
+// common case allocates nothing.
+func portSet(word *[1]uint64, degree int) graph.Bitset {
+	b := graph.Bitset(word[:])
+	if degree > 64 {
+		b = graph.NewBitset(degree)
+	}
+	b.SetFirst(degree)
+	return b
 }
 
 // broadcastAlive puts m on the ports whose neighbour is still active (out
@@ -184,15 +198,16 @@ type lubyProcess struct {
 	// scratch from phaseMark messages: which alive neighbours are marked and
 	// their (degree, id) priority.
 	loseToNeighbor bool
-	// w is per-round scratch: pooled messages are owned by the simulator
-	// the moment they are returned.
+	// w is per-round scratch: slot messages are owned by the simulator the
+	// moment they are returned.
 	w wire.Writer
+	// aliveWord backs alive for degree ≤ 64 (portSet).
+	aliveWord [1]uint64
 }
 
 func (p *lubyProcess) Init(info congest.NodeInfo) {
 	p.info = info
-	p.alive = graph.NewBitset(info.Degree)
-	p.alive.SetFirst(info.Degree)
+	p.alive = portSet(&p.aliveWord, info.Degree)
 	p.aliveN = info.Degree
 }
 
@@ -233,7 +248,7 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		p.w.WriteBool(p.marked)
 		p.w.WriteUint(uint64(p.aliveN), uint64(p.info.NUpper))
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
 
 	case phaseJoin:
 		if p.marked && !p.dominated {
@@ -266,7 +281,7 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		}
 		p.w.Reset()
 		p.w.WriteBool(p.joined)
-		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -279,7 +294,7 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			}
 		}
 		retiring := p.joined || p.dominated
-		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
+		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.info, &p.w, retiring, p.joined)), retiring
 	}
 }
 
@@ -313,8 +328,10 @@ type Ghaffari struct{}
 // Name implements Algorithm.
 func (Ghaffari) Name() string { return "ghaffari" }
 
-// NewProcess implements Algorithm.
-func (Ghaffari) NewProcess() congest.Process { return &ghaffariProcess{} }
+// Run implements Algorithm.
+func (Ghaffari) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
+	return congest.Run[ghaffariProcess](g, nil, opts...)
+}
 
 // RoundBudget implements Algorithm: O(log Δ) + poly(log log n) iterations
 // (the local complexity of [25] combined with the CONGEST shattering
@@ -341,14 +358,14 @@ type ghaffariProcess struct {
 	dominated bool
 	lastRound int
 	// maxExp caps the exponent so the wire field stays bounded.
-	maxExp int
-	w      wire.Writer
+	maxExp    int
+	w         wire.Writer
+	aliveWord [1]uint64
 }
 
 func (p *ghaffariProcess) Init(info congest.NodeInfo) {
 	p.info = info
-	p.alive = graph.NewBitset(info.Degree)
-	p.alive.SetFirst(info.Degree)
+	p.alive = portSet(&p.aliveWord, info.Degree)
 	p.aliveN = info.Degree
 	p.pExp = 1
 	p.maxExp = 2 * wire.BitsFor(uint64(info.NUpper)) // p never below n^-2
@@ -393,7 +410,7 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 		p.w.WriteBool(p.marked)
 		p.w.WriteUint(uint64(p.pExp), uint64(p.maxExp))
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
 
 	case phaseJoin:
 		var effDeg float64
@@ -435,7 +452,7 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 		}
 		p.w.Reset()
 		p.w.WriteBool(p.joined)
-		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -448,7 +465,7 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 			}
 		}
 		retiring := p.joined || p.dominated
-		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
+		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.info, &p.w, retiring, p.joined)), retiring
 	}
 }
 
@@ -472,8 +489,10 @@ type Rank struct{}
 // Name implements Algorithm.
 func (Rank) Name() string { return "rank" }
 
-// NewProcess implements Algorithm.
-func (Rank) NewProcess() congest.Process { return &rankProcess{} }
+// Run implements Algorithm.
+func (Rank) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
+	return congest.Run[rankProcess](g, nil, opts...)
+}
 
 // RoundBudget implements Algorithm: like Luby, O(log n) iterations w.h.p.
 func (Rank) RoundBudget(nUpper, _ int) int {
@@ -493,12 +512,12 @@ type rankProcess struct {
 	wins      bool
 	lastRound int
 	w         wire.Writer
+	aliveWord [1]uint64
 }
 
 func (p *rankProcess) Init(info congest.NodeInfo) {
 	p.info = info
-	p.alive = graph.NewBitset(info.Degree)
-	p.alive.SetFirst(info.Degree)
+	p.alive = portSet(&p.aliveWord, info.Degree)
 	p.aliveN = info.Degree
 	n := uint64(info.NUpper)
 	p.rankSpace = n * n // collisions broken by ID
@@ -529,7 +548,7 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		p.w.Reset()
 		p.w.WriteUint(p.rank, p.rankSpace)
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
 
 	case phaseJoin:
 		p.wins = true
@@ -559,7 +578,7 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		}
 		p.w.Reset()
 		p.w.WriteBool(p.joined)
-		return broadcastAlive(p.info.Out, p.alive, congest.NewPooledMessage(&p.w)), false
+		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -572,7 +591,7 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			}
 		}
 		retiring := p.joined || p.dominated
-		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.w, p.info.Faulty, retiring, p.joined)), retiring
+		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.info, &p.w, retiring, p.joined)), retiring
 	}
 }
 

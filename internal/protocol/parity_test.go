@@ -66,14 +66,14 @@ func TestProtoEngineParity(t *testing.T) {
 	g := gen.GNP(150, 0.04, 5)
 	protos := protocol.Protos()
 	if len(protos) == 0 {
-		t.Fatal("no process-factory algorithms registered")
+		t.Fatal("no single-protocol algorithms registered")
 	}
 	for _, p := range protos {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			run := func(workers int) *congest.Result {
-				res, err := congest.Run(g, p.NewProcess, congest.WithSeed(9), congest.WithWorkers(workers))
+				res, err := p.Run(g, congest.WithSeed(9), congest.WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
 				}

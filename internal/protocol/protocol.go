@@ -54,9 +54,9 @@ type Result struct {
 type MIS interface {
 	// Name identifies the algorithm in experiment tables.
 	Name() string
-	// NewProcess creates one node's protocol instance. The process's
-	// Output() must be a bool: membership in the computed MIS.
-	NewProcess() congest.Process
+	// Run runs the protocol on g (it is a congest.Runner). Every node's
+	// Output() is a bool: membership in the computed MIS.
+	Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error)
 	// RoundBudget returns the declared with-high-probability round budget
 	// MIS(n, Δ) for graphs with ≤ nUpper nodes and maximum degree ≤ maxDeg.
 	RoundBudget(nUpper, maxDeg int) int

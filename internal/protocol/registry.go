@@ -98,27 +98,29 @@ type Solver interface {
 // per node — such as an MIS black box or a colouring protocol. The
 // optional per-process hooks (reliable.Checkpointer for crash recovery,
 // congest.PhaseLabeler for tracing) are interface assertions on the
-// processes the factory builds, made by the layers that use them.
+// processes the runner builds, made by the layers that use them.
 type Proto interface {
 	Algorithm
-	// NewProcess creates one node's protocol instance.
-	NewProcess() congest.Process
+	// Run runs the protocol on g (it is a congest.Runner).
+	Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error)
 }
 
-// protoEntry adapts a process factory (plus metadata) to Proto; MIS
-// entries additionally carry the black-box implementation.
+// protoEntry adapts a runner (plus metadata) to Proto; MIS entries
+// additionally carry the black-box implementation.
 type protoEntry struct {
 	name     string
 	kind     Kind
 	describe string
-	factory  func() congest.Process
+	run      congest.Runner
 	mis      MIS
 }
 
-func (e *protoEntry) Name() string                { return e.name }
-func (e *protoEntry) Kind() Kind                  { return e.kind }
-func (e *protoEntry) Describe() string            { return e.describe }
-func (e *protoEntry) NewProcess() congest.Process { return e.factory() }
+func (e *protoEntry) Name() string     { return e.name }
+func (e *protoEntry) Kind() Kind       { return e.kind }
+func (e *protoEntry) Describe() string { return e.describe }
+func (e *protoEntry) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
+	return e.run(g, opts...)
+}
 
 var (
 	mu         sync.RWMutex
@@ -163,7 +165,7 @@ func Register(a Algorithm) {
 // registered box becomes the Config.MIS default unless SetDefaultMIS
 // overrides it.
 func RegisterMIS(m MIS, describe string) {
-	Register(&protoEntry{name: m.Name(), kind: KindMIS, describe: describe, factory: m.NewProcess, mis: m})
+	Register(&protoEntry{name: m.Name(), kind: KindMIS, describe: describe, run: m.Run, mis: m})
 	mu.Lock()
 	if defaultMIS == "" {
 		defaultMIS = m.Name()
@@ -195,9 +197,10 @@ func DefaultMIS() MIS {
 }
 
 // RegisterProcess registers a single-protocol algorithm (KindColoring or
-// KindMIS-shaped entries that are not full MIS boxes) by process factory.
-func RegisterProcess(kind Kind, name, describe string, factory func() congest.Process) {
-	Register(&protoEntry{name: name, kind: kind, describe: describe, factory: factory})
+// KindMIS-shaped entries that are not full MIS boxes) by its runner,
+// typically congest.Bind of its process type.
+func RegisterProcess(kind Kind, name, describe string, run congest.Runner) {
+	Register(&protoEntry{name: name, kind: kind, describe: describe, run: run})
 }
 
 // Lookup finds one registered algorithm.
@@ -250,7 +253,7 @@ func MISByName(name string) (MIS, error) {
 	return nil, fmt.Errorf("unknown MIS algorithm %q (known: %v)", name, Names(KindMIS))
 }
 
-// Protos returns every registered process-factory algorithm (MIS boxes and
+// Protos returns every registered single-protocol algorithm (MIS boxes and
 // colouring protocols), sorted by kind then name. The worker-count parity
 // suite iterates it so newly registered protocols are covered without
 // editing any test.

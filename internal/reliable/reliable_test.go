@@ -24,11 +24,11 @@ func testGraph(seed uint64) *graph.Graph {
 func TestTransparentNoFaults(t *testing.T) {
 	g := testGraph(7)
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Rank{}} {
-		plain, err := congest.Run(g, alg.NewProcess, congest.WithSeed(5))
+		plain, err := alg.Run(g, congest.WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := congest.Run(g, alg.NewProcess, congest.WithSeed(5),
+		rel, err := alg.Run(g, congest.WithSeed(5),
 			congest.WithReliable(reliable.New(reliable.Options{})))
 		if err != nil {
 			t.Fatal(err)
@@ -58,13 +58,13 @@ func TestExactRecoveryUnderFaults(t *testing.T) {
 		{Seed: 4, Dup: 0.5},
 	}
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Rank{}} {
-		plain, err := congest.Run(g, alg.NewProcess, congest.WithSeed(9))
+		plain, err := alg.Run(g, congest.WithSeed(9))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, sched := range scheds {
 			inj := fault.NewInjector(sched)
-			rel, err := congest.Run(g, alg.NewProcess, congest.WithSeed(9),
+			rel, err := alg.Run(g, congest.WithSeed(9),
 				congest.WithFaults(inj),
 				congest.WithReliable(reliable.New(reliable.Options{})))
 			if err != nil {
@@ -92,12 +92,12 @@ func TestExactRecoveryUnderFaults(t *testing.T) {
 // still match the fault-free run.
 func TestCrashRecoveryWithoutCheckpoint(t *testing.T) {
 	g := testGraph(13)
-	plain, err := congest.Run(g, mis.Luby{}.NewProcess, congest.WithSeed(3))
+	plain, err := mis.Luby{}.Run(g, congest.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(fault.Schedule{Seed: 8, Loss: 0.1, CrashFrac: 0.2, CrashAt: 3, CrashBack: 9})
-	rel, err := congest.Run(g, mis.Luby{}.NewProcess, congest.WithSeed(3),
+	rel, err := mis.Luby{}.Run(g, congest.WithSeed(3),
 		congest.WithFaults(inj),
 		congest.WithReliable(reliable.New(reliable.Options{})))
 	if err != nil {
@@ -119,13 +119,13 @@ func TestCheckpointRestore(t *testing.T) {
 	g := testGraph(17)
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Ghaffari{}, mis.Rank{}} {
 		opts := reliable.Options{CheckpointEvery: 4}
-		base, err := congest.Run(g, alg.NewProcess, congest.WithSeed(21),
+		base, err := alg.Run(g, congest.WithSeed(21),
 			congest.WithReliable(reliable.New(opts)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		inj := fault.NewInjector(fault.Schedule{Seed: 6, Loss: 0.15, CrashFrac: 0.25, CrashAt: 4, CrashBack: 11})
-		rel, err := congest.Run(g, alg.NewProcess, congest.WithSeed(21),
+		rel, err := alg.Run(g, congest.WithSeed(21),
 			congest.WithFaults(inj),
 			congest.WithReliable(reliable.New(opts)))
 		if err != nil {
@@ -152,7 +152,7 @@ func TestEngineAgreement(t *testing.T) {
 	sched := fault.Schedule{Seed: 5, Loss: 0.25, Dup: 0.1, Corrupt: 0.1, CrashFrac: 0.1, CrashAt: 3, CrashBack: 8}
 	run := func(workers int) *congest.Result {
 		inj := fault.NewInjector(sched)
-		res, err := congest.Run(g, mis.Rank{}.NewProcess, congest.WithSeed(31),
+		res, err := mis.Rank{}.Run(g, congest.WithSeed(31),
 			congest.WithFaults(inj), congest.WithWorkers(workers),
 			congest.WithReliable(reliable.New(reliable.Options{CheckpointEvery: 5})))
 		if err != nil {
@@ -181,7 +181,7 @@ func TestEngineAgreement(t *testing.T) {
 func TestCrashStopRepair(t *testing.T) {
 	g := testGraph(23)
 	inj := fault.NewInjector(fault.Schedule{Seed: 9, Loss: 0.2, CrashFrac: 0.25, CrashAt: 2})
-	rel, err := congest.Run(g, mis.Luby{}.NewProcess, congest.WithSeed(41),
+	rel, err := mis.Luby{}.Run(g, congest.WithSeed(41),
 		congest.WithFaults(inj),
 		congest.WithReliable(reliable.New(reliable.Options{})),
 		congest.WithHardStop(1500))
@@ -244,12 +244,12 @@ func TestIsolatedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := congest.Run(g, mis.Luby{}.NewProcess, congest.WithSeed(2))
+	plain, err := mis.Luby{}.Run(g, congest.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(fault.Schedule{Seed: 3, Loss: 0.3})
-	rel, err := congest.Run(g, mis.Luby{}.NewProcess, congest.WithSeed(2),
+	rel, err := mis.Luby{}.Run(g, congest.WithSeed(2),
 		congest.WithFaults(inj),
 		congest.WithReliable(reliable.New(reliable.Options{})))
 	if err != nil {
@@ -268,7 +268,7 @@ func TestTraceReconciliation(t *testing.T) {
 	ring := trace.NewRing(0)
 	tot := &trace.Totals{}
 	inj := fault.NewInjector(fault.Schedule{Seed: 12, Loss: 0.25, Dup: 0.1, Corrupt: 0.1})
-	res, err := congest.Run(g, mis.Rank{}.NewProcess, congest.WithSeed(14),
+	res, err := mis.Rank{}.Run(g, congest.WithSeed(14),
 		congest.WithFaults(inj),
 		congest.WithReliable(reliable.New(reliable.Options{})),
 		congest.WithTracer(trace.Tee{ring, tot}))
@@ -324,7 +324,7 @@ func TestTraceReconciliation(t *testing.T) {
 func TestHeaderHeadroom(t *testing.T) {
 	g := testGraph(31)
 	tr := reliable.New(reliable.Options{})
-	res, err := congest.Run(g, mis.Rank{}.NewProcess, congest.WithSeed(4),
+	res, err := mis.Rank{}.Run(g, congest.WithSeed(4),
 		congest.WithReliable(tr))
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func benchRun(b *testing.B, opts ...congest.Option) {
 	g := testGraph(37)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := congest.Run(g, mis.Luby{}.NewProcess, append([]congest.Option{congest.WithSeed(6)}, opts...)...); err != nil {
+		if _, err := (mis.Luby{}).Run(g, append([]congest.Option{congest.WithSeed(6)}, opts...)...); err != nil {
 			b.Fatal(err)
 		}
 	}
