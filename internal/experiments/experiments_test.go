@@ -143,17 +143,25 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Errorf("row %d has %d cells for %d columns", i, len(row), len(tab.Columns))
 				}
 			}
-			for ci, col := range tab.Columns {
-				switch col {
-				case "held", "guarantee held", "all MIS valid", "compliant", "MIS valid", "≥ bound", "Cor1 held", "stack ≤ w(I)", "independent":
-					for ri, row := range tab.Rows {
-						if row[ci] != "yes" && row[ci] != "-" {
-							t.Errorf("row %d: %s = %q", ri, col, row[ci])
-						}
-					}
+			checkColumnsHold(t, tab)
+		})
+	}
+}
+
+// checkColumnsHold fails on any cell of a check column — a guarantee,
+// validity or compliance verdict — other than "yes", or "-"/"n/a" where
+// the check does not apply.
+func checkColumnsHold(t *testing.T, tab *Table) {
+	t.Helper()
+	for ci, col := range tab.Columns {
+		switch col {
+		case "held", "guarantee held", "all MIS valid", "compliant", "MIS valid", "≥ bound", "Cor1 held", "stack ≤ w(I)", "independent", "exact":
+			for ri, row := range tab.Rows {
+				if c := row[ci]; c != "yes" && c != "-" && c != "n/a" {
+					t.Errorf("%s row %d: %s = %q", tab.ID, ri, col, c)
 				}
 			}
-		})
+		}
 	}
 }
 
