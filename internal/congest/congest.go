@@ -18,23 +18,27 @@
 //
 // One shared round loop enforces the synchronous model; the cross-cutting
 // seams — delivery, bandwidth enforcement, fault hooks, tracing, reliable
-// transport — live there once. Each round's compute phase goes to one
-// executor (see pool.go) whose only scheduling choice is a worker count:
-// with one worker it steps nodes in index order on the calling goroutine,
-// with more it fans node steps out over persistent workers and joins them
-// at a round barrier, so no node can observe another node's mid-round
-// state. Because per-node state is confined to one goroutine within a
-// round and per-node randomness is pre-seeded, every worker count yields
-// bit-identical executions: scheduling changes no round, message or bit.
+// transport — live there once. Each round's node steps go to one executor
+// (see pool.go) whose only scheduling choice is a worker count: with one
+// worker it steps nodes in index order on the calling goroutine, with more
+// it fans node steps out over persistent workers and joins them at a round
+// barrier. A node's step is its whole round: it reads the node's inbox,
+// runs Round, and delivers each sent message by value into the receiver's
+// inbox slot for the next round (see slots.go). Every slot has one sender
+// and a round's reads and writes go to different slabs, so no node can
+// observe another node's mid-round state. Per-node randomness is
+// pre-seeded and per-worker tallies are merged at the barrier in a fixed
+// order, so every worker count yields bit-identical executions: scheduling
+// changes no round, message or bit. Runs with a fault hook step on one
+// worker (see DeliveryHook).
 //
 // A run allocates in proportion to itself, not to n (see slots.go). Run
 // takes a process type and hands node v element v of a recycled, zeroed
-// []T; NodeInfo.Message builds a node's message in one of two per-node
-// slots that the simulator reuses every other round. A slot message is
-// valid until its sender's step two rounds later, so a process must never
-// retain or forward one; NewMessage builds a message that may be kept.
-// Slots are off, and every message is a heap one, in runs with a fault
-// hook or the reliable transport.
+// []T; NodeInfo.Message builds a node's message in a per-node slot that
+// the simulator reuses every round. Messages are valid only until the step
+// that handles them returns: a slot message until its sender's step
+// returns, a received message until its receiver's. A process that keeps
+// or forwards a payload past that builds it with NewMessage.
 package congest
 
 import (
@@ -68,18 +72,26 @@ var ErrRoundLimit = errors.New("congest: protocol exceeded round limit")
 // Message is an immutable bit-accounted payload travelling over one edge in
 // one round.
 type Message struct {
-	data []byte
-	bitN int
+	// The payload is buf[lo:hi]. A received message is a view of its inbox
+	// slot: buf is the whole slab, so delivering it writes no pointer.
+	buf    []byte
+	lo, hi int
+	bitN   int
 }
+
+// data returns the payload bytes; their capacity runs to the end of buf.
+func (m *Message) data() []byte { return m.buf[m.lo:m.hi] }
 
 // NewMessage freezes the contents of w into a heap Message. The writer can
 // be reused afterwards. A process that retains or forwards a message must
 // build it here; NodeInfo.Message is the allocation-free path for the
 // common send-once case.
 func NewMessage(w *wire.Writer) *Message {
-	data := make([]byte, len(w.Bytes()))
+	// Capacity in whole words lets a send load the payload word-wise.
+	n := len(w.Bytes())
+	data := make([]byte, n, (n+7)&^7)
 	copy(data, w.Bytes())
-	return &Message{data: data, bitN: w.Len()}
+	return &Message{buf: data, hi: n, bitN: w.Len()}
 }
 
 // NewRawMessage builds a message directly from a packed byte buffer
@@ -93,7 +105,7 @@ func NewRawMessage(data []byte, nbits int) *Message {
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	return &Message{data: buf, bitN: nbits}
+	return &Message{buf: buf, hi: len(buf), bitN: nbits}
 }
 
 // NewMessageOwned wraps data without copying. The caller transfers
@@ -105,7 +117,7 @@ func NewMessageOwned(data []byte, nbits int) *Message {
 	if nbits < 0 || nbits > 8*len(data) {
 		panic(fmt.Sprintf("congest: NewMessageOwned: %d bits do not fit in %d bytes", nbits, len(data)))
 	}
-	return &Message{data: data, bitN: nbits}
+	return &Message{buf: data, hi: len(data), bitN: nbits}
 }
 
 // Bits returns the exact payload size in bits.
@@ -116,8 +128,8 @@ func (m *Message) Bits() int { return m.bitN }
 // flight. Callers that need the bytes in a buffer they already own should
 // use AppendData instead.
 func (m *Message) Data() []byte {
-	buf := make([]byte, len(m.data))
-	copy(buf, m.data)
+	buf := make([]byte, m.hi-m.lo)
+	copy(buf, m.data())
 	return buf
 }
 
@@ -125,10 +137,10 @@ func (m *Message) Data() []byte {
 // extended slice. It is the zero-allocation read path: with sufficient
 // capacity in dst no new buffer is created, and unlike Data it never
 // allocates an intermediate copy.
-func (m *Message) AppendData(dst []byte) []byte { return append(dst, m.data...) }
+func (m *Message) AppendData(dst []byte) []byte { return append(dst, m.data()...) }
 
 // Reader returns a fresh reader over the payload.
-func (m *Message) Reader() *wire.Reader { return wire.NewReader(m.data, m.bitN) }
+func (m *Message) Reader() *wire.Reader { return wire.NewReader(m.data(), m.bitN) }
 
 // NodeInfo is everything a node knows before round 1.
 type NodeInfo struct {
@@ -173,14 +185,14 @@ type NodeInfo struct {
 	slots *slotTable
 }
 
-// Message freezes the contents of w into this node's message slot for the
-// current round and returns it; the writer can be reused afterwards. It is
-// NewMessage without the allocation, under the ownership rule of slots.go:
-// the message is valid until the node's step two rounds later, so it may
-// only be returned from this round's Round, never retained or forwarded.
-// When no slot can take the payload — slots are off for the run, the node
-// already filled its slot this round, or the payload exceeds
-// wire.CongestBytes — it falls back to NewMessage.
+// Message freezes the contents of w into this node's message slot and
+// returns it; the writer can be reused afterwards. It is NewMessage without
+// the allocation, under the ownership rule of slots.go: the message is
+// valid until the node's step returns, so it may only be returned from
+// this round's Round, never retained or forwarded. When no slot can take
+// the payload — slots are off for the run, the node already filled its
+// slot this round, or the payload exceeds wire.CongestBytes — it falls
+// back to NewMessage.
 func (info *NodeInfo) Message(w *wire.Writer) *Message {
 	if info.slots != nil {
 		if m := info.slots.fill(info.Index, w); m != nil {
@@ -204,7 +216,8 @@ type Process interface {
 	// Init is called once before the first round.
 	Init(info NodeInfo)
 	// Round runs one synchronous round. recv[p] is the message received on
-	// port p this round (nil if none). The returned slice assigns outgoing
+	// port p this round (nil if none); recv and its messages are valid only
+	// until Round returns. The returned slice assigns outgoing
 	// messages to ports: send[p] goes to port p (nil sends nothing; a short
 	// or nil slice sends nothing on the remaining ports). It is normally
 	// NodeInfo.Out. Returning done halts the node after its outgoing
@@ -408,17 +421,26 @@ func newSimulator(g *graph.Graph, opts []Option) (*simulator, error) {
 	if maxID == 0 {
 		maxID = 1
 	}
+	if cfg.hook != nil {
+		// DeliveryHook.Deliver sees messages one at a time, in (sender,
+		// port) order, and senders deliver in their own steps.
+		cfg.workers = 1
+	}
 
-	st := statePool.Get().(*runState)
-	st.reset(g, cfg.slotsOn())
 	sim := &simulator{g: g, cfg: cfg, bandwidth: bandwidth, physBandwidth: bandwidth,
-		maxID: maxID, maxWeight: maxWeight, runState: st}
+		maxID: maxID, maxWeight: maxWeight, rev: g.ReverseArcs()}
 	if cfg.reliable != nil && bandwidth > 0 {
 		// Transport framing (seq/ack headers) rides above the CONGEST bound:
 		// inner processes still budget against B, physical frames may carry
 		// the exact header on top. See Reliability.HeaderBits.
 		sim.physBandwidth = bandwidth + cfg.reliable.HeaderBits()
 	}
+	// Heap slots when no bound fixes a stride: LOCAL runs (and tests that
+	// force them). Sender slots are off there, and with the reliable
+	// transport, which keeps inner messages for retransmission.
+	heap := sim.physBandwidth == 0 || forceHeapSlots
+	sim.runState = statePool.Get().(*runState)
+	sim.reset(g, sim.physBandwidth, heap, !heap && cfg.reliable == nil, cfg.maxRounds)
 	return sim, nil
 }
 
@@ -426,7 +448,7 @@ func newSimulator(g *graph.Graph, opts []Option) (*simulator, error) {
 // its randomness and calls Init.
 func (s *simulator) initProcs() {
 	var slots *slotTable
-	if s.cfg.slotsOn() {
+	if s.slotsOn {
 		slots = &s.slots
 	}
 	for v := range s.procs {
@@ -437,10 +459,11 @@ func (s *simulator) initProcs() {
 		// allocates nothing.
 		s.pcgs[v] = *rand.NewPCG(s.cfg.seed, 0x6a09e667f3bcc908^uint64(v))
 		s.rnds[v] = *rand.New(&s.pcgs[v])
+		lo, hi := s.g.Arcs(v)
 		s.procs[v].Init(NodeInfo{
 			Index:     v,
 			ID:        s.g.ID(v),
-			Degree:    s.g.Degree(v),
+			Degree:    hi - lo,
 			Weight:    s.g.Weight(v),
 			NUpper:    s.cfg.nUpper,
 			MaxID:     s.maxID,
@@ -448,7 +471,7 @@ func (s *simulator) initProcs() {
 			Bandwidth: s.bandwidth,
 			Faulty:    s.cfg.hook != nil,
 			Rand:      &s.rnds[v],
-			Out:       s.out[v],
+			Out:       s.outSlab[lo:hi:hi],
 			slots:     slots,
 		})
 	}
@@ -466,15 +489,11 @@ type simulator struct {
 	// maxID and maxWeight are the bounds every node is told.
 	maxID     uint64
 	maxWeight int64
+	// rev is g's reverse-arc table: a message on arc a lands in slot rev[a].
+	rev []int32
 	*runState
 	res Result
 }
-
-// slotsOn reports whether the run hands out message slots. They are off
-// whenever a message can outlive its two-round window: a fault hook may
-// retain it or deliver a duplicate a round late, and the reliable
-// transport keeps inner messages for retransmission and replay.
-func (c *config) slotsOn() bool { return c.hook == nil && c.reliable == nil }
 
 // runState is every per-run buffer of a simulation whose size follows the
 // graph. A solve chains many short protocols (the Theorem 2 pipeline makes
@@ -485,30 +504,27 @@ func (c *config) slotsOn() bool { return c.hook == nil && c.reliable == nil }
 type runState struct {
 	procs []Process
 	done  graph.Bitset
-	// Inboxes are per-node windows into two flat slabs (one per round
-	// parity) that swap together at the end of every delivery phase, so
-	// clearing a round's inboxes is one clear() of a slab.
-	inbox, nextInbox    [][]*Message
-	inboxSlab, nextSlab []*Message
-	// slots are the nodes' message slots (slots.go).
-	slots slotTable
-	// out holds the nodes' NodeInfo.Out windows over outSlab.
-	out     [][]*Message
+	// live lists the nodes not done, ascending: the nodes a round steps.
+	live []int32
+	// inbox holds every arc's receive slot, one slab per round parity
+	// (slots.go).
+	inbox inboxes
+	// slots are the nodes' sender slots (slots.go); slotsOn reports
+	// whether NodeInfo.Message hands them out this run.
+	slots   slotTable
+	slotsOn bool
+	// outSlab backs the nodes' NodeInfo.Out windows, arc-indexed.
 	outSlab []*Message
-	// reversePort[v][p] is the port at v's p-th neighbour leading back to
-	// v; windows over revSlab, filled with the help of revCursor.
-	reversePort [][]int32
-	revSlab     []int32
-	revCursor   []int32
 	// Per-node randomness: value slabs, so seeding n streams allocates
 	// nothing.
 	pcgs []rand.PCG
 	rnds []rand.Rand
-	// Per-round compute results, written by the executor's workers.
-	outboxes    [][]*Message
-	doneNow     []bool
-	errs        []error
+	// ws holds each executor worker's tallies and receive scratch.
+	ws []worker
+	// Fault duplicates queued in one round, applied before the next
+	// round's steps; their payloads are copied into dupBuf.
 	pendingDups []pendingDup
+	dupBuf      []byte
 }
 
 var statePool = sync.Pool{New: func() any { return new(runState) }}
@@ -524,85 +540,232 @@ func resize[S ~[]E, E any](s S, n int) S {
 	return s
 }
 
-// reset sizes the state for g, clears it, and lays out the per-node windows
-// and the reverse-port table, and the message slots when slotsOn.
-func (st *runState) reset(g *graph.Graph, slotsOn bool) {
+// grow returns s with length n, reusing its backing array when the
+// capacity allows; elements are not cleared.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
+// reset sizes the state for g and a run whose frames carry at most
+// physBandwidth bits.
+func (st *runState) reset(g *graph.Graph, physBandwidth int, heap, slotsOn bool, maxRounds int) {
 	n, ports := g.N(), 2*g.M()
 	st.procs = resize(st.procs, n)
 	st.done = resize(st.done, (n+63)/64) // the words of graph.NewBitset(n)
-	st.inbox = resize(st.inbox, n)
-	st.nextInbox = resize(st.nextInbox, n)
-	st.inboxSlab = resize(st.inboxSlab, ports)
-	st.nextSlab = resize(st.nextSlab, ports)
-	st.out = resize(st.out, n)
-	st.outSlab = resize(st.outSlab, ports)
-	st.reversePort = resize(st.reversePort, n)
-	st.revSlab = resize(st.revSlab, ports)
-	st.revCursor = resize(st.revCursor, n)
-	st.pcgs = resize(st.pcgs, n)
-	st.rnds = resize(st.rnds, n)
-	st.outboxes = resize(st.outboxes, n)
-	st.doneNow = resize(st.doneNow, n)
-	st.errs = resize(st.errs, n)
-	off := 0
-	for v := 0; v < n; v++ {
-		hi := off + g.Degree(v)
-		st.inbox[v] = st.inboxSlab[off:hi:hi]
-		st.nextInbox[v] = st.nextSlab[off:hi:hi]
-		st.out[v] = st.outSlab[off:hi:hi]
-		st.reversePort[v] = st.revSlab[off:hi:hi]
-		off = hi
+	st.live = grow(st.live, n)
+	for v := range st.live {
+		st.live[v] = int32(v)
 	}
-	st.buildReversePorts(g)
+	st.outSlab = grow(st.outSlab, ports) // all nil: release clears it
+	st.pcgs = grow(st.pcgs, n)           // initProcs overwrites both
+	st.rnds = grow(st.rnds, n)
+	st.inbox.reset(ports, physBandwidth, heap, maxRounds)
+	st.slotsOn = slotsOn
 	if slotsOn {
 		st.slots.reset(n)
 	}
 }
 
 // release is the one exit of every run — normal end, round limit, hard
-// stop, node error or panic. It drops every reference the run left
-// behind and puts the state back into statePool.
-func (st *runState) release() {
+// stop, node error or panic. It retires the run's stamps, drops every
+// reference the run left behind and puts the state back into statePool.
+func (s *simulator) release() {
+	st := s.runState
+	st.inbox.retire(s.res.Rounds)
 	clear(st.procs)
-	clear(st.inboxSlab)
-	clear(st.nextSlab)
 	clear(st.outSlab)
-	clear(st.outboxes)
-	clear(st.errs)
-	clear(st.pendingDups)
+	for i := range st.ws {
+		st.ws[i].release()
+	}
 	st.pendingDups = st.pendingDups[:0]
 	statePool.Put(st)
 }
 
-// pendingDup is a duplicate copy scheduled by the fault hook: the original
-// payload, re-arriving at the receiver one round after the first delivery.
-type pendingDup struct {
-	to   int
-	port int
-	m    *Message
+// worker is one executor worker's view of a round: the tallies its node
+// steps add to, merged at the round barrier, and the receive window it
+// hands to each node it steps.
+type worker struct {
+	messages, bits int64
+	maxBits        int
+	halted         []int32
+	// errV is the lowest index of a node whose step failed this round, and
+	// err its error.
+	errV int
+	err  error
+	recv []*Message
+	// msgs are the receive views of one node's ports, one array per round
+	// parity, each over that parity's slab.
+	msgs [2][]Message
+	// Keeps two workers' tallies off one cache line.
+	_ [64]byte
 }
 
-// buildReversePorts fills st.reversePort: for every directed edge (v, p),
-// the port q at the far end u such that u's q-th neighbour is v. Because
-// neighbour lists are sorted ascending, scanning v in ascending order means
-// each u sees its neighbours arrive in exactly port order, so a per-node
-// cursor assigns the reverse ports in one O(n + m) pass — no per-edge binary
-// search. The table is per-node windows over the flat revSlab.
-func (st *runState) buildReversePorts(g *graph.Graph) {
-	cur := st.revCursor
-	for v := range st.reversePort {
-		rev := st.reversePort[v]
-		for p, u := range g.Neighbors(v) {
-			rev[p] = cur[u]
-			cur[u]++
+// prepare readies w for a run over ib on a graph of maximum degree maxDeg.
+func (w *worker) prepare(maxDeg int, ib *inboxes) {
+	w.messages, w.bits, w.maxBits = 0, 0, 0
+	w.halted = w.halted[:0]
+	w.err = nil
+	w.recv = grow(w.recv, maxDeg)
+	for par := range w.msgs {
+		w.msgs[par] = grow(w.msgs[par], maxDeg)
+		for p := range w.msgs[par] {
+			w.msgs[par][p].buf = ib.slab[par]
 		}
 	}
+}
+
+// release drops the references the run left in w's windows.
+func (w *worker) release() {
+	w.err = nil
+	clear(w.recv)
+	clear(w.msgs[0])
+	clear(w.msgs[1])
+}
+
+// fail records node v's error unless a lower-index node already failed.
+func (w *worker) fail(v int, err error) {
+	if w.err == nil || v < w.errV {
+		w.errV, w.err = v, err
+	}
+}
+
+// pendingDup is a duplicate copy scheduled by the fault hook: the original
+// payload, dupBuf[lo:lo+⌈bits/8⌉], re-arriving at node to through slot
+// arc one round after the first delivery.
+type pendingDup struct {
+	to, arc int32
+	lo      int
+	bits    int
+}
+
+// step runs node v's round on worker wi: it fills v's receive window from
+// the inbox, calls Round, checks the sends against the port count and the
+// bandwidth, and delivers each one into its receiver's slot. It reports
+// false when v's step failed.
+func (s *simulator) step(wi, v, round int) bool {
+	hook := s.cfg.hook
+	if hook != nil && hook.State(round, v) != NodeUp {
+		return true
+	}
+	w := &s.ws[wi]
+	lo, hi := s.g.Arcs(v)
+	recv := w.recv[:hi-lo]
+	s.inbox.receive(recv, &w.msgs, lo, round)
+	send, fin := s.procs[v].Round(round, recv)
+	if len(send) > hi-lo {
+		w.fail(v, fmt.Errorf("congest: node %d sent on %d ports but has degree %d", v, len(send), hi-lo))
+		return false
+	}
+	// A send that breaks the bandwidth fails the run, so the messages of
+	// its lower ports that were delivered before the check are never read.
+	par, stamp := s.inbox.target(round + 1)
+	rev := s.rev[lo:hi]
+	// Out is all nil when Round is called. A send that is Out itself (a
+	// Broadcast, say) is cleared as it is delivered, the rest of Out after.
+	out := s.outSlab[lo:hi]
+	aliased := len(send) > 0 && &send[0] == &out[0]
+	rest := out
+	if aliased {
+		rest = out[len(send):]
+	}
+	var (
+		pl         payload
+		sent, bits int64
+		maxBits    = w.maxBits
+		phys       = s.physBandwidth
+		ib         = &s.inbox
+		slab       = ib.slab[par]
+		stride     = ib.stride
+	)
+	for p, m := range send {
+		if m == nil {
+			continue
+		}
+		if aliased {
+			send[p] = nil
+		}
+		if phys > 0 && m.bitN > phys {
+			w.fail(v, fmt.Errorf("congest: node %d port %d message of %d bits exceeds bandwidth %d", v, p, m.bitN, phys))
+			return false
+		}
+		sent++
+		bits += int64(m.bitN)
+		maxBits = max(maxBits, m.bitN)
+		if hook != nil {
+			if m = s.deliverFaulty(round, v, p, rev[p], m); m == nil {
+				continue
+			}
+		}
+		// put, with its value-slot path inlined.
+		if ib.heap {
+			ib.put(par, rev[p], stamp, m, nil)
+			continue
+		}
+		if pl.m != m {
+			pl.load(m)
+		}
+		o := int(rev[p]) * stride
+		pl.store(slab[o:o+stride:o+stride], uint64(stamp)<<32|uint64(m.bitN))
+	}
+	w.messages += sent
+	w.bits += bits
+	w.maxBits = maxBits
+	for p, m := range rest {
+		if m != nil {
+			rest[p] = nil
+		}
+	}
+	if fin {
+		w.halted = append(w.halted, int32(v))
+	}
+	return true
+}
+
+// merge is the round barrier's bookkeeping: it folds every worker's
+// tallies into the Result, marks the round's halted nodes done, and
+// returns the round's largest message, the number of halts and the error
+// of the lowest-index failing node, so error selection is deterministic
+// and independent of the worker count.
+func (s *simulator) merge() (maxBits, halts int, err error) {
+	errV := -1
+	for i := range s.ws {
+		w := &s.ws[i]
+		s.res.Messages += w.messages
+		s.res.Bits += w.bits
+		maxBits = max(maxBits, w.maxBits)
+		for _, v := range w.halted {
+			s.done.Set(int(v))
+		}
+		halts += len(w.halted)
+		if w.err != nil && (errV < 0 || w.errV < errV) {
+			errV, err = w.errV, w.err
+		}
+		w.messages, w.bits, w.maxBits = 0, 0, 0
+		w.halted = w.halted[:0]
+	}
+	return maxBits, halts, err
+}
+
+// dropDone removes the nodes marked done from the live list, keeping it
+// ascending.
+func (s *simulator) dropDone() {
+	k := 0
+	for _, v := range s.live {
+		if !s.done.Get(int(v)) {
+			s.live[k] = v
+			k++
+		}
+	}
+	s.live = s.live[:k]
 }
 
 func (s *simulator) run() (*Result, error) {
 	s.initProcs()
 	n := s.g.N()
-	live := n
+	live := n // len(s.live)
 	s.res.Bandwidth = s.bandwidth
 	// Transport counters are cumulative per Reliability instance; snapshot a
 	// base so Result reports this run's deltas even if the instance is shared.
@@ -627,34 +790,16 @@ func (s *simulator) run() (*Result, error) {
 		}
 		return s.res
 	}
-	outboxes, doneNow, errs := s.outboxes, s.doneNow, s.errs
 
-	step := func(v, round int) {
-		if s.done.Get(v) {
-			return
-		}
-		if s.cfg.hook != nil && s.cfg.hook.State(round, v) != NodeUp {
-			return
-		}
-		send, fin := s.procs[v].Round(round, s.inbox[v])
-		if len(send) > s.g.Degree(v) {
-			errs[v] = fmt.Errorf("congest: node %d sent on %d ports but has degree %d", v, len(send), s.g.Degree(v))
-			return
-		}
-		if s.physBandwidth > 0 {
-			for p, m := range send {
-				if m != nil && m.bitN > s.physBandwidth {
-					errs[v] = fmt.Errorf("congest: node %d port %d message of %d bits exceeds bandwidth %d", v, p, m.bitN, s.physBandwidth)
-					return
-				}
-			}
-		}
-		outboxes[v] = send
-		doneNow[v] = fin
-	}
-
-	exec := newPoolEngine(n, s.cfg.workers, step, errs)
+	exec := newPoolEngine(n, s.cfg.workers, s.step)
 	defer exec.shutdown()
+	if cap(s.ws) < exec.workers {
+		s.ws = append(s.ws[:cap(s.ws)], make([]worker, exec.workers-cap(s.ws))...)
+	}
+	s.ws = s.ws[:exec.workers]
+	for i := range s.ws {
+		s.ws[i].prepare(s.g.MaxDegree(), &s.inbox)
+	}
 
 	if s.cfg.hook != nil {
 		s.cfg.hook.Begin(n)
@@ -710,88 +855,39 @@ func (s *simulator) run() (*Result, error) {
 			phaseT0 = time.Now()
 		}
 
+		// Duplicates queued last round land before this round's sends, so
+		// a fresh message on the same port overwrites the copy.
+		if len(s.pendingDups) > 0 {
+			s.applyDups(round)
+		}
 		s.slots.round = round
-		exec.runRound(round)
-		// Report the error of the lowest-index failing node, so error
-		// selection is deterministic and independent of the worker count
-		// even when parallel workers record several errors in one round.
-		for v := 0; v < n; v++ {
-			if errs[v] != nil {
-				return nil, errs[v]
-			}
-		}
-
-		// Crash-stop nodes halt permanently; their Output() keeps the state
-		// at crash time. Handled here, on the single delivery goroutine, so
-		// the live count never races with the workers.
-		if s.cfg.hook != nil {
-			for v := 0; v < n; v++ {
-				if !s.done.Get(v) && s.cfg.hook.State(round, v) == NodeStopped {
-					s.done.Set(v)
-					live--
-				}
-			}
-		}
+		exec.runRound(round, s.live)
 
 		if tr != nil {
 			computeN = time.Since(phaseT0).Nanoseconds()
 			phaseT0 = time.Now()
 		}
-
-		// Delivery phase: clear next inboxes, move messages. nextSlab holds
-		// the messages consumed during the *previous* round's compute phase
-		// (the slabs swapped after they were delivered).
-		clear(s.nextSlab)
-		// Duplicates scheduled during the previous round's delivery arrive
-		// first, so a fresh message on the same port overwrites the copy.
-		if len(s.pendingDups) > 0 {
-			for _, d := range s.pendingDups {
-				if s.cfg.hook.State(round+1, d.to) != NodeUp {
-					continue
-				}
-				s.nextInbox[d.to][d.port] = d.m
-				s.res.FaultDuplicated++
-			}
-			s.pendingDups = s.pendingDups[:0]
+		roundMaxBits, halts, err := s.merge()
+		if err != nil {
+			return nil, err
 		}
-		roundMaxBits := 0
-		for v := 0; v < n; v++ {
-			if s.done.Get(v) {
-				continue
-			}
-			nbrs := s.g.Neighbors(v)
-			rports := s.reversePort[v]
-			for p, m := range outboxes[v] {
-				if m == nil {
-					continue
+		// Crash-stop nodes halt permanently; their Output() keeps the state
+		// at crash time.
+		if s.cfg.hook != nil {
+			for _, v := range s.live {
+				if !s.done.Get(int(v)) && s.cfg.hook.State(round, int(v)) == NodeStopped {
+					s.done.Set(int(v))
+					halts++
 				}
-				u := int(nbrs[p])
-				rport := int(rports[p])
-				s.res.Messages++
-				s.res.Bits += int64(m.bitN)
-				if m.bitN > roundMaxBits {
-					roundMaxBits = m.bitN
-				}
-				if s.cfg.hook != nil {
-					if m = s.deliverFaulty(round, v, u, rport, m); m == nil {
-						continue
-					}
-				}
-				s.nextInbox[u][rport] = m
 			}
-			outboxes[v] = nil
-			clear(s.out[v])
-			if doneNow[v] {
-				s.done.Set(v)
-				doneNow[v] = false
-				live--
-			}
+		}
+		if halts > 0 {
+			s.dropDone()
+			live = len(s.live)
 		}
 		if roundMaxBits > s.res.MaxMessageBits {
 			s.res.MaxMessageBits = roundMaxBits
 		}
-		s.inbox, s.nextInbox = s.nextInbox, s.inbox
-		s.inboxSlab, s.nextSlab = s.nextSlab, s.inboxSlab
 
 		if tr != nil {
 			var retransmitsNow int64
@@ -824,22 +920,26 @@ func (s *simulator) run() (*Result, error) {
 	return &out, nil
 }
 
-// deliverFaulty routes one message through the delivery hook. It returns
-// the (possibly rewritten) message to deliver this round, or nil if the
-// message is lost, corrupted beyond the checksum, or addressed to a node
-// that is down when it would arrive (round+1). Duplicates of the original
-// payload are queued for the following round.
-func (s *simulator) deliverFaulty(round, from, to, rport int, m *Message) *Message {
+// deliverFaulty routes node from's message on port p through the delivery
+// hook. It returns the (possibly rewritten) message to deliver into slot
+// arc, or nil if the message is lost, corrupted beyond the checksum, or
+// addressed to a node that is down when it would arrive (round+1).
+// Duplicates of the original payload are queued, by value, for the
+// following round. Fault runs step on one worker, so the hook and the
+// fault counters are only ever touched sequentially.
+func (s *simulator) deliverFaulty(round, from, p int, arc int32, m *Message) *Message {
+	to := int(s.g.Neighbors(from)[p])
 	if s.cfg.hook.State(round+1, to) != NodeUp {
 		s.res.FaultLost++
 		return nil
 	}
-	sum := wire.Checksum(m.data, m.bitN)
 	out, dup := s.cfg.hook.Deliver(round, from, to, m)
 	if dup {
 		// A duplicate re-sends the original frame; corruption (below) is
 		// per-transmission and does not propagate into the copy.
-		s.pendingDups = append(s.pendingDups, pendingDup{to: to, port: rport, m: m})
+		lo := len(s.dupBuf)
+		s.dupBuf = append(s.dupBuf, m.data()[:(m.bitN+7)>>3]...)
+		s.pendingDups = append(s.pendingDups, pendingDup{to: int32(to), arc: arc, lo: lo, bits: m.bitN})
 	}
 	if out == nil {
 		s.res.FaultLost++
@@ -850,12 +950,33 @@ func (s *simulator) deliverFaulty(round, from, to, rport int, m *Message) *Messa
 		// preserved exactly, and the receiver verifies the link-layer
 		// checksum: any mismatch makes the message indistinguishable from
 		// a loss.
-		if out.bitN != m.bitN || wire.Checksum(out.data, out.bitN) != sum {
+		if out.bitN != m.bitN || wire.Checksum(out.data(), out.bitN) != wire.Checksum(m.data(), m.bitN) {
 			s.res.FaultCorrupted++
 			return nil
 		}
 	}
 	return out
+}
+
+// applyDups lands the duplicates queued in the previous round in the
+// slots read in round+1, except at receivers that are down then.
+func (s *simulator) applyDups(round int) {
+	par, stamp := s.inbox.target(round + 1)
+	for _, d := range s.pendingDups {
+		if s.cfg.hook.State(round+1, int(d.to)) != NodeUp {
+			continue
+		}
+		data := s.dupBuf[d.lo : d.lo+(d.bits+7)>>3]
+		if s.inbox.heap {
+			s.inbox.put(par, d.arc, stamp, NewRawMessage(data, d.bits), nil)
+		} else {
+			var pl payload
+			s.inbox.put(par, d.arc, stamp, &Message{buf: data, hi: len(data), bitN: d.bits}, &pl)
+		}
+		s.res.FaultDuplicated++
+	}
+	s.pendingDups = s.pendingDups[:0]
+	s.dupBuf = s.dupBuf[:0]
 }
 
 // BoolOutputs converts a Result's outputs to a []bool membership vector;

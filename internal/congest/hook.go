@@ -20,18 +20,19 @@ const (
 )
 
 // DeliveryHook lets a fault injector intercept the simulator between send
-// and receive. The hook sees every message at the same deterministic point
-// — the single-threaded delivery phase — so an execution under a given
-// hook is identical for every worker count.
+// and receive. A run with a hook steps its nodes on one worker, in index
+// order, and each sender delivers in its own step, so the hook sees every
+// message at the same deterministic point and an execution under a given
+// hook is identical for every requested worker count.
 //
 // Begin is called once per Run, before round 1, with the node count.
-// State reports node availability; it is called from the executor's worker
-// goroutines and must be safe for concurrent use and pure (same answer for
-// the same arguments throughout a run). Deliver is called sequentially, in
+// State reports node availability; it must be pure (same answer for the
+// same arguments throughout a run). Deliver is called sequentially, in
 // deterministic (sender, port) order, once per sent message whose receiver
 // is up; it returns the message to deliver (nil = lost) and whether a
 // duplicate copy of the original should additionally arrive one round
-// later. A rewritten payload must keep the original bit length; the
+// later. m is valid only during the call, so a hook that keeps a payload
+// copies it. A rewritten payload must keep the original bit length; the
 // simulator verifies a wire.Checksum over the payload and discards any
 // message whose checksum no longer matches (detectable corruption).
 type DeliveryHook interface {

@@ -11,27 +11,29 @@ import (
 const minParallelNodes = 64
 
 // poolEngine is the executor of the shared round loop in simulator.run. The
-// loop owns everything cross-cutting — delivery, bandwidth enforcement,
-// fault hooks, tracing, reliable-transport accounting — and per round asks
-// runRound to call step(v, round) once for every node v in [0, n). The
-// executor only schedules those calls and never touches simulator state,
-// which is what keeps every worker count bit-identical:
-//   - step(v, round) is called at most once per node per round;
+// loop owns everything cross-cutting — bandwidth enforcement, fault hooks,
+// tracing, reliable-transport accounting — and per round asks runRound to
+// call step(w, v, round) once for every node v in its list of live nodes,
+// where w is the index of the worker making the call. The executor only schedules those
+// calls, which is what keeps every worker count bit-identical:
+//   - step(w, v, round) is called at most once per node per round;
 //   - node state is only ever touched from one goroutine within a round;
-//   - errors are reported by step writing errs[v], and the shared loop scans
-//     errs in index order afterwards, so the lowest-index failing node is
-//     reported whichever worker stepped it.
+//   - a step writes only its own node's state, the receive slots of its
+//     own arcs, and worker w's tallies, which the loop merges after the
+//     barrier; a failing step records its error with worker w, and the
+//     merge reports the lowest-index failing node whichever worker
+//     stepped it.
 //
-// With one worker runRound steps nodes in index order on the calling
-// goroutine and stops at the first error. With more, persistent workers are
-// spawned once and parked on per-worker start channels between rounds;
-// runRound releases them and joins on a shared done channel, so per-round
-// overhead is `workers` channel operations instead of `workers` goroutine
-// launches.
+// With one worker runRound steps the nodes in list order (ascending index)
+// on the calling goroutine and stops at the first failing step. With more, persistent
+// workers are spawned once and parked on per-worker start channels between
+// rounds; runRound releases them and joins on a shared done channel, so
+// per-round overhead is `workers` channel operations instead of `workers`
+// goroutine launches.
 //
 // Within a round, work is handed out by guided chunking: a shared atomic
 // cursor from which each worker repeatedly claims the next fixed-size chunk
-// of node indices. Small chunks mean a worker stuck on a run of hot
+// of the node list. Small chunks mean a worker stuck on a run of hot
 // high-degree nodes (power-law graphs cluster hubs at low indices) only
 // monopolises one chunk's worth of them while the others drain the rest —
 // a static contiguous split would pin the entire hub range to a single
@@ -42,11 +44,11 @@ type poolEngine struct {
 	workers int
 	chunk   int
 	cursor  atomic.Int64
+	nodes   []int32 // the round's node list, set before workers are released
 	start   []chan int
 	done    chan struct{}
 	wg      sync.WaitGroup
-	step    func(v, round int)
-	errs    []error
+	step    func(w, v, round int) bool
 }
 
 // poolWorkers resolves a requested worker count for an n-node run: 1 when
@@ -70,8 +72,8 @@ func poolChunk(n, workers int) int {
 	return chunk
 }
 
-func newPoolEngine(n, workers int, step func(v, round int), errs []error) *poolEngine {
-	e := &poolEngine{n: n, workers: poolWorkers(n, workers), step: step, errs: errs}
+func newPoolEngine(n, workers int, step func(w, v, round int) bool) *poolEngine {
+	e := &poolEngine{n: n, workers: poolWorkers(n, workers), step: step}
 	if e.workers == 1 {
 		return e
 	}
@@ -81,35 +83,34 @@ func newPoolEngine(n, workers int, step func(v, round int), errs []error) *poolE
 	for w := range e.start {
 		e.start[w] = make(chan int, 1)
 		e.wg.Add(1)
-		go func(ch chan int) {
+		go func(w int, ch chan int) {
 			defer e.wg.Done()
 			for round := range ch {
 				for {
 					lo := int(e.cursor.Add(int64(e.chunk))) - e.chunk
-					if lo >= e.n {
+					if lo >= len(e.nodes) {
 						break
 					}
-					hi := min(lo+e.chunk, e.n)
-					for v := lo; v < hi; v++ {
-						e.step(v, round)
+					for _, v := range e.nodes[lo:min(lo+e.chunk, len(e.nodes))] {
+						e.step(w, int(v), round)
 					}
 				}
 				e.done <- struct{}{}
 			}
-		}(e.start[w])
+		}(w, e.start[w])
 	}
 	return e
 }
 
-// runRound executes one compute phase. With workers it releases every
-// worker and joins them; the joins form the round barrier, because no
-// worker can run ahead while its start channel is only written here, and
-// the cursor is reset before any release.
-func (e *poolEngine) runRound(round int) {
+// runRound executes one compute phase over nodes, an ascending list of
+// indices below n. With workers it releases every worker and joins them;
+// the joins form the round barrier, because no worker can run ahead while
+// its start channel is only written here, and the cursor and the list are
+// set before any release.
+func (e *poolEngine) runRound(round int, nodes []int32) {
 	if e.workers == 1 {
-		for v := 0; v < e.n; v++ {
-			e.step(v, round)
-			if e.errs[v] != nil {
+		for _, v := range nodes {
+			if !e.step(0, int(v), round) {
 				// The round is already doomed, and stopping here makes the
 				// reported error trivially the lowest-index one.
 				break
@@ -118,6 +119,7 @@ func (e *poolEngine) runRound(round int) {
 		return
 	}
 	e.cursor.Store(0)
+	e.nodes = nodes
 	for _, ch := range e.start {
 		ch <- round
 	}

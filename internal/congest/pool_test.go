@@ -15,9 +15,13 @@ import (
 // runPoolRound drives one round of the executor over [0, n) with fn as the
 // node step and joins its workers.
 func runPoolRound(n, workers int, fn func(v int)) {
-	e := newPoolEngine(n, workers, func(v, _ int) { fn(v) }, make([]error, n))
+	e := newPoolEngine(n, workers, func(_, v, _ int) bool { fn(v); return true })
 	defer e.shutdown()
-	e.runRound(1)
+	nodes := make([]int32, n)
+	for v := range nodes {
+		nodes[v] = int32(v)
+	}
+	e.runRound(1, nodes)
 }
 
 // TestParallelForCoversRange checks that the executor's parallel for over

@@ -20,8 +20,8 @@ type Reliability interface {
 	// totals, so the overhead is measurable, not hidden.
 	HeaderBits() int
 	// Counters reports the transport's running totals. The simulator reads
-	// it on the single delivery goroutine; implementations must make it
-	// safe against concurrent node steps (atomics).
+	// it between rounds, on the round loop's goroutine; implementations
+	// must make it safe against concurrent node steps (atomics).
 	Counters() ReliabilityCounters
 }
 

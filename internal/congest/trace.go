@@ -3,9 +3,10 @@ package congest
 import "distmwis/internal/trace"
 
 // WithTracer installs a round-level tracer (see internal/trace). The
-// simulator calls it from the single delivery goroutine: BeginRun before
+// simulator calls it from the round loop's goroutine: BeginRun before
 // round 1, OnRound after every completed round with that round's traffic
-// deltas and compute/delivery wall-clock split, EndRun on every exit path.
+// deltas and wall-clock split (node steps, which include delivery, and the
+// barrier merge), EndRun on every exit path.
 //
 // Tracing is strictly observational — with or without a tracer, executions
 // on the same seed produce bit-identical Results — and costs nothing when

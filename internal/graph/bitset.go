@@ -11,7 +11,7 @@ import "math/bits"
 // A Bitset is not safe for concurrent mutation: two Set calls on indices
 // sharing a word race (unlike a []bool, where distinct indices are distinct
 // memory locations). Confine mutation to one goroutine — which is exactly
-// the discipline the congest delivery phase and per-process state already
+// the discipline the congest round barrier and per-process state already
 // follow — and treat concurrent use as read-only.
 type Bitset []uint64
 

@@ -191,7 +191,7 @@ func FromCanonical(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("graph: canonical: n=%d m=%d do not fit in the %d bytes that follow", nU, mU, left)
 	}
 	n, m := int(nU), int(mU)
-	g := &Graph{ids: make([]uint64, n), weights: make([]int64, n), off: make([]int32, n+1)}
+	g := &Graph{ids: make([]uint64, n), weights: make([]int64, n), off: make([]int32, n+1), rev: new(reverseArcs)}
 	for v := range g.ids {
 		g.ids[v] = r.uvarint("identifier")
 	}

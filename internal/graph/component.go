@@ -111,6 +111,7 @@ func (g *Graph) induceComponent(nodes []int32, pos []int32) Component {
 		off:     make([]int32, k+1),
 		weights: make([]int64, k),
 		ids:     make([]uint64, k),
+		rev:     new(reverseArcs),
 	}
 	if arcs > 0 {
 		sub.adj = make([]int32, 0, arcs)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Graph is an immutable undirected node-weighted graph. The zero value is an
@@ -26,6 +27,15 @@ type Graph struct {
 	weights []int64 // node weights, len n
 	ids     []uint64
 	maxDeg  int
+	// rev caches ReverseArcs. Graphs that share off and adj share it;
+	// every constructor of a new CSR gives it a fresh one.
+	rev *reverseArcs
+}
+
+// reverseArcs is the lazily built reverse-arc table of one CSR.
+type reverseArcs struct {
+	once sync.Once
+	arcs []int32
 }
 
 // Builder accumulates edges for a Graph. Builders are single-use: Build may
@@ -113,7 +123,7 @@ func (b *Builder) Build() (*Graph, error) {
 		fill[v]++
 	}
 	// Sort neighbour lists and drop duplicate parallel edges.
-	g := &Graph{weights: b.weights, ids: b.ids}
+	g := &Graph{weights: b.weights, ids: b.ids, rev: new(reverseArcs)}
 	g.off = make([]int32, b.n+1)
 	g.adj = adj[:0]
 	for v := 0; v < b.n; v++ {
@@ -204,6 +214,38 @@ func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
 // MaxDegree returns Δ, the maximum degree over all nodes (0 for empty).
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
+// Arcs returns the range [lo, hi) of v's arcs in CSR order: arc lo+p
+// leads to v's p-th neighbour, so hi-lo is v's degree and the arcs of all
+// nodes number 0..2m-1.
+func (g *Graph) Arcs(v int) (lo, hi int) { return int(g.off[v]), int(g.off[v+1]) }
+
+// ReverseArcs returns, for every arc a = lo+p from v to its p-th neighbour
+// u, the index of the arc from u back to v. It is built once per CSR, on
+// first use, and shared by every Graph over the same CSR (WithWeights, an
+// all-true Induce, a weight-only edit); callers must not modify it.
+func (g *Graph) ReverseArcs() []int32 {
+	if g.rev == nil {
+		return g.buildReverseArcs()
+	}
+	g.rev.once.Do(func() { g.rev.arcs = g.buildReverseArcs() })
+	return g.rev.arcs
+}
+
+// buildReverseArcs fills the reverse-arc table in one O(n + m) pass.
+// Neighbour lists are sorted ascending, so scanning v in ascending order
+// means each u sees its neighbours arrive in exactly port order, and a
+// per-node cursor assigns the reverse arcs without a search.
+func (g *Graph) buildReverseArcs() []int32 {
+	rev := make([]int32, len(g.adj))
+	cur := make([]int32, g.N())
+	copy(cur, g.off)
+	for a, u := range g.adj {
+		rev[a] = cur[u]
+		cur[u]++
+	}
+	return rev
+}
+
 // Neighbors returns v's sorted neighbour list. The slice aliases internal
 // storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[g.off[v]:g.off[v+1]] }
@@ -270,7 +312,7 @@ func (g *Graph) WithWeights(w []int64) *Graph {
 	}
 	weights := make([]int64, len(w))
 	copy(weights, w)
-	return &Graph{off: g.off, adj: g.adj, weights: weights, ids: g.ids, maxDeg: g.maxDeg}
+	return &Graph{off: g.off, adj: g.adj, weights: weights, ids: g.ids, maxDeg: g.maxDeg, rev: g.rev}
 }
 
 // IsUnitWeight reports whether every node has weight exactly one.
@@ -308,7 +350,7 @@ func (g *Graph) Induce(keep []bool) *Subgraph {
 			toParent[v] = int32(v)
 			fromParent[v] = int32(v)
 		}
-		sub := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg}
+		sub := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg, rev: g.rev}
 		return &Subgraph{G: sub, ToParent: toParent, FromParent: fromParent}
 	}
 	// Count the kept nodes and arcs first, so every slice is allocated
@@ -336,6 +378,7 @@ func (g *Graph) Induce(keep []bool) *Subgraph {
 		off:     make([]int32, k+1),
 		weights: make([]int64, k),
 		ids:     make([]uint64, k),
+		rev:     new(reverseArcs),
 	}
 	if arcs > 0 {
 		sub.adj = make([]int32, 0, arcs)

@@ -147,9 +147,10 @@ func (g *Graph) ApplyEdit(e Edit) (*Graph, EditReport, error) {
 			arcs = append(arcs, arc{key[0], key[1], true}, arc{key[1], key[0], true})
 		}
 	}
-	ng := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg}
+	ng := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg, rev: g.rev}
 	if len(arcs) > 0 {
 		ng.off, ng.adj = g.splice(arcs)
+		ng.rev = new(reverseArcs)
 		ng.maxDeg = 0
 		ng.setMaxDegree()
 	}

@@ -11,7 +11,7 @@
 // those questions have measured answers.
 //
 // The package deliberately does not import the simulator: congest imports
-// trace and drives the Tracer from its single delivery goroutine. All
+// trace and drives the Tracer from the round loop's goroutine. All
 // Tracer methods are therefore invoked sequentially within one run;
 // implementations here still lock so results can be read concurrently.
 //
@@ -71,8 +71,9 @@ type Round struct {
 	// are recovery work the fault-free execution would not have performed.
 	Retransmits int64 `json:"retransmits,omitempty"`
 	// ComputeNanos is the wall-clock spent running node steps (the engine
-	// dispatch); DeliveryNanos is the wall-clock of the delivery phase
-	// that moves messages into next-round inboxes.
+	// dispatch). A step delivers its own sends into next-round inboxes, so
+	// delivery is inside ComputeNanos; DeliveryNanos covers only the round
+	// barrier's merge of per-worker tallies, halts and crash-stops.
 	ComputeNanos  int64 `json:"computeNanos"`
 	DeliveryNanos int64 `json:"deliveryNanos"`
 }

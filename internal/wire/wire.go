@@ -13,6 +13,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -56,6 +57,19 @@ func (w *Writer) WriteBits(v uint64, n int) {
 	}
 	if n < 64 {
 		v &= (1 << uint(n)) - 1
+	}
+	if byteIdx := w.nbits >> 3; w.spill == nil && byteIdx+9 <= CongestBytes {
+		// One 8-byte store, and a ninth byte for a field that straddles
+		// it. Bits above the write position are dropped: they are what a
+		// Reset left behind.
+		bitIdx := uint(w.nbits & 7)
+		word := binary.LittleEndian.Uint64(w.small[byteIdx:]) & (1<<bitIdx - 1)
+		binary.LittleEndian.PutUint64(w.small[byteIdx:], word|v<<bitIdx)
+		if n+int(bitIdx) > 64 {
+			w.small[byteIdx+8] = byte(v >> (64 - bitIdx))
+		}
+		w.nbits += n
+		return
 	}
 	for n > 0 {
 		byteIdx := w.nbits >> 3
@@ -154,28 +168,51 @@ func NewReader(buf []byte, nbits int) *Reader {
 func (r *Reader) Remaining() int { return r.nbits - r.pos }
 
 // ReadBits consumes n bits and returns them as the low bits of the result.
+// It loads the eight bytes at the read position at once when the buffer's
+// capacity makes them addressable — a simulator inbox slot always does —
+// and gathers the remaining bytes one by one otherwise. Bits past the
+// field, and bytes past len(buf), are masked off.
 func (r *Reader) ReadBits(n int) (uint64, error) {
+	// The inlined common case: a field of at most 56 bits lies inside the
+	// eight bytes starting at its first byte.
+	if byteIdx := r.pos >> 3; uint(n) <= 56 && r.pos+n <= r.nbits && byteIdx+8 <= cap(r.buf) {
+		v := binary.LittleEndian.Uint64(r.buf[byteIdx:byteIdx+8]) >> uint(r.pos&7)
+		r.pos += n
+		return v & (1<<uint(n) - 1), nil
+	}
+	return r.readBits(n)
+}
+
+// readBits is ReadBits for wide fields and buffer tails.
+func (r *Reader) readBits(n int) (uint64, error) {
 	if n < 0 || n > 64 {
 		return 0, fmt.Errorf("wire: ReadBits width %d out of range [0,64]", n)
 	}
 	if r.pos+n > r.nbits {
 		return 0, fmt.Errorf("%w: want %d bits, have %d", ErrShortBuffer, n, r.nbits-r.pos)
 	}
-	var v uint64
-	shift := 0
-	for n > 0 {
-		byteIdx := r.pos >> 3
-		bitIdx := r.pos & 7
-		take := 8 - bitIdx
-		if take > n {
-			take = n
-		}
-		chunk := uint64(r.buf[byteIdx]>>uint(bitIdx)) & ((1 << uint(take)) - 1)
-		v |= chunk << uint(shift)
-		shift += take
-		r.pos += take
-		n -= take
+	if n == 0 {
+		return 0, nil
 	}
+	byteIdx, bitIdx := r.pos>>3, uint(r.pos&7)
+	var word uint64
+	if byteIdx+8 <= cap(r.buf) {
+		word = binary.LittleEndian.Uint64(r.buf[byteIdx : byteIdx+8])
+	} else {
+		last := (r.pos + n - 1) >> 3
+		for i := byteIdx; i <= last && i < byteIdx+8; i++ {
+			word |= uint64(r.buf[i]) << (8 * uint(i-byteIdx))
+		}
+	}
+	v := word >> bitIdx
+	if n+int(bitIdx) > 64 {
+		// The field's last bits sit in a ninth byte, inside len(buf).
+		v |= uint64(r.buf[byteIdx+8]) << (64 - bitIdx)
+	}
+	if n < 64 {
+		v &= 1<<uint(n) - 1
+	}
+	r.pos += n
 	return v, nil
 }
 
