@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-solve bench-json bench-diff bench-scale clean
+.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-solve bench-smoke bench-json bench-diff bench-scale clean
 
 all: vet build test
 
@@ -96,9 +96,28 @@ bench-patch:
 	$(GO) test -run='^$$' -benchmem -count=3 -bench='^BenchmarkPatchRefSolve$$' ./internal/server/
 
 # The round loop per worker count: one cold Theorem 2 solve of the
-# cold-solve shape (gnp n = 2000, poly2, eps 0.5) with one and two workers.
+# cold-solve shape (gnp n = 2000, poly2, eps 0.5) with one and two workers,
+# then the same solve on gnp graphs of degree 8 with 20,000 and 200,000
+# nodes (about a minute).
 bench-solve:
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkTheorem2Cold$$' ./internal/maxis/
+	$(GO) test -run='^$$' -benchmem -count=3 -benchtime=3x -bench='^BenchmarkTheorem2Scale$$' ./internal/maxis/
+
+# Benchmark smoke: one second of every perfbench workload, built from
+# this checkout. Fails unless every run's result line reports
+# "correct":true and "failed":0. perfbench is a module of its own that
+# `go build ./...` never compiles, so this is where a change to an API it
+# uses fails. Used by CI.
+BENCH_WORKLOADS = cold-solve hot-inline mutate-ref cluster-fanout
+
+bench-smoke:
+	@for w in $(BENCH_WORKLOADS); do \
+		line=$$(bash perfbench/run.sh --workload $$w --seconds 1 | tail -n 1); \
+		echo "$$w: $$line"; \
+		if ! echo "$$line" | grep -q '"correct":true' || ! echo "$$line" | grep -Eq '"failed":0[,}]'; then \
+			echo "bench-smoke: workload $$w failed" >&2; exit 1; \
+		fi; \
+	done
 
 # Machine-readable benchmark snapshot: round loop, solver end-to-end and
 # serving cold/hot paths, with allocation stats, written to BENCH_$(PR).json.

@@ -183,6 +183,21 @@ type NodeInfo struct {
 	Out []*Message
 	// slots backs Message; nil when the run has slots off.
 	slots *slotTable
+	// words backs Words.
+	words *wordArena
+}
+
+// Words returns n zeroed words of scratch that the node may use until the
+// run ends: per-port state, typically, with n a multiple of Degree. It
+// may only be called from Init. The words come from memory the simulator
+// recycles across runs, so a protocol with per-port state allocates
+// nothing per node; like Rand and Out they must not be used once Output
+// has been called.
+func (info *NodeInfo) Words(n int) []uint64 {
+	if info.words == nil {
+		return make([]uint64, n)
+	}
+	return info.words.take(n)
 }
 
 // Message freezes the contents of w into this node's message slot and
@@ -451,6 +466,8 @@ func (s *simulator) initProcs() {
 	if s.slotsOn {
 		slots = &s.slots
 	}
+	s.words.open()
+	defer s.words.close()
 	for v := range s.procs {
 		if s.cfg.reliable != nil {
 			s.procs[v] = s.cfg.reliable.Wrap(s.procs[v])
@@ -473,6 +490,7 @@ func (s *simulator) initProcs() {
 			Rand:      &s.rnds[v],
 			Out:       s.outSlab[lo:hi:hi],
 			slots:     slots,
+			words:     &s.words,
 		})
 	}
 }
@@ -519,6 +537,8 @@ type runState struct {
 	// nothing.
 	pcgs []rand.PCG
 	rnds []rand.Rand
+	// words backs NodeInfo.Words.
+	words wordArena
 	// ws holds each executor worker's tallies and receive scratch.
 	ws []worker
 	// Fault duplicates queued in one round, applied before the next

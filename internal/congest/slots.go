@@ -285,6 +285,35 @@ func (t *slotTable) fill(v int, w *wire.Writer) *Message {
 	return m
 }
 
+// wordArena hands out NodeInfo.Words: windows of one recycled buffer,
+// bump-allocated while the run's processes are initialised.
+type wordArena struct {
+	buf  []uint64
+	used int
+	// initing is set while initProcs runs, the only time Words may be
+	// called: Init runs on one goroutine, node steps on many.
+	initing bool
+}
+
+func (a *wordArena) open() { a.used, a.initing = 0, true }
+
+func (a *wordArena) close() { a.initing = false }
+
+// take returns the next n words, zeroed. When buf is full it grows into a
+// new buffer; windows already handed out keep the old one.
+func (a *wordArena) take(n int) []uint64 {
+	if !a.initing {
+		panic("congest: NodeInfo.Words called outside Init")
+	}
+	if a.used+n > len(a.buf) {
+		a.buf = make([]uint64, max(2*len(a.buf), a.used+n))
+	}
+	w := a.buf[a.used : a.used+n : a.used+n]
+	a.used += n
+	clear(w)
+	return w
+}
+
 // procPools maps a process type, keyed by its nil *T, to the sync.Pool of
 // its recycled arrays. Pooled arrays are all zero through their capacity.
 var procPools sync.Map

@@ -48,6 +48,7 @@ type probeLog struct {
 //	            round's messages are second messages in one round
 //	"local"     one broadcast of a 48-byte payload, over wire.CongestBytes
 //	"rotate"    one message per round on port round mod degree
+//	"full"      one broadcast padded to exactly the bandwidth
 //	"broadcast" one broadcast of a slot-sized payload
 type slotProbe struct {
 	info   congest.NodeInfo
@@ -102,6 +103,12 @@ func (p *slotProbe) Round(round int, recv []*congest.Message) ([]*congest.Messag
 			p.write(round, 0)
 			p.send(round, round%len(out))
 		}
+	case "full":
+		p.write(round, 0)
+		for p.w.Len() < p.info.Bandwidth {
+			p.w.WriteBits(p.info.Rand.Uint64(), min(64, p.info.Bandwidth-p.w.Len()))
+		}
+		p.send(round, -1)
 	default:
 		p.write(round, 0)
 		p.send(round, -1)

@@ -37,3 +37,23 @@ func BenchmarkTheorem2Cold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTheorem2Scale is one Theorem 2 solve (ε = 0.5) of gnp graphs of
+// average degree 8 with 20,000 and 200,000 nodes, per worker count: the
+// round loop's rung at sizes where a second worker can pay for its round
+// barriers. Each iteration solves the same graph with a new seed.
+func BenchmarkTheorem2Scale(b *testing.B) {
+	for _, n := range []int{20_000, 200_000} {
+		g := gen.Weighted(gen.GNP(n, 8/float64(n), 1), gen.PolyWeights(2), 1)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Theorem2(g, 0.5, Config{Seed: uint64(i + 1), Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -70,13 +70,11 @@ func bhrKey(rng *rand.Rand, tie uint64, w int64, bits int) uint64 {
 // (CRC-dropped) key makes the node abstain — safety over liveness, the
 // same posture as rankingProcess.
 type bhrProcess struct {
-	info    congest.NodeInfo
-	key     uint64
-	bits    int
-	nbrKeys []uint64
-	nbrSeen []bool
-	joined  bool
-	w       wire.Writer
+	info   congest.NodeInfo
+	key    uint64
+	bits   int
+	joined bool
+	w      wire.Writer
 }
 
 var _ congest.Process = (*bhrProcess)(nil)
@@ -89,8 +87,6 @@ func (p *bhrProcess) Init(info congest.NodeInfo) {
 	// seed — bit-identical across engines.
 	tie := info.Rand.Uint64()
 	p.key = bhrKey(info.Rand, tie, info.Weight, p.bits)
-	p.nbrKeys = make([]uint64, info.Degree)
-	p.nbrSeen = make([]bool, info.Degree)
 }
 
 func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
@@ -99,26 +95,20 @@ func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Messa
 		p.w.WriteBits(p.key, p.bits)
 		return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), false
 	}
-	// Round 2: absorb the keys sent in round 1 and decide.
-	for port, m := range recv {
+	// Round 2: join iff every port delivered a well-formed key strictly
+	// above ours. An unknown or non-greater neighbour key could collide.
+	p.joined = true
+	for _, m := range recv {
 		if m == nil {
-			continue
+			p.joined = false
+			break
 		}
 		r := m.Reader()
 		if r.Remaining() != p.bits {
-			continue // malformed frame (fault injection)
+			p.joined = false // malformed frame (fault injection)
+			break
 		}
-		k, err := r.ReadBits(p.bits)
-		if err != nil {
-			continue
-		}
-		p.nbrKeys[port] = k
-		p.nbrSeen[port] = true
-	}
-	p.joined = true
-	for port := 0; port < p.info.Degree; port++ {
-		if !p.nbrSeen[port] || p.nbrKeys[port] <= p.key {
-			// Unknown or non-greater neighbour key: joining could collide.
+		if k, err := r.ReadBits(p.bits); err != nil || k <= p.key {
 			p.joined = false
 			break
 		}

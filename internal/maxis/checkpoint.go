@@ -11,7 +11,6 @@ package maxis
 func (p *rankingProcess) Checkpoint() any {
 	s := *p
 	s.nbrRanks = append([]uint64(nil), p.nbrRanks...)
-	s.nbrBits = append([]int(nil), p.nbrBits...)
 	s.nbrSeen = append([]uint64(nil), p.nbrSeen...)
 	return &s
 }
@@ -19,10 +18,8 @@ func (p *rankingProcess) Checkpoint() any {
 func (p *rankingProcess) Restore(state any) {
 	s := state.(*rankingProcess)
 	nbrRanks := append([]uint64(nil), s.nbrRanks...)
-	nbrBits := append([]int(nil), s.nbrBits...)
 	nbrSeen := append([]uint64(nil), s.nbrSeen...)
 	*p = *s
 	p.nbrRanks = nbrRanks
-	p.nbrBits = nbrBits
 	p.nbrSeen = nbrSeen
 }

@@ -11,7 +11,7 @@ import (
 var _ reliable.Checkpointer = (*rankingProcess)(nil)
 
 func TestRankingCheckpointIsolation(t *testing.T) {
-	p := &rankingProcess{rank: 42, nbrRanks: []uint64{1, 2}, nbrBits: []int{3, 4}}
+	p := &rankingProcess{rank: 42, nbrRanks: []uint64{1, 2}, nbrSeen: []uint64{3, 4}}
 	snap := p.Checkpoint()
 	p.rank = 99
 	p.nbrRanks[0] = 8
@@ -19,9 +19,9 @@ func TestRankingCheckpointIsolation(t *testing.T) {
 	if p.rank != 42 || p.nbrRanks[0] != 1 {
 		t.Errorf("restore did not rewind state: %+v", p)
 	}
-	p.nbrBits[1] = 0
+	p.nbrSeen[1] = 0
 	p.Restore(snap)
-	if p.nbrBits[1] != 4 {
+	if p.nbrSeen[1] != 4 {
 		t.Error("snapshot aliased live state")
 	}
 }

@@ -87,9 +87,8 @@ type rankingProcess struct {
 	bits     int
 	chunk    int // bits per round
 	rounds   int // sending rounds k = ceil(bits/chunk)
-	seqBits  int // fault mode: tag width (0 = tagging impossible)
-	nbrRanks []uint64
-	nbrBits  []int
+	seqBits  int      // fault mode: tag width (0 = tagging impossible)
+	nbrRanks []uint64 // per port, the rank bits received so far
 	nbrSeen  []uint64 // fault mode: bitmask of chunks received per port
 	joined   bool
 	w        wire.Writer // per-round scratch, reset before each use
@@ -106,10 +105,9 @@ func (p *rankingProcess) Init(info congest.NodeInfo) {
 	p.rounds = (p.bits + p.chunk - 1) / p.chunk
 	if info.Faulty {
 		p.initChunkTags()
-		p.nbrSeen = make([]uint64, info.Degree)
+		p.nbrSeen = info.Words(info.Degree)
 	}
-	p.nbrRanks = make([]uint64, info.Degree)
-	p.nbrBits = make([]int, info.Degree)
+	p.nbrRanks = info.Words(info.Degree)
 }
 
 // initChunkTags splits the bandwidth into tag + payload: the smallest tag
@@ -139,7 +137,9 @@ func (p *rankingProcess) initChunkTags() {
 }
 
 func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
-	// Absorb chunks sent in the previous round.
+	// Absorb chunks sent in the previous round. Without faults every
+	// neighbour sends chunk round-2 in round-1, so it lands at bit
+	// (round-2)·chunk.
 	if round > 1 {
 		for port, m := range recv {
 			if m == nil {
@@ -150,10 +150,8 @@ func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.M
 				p.absorbTagged(port, r)
 				continue
 			}
-			nbits := r.Remaining()
-			chunkVal, _ := r.ReadBits(nbits)
-			p.nbrRanks[port] |= chunkVal << uint(p.nbrBits[port])
-			p.nbrBits[port] += nbits
+			chunkVal, _ := r.ReadBits(r.Remaining())
+			p.nbrRanks[port] |= chunkVal << uint((round-2)*p.chunk)
 		}
 	}
 	if round <= p.rounds {
@@ -220,7 +218,6 @@ func (p *rankingProcess) absorbTagged(port int, r *wire.Reader) {
 	}
 	p.nbrSeen[port] |= mask
 	p.nbrRanks[port] |= chunkVal << uint(lo)
-	p.nbrBits[port] += hi - lo
 }
 
 func (p *rankingProcess) Output() any { return p.joined }

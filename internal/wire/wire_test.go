@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -224,5 +226,78 @@ func TestQuickBitWidthExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReaderWordLoadsMaskCapacityTail reads fields of every width at every
+// bit offset from buffers whose capacity runs past their length into
+// garbage, as an inbox slot's payload does, and from buffers without
+// spare capacity: both must return exactly the written bits, fields that
+// straddle a ninth byte included.
+func TestReaderWordLoadsMaskCapacityTail(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for lead := 0; lead < 64; lead++ {
+		for width := 1; width <= 64; width++ {
+			var w Writer
+			w.WriteBits(rng.Uint64()&(1<<uint(lead)-1), lead)
+			want := rng.Uint64() >> (64 - width)
+			w.WriteBits(want, width)
+			payload := w.Bytes()
+			padded := make([]byte, len(payload), len(payload)+16)
+			copy(padded, payload)
+			for i := len(padded); i < cap(padded); i++ {
+				padded[:cap(padded)][i] = 0xff // garbage past the payload
+			}
+			for name, buf := range map[string][]byte{"exact": append([]byte(nil), payload...), "padded": padded} {
+				r := NewReader(buf, w.Len())
+				if _, err := r.ReadBits(lead); err != nil {
+					t.Fatal(err)
+				}
+				got, err := r.ReadBits(width)
+				if err != nil || got != want {
+					t.Fatalf("%s: lead %d width %d: got %#x, %v; want %#x", name, lead, width, got, err, want)
+				}
+				if r.Remaining() != 0 {
+					t.Fatalf("%s: lead %d width %d: %d bits left", name, lead, width, r.Remaining())
+				}
+			}
+		}
+	}
+}
+
+// TestWriterWordStoresAcrossSpill writes a field of assorted widths at
+// every bit offset up to past CongestBytes, after a Reset over a dirty
+// buffer, and requires the bytes of a bit-by-bit reference.
+func TestWriterWordStoresAcrossSpill(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	var w Writer
+	for lead := 0; lead < 8*CongestBytes+16; lead++ {
+		for _, width := range []int{1, 7, 13, 33, 57, 64} {
+			w.Reset()
+			for i := 0; i < 8*CongestBytes; i += 64 {
+				w.WriteBits(^uint64(0), 64) // dirty the inline buffer
+			}
+			w.Reset()
+			var fields [][2]uint64 // value, width
+			for rest := lead; rest > 0; rest -= min(rest, 64) {
+				n := min(rest, 64)
+				fields = append(fields, [2]uint64{rng.Uint64() >> (64 - n), uint64(n)})
+			}
+			fields = append(fields, [2]uint64{rng.Uint64() >> (64 - width), uint64(width)})
+			ref := make([]byte, (lead+width+7)/8)
+			pos := 0
+			for _, f := range fields {
+				w.WriteBits(f[0], int(f[1]))
+				for i := 0; i < int(f[1]); i++ {
+					if f[0]>>uint(i)&1 == 1 {
+						ref[pos/8] |= 1 << uint(pos%8)
+					}
+					pos++
+				}
+			}
+			if w.Len() != pos || !bytes.Equal(w.Bytes(), ref) {
+				t.Fatalf("lead %d width %d: wrote %x (%d bits), want %x (%d bits)", lead, width, w.Bytes(), w.Len(), ref, pos)
+			}
+		}
 	}
 }
