@@ -85,8 +85,8 @@ type rankingProcess struct {
 	space    uint64
 	rank     uint64
 	bits     int
-	chunk    int // bits per round
-	rounds   int // sending rounds k = ceil(bits/chunk)
+	chunk    int      // bits per round
+	rounds   int      // sending rounds k = ceil(bits/chunk)
 	seqBits  int      // fault mode: tag width (0 = tagging impossible)
 	nbrRanks []uint64 // per port, the rank bits received so far
 	nbrSeen  []uint64 // fault mode: bitmask of chunks received per port
