@@ -661,87 +661,88 @@ type pendingDup struct {
 	bits    int
 }
 
-// step runs node v's round on worker wi: it fills v's receive window from
-// the inbox, calls Round, checks the sends against the port count and the
-// bandwidth, and delivers each one into its receiver's slot. It reports
-// false when v's step failed.
-func (s *simulator) step(wi, v, round int) bool {
-	hook := s.cfg.hook
-	if hook != nil && hook.State(round, v) != NodeUp {
-		return true
-	}
-	w := &s.ws[wi]
-	lo, hi := s.g.Arcs(v)
-	recv := w.recv[:hi-lo]
-	s.inbox.receive(recv, &w.msgs, lo, round)
-	send, fin := s.procs[v].Round(round, recv)
-	if len(send) > hi-lo {
-		w.fail(v, fmt.Errorf("congest: node %d sent on %d ports but has degree %d", v, len(send), hi-lo))
-		return false
-	}
-	// A send that breaks the bandwidth fails the run, so the messages of
-	// its lower ports that were delivered before the check are never read.
-	par, stamp := s.inbox.target(round + 1)
-	rev := s.rev[lo:hi]
-	// Out is all nil when Round is called. A send that is Out itself (a
-	// Broadcast, say) is cleared as it is delivered, the rest of Out after.
-	out := s.outSlab[lo:hi]
-	aliased := len(send) > 0 && &send[0] == &out[0]
-	rest := out
-	if aliased {
-		rest = out[len(send):]
-	}
+// steps runs the round of every node in nodes on worker wi. A node's step
+// fills its receive window from the inbox, calls Round, checks the sends
+// against the port count and the bandwidth, and delivers each one into its
+// receiver's slot. The first failing node is recorded with the worker and
+// ends the call: the round is doomed, and stopping makes the error the
+// lowest-index one of the nodes the call was given.
+func (s *simulator) steps(wi int, nodes []int32, round int) {
 	var (
-		pl         payload
-		sent, bits int64
-		maxBits    = w.maxBits
+		w          = &s.ws[wi]
+		hook       = s.cfg.hook
 		phys       = s.physBandwidth
 		ib         = &s.inbox
+		par, stamp = ib.target(round + 1)
 		slab       = ib.slab[par]
 		stride     = ib.stride
+		pl         payload
 	)
-	for p, m := range send {
-		if m == nil {
+	for _, v32 := range nodes {
+		v := int(v32)
+		if hook != nil && hook.State(round, v) != NodeUp {
 			continue
 		}
+		lo, hi := s.g.Arcs(v)
+		recv := w.recv[:hi-lo]
+		ib.receive(recv, &w.msgs, lo, round)
+		send, fin := s.procs[v].Round(round, recv)
+		if len(send) > hi-lo {
+			w.fail(v, fmt.Errorf("congest: node %d sent on %d ports but has degree %d", v, len(send), hi-lo))
+			return
+		}
+		// Out is all nil when Round is called. A send that is Out itself
+		// (a Broadcast, say) is cleared as it is delivered, the rest of Out
+		// after.
+		out := s.outSlab[lo:hi]
+		aliased := len(send) > 0 && &send[0] == &out[0]
+		rest := out
 		if aliased {
-			send[p] = nil
+			rest = out[len(send):]
 		}
-		if phys > 0 && m.bitN > phys {
-			w.fail(v, fmt.Errorf("congest: node %d port %d message of %d bits exceeds bandwidth %d", v, p, m.bitN, phys))
-			return false
-		}
-		sent++
-		bits += int64(m.bitN)
-		maxBits = max(maxBits, m.bitN)
-		if hook != nil {
-			if m = s.deliverFaulty(round, v, p, rev[p], m); m == nil {
+		rev := s.rev[lo:hi]
+		pl.m = nil // a forwarded receive view is reused by the next node
+		for p, m := range send {
+			if m == nil {
 				continue
 			}
+			if aliased {
+				send[p] = nil
+			}
+			// A send over the bandwidth fails the run, so the messages of
+			// the lower ports delivered before the check are never read.
+			if phys > 0 && m.bitN > phys {
+				w.fail(v, fmt.Errorf("congest: node %d port %d message of %d bits exceeds bandwidth %d", v, p, m.bitN, phys))
+				return
+			}
+			w.messages++
+			w.bits += int64(m.bitN)
+			w.maxBits = max(w.maxBits, m.bitN)
+			if hook != nil {
+				if m = s.deliverFaulty(round, v, p, rev[p], m); m == nil {
+					continue
+				}
+			}
+			// put, with its value-slot path inlined.
+			if ib.heap {
+				ib.put(par, rev[p], stamp, m, nil)
+				continue
+			}
+			if pl.m != m {
+				pl.load(m)
+			}
+			o := int(rev[p]) * stride
+			pl.store(slab[o:o+stride:o+stride], uint64(stamp)<<32|uint64(m.bitN))
 		}
-		// put, with its value-slot path inlined.
-		if ib.heap {
-			ib.put(par, rev[p], stamp, m, nil)
-			continue
+		for p, m := range rest {
+			if m != nil {
+				rest[p] = nil
+			}
 		}
-		if pl.m != m {
-			pl.load(m)
+		if fin {
+			w.halted = append(w.halted, v32)
 		}
-		o := int(rev[p]) * stride
-		pl.store(slab[o:o+stride:o+stride], uint64(stamp)<<32|uint64(m.bitN))
 	}
-	w.messages += sent
-	w.bits += bits
-	w.maxBits = maxBits
-	for p, m := range rest {
-		if m != nil {
-			rest[p] = nil
-		}
-	}
-	if fin {
-		w.halted = append(w.halted, int32(v))
-	}
-	return true
 }
 
 // merge is the round barrier's bookkeeping: it folds every worker's
@@ -811,7 +812,7 @@ func (s *simulator) run() (*Result, error) {
 		return s.res
 	}
 
-	exec := newPoolEngine(n, s.cfg.workers, s.step)
+	exec := newPoolEngine(n, s.cfg.workers, s.steps)
 	defer exec.shutdown()
 	if cap(s.ws) < exec.workers {
 		s.ws = append(s.ws[:cap(s.ws)], make([]worker, exec.workers-cap(s.ws))...)

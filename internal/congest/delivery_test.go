@@ -3,6 +3,7 @@ package congest_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,6 +251,77 @@ func TestDeliveryDuplicateOverwritten(t *testing.T) {
 		}
 		checkProbe(t, g, value, 1)
 		checkProbe(t, g, heap, 1)
+		if !reflect.DeepEqual(value, heap) {
+			t.Errorf("workers %d: heap slots deliver differently", workers)
+		}
+	}
+}
+
+// relay broadcasts its ID in round 1, forwards each message it receives in
+// round 2 to the next port, and records in round 3 the IDs it hears, by
+// port. Forwarded messages are receive views, which the next node stepped
+// by the same worker reuses.
+type relay struct {
+	info  congest.NodeInfo
+	w     wire.Writer
+	heard []uint64
+}
+
+func (p *relay) Init(info congest.NodeInfo) {
+	p.info = info
+	p.heard = make([]uint64, info.Degree)
+}
+
+func (p *relay) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+	out := p.info.Out
+	switch round {
+	case 1:
+		p.w.Reset()
+		p.w.WriteUint(p.info.ID, p.info.MaxID)
+		return congest.Broadcast(out, p.info.Message(&p.w)), false
+	case 2:
+		for port, m := range recv {
+			out[(port+1)%len(out)] = m
+		}
+		return out, false
+	}
+	for port, m := range recv {
+		if m != nil {
+			id, err := m.Reader().ReadUint(p.info.MaxID)
+			if err != nil {
+				panic(err)
+			}
+			p.heard[port] = id
+		}
+	}
+	return nil, true
+}
+
+func (p *relay) Output() any { return p.heard }
+
+// TestDeliveryForwardedViews checks that a forwarded received message
+// arrives with its own payload: node u hears on the port to x the ID of
+// the neighbour x heard on the port before the one leading to u.
+func TestDeliveryForwardedViews(t *testing.T) {
+	g := gen.GNP(150, 0.05, 9)
+	for _, workers := range []int{1, 2} {
+		value, heap := bothPaths(func() *congest.Result {
+			res, err := congest.Run[relay](g, nil, congest.WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		})
+		for u := 0; u < g.N(); u++ {
+			for q, x := range g.Neighbors(u) {
+				nx := g.Neighbors(int(x))
+				back := slices.Index(nx, int32(u))
+				want := g.ID(int(nx[(back-1+len(nx))%len(nx)]))
+				if got := value.Outputs[u].([]uint64)[q]; got != want {
+					t.Fatalf("workers %d: node %d port %d heard %d, want %d", workers, u, q, got, want)
+				}
+			}
+		}
 		if !reflect.DeepEqual(value, heap) {
 			t.Errorf("workers %d: heap slots deliver differently", workers)
 		}

@@ -13,23 +13,24 @@ const minParallelNodes = 64
 // poolEngine is the executor of the shared round loop in simulator.run. The
 // loop owns everything cross-cutting — bandwidth enforcement, fault hooks,
 // tracing, reliable-transport accounting — and per round asks runRound to
-// call step(w, v, round) once for every node v in its list of live nodes,
-// where w is the index of the worker making the call. The executor only schedules those
-// calls, which is what keeps every worker count bit-identical:
-//   - step(w, v, round) is called at most once per node per round;
+// step every node in its list of live nodes: it hands the list, whole or
+// in chunks, to step(w, nodes, round), where w is the index of the worker
+// making the call. The executor only schedules those calls, which is what
+// keeps every worker count bit-identical:
+//   - every listed node is in exactly one call per round;
 //   - node state is only ever touched from one goroutine within a round;
-//   - a step writes only its own node's state, the receive slots of its
-//     own arcs, and worker w's tallies, which the loop merges after the
+//   - a step writes only its own nodes' state, the receive slots of their
+//     arcs, and worker w's tallies, which the loop merges after the
 //     barrier; a failing step records its error with worker w, and the
 //     merge reports the lowest-index failing node whichever worker
 //     stepped it.
 //
-// With one worker runRound steps the nodes in list order (ascending index)
-// on the calling goroutine and stops at the first failing step. With more, persistent
-// workers are spawned once and parked on per-worker start channels between
-// rounds; runRound releases them and joins on a shared done channel, so
-// per-round overhead is `workers` channel operations instead of `workers`
-// goroutine launches.
+// With one worker runRound steps the whole list (ascending index) in one
+// call on the calling goroutine, which stops at the first failing node.
+// With more, persistent workers are spawned once and parked on per-worker
+// start channels between rounds; runRound releases them and joins on a
+// shared done channel, so per-round overhead is `workers` channel
+// operations instead of `workers` goroutine launches.
 //
 // Within a round, work is handed out by guided chunking: a shared atomic
 // cursor from which each worker repeatedly claims the next fixed-size chunk
@@ -48,7 +49,7 @@ type poolEngine struct {
 	start   []chan int
 	done    chan struct{}
 	wg      sync.WaitGroup
-	step    func(w, v, round int) bool
+	step    func(w int, nodes []int32, round int)
 }
 
 // poolWorkers resolves a requested worker count for an n-node run: 1 when
@@ -72,7 +73,7 @@ func poolChunk(n, workers int) int {
 	return chunk
 }
 
-func newPoolEngine(n, workers int, step func(w, v, round int) bool) *poolEngine {
+func newPoolEngine(n, workers int, step func(w int, nodes []int32, round int)) *poolEngine {
 	e := &poolEngine{n: n, workers: poolWorkers(n, workers), step: step}
 	if e.workers == 1 {
 		return e
@@ -91,9 +92,7 @@ func newPoolEngine(n, workers int, step func(w, v, round int) bool) *poolEngine 
 					if lo >= len(e.nodes) {
 						break
 					}
-					for _, v := range e.nodes[lo:min(lo+e.chunk, len(e.nodes))] {
-						e.step(w, int(v), round)
-					}
+					e.step(w, e.nodes[lo:min(lo+e.chunk, len(e.nodes))], round)
 				}
 				e.done <- struct{}{}
 			}
@@ -109,13 +108,7 @@ func newPoolEngine(n, workers int, step func(w, v, round int) bool) *poolEngine 
 // set before any release.
 func (e *poolEngine) runRound(round int, nodes []int32) {
 	if e.workers == 1 {
-		for _, v := range nodes {
-			if !e.step(0, int(v), round) {
-				// The round is already doomed, and stopping here makes the
-				// reported error trivially the lowest-index one.
-				break
-			}
-		}
+		e.step(0, nodes, round)
 		return
 	}
 	e.cursor.Store(0)

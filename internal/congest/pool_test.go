@@ -15,7 +15,11 @@ import (
 // runPoolRound drives one round of the executor over [0, n) with fn as the
 // node step and joins its workers.
 func runPoolRound(n, workers int, fn func(v int)) {
-	e := newPoolEngine(n, workers, func(_, v, _ int) bool { fn(v); return true })
+	e := newPoolEngine(n, workers, func(_ int, nodes []int32, _ int) {
+		for _, v := range nodes {
+			fn(int(v))
+		}
+	})
 	defer e.shutdown()
 	nodes := make([]int32, n)
 	for v := range nodes {
