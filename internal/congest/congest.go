@@ -600,7 +600,7 @@ func (s *simulator) release() {
 	for i := range st.ws {
 		st.ws[i].release()
 	}
-	st.pendingDups = st.pendingDups[:0]
+	st.pendingDups, st.dupBuf = st.pendingDups[:0], st.dupBuf[:0]
 	statePool.Put(st)
 }
 
@@ -674,8 +674,6 @@ func (s *simulator) steps(wi int, nodes []int32, round int) {
 		phys       = s.physBandwidth
 		ib         = &s.inbox
 		par, stamp = ib.target(round + 1)
-		slab       = ib.slab[par]
-		stride     = ib.stride
 		pl         payload
 	)
 	for _, v32 := range nodes {
@@ -723,16 +721,14 @@ func (s *simulator) steps(wi int, nodes []int32, round int) {
 					continue
 				}
 			}
-			// put, with its value-slot path inlined.
 			if ib.heap {
-				ib.put(par, rev[p], stamp, m, nil)
+				ib.putPointer(par, rev[p], stamp, m)
 				continue
 			}
 			if pl.m != m {
 				pl.load(m)
 			}
-			o := int(rev[p]) * stride
-			pl.store(slab[o:o+stride:o+stride], uint64(stamp)<<32|uint64(m.bitN))
+			pl.store(ib.slot(par, rev[p]), header(stamp, m.bitN))
 		}
 		for p, m := range rest {
 			if m != nil {
@@ -989,10 +985,11 @@ func (s *simulator) applyDups(round int) {
 		}
 		data := s.dupBuf[d.lo : d.lo+(d.bits+7)>>3]
 		if s.inbox.heap {
-			s.inbox.put(par, d.arc, stamp, NewRawMessage(data, d.bits), nil)
+			s.inbox.putPointer(par, d.arc, stamp, NewRawMessage(data, d.bits))
 		} else {
 			var pl payload
-			s.inbox.put(par, d.arc, stamp, &Message{buf: data, hi: len(data), bitN: d.bits}, &pl)
+			pl.load(&Message{buf: data, hi: len(data), bitN: d.bits})
+			pl.store(s.inbox.slot(par, d.arc), header(stamp, d.bits))
 		}
 		s.res.FaultDuplicated++
 	}

@@ -121,15 +121,21 @@ func TestDeliveryFullWidthPayload(t *testing.T) {
 	}
 }
 
-// TestDeliverySecondMessageInRound sends a distinct message on every port:
-// all but the first of a node's messages in a round are heap messages.
-func TestDeliverySecondMessageInRound(t *testing.T) {
+// TestDeliveryProbeModes sends a distinct message on every port, so all
+// but the first of a node's messages in a round are heap messages, and one
+// message per round on a rotating port, so a slot not written this round
+// must read as empty. Every receipt must be read the round after it was
+// sent, through either slot kind.
+func TestDeliveryProbeModes(t *testing.T) {
 	g := gen.GNP(96, 0.06, 2)
-	for _, workers := range []int{1, 2} {
-		value, heap := bothPaths(func() *congest.Result { return probeRun(t, g, "ports", workers) })
-		checkProbe(t, g, heap, 1)
-		if !reflect.DeepEqual(value, heap) {
-			t.Errorf("workers %d: heap slots deliver differently", workers)
+	for _, mode := range []string{"ports", "rotate"} {
+		for _, workers := range []int{1, 2} {
+			value, heap := bothPaths(func() *congest.Result { return probeRun(t, g, mode, workers) })
+			checkProbe(t, g, value, 1)
+			checkProbe(t, g, heap, 1)
+			if !reflect.DeepEqual(value, heap) {
+				t.Errorf("%s, workers %d: heap slots deliver differently", mode, workers)
+			}
 		}
 	}
 }

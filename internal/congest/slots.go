@@ -126,29 +126,29 @@ func (ib *inboxes) target(round int) (par int, stamp uint32) {
 	return round & 1, ib.epoch + uint32(round)
 }
 
-// put delivers m into slot arc of slab par, stamped stamp: by value into
-// a value slot, so m is free again when put returns, or by pointer into a
-// heap slot. pl caches the payload words of the last message put, across
-// the ports of a broadcast.
-func (ib *inboxes) put(par int, arc int32, stamp uint32, m *Message, pl *payload) {
-	header := uint64(stamp)<<32 | uint64(m.bitN)
-	if ib.heap {
-		ib.ptrs[par][arc] = m
-		binary.LittleEndian.PutUint64(ib.slab[par][int(arc)*headerBytes:], header)
-		return
-	}
-	if pl.m != m {
-		pl.load(m)
-	}
+// header is a slot's header word: the round stamp and the bit length.
+func header(stamp uint32, bits int) uint64 { return uint64(stamp)<<32 | uint64(bits) }
+
+// slot returns value slot arc of slab par, for payload.store.
+func (ib *inboxes) slot(par int, arc int32) []byte {
 	lo := int(arc) * ib.stride
-	pl.store(ib.slab[par][lo:lo+ib.stride:lo+ib.stride], header)
+	return ib.slab[par][lo : lo+ib.stride : lo+ib.stride]
+}
+
+// putPointer delivers m into heap slot arc of slab par, stamped stamp.
+func (ib *inboxes) putPointer(par int, arc int32, stamp uint32, m *Message) {
+	ib.ptrs[par][arc] = m
+	binary.LittleEndian.PutUint64(ib.slab[par][int(arc)*headerBytes:], header(stamp, m.bitN))
 }
 
 // payloadWords bounds the payload a send holds in registers: the largest
 // sender slot. Wider payloads are copied byte-wise.
 const payloadWords = wire.CongestBytes / 8
 
-// payload is one message's payload as little-endian words.
+// payload is one message's payload as little-endian words: a value slot
+// is filled by load, when the message differs from the last one loaded (a
+// broadcast loads once), and then store, so the message is free again as
+// soon as store returns.
 type payload struct {
 	m *Message
 	// words is the number of valid words in w, -1 for a payload wider
@@ -183,15 +183,15 @@ func (pl *payload) load(m *Message) {
 	}
 }
 
-// store writes the payload into the front of value slot, and header, the
-// round stamp and the bit length, into its last word.
-func (pl *payload) store(slot []byte, header uint64) {
+// store writes the payload into the front of value slot, and hdr into its
+// last word.
+func (pl *payload) store(slot []byte, hdr uint64) {
 	if pl.words == 1 {
 		binary.LittleEndian.PutUint64(slot, pl.w[0])
 	} else {
 		pl.storeWide(slot)
 	}
-	binary.LittleEndian.PutUint64(slot[len(slot)-headerBytes:], header)
+	binary.LittleEndian.PutUint64(slot[len(slot)-headerBytes:], hdr)
 }
 
 // storeWide is store for any other payload: word by word, or, past

@@ -439,3 +439,65 @@ func TestQuickDegeneracyBoundsArboricity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// checkReverseArcs requires that every arc a from v to u has a reverse arc
+// from u back to v, and that reversing twice is the identity.
+func checkReverseArcs(t *testing.T, g *Graph) {
+	t.Helper()
+	rev := g.ReverseArcs()
+	if len(rev) != 2*g.M() {
+		t.Fatalf("%d reverse arcs for %d edges", len(rev), g.M())
+	}
+	for v := 0; v < g.N(); v++ {
+		lo, hi := g.Arcs(v)
+		for a := lo; a < hi; a++ {
+			u := int(g.adj[a])
+			ulo, uhi := g.Arcs(u)
+			r := int(rev[a])
+			if r < ulo || r >= uhi || int(g.adj[r]) != v || int(rev[r]) != a {
+				t.Fatalf("arc %d (%d→%d): reverse %d is not an arc from %d back to %d", a, v, u, r, u, v)
+			}
+		}
+	}
+}
+
+// TestReverseArcsSharedPerCSR checks the table and that it is built once
+// per CSR: graphs over the same CSR share it, and an edit that changes
+// edges gets a table of its own.
+func TestReverseArcsSharedPerCSR(t *testing.T) {
+	g := buildTriangleWithTail(t)
+	checkReverseArcs(t, g)
+	same := func(a, b *Graph) bool { return &a.ReverseArcs()[0] == &b.ReverseArcs()[0] }
+	if !same(g, g) {
+		t.Error("a second call rebuilt the table")
+	}
+	all := []bool{true, true, true, true, true}
+	weighted, _, err := g.ApplyEdit(Edit{Weights: []WeightUpdate{{V: 1, W: 7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]*Graph{
+		"WithWeights":      g.WithWeights([]int64{5, 4, 3, 2, 1}),
+		"all-true Induce":  g.Induce(all).G,
+		"weight-only edit": weighted,
+	} {
+		if !same(g, h) {
+			t.Errorf("%s: the graph does not share its CSR's table", name)
+		}
+	}
+	edited, _, err := g.ApplyEdit(Edit{AddEdges: [][2]int32{{0, 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReverseArcs(t, edited)
+	sub := g.Induce([]bool{true, false, true, true, true}).G
+	checkReverseArcs(t, sub)
+	canon, err := FromCanonical(g.Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReverseArcs(t, canon)
+	for _, c := range g.SplitComponents() {
+		checkReverseArcs(t, c.G)
+	}
+}
