@@ -109,7 +109,8 @@ func NewRawMessage(data []byte, nbits int) *Message {
 }
 
 // NewMessageOwned wraps data without copying. The caller transfers
-// ownership: it must not read or mutate data afterwards. Together with
+// ownership: it must not read or mutate data afterwards, nor the memory
+// behind it up to its capacity, which delivery may read. Together with
 // AppendData it forms the zero-copy path for in-repo layers (fault
 // injection, transports) that already build a private buffer per message;
 // external protocol code should keep using NewMessage.
