@@ -675,6 +675,8 @@ func (s *simulator) steps(wi int, nodes []int32, round int) {
 		phys       = s.physBandwidth
 		ib         = &s.inbox
 		par, stamp = ib.target(round + 1)
+		slab       = ib.slab[par]
+		stride     = ib.stride
 		pl         payload
 	)
 	for _, v32 := range nodes {
@@ -729,7 +731,7 @@ func (s *simulator) steps(wi int, nodes []int32, round int) {
 			if pl.m != m {
 				pl.load(m)
 			}
-			pl.store(ib.slot(par, rev[p]), header(stamp, m.bitN))
+			pl.store(valueSlot(slab, stride, rev[p]), header(stamp, m.bitN))
 		}
 		for p, m := range rest {
 			if m != nil {
@@ -990,7 +992,7 @@ func (s *simulator) applyDups(round int) {
 		} else {
 			var pl payload
 			pl.load(&Message{buf: data, hi: len(data), bitN: d.bits})
-			pl.store(s.inbox.slot(par, d.arc), header(stamp, d.bits))
+			pl.store(valueSlot(s.inbox.slab[par], s.inbox.stride, d.arc), header(stamp, d.bits))
 		}
 		s.res.FaultDuplicated++
 	}

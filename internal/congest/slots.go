@@ -129,10 +129,11 @@ func (ib *inboxes) target(round int) (par int, stamp uint32) {
 // header is a slot's header word: the round stamp and the bit length.
 func header(stamp uint32, bits int) uint64 { return uint64(stamp)<<32 | uint64(bits) }
 
-// slot returns value slot arc of slab par, for payload.store.
-func (ib *inboxes) slot(par int, arc int32) []byte {
-	lo := int(arc) * ib.stride
-	return ib.slab[par][lo : lo+ib.stride : lo+ib.stride]
+// valueSlot returns slot arc of a value slab with the given stride, for
+// payload.store.
+func valueSlot(slab []byte, stride int, arc int32) []byte {
+	lo := int(arc) * stride
+	return slab[lo : lo+stride : lo+stride]
 }
 
 // putPointer delivers m into heap slot arc of slab par, stamped stamp.
