@@ -785,7 +785,7 @@ func (s *simulator) dropDone() {
 func (s *simulator) run() (*Result, error) {
 	s.initProcs()
 	n := s.g.N()
-	live := n // len(s.live)
+	live := n // len(s.live): the nodes not done
 	s.res.Bandwidth = s.bandwidth
 	// Transport counters are cumulative per Reliability instance; snapshot a
 	// base so Result reports this run's deltas even if the instance is shared.
