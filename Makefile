@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzInjectorCorruptDetect -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzEngineFaultDeterminism -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzParamsNormalize -fuzztime=$(FUZZTIME) ./internal/maxis/
+	$(GO) test -run='^$$' -fuzz=FuzzComponentLocality -fuzztime=$(FUZZTIME) ./internal/maxis/
 	$(GO) test -run='^$$' -fuzz=FuzzChoose -fuzztime=$(FUZZTIME) ./internal/plan/
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzFromCanonical -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -96,11 +97,14 @@ bench-patch:
 	$(GO) test -run='^$$' -benchmem -count=3 -bench='^BenchmarkPatchRefSolve$$' ./internal/server/
 
 # The round loop per worker count: one cold Theorem 2 solve of the
-# cold-solve shape (gnp n = 2000, poly2, eps 0.5) with one and two workers,
-# then the same solve on gnp graphs of degree 8 with 20,000 and 200,000
-# nodes (about a minute).
+# cold-solve shape (gnp n = 2000, poly2, eps 0.5) with one and two workers;
+# one uncached Theorem 2 solve of graphs of 150 × 16 and 16 × 150
+# components through SolveComponents and through Solve; then the same
+# solve on gnp graphs of degree 8 with 20,000 and 200,000 nodes (about a
+# minute).
 bench-solve:
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkTheorem2Cold$$' ./internal/maxis/
+	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkSolveComponents$$' ./internal/maxis/
 	$(GO) test -run='^$$' -benchmem -count=3 -benchtime=3x -bench='^BenchmarkTheorem2Scale$$' ./internal/maxis/
 
 # Benchmark smoke: one second of every perfbench workload, built from

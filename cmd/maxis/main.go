@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultRate    = fs.Float64("fault-rate", 0, "per-message loss probability (enables fault injection)")
 		faultDup     = fs.Float64("fault-dup", 0, "per-message duplication probability")
 		faultCorrupt = fs.Float64("fault-corrupt", 0, "per-message corruption probability (detected via CRC-8)")
-		faultCrash   = fs.Float64("fault-crash", 0, "fraction of nodes crash-stopped at round 3 of each phase")
+		faultCrash   = fs.Float64("fault-crash", 0, "probability with which each node is crash-stopped at round 3 of each phase")
 		faultBack    = fs.Int("fault-back", 0, "round crashed nodes recover at (0 = crash-stop)")
 		faultSeed    = fs.Uint64("fault-seed", 0, "adversary seed (0 = derive from -seed)")
 
@@ -112,9 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "planner: %s\n", d)
 		*algName = d.Alg
 	}
-	// The uniform and skewed generators bound their weights by -maxw, so
-	// the runtime can skip its own weight scan.
-	cfg.MaxWeight = spec.WeightBound()
 	var ring *trace.Ring
 	if *doTrace || *traceOut != "" {
 		ring = trace.NewRing(0)

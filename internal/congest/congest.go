@@ -12,7 +12,8 @@
 // Faithfulness to the paper's assumptions (its Section 3):
 //   - nodes know only their own identifier, weight, degree, and a polynomial
 //     upper bound on n (NUpper); they do not know n or Δ;
-//   - randomness is private per node (independent deterministic PCG streams);
+//   - randomness is private per node (a deterministic PCG stream keyed by
+//     the run seed and the node's identifier, never its index);
 //   - ports are anonymous: a node cannot see its neighbours' identifiers
 //     until they are sent in messages.
 //
@@ -31,6 +32,10 @@
 // order, so every worker count yields bit-identical executions: scheduling
 // changes no round, message or bit. Runs with a fault hook step on one
 // worker (see DeliveryHook).
+//
+// So a node's outputs are the same in a run over any union of connected
+// components that contains it, given the same NUpper and MaxWeight. MaxID,
+// the run's own maximum, sizes identifier fields: bits, not outputs.
 //
 // A run allocates in proportion to itself, not to n (see slots.go). Run
 // takes a process type and hands node v element v of a recycled, zeroed
@@ -68,6 +73,10 @@ const (
 // ErrRoundLimit is returned when a protocol fails to terminate within the
 // configured maximum number of rounds (and truncation was not requested).
 var ErrRoundLimit = errors.New("congest: protocol exceeded round limit")
+
+// ErrBandwidth is wrapped by the error of a run in which a node sent more
+// than B bits: its identifiers or weights are not poly(n).
+var ErrBandwidth = errors.New("message exceeds the CONGEST bandwidth")
 
 // Message is an immutable bit-accounted payload travelling over one edge in
 // one round.
@@ -475,7 +484,7 @@ func (s *simulator) initProcs() {
 		}
 		// rand.New and rand.NewPCG both inline, so filling the value slots
 		// allocates nothing.
-		s.pcgs[v] = *rand.NewPCG(s.cfg.seed, 0x6a09e667f3bcc908^uint64(v))
+		s.pcgs[v] = *rand.NewPCG(s.cfg.seed, 0x6a09e667f3bcc908^s.g.ID(v))
 		s.rnds[v] = *rand.New(&s.pcgs[v])
 		lo, hi := s.g.Arcs(v)
 		s.procs[v].Init(NodeInfo{
@@ -713,7 +722,7 @@ func (s *simulator) steps(wi int, nodes []int32, round int) {
 			// A send over the bandwidth fails the run, so the messages of
 			// the lower ports delivered before the check are never read.
 			if phys > 0 && m.bitN > phys {
-				w.fail(v, fmt.Errorf("congest: node %d port %d message of %d bits exceeds bandwidth %d", v, p, m.bitN, phys))
+				w.fail(v, fmt.Errorf("congest: node %d port %d message of %d bits exceeds bandwidth %d: %w", v, p, m.bitN, phys, ErrBandwidth))
 				return
 			}
 			w.messages++
@@ -822,7 +831,7 @@ func (s *simulator) run() (*Result, error) {
 	}
 
 	if s.cfg.hook != nil {
-		s.cfg.hook.Begin(n)
+		s.cfg.hook.Begin(s.g)
 	}
 
 	// Tracing state. All tracer work is guarded by tr != nil: with no

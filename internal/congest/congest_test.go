@@ -427,7 +427,7 @@ type stubHook struct {
 	crashAt   int
 }
 
-func (h *stubHook) Begin(n int) {}
+func (h *stubHook) Begin(*graph.Graph) {}
 
 func (h *stubHook) State(round, v int) NodeState {
 	if v == h.crashNode && round >= h.crashAt {

@@ -236,7 +236,7 @@ func TestDeliveryLowestIndexError(t *testing.T) {
 // messages.
 type dupFirstRound struct{}
 
-func (dupFirstRound) Begin(int)                        {}
+func (dupFirstRound) Begin(*graph.Graph)               {}
 func (dupFirstRound) State(int, int) congest.NodeState { return congest.NodeUp }
 func (dupFirstRound) Deliver(round, _, _ int, m *congest.Message) (*congest.Message, bool) {
 	return m, round == 1

@@ -1,6 +1,10 @@
 package congest
 
-import "fmt"
+import (
+	"fmt"
+
+	"distmwis/internal/graph"
+)
 
 // NodeState describes a node's availability in one round, as reported by a
 // DeliveryHook. A node that is not up neither executes its Round step nor
@@ -25,8 +29,9 @@ const (
 // message at the same deterministic point and an execution under a given
 // hook is identical for every requested worker count.
 //
-// Begin is called once per Run, before round 1, with the node count.
-// State reports node availability; it must be pure (same answer for the
+// Begin is called once per Run, before round 1, with the graph being run;
+// a hook keys random decisions by node ID (g.ID), never by index. State
+// reports node availability; it must be pure (same answer for the
 // same arguments throughout a run). Deliver is called sequentially, in
 // deterministic (sender, port) order, once per sent message whose receiver
 // is up; it returns the message to deliver (nil = lost) and whether a
@@ -36,7 +41,7 @@ const (
 // simulator verifies a wire.Checksum over the payload and discards any
 // message whose checksum no longer matches (detectable corruption).
 type DeliveryHook interface {
-	Begin(n int)
+	Begin(g *graph.Graph)
 	State(round, v int) NodeState
 	Deliver(round, from, to int, m *Message) (out *Message, dup bool)
 }

@@ -210,7 +210,7 @@ func TestSlotOversizedLocalPayload(t *testing.T) {
 // so each copy re-arrives one round after the original.
 type dupAll struct{}
 
-func (dupAll) Begin(int)                        {}
+func (dupAll) Begin(*graph.Graph)               {}
 func (dupAll) State(int, int) congest.NodeState { return congest.NodeUp }
 func (dupAll) Deliver(_, _, _ int, m *congest.Message) (*congest.Message, bool) {
 	return m, true

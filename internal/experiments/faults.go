@@ -14,10 +14,10 @@ import (
 // weight-retention column records how gracefully each algorithm degrades.
 //
 // The adversary schedule couples duplication and corruption to the loss
-// rate (half each), crashes CrashFrac·n nodes at round 3 of every phase
-// (crash indices are phase-local: each induced-subgraph phase draws its
-// own victims), and caps blocked phases with the fault.HardStop budget so
-// runs always terminate.
+// rate (half each), crashes each node with probability CrashFrac at round
+// 3 of every phase (each phase draws its own victims, keyed by node ID and
+// the phase's seed), and caps blocked phases with the fault.HardStop
+// budget so runs always terminate.
 func runE18(opts Options) (*Table, error) {
 	trials := opts.trials(3, 2)
 	n := 512
@@ -112,7 +112,7 @@ func runE18(opts Options) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"Adversary: per-edge loss p, duplication p/2, corruption p/2 (CRC-8 makes every corruption a detectable loss), crash-stop of the given node fraction at round 3 of each phase.",
+		"Adversary: per-edge loss p, duplication p/2, corruption p/2 (CRC-8 makes every corruption a detectable loss), crash-stop of each node with the given probability at round 3 of each phase.",
 		"Retention is w(I_faulty)/w(I_fault-free) on the same seed; the loss=0, crash=0 rows are the control (retention 1).",
 		"Independence is re-validated host-side for every run via fault.SafetyReport; a violation fails the experiment.",
 		"Retention slightly above 1 is expected for the local-ratio pipelines: faults perturb which maximal sets the MIS phases find, which can land on a heavier stack than the fault-free run.",

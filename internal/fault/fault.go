@@ -7,9 +7,9 @@
 // adversary Schedule drops, duplicates, and bit-corrupts messages per edge
 // per round, and crashes nodes (permanently or transiently) at chosen
 // rounds. Every decision derives from an explicit PCG seed and the
-// (round, sender, receiver) coordinates alone — no hidden state — so a run
-// is exactly replayable from its Schedule and independent of the
-// simulator's worker count.
+// (round, sender ID, receiver ID) coordinates alone — no hidden state — so
+// a run is exactly replayable from its Schedule and independent of the
+// simulator's worker count and of the node indexing.
 //
 // The division of guarantees under faults is:
 //
@@ -26,6 +26,7 @@ import (
 	"math/rand/v2"
 
 	"distmwis/internal/congest"
+	"distmwis/internal/graph"
 	"distmwis/internal/wire"
 )
 
@@ -58,12 +59,14 @@ type Schedule struct {
 	Dup     float64
 	Corrupt float64
 
-	// Crashes are explicit node faults, applied after CrashFrac.
+	// Crashes are explicit node faults by node index, applied after
+	// CrashFrac.
 	Crashes []Crash
 
-	// CrashFrac crashes a uniformly drawn fraction of all nodes (chosen by
-	// Seed) at round CrashAt (default 1). CrashBack, if positive, turns
-	// those crashes into crash-recovery faults resuming at that round.
+	// CrashFrac crashes each node with this probability (a draw keyed by
+	// Seed and its ID) at round CrashAt (default 1). CrashBack, if
+	// positive, turns those crashes into crash-recovery faults resuming at
+	// that round.
 	CrashFrac float64
 	CrashAt   int
 	CrashBack int
@@ -80,7 +83,7 @@ type Spec struct {
 	Loss    float64 `json:"loss,omitempty"`
 	Dup     float64 `json:"dup,omitempty"`
 	Corrupt float64 `json:"corrupt,omitempty"`
-	// Crash is the fraction of nodes crash-stopped at round 3 of each
+	// Crash is each node's probability of a crash-stop at round 3 of each
 	// phase; Back, if positive, is the round they recover at.
 	Crash float64 `json:"crash,omitempty"`
 	Back  int     `json:"back,omitempty"`
@@ -222,12 +225,14 @@ func (st Stats) add(o Stats) Stats {
 }
 
 // Injector realises a Schedule as a congest.DeliveryHook. Each per-message
-// decision is a pure function of (Seed, round, sender, receiver), so the
-// injection is stateless, independent of the worker count, and replayable. The zero
-// value is unusable; use NewInjector.
+// decision is a pure function of (Seed, round, sender ID, receiver ID), so
+// the injection is stateless, independent of the worker count, and
+// replayable. The zero value is unusable; use NewInjector.
 type Injector struct {
 	sched Schedule
 	stats *Stats
+	// g is the graph of the current run, set by Begin.
+	g *graph.Graph
 	// down[v] is v's crash window ({0,0} = never crashes). Written in
 	// Begin, read-only afterwards, so State is safe for concurrent use
 	// from the simulator's workers.
@@ -254,32 +259,23 @@ func (inj *Injector) Stats() Stats { return *inj.stats }
 // Schedule returns the schedule the injector was built from.
 func (inj *Injector) Schedule() Schedule { return inj.sched }
 
-// Begin materialises the crash schedule for an n-node run.
-func (inj *Injector) Begin(n int) {
-	inj.down = make([]Crash, n)
-	if inj.sched.CrashFrac > 0 && n > 0 {
-		k := int(inj.sched.CrashFrac * float64(n))
-		if k > n {
-			k = n
-		}
-		at := inj.sched.CrashAt
-		if at < 1 {
-			at = 1
-		}
-		rng := rand.New(rand.NewPCG(inj.sched.Seed, 0x9e3779b97f4a7c15))
-		for _, v := range rng.Perm(n)[:k] {
-			inj.down[v] = Crash{Node: v, At: at, Back: inj.sched.CrashBack}
+// Begin materialises the crash schedule for a run on g.
+func (inj *Injector) Begin(g *graph.Graph) {
+	n := g.N()
+	inj.g, inj.down = g, make([]Crash, n)
+	if inj.sched.CrashFrac > 0 {
+		at := max(inj.sched.CrashAt, 1)
+		for v := 0; v < n; v++ {
+			// The top 53 bits of a keyed hash are a uniform draw in [0,1).
+			if float64(splitmix64(inj.sched.Seed^splitmix64(g.ID(v)))>>11)/(1<<53) < inj.sched.CrashFrac {
+				inj.down[v] = Crash{Node: v, At: at, Back: inj.sched.CrashBack}
+			}
 		}
 	}
 	for _, c := range inj.sched.Crashes {
-		if c.Node < 0 || c.Node >= n {
-			continue
+		if c.Node >= 0 && c.Node < n {
+			inj.down[c.Node] = Crash{Node: c.Node, At: max(c.At, 1), Back: c.Back}
 		}
-		at := c.At
-		if at < 1 {
-			at = 1
-		}
-		inj.down[c.Node] = Crash{Node: c.Node, At: at, Back: c.Back}
 	}
 }
 
@@ -302,16 +298,16 @@ func (inj *Injector) State(round, v int) congest.NodeState {
 }
 
 // Deliver implements congest.DeliveryHook. The random draws for one
-// message come from a PCG stream keyed by (round, from, to), consumed in a
-// fixed order (dup, loss, corrupt), so every decision is reproducible in
-// isolation.
+// message come from a PCG stream keyed by (round, from's ID, to's ID),
+// consumed in a fixed order (dup, loss, corrupt), so every decision is
+// reproducible in isolation.
 func (inj *Injector) Deliver(round, from, to int, m *congest.Message) (*congest.Message, bool) {
 	inj.stats.Examined++
 	s := inj.sched
 	if s.Loss == 0 && s.Dup == 0 && s.Corrupt == 0 {
 		return m, false
 	}
-	rng := rand.New(rand.NewPCG(s.Seed, edgeKey(round, from, to)))
+	rng := rand.New(rand.NewPCG(s.Seed, edgeKey(round, inj.g.ID(from), inj.g.ID(to))))
 	dup := s.Dup > 0 && rng.Float64() < s.Dup
 	if dup {
 		inj.stats.Duplicated++
@@ -356,10 +352,10 @@ func splitmix64(x uint64) uint64 {
 }
 
 // edgeKey mixes the delivery coordinates into a PCG stream key.
-func edgeKey(round, from, to int) uint64 {
+func edgeKey(round int, from, to uint64) uint64 {
 	k := splitmix64(uint64(round))
-	k = splitmix64(k ^ uint64(from))
-	return splitmix64(k ^ uint64(to))
+	k = splitmix64(k ^ from)
+	return splitmix64(k ^ to)
 }
 
 var _ congest.DeliveryHook = (*Injector)(nil)

@@ -148,12 +148,53 @@ func TestMISIndependenceUnderFaults(t *testing.T) {
 	}
 }
 
+// TestFaultsKeyedByID checks that a node meets the same drawn crash and the
+// same message faults in any graph that contains it with its identifier:
+// here, the whole graph and the subgraph induced by every third node.
+func TestFaultsKeyedByID(t *testing.T) {
+	g := gen.RandomIDs(gen.GNP(60, 0.1, 3), 1<<20, 5)
+	keep := make([]bool, g.N())
+	for v := range keep {
+		keep[v] = v%3 == 0
+	}
+	sub := g.Induce(keep)
+	sched := Schedule{Seed: 9, Loss: 0.3, Dup: 0.3, CrashFrac: 0.4, CrashAt: 2}
+	whole, part := NewInjector(sched), NewInjector(sched)
+	whole.Begin(g)
+	part.Begin(sub.G)
+	crashed := 0
+	for j, v := range sub.ToParent {
+		if a, b := whole.State(2, int(v)), part.State(2, j); a != b {
+			t.Fatalf("node ID %d: state %v in the whole graph, %v in the subgraph", g.ID(int(v)), a, b)
+		} else if a != congest.NodeUp {
+			crashed++
+		}
+	}
+	if crashed == 0 || crashed == len(sub.ToParent) {
+		t.Fatalf("%d of %d nodes crashed at CrashFrac 0.4", crashed, len(sub.ToParent))
+	}
+	var w wire.Writer
+	w.WriteUint(5, 7)
+	m := congest.NewMessage(&w)
+	for a := 0; a < sub.G.N(); a++ {
+		for b := 0; b < sub.G.N(); b++ {
+			for round := 1; round <= 3; round++ {
+				wm, wd := whole.Deliver(round, int(sub.ToParent[a]), int(sub.ToParent[b]), m)
+				pm, pd := part.Deliver(round, a, b, m)
+				if (wm == nil) != (pm == nil) || wd != pd {
+					t.Fatalf("round %d, %d→%d: whole graph (%v, %v), subgraph (%v, %v)", round, a, b, wm != nil, wd, pm != nil, pd)
+				}
+			}
+		}
+	}
+}
+
 func TestCrashStateWindows(t *testing.T) {
 	inj := NewInjector(Schedule{Crashes: []Crash{
 		{Node: 0, At: 3},          // crash-stop
 		{Node: 1, At: 2, Back: 5}, // crash-recovery
 	}})
-	inj.Begin(4)
+	inj.Begin(gen.Path(4))
 	cases := []struct {
 		round, v int
 		want     congest.NodeState
@@ -254,7 +295,8 @@ func FuzzInjectorCorruptDetect(f *testing.F) {
 		m := congest.NewRawMessage(data, nbits)
 		sum := wire.Checksum(data, nbits)
 		inj := NewInjector(Schedule{Seed: seed, Corrupt: 1})
-		out, dup := inj.Deliver(round, from, to, m)
+		inj.Begin(gen.Cycle(8))
+		out, dup := inj.Deliver(round, int(uint(from)%8), int(uint(to)%8), m)
 		if dup {
 			t.Fatal("corrupt-only schedule requested a duplicate")
 		}

@@ -400,19 +400,6 @@ func TestSpecDefaults(t *testing.T) {
 	if build(Spec{Kind: "tree", N: 50, Weights: "skewed"}) != build(Spec{Kind: "tree", N: 50, Weights: "skewed", MaxW: 1000}) {
 		t.Error("zero maxw does not default to 1000")
 	}
-	for _, tc := range []struct {
-		spec Spec
-		want int64
-	}{
-		{Spec{Weights: "uniform", MaxW: 7}, 7},
-		{Spec{Weights: "skewed"}, 1000},
-		{Spec{Weights: "poly2", MaxW: 7}, 0},
-		{Spec{}, 0},
-	} {
-		if got := tc.spec.WeightBound(); got != tc.want {
-			t.Errorf("%+v: WeightBound = %d, want %d", tc.spec, got, tc.want)
-		}
-	}
 	for _, bad := range []Spec{{Kind: "moebius", N: 4}, {Kind: "cycle", N: 4, Weights: "golden"}, {Kind: "cycle"}} {
 		if _, err := bad.Build(); err == nil {
 			t.Errorf("%+v: Build accepted it", bad)

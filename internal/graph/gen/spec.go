@@ -114,16 +114,6 @@ func (s Spec) Build() (*graph.Graph, error) {
 	return g, nil
 }
 
-// WeightBound is the nominal maximum weight W of the spec's graph when its
-// weight family is bounded by MaxW (uniform, skewed), so a solver can take
-// W without scanning the graph; 0 otherwise.
-func (s Spec) WeightBound() int64 {
-	if s.Weights == "uniform" || s.Weights == "skewed" {
-		return s.maxW()
-	}
-	return 0
-}
-
 func (s Spec) maxW() int64 {
 	if s.MaxW <= 0 {
 		return 1000

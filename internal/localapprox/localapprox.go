@@ -58,7 +58,9 @@ type Result struct {
 // Options configures Approximate.
 type Options struct {
 	// Beta is the decomposition parameter (edge-cut probability scale).
-	// If zero it is derived from Epsilon and the graph's Δ as ε/(4Δ).
+	// If zero it is derived for each connected component from Epsilon and
+	// that component's Δ as ε/(4Δ), so a component's answer does not
+	// depend on the rest of the graph.
 	Beta float64
 	// Epsilon is the target approximation slack (default 0.5).
 	Epsilon float64
@@ -71,13 +73,16 @@ type Options struct {
 
 // Decompose computes the Miller–Peng–Xu clustering: cluster[v] is the
 // index of v's cluster center, and radius is the maximum graph distance
-// from any node to its center (the LOCAL round cost driver).
-func Decompose(g *graph.Graph, beta float64, seed uint64) (cluster []int32, radius int) {
+// from any node to its center (the LOCAL round cost driver). Node v's head
+// start δ_v ~ Exp(beta(v)) inverts the exponential CDF at a uniform draw
+// keyed by the seed and v's identifier, so v draws the same shift in any
+// graph that contains it.
+func Decompose(g *graph.Graph, beta func(v int) float64, seed uint64) (cluster []int32, radius int) {
 	n := g.N()
-	rng := rand.New(rand.NewPCG(seed, 0x10ca1))
 	shift := make([]float64, n)
 	for v := range shift {
-		shift[v] = rng.ExpFloat64() / beta
+		u := float64(rand.NewPCG(seed, 0x10ca1^g.ID(v)).Uint64()>>11) / (1 << 53)
+		shift[v] = -math.Log1p(-u) / beta(v)
 	}
 	// Multi-source shortest path on unit lengths with fractional head
 	// starts: node u starts "flooding" at time -shift[u]; v joins the
@@ -164,16 +169,16 @@ func Approximate(g *graph.Graph, opts Options) (*Result, error) {
 	if eps <= 0 {
 		eps = 0.5
 	}
-	beta := opts.Beta
-	if beta <= 0 {
-		delta := g.MaxDegree()
-		if delta == 0 {
-			delta = 1
-		}
-		beta = eps / (4 * float64(delta))
+	comp, count := g.Components()
+	delta := make([]float64, count)
+	for v, c := range comp {
+		delta[c] = max(delta[c], float64(g.Degree(v)), 1)
 	}
-	if beta > 0.5 {
-		beta = 0.5
+	beta := func(v int) float64 {
+		if opts.Beta > 0 {
+			return min(opts.Beta, 0.5)
+		}
+		return min(eps/(4*delta[comp[v]]), 0.5)
 	}
 	limit := opts.ExactLimit
 	if limit <= 0 {

@@ -10,7 +10,7 @@ import (
 
 func TestDecomposeCoversAllNodes(t *testing.T) {
 	g := gen.GNP(300, 0.03, 1)
-	cluster, radius := Decompose(g, 0.2, 1)
+	cluster, radius := Decompose(g, func(int) float64 { return 0.2 }, 1)
 	for v, c := range cluster {
 		if c < 0 {
 			t.Fatalf("node %d unclustered", v)
@@ -41,8 +41,8 @@ func TestDecomposeCoversAllNodes(t *testing.T) {
 
 func TestDecomposeRadiusShrinksWithBeta(t *testing.T) {
 	g := gen.Grid(30, 30)
-	_, rSmallBeta := Decompose(g, 0.05, 3)
-	_, rLargeBeta := Decompose(g, 0.8, 3)
+	_, rSmallBeta := Decompose(g, func(int) float64 { return 0.05 }, 3)
+	_, rLargeBeta := Decompose(g, func(int) float64 { return 0.8 }, 3)
 	if rLargeBeta > rSmallBeta {
 		t.Errorf("radius grew with beta: β=0.8 → %d, β=0.05 → %d", rLargeBeta, rSmallBeta)
 	}

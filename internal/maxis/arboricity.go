@@ -49,12 +49,14 @@ func Arboricity(g *graph.Graph, alpha int, eps float64, inner Inner, cfg Config)
 	var acc dist.Accumulator
 	n := g.N()
 	cur := g.Weights()
-	maxPhases := bits.Len(uint(n)) + 2 // log n + 1 plus slack for the V1 phase
+	maxPhases := bits.Len(uint(cfg.NUpper)) + 2 // log n + 1 plus slack for the V1 phase
 	var stack [][]bool
 	var stackValue int64
 	phases := 0
 
 	for i := 1; i <= maxPhases; i++ {
+		// Each phase boosts on a seed sequence of its own (see boostPush).
+		phaseSeeds := protocol.NewSeedSeq(seeds.Next())
 		active := make([]bool, n)
 		activeN := 0
 		for v := 0; v < n; v++ {
@@ -87,7 +89,7 @@ func Arboricity(g *graph.Graph, alpha int, eps float64, inner Inner, cfg Config)
 		for j, pv := range low.ToParent {
 			subW[j] = cur[sub.ToParent[pv]]
 		}
-		inSet, _, _, err := boostRun(low.G.WithWeights(subW), eps, inner, cfg, seeds, &acc)
+		inSet, _, _, err := boostRun(low.G.WithWeights(subW), eps, inner, cfg, phaseSeeds, &acc)
 		if err != nil {
 			return nil, fmt.Errorf("maxis: arboricity phase %d: %w", i, err)
 		}

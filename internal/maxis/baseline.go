@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
-	"distmwis/internal/dist"
 	"distmwis/internal/graph"
-	"distmwis/internal/protocol"
 )
 
 // BarYehuda reimplements the prior state of the art the paper improves on:
@@ -14,7 +12,7 @@ import (
 // Schwartzman [8] (PODC 2017), which runs in O(MIS(n,Δ) · log W) rounds.
 //
 // The algorithm is the local-ratio / MIS scheme of [8] organised by weight
-// scales. For j = ⌈log₂ W⌉ down to 0:
+// scales. For j = ⌊log₂ W⌋ down to 0, W the bound every node is told:
 //
 //   - run the black-box MIS on the subgraph induced by nodes whose current
 //     weight is at least 2^j;
@@ -30,68 +28,20 @@ import (
 //
 // The log W factor in the round count — W can be poly(n) — is precisely the
 // overhead Theorems 1 and 2 remove; experiments E4/E5 measure it.
+//
+// It is the weight-scale loop the local-ratio family shares (localRatioRun)
+// on the unquantised weights.
 func BarYehuda(g *graph.Graph, cfg Config) (*Result, error) {
 	cfg = cfg.Normalized(g)
-	seeds := protocol.NewSeedSeq(cfg.Seed)
-	var acc dist.Accumulator
-	n := g.N()
-	maxW := g.MaxWeight()
-	if maxW < 0 {
+	if minWeight(g) < 0 {
 		return nil, fmt.Errorf("maxis: BarYehuda requires non-negative weights")
 	}
-	cur := g.Weights()
-	var stack [][]bool
-	var stackValue int64
-	scales := 0
-
-	active := make([]bool, n) // reused across scales; fully rewritten below
-	for j := bits.Len64(uint64(maxW)); j >= 0 && maxW > 0; j-- {
-		threshold := int64(1) << uint(j)
-		anyActive := false
-		for v := 0; v < n; v++ {
-			active[v] = cur[v] >= threshold
-			anyActive = anyActive || active[v]
-		}
-		if !anyActive {
-			continue
-		}
-		scales++
-		// All ⌈log W⌉ scales share the "scale" label, mirroring boost's
-		// unindexed "push".
-		set, _, err := dist.RunOnInduced(g, active, cfg.MISAlg().Run, &acc, cfg.Phase("scale").Opts(seeds.Next())...)
-		if err != nil {
-			return nil, fmt.Errorf("maxis: baseline scale 2^%d: %w", j, err)
-		}
-		for v := 0; v < n; v++ {
-			if set[v] {
-				stackValue += cur[v]
-			}
-		}
-		stack = append(stack, set)
-		applyReduction(g, cur, set)
-		acc.AddRounds(1)
-	}
-	// The residual-weight invariant relies on MIS maximality, which fault
-	// injection legitimately breaks (a truncated MIS phase can leave heavy
-	// nodes uncovered); without faults a violation is a real bug.
-	if !cfg.Faults.Enabled() {
-		for v := 0; v < n; v++ {
-			if cur[v] > 0 {
-				return nil, fmt.Errorf("maxis: baseline left positive weight at node %d (bug)", v)
-			}
-		}
-	}
-	set := PopStack(g, stack, &acc)
-	res, err := finish(g, set, cfg, acc, "bar-yehuda", map[string]float64{
-		"scales":      float64(scales),
-		"stack_value": float64(stackValue),
-		"log_w":       float64(bits.Len64(uint64(maxW))),
+	res, err := localRatioRun(g, g.Weights(), cfg.MaxWeight, 1, cfg, "bar-yehuda", "scale", map[string]float64{
+		"log_w": float64(bits.Len64(uint64(cfg.MaxWeight))),
 	})
 	if err != nil {
 		return nil, err
 	}
-	if res.Weight < stackValue {
-		return nil, fmt.Errorf("maxis: stack property violated in baseline (bug)")
-	}
+	res.Extra["scales"] = res.Extra["phases"]
 	return res, nil
 }

@@ -57,3 +57,55 @@ func BenchmarkTheorem2Scale(b *testing.B) {
 		}
 	}
 }
+
+// separateGNP builds count disjoint components of size nodes each: a gnp
+// graph with p = 0.03 plus a path through its nodes, so each stays
+// connected, with weights in [1, n²] over the whole graph.
+func separateGNP(count, size int) *graph.Graph {
+	b := graph.NewBuilder(count * size)
+	for c := 0; c < count; c++ {
+		off := c * size
+		part := gen.GNP(size, 0.03, uint64(c+1))
+		for v := 0; v < size; v++ {
+			if v+1 < size {
+				b.AddEdge(off+v, off+v+1)
+			}
+			for _, u := range part.Neighbors(v) {
+				if int(u) > v {
+					b.AddEdge(off+v, off+int(u))
+				}
+			}
+		}
+	}
+	b.SetWeights(gen.PolyWeights(2)(count*size, 1))
+	return b.MustBuild()
+}
+
+// BenchmarkSolveComponents is one uncached Theorem 2 solve (ε = 0.5, one
+// worker) of a graph of many components, through SolveComponents with
+// the components already split, as a graph_ref solve holds them, and
+// through Solve on the whole graph: 150 components of 16 nodes and 16 of
+// 150 (the mutate-ref shape).
+func BenchmarkSolveComponents(b *testing.B) {
+	for _, shape := range [][2]int{{150, 16}, {16, 150}} {
+		g := separateGNP(shape[0], shape[1])
+		parts := g.SplitComponents()
+		cfg := Config{Seed: 1, Workers: 1}
+		b.Run(fmt.Sprintf("%dx%d/components", shape[0], shape[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := SolveComponents("theorem2", g, parts, 0.5, 0, cfg, ComponentCache{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/whole", shape[0], shape[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Solve("theorem2", g, 0.5, 0, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -71,7 +71,9 @@ func boostRun(g *graph.Graph, eps float64, inner Inner, cfg Config, seeds *proto
 }
 
 // boostPush runs the t push phases and returns the stack of independent
-// sets plus Σᵢ wᵢ(Iᵢ).
+// sets plus Σᵢ wᵢ(Iᵢ). Phase i draws the i-th seed of seeds and hands the
+// inner algorithm a sequence of its own rooted there, so how many seeds an
+// inner run consumes on its graph never shifts a later phase's seeds.
 func boostPush(g *graph.Graph, t int, inner Inner, cfg Config, seeds *protocol.SeedSeq, acc *dist.Accumulator) ([][]bool, int64, error) {
 	n := g.N()
 	cur := g.Weights()
@@ -80,6 +82,7 @@ func boostPush(g *graph.Graph, t int, inner Inner, cfg Config, seeds *protocol.S
 
 	active := make([]bool, n) // reused across phases; fully rewritten below
 	for i := 1; i <= t; i++ {
+		phaseSeeds := protocol.NewSeedSeq(seeds.Next())
 		anyActive := false
 		for v := 0; v < n; v++ {
 			active[v] = cur[v] > 0
@@ -97,7 +100,7 @@ func boostPush(g *graph.Graph, t int, inner Inner, cfg Config, seeds *protocol.S
 		// Push phases share the unindexed "push" label so a Timeline
 		// aggregates all t of them into one stage (the per-round records
 		// still separate them by run index).
-		inSet, err := inner.Run(sub.G.WithWeights(subW), cfg.Phase("push"), seeds, acc)
+		inSet, err := inner.Run(sub.G.WithWeights(subW), cfg.Phase("push"), phaseSeeds, acc)
 		if err != nil {
 			return nil, 0, fmt.Errorf("maxis: boost phase %d: %w", i, err)
 		}

@@ -28,10 +28,9 @@ type ComponentCache struct {
 	Store  func(hash string, set []int32, weight int64)
 }
 
-// SolveByComponent solves g component by component: each connected
-// component is induced (deterministically, in ascending node order),
-// content-hashed, and either answered from the cache or solved fresh with
-// the named algorithm; the per-component sets are lifted back and unioned.
+// SolveByComponent solves g with the cache's help: every connected
+// component is looked up by its content hash, the misses are solved
+// together in one run, and each fresh component answer is stored.
 //
 // This is the incremental re-solve entry point for dynamic graphs: after a
 // mutation, only components whose content actually changed have new hashes,
@@ -40,17 +39,15 @@ type ComponentCache struct {
 //
 //   - components share no edges, so the union of per-component independent
 //     sets is independent — no cross-component conflicts can exist;
-//   - the induced numbering is a pure function of the graph, so solving a
-//     component in isolation is deterministic and cache hits are
-//     bit-identical to fresh solves of the same content;
+//   - every solver is local under what Resolve fixes on g (the algorithm,
+//     α and the bounds n and W), so a component gets the same set in every
+//     run that contains it, and the result is Solve's set on g bit for
+//     bit, however much of it came from the cache;
 //   - identifiers are unique within a graph, so two distinct components
 //     can never alias one content hash.
 //
-// Note the decomposition is part of the answer's identity: per-component
-// node indices differ from whole-graph indices, so a component-wise solve
-// of a connected graph may legitimately differ from Solve on the same
-// graph. Callers must therefore key caches for component-wise answers
-// distinctly from whole-graph ones.
+// A cache therefore keys a component's answer by its hash and the values
+// Resolve fixes; whole-graph and component answers share one key world.
 //
 // SolveByComponent splits g itself; callers that already hold g's
 // components — a dynamic graph carries them across versions — pass them
@@ -61,39 +58,65 @@ func SolveByComponent(name string, g *graph.Graph, eps float64, alpha int, cfg C
 
 // SolveComponents is SolveByComponent over given components: parts must be
 // g's connected components, as g.SplitComponents or g.CarryComponents
-// return them.
+// return them. The misses run as one Solve: on the component itself for a
+// single miss, otherwise on the subgraph they induce, which shares g's CSR
+// when every component misses.
 func SolveComponents(name string, g *graph.Graph, parts []graph.Component, eps float64, alpha int, cfg Config, cache ComponentCache) (*Result, ComponentStats, error) {
-	count := len(parts)
-	stats := ComponentStats{Components: count}
+	stats := ComponentStats{Components: len(parts)}
+	name, alpha, cfg, err := Resolve(name, g, eps, alpha, cfg)
+	if err != nil {
+		return nil, stats, err
+	}
 	out := &Result{Set: make([]bool, g.N())}
-	for c, part := range parts {
+	miss := make([]bool, g.N())
+	var missed []graph.Component
+	for _, part := range parts {
+		members, ok := []int32(nil), false
 		if cache.Lookup != nil {
-			if members, ok := cache.Lookup(part.Hash); ok {
-				stats.Reused++
-				for _, i := range members {
-					if int(i) < 0 || int(i) >= len(part.ToParent) {
-						return nil, stats, fmt.Errorf("maxis: component cache for %s returned out-of-range member %d", part.Hash[:12], i)
-					}
-					out.Set[part.ToParent[i]] = true
-				}
-				continue
-			}
+			members, ok = cache.Lookup(part.Hash)
 		}
-		res, err := Solve(name, part.G, eps, alpha, cfg)
+		for _, i := range members {
+			if int(i) < 0 || int(i) >= len(part.ToParent) {
+				return nil, stats, fmt.Errorf("maxis: component cache for %s returned out-of-range member %d", part.Hash[:12], i)
+			}
+			out.Set[part.ToParent[i]] = true
+		}
+		if ok {
+			stats.Reused++
+			continue
+		}
+		missed = append(missed, part)
+		for _, v := range part.ToParent {
+			miss[v] = true
+		}
+	}
+	if len(missed) > 0 {
+		union := &graph.Subgraph{G: missed[0].G, ToParent: missed[0].ToParent}
+		if len(missed) > 1 {
+			union = g.Induce(miss)
+		}
+		res, err := Solve(name, union.G, eps, alpha, cfg)
 		if err != nil {
-			return nil, stats, fmt.Errorf("maxis: component %d/%d: %w", c, count, err)
+			return nil, stats, err
 		}
-		stats.Solved++
-		out.Metrics.Add(res.Metrics)
-		var members []int32
+		stats.Solved = len(missed)
+		out.Metrics, out.Extra = res.Metrics, res.Extra
 		for i, in := range res.Set {
-			if in {
-				out.Set[part.ToParent[i]] = true
-				members = append(members, int32(i))
-			}
+			out.Set[union.ToParent[i]] = in
 		}
-		if cache.Store != nil {
-			cache.Store(part.Hash, members, res.Weight)
+		for _, part := range missed {
+			if cache.Store == nil {
+				break
+			}
+			var members []int32
+			var weight int64
+			for i, v := range part.ToParent {
+				if out.Set[v] {
+					members = append(members, int32(i))
+					weight += part.G.Weight(i)
+				}
+			}
+			cache.Store(part.Hash, members, weight)
 		}
 	}
 	out.Weight = g.SetWeight(out.Set)

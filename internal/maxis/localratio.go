@@ -43,21 +43,21 @@ func LocalRatio(g *graph.Graph, cfg Config) (*Result, error) {
 	if minWeight(g) < 0 {
 		return nil, fmt.Errorf("maxis: LocalRatio requires non-negative weights")
 	}
-	return localRatioRun(g, g.Weights(), 1, cfg, "localratio", false, nil)
+	return localRatioRun(g, g.Weights(), 0, 1, cfg, "localratio", "ratio", nil)
 }
 
 // LocalRatioEps is the (1±ε) variant: weights are divided by
 // unit = max(1, ⌊ε·W/n⌋) (dropping nodes lighter than unit entirely), so
 // the quantised maximum weight is at most n/ε and the weight-scale loop
 // runs in O(MIS·log(n/ε)) phases regardless of W. The truncation forfeits
-// at most ε·W ≤ ε·OPT total weight, giving w(I) ≥ (1−ε)·OPT/Δ.
+// at most ε·W ≤ ε·OPT total weight, giving w(I) ≥ (1−ε)·OPT/Δ. n and W
+// are the bounds every node is told (cfg.NUpper, cfg.MaxWeight).
 func LocalRatioEps(g *graph.Graph, eps float64, cfg Config) (*Result, error) {
 	cfg = cfg.Normalized(g)
-	maxW := g.MaxWeight()
 	if minWeight(g) < 0 {
 		return nil, fmt.Errorf("maxis: LocalRatioEps requires non-negative weights")
 	}
-	unit := quantUnit(g.N(), maxW, eps)
+	unit := quantUnit(cfg.NUpper, cfg.MaxWeight, eps)
 	cur := g.Weights()
 	var dropped int64
 	for v := range cur {
@@ -65,7 +65,7 @@ func LocalRatioEps(g *graph.Graph, eps float64, cfg Config) (*Result, error) {
 		dropped += cur[v] - q*unit
 		cur[v] = q
 	}
-	return localRatioRun(g, cur, unit, cfg, "localratio-eps", true, map[string]float64{
+	return localRatioRun(g, cur, cfg.MaxWeight/unit, unit, cfg, "localratio-eps", "ratio", map[string]float64{
 		"quant_unit":    float64(unit),
 		"dropped_value": float64(dropped),
 	})
@@ -85,20 +85,17 @@ func quantUnit(n int, maxW int64, eps float64) int64 {
 }
 
 // localRatioRun is the shared push/reduce/pop loop over residual weights
-// cur (consumed). With scaled set, phases walk weight thresholds 2^j
-// downward exactly like baseline.go (≤ log₂ max(cur)+1 MIS phases); unset,
-// every positive node is active each phase (≤ Δ+1 phases). unit scales
-// stack weights back to the original weight function for reporting.
-func localRatioRun(g *graph.Graph, cur []int64, unit int64, cfg Config, alg string, scaled bool, extra map[string]float64) (*Result, error) {
+// cur (consumed). With top > 0, a bound on cur, phases walk the weight
+// scales 2^j ≤ top downward (≤ log₂ top+1 MIS phases; BarYehuda is this
+// loop on the raw weights); with top = 0 every positive node is active
+// each phase (≤ Δ+1 phases). Every phase position draws its seed, so phase
+// i gets the same seed in every run, and every phase shares the trace
+// label stage. unit scales stack weights back to the original weight
+// function for reporting.
+func localRatioRun(g *graph.Graph, cur []int64, top, unit int64, cfg Config, alg, stage string, extra map[string]float64) (*Result, error) {
 	seeds := protocol.NewSeedSeq(cfg.Seed)
 	var acc dist.Accumulator
 	n := g.N()
-	var maxCur int64
-	for v := 0; v < n; v++ {
-		if cur[v] > maxCur {
-			maxCur = cur[v]
-		}
-	}
 	var stack [][]bool
 	var stackValue int64
 	phases := 0
@@ -106,20 +103,17 @@ func localRatioRun(g *graph.Graph, cur []int64, unit int64, cfg Config, alg stri
 	// iterates until the residual is gone, with the Δ+1 termination bound
 	// as a backstop (fault injection can break MIS maximality and stall
 	// progress; then the partial stack is still a valid independent set).
-	maxPhases := bits.Len64(uint64(maxCur)) + 1
-	if !scaled {
-		maxPhases = g.MaxDegree() + 2
+	// Δ+2 ≤ n+1, and n is known where Δ is not.
+	maxPhases := cfg.NUpper + 1
+	if top > 0 {
+		maxPhases = bits.Len64(uint64(top))
 	}
-	threshold := int64(1) << uint(bits.Len64(uint64(maxCur)))
 	active := make([]bool, n)
-	for maxCur > 0 {
-		if scaled {
-			threshold >>= 1
-			if threshold < 1 {
-				break
-			}
-		} else {
-			threshold = 1
+	for phase := 0; phase < maxPhases; phase++ {
+		seed := seeds.Next()
+		threshold := int64(1)
+		if top > 0 {
+			threshold <<= maxPhases - 1 - phase
 		}
 		anyActive := false
 		for v := 0; v < n; v++ {
@@ -127,16 +121,13 @@ func localRatioRun(g *graph.Graph, cur []int64, unit int64, cfg Config, alg stri
 			anyActive = anyActive || active[v]
 		}
 		if !anyActive {
-			continue
-		}
-		if phases >= maxPhases {
-			if cfg.Faults.Enabled() {
-				break
+			if top > 0 {
+				continue
 			}
-			return nil, fmt.Errorf("maxis: %s exceeded its %d-phase bound (bug)", alg, maxPhases)
+			break
 		}
 		phases++
-		set, _, err := dist.RunOnInduced(g, active, cfg.MISAlg().Run, &acc, cfg.Phase("ratio").Opts(seeds.Next())...)
+		set, _, err := dist.RunOnInduced(g, active, cfg.MISAlg().Run, &acc, cfg.Phase(stage).Opts(seed)...)
 		if err != nil {
 			return nil, fmt.Errorf("maxis: %s phase %d: %w", alg, phases, err)
 		}
@@ -148,12 +139,6 @@ func localRatioRun(g *graph.Graph, cur []int64, unit int64, cfg Config, alg stri
 		stack = append(stack, set)
 		applyReduction(g, cur, set)
 		acc.AddRounds(1)
-		maxCur = 0
-		for v := 0; v < n; v++ {
-			if cur[v] > maxCur {
-				maxCur = cur[v]
-			}
-		}
 	}
 	// Residual positivity relies on MIS maximality, which fault injection
 	// legitimately breaks; without faults leftovers are a real bug.

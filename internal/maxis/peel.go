@@ -46,7 +46,7 @@ func EstimateDegeneracy(g *graph.Graph, cfg Config) (*DegeneracyEstimate, error)
 	if n == 0 {
 		return est, nil
 	}
-	peelRounds := bits.Len(uint(n)) + 2
+	peelRounds := bits.Len(uint(cfg.NUpper)) + 2
 	alive := make([]bool, n)
 	aliveN := 0
 	for v := 0; v < n; v++ {
@@ -80,7 +80,7 @@ func EstimateDegeneracy(g *graph.Graph, cfg Config) (*DegeneracyEstimate, error)
 		if survivors == 0 {
 			return est, nil
 		}
-		if threshold > n {
+		if threshold > cfg.NUpper {
 			// Fault-free this means the peeling logic is broken; under
 			// faults a crashed node legitimately never announces its
 			// removal and can keep neighbours alive past every threshold.

@@ -15,19 +15,16 @@ import (
 // this package — is resolvable here without edits.
 //
 // eps is consumed by the boosted pipelines (theorem1/2/3/5) and ignored by
-// the rest; alpha is the arboricity bound of theorem3 (0 selects the
-// degeneracy-based Theorem3Auto).
+// the rest; alpha is the arboricity bound of theorem3 (0 selects g's
+// degeneracy bound).
 // The name "auto" resolves through the planner layer (internal/plan) with
 // an unlimited budget — the best-guarantee registered solver for this
 // instance. Callers with a latency budget plan explicitly (plan.For) and
 // pass the resolved name.
 func Solve(name string, g *graph.Graph, eps float64, alpha int, cfg Config) (*Result, error) {
-	if name == plan.Auto {
-		d, err := plan.For(g, protocol.Params{Eps: eps, Alpha: alpha}, plan.Budget{}, cfg.MIS)
-		if err != nil {
-			return nil, fmt.Errorf("maxis: %w", err)
-		}
-		name = d.Alg
+	name, alpha, cfg, err := Resolve(name, g, eps, alpha, cfg)
+	if err != nil {
+		return nil, err
 	}
 	solver, err := protocol.SolverByName(name)
 	if err != nil {
@@ -38,6 +35,26 @@ func Solve(name string, g *graph.Graph, eps float64, alpha int, cfg Config) (*Re
 		return nil, fmt.Errorf("maxis: %s: %w", name, err)
 	}
 	return solver.Run(g, p, cfg)
+}
+
+// Resolve fixes on the top-level graph g the choices of a solve that read
+// more than a node's neighbourhood: "auto" becomes the planner's pick,
+// theorem3's alpha 0 becomes g's degeneracy bound, and cfg gets the bounds
+// n and W (Config.Normalized). Under the resolved values a run over any
+// union of g's components gives each of them the set Solve gives it;
+// resolving again on such a union changes nothing.
+func Resolve(name string, g *graph.Graph, eps float64, alpha int, cfg Config) (string, int, Config, error) {
+	if name == plan.Auto {
+		d, err := plan.For(g, protocol.Params{Eps: eps, Alpha: alpha}, plan.Budget{}, cfg.MIS)
+		if err != nil {
+			return "", 0, cfg, fmt.Errorf("maxis: %w", err)
+		}
+		name = d.Alg
+	}
+	if name == "theorem3" && alpha <= 0 {
+		alpha = max(g.ArboricityUpperBound(), 1)
+	}
+	return name, alpha, cfg.Normalized(g), nil
 }
 
 // GuaranteeString renders the named solver's approximation guarantee for a

@@ -26,6 +26,8 @@
 package protocol
 
 import (
+	"math/bits"
+
 	"distmwis/internal/congest"
 	"distmwis/internal/dist"
 	"distmwis/internal/fault"
@@ -74,9 +76,9 @@ type Config struct {
 	Seed uint64
 	// BandwidthFactor is c in the CONGEST bound B = c·⌈log₂ n⌉ (default 8).
 	BandwidthFactor int
-	// NUpper is the polynomial upper bound on n that nodes know; defaults
-	// to the input graph's n. Subgraph phases keep the ORIGINAL bound, per
-	// the padding argument of Lemma 2.
+	// NUpper is the polynomial upper bound on n that nodes know; Normalized
+	// sets it to the top-level graph's n. Subgraph phases and sub-solves
+	// keep that bound, per the padding argument of Lemma 2.
 	NUpper int
 	// Lambda is the sparsification oversampling constant λ of Section 4.2
 	// (default 2.0; the paper's proof uses a large constant, experiments
@@ -88,11 +90,9 @@ type Config struct {
 	// (default GOMAXPROCS; see congest.WithWorkers). Every count produces
 	// bit-identical executions.
 	Workers int
-	// MaxWeight, when positive, is the nominal weight bound W handed to
-	// every protocol phase (congest.WithMaxWeight). Experiments that sweep
-	// W set it so wire fields are sized by the swept bound rather than by
-	// a graph scan's exact maximum — global knowledge the paper's
-	// Section 3 assumptions do not grant.
+	// MaxWeight is the weight bound W handed to every protocol phase
+	// (congest.WithMaxWeight). Experiments that sweep W set it; otherwise
+	// Normalized sets it like NUpper.
 	MaxWeight int64
 	// Faults, when enabled, installs a fault.Injector on every protocol
 	// phase (each phase reseeded deterministically from the phase seed) and
@@ -151,13 +151,24 @@ func (c Config) LambdaOrDefault() float64 {
 	return c.Lambda
 }
 
-// Normalized fills defaults that depend on the input graph.
+// Normalized fills defaults that depend on the input graph, which must be
+// the top-level instance: NUpper becomes its n, and MaxWeight its max |w|
+// rounded up to 2^k − 1 — the same bit width, so no wire field grows and a
+// PATCH rarely moves it. Phases and sub-solves keep both, so an answer
+// never depends on how the graph was cut into runs.
 func (c Config) Normalized(g *graph.Graph) Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.NUpper < g.N() {
 		c.NUpper = g.N()
+	}
+	if c.MaxWeight <= 0 {
+		w := uint64(1)
+		for v := 0; v < g.N(); v++ {
+			w = max(w, uint64(max(g.Weight(v), -g.Weight(v))))
+		}
+		c.MaxWeight = int64(1<<bits.Len64(w) - 1)
 	}
 	return c
 }

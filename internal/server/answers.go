@@ -131,46 +131,50 @@ func (s *Server) publishUpgrade(key string, a repair.Answer) {
 }
 
 // refCacheKey is the content-addressed key of a graph_ref solve: it equals
-// cacheKey(ver.g.Canonical(), "inc|"+fingerprint), resumed from the
-// version's saved digest state instead of encoding the graph again. The
-// fingerprint namespace is "inc|": component-wise answers may legitimately
-// differ bitwise from whole-graph solves of the same content
-// (per-component node renumbering changes the randomness), so the two
-// worlds never share cache lines.
+// cacheKey(ver.g.Canonical(), fingerprint), the key of an inline solve of
+// the same content (the two paths return the same set), resumed from the
+// version's saved digest state instead of encoding the graph again.
 func refCacheKey(ver *graphVersion, req *SolveRequest) string {
 	h := sha256.New()
 	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ver.digest); err != nil {
 		panic(fmt.Sprintf("server: sha256 state: %v", err)) // newVersion marshalled it
 	}
 	h.Write([]byte{0})
-	h.Write([]byte("inc|" + req.Fingerprint()))
+	h.Write([]byte(req.Fingerprint()))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// componentCache adapts the result cache to maxis.SolveComponents for one
-// request fingerprint: per-component answers are ordinary cache entries,
-// keyed by component content hash + fingerprint and tagged with the
-// component hash so a mutation can invalidate exactly the components it
-// destroyed.
-func (s *Server) componentCache(fp string) maxis.ComponentCache {
+// componentCache adapts the result cache to maxis.SolveComponents:
+// per-component answers are ordinary cache entries, keyed by prefix and
+// component content hash and tagged with the component hash so a mutation
+// can invalidate exactly the components it destroyed.
+func (s *Server) componentCache(prefix string) maxis.ComponentCache {
 	return maxis.ComponentCache{
 		Lookup: func(hash string) ([]int32, bool) {
-			e, ok := s.cache.get("comp|" + fp + "|" + hash)
+			e, ok := s.cache.get(prefix + hash)
 			if !ok {
 				return nil, false
 			}
 			return e.set, true
 		},
 		Store: func(hash string, set []int32, weight int64) {
-			s.cache.put(&cacheEntry{key: "comp|" + fp + "|" + hash, set: set, weight: weight, tag: hash})
+			s.cache.put(&cacheEntry{key: prefix + hash, set: set, weight: weight, tag: hash})
 		},
 	}
 }
 
 // solveComponents runs the component-wise solve of a graph_ref request
-// over g's components parts.
+// over g's components parts. A component's answer depends on its content
+// and on what maxis.Resolve fixes on g, so its key holds both.
 func (s *Server) solveComponents(req *SolveRequest, g *graph.Graph, parts []graph.Component, cfg maxis.Config) (*maxis.Result, maxis.ComponentStats, error) {
-	return maxis.SolveComponents(req.Alg, g, parts, req.Eps, req.Alpha, cfg, s.componentCache("inc|"+req.Fingerprint()))
+	alg, alpha, cfg, err := maxis.Resolve(req.Alg, g, req.Eps, req.Alpha, cfg)
+	if err != nil {
+		return nil, maxis.ComponentStats{}, err
+	}
+	r := *req
+	r.Alg, r.Alpha = alg, alpha
+	cache := s.componentCache(fmt.Sprintf("comp|%s|n=%d|W=%d|", r.Fingerprint(), cfg.NUpper, cfg.MaxWeight))
+	return maxis.SolveComponents(alg, g, parts, req.Eps, alpha, cfg, cache)
 }
 
 // publishDegraded is execute's graph_ref hook on the degraded tier. Unlike

@@ -23,8 +23,10 @@
 //     identical requests collapse into one flight; the leader's solve
 //     joins a bounded two-priority queue feeding a worker pool, with
 //     per-job deadlines via context and a graceful drain on shutdown.
-//   - solve: maxis.Solve, or the component-wise maxis.SolveComponents
-//     over the version's carried components for graph_ref.
+//   - solve: maxis.Solve, or for graph_ref maxis.SolveComponents over the
+//     version's carried components, which answers cached components from
+//     the cache, solves the rest in one run and returns Solve's set bit
+//     for bit; the key stage gives both the same key.
 //   - publish: the result is cached worker-side; graph_ref answers are
 //     also published to the answer registry (answers.go), and degraded
 //     ones are queued for the background repair tier.

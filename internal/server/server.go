@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"distmwis/internal/chaos"
+	"distmwis/internal/congest"
 	"distmwis/internal/graph"
 	"distmwis/internal/maxis"
 	"distmwis/internal/plan"
@@ -354,11 +356,6 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 			return prepared{}, fmt.Errorf("fault schedule: %w", err)
 		}
 	}
-	// As in cmd/maxis: generator specs with bounded weight families hand
-	// the nominal bound W to the engine instead of letting it scan the graph.
-	if req.Gen != nil {
-		p.cfg.MaxWeight = req.Gen.WeightBound()
-	}
 	// "auto" resolves through the planner here — before the cache key is
 	// computed and before async journalling — so the key and the journal
 	// always name a concrete algorithm: two auto requests with different
@@ -376,7 +373,7 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 		p.key = refCacheKey(p.ver, req)
 	} else {
 		canon := req.CanonicalForm(p.g)
-		p.key = cacheKey(canon, req.Fingerprint()+fmt.Sprintf("|W=%d", p.cfg.MaxWeight))
+		p.key = cacheKey(canon, req.Fingerprint())
 		p.hash = graph.HashCanonical(canon)
 	}
 	return p, nil
@@ -484,6 +481,12 @@ func withDeadline(ctx context.Context, req *SolveRequest) (context.Context, cont
 	return ctx, func() {}
 }
 
+// errPolyBounds prefixes the error of a solve in which a node's message
+// exceeded the CONGEST bandwidth: B = 8·⌈log₂ n⌉ bits carry identifiers
+// and weights only when both are poly(n), so the input is at fault and
+// statusCode answers 422.
+const errPolyBounds = "input breaks the paper's assumption that weights W and node IDs are at most poly(n)"
+
 // statusCode maps a terminal SolveResponse to its HTTP status.
 func statusCode(resp *SolveResponse) int {
 	switch resp.Status {
@@ -494,6 +497,9 @@ func statusCode(resp *SolveResponse) int {
 	default:
 		if resp.Error == errQueueFull.Error() || resp.Error == errDraining.Error() {
 			return http.StatusServiceUnavailable
+		}
+		if strings.HasPrefix(resp.Error, errPolyBounds) {
+			return http.StatusUnprocessableEntity
 		}
 		return http.StatusInternalServerError
 	}
@@ -576,6 +582,9 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 			case isCtxErr:
 				s.metrics.deadlines.Add(1)
 				return finish(SolveResponse{Status: "deadline", Error: err.Error()})
+			case errors.Is(err, congest.ErrBandwidth):
+				s.metrics.failures.Add(1)
+				return finish(SolveResponse{Status: "failed", Error: fmt.Sprintf("%s: %v", errPolyBounds, err)})
 			default:
 				s.metrics.failures.Add(1)
 				return finish(SolveResponse{Status: "failed", Error: err.Error()})
