@@ -33,9 +33,10 @@
 // changes no round, message or bit. Runs with a fault hook step on one
 // worker (see DeliveryHook).
 //
-// So a node's outputs are the same in a run over any union of connected
-// components that contains it, given the same NUpper and MaxWeight. MaxID,
-// the run's own maximum, sizes identifier fields: bits, not outputs.
+// So a node's outputs and messages are the same in a run over any union
+// of connected components that contains it, given the same NUpper,
+// MaxWeight and MaxID: the bounds size every wire field, so a message
+// that exceeds the bandwidth in one such run exceeds it in all of them.
 //
 // A run allocates in proportion to itself, not to n (see slots.go). Run
 // takes a process type and hands node v element v of a recycled, zeroed
@@ -167,8 +168,8 @@ type NodeInfo struct {
 	// NUpper is a polynomial upper bound on the network size, the only
 	// global knowledge the paper grants (Section 3, "Assumptions").
 	NUpper int
-	// MaxID is an upper bound on identifier values, implied by NUpper
-	// (identifiers are O(log n) bits). Used to size wire fields.
+	// MaxID is an upper bound on identifier values (identifiers are
+	// O(log n) bits; see WithMaxID). Used to size wire fields.
 	MaxID uint64
 	// MaxWeight is an upper bound on node weights (W ≤ poly(n)), used to
 	// size wire fields for weight exchange.
@@ -305,6 +306,7 @@ type config struct {
 	nUpper          int
 	workers         int
 	maxWeight       int64
+	maxID           uint64
 	hook            DeliveryHook
 	tracer          trace.Tracer
 	traceLabel      string
@@ -352,6 +354,12 @@ func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 // would be sized by the realized maximum instead of the nominal bound).
 // Run rejects a bound below the true maximum absolute weight.
 func WithMaxWeight(w int64) Option { return func(c *config) { c.maxWeight = w } }
+
+// WithMaxID sets the upper bound on identifiers that nodes are told
+// (NodeInfo.MaxID), used to size identifier fields. Without this option
+// Run hands every node the graph's own largest identifier. Run rejects a
+// bound below it.
+func WithMaxID(id uint64) Option { return func(c *config) { c.maxID = id } }
 
 // Bandwidth computes B for a given upper bound on n and factor.
 func Bandwidth(nUpper, factor int) int {
@@ -442,9 +450,11 @@ func newSimulator(g *graph.Graph, opts []Option) (*simulator, error) {
 	} else if maxWeight < trueMaxWeight {
 		return nil, fmt.Errorf("congest: MaxWeight %d below actual maximum |weight| %d", cfg.maxWeight, trueMaxWeight)
 	}
-	maxID := g.MaxID()
+	maxID := cfg.maxID
 	if maxID == 0 {
-		maxID = 1
+		maxID = max(g.MaxID(), 1)
+	} else if maxID < g.MaxID() {
+		return nil, fmt.Errorf("congest: MaxID %d below the largest identifier %d", cfg.maxID, g.MaxID())
 	}
 	if cfg.hook != nil {
 		// DeliveryHook.Deliver sees messages one at a time, in (sender,

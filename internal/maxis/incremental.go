@@ -40,14 +40,17 @@ type ComponentCache struct {
 //   - components share no edges, so the union of per-component independent
 //     sets is independent — no cross-component conflicts can exist;
 //   - every solver is local under what Resolve fixes on g (the algorithm,
-//     α and the bounds n and W), so a component gets the same set in every
-//     run that contains it, and the result is Solve's set on g bit for
-//     bit, however much of it came from the cache;
+//     α and the bounds n, W and max ID), so a component gets the same set
+//     in every run that contains it, and the result is Solve's set on g
+//     bit for bit, however much of it came from the cache; a send over
+//     the bandwidth fails every such run, so SolveComponents fails exactly
+//     when Solve does;
 //   - identifiers are unique within a graph, so two distinct components
 //     can never alias one content hash.
 //
 // A cache therefore keys a component's answer by its hash and the values
-// Resolve fixes; whole-graph and component answers share one key world.
+// Resolve fixes, as ComponentScope renders them; whole-graph and component
+// answers share one key world.
 //
 // SolveByComponent splits g itself; callers that already hold g's
 // components — a dynamic graph carries them across versions — pass them

@@ -55,10 +55,8 @@ func localityGraph(seed uint64, n int, unit bool) *graph.Graph {
 // FuzzComponentLocality checks the locality contract SolveComponents rests
 // on: for every registered solver, with no faults and under a loss, dup,
 // corrupt and crash schedule, solving a graph with a random subset of its
-// components already cached returns Solve's set bit for bit. The cached
-// answers are Solve's own, so every miss is answered by one run over the
-// union of the missed components, which must agree with the whole-graph
-// run on each of them.
+// components already cached returns Solve's set bit for bit, and fails
+// with congest.ErrBandwidth exactly when Solve does.
 func FuzzComponentLocality(f *testing.F) {
 	f.Add(uint64(1), uint8(40), false, uint64(0x5555))
 	f.Add(uint64(2), uint8(28), true, uint64(0x0f0f))
@@ -67,49 +65,85 @@ func FuzzComponentLocality(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, size uint8, unit bool, cached uint64) {
 		g := localityGraph(seed, 24+int(size)%40, unit)
 		parts := g.SplitComponents()
+		pick := map[string]bool{}
+		for i, part := range parts {
+			pick[part.Hash] = cached>>(i%64)&1 == 1
+		}
 		schedules := []fault.Schedule{{}, {Seed: seed + 77, Loss: 0.1, Dup: 0.1, Corrupt: 0.1, CrashFrac: 0.1, CrashAt: 3}}
 		for _, sched := range schedules {
 			for _, s := range protocol.Solvers() {
-				cfg := Config{Seed: seed | 1, Faults: sched}
-				want, err := Solve(s.Name(), g, 0.5, 0, cfg)
-				if err != nil {
-					// Only two inputs may be refused: weights for a
-					// unit-weight solver, and identifiers or weights too
-					// wide for B bits.
-					if errors.Is(err, congest.ErrBandwidth) || !unit && s.Meta().UnitWeightsOnly {
-						continue
-					}
-					t.Fatalf("%s: Solve: %v", s.Name(), err)
+				if !unit && s.Meta().UnitWeightsOnly {
+					continue
 				}
-				cache := map[string][]int32{}
-				for i, part := range parts {
-					if cached>>(i%64)&1 == 0 {
-						continue
-					}
-					var members []int32
-					for j, v := range part.ToParent {
-						if want.Set[v] {
-							members = append(members, int32(j))
-						}
-					}
-					cache[part.Hash] = members
-				}
-				got, st, err := SolveComponents(s.Name(), g, parts, 0.5, 0, cfg, ComponentCache{
-					Lookup: func(h string) ([]int32, bool) { m, ok := cache[h]; return m, ok },
-				})
-				if err != nil {
-					t.Fatalf("%s: SolveComponents with %d of %d components cached: %v", s.Name(), len(cache), len(parts), err)
-				}
-				if st.Reused != len(cache) || st.Solved != len(parts)-len(cache) {
-					t.Fatalf("%s: stats %+v with %d of %d components cached", s.Name(), st, len(cache), len(parts))
-				}
-				if !slices.Equal(got.Set, want.Set) || got.Weight != want.Weight {
-					t.Fatalf("%s (faults %t): SolveComponents with %d of %d components cached gives weight %d, Solve %d; sets differ at %v",
-						s.Name(), sched.Enabled(), len(cache), len(parts), got.Weight, want.Weight, diffNodes(got.Set, want.Set))
-				}
+				checkLocality(t, s.Name(), g, parts, Config{Seed: seed | 1, Faults: sched}, pick)
 			}
 		}
 	})
+}
+
+// A component whose own identifiers are narrow answers in a run with the
+// graph's identifier bound: an isolated node with a 41-bit identifier
+// sends nothing, so it caches fine, and the edge beside it must then fail
+// as it does in the whole-graph run, not fit B with 2-bit identifiers.
+func TestComponentRunsKeepParentIDBound(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddEdge(1, 2)
+	b.SetID(0, 1<<40)
+	b.SetID(1, 1)
+	b.SetID(2, 2)
+	g := b.MustBuild()
+	parts := g.SplitComponents()
+	pick := map[string]bool{parts[0].Hash: true}
+	failed := 0
+	for _, s := range protocol.Solvers() {
+		if _, err := Solve(s.Name(), g, 0.5, 0, Config{}); err != nil {
+			failed++
+		}
+		checkLocality(t, s.Name(), g, parts, Config{}, pick)
+	}
+	if failed == 0 {
+		t.Fatal("no solver ran out of bandwidth; the test no longer exercises the identifier bound")
+	}
+}
+
+// checkLocality compares SolveComponents with Solve on g when the
+// components pick names are cached. The cached answers come from a first
+// SolveComponents run over those components alone, as a cache earlier
+// runs filled would hold them; the second run solves the rest.
+func checkLocality(t *testing.T, name string, g *graph.Graph, parts []graph.Component, cfg Config, pick map[string]bool) {
+	t.Helper()
+	want, wantErr := Solve(name, g, 0.5, 0, cfg)
+	if wantErr != nil && !errors.Is(wantErr, congest.ErrBandwidth) {
+		t.Fatalf("%s: Solve: %v", name, wantErr)
+	}
+	cache := map[string][]int32{}
+	_, _, err := SolveComponents(name, g, parts, 0.5, 0, cfg, ComponentCache{
+		Lookup: func(h string) ([]int32, bool) { return nil, !pick[h] },
+		Store:  func(h string, set []int32, _ int64) { cache[h] = set },
+	})
+	if err != nil {
+		if wantErr == nil || !errors.Is(err, congest.ErrBandwidth) {
+			t.Fatalf("%s (faults %t): the cached components alone: %v; Solve: %v", name, cfg.Faults.Enabled(), err, wantErr)
+		}
+		return // no run that holds them succeeds, so no cache can hold them
+	}
+	got, st, err := SolveComponents(name, g, parts, 0.5, 0, cfg, ComponentCache{
+		Lookup: func(h string) ([]int32, bool) { m, ok := cache[h]; return m, ok },
+	})
+	if (err != nil) != (wantErr != nil) || err != nil && !errors.Is(err, congest.ErrBandwidth) {
+		t.Fatalf("%s (faults %t): SolveComponents with %d of %d components cached: %v; Solve: %v",
+			name, cfg.Faults.Enabled(), len(cache), len(parts), err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if st.Reused != len(cache) || st.Solved != len(parts)-len(cache) {
+		t.Fatalf("%s: stats %+v with %d of %d components cached", name, st, len(cache), len(parts))
+	}
+	if !slices.Equal(got.Set, want.Set) || got.Weight != want.Weight {
+		t.Fatalf("%s (faults %t): SolveComponents with %d of %d components cached gives weight %d, Solve %d; sets differ at %v",
+			name, cfg.Faults.Enabled(), len(cache), len(parts), got.Weight, want.Weight, diffNodes(got.Set, want.Set))
+	}
 }
 
 // diffNodes lists the nodes on which two membership vectors disagree.

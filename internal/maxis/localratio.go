@@ -87,8 +87,8 @@ func quantUnit(n int, maxW int64, eps float64) int64 {
 // localRatioRun is the shared push/reduce/pop loop over residual weights
 // cur (consumed). With top > 0, a bound on cur, phases walk the weight
 // scales 2^j ≤ top downward (≤ log₂ top+1 MIS phases; BarYehuda is this
-// loop on the raw weights); with top = 0 every positive node is active
-// each phase (≤ Δ+1 phases). Every phase position draws its seed, so phase
+// loop on the raw weights); with top = 0 every positive node v is active
+// in each of the first deg(v)+1 phases (≤ Δ+1 phases). Every phase position draws its seed, so phase
 // i gets the same seed in every run, and every phase shares the trace
 // label stage. unit scales stack weights back to the original weight
 // function for reporting.
@@ -100,24 +100,28 @@ func localRatioRun(g *graph.Graph, cur []int64, top, unit int64, cfg Config, alg
 	var stackValue int64
 	phases := 0
 	// The phase schedule: scaled mode iterates thresholds, plain mode
-	// iterates until the residual is gone, with the Δ+1 termination bound
-	// as a backstop (fault injection can break MIS maximality and stall
-	// progress; then the partial stack is still a valid independent set).
-	// Δ+2 ≤ n+1, and n is known where Δ is not.
-	maxPhases := cfg.NUpper + 1
+	// iterates until the residual is gone. Node v takes part in at most
+	// deg(v)+1 plain phases: in each, v or an active neighbour joins the
+	// MIS and its residual drops to zero for good, so without faults v's
+	// residual is gone by then, and the check after the loop fails a run
+	// that needs more. Fault injection can break MIS maximality and stall
+	// progress; the cap then ends the run within Δ+1 phases, and since it
+	// reads only v's degree, v's part is the same in every run that holds
+	// its component. The partial stack is still a valid independent set.
+	scales := 0
 	if top > 0 {
-		maxPhases = bits.Len64(uint64(top))
+		scales = bits.Len64(uint64(top))
 	}
 	active := make([]bool, n)
-	for phase := 0; phase < maxPhases; phase++ {
+	for phase := 0; top == 0 || phase < scales; phase++ {
 		seed := seeds.Next()
 		threshold := int64(1)
 		if top > 0 {
-			threshold <<= maxPhases - 1 - phase
+			threshold <<= scales - 1 - phase
 		}
 		anyActive := false
 		for v := 0; v < n; v++ {
-			active[v] = cur[v] >= threshold
+			active[v] = cur[v] >= threshold && (top > 0 || phase <= g.Degree(v))
 			anyActive = anyActive || active[v]
 		}
 		if !anyActive {

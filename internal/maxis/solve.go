@@ -40,9 +40,9 @@ func Solve(name string, g *graph.Graph, eps float64, alpha int, cfg Config) (*Re
 // Resolve fixes on the top-level graph g the choices of a solve that read
 // more than a node's neighbourhood: "auto" becomes the planner's pick,
 // theorem3's alpha 0 becomes g's degeneracy bound, and cfg gets the bounds
-// n and W (Config.Normalized). Under the resolved values a run over any
-// union of g's components gives each of them the set Solve gives it;
-// resolving again on such a union changes nothing.
+// n, W and max ID (Config.Normalized). Under the resolved values a run
+// over any union of g's components gives each of them the set Solve gives
+// it; resolving again on such a union changes nothing.
 func Resolve(name string, g *graph.Graph, eps float64, alpha int, cfg Config) (string, int, Config, error) {
 	if name == plan.Auto {
 		d, err := plan.For(g, protocol.Params{Eps: eps, Alpha: alpha}, plan.Budget{}, cfg.MIS)
@@ -55,6 +55,18 @@ func Resolve(name string, g *graph.Graph, eps float64, alpha int, cfg Config) (s
 		alpha = max(g.ArboricityUpperBound(), 1)
 	}
 	return name, alpha, cfg.Normalized(g), nil
+}
+
+// ComponentScope names what Resolve fixes on g for a solve: the algorithm,
+// α and the told bounds. A component's answer is a function of its
+// content, the solve's own parameters and this value, so a ComponentCache
+// for SolveComponents over g's components keys its entries by all three.
+func ComponentScope(name string, g *graph.Graph, eps float64, alpha int, cfg Config) (string, error) {
+	name, alpha, cfg, err := Resolve(name, g, eps, alpha, cfg)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s|alpha=%d|%s", name, alpha, cfg.Bounds()), nil
 }
 
 // GuaranteeString renders the named solver's approximation guarantee for a

@@ -26,6 +26,7 @@
 package protocol
 
 import (
+	"fmt"
 	"math/bits"
 
 	"distmwis/internal/congest"
@@ -94,6 +95,10 @@ type Config struct {
 	// (congest.WithMaxWeight). Experiments that sweep W set it; otherwise
 	// Normalized sets it like NUpper.
 	MaxWeight int64
+	// maxID is the identifier bound handed to every protocol phase
+	// (congest.WithMaxID); Normalized sets it like MaxWeight. It is not
+	// settable: identifiers are the graph's, not an experiment's.
+	maxID uint64
 	// Faults, when enabled, installs a fault.Injector on every protocol
 	// phase (each phase reseeded deterministically from the phase seed) and
 	// caps every phase at Faults.HardStop rounds, because faults can block
@@ -152,10 +157,11 @@ func (c Config) LambdaOrDefault() float64 {
 }
 
 // Normalized fills defaults that depend on the input graph, which must be
-// the top-level instance: NUpper becomes its n, and MaxWeight its max |w|
-// rounded up to 2^k − 1 — the same bit width, so no wire field grows and a
-// PATCH rarely moves it. Phases and sub-solves keep both, so an answer
-// never depends on how the graph was cut into runs.
+// the top-level instance: NUpper becomes its n, MaxWeight its max |w| and
+// the identifier bound its max ID, both rounded up to 2^k − 1 — the same
+// bit width, so no wire field grows and a PATCH rarely moves them. Phases
+// and sub-solves keep all three, so neither an answer nor a bandwidth
+// failure depends on how the graph was cut into runs.
 func (c Config) Normalized(g *graph.Graph) Config {
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -170,7 +176,17 @@ func (c Config) Normalized(g *graph.Graph) Config {
 		}
 		c.MaxWeight = int64(1<<bits.Len64(w) - 1)
 	}
+	if id := g.MaxID(); c.maxID < id {
+		c.maxID = 1<<bits.Len64(id) - 1
+	}
 	return c
+}
+
+// Bounds renders the global bounds every node is told — n, W and the
+// identifier bound — as Normalized fixed them, for keys of answers that
+// depend on them.
+func (c Config) Bounds() string {
+	return fmt.Sprintf("n=%d|W=%d|id=%d", c.NUpper, c.MaxWeight, c.maxID)
 }
 
 // SeedSeq derives independent per-phase seeds from the root seed.
@@ -229,6 +245,9 @@ func (c Config) Opts(phaseSeed uint64) []congest.Option {
 	}
 	if c.MaxWeight > 0 {
 		out = append(out, congest.WithMaxWeight(c.MaxWeight))
+	}
+	if c.maxID > 0 {
+		out = append(out, congest.WithMaxID(c.maxID))
 	}
 	if c.Tracer != nil {
 		out = append(out, congest.WithTracer(c.Tracer), congest.WithTraceLabel(c.TraceLabel))

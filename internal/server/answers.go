@@ -110,24 +110,20 @@ func (s *Server) handleGetAnswer(w http.ResponseWriter, r *http.Request) {
 }
 
 // publishUpgrade is the repair tier's publish callback: it upgrades the
-// registry entry in place and, once the answer is full quality, promotes
-// it into the result cache so foreground solves of the same content hit.
-// The graph hash travels with the task, so an upgrade whose degraded entry
-// the registry has already evicted is republished under its own version.
+// registry entry in place. The full answer reached the result cache, if
+// it could, when the task's Full solve ran (solveRef). The graph hash
+// travels with the task, so an upgrade whose degraded entry the registry
+// has already evicted is republished under its own version.
 func (s *Server) publishUpgrade(key string, a repair.Answer) {
-	set := graph.Members(a.Set)
 	s.answers.put(&storedAnswer{
 		Key:       key,
 		GraphHash: a.GraphHash,
-		Set:       set,
+		Set:       graph.Members(a.Set),
 		Weight:    a.Weight,
 		Quality:   a.Quality,
 		Alg:       a.Alg,
 		Updated:   time.Now().UTC(),
 	})
-	if a.Quality == qualityFull {
-		s.cache.put(&cacheEntry{key: key, set: set, weight: a.Weight, alg: a.Alg, tag: a.GraphHash})
-	}
 }
 
 // refCacheKey is the content-addressed key of a graph_ref solve: it equals
@@ -163,18 +159,30 @@ func (s *Server) componentCache(prefix string) maxis.ComponentCache {
 	}
 }
 
-// solveComponents runs the component-wise solve of a graph_ref request
-// over g's components parts. A component's answer depends on its content
-// and on what maxis.Resolve fixes on g, so its key holds both.
-func (s *Server) solveComponents(req *SolveRequest, g *graph.Graph, parts []graph.Component, cfg maxis.Config) (*maxis.Result, maxis.ComponentStats, error) {
-	alg, alpha, cfg, err := maxis.Resolve(req.Alg, g, req.Eps, req.Alpha, cfg)
+// solveRef runs the graph_ref solve of g, the version hash names, over
+// its components parts through the component cache; the repair tier's
+// Full runs it too. The set is Solve's on g, but rounds, messages and bits
+// count the one run over the components the cache missed. So the entry
+// goes under key, the line an inline solve of the same content shares,
+// only when every component missed and that run was the whole-graph run.
+// It is tagged with the version hash, so a PATCH evicts it.
+func (s *Server) solveRef(req *SolveRequest, g *graph.Graph, parts []graph.Component, cfg maxis.Config, key, hash string) (*cacheEntry, error) {
+	cfg = s.traced(req, cfg)
+	scope, err := maxis.ComponentScope(req.Alg, g, req.Eps, req.Alpha, cfg)
 	if err != nil {
-		return nil, maxis.ComponentStats{}, err
+		return nil, err
 	}
-	r := *req
-	r.Alg, r.Alpha = alg, alpha
-	cache := s.componentCache(fmt.Sprintf("comp|%s|n=%d|W=%d|", r.Fingerprint(), cfg.NUpper, cfg.MaxWeight))
-	return maxis.SolveComponents(alg, g, parts, req.Eps, alpha, cfg, cache)
+	cache := s.componentCache("comp|" + req.Fingerprint() + "|" + scope + "|")
+	res, stats, err := maxis.SolveComponents(req.Alg, g, parts, req.Eps, req.Alpha, cfg, cache)
+	if err != nil {
+		return nil, err
+	}
+	e := newEntry(req, g, key, res)
+	e.tag = hash
+	if stats.Reused == 0 && !req.NoCache {
+		s.cache.put(e)
+	}
+	return e, nil
 }
 
 // publishDegraded is execute's graph_ref hook on the degraded tier. Unlike

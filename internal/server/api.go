@@ -27,7 +27,9 @@
 //     version's carried components, which answers cached components from
 //     the cache, solves the rest in one run and returns Solve's set bit
 //     for bit; the key stage gives both the same key.
-//   - publish: the result is cached worker-side; graph_ref answers are
+//   - publish: the result is cached worker-side (a graph_ref result only
+//     when it ran the whole graph, so the shared line holds a whole-graph
+//     run's metrics); graph_ref answers are
 //     also published to the answer registry (answers.go), and degraded
 //     ones are queued for the background repair tier.
 //   - encode: the response is written (202 and a job record for async).
@@ -134,9 +136,12 @@ type SolveResponse struct {
 	Weight int64   `json:"weight,omitempty"`
 	// GraphHash is the canonical content hash of the solved graph.
 	GraphHash string `json:"graph_hash,omitempty"`
-	Rounds    int    `json:"rounds,omitempty"`
-	Messages  int64  `json:"messages,omitempty"`
-	Bits      int64  `json:"bits,omitempty"`
+	// Rounds, Messages and Bits measure the run that produced Set; for a
+	// graph_ref solve that reused cached components, the one run over the
+	// components that missed.
+	Rounds   int   `json:"rounds,omitempty"`
+	Messages int64 `json:"messages,omitempty"`
+	Bits     int64 `json:"bits,omitempty"`
 	// Cached reports the result came from the content-addressed cache;
 	// Shared reports it was computed once for several concurrent requests.
 	Cached bool `json:"cached,omitempty"`

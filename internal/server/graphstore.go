@@ -513,8 +513,6 @@ func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, re
 	if err != nil {
 		return
 	}
-	cfg.Tracer = s.metrics.engine
-	cfg.TraceLabel = req.Alg
 	s.repairTier.Enqueue(repair.Task{
 		Key:       key,
 		G:         g,
@@ -526,11 +524,11 @@ func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, re
 		},
 		FullAlg: req.Alg,
 		Full: func() ([]bool, int64, error) {
-			res, _, err := s.solveComponents(req, g, g.SplitComponents(), cfg)
+			e, err := s.solveRef(req, g, g.SplitComponents(), cfg, key, hash)
 			if err != nil {
 				return nil, 0, err
 			}
-			return res.Set, res.Weight, nil
+			return graph.FromMembers(e.set, g.N()), e.weight, nil
 		},
 	})
 }

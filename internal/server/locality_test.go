@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"distmwis/internal/graph"
 	"distmwis/internal/graph/gen"
@@ -54,23 +56,80 @@ func TestRefSolveMatchesInline(t *testing.T) {
 	}
 }
 
-// A graph_ref solve of content an inline solve has answered is a cache
-// hit: both paths key the answer by the same canonical bytes and config.
+// A graph_ref solve and an inline solve of the same content share one
+// cache line, and whichever path fills it, the other reads what an inline
+// solve on a fresh server reports: the set and weight, and the rounds,
+// messages, bits and guarantee of one whole-graph run. A graph_ref run
+// over only the components the component cache missed, or the repair
+// tier's re-solve after a shed, must not fill the line with its own
+// metrics.
 func TestRefSolveSharesInlineCacheLine(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
 	g := smallComponents(t)
-	code, first := postSolve(t, ts, SolveRequest{Graph: json.RawMessage(graphJSON(t, g)), Alg: "theorem2", Seed: 2})
-	if code != http.StatusOK || first.Cached {
-		t.Fatalf("inline solve: %d cached=%t %s", code, first.Cached, first.Error)
+	edit := graph.Edit{Weights: []graph.WeightUpdate{{V: 0, W: g.Weight(0)%3 + 1}}}
+	ng, _, err := g.ApplyEdit(edit)
+	if err != nil {
+		t.Fatal(err)
 	}
+	const alg, seed = "theorem2", 2
+	inline := func(ts *httptest.Server, g *graph.Graph) SolveResponse {
+		t.Helper()
+		code, resp := postSolve(t, ts, SolveRequest{Graph: json.RawMessage(graphJSON(t, g)), Alg: alg, Seed: seed})
+		if code != http.StatusOK {
+			t.Fatalf("inline solve: %d %s", code, resp.Error)
+		}
+		return resp
+	}
+	ref := func(ts *httptest.Server, hash string, degraded bool) SolveResponse {
+		t.Helper()
+		code, resp := postSolve(t, ts, SolveRequest{GraphRef: hash, Alg: alg, Seed: seed, Degraded: degraded})
+		if code != http.StatusOK {
+			t.Fatalf("graph_ref solve: %d %s", code, resp.Error)
+		}
+		return resp
+	}
+	same := func(order string, got, want SolveResponse) {
+		t.Helper()
+		if !slices.Equal(got.Set, want.Set) || got.Weight != want.Weight || got.Rounds != want.Rounds ||
+			got.Messages != want.Messages || got.Bits != want.Bits || got.Alg != want.Alg || got.Guarantee != want.Guarantee {
+			t.Errorf("%s: weight %d, %d rounds, %d messages, %d bits, %q %q; a fresh inline solve gives weight %d, %d rounds, %d messages, %d bits, %q %q",
+				order, got.Weight, got.Rounds, got.Messages, got.Bits, got.Alg, got.Guarantee,
+				want.Weight, want.Rounds, want.Messages, want.Bits, want.Alg, want.Guarantee)
+		}
+	}
+	_, fresh := newTestServer(t, Options{Workers: 2})
+	want, wantNg := inline(fresh, g), inline(fresh, ng)
+
+	_, ts := newTestServer(t, Options{Workers: 2})
+	inline(ts, g)
 	put := putGraph(t, ts, g)
-	code, second := postSolve(t, ts, SolveRequest{GraphRef: put.Hash, Alg: "theorem2", Seed: 2})
-	if code != http.StatusOK || !second.Cached {
-		t.Fatalf("graph_ref solve after the inline one: %d cached=%t %s", code, second.Cached, second.Error)
+	if resp := ref(ts, put.Hash, false); !resp.Cached {
+		t.Error("inline then graph_ref: the graph_ref solve missed the cache")
+	} else {
+		same("inline then graph_ref", resp, want)
 	}
-	if !slices.Equal(second.Set, first.Set) || second.Weight != first.Weight {
-		t.Fatal("the shared cache line answers differently")
+
+	_, ts = newTestServer(t, Options{Workers: 2})
+	put = putGraph(t, ts, g)
+	same("graph_ref", ref(ts, put.Hash, false), want)
+	if resp := inline(ts, g); !resp.Cached {
+		t.Error("graph_ref then inline: the inline solve missed the cache")
+	} else {
+		same("graph_ref then inline", resp, want)
 	}
+	_, patch := patchGraph(t, ts, put.Hash, edit)
+	if resp := ref(ts, patch.Hash, false); !slices.Equal(resp.Set, wantNg.Set) || resp.Rounds >= wantNg.Rounds && resp.Messages >= wantNg.Messages {
+		t.Errorf("graph_ref after PATCH: weight %d, %d rounds, %d messages; want weight %d from a run over the changed component only",
+			resp.Weight, resp.Rounds, resp.Messages, wantNg.Weight)
+	}
+	same("graph_ref over cached components then inline", inline(ts, ng), wantNg)
+
+	_, ts = newTestServer(t, Options{Workers: 2, RepairInterval: time.Millisecond})
+	put = putGraph(t, ts, g)
+	waitQuality(t, ts, ref(ts, put.Hash, true).AnswerKey, "full")
+	same("shed graph_ref then inline", inline(ts, g), want)
+	_, patch = patchGraph(t, ts, put.Hash, edit)
+	waitQuality(t, ts, ref(ts, patch.Hash, true).AnswerKey, "full")
+	same("shed graph_ref over cached components then inline", inline(ts, ng), wantNg)
 }
 
 // Weights too wide for B bits (a single edge with weights 1000 and 900

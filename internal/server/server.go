@@ -617,9 +617,6 @@ func (s *Server) runScheduled(ctx context.Context, req *SolveRequest, p prepared
 		failed:   make(chan error, 1),
 		run: func(context.Context) {
 			entry, err := s.solve(req, p)
-			if err == nil && !req.NoCache {
-				s.cache.put(entry)
-			}
 			ch <- outcome{entry, err}
 		},
 	}
@@ -639,37 +636,42 @@ func (s *Server) runScheduled(ctx context.Context, req *SolveRequest, p prepared
 }
 
 // solve performs the actual algorithm run; it executes on a scheduler
-// worker. A graph_ref solve runs component-wise and its entry is tagged
-// with the graph hash, so a PATCH that moves the handle evicts it.
+// worker and caches the entry under p.key unless the request opted out. A
+// graph_ref solve runs component-wise (solveRef).
 func (s *Server) solve(req *SolveRequest, p prepared) (*cacheEntry, error) {
-	cfg := p.cfg
-	cfg.Tracer = s.metrics.engine
-	cfg.TraceLabel = req.Alg
-	var (
-		res *maxis.Result
-		err error
-		tag string
-	)
 	if p.ver != nil {
-		res, _, err = s.solveComponents(req, p.g, p.ver.parts, cfg)
-		tag = p.hash
-	} else {
-		res, err = maxis.Solve(req.Alg, p.g, req.Eps, req.Alpha, cfg)
+		return s.solveRef(req, p.g, p.ver.parts, p.cfg, p.key, p.hash)
 	}
+	res, err := maxis.Solve(req.Alg, p.g, req.Eps, req.Alpha, s.traced(req, p.cfg))
 	if err != nil {
 		return nil, err
 	}
+	e := newEntry(req, p.g, p.key, res)
+	if !req.NoCache {
+		s.cache.put(e)
+	}
+	return e, nil
+}
+
+// traced attaches the engine tracer to a solve's config.
+func (s *Server) traced(req *SolveRequest, cfg maxis.Config) maxis.Config {
+	cfg.Tracer = s.metrics.engine
+	cfg.TraceLabel = req.Alg
+	return cfg
+}
+
+// newEntry renders a solve result as the cache entry key names.
+func newEntry(req *SolveRequest, g *graph.Graph, key string, res *maxis.Result) *cacheEntry {
 	return &cacheEntry{
-		key:       p.key,
+		key:       key,
 		set:       graph.Members(res.Set),
 		weight:    res.Weight,
 		rounds:    res.Metrics.Rounds,
 		messages:  res.Metrics.Messages,
 		bits:      res.Metrics.Bits,
 		alg:       req.Alg,
-		guarantee: maxis.GuaranteeString(req.Alg, p.g, req.Eps, req.Alpha, res),
-		tag:       tag,
-	}, nil
+		guarantee: maxis.GuaranteeString(req.Alg, g, req.Eps, req.Alpha, res),
+	}
 }
 
 func entryResponse(e *cacheEntry, cached, shared bool) SolveResponse {
