@@ -7,10 +7,14 @@ all: vet build test
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond go vet. staticcheck is not vendored and the
-# target never installs anything: it runs the tool when present and
-# prints the install hint otherwise (CI installs it in the lint job).
+# Static analysis beyond go vet. Any file gofmt would rewrite fails the
+# target. staticcheck is not vendored and the target never installs
+# anything: it runs the tool when present and prints the install hint
+# otherwise (CI installs it in the lint job).
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -210,7 +210,7 @@ func BenchmarkE13Headline(b *testing.B) {
 	g := gen.GNP(4096, 12.0/4096, 13)
 	misRounds, apxRounds := 0, 0
 	for i := 0; i < b.N; i++ {
-		m, err := mis.Compute(mis.Luby{}, g)
+		m, err := mis.Compute(mis.Luby{}, g, congest.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func BenchmarkE15ColeVishkin(b *testing.B) {
 	ports := coloring.CanonicalRingSuccessorPorts(g.N())
 	rounds := 0
 	for i := 0; i < b.N; i++ {
-		set, r, _, err := coloring.RingMIS(g, ports)
+		set, r, _, err := coloring.RingMIS(g, ports, congest.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,11 +298,11 @@ func BenchmarkTableE3(b *testing.B) {
 }
 
 // benchSeamRun executes Luby's MIS on g with a hard stop bounding the work,
-// under the base benchmark seed plus any seam-specific options.
-func benchSeamRun(b *testing.B, g *graph.Graph, extra ...congest.Option) *congest.Result {
+// under the base benchmark seed plus the seam's configuration c.
+func benchSeamRun(b *testing.B, g *graph.Graph, c congest.Config) *congest.Result {
 	b.Helper()
-	opts := append([]congest.Option{congest.WithSeed(11), congest.WithHardStop(9)}, extra...)
-	res, err := mis.Luby{}.Run(g, opts...)
+	c.Seed, c.HardStop = 11, 9
+	res, err := mis.Luby{}.Run(g, c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -325,32 +325,29 @@ func BenchmarkPowerLawSeams1M(b *testing.B) {
 	}
 	g := gen.PowerLaw(1_000_000, 2.5, 2000, 41)
 	seams := []struct {
-		name string
-		opts func() []congest.Option // fresh per run: seams carry run-local state
+		name   string
+		config func(workers int) congest.Config // fresh per run: seams carry run-local state
 	}{
-		{"plain", func() []congest.Option { return nil }},
-		{"faults", func() []congest.Option {
-			return []congest.Option{congest.WithFaults(fault.NewInjector(fault.Schedule{
+		{"plain", func(workers int) congest.Config { return congest.Config{Workers: workers} }},
+		{"faults", func(workers int) congest.Config {
+			return congest.Config{Workers: workers, Hook: fault.NewInjector(fault.Schedule{
 				Seed: 5, Loss: 0.02, Dup: 0.01, Corrupt: 0.005,
-			}))}
+			})}
 		}},
-		{"trace", func() []congest.Option {
-			return []congest.Option{congest.WithTracer(trace.NewRing(64))}
+		{"trace", func(workers int) congest.Config {
+			return congest.Config{Workers: workers, Tracer: trace.NewRing(64)}
 		}},
-		{"reliable", func() []congest.Option {
-			return []congest.Option{
-				congest.WithFaults(fault.NewInjector(fault.Schedule{Seed: 6, Loss: 0.02})),
-				congest.WithReliable(reliable.New(reliable.Options{})),
-			}
+		{"reliable", func(workers int) congest.Config {
+			return congest.Config{Workers: workers, Hook: fault.NewInjector(fault.Schedule{Seed: 6, Loss: 0.02}),
+				Reliable: reliable.New(reliable.Options{})}
 		}},
 	}
 	for _, seam := range seams {
 		b.Run(seam.name, func(b *testing.B) {
-			ref := benchSeamRun(b, g, append(seam.opts(), congest.WithWorkers(1))...)
+			ref := benchSeamRun(b, g, seam.config(1))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := benchSeamRun(b, g,
-					append(seam.opts(), congest.WithWorkers(4))...)
+				res := benchSeamRun(b, g, seam.config(4))
 				b.StopTimer()
 				if !reflect.DeepEqual(ref.Outputs, res.Outputs) {
 					b.Fatalf("seam %q: 4-worker outputs diverge from the 1-worker run", seam.name)
@@ -378,8 +375,7 @@ func BenchmarkRoundLoop10M(b *testing.B) {
 	b.ResetTimer()
 	inSet := 0
 	for i := 0; i < b.N; i++ {
-		res, err := mis.Luby{}.Run(g, congest.WithSeed(uint64(i+1)), congest.WithHardStop(9),
-			congest.WithWorkers(4))
+		res, err := mis.Luby{}.Run(g, congest.Config{Seed: uint64(i + 1), HardStop: 9, Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"distmwis/internal/congest"
 	"distmwis/internal/graph"
 	"distmwis/internal/graph/gen"
 	"distmwis/internal/maxis"
@@ -32,11 +33,11 @@ func run() error {
 		"n", "Δ", "Luby MIS", "Ghaffari MIS", "Thm5 rounds", "|I|", "bound")
 	for _, n := range []int{1 << 9, 1 << 11, 1 << 13, 1 << 15} {
 		g := gen.GNP(n, 10/float64(n), 3)
-		luby, err := mis.Compute(mis.Luby{}, g)
+		luby, err := mis.Compute(mis.Luby{}, g, congest.Config{})
 		if err != nil {
 			return err
 		}
-		ghaf, err := mis.Compute(mis.Ghaffari{}, g)
+		ghaf, err := mis.Compute(mis.Ghaffari{}, g, congest.Config{})
 		if err != nil {
 			return err
 		}

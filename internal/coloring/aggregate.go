@@ -70,11 +70,11 @@ func BuildBFSTree(g *graph.Graph, root int) (*Tree, error) {
 // the root, and a winner broadcast back down. Round cost ≈ depth + k +
 // depth, the Ω(D) barrier of Open Question 2. Returns the winning class as
 // an independent set (colour classes of proper colourings are independent).
-func MaxWeightClass(g *graph.Graph, col *Result, tree *Tree, opts ...congest.Option) ([]bool, int, *congest.Result, error) {
+func MaxWeightClass(g *graph.Graph, col *Result, tree *Tree, c congest.Config) ([]bool, int, *congest.Result, error) {
 	k := col.NumColors
 	res, err := congest.Run(g, func(p *classAggregate) {
 		p.colors, p.k, p.tree = col.Colors, k, tree
-	}, opts...)
+	}, c)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("coloring: aggregation: %w", err)
 	}
@@ -222,8 +222,8 @@ func (p *classAggregate) Output() any { return p.winner }
 // ≥ w(V)/(Δ+1) — a (Δ+1)-approximation — but the round count carries the
 // Θ(D) flooding/aggregation cost that Open Question 2 asks whether one can
 // avoid. Returns the set, total measured rounds, and the tree depth.
-func ColorClassApprox(g *graph.Graph, seed uint64, opts ...congest.Option) ([]bool, int, int, error) {
-	col, err := RandomGreedy(g, append(opts, congest.WithSeed(seed))...)
+func ColorClassApprox(g *graph.Graph, seed uint64) ([]bool, int, int, error) {
+	col, err := RandomGreedy(g, congest.Config{Seed: seed})
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -236,11 +236,11 @@ func ColorClassApprox(g *graph.Graph, seed uint64, opts ...congest.Option) ([]bo
 		}
 	}
 	budget := 2*(ecc+1) + 2
-	tree, bfsExec, err := DistributedBFSTree(g, budget, append(opts, congest.WithSeed(seed+2))...)
+	tree, bfsExec, err := DistributedBFSTree(g, budget, congest.Config{Seed: seed + 2})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	set, _, exec, err := MaxWeightClass(g, col, tree, append(opts, congest.WithSeed(seed+1))...)
+	set, _, exec, err := MaxWeightClass(g, col, tree, congest.Config{Seed: seed + 1})
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -20,11 +20,11 @@ import (
 // ColorClassApprox with a fully distributed pipeline and to measure the
 // Θ(D) flooding cost of Open Question 2 directly rather than charging it
 // analytically.
-func DistributedBFSTree(g *graph.Graph, budget int, opts ...congest.Option) (*Tree, *congest.Result, error) {
+func DistributedBFSTree(g *graph.Graph, budget int, c congest.Config) (*Tree, *congest.Result, error) {
 	if g.N() == 0 {
 		return &Tree{}, &congest.Result{}, nil
 	}
-	res, err := congest.Run(g, func(p *bfsBuild) { p.budget = budget }, opts...)
+	res, err := congest.Run(g, func(p *bfsBuild) { p.budget = budget }, c)
 	if err != nil {
 		return nil, nil, fmt.Errorf("coloring: distributed BFS: %w", err)
 	}

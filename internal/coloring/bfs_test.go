@@ -21,7 +21,7 @@ func TestDistributedBFSTreeMatchesHostTree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
-			tree, exec, err := DistributedBFSTree(g, tc.budget)
+			tree, exec, err := DistributedBFSTree(g, tc.budget, congest.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestDistributedBFSTreeMatchesHostTree(t *testing.T) {
 
 func TestDistributedBFSTreeBudgetTooSmall(t *testing.T) {
 	g := gen.Path(50)
-	if _, _, err := DistributedBFSTree(g, 3); err == nil {
+	if _, _, err := DistributedBFSTree(g, 3, congest.Config{}); err == nil {
 		t.Error("expected failure when the budget is below the diameter")
 	}
 }
@@ -72,15 +72,15 @@ func TestDistributedBFSTreeFeedsAggregation(t *testing.T) {
 	// End-to-end: distributed tree + convergecast give the same winner as
 	// the host-built tree.
 	g := gen.Weighted(gen.Grid(10, 10), gen.UniformWeights(100), 4)
-	col, err := RandomGreedy(g, congest.WithSeed(1))
+	col, err := RandomGreedy(g, congest.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dTree, _, err := DistributedBFSTree(g, 2*19+2, congest.WithSeed(2))
+	dTree, _, err := DistributedBFSTree(g, 2*19+2, congest.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, winD, _, err := MaxWeightClass(g, col, dTree, congest.WithSeed(3))
+	_, winD, _, err := MaxWeightClass(g, col, dTree, congest.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDistributedBFSTreeFeedsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, winH, _, err := MaxWeightClass(g, col, hTree, congest.WithSeed(3))
+	_, winH, _, err := MaxWeightClass(g, col, hTree, congest.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

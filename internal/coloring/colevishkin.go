@@ -37,7 +37,7 @@ func CanonicalRingSuccessorPorts(n int) []int {
 // colour until the palette is {0..5}; the iteration count is derived
 // deterministically from the identifier bound, so all nodes stop together.
 // Phase 2 removes colours 5, 4, 3 one at a time.
-func ColeVishkinRing(g *graph.Graph, succPort []int, opts ...congest.Option) (*Result, error) {
+func ColeVishkinRing(g *graph.Graph, succPort []int, c congest.Config) (*Result, error) {
 	n := g.N()
 	if n < 3 {
 		return nil, fmt.Errorf("coloring: ring needs n ≥ 3, got %d", n)
@@ -50,7 +50,7 @@ func ColeVishkinRing(g *graph.Graph, succPort []int, opts ...congest.Option) (*R
 			return nil, fmt.Errorf("coloring: bad successor port for node %d", v)
 		}
 	}
-	res, err := congest.Run(g, func(p *coleVishkin) { p.succPorts = succPort }, opts...)
+	res, err := congest.Run(g, func(p *coleVishkin) { p.succPorts = succPort }, c)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: cole-vishkin: %w", err)
 	}
@@ -191,12 +191,12 @@ func (p *coleVishkin) Output() any { return int(p.colour) }
 // deterministic MIS of an oriented ring in O(log* n) rounds, matching
 // Naor's randomized lower bound (Theorem 7) from above. Returns the MIS,
 // the total rounds, and the colouring used.
-func RingMIS(g *graph.Graph, succPort []int, opts ...congest.Option) ([]bool, int, *Result, error) {
-	col, err := ColeVishkinRing(g, succPort, opts...)
+func RingMIS(g *graph.Graph, succPort []int, c congest.Config) ([]bool, int, *Result, error) {
+	col, err := ColeVishkinRing(g, succPort, c)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	set, misExec, err := MISFromColoring(g, col, opts...)
+	set, misExec, err := MISFromColoring(g, col, c)
 	if err != nil {
 		return nil, 0, nil, err
 	}

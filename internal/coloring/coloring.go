@@ -75,8 +75,8 @@ func Verify(g *graph.Graph, colors []int, limit int) error {
 // higher-ID neighbour proposed the same colour in the same round.
 // Terminates in O(log n) rounds with high probability; each node uses at
 // most deg(v)+1 ≤ Δ+1 colours.
-func RandomGreedy(g *graph.Graph, opts ...congest.Option) (*Result, error) {
-	res, err := congest.Run[greedyColour](g, nil, opts...)
+func RandomGreedy(g *graph.Graph, c congest.Config) (*Result, error) {
+	res, err := congest.Run[greedyColour](g, nil, c)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: random greedy: %w", err)
 	}
@@ -205,12 +205,12 @@ func (p *greedyColour) TracePhase(round int) string {
 // MISFromColoring converts a proper colouring into an MIS in NumColors+1
 // rounds: colour classes join in order, skipping dominated nodes — the
 // classical colouring→MIS reduction the paper's Section 8 discusses.
-func MISFromColoring(g *graph.Graph, col *Result, opts ...congest.Option) ([]bool, *congest.Result, error) {
+func MISFromColoring(g *graph.Graph, col *Result, c congest.Config) ([]bool, *congest.Result, error) {
 	colors := col.Colors
 	k := col.NumColors
 	res, err := congest.Run(g, func(p *colourClassMIS) {
 		p.colors, p.k = colors, k
-	}, opts...)
+	}, c)
 	if err != nil {
 		return nil, nil, fmt.Errorf("coloring: MIS conversion: %w", err)
 	}

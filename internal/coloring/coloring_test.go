@@ -29,7 +29,7 @@ func TestRandomGreedyProperColoring(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				col, err := RandomGreedy(g, congest.WithSeed(seed))
+				col, err := RandomGreedy(g, congest.Config{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -43,7 +43,7 @@ func TestRandomGreedyProperColoring(t *testing.T) {
 
 func TestRandomGreedyRoundsLogarithmic(t *testing.T) {
 	g := gen.GNP(2048, 0.005, 5)
-	col, err := RandomGreedy(g, congest.WithSeed(1))
+	col, err := RandomGreedy(g, congest.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestVerifyRejects(t *testing.T) {
 func TestMISFromColoring(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			col, err := RandomGreedy(g, congest.WithSeed(2))
+			col, err := RandomGreedy(g, congest.Config{Seed: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			set, exec, err := MISFromColoring(g, col, congest.WithSeed(3))
+			set, exec, err := MISFromColoring(g, col, congest.Config{Seed: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestMISFromColoring(t *testing.T) {
 func TestColeVishkinRing3Coloring(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 8, 64, 1024, 65536} {
 		g := gen.Cycle(n)
-		col, err := ColeVishkinRing(g, CanonicalRingSuccessorPorts(n))
+		col, err := ColeVishkinRing(g, CanonicalRingSuccessorPorts(n), congest.Config{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -107,7 +107,7 @@ func TestColeVishkinWithScatteredIDs(t *testing.T) {
 	// Large identifier space exercises more reduction iterations.
 	g := gen.RandomIDs(gen.Cycle(256), 1<<40, 9)
 	ports := CanonicalRingSuccessorPorts(256)
-	col, err := ColeVishkinRing(g, ports)
+	col, err := ColeVishkinRing(g, ports, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestColeVishkinWithScatteredIDs(t *testing.T) {
 func TestColeVishkinRoundsAreLogStar(t *testing.T) {
 	// Rounds must track log*(maxID), not log n: going from n=2^6 to n=2^16
 	// should add only a couple of rounds.
-	r6, err := ColeVishkinRing(gen.Cycle(1<<6), CanonicalRingSuccessorPorts(1<<6))
+	r6, err := ColeVishkinRing(gen.Cycle(1<<6), CanonicalRingSuccessorPorts(1<<6), congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := ColeVishkinRing(gen.Cycle(1<<16), CanonicalRingSuccessorPorts(1<<16))
+	r16, err := ColeVishkinRing(gen.Cycle(1<<16), CanonicalRingSuccessorPorts(1<<16), congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +137,10 @@ func TestColeVishkinRoundsAreLogStar(t *testing.T) {
 }
 
 func TestColeVishkinRejectsNonRing(t *testing.T) {
-	if _, err := ColeVishkinRing(gen.Path(5), make([]int, 5)); err == nil {
+	if _, err := ColeVishkinRing(gen.Path(5), make([]int, 5), congest.Config{}); err == nil {
 		t.Error("accepted a path")
 	}
-	if _, err := ColeVishkinRing(gen.Cycle(3), []int{0, 0, 7}); err == nil {
+	if _, err := ColeVishkinRing(gen.Cycle(3), []int{0, 0, 7}, congest.Config{}); err == nil {
 		t.Error("accepted a bad port map")
 	}
 }
@@ -148,7 +148,7 @@ func TestColeVishkinRejectsNonRing(t *testing.T) {
 func TestRingMIS(t *testing.T) {
 	for _, n := range []int{5, 32, 513, 4096} {
 		g := gen.Cycle(n)
-		set, rounds, col, err := RingMIS(g, CanonicalRingSuccessorPorts(n))
+		set, rounds, col, err := RingMIS(g, CanonicalRingSuccessorPorts(n), congest.Config{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -213,7 +213,7 @@ func TestMaxWeightClass(t *testing.T) {
 	}
 	g = b.MustBuild()
 
-	col, err := RandomGreedy(g, congest.WithSeed(4))
+	col, err := RandomGreedy(g, congest.Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestMaxWeightClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, winner, exec, err := MaxWeightClass(g, col, tree, congest.WithSeed(5))
+	set, winner, exec, err := MaxWeightClass(g, col, tree, congest.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

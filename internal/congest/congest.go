@@ -34,7 +34,7 @@
 // worker (see DeliveryHook).
 //
 // So a node's outputs and messages are the same in a run over any union
-// of connected components that contains it, given the same NUpper,
+// of connected components that contains it, given the same Config.NUpper,
 // MaxWeight and MaxID: the bounds size every wire field, so a message
 // that exceeds the bandwidth in one such run exceeds it in all of them.
 //
@@ -59,16 +59,6 @@ import (
 	"distmwis/internal/graph"
 	"distmwis/internal/trace"
 	"distmwis/internal/wire"
-)
-
-// Model selects the communication model.
-type Model int
-
-const (
-	// ModelCongest bounds every message to Bandwidth bits per round per edge.
-	ModelCongest Model = iota + 1
-	// ModelLocal allows unbounded messages.
-	ModelLocal
 )
 
 // ErrRoundLimit is returned when a protocol fails to terminate within the
@@ -169,7 +159,7 @@ type NodeInfo struct {
 	// global knowledge the paper grants (Section 3, "Assumptions").
 	NUpper int
 	// MaxID is an upper bound on identifier values (identifiers are
-	// O(log n) bits; see WithMaxID). Used to size wire fields.
+	// O(log n) bits; see Config.MaxID). Used to size wire fields.
 	MaxID uint64
 	// MaxWeight is an upper bound on node weights (W ≤ poly(n)), used to
 	// size wire fields for weight exchange.
@@ -177,7 +167,7 @@ type NodeInfo struct {
 	// Bandwidth is B, the per-message bit budget (0 means unbounded/LOCAL).
 	Bandwidth int
 	// Faulty reports that a fault-injection hook is installed for this run
-	// (WithFaults). Protocols may switch to defensive message formats that
+	// (Config.Hook). Protocols may switch to defensive message formats that
 	// would be wasted bandwidth in a reliable network; with Faulty false
 	// their executions must be bit-for-bit what they were without the hook.
 	Faulty bool
@@ -265,7 +255,7 @@ type Result struct {
 	Bits int64
 	// MaxMessageBits is the largest single message observed.
 	MaxMessageBits int
-	// Truncated reports that the run was stopped by WithHardStop or the
+	// Truncated reports that the run was stopped by Config.HardStop or the
 	// round limit before all nodes halted.
 	Truncated bool
 	// Bandwidth echoes the enforced per-message bit budget (0 = unbounded).
@@ -280,7 +270,7 @@ type Result struct {
 	// fault layer (a fresh message on the same port overwrites the copy).
 	FaultDuplicated int64
 	// Retransmits counts data frames re-sent by the reliable transport
-	// (WithReliable); zero without one.
+	// (Config.Reliable); zero without one.
 	Retransmits int64
 	// TransportAcks counts the transport's pure control frames (standalone
 	// ACKs and keep-alive pokes). These frames are also included in
@@ -297,69 +287,75 @@ type Result struct {
 	DeadPorts int64
 }
 
-type config struct {
-	model           Model
-	bandwidthFactor int
-	seed            uint64
-	maxRounds       int
-	hardStop        int
-	nUpper          int
-	workers         int
-	maxWeight       int64
-	maxID           uint64
-	hook            DeliveryHook
-	tracer          trace.Tracer
-	traceLabel      string
-	reliable        Reliability
+// Config configures one Run. The zero value of every field selects the
+// default, so Config{} is a CONGEST run with seed 1, B = 8·⌈log₂ n⌉, the
+// bounds nodes are told taken from the graph, GOMAXPROCS workers and no
+// hook, transport or tracer.
+type Config struct {
+	// Local selects the LOCAL model: messages of any size.
+	Local bool
+	// BandwidthFactor is c in B = c·⌈log₂ NUpper⌉ bits (default 8).
+	BandwidthFactor int
+	// Seed is the root seed from which per-node streams derive (default 1).
+	Seed uint64
+	// MaxRounds is the safety round limit (default 1<<20).
+	MaxRounds int
+	// HardStop, when positive, truncates the execution after exactly that
+	// many rounds, collecting whatever outputs nodes currently have. The
+	// Section 7 lower-bound experiments use it to study algorithms cut off
+	// before completion.
+	HardStop int
+	// NUpper is the polynomial upper bound on n that nodes are told
+	// (default: the true n, the most charitable choice). It must be >= n.
+	NUpper int
+	// Workers is how many goroutines step nodes each round (default:
+	// GOMAXPROCS; a negative count means one). One worker, or any count on
+	// a graph of fewer than 64 nodes, steps nodes inline in index order;
+	// otherwise the count is clamped to n. The count changes only
+	// scheduling, never a round, message or bit.
+	Workers int
+	// MaxWeight is the bound W ≥ max|w(v)| on node weights that nodes are
+	// told (NodeInfo.MaxWeight), used to size wire fields for weight
+	// exchange. Left zero, Run scans the graph and hands every node the
+	// exact global maximum — knowledge the paper's Section 3 assumptions
+	// do not grant, and a confound in experiments that sweep W (wire fields
+	// would be sized by the realized maximum instead of the nominal bound).
+	// Run rejects a bound below the true maximum absolute weight.
+	MaxWeight int64
+	// MaxID is the bound on identifiers that nodes are told
+	// (NodeInfo.MaxID), used to size identifier fields. Left zero, Run
+	// hands every node the graph's own largest identifier. Run rejects a
+	// bound below it.
+	MaxID uint64
+	// Hook, when non-nil, is a delivery hook (typically a *fault.Injector).
+	// With a hook installed NodeInfo.Faulty is true, which protocols use to
+	// enable defensive message formats whose cost is only justified under
+	// faults, and the run steps on one worker.
+	Hook DeliveryHook
+	// Reliable, when non-nil, is a reliable-delivery transport. Every
+	// process is wrapped via Reliable.Wrap, the physical bandwidth check is
+	// widened by Reliable.HeaderBits(), and the transport's counters are
+	// published in Result and (per-round deltas) in trace records. Nil
+	// leaves the run exactly as it would be without a transport — the
+	// zero-cost-when-off guarantee: no wrapping, no widened bound, no extra
+	// bookkeeping in the round loop.
+	Reliable Reliability
+	// Tracer, when non-nil, is a round-level tracer (see internal/trace).
+	// The simulator calls it from the round loop's goroutine: BeginRun
+	// before round 1, OnRound after every completed round with that round's
+	// traffic deltas and wall-clock split (node steps, which include
+	// delivery, and the barrier merge), EndRun on every exit path.
+	//
+	// Tracing is strictly observational — with or without a tracer,
+	// executions on the same seed produce bit-identical Results — and costs
+	// nothing when absent: the untraced round loop performs no clock reads
+	// and no extra bookkeeping.
+	Tracer trace.Tracer
+	// TraceLabel attributes this run's trace records to an orchestrator
+	// phase label (e.g. "boost/push/goodnodes/mis"). Ignored without a
+	// Tracer.
+	TraceLabel string
 }
-
-// Option configures Run.
-type Option func(*config)
-
-// WithModel selects CONGEST (default) or LOCAL.
-func WithModel(m Model) Option { return func(c *config) { c.model = m } }
-
-// WithBandwidthFactor sets c in B = c·⌈log₂ NUpper⌉ bits (default 8).
-func WithBandwidthFactor(factor int) Option {
-	return func(c *config) { c.bandwidthFactor = factor }
-}
-
-// WithSeed sets the root seed from which per-node streams derive
-// (default 1).
-func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
-
-// WithMaxRounds overrides the safety round limit (default 1<<20).
-func WithMaxRounds(r int) Option { return func(c *config) { c.maxRounds = r } }
-
-// WithHardStop truncates the execution after exactly r rounds, collecting
-// whatever outputs nodes currently have. Used by the Section 7 lower-bound
-// experiments, which study algorithms cut off before completion.
-func WithHardStop(r int) Option { return func(c *config) { c.hardStop = r } }
-
-// WithNUpper sets the polynomial upper bound on n that nodes are told
-// (default: the true n, the most charitable choice). It must be >= n.
-func WithNUpper(n int) Option { return func(c *config) { c.nUpper = n } }
-
-// WithWorkers sets how many goroutines step nodes each round (default:
-// GOMAXPROCS). One worker, or any count on a graph of fewer than 64 nodes,
-// steps nodes inline in index order; otherwise the count is clamped to n.
-// The count changes only scheduling, never a round, message or bit.
-func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
-
-// WithMaxWeight sets the upper bound W ≥ max|w(v)| on node weights that
-// nodes are told (NodeInfo.MaxWeight), used to size wire fields for weight
-// exchange. Without this option Run scans the graph and hands every node
-// the exact global maximum — knowledge the paper's Section 3 assumptions
-// do not grant, and a confound in experiments that sweep W (wire fields
-// would be sized by the realized maximum instead of the nominal bound).
-// Run rejects a bound below the true maximum absolute weight.
-func WithMaxWeight(w int64) Option { return func(c *config) { c.maxWeight = w } }
-
-// WithMaxID sets the upper bound on identifiers that nodes are told
-// (NodeInfo.MaxID), used to size identifier fields. Without this option
-// Run hands every node the graph's own largest identifier. Run rejects a
-// bound below it.
-func WithMaxID(id uint64) Option { return func(c *config) { c.maxID = id } }
 
 // Bandwidth computes B for a given upper bound on n and factor.
 func Bandwidth(nUpper, factor int) int {
@@ -372,14 +368,14 @@ func Bandwidth(nUpper, factor int) int {
 // Runner runs one protocol on g: a process type bound to its per-run
 // constants (see Bind). The phase-composition layers and the protocol
 // registry take protocols in this form.
-type Runner func(g *graph.Graph, opts ...Option) (*Result, error)
+type Runner func(g *graph.Graph, c Config) (*Result, error)
 
 // Bind returns the Runner that calls Run for process type T with set.
 func Bind[T any, P interface {
 	*T
 	Process
 }](set func(P)) Runner {
-	return func(g *graph.Graph, opts ...Option) (*Result, error) { return Run(g, set, opts...) }
+	return func(g *graph.Graph, c Config) (*Result, error) { return Run(g, set, c) }
 }
 
 // Run executes one protocol instance per node of g until every node halts.
@@ -389,8 +385,8 @@ func Bind[T any, P interface {
 func Run[T any, P interface {
 	*T
 	Process
-}](g *graph.Graph, set func(P), opts ...Option) (*Result, error) {
-	sim, err := newSimulator(g, opts)
+}](g *graph.Graph, set func(P), c Config) (*Result, error) {
+	sim, err := newSimulator(g, c)
 	if err != nil {
 		return nil, err
 	}
@@ -407,29 +403,32 @@ func Run[T any, P interface {
 	return sim.run()
 }
 
-// newSimulator validates the options for g and prepares a simulator on a
-// borrowed runState; the caller fills procs, then calls run and release.
-func newSimulator(g *graph.Graph, opts []Option) (*simulator, error) {
-	cfg := config{
-		model:           ModelCongest,
-		bandwidthFactor: 8,
-		seed:            1,
-		maxRounds:       1 << 20,
-		workers:         runtime.GOMAXPROCS(0),
+// newSimulator fills in c's defaults, validates it for g and prepares a
+// simulator on a borrowed runState; the caller fills procs, then calls run
+// and release.
+func newSimulator(g *graph.Graph, c Config) (*simulator, error) {
+	if c.BandwidthFactor <= 0 {
+		c.BandwidthFactor = 8
 	}
-	for _, opt := range opts {
-		opt(&cfg)
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	if c.MaxRounds == 0 {
+		c.MaxRounds = 1 << 20
+	}
+	if c.Workers == 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	n := g.N()
-	if cfg.nUpper == 0 {
-		cfg.nUpper = n
+	if c.NUpper == 0 {
+		c.NUpper = n
 	}
-	if cfg.nUpper < n {
-		return nil, fmt.Errorf("congest: NUpper %d below n %d", cfg.nUpper, n)
+	if c.NUpper < n {
+		return nil, fmt.Errorf("congest: NUpper %d below n %d", c.NUpper, n)
 	}
 	bandwidth := 0
-	if cfg.model == ModelCongest {
-		bandwidth = Bandwidth(cfg.nUpper, cfg.bandwidthFactor)
+	if !c.Local {
+		bandwidth = Bandwidth(c.NUpper, c.BandwidthFactor)
 	}
 	var trueMaxWeight int64
 	for v := 0; v < n; v++ {
@@ -444,38 +443,35 @@ func newSimulator(g *graph.Graph, opts []Option) (*simulator, error) {
 	if trueMaxWeight == 0 {
 		trueMaxWeight = 1
 	}
-	maxWeight := cfg.maxWeight
-	if maxWeight == 0 {
-		maxWeight = trueMaxWeight
-	} else if maxWeight < trueMaxWeight {
-		return nil, fmt.Errorf("congest: MaxWeight %d below actual maximum |weight| %d", cfg.maxWeight, trueMaxWeight)
+	if c.MaxWeight == 0 {
+		c.MaxWeight = trueMaxWeight
+	} else if c.MaxWeight < trueMaxWeight {
+		return nil, fmt.Errorf("congest: MaxWeight %d below actual maximum |weight| %d", c.MaxWeight, trueMaxWeight)
 	}
-	maxID := cfg.maxID
-	if maxID == 0 {
-		maxID = max(g.MaxID(), 1)
-	} else if maxID < g.MaxID() {
-		return nil, fmt.Errorf("congest: MaxID %d below the largest identifier %d", cfg.maxID, g.MaxID())
+	if c.MaxID == 0 {
+		c.MaxID = max(g.MaxID(), 1)
+	} else if c.MaxID < g.MaxID() {
+		return nil, fmt.Errorf("congest: MaxID %d below the largest identifier %d", c.MaxID, g.MaxID())
 	}
-	if cfg.hook != nil {
+	if c.Hook != nil {
 		// DeliveryHook.Deliver sees messages one at a time, in (sender,
 		// port) order, and senders deliver in their own steps.
-		cfg.workers = 1
+		c.Workers = 1
 	}
 
-	sim := &simulator{g: g, cfg: cfg, bandwidth: bandwidth, physBandwidth: bandwidth,
-		maxID: maxID, maxWeight: maxWeight, rev: g.ReverseArcs()}
-	if cfg.reliable != nil && bandwidth > 0 {
+	sim := &simulator{g: g, cfg: c, bandwidth: bandwidth, physBandwidth: bandwidth, rev: g.ReverseArcs()}
+	if c.Reliable != nil && bandwidth > 0 {
 		// Transport framing (seq/ack headers) rides above the CONGEST bound:
 		// inner processes still budget against B, physical frames may carry
 		// the exact header on top. See Reliability.HeaderBits.
-		sim.physBandwidth = bandwidth + cfg.reliable.HeaderBits()
+		sim.physBandwidth = bandwidth + c.Reliable.HeaderBits()
 	}
 	// Heap slots when no bound fixes a stride: LOCAL runs (and tests that
 	// force them). Sender slots are off there, and with the reliable
 	// transport, which keeps inner messages for retransmission.
 	heap := sim.physBandwidth == 0 || forceHeapSlots
 	sim.runState = statePool.Get().(*runState)
-	sim.reset(g, sim.physBandwidth, heap, !heap && cfg.reliable == nil, cfg.maxRounds)
+	sim.reset(g, sim.physBandwidth, heap, !heap && c.Reliable == nil, c.MaxRounds)
 	return sim, nil
 }
 
@@ -489,12 +485,12 @@ func (s *simulator) initProcs() {
 	s.words.open()
 	defer s.words.close()
 	for v := range s.procs {
-		if s.cfg.reliable != nil {
-			s.procs[v] = s.cfg.reliable.Wrap(s.procs[v])
+		if s.cfg.Reliable != nil {
+			s.procs[v] = s.cfg.Reliable.Wrap(s.procs[v])
 		}
 		// rand.New and rand.NewPCG both inline, so filling the value slots
 		// allocates nothing.
-		s.pcgs[v] = *rand.NewPCG(s.cfg.seed, 0x6a09e667f3bcc908^s.g.ID(v))
+		s.pcgs[v] = *rand.NewPCG(s.cfg.Seed, 0x6a09e667f3bcc908^s.g.ID(v))
 		s.rnds[v] = *rand.New(&s.pcgs[v])
 		lo, hi := s.g.Arcs(v)
 		s.procs[v].Init(NodeInfo{
@@ -502,11 +498,11 @@ func (s *simulator) initProcs() {
 			ID:        s.g.ID(v),
 			Degree:    hi - lo,
 			Weight:    s.g.Weight(v),
-			NUpper:    s.cfg.nUpper,
-			MaxID:     s.maxID,
-			MaxWeight: s.maxWeight,
+			NUpper:    s.cfg.NUpper,
+			MaxID:     s.cfg.MaxID,
+			MaxWeight: s.cfg.MaxWeight,
 			Bandwidth: s.bandwidth,
-			Faulty:    s.cfg.hook != nil,
+			Faulty:    s.cfg.Hook != nil,
 			Rand:      &s.rnds[v],
 			Out:       s.outSlab[lo:hi:hi],
 			slots:     slots,
@@ -518,15 +514,13 @@ func (s *simulator) initProcs() {
 // simulator holds one execution's configuration, its pooled run state and
 // the counters it reports.
 type simulator struct {
-	g         *graph.Graph
-	cfg       config
+	g *graph.Graph
+	// cfg is the run's Config with every default filled in.
+	cfg       Config
 	bandwidth int
 	// physBandwidth is the enforced per-frame limit: bandwidth plus the
 	// reliable transport's header headroom (equal to bandwidth without one).
 	physBandwidth int
-	// maxID and maxWeight are the bounds every node is told.
-	maxID     uint64
-	maxWeight int64
 	// rev is g's reverse-arc table: a message on arc a lands in slot rev[a].
 	rev []int32
 	*runState
@@ -690,7 +684,7 @@ type pendingDup struct {
 func (s *simulator) steps(wi int, nodes []int32, round int) {
 	var (
 		w          = &s.ws[wi]
-		hook       = s.cfg.hook
+		hook       = s.cfg.Hook
 		phys       = s.physBandwidth
 		ib         = &s.inbox
 		par, stamp = ib.target(round + 1)
@@ -809,13 +803,13 @@ func (s *simulator) run() (*Result, error) {
 	// Transport counters are cumulative per Reliability instance; snapshot a
 	// base so Result reports this run's deltas even if the instance is shared.
 	var relBase ReliabilityCounters
-	if s.cfg.reliable != nil {
-		relBase = s.cfg.reliable.Counters()
+	if s.cfg.Reliable != nil {
+		relBase = s.cfg.Reliable.Counters()
 	}
 	// finish completes the Result of a run that ended without a node error:
 	// the transport deltas and every node's output.
 	finish := func() Result {
-		if c := s.cfg.reliable; c != nil {
+		if c := s.cfg.Reliable; c != nil {
 			now := c.Counters()
 			s.res.Retransmits = now.Retransmits - relBase.Retransmits
 			s.res.TransportAcks = now.AckFrames - relBase.AckFrames
@@ -830,7 +824,7 @@ func (s *simulator) run() (*Result, error) {
 		return s.res
 	}
 
-	exec := newPoolEngine(n, s.cfg.workers, s.steps)
+	exec := newPoolEngine(n, s.cfg.Workers, s.steps)
 	defer exec.shutdown()
 	if cap(s.ws) < exec.workers {
 		s.ws = append(s.ws[:cap(s.ws)], make([]worker, exec.workers-cap(s.ws))...)
@@ -840,14 +834,14 @@ func (s *simulator) run() (*Result, error) {
 		s.ws[i].prepare(s.g.MaxDegree(), &s.inbox)
 	}
 
-	if s.cfg.hook != nil {
-		s.cfg.hook.Begin(s.g)
+	if s.cfg.Hook != nil {
+		s.cfg.Hook.Begin(s.g)
 	}
 
 	// Tracing state. All tracer work is guarded by tr != nil: with no
 	// tracer installed the loop below does not read the clock or touch any
 	// of these variables, keeping the untraced hot path unchanged.
-	tr := s.cfg.tracer
+	tr := s.cfg.Tracer
 	var (
 		labeler  PhaseLabeler
 		runIdx   int
@@ -860,16 +854,16 @@ func (s *simulator) run() (*Result, error) {
 			labeler, _ = s.procs[0].(PhaseLabeler)
 		}
 		runIdx = tr.BeginRun(trace.RunInfo{
-			Label:     s.cfg.traceLabel,
+			Label:     s.cfg.TraceLabel,
 			N:         n,
 			Bandwidth: s.bandwidth,
 			Workers:   exec.workers,
-			Seed:      s.cfg.seed,
+			Seed:      s.cfg.Seed,
 		})
 		defer func() {
 			tr.EndRun(trace.Summary{
 				Run:       runIdx,
-				Label:     s.cfg.traceLabel,
+				Label:     s.cfg.TraceLabel,
 				Rounds:    s.res.Rounds,
 				Messages:  s.res.Messages,
 				Bits:      s.res.Bits,
@@ -879,14 +873,14 @@ func (s *simulator) run() (*Result, error) {
 	}
 
 	for round := 1; live > 0; round++ {
-		if s.cfg.hardStop > 0 && round > s.cfg.hardStop {
+		if s.cfg.HardStop > 0 && round > s.cfg.HardStop {
 			s.res.Truncated = true
 			break
 		}
-		if round > s.cfg.maxRounds {
+		if round > s.cfg.MaxRounds {
 			s.res.Truncated = true
 			partial := finish()
-			return nil, &TruncationError{Limit: s.cfg.maxRounds, Partial: &partial}
+			return nil, &TruncationError{Limit: s.cfg.MaxRounds, Partial: &partial}
 		}
 		s.res.Rounds = round
 		if tr != nil {
@@ -912,9 +906,9 @@ func (s *simulator) run() (*Result, error) {
 		}
 		// Crash-stop nodes halt permanently; their Output() keeps the state
 		// at crash time.
-		if s.cfg.hook != nil {
+		if s.cfg.Hook != nil {
 			for _, v := range s.live {
-				if !s.done.Get(int(v)) && s.cfg.hook.State(round, int(v)) == NodeStopped {
+				if !s.done.Get(int(v)) && s.cfg.Hook.State(round, int(v)) == NodeStopped {
 					s.done.Set(int(v))
 					halts++
 				}
@@ -930,13 +924,13 @@ func (s *simulator) run() (*Result, error) {
 
 		if tr != nil {
 			var retransmitsNow int64
-			if s.cfg.reliable != nil {
-				retransmitsNow = s.cfg.reliable.Counters().Retransmits
+			if s.cfg.Reliable != nil {
+				retransmitsNow = s.cfg.Reliable.Counters().Retransmits
 			}
 			rec := trace.Round{
 				Run:             runIdx,
 				Round:           round,
-				Label:           s.cfg.traceLabel,
+				Label:           s.cfg.TraceLabel,
 				Messages:        s.res.Messages - prev.messages,
 				Bits:            s.res.Bits - prev.bits,
 				MaxMessageBits:  roundMaxBits,
@@ -968,11 +962,11 @@ func (s *simulator) run() (*Result, error) {
 // fault counters are only ever touched sequentially.
 func (s *simulator) deliverFaulty(round, from, p int, arc int32, m *Message) *Message {
 	to := int(s.g.Neighbors(from)[p])
-	if s.cfg.hook.State(round+1, to) != NodeUp {
+	if s.cfg.Hook.State(round+1, to) != NodeUp {
 		s.res.FaultLost++
 		return nil
 	}
-	out, dup := s.cfg.hook.Deliver(round, from, to, m)
+	out, dup := s.cfg.Hook.Deliver(round, from, to, m)
 	if dup {
 		// A duplicate re-sends the original frame; corruption (below) is
 		// per-transmission and does not propagate into the copy.
@@ -1002,7 +996,7 @@ func (s *simulator) deliverFaulty(round, from, p int, arc int32, m *Message) *Me
 func (s *simulator) applyDups(round int) {
 	par, stamp := s.inbox.target(round + 1)
 	for _, d := range s.pendingDups {
-		if s.cfg.hook.State(round+1, int(d.to)) != NodeUp {
+		if s.cfg.Hook.State(round+1, int(d.to)) != NodeUp {
 			continue
 		}
 		data := s.dupBuf[d.lo : d.lo+(d.bits+7)>>3]

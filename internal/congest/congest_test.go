@@ -49,7 +49,7 @@ func (p *idExchange) Output() any { return p.heard }
 
 func TestIDExchangeLearnsNeighbors(t *testing.T) {
 	g := gen.Cycle(8)
-	res, err := Run[idExchange](g, nil)
+	res, err := Run[idExchange](g, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func (p *floodMax) Output() any { return p.best }
 func TestFloodMaxConverges(t *testing.T) {
 	const n = 20
 	g := gen.Path(n)
-	res, err := Run(g, func(p *floodMax) { p.rounds = n })
+	res, err := Run(g, func(p *floodMax) { p.rounds = n }, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFloodMaxTruncated(t *testing.T) {
 	const n = 30
 	g := gen.Path(n)
 	// After 3 rounds, node 0 cannot know IDs further than distance ~3.
-	res, err := Run(g, func(p *floodMax) { p.rounds = n }, WithHardStop(3))
+	res, err := Run(g, func(p *floodMax) { p.rounds = n }, Config{HardStop: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func (p *bigTalker) Output() any { return nil }
 
 func TestBandwidthEnforced(t *testing.T) {
 	g := gen.Cycle(16)
-	if _, err := Run[bigTalker](g, nil); err == nil {
+	if _, err := Run[bigTalker](g, nil, Config{}); err == nil {
 		t.Fatal("expected bandwidth violation in CONGEST")
 	}
 	// The same protocol is legal in LOCAL.
-	if _, err := Run[bigTalker](g, nil, WithModel(ModelLocal)); err != nil {
+	if _, err := Run[bigTalker](g, nil, Config{Local: true}); err != nil {
 		t.Fatalf("LOCAL run failed: %v", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestBandwidthValue(t *testing.T) {
 func TestSeedChangesRandomness(t *testing.T) {
 	g := gen.Cycle(64)
 	run := func(seed uint64) []any {
-		res, err := Run[coinFlipper](g, nil, WithSeed(seed))
+		res, err := Run[coinFlipper](g, nil, Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,14 +238,14 @@ func (p *coinFlipper) Output() any { return p.coin }
 
 func TestNUpperValidation(t *testing.T) {
 	g := gen.Cycle(10)
-	if _, err := Run[coinFlipper](g, nil, WithNUpper(5)); err == nil {
+	if _, err := Run[coinFlipper](g, nil, Config{NUpper: 5}); err == nil {
 		t.Error("expected error for NUpper < n")
 	}
 }
 
 func TestRoundLimit(t *testing.T) {
 	g := gen.Cycle(4)
-	_, err := Run[neverDone](g, nil, WithMaxRounds(10))
+	_, err := Run[neverDone](g, nil, Config{MaxRounds: 10})
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Errorf("err = %v, want ErrRoundLimit", err)
 	}
@@ -259,7 +259,7 @@ func (p *neverDone) Output() any                              { return nil }
 
 func TestTooManyPortsRejected(t *testing.T) {
 	g := gen.Path(3)
-	_, err := Run[overSender](g, nil)
+	_, err := Run[overSender](g, nil, Config{})
 	if err == nil {
 		t.Error("expected error for sending on more ports than degree")
 	}
@@ -285,7 +285,7 @@ func TestMessagesToHaltedNodesDropped(t *testing.T) {
 	// Node 0 halts immediately; node 1 keeps sending to it for 3 rounds.
 	// The run must terminate cleanly with correct message accounting.
 	g := gen.Path(2)
-	res, err := Run[stubbornSender](g, nil, WithSeed(1))
+	res, err := Run[stubbornSender](g, nil, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestPortConsistency(t *testing.T) {
 		{name: "tree", g: gen.RandomTree(80, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.g, func(p *portConsistency) { p.g = tc.g })
+			res, err := Run(tc.g, func(p *portConsistency) { p.g = tc.g }, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +389,7 @@ func TestPortConsistency(t *testing.T) {
 func TestTruncationErrorCarriesPartial(t *testing.T) {
 	const n = 30
 	g := gen.Path(n)
-	res, err := Run(g, func(p *floodMax) { p.rounds = n }, WithMaxRounds(3))
+	res, err := Run(g, func(p *floodMax) { p.rounds = n }, Config{MaxRounds: 3})
 	if err == nil {
 		t.Fatal("expected round-limit error")
 	}
@@ -449,7 +449,7 @@ func TestHookDropsAndCrashes(t *testing.T) {
 	// Drop everything node 0 sends: its ID never propagates, so the flood
 	// converges to the max over nodes 1..n-1 for every other node.
 	res, err := Run(g, func(p *floodMax) { p.rounds = n },
-		WithFaults(&stubHook{dropFrom: 0, crashNode: -1}))
+		Config{Hook: &stubHook{dropFrom: 0, crashNode: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestHookDropsAndCrashes(t *testing.T) {
 	// state and partitions the path, so IDs cannot cross it.
 	mid := n / 2
 	res, err = Run(g, func(p *floodMax) { p.rounds = n },
-		WithFaults(&stubHook{dropFrom: -1, crashNode: mid, crashAt: 1}))
+		Config{Hook: &stubHook{dropFrom: -1, crashNode: mid, crashAt: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

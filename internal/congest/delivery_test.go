@@ -52,7 +52,7 @@ func TestDeliveryPathsAgree(t *testing.T) {
 		for _, p := range protocol.Protos() {
 			t.Run(fmt.Sprintf("%s/proto/%s", name, p.Name()), func(t *testing.T) {
 				requireAgree(t, func(workers int) any {
-					res, err := p.Run(weighted, congest.WithSeed(9), congest.WithWorkers(workers))
+					res, err := p.Run(weighted, congest.Config{Seed: 9, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -108,7 +108,7 @@ func TestDeliveryFullWidthPayload(t *testing.T) {
 	for _, n := range []int{256, 2000} {
 		g := gen.GNP(n, 8/float64(n), 4)
 		for _, workers := range []int{1, 2} {
-			value, heap := bothPaths(func() *congest.Result { return probeRun(t, g, "full", workers) })
+			value, heap := bothPaths(func() *congest.Result { return probeRun(t, g, "full", workers, congest.Config{}) })
 			if value.MaxMessageBits != value.Bandwidth {
 				t.Fatalf("n=%d: largest message %d bits, bandwidth %d; test vacuous", n, value.MaxMessageBits, value.Bandwidth)
 			}
@@ -130,7 +130,7 @@ func TestDeliveryProbeModes(t *testing.T) {
 	g := gen.GNP(96, 0.06, 2)
 	for _, mode := range []string{"ports", "rotate"} {
 		for _, workers := range []int{1, 2} {
-			value, heap := bothPaths(func() *congest.Result { return probeRun(t, g, mode, workers) })
+			value, heap := bothPaths(func() *congest.Result { return probeRun(t, g, mode, workers, congest.Config{}) })
 			checkProbe(t, g, value, 1)
 			checkProbe(t, g, heap, 1)
 			if !reflect.DeepEqual(value, heap) {
@@ -177,7 +177,7 @@ func TestDeliveryHaltingSender(t *testing.T) {
 	g := gen.GNP(150, 0.05, 8)
 	for _, workers := range []int{1, 2} {
 		value, heap := bothPaths(func() *congest.Result {
-			res, err := congest.Run[haltSender](g, nil, congest.WithWorkers(workers))
+			res, err := congest.Run[haltSender](g, nil, congest.Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func (p *overSender) Output() any { return nil }
 func TestDeliveryLowestIndexError(t *testing.T) {
 	g := gen.Cycle(200)
 	value, heap := bothPaths(func() error {
-		_, err := congest.Run(g, func(p *overSender) { p.from = 57 }, congest.WithWorkers(2))
+		_, err := congest.Run(g, func(p *overSender) { p.from = 57 }, congest.Config{Workers: 2})
 		return err
 	})
 	for path, err := range map[string]error{"value": value, "heap": heap} {
@@ -250,7 +250,7 @@ func TestDeliveryDuplicateOverwritten(t *testing.T) {
 	g := gen.GNP(96, 0.06, 5)
 	for _, workers := range []int{1, 2} {
 		value, heap := bothPaths(func() *congest.Result {
-			return probeRun(t, g, "broadcast", workers, congest.WithFaults(dupFirstRound{}))
+			return probeRun(t, g, "broadcast", workers, congest.Config{Hook: dupFirstRound{}})
 		})
 		if value.FaultDuplicated == 0 {
 			t.Fatal("no duplicates; test vacuous")
@@ -312,7 +312,7 @@ func TestDeliveryForwardedViews(t *testing.T) {
 	g := gen.GNP(150, 0.05, 9)
 	for _, workers := range []int{1, 2} {
 		value, heap := bothPaths(func() *congest.Result {
-			res, err := congest.Run[relay](g, nil, congest.WithWorkers(workers))
+			res, err := congest.Run[relay](g, nil, congest.Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

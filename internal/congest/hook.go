@@ -46,13 +46,8 @@ type DeliveryHook interface {
 	Deliver(round, from, to int, m *Message) (out *Message, dup bool)
 }
 
-// WithFaults installs a delivery hook (typically a *fault.Injector). When a
-// hook is installed, NodeInfo.Faulty is true, which protocols use to enable
-// defensive message formats whose cost is only justified under faults.
-func WithFaults(hook DeliveryHook) Option { return func(c *config) { c.hook = hook } }
-
 // TruncationError reports that a protocol exceeded the round limit set by
-// WithMaxRounds. It wraps ErrRoundLimit, so errors.Is(err, ErrRoundLimit)
+// Config.MaxRounds. It wraps ErrRoundLimit, so errors.Is(err, ErrRoundLimit)
 // continues to hold, and carries the partial Result — Outputs is fully
 // populated from every node's state at the moment the limit fired — so
 // callers that can use a best-effort answer are not left empty-handed.

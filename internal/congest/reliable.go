@@ -41,11 +41,3 @@ type ReliabilityCounters struct {
 	// dead (crash-stop neighbours, or false positives under extreme loss).
 	DeadPorts int64
 }
-
-// WithReliable installs a reliable-delivery transport. Every process is
-// wrapped via r.Wrap, the physical bandwidth check is widened by
-// r.HeaderBits(), and the transport's counters are published in Result and
-// (per-round deltas) in trace records. Passing nil leaves the run exactly
-// as it would be without the option — the zero-cost-when-off guarantee: no
-// wrapping, no widened bound, no extra bookkeeping in the round loop.
-func WithReliable(r Reliability) Option { return func(c *config) { c.reliable = r } }

@@ -55,7 +55,7 @@ func lastWithNeighbours(t *testing.T, g *graph.Graph) int {
 
 // TestEveryExitLeavesRunStateClean pins the one-cleanup rule: a run that
 // fails mid-flight (port-count or bandwidth violation) and a run cut off by
-// WithHardStop must both hand their pooled state back clean, so the next
+// Config.HardStop must both hand their pooled state back clean, so the next
 // run on it is exactly the run made before them.
 func TestEveryExitLeavesRunStateClean(t *testing.T) {
 	g := gen.GNP(150, 0.05, 4)
@@ -66,13 +66,13 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 	}{{"sequential", 1}, {"pool", 2}} {
 		for _, mode := range []string{"ports", "bandwidth"} {
 			t.Run(fmt.Sprintf("%s/%s", exec.name, mode), func(t *testing.T) {
-				opts := []Option{WithSeed(9), WithWorkers(exec.workers)}
+				c := Config{Seed: 9, Workers: exec.workers}
 				normal := func() (*Result, *Result) {
-					seq, err := Run(g, func(p *poolSeqProcess) { p.rounds = 7 }, opts...)
+					seq, err := Run(g, func(p *poolSeqProcess) { p.rounds = 7 }, c)
 					if err != nil {
 						t.Fatal(err)
 					}
-					coins, err := Run[coinFlipper](g, nil, opts...)
+					coins, err := Run[coinFlipper](g, nil, c)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,10 +83,12 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 				bad := func(p *misbehaver) {
 					*p = misbehaver{poolSeqProcess: poolSeqProcess{rounds: 7}, failAt: 4, culprit: culprit, mode: mode}
 				}
-				if _, err := Run(g, bad, opts...); err == nil {
+				if _, err := Run(g, bad, c); err == nil {
 					t.Fatal("rule violation went unreported")
 				}
-				cut, err := Run(g, bad, append(opts, WithHardStop(3))...)
+				stop := c
+				stop.HardStop = 3
+				cut, err := Run(g, bad, stop)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +120,7 @@ func TestConcurrentRunsShareRunState(t *testing.T) {
 	refs := make([]*Result, runs)
 	for i := range gs {
 		gs[i] = gen.GNP(120+10*i, 0.06, uint64(i+1))
-		res, err := Run(gs[i], newProc, WithSeed(uint64(i+1)), WithWorkers(1))
+		res, err := Run(gs[i], newProc, Config{Seed: uint64(i + 1), Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +137,7 @@ func TestConcurrentRunsShareRunState(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for _, workers := range []int{2, 1} {
-				res, err := Run(gs[i], newProc, WithSeed(uint64(i+1)), WithWorkers(workers))
+				res, err := Run(gs[i], newProc, Config{Seed: uint64(i + 1), Workers: workers})
 				if err != nil {
 					t.Errorf("run %d, %d workers: %v", i, workers, err)
 					return
@@ -205,7 +207,7 @@ func TestRoundLoopAllocsFlat(t *testing.T) {
 	g := gen.GNP(2000, 0.004, 1)
 	allocs := func(rounds int) float64 {
 		run := func() {
-			if _, err := Run(g, func(p *xorFlood) { p.rounds = rounds }, WithWorkers(1)); err != nil {
+			if _, err := Run(g, func(p *xorFlood) { p.rounds = rounds }, Config{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}

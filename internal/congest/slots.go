@@ -56,7 +56,7 @@ import (
 //     message in one round);
 //   - the payload exceeds wire.CongestBytes;
 //   - slots are off for the run: in LOCAL runs, whose heap slots keep the
-//     sender's message until it is read, and with WithReliable, whose
+//     sender's message until it is read, and with Config.Reliable, whose
 //     transport keeps inner messages for retransmission and replay.
 //
 // Process arrays. Run takes a process type: node v's process is element v

@@ -167,10 +167,10 @@ func received(res *congest.Result) int64 {
 	return n
 }
 
-func probeRun(t *testing.T, g *graph.Graph, mode string, workers int, opts ...congest.Option) *congest.Result {
+func probeRun(t *testing.T, g *graph.Graph, mode string, workers int, c congest.Config) *congest.Result {
 	t.Helper()
-	opts = append([]congest.Option{congest.WithSeed(3), congest.WithWorkers(workers)}, opts...)
-	res, err := congest.Run(g, func(p *slotProbe) { p.rounds, p.mode = 9, mode }, opts...)
+	c.Seed, c.Workers = 3, workers
+	res, err := congest.Run(g, func(p *slotProbe) { p.rounds, p.mode = 9, mode }, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func probeRun(t *testing.T, g *graph.Graph, mode string, workers int, opts ...co
 func TestSlotSecondMessageInRound(t *testing.T) {
 	g := gen.GNP(96, 0.06, 2)
 	for _, workers := range []int{1, 2} {
-		res := probeRun(t, g, "ports", workers)
+		res := probeRun(t, g, "ports", workers, congest.Config{})
 		checkProbe(t, g, res, 1)
 		if got := received(res); got != res.Messages || got == 0 {
 			t.Fatalf("workers %d: %d receipts for %d messages", workers, got, res.Messages)
@@ -195,7 +195,7 @@ func TestSlotSecondMessageInRound(t *testing.T) {
 func TestSlotOversizedLocalPayload(t *testing.T) {
 	g := gen.GNP(96, 0.06, 3)
 	for _, workers := range []int{1, 2} {
-		res := probeRun(t, g, "local", workers, congest.WithModel(congest.ModelLocal))
+		res := probeRun(t, g, "local", workers, congest.Config{Local: true})
 		if res.MaxMessageBits <= 8*wire.CongestBytes {
 			t.Fatalf("payload of %d bits fits a slot; test vacuous", res.MaxMessageBits)
 		}
@@ -223,7 +223,7 @@ func (dupAll) Deliver(_, _, _ int, m *congest.Message) (*congest.Message, bool) 
 func TestSlotFaultDuplicate(t *testing.T) {
 	g := gen.Cycle(96)
 	for _, workers := range []int{1, 2} {
-		res := probeRun(t, g, "rotate", workers, congest.WithFaults(dupAll{}))
+		res := probeRun(t, g, "rotate", workers, congest.Config{Hook: dupAll{}})
 		lags := checkProbe(t, g, res, 1, 2)
 		if lags[2] == 0 || res.FaultDuplicated == 0 {
 			t.Fatalf("workers %d: no duplicate read a round late (lags %v, %d duplicates); test vacuous", workers, lags, res.FaultDuplicated)
@@ -238,11 +238,11 @@ func TestSlotReliableTransport(t *testing.T) {
 	g := gen.GNP(96, 0.06, 4)
 	for _, lossy := range []bool{false, true} {
 		for _, workers := range []int{1, 2} {
-			opts := []congest.Option{congest.WithReliable(reliable.New(reliable.Options{}))}
+			c := congest.Config{Reliable: reliable.New(reliable.Options{})}
 			if lossy {
-				opts = append(opts, congest.WithFaults(fault.NewInjector(fault.Schedule{Seed: 8, Loss: 0.2})))
+				c.Hook = fault.NewInjector(fault.Schedule{Seed: 8, Loss: 0.2})
 			}
-			res := probeRun(t, g, "broadcast", workers, opts...)
+			res := probeRun(t, g, "broadcast", workers, c)
 			checkProbe(t, g, res, 1)
 			if received(res) == 0 || (lossy && res.Retransmits == 0) {
 				t.Fatalf("lossy %v workers %d: %d receipts, %d retransmits; test vacuous", lossy, workers, received(res), res.Retransmits)

@@ -1,23 +1,5 @@
 package congest
 
-import "distmwis/internal/trace"
-
-// WithTracer installs a round-level tracer (see internal/trace). The
-// simulator calls it from the round loop's goroutine: BeginRun before
-// round 1, OnRound after every completed round with that round's traffic
-// deltas and wall-clock split (node steps, which include delivery, and the
-// barrier merge), EndRun on every exit path.
-//
-// Tracing is strictly observational — with or without a tracer, executions
-// on the same seed produce bit-identical Results — and costs nothing when
-// absent: the untraced round loop performs no clock reads and no extra
-// bookkeeping.
-func WithTracer(t trace.Tracer) Option { return func(c *config) { c.tracer = t } }
-
-// WithTraceLabel attributes this run's trace records to an orchestrator
-// phase label (e.g. "boost/push/goodnodes/mis"). A no-op without a tracer.
-func WithTraceLabel(label string) Option { return func(c *config) { c.traceLabel = label } }
-
 // PhaseLabeler is an optional interface a Process may implement to label
 // the protocol stage each round belongs to (e.g. Luby's mark/join/retire
 // cadence). The simulator samples node 0's process once per round, so the
@@ -48,10 +30,10 @@ func (s *simulator) snapshotCounters(live int) traceCounters {
 		duplicated: s.res.FaultDuplicated,
 		live:       live,
 	}
-	if s.cfg.reliable != nil {
+	if s.cfg.Reliable != nil {
 		// Raw cumulative value: the per-round delta subtracts two snapshots,
 		// so the run-start base cancels.
-		c.retransmits = s.cfg.reliable.Counters().Retransmits
+		c.retransmits = s.cfg.Reliable.Counters().Retransmits
 	}
 	return c
 }

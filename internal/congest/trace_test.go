@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestTraceMatchesResultAggregates(t *testing.T) {
 	g := gen.GNP(200, 0.05, 7)
 	ring := trace.NewRing(0)
 	res, err := Run(g, func(p *labeledFlood) { p.rounds = 12 },
-		WithSeed(3), WithTracer(ring), WithTraceLabel("flood-test"))
+		Config{Seed: 3, Tracer: ring, TraceLabel: "flood-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestTraceEngineParity(t *testing.T) {
 	record := func(workers int) ([]trace.Round, int) {
 		ring := trace.NewRing(0)
 		_, err := Run(g, func(p *labeledFlood) { p.rounds = 8 },
-			WithSeed(9), WithWorkers(workers), WithTracer(ring))
+			Config{Seed: 9, Workers: workers, Tracer: ring})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,12 +132,11 @@ func TestTraceEngineParity(t *testing.T) {
 
 func TestTracerAbsentIsBitIdentical(t *testing.T) {
 	g := gen.GNP(150, 0.05, 11)
-	plain, err := Run(g, func(p *floodMax) { p.rounds = 6 }, WithSeed(4))
+	plain, err := Run(g, func(p *floodMax) { p.rounds = 6 }, Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Run(g, func(p *floodMax) { p.rounds = 6 }, WithSeed(4),
-		WithTracer(trace.NewRing(0)))
+	traced, err := Run(g, func(p *floodMax) { p.rounds = 6 }, Config{Seed: 4, Tracer: trace.NewRing(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTraceEndRunOnTruncation(t *testing.T) {
 	ring := trace.NewRing(0)
 	g := gen.Path(20)
 	res, err := Run(g, func(p *floodMax) { p.rounds = 50 },
-		WithHardStop(5), WithTracer(ring))
+		Config{HardStop: 5, Tracer: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestTraceEndRunOnTruncation(t *testing.T) {
 func TestTraceRecordsFaultDrops(t *testing.T) {
 	ring := trace.NewRing(0)
 	res, err := Run(gen.Path(10), func(p *floodMax) { p.rounds = 10 },
-		WithFaults(&stubHook{dropFrom: 0, crashNode: -1}), WithTracer(ring))
+		Config{Hook: &stubHook{dropFrom: 0, crashNode: -1}, Tracer: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestWithMaxWeight(t *testing.T) {
 
 	// A sweep bound at least the true maximum is handed to every node
 	// verbatim, decoupling wire sizing from the realized maximum.
-	res, err := Run[maxWeightProbe](g, nil, WithMaxWeight(1<<20))
+	res, err := Run[maxWeightProbe](g, nil, Config{MaxWeight: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +206,15 @@ func TestWithMaxWeight(t *testing.T) {
 
 	// A bound below the true maximum is a misconfiguration, not a silent
 	// re-derivation.
-	if _, err := Run[maxWeightProbe](g, nil, WithMaxWeight(trueMax-1)); err == nil {
+	if _, err := Run[maxWeightProbe](g, nil, Config{MaxWeight: trueMax - 1}); err == nil {
 		t.Error("expected error for MaxWeight below the true maximum")
 	}
-	if _, err := Run[maxWeightProbe](g, nil, WithMaxWeight(-5)); err == nil {
+	if _, err := Run[maxWeightProbe](g, nil, Config{MaxWeight: -5}); err == nil {
 		t.Error("expected error for negative MaxWeight")
 	}
 
 	// Default: the scan result.
-	res, err = Run[maxWeightProbe](g, nil)
+	res, err = Run[maxWeightProbe](g, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +224,15 @@ func TestWithMaxWeight(t *testing.T) {
 }
 
 // TestPoolEngineClampsWorkers checks how a requested worker count resolves
-// on a graph large enough for the pool — counts below 1 run inline, counts
-// above n are clamped to n — and that every resolved count matches the
-// one-worker run.
+// on a graph large enough for the pool — zero means GOMAXPROCS, negative
+// counts run inline, counts above n are clamped to n — and that every
+// resolved count matches the one-worker run.
 func TestPoolEngineClampsWorkers(t *testing.T) {
 	g := gen.Cycle(96)
 	run := func(workers int) (*Result, int) {
 		ring := trace.NewRing(0)
 		res, err := Run(g, func(p *floodMax) { p.rounds = 4 },
-			WithWorkers(workers), WithSeed(2), WithTracer(ring))
+			Config{Workers: workers, Seed: 2, Tracer: ring})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -240,7 +240,7 @@ func TestPoolEngineClampsWorkers(t *testing.T) {
 	}
 	ref, _ := run(1)
 	for _, tc := range []struct{ workers, resolved int }{
-		{0, 1}, {-3, 1}, {2, 2}, {500, 96},
+		{0, min(runtime.GOMAXPROCS(0), 96)}, {-3, 1}, {2, 2}, {500, 96},
 	} {
 		res, resolved := run(tc.workers)
 		if resolved != tc.resolved {
@@ -284,13 +284,13 @@ func TestDeterministicErrorSelection(t *testing.T) {
 	const firstBad = 37
 	for _, tc := range []struct {
 		name string
-		opts []Option
+		c    Config
 	}{
-		{name: "sequential", opts: []Option{WithWorkers(1)}},
-		{name: "pool", opts: []Option{WithWorkers(8)}},
+		{name: "sequential", c: Config{Workers: 1}},
+		{name: "pool", c: Config{Workers: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(g, func(p *badAbove) { p.from = firstBad }, tc.opts...)
+			_, err := Run(g, func(p *badAbove) { p.from = firstBad }, tc.c)
 			if err == nil {
 				t.Fatal("expected bandwidth violation")
 			}
@@ -307,20 +307,20 @@ func TestDeterministicErrorSelection(t *testing.T) {
 // show the (small, opt-in) price of recording.
 func BenchmarkRun(b *testing.B) {
 	g := gen.GNP(256, 0.05, 3)
-	bench := func(b *testing.B, opts ...Option) {
+	bench := func(b *testing.B, c Config) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, func(p *floodMax) { p.rounds = 8 }, opts...); err != nil {
+			if _, err := Run(g, func(p *floodMax) { p.rounds = 8 }, c); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { bench(b, WithWorkers(1)) })
+	b.Run("sequential", func(b *testing.B) { bench(b, Config{Workers: 1}) })
 	b.Run("sequential-traced", func(b *testing.B) {
-		bench(b, WithWorkers(1), WithTracer(trace.NewRing(0)))
+		bench(b, Config{Workers: 1, Tracer: trace.NewRing(0)})
 	})
-	b.Run("pool", func(b *testing.B) { bench(b, WithWorkers(4)) })
+	b.Run("pool", func(b *testing.B) { bench(b, Config{Workers: 4}) })
 	b.Run("pool-traced", func(b *testing.B) {
-		bench(b, WithWorkers(4), WithTracer(trace.NewRing(0)))
+		bench(b, Config{Workers: 4, Tracer: trace.NewRing(0)})
 	})
 }

@@ -100,8 +100,8 @@ func (a Accumulator) String() string {
 
 // RunPhase executes one protocol on g, absorbs its metrics into acc, and
 // returns the result.
-func RunPhase(g *graph.Graph, run congest.Runner, acc *Accumulator, opts ...congest.Option) (*congest.Result, error) {
-	res, err := run(g, opts...)
+func RunPhase(g *graph.Graph, run congest.Runner, acc *Accumulator, c congest.Config) (*congest.Result, error) {
+	res, err := run(g, c)
 	if err != nil {
 		return nil, fmt.Errorf("dist: phase %d: %w", acc.Phases+1, err)
 	}
@@ -113,13 +113,13 @@ func RunPhase(g *graph.Graph, run congest.Runner, acc *Accumulator, opts ...cong
 // the boolean outputs back to the parent index space. One bookkeeping round
 // is charged for the activity-flag exchange that lets every node learn which
 // of its neighbours participate in the phase.
-func RunOnInduced(g *graph.Graph, active []bool, run congest.Runner, acc *Accumulator, opts ...congest.Option) ([]bool, *graph.Subgraph, error) {
+func RunOnInduced(g *graph.Graph, active []bool, run congest.Runner, acc *Accumulator, c congest.Config) ([]bool, *graph.Subgraph, error) {
 	sub := g.Induce(active)
 	acc.AddRounds(1) // neighbours exchange active flags
 	if sub.G.N() == 0 {
 		return make([]bool, g.N()), sub, nil
 	}
-	res, err := RunPhase(sub.G, run, acc, opts...)
+	res, err := RunPhase(sub.G, run, acc, c)
 	if err != nil {
 		return nil, nil, err
 	}

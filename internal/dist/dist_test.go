@@ -40,7 +40,7 @@ func TestAccumulatorAbsorbAndAdd(t *testing.T) {
 func TestRunPhase(t *testing.T) {
 	g := gen.Cycle(16)
 	var acc Accumulator
-	res, err := RunPhase(g, mis.Luby{}.Run, &acc, congest.WithSeed(3))
+	res, err := RunPhase(g, mis.Luby{}.Run, &acc, congest.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRunPhase(t *testing.T) {
 func TestRunPhaseErrorWrapped(t *testing.T) {
 	g := gen.Cycle(4)
 	var acc Accumulator
-	_, err := RunPhase(g, mis.Luby{}.Run, &acc, congest.WithMaxRounds(1))
+	_, err := RunPhase(g, mis.Luby{}.Run, &acc, congest.Config{MaxRounds: 1})
 	if err == nil || !errors.Is(err, congest.ErrRoundLimit) {
 		t.Errorf("expected wrapped ErrRoundLimit, got %v", err)
 	}
@@ -65,7 +65,7 @@ func TestRunOnInduced(t *testing.T) {
 		active[v] = true
 	}
 	var acc Accumulator
-	set, sub, err := RunOnInduced(g, active, mis.Luby{}.Run, &acc, congest.WithSeed(1))
+	set, sub, err := RunOnInduced(g, active, mis.Luby{}.Run, &acc, congest.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRunOnInduced(t *testing.T) {
 func TestRunOnInducedEmptyActive(t *testing.T) {
 	g := gen.Cycle(8)
 	var acc Accumulator
-	set, _, err := RunOnInduced(g, make([]bool, 8), mis.Luby{}.Run, &acc)
+	set, _, err := RunOnInduced(g, make([]bool, 8), mis.Luby{}.Run, &acc, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func runE15(opts Options) (*Table, error) {
 	for _, n := range sizes {
 		g := gen.Cycle(n)
 		ports := coloring.CanonicalRingSuccessorPorts(n)
-		set, totalRounds, col, err := coloring.RingMIS(g, ports, congest.WithSeed(opts.seed()))
+		set, totalRounds, col, err := coloring.RingMIS(g, ports, congest.Config{Seed: opts.seed()})
 		if err != nil {
 			return nil, err
 		}

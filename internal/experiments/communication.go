@@ -78,7 +78,7 @@ func runE17(opts Options) (*Table, error) {
 		add("theorem 5 (ε=0.5)", metrics{res.Metrics.Rounds, res.Metrics.Messages, res.Metrics.Bits, res.Metrics.MaxMessageBits})
 	}
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Ghaffari{}, mis.Rank{}} {
-		res, err := mis.Compute(alg, unw, congest.WithSeed(opts.seed()))
+		res, err := mis.Compute(alg, unw, congest.Config{Seed: opts.seed()})
 		if err != nil {
 			return nil, err
 		}

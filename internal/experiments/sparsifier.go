@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"distmwis/internal/congest"
 	"distmwis/internal/graph/gen"
 	"distmwis/internal/maxis"
 	"distmwis/internal/mis"
@@ -147,7 +148,7 @@ func runE5(opts Options) (*Table, error) {
 	for _, lw := range logWs {
 		g := gen.Weighted(topo, gen.UniformWeights(int64(1)<<uint(lw)), opts.seed())
 		// The sweep knows its own weight bound 2^lw, so declare it instead
-		// of letting the runtime re-scan the weights (and pin WithMaxWeight
+		// of letting the runtime re-scan the weights (and pin Config.MaxWeight
 		// on a real call site).
 		cfg := maxis.Config{Seed: opts.seed(), MIS: alg, MaxWeight: int64(1) << uint(lw)}
 		base, err := maxis.BarYehuda(g, cfg)
@@ -187,11 +188,11 @@ func runE13(opts Options) (*Table, error) {
 	}
 	for _, n := range sizes {
 		g := gen.GNP(n, 12/float64(n), opts.seed())
-		luby, err := mis.Compute(mis.Luby{}, g)
+		luby, err := mis.Compute(mis.Luby{}, g, congest.Config{})
 		if err != nil {
 			return nil, err
 		}
-		ghaf, err := mis.Compute(mis.Ghaffari{}, g)
+		ghaf, err := mis.Compute(mis.Ghaffari{}, g, congest.Config{})
 		if err != nil {
 			return nil, err
 		}

@@ -63,21 +63,20 @@ func (p *floodMax) Output() any { return p.best }
 func TestZeroScheduleIdentity(t *testing.T) {
 	g := gen.GNP(200, 0.04, 11)
 	newProc := func(p *floodMax) { p.rounds = 12 }
-	clean, err := congest.Run(g, newProc, congest.WithSeed(5), congest.WithWorkers(1))
+	clean, err := congest.Run(g, newProc, congest.Config{Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		opts []congest.Option
+		name    string
+		workers int
 	}{
-		{name: "sequential", opts: []congest.Option{congest.WithWorkers(1)}},
-		{name: "pool", opts: []congest.Option{congest.WithWorkers(8)}},
+		{name: "sequential", workers: 1},
+		{name: "pool", workers: 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := NewInjector(Schedule{Seed: 99})
-			opts := append(tc.opts, congest.WithSeed(5), congest.WithFaults(inj))
-			res, err := congest.Run(g, newProc, opts...)
+			res, err := congest.Run(g, newProc, congest.Config{Seed: 5, Workers: tc.workers, Hook: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +98,7 @@ func TestReplayDeterminism(t *testing.T) {
 	run := func(workers int) (*congest.Result, Stats) {
 		inj := NewInjector(sched)
 		res, err := congest.Run(g, func(p *floodMax) { p.rounds = 10 },
-			congest.WithSeed(7), congest.WithFaults(inj), congest.WithWorkers(workers))
+			congest.Config{Seed: 7, Hook: inj, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,8 +134,7 @@ func TestMISIndependenceUnderFaults(t *testing.T) {
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Ghaffari{}, mis.Rank{}, mis.GreedyByID{}} {
 		for i, sched := range scheds {
 			inj := NewInjector(sched)
-			res, err := alg.Run(g, congest.WithSeed(23), congest.WithFaults(inj),
-				congest.WithHardStop(sched.HardStop(g.N())))
+			res, err := alg.Run(g, congest.Config{Seed: 23, Hook: inj, HardStop: sched.HardStop(g.N())})
 			if err != nil {
 				t.Fatalf("%s schedule %d: %v", alg.Name(), i, err)
 			}

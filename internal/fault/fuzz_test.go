@@ -41,9 +41,7 @@ func FuzzEngineFaultDeterminism(f *testing.F) {
 		}
 		run := func(workers int) outcome {
 			inj := NewInjector(sched)
-			res, err := mis.Luby{}.Run(g, congest.WithSeed(21),
-				congest.WithWorkers(workers), congest.WithFaults(inj),
-				congest.WithHardStop(400))
+			res, err := mis.Luby{}.Run(g, congest.Config{Seed: 21, Workers: workers, Hook: inj, HardStop: 400})
 			if err != nil {
 				t.Fatalf("%d workers: %v", workers, err)
 			}

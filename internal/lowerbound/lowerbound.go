@@ -51,7 +51,7 @@ func RankingAlgorithm(c int) ApproxAlgorithm {
 // the plain cycle.
 func TruncatedLuby(rounds int) ApproxAlgorithm {
 	return func(g *graph.Graph, seed uint64) ([]bool, int, error) {
-		res, err := mis.Luby{}.Run(g, congest.WithSeed(seed), congest.WithHardStop(rounds))
+		res, err := mis.Luby{}.Run(g, congest.Config{Seed: seed, HardStop: rounds})
 		if err != nil {
 			return nil, 0, err
 		}

@@ -156,7 +156,7 @@ func BHR(g *graph.Graph, phases int, cfg Config) (*Result, error) {
 			break
 		}
 		ran++
-		set, _, err := dist.RunOnInduced(g, active, congest.Bind[bhrProcess](nil), &acc, cfg.Phase("race").Opts(seeds.Next())...)
+		set, _, err := dist.RunOnInduced(g, active, congest.Bind[bhrProcess](nil), &acc, cfg.Phase("race").Sim(seeds.Next()))
 		if err != nil {
 			return nil, fmt.Errorf("maxis: bhr phase %d: %w", ph+1, err)
 		}

@@ -33,7 +33,7 @@ func goodNodesRun(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *dist
 		return nil, nil, nil
 	}
 	// Phase 1: two-round good-node detection protocol.
-	res, err := dist.RunPhase(g, congest.Bind[goodDetect](nil), acc, cfg.Phase("goodnodes/detect").Opts(seeds.Next())...)
+	res, err := dist.RunPhase(g, congest.Bind[goodDetect](nil), acc, cfg.Phase("goodnodes/detect").Sim(seeds.Next()))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -41,7 +41,7 @@ func goodNodesRun(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *dist
 
 	// Phase 2: MIS over the good-node subgraph (Lemma 2: black-box MIS with
 	// the original NUpper works on any subgraph).
-	set, _, err = dist.RunOnInduced(g, good, cfg.MISAlg().Run, acc, cfg.Phase("goodnodes/mis").Opts(seeds.Next())...)
+	set, _, err = dist.RunOnInduced(g, good, cfg.MISAlg().Run, acc, cfg.Phase("goodnodes/mis").Sim(seeds.Next()))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package maxis
 import (
 	"testing"
 
+	"distmwis/internal/congest"
 	"distmwis/internal/dist"
 	"distmwis/internal/graph"
 	"distmwis/internal/graph/gen"
@@ -136,7 +137,7 @@ func TestGoodNodesRoundsAreMISPlusConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	misRes, err := mis.Compute(mis.Luby{}, g)
+	misRes, err := mis.Compute(mis.Luby{}, g, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func EstimateDegeneracy(g *graph.Graph, cfg Config) (*DegeneracyEstimate, error)
 		est.Metrics.AddRounds(1) // survivors exchange liveness flags
 		res, err := dist.RunPhase(sub.G, congest.Bind(func(p *peelProcess) {
 			p.threshold, p.budget = threshold, peelRounds
-		}), &est.Metrics, cfg.Phase("peel").Opts(seeds.Next())...)
+		}), &est.Metrics, cfg.Phase("peel").Sim(seeds.Next()))
 		if err != nil {
 			return nil, fmt.Errorf("maxis: peel threshold %d: %w", threshold, err)
 		}

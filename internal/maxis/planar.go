@@ -39,7 +39,7 @@ func PlanarConstantRound(g *graph.Graph, cfg Config) (*Result, error) {
 
 	// One round to learn which neighbours are low-degree (each node
 	// broadcasts a single bit).
-	res, err := dist.RunPhase(g, congest.Bind(func(p *degreeCapFlag) { p.cap = planarDegreeCap }), &acc, cfg.Phase("lowdeg-flag").Opts(seeds.Next())...)
+	res, err := dist.RunPhase(g, congest.Bind(func(p *degreeCapFlag) { p.cap = planarDegreeCap }), &acc, cfg.Phase("lowdeg-flag").Sim(seeds.Next()))
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,7 @@ func rankingRun(g *graph.Graph, c int, cfg Config, seeds *protocol.SeedSeq, acc 
 		return nil, nil
 	}
 	space := rankSpace(cfg.NUpper, c)
-	res, err := dist.RunPhase(g, congest.Bind(func(p *rankingProcess) { p.space = space }), acc, cfg.Phase("ranking").Opts(seeds.Next())...)
+	res, err := dist.RunPhase(g, congest.Bind(func(p *rankingProcess) { p.space = space }), acc, cfg.Phase("ranking").Sim(seeds.Next()))
 	if err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func SampleSparsifier(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *
 		acc = &dist.Accumulator{}
 	}
 	lam := cfg.LambdaOrDefault()
-	res, err := dist.RunPhase(g, congest.Bind(func(p *sparsifySample) { p.lambda = lam }), acc, cfg.Phase("sparsify/sample").Opts(seeds.Next())...)
+	res, err := dist.RunPhase(g, congest.Bind(func(p *sparsifySample) { p.lambda = lam }), acc, cfg.Phase("sparsify/sample").Sim(seeds.Next()))
 	if err != nil {
 		return nil, err
 	}

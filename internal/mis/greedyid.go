@@ -21,8 +21,8 @@ type GreedyByID struct{}
 func (GreedyByID) Name() string { return "greedy-id" }
 
 // Run implements Algorithm.
-func (GreedyByID) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
-	return congest.Run[greedyIDProcess](g, nil, opts...)
+func (GreedyByID) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
+	return congest.Run[greedyIDProcess](g, nil, c)
 }
 
 // RoundBudget implements Algorithm: the deterministic chain bound.

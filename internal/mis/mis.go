@@ -70,8 +70,8 @@ type Result struct {
 }
 
 // Compute runs alg on g and returns the membership vector plus metrics.
-func Compute(alg Algorithm, g *graph.Graph, opts ...congest.Option) (*Result, error) {
-	res, err := alg.Run(g, opts...)
+func Compute(alg Algorithm, g *graph.Graph, c congest.Config) (*Result, error) {
+	res, err := alg.Run(g, c)
 	if err != nil {
 		return nil, fmt.Errorf("mis: %s: %w", alg.Name(), err)
 	}
@@ -96,8 +96,8 @@ type Luby struct{}
 func (Luby) Name() string { return "luby" }
 
 // Run implements Algorithm.
-func (Luby) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
-	return congest.Run[lubyProcess](g, nil, opts...)
+func (Luby) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
+	return congest.Run[lubyProcess](g, nil, c)
 }
 
 // RoundBudget implements Algorithm: Luby terminates in O(log n) iterations
@@ -329,8 +329,8 @@ type Ghaffari struct{}
 func (Ghaffari) Name() string { return "ghaffari" }
 
 // Run implements Algorithm.
-func (Ghaffari) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
-	return congest.Run[ghaffariProcess](g, nil, opts...)
+func (Ghaffari) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
+	return congest.Run[ghaffariProcess](g, nil, c)
 }
 
 // RoundBudget implements Algorithm: O(log Δ) + poly(log log n) iterations
@@ -490,8 +490,8 @@ type Rank struct{}
 func (Rank) Name() string { return "rank" }
 
 // Run implements Algorithm.
-func (Rank) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
-	return congest.Run[rankProcess](g, nil, opts...)
+func (Rank) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
+	return congest.Run[rankProcess](g, nil, c)
 }
 
 // RoundBudget implements Algorithm: like Luby, O(log n) iterations w.h.p.

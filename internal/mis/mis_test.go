@@ -40,7 +40,7 @@ func TestAlgorithmsProduceMIS(t *testing.T) {
 		for name, g := range testGraphs(t) {
 			t.Run(alg.Name()+"/"+name, func(t *testing.T) {
 				for seed := uint64(1); seed <= 3; seed++ {
-					res, err := Compute(alg, g, congest.WithSeed(seed))
+					res, err := Compute(alg, g, congest.Config{Seed: seed})
 					if err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
@@ -56,7 +56,7 @@ func TestAlgorithmsProduceMIS(t *testing.T) {
 func TestCliqueMISHasExactlyOneNode(t *testing.T) {
 	g := gen.Clique(25)
 	for _, alg := range algorithms() {
-		res, err := Compute(alg, g)
+		res, err := Compute(alg, g, congest.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestCliqueMISHasExactlyOneNode(t *testing.T) {
 func TestIsolatedNodesAllJoin(t *testing.T) {
 	g := graph.NewBuilder(9).MustBuild()
 	for _, alg := range algorithms() {
-		res, err := Compute(alg, g)
+		res, err := Compute(alg, g, congest.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestLubyRoundsLogarithmic(t *testing.T) {
 	// Luby terminates in O(log n) iterations w.h.p.; with 3 rounds per
 	// iteration, 60 rounds is a generous cap for n = 4096.
 	g := gen.GNP(4096, 0.002, 3)
-	res, err := Compute(Luby{}, g)
+	res, err := Compute(Luby{}, g, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCongestComplianceWithTightBandwidth(t *testing.T) {
 	// All three protocols must fit their messages in 8·log2(n) bits.
 	g := gen.GNP(256, 0.05, 5)
 	for _, alg := range algorithms() {
-		if _, err := Compute(alg, g, congest.WithBandwidthFactor(8)); err != nil {
+		if _, err := Compute(alg, g, congest.Config{BandwidthFactor: 8}); err != nil {
 			t.Errorf("%s violates CONGEST bandwidth: %v", alg.Name(), err)
 		}
 	}
@@ -121,11 +121,11 @@ func TestVerifyRejectsBadSets(t *testing.T) {
 func TestDeterminismPerSeed(t *testing.T) {
 	g := gen.GNP(100, 0.05, 4)
 	for _, alg := range algorithms() {
-		a, err := Compute(alg, g, congest.WithSeed(42))
+		a, err := Compute(alg, g, congest.Config{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compute(alg, g, congest.WithSeed(42))
+		b, err := Compute(alg, g, congest.Config{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,11 +141,11 @@ func TestGreedyByIDIsSeedIndependent(t *testing.T) {
 	// The whole point of the deterministic box: output depends only on the
 	// graph, never on randomness.
 	g := gen.GNP(150, 0.05, 9)
-	a, err := Compute(GreedyByID{}, g, congest.WithSeed(1))
+	a, err := Compute(GreedyByID{}, g, congest.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compute(GreedyByID{}, g, congest.WithSeed(999))
+	b, err := Compute(GreedyByID{}, g, congest.Config{Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestGreedyByIDPicksLocalMaxima(t *testing.T) {
 	// On a path with increasing IDs (v+1), greedy-by-ID joins from the
 	// high end: nodes n-1, n-3, ...
 	g := gen.Path(6)
-	res, err := Compute(GreedyByID{}, g)
+	res, err := Compute(GreedyByID{}, g, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestGreedyByIDWorstCaseChain(t *testing.T) {
 	// worst case that motivates treating MIS as a black box.
 	const n = 120
 	g := gen.Path(n)
-	res, err := Compute(GreedyByID{}, g)
+	res, err := Compute(GreedyByID{}, g, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRoundBudgetsCoverActualRounds(t *testing.T) {
 	// measured rounds must stay below them.
 	g := gen.GNP(512, 0.03, 10)
 	for _, alg := range algorithms() {
-		res, err := Compute(alg, g, congest.WithSeed(4))
+		res, err := Compute(alg, g, congest.Config{Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func BenchmarkLuby(b *testing.B) {
 	g := gen.GNP(2048, 0.005, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(Luby{}, g, congest.WithSeed(uint64(i+1))); err != nil {
+		if _, err := Compute(Luby{}, g, congest.Config{Seed: uint64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,7 +73,7 @@ func TestProtoEngineParity(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
 			run := func(workers int) *congest.Result {
-				res, err := p.Run(g, congest.WithSeed(9), congest.WithWorkers(workers))
+				res, err := p.Run(g, congest.Config{Seed: 9, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,10 +6,10 @@
 //
 //   - Config: the execution knobs common to all algorithms (seed, model,
 //     bandwidth, faults, reliable transport, checkpointing, repair,
-//     tracing, worker count). Config.Opts compiles a Config into congest
-//     options exactly once, so every cross-cutting seam — fault
-//     injection, tracing, reliable delivery, checkpoint cadence — is wired
-//     in one place instead of per algorithm.
+//     tracing, worker count). Config.Sim compiles a Config into the
+//     congest.Config of one protocol phase, so every cross-cutting seam —
+//     fault injection, tracing, reliable delivery, checkpoint cadence — is
+//     wired in one place instead of per algorithm.
 //   - Params: the per-request algorithm parameters (ε, α) with
 //     per-algorithm normalisation via Solver.Normalize.
 //   - Result: the normalised outcome (set, weight, aggregated metrics,
@@ -59,7 +59,7 @@ type MIS interface {
 	Name() string
 	// Run runs the protocol on g (it is a congest.Runner). Every node's
 	// Output() is a bool: membership in the computed MIS.
-	Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error)
+	Run(g *graph.Graph, c congest.Config) (*congest.Result, error)
 	// RoundBudget returns the declared with-high-probability round budget
 	// MIS(n, Δ) for graphs with ≤ nUpper nodes and maximum degree ≤ maxDeg.
 	RoundBudget(nUpper, maxDeg int) int
@@ -88,15 +88,15 @@ type Config struct {
 	// Local switches to the LOCAL model (no bandwidth bound).
 	Local bool
 	// Workers sets how many goroutines step nodes in every protocol phase
-	// (default GOMAXPROCS; see congest.WithWorkers). Every count produces
+	// (≤ 0: GOMAXPROCS; see congest.Config.Workers). Every count produces
 	// bit-identical executions.
 	Workers int
 	// MaxWeight is the weight bound W handed to every protocol phase
-	// (congest.WithMaxWeight). Experiments that sweep W set it; otherwise
+	// (congest.Config.MaxWeight). Experiments that sweep W set it; otherwise
 	// Normalized sets it like NUpper.
 	MaxWeight int64
 	// maxID is the identifier bound handed to every protocol phase
-	// (congest.WithMaxID); Normalized sets it like MaxWeight. It is not
+	// (congest.Config.MaxID); Normalized sets it like MaxWeight. It is not
 	// settable: identifiers are the graph's, not an experiment's.
 	maxID uint64
 	// Faults, when enabled, installs a fault.Injector on every protocol
@@ -225,39 +225,28 @@ func (c Config) Phase(label string) Config {
 	return c
 }
 
-// Opts assembles the congest options for one protocol phase. This is the
-// single place where the cross-cutting seams — fault injection, tracing,
-// reliable delivery, checkpoint cadence, worker count — are compiled into
-// simulator options; algorithms never wire them by hand.
-func (c Config) Opts(phaseSeed uint64) []congest.Option {
-	out := []congest.Option{
-		congest.WithSeed(phaseSeed),
-		congest.WithNUpper(c.NUpper),
-	}
-	if c.Local {
-		out = append(out, congest.WithModel(congest.ModelLocal))
-	}
-	if c.BandwidthFactor > 0 {
-		out = append(out, congest.WithBandwidthFactor(c.BandwidthFactor))
-	}
-	if c.Workers > 0 {
-		out = append(out, congest.WithWorkers(c.Workers))
-	}
-	if c.MaxWeight > 0 {
-		out = append(out, congest.WithMaxWeight(c.MaxWeight))
-	}
-	if c.maxID > 0 {
-		out = append(out, congest.WithMaxID(c.maxID))
-	}
-	if c.Tracer != nil {
-		out = append(out, congest.WithTracer(c.Tracer), congest.WithTraceLabel(c.TraceLabel))
+// Sim builds the simulator configuration of one protocol phase. This is
+// the single place where the cross-cutting seams — fault injection,
+// tracing, reliable delivery, checkpoint cadence, worker count — are
+// compiled into a congest.Config; algorithms never wire them by hand.
+func (c Config) Sim(phaseSeed uint64) congest.Config {
+	sc := congest.Config{
+		Local:           c.Local,
+		BandwidthFactor: c.BandwidthFactor,
+		Seed:            phaseSeed,
+		NUpper:          c.NUpper,
+		Workers:         max(c.Workers, 0),
+		MaxWeight:       c.MaxWeight,
+		MaxID:           c.maxID,
+		Tracer:          c.Tracer,
+		TraceLabel:      c.TraceLabel,
 	}
 	if c.Faults.Enabled() {
 		inj := fault.NewInjector(c.Faults.WithSeed(phaseSeed))
 		if c.FaultStats != nil {
 			inj.ShareStats(c.FaultStats)
 		}
-		out = append(out, congest.WithFaults(inj), congest.WithHardStop(c.Faults.HardStop(c.NUpper)))
+		sc.Hook, sc.HardStop = inj, c.Faults.HardStop(c.NUpper)
 	}
 	if c.Reliable {
 		// Retransmission stretches a logical round over several physical
@@ -265,13 +254,13 @@ func (c Config) Opts(phaseSeed uint64) []congest.Option {
 		// sizes the transport's sequence-number fields and caps runaway
 		// inner executions under crash-stop.
 		hs := c.Faults.HardStop(c.NUpper)
-		out = append(out, congest.WithReliable(reliable.New(reliable.Options{
+		sc.Reliable = reliable.New(reliable.Options{
 			RoundBound:      16 * hs,
 			CheckpointEvery: c.CheckpointEvery,
-		})))
+		})
 		if c.Faults.Enabled() {
-			out = append(out, congest.WithHardStop(16*hs))
+			sc.HardStop = 16 * hs
 		}
 	}
-	return out
+	return sc
 }

@@ -37,7 +37,7 @@ func recycleRunners(t *testing.T) []recycleRunner {
 	var out []recycleRunner
 	for _, p := range protocol.Protos() {
 		out = append(out, recycleRunner{"proto/" + p.Name(), func(g *graph.Graph) (string, error) {
-			res, err := p.Run(g, congest.WithSeed(9))
+			res, err := p.Run(g, congest.Config{Seed: 9})
 			if err != nil {
 				return "", err
 			}

@@ -82,7 +82,7 @@ type Solver interface {
 	Normalize(p Params) (Params, error)
 	// Run executes the pipeline. Implementations inherit every
 	// cross-cutting seam (faults, tracing, reliable transport,
-	// checkpointing, worker count) from cfg via Config.Opts.
+	// checkpointing, worker count) from cfg via Config.Sim.
 	Run(g *graph.Graph, p Params, cfg Config) (*Result, error)
 	// Guarantee renders the human-readable approximation guarantee for the
 	// given instance; res is the completed run (some guarantees report
@@ -102,7 +102,7 @@ type Solver interface {
 type Proto interface {
 	Algorithm
 	// Run runs the protocol on g (it is a congest.Runner).
-	Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error)
+	Run(g *graph.Graph, c congest.Config) (*congest.Result, error)
 }
 
 // protoEntry adapts a runner (plus metadata) to Proto; MIS entries
@@ -118,8 +118,8 @@ type protoEntry struct {
 func (e *protoEntry) Name() string     { return e.name }
 func (e *protoEntry) Kind() Kind       { return e.kind }
 func (e *protoEntry) Describe() string { return e.describe }
-func (e *protoEntry) Run(g *graph.Graph, opts ...congest.Option) (*congest.Result, error) {
-	return e.run(g, opts...)
+func (e *protoEntry) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
+	return e.run(g, c)
 }
 
 var (

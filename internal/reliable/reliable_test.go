@@ -24,12 +24,11 @@ func testGraph(seed uint64) *graph.Graph {
 func TestTransparentNoFaults(t *testing.T) {
 	g := testGraph(7)
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Rank{}} {
-		plain, err := alg.Run(g, congest.WithSeed(5))
+		plain, err := alg.Run(g, congest.Config{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := alg.Run(g, congest.WithSeed(5),
-			congest.WithReliable(reliable.New(reliable.Options{})))
+		rel, err := alg.Run(g, congest.Config{Seed: 5, Reliable: reliable.New(reliable.Options{})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,15 +57,13 @@ func TestExactRecoveryUnderFaults(t *testing.T) {
 		{Seed: 4, Dup: 0.5},
 	}
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Rank{}} {
-		plain, err := alg.Run(g, congest.WithSeed(9))
+		plain, err := alg.Run(g, congest.Config{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, sched := range scheds {
 			inj := fault.NewInjector(sched)
-			rel, err := alg.Run(g, congest.WithSeed(9),
-				congest.WithFaults(inj),
-				congest.WithReliable(reliable.New(reliable.Options{})))
+			rel, err := alg.Run(g, congest.Config{Seed: 9, Hook: inj, Reliable: reliable.New(reliable.Options{})})
 			if err != nil {
 				t.Fatalf("%s schedule %d: %v", alg.Name(), i, err)
 			}
@@ -92,14 +89,12 @@ func TestExactRecoveryUnderFaults(t *testing.T) {
 // still match the fault-free run.
 func TestCrashRecoveryWithoutCheckpoint(t *testing.T) {
 	g := testGraph(13)
-	plain, err := mis.Luby{}.Run(g, congest.WithSeed(3))
+	plain, err := mis.Luby{}.Run(g, congest.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(fault.Schedule{Seed: 8, Loss: 0.1, CrashFrac: 0.2, CrashAt: 3, CrashBack: 9})
-	rel, err := mis.Luby{}.Run(g, congest.WithSeed(3),
-		congest.WithFaults(inj),
-		congest.WithReliable(reliable.New(reliable.Options{})))
+	rel, err := mis.Luby{}.Run(g, congest.Config{Seed: 3, Hook: inj, Reliable: reliable.New(reliable.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +114,12 @@ func TestCheckpointRestore(t *testing.T) {
 	g := testGraph(17)
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Ghaffari{}, mis.Rank{}} {
 		opts := reliable.Options{CheckpointEvery: 4}
-		base, err := alg.Run(g, congest.WithSeed(21),
-			congest.WithReliable(reliable.New(opts)))
+		base, err := alg.Run(g, congest.Config{Seed: 21, Reliable: reliable.New(opts)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		inj := fault.NewInjector(fault.Schedule{Seed: 6, Loss: 0.15, CrashFrac: 0.25, CrashAt: 4, CrashBack: 11})
-		rel, err := alg.Run(g, congest.WithSeed(21),
-			congest.WithFaults(inj),
-			congest.WithReliable(reliable.New(opts)))
+		rel, err := alg.Run(g, congest.Config{Seed: 21, Hook: inj, Reliable: reliable.New(opts)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +144,7 @@ func TestEngineAgreement(t *testing.T) {
 	sched := fault.Schedule{Seed: 5, Loss: 0.25, Dup: 0.1, Corrupt: 0.1, CrashFrac: 0.1, CrashAt: 3, CrashBack: 8}
 	run := func(workers int) *congest.Result {
 		inj := fault.NewInjector(sched)
-		res, err := mis.Rank{}.Run(g, congest.WithSeed(31),
-			congest.WithFaults(inj), congest.WithWorkers(workers),
-			congest.WithReliable(reliable.New(reliable.Options{CheckpointEvery: 5})))
+		res, err := mis.Rank{}.Run(g, congest.Config{Seed: 31, Hook: inj, Workers: workers, Reliable: reliable.New(reliable.Options{CheckpointEvery: 5})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,10 +171,7 @@ func TestEngineAgreement(t *testing.T) {
 func TestCrashStopRepair(t *testing.T) {
 	g := testGraph(23)
 	inj := fault.NewInjector(fault.Schedule{Seed: 9, Loss: 0.2, CrashFrac: 0.25, CrashAt: 2})
-	rel, err := mis.Luby{}.Run(g, congest.WithSeed(41),
-		congest.WithFaults(inj),
-		congest.WithReliable(reliable.New(reliable.Options{})),
-		congest.WithHardStop(1500))
+	rel, err := mis.Luby{}.Run(g, congest.Config{Seed: 41, Hook: inj, Reliable: reliable.New(reliable.Options{}), HardStop: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +231,12 @@ func TestIsolatedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := mis.Luby{}.Run(g, congest.WithSeed(2))
+	plain, err := mis.Luby{}.Run(g, congest.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(fault.Schedule{Seed: 3, Loss: 0.3})
-	rel, err := mis.Luby{}.Run(g, congest.WithSeed(2),
-		congest.WithFaults(inj),
-		congest.WithReliable(reliable.New(reliable.Options{})))
+	rel, err := mis.Luby{}.Run(g, congest.Config{Seed: 2, Hook: inj, Reliable: reliable.New(reliable.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +253,7 @@ func TestTraceReconciliation(t *testing.T) {
 	ring := trace.NewRing(0)
 	tot := &trace.Totals{}
 	inj := fault.NewInjector(fault.Schedule{Seed: 12, Loss: 0.25, Dup: 0.1, Corrupt: 0.1})
-	res, err := mis.Rank{}.Run(g, congest.WithSeed(14),
-		congest.WithFaults(inj),
-		congest.WithReliable(reliable.New(reliable.Options{})),
-		congest.WithTracer(trace.Tee{ring, tot}))
+	res, err := mis.Rank{}.Run(g, congest.Config{Seed: 14, Hook: inj, Reliable: reliable.New(reliable.Options{}), Tracer: trace.Tee{ring, tot}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +306,7 @@ func TestTraceReconciliation(t *testing.T) {
 func TestHeaderHeadroom(t *testing.T) {
 	g := testGraph(31)
 	tr := reliable.New(reliable.Options{})
-	res, err := mis.Rank{}.Run(g, congest.WithSeed(4),
-		congest.WithReliable(tr))
+	res, err := mis.Rank{}.Run(g, congest.Config{Seed: 4, Reliable: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,20 +315,21 @@ func TestHeaderHeadroom(t *testing.T) {
 	}
 }
 
-func benchRun(b *testing.B, opts ...congest.Option) {
+func benchRun(b *testing.B, c congest.Config) {
 	g := testGraph(37)
 	b.ReportAllocs()
+	c.Seed = 6
 	for i := 0; i < b.N; i++ {
-		if _, err := (mis.Luby{}).Run(g, append([]congest.Option{congest.WithSeed(6)}, opts...)...); err != nil {
+		if _, err := (mis.Luby{}).Run(g, c); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkPlain vs BenchmarkReliableOff pins the zero-cost-when-off
-// guarantee: WithReliable(nil) must be indistinguishable from no option.
-func BenchmarkPlain(b *testing.B)       { benchRun(b) }
-func BenchmarkReliableOff(b *testing.B) { benchRun(b, congest.WithReliable(nil)) }
+// guarantee: Config{Reliable: nil} must be indistinguishable from no transport.
+func BenchmarkPlain(b *testing.B)       { benchRun(b, congest.Config{}) }
+func BenchmarkReliableOff(b *testing.B) { benchRun(b, congest.Config{Reliable: nil}) }
 func BenchmarkReliableOn(b *testing.B) {
-	benchRun(b, congest.WithReliable(reliable.New(reliable.Options{})))
+	benchRun(b, congest.Config{Reliable: reliable.New(reliable.Options{})})
 }

@@ -102,10 +102,11 @@ func (c *resultCache) get(key string) (*cacheEntry, bool) {
 }
 
 // put stores an entry, evicting least-recently-used entries until the byte
-// budget holds. Entries larger than the whole budget are not stored.
+// budget holds. Entries larger than the whole budget are not stored, and a
+// negative budget (a disabled cache) stores nothing.
 func (c *resultCache) put(e *cacheEntry) {
 	sz := e.bytes()
-	if c.budget > 0 && sz > c.budget {
+	if c.budget < 0 || (c.budget > 0 && sz > c.budget) {
 		return
 	}
 	c.mu.Lock()

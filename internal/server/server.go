@@ -30,7 +30,7 @@ type Options struct {
 	Workers int
 	// SolveWorkers is the number of goroutines that step nodes within one
 	// solve (default 1: the service parallelises across requests, not
-	// within one; see congest.WithWorkers).
+	// within one; see congest.Config.Workers).
 	SolveWorkers int
 	// QueueDepth bounds each priority queue (default 256).
 	QueueDepth int

@@ -160,6 +160,21 @@ func TestSolveInlineGraphAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestNegativeCacheBytesDisablesCache: CacheBytes < 0 stores no answer, so
+// a repeated solve is solved again and the cache stays empty.
+func TestNegativeCacheBytesDisablesCache(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2, CacheBytes: -1})
+	req := SolveRequest{Gen: &GenSpec{Kind: "gnp", N: 100, P: 0.05, Weights: "poly2", Seed: 5}, Alg: "goodnodes", Seed: 5}
+	for i := range 2 {
+		if code, resp := postSolve(t, ts, req); code != http.StatusOK || resp.Cached {
+			t.Fatalf("solve %d: code=%d cached=%t, want 200 and not cached", i+1, code, resp.Cached)
+		}
+	}
+	if _, _, _, _, _, used, entries := s.cache.stats(); entries != 0 || used != 0 {
+		t.Fatalf("disabled cache holds %d entries (%d bytes), want none", entries, used)
+	}
+}
+
 // TestSolveCanonicalMatchesJSON: a graph sent as canonical bytes is the
 // same request as the graph sent as JSON — same graph hash, same set and
 // weight, and the same cache line, so the second form is a cache hit.

@@ -67,7 +67,7 @@ type Round struct {
 	FaultCorrupted  int64 `json:"faultCorrupted,omitempty"`
 	FaultDuplicated int64 `json:"faultDuplicated,omitempty"`
 	// Retransmits counts data frames re-sent by the reliable transport this
-	// round (zero without congest.WithReliable). Rounds where it is positive
+	// round (zero without congest.Config.Reliable). Rounds where it is positive
 	// are recovery work the fault-free execution would not have performed.
 	Retransmits int64 `json:"retransmits,omitempty"`
 	// ComputeNanos is the wall-clock spent running node steps (the engine
