@@ -4,8 +4,12 @@ GO ?= go
 
 all: vet build test
 
+# perfbench is a module of its own that `./...` does not reach, so vet and
+# build compile it explicitly; an internal API change that breaks it fails
+# here instead of only in bench-smoke.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet -mod=mod .
 
 # Static analysis beyond go vet. Any file gofmt would rewrite fails the
 # target. staticcheck is not vendored and the target never installs
@@ -23,6 +27,7 @@ lint: vet
 
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -mod=mod -o /dev/null .
 
 test:
 	$(GO) test ./...

@@ -245,21 +245,27 @@ type Process interface {
 
 // Result summarises a protocol execution.
 type Result struct {
-	// Rounds is the number of synchronous rounds executed.
-	Rounds int
+	Counters
 	// Outputs holds each node's Output(), indexed by node.
 	Outputs []any
+	// Truncated reports that the run was stopped by Config.HardStop before
+	// all nodes halted.
+	Truncated bool
+	// Bandwidth echoes the enforced per-message bit budget (0 = unbounded).
+	Bandwidth int
+}
+
+// Counters are the cost and fault tallies of one run, or (summed with Add)
+// of a pipeline of runs.
+type Counters struct {
+	// Rounds is the number of synchronous rounds executed.
+	Rounds int
 	// Messages counts all messages delivered.
 	Messages int64
 	// Bits counts the total payload bits of all messages.
 	Bits int64
 	// MaxMessageBits is the largest single message observed.
 	MaxMessageBits int
-	// Truncated reports that the run was stopped by Config.HardStop or the
-	// round limit before all nodes halted.
-	Truncated bool
-	// Bandwidth echoes the enforced per-message bit budget (0 = unbounded).
-	Bandwidth int
 	// FaultLost counts messages dropped by the fault layer: adversarial
 	// loss, plus messages addressed to a node that was down on arrival.
 	FaultLost int64
@@ -285,6 +291,22 @@ type Result struct {
 	// DeadPorts counts transport ports whose failure detector gave up on
 	// the far end.
 	DeadPorts int64
+}
+
+// Add sums o into c; MaxMessageBits takes the larger of the two.
+func (c *Counters) Add(o Counters) {
+	c.Rounds += o.Rounds
+	c.Messages += o.Messages
+	c.Bits += o.Bits
+	c.MaxMessageBits = max(c.MaxMessageBits, o.MaxMessageBits)
+	c.FaultLost += o.FaultLost
+	c.FaultCorrupted += o.FaultCorrupted
+	c.FaultDuplicated += o.FaultDuplicated
+	c.Retransmits += o.Retransmits
+	c.TransportAcks += o.TransportAcks
+	c.Recoveries += o.Recoveries
+	c.ReplayedRounds += o.ReplayedRounds
+	c.DeadPorts += o.DeadPorts
 }
 
 // Config configures one Run. The zero value of every field selects the
@@ -532,7 +554,7 @@ type simulator struct {
 // about ten Run calls per request), so Run borrows the buffers from
 // statePool instead of building them per call, and gives them back when
 // the run ends however it ends. Nothing a caller keeps points into it:
-// Result.Outputs and TruncationError.Partial are allocated fresh.
+// Result.Outputs is allocated fresh.
 type runState struct {
 	procs []Process
 	done  graph.Bitset
@@ -802,26 +824,9 @@ func (s *simulator) run() (*Result, error) {
 	s.res.Bandwidth = s.bandwidth
 	// Transport counters are cumulative per Reliability instance; snapshot a
 	// base so Result reports this run's deltas even if the instance is shared.
-	var relBase ReliabilityCounters
+	var relBase Counters
 	if s.cfg.Reliable != nil {
 		relBase = s.cfg.Reliable.Counters()
-	}
-	// finish completes the Result of a run that ended without a node error:
-	// the transport deltas and every node's output.
-	finish := func() Result {
-		if c := s.cfg.Reliable; c != nil {
-			now := c.Counters()
-			s.res.Retransmits = now.Retransmits - relBase.Retransmits
-			s.res.TransportAcks = now.AckFrames - relBase.AckFrames
-			s.res.Recoveries = now.Recoveries - relBase.Recoveries
-			s.res.ReplayedRounds = now.ReplayedRounds - relBase.ReplayedRounds
-			s.res.DeadPorts = now.DeadPorts - relBase.DeadPorts
-		}
-		s.res.Outputs = make([]any, n)
-		for v := 0; v < n; v++ {
-			s.res.Outputs[v] = s.procs[v].Output()
-		}
-		return s.res
 	}
 
 	exec := newPoolEngine(n, s.cfg.Workers, s.steps)
@@ -843,11 +848,13 @@ func (s *simulator) run() (*Result, error) {
 	// of these variables, keeping the untraced hot path unchanged.
 	tr := s.cfg.Tracer
 	var (
-		labeler  PhaseLabeler
-		runIdx   int
-		prev     traceCounters
-		phaseT0  time.Time
-		computeN int64
+		labeler         PhaseLabeler
+		runIdx          int
+		prev            Counters
+		prevLive        int
+		prevRetransmits int64
+		phaseT0         time.Time
+		computeN        int64
 	)
 	if tr != nil {
 		if n > 0 {
@@ -879,12 +886,16 @@ func (s *simulator) run() (*Result, error) {
 		}
 		if round > s.cfg.MaxRounds {
 			s.res.Truncated = true
-			partial := finish()
-			return nil, &TruncationError{Limit: s.cfg.MaxRounds, Partial: &partial}
+			return nil, fmt.Errorf("%w: %d rounds", ErrRoundLimit, s.cfg.MaxRounds)
 		}
 		s.res.Rounds = round
 		if tr != nil {
-			prev = s.snapshotCounters(live)
+			prev, prevLive = s.res.Counters, live
+			if s.cfg.Reliable != nil {
+				// Raw cumulative value: the per-round delta subtracts two
+				// readings, so the run-start base cancels.
+				prevRetransmits = s.cfg.Reliable.Counters().Retransmits
+			}
 			phaseT0 = time.Now()
 		}
 
@@ -923,22 +934,22 @@ func (s *simulator) run() (*Result, error) {
 		}
 
 		if tr != nil {
-			var retransmitsNow int64
+			var retransmits int64
 			if s.cfg.Reliable != nil {
-				retransmitsNow = s.cfg.Reliable.Counters().Retransmits
+				retransmits = s.cfg.Reliable.Counters().Retransmits - prevRetransmits
 			}
 			rec := trace.Round{
 				Run:             runIdx,
 				Round:           round,
 				Label:           s.cfg.TraceLabel,
-				Messages:        s.res.Messages - prev.messages,
-				Bits:            s.res.Bits - prev.bits,
+				Messages:        s.res.Messages - prev.Messages,
+				Bits:            s.res.Bits - prev.Bits,
 				MaxMessageBits:  roundMaxBits,
-				Halts:           prev.live - live,
-				FaultLost:       s.res.FaultLost - prev.lost,
-				FaultCorrupted:  s.res.FaultCorrupted - prev.corrupted,
-				FaultDuplicated: s.res.FaultDuplicated - prev.duplicated,
-				Retransmits:     retransmitsNow - prev.retransmits,
+				Halts:           prevLive - live,
+				FaultLost:       s.res.FaultLost - prev.FaultLost,
+				FaultCorrupted:  s.res.FaultCorrupted - prev.FaultCorrupted,
+				FaultDuplicated: s.res.FaultDuplicated - prev.FaultDuplicated,
+				Retransmits:     retransmits,
 				ComputeNanos:    computeN,
 				DeliveryNanos:   time.Since(phaseT0).Nanoseconds(),
 			}
@@ -949,7 +960,19 @@ func (s *simulator) run() (*Result, error) {
 		}
 	}
 
-	out := finish()
+	if c := s.cfg.Reliable; c != nil {
+		now := c.Counters()
+		s.res.Retransmits = now.Retransmits - relBase.Retransmits
+		s.res.TransportAcks = now.TransportAcks - relBase.TransportAcks
+		s.res.Recoveries = now.Recoveries - relBase.Recoveries
+		s.res.ReplayedRounds = now.ReplayedRounds - relBase.ReplayedRounds
+		s.res.DeadPorts = now.DeadPorts - relBase.DeadPorts
+	}
+	s.res.Outputs = make([]any, n)
+	for v := range n {
+		s.res.Outputs[v] = s.procs[v].Output()
+	}
+	out := s.res
 	return &out, nil
 }
 

@@ -386,7 +386,7 @@ func TestPortConsistency(t *testing.T) {
 	}
 }
 
-func TestTruncationErrorCarriesPartial(t *testing.T) {
+func TestRoundLimitError(t *testing.T) {
 	const n = 30
 	g := gen.Path(n)
 	res, err := Run(g, func(p *floodMax) { p.rounds = n }, Config{MaxRounds: 3})
@@ -399,22 +399,33 @@ func TestTruncationErrorCarriesPartial(t *testing.T) {
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("error %v does not unwrap to ErrRoundLimit", err)
 	}
-	var te *TruncationError
-	if !errors.As(err, &te) {
-		t.Fatalf("error %T is not a TruncationError", err)
+	if want := "congest: protocol exceeded round limit: 3 rounds"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
 	}
-	if te.Limit != 3 {
-		t.Errorf("Limit = %d, want 3", te.Limit)
-	}
-	if te.Partial == nil || !te.Partial.Truncated {
-		t.Fatal("TruncationError must carry the truncated partial result")
-	}
-	if len(te.Partial.Outputs) != n {
-		t.Fatalf("partial outputs: got %d, want %d", len(te.Partial.Outputs), n)
-	}
-	for v, out := range te.Partial.Outputs {
-		if _, ok := out.(uint64); !ok {
-			t.Fatalf("node %d output missing from partial result", v)
+}
+
+// TestCountersAddCarriesEveryField sets each field of Counters in turn and
+// requires Add to carry it: a sum for every counter, the max for
+// MaxMessageBits. A counter added to the type but left out of Add fails.
+func TestCountersAddCarriesEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Counters{})
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
+		var a, b Counters
+		reflect.ValueOf(&a).Elem().Field(i).SetInt(3)
+		reflect.ValueOf(&b).Elem().Field(i).SetInt(5)
+		a.Add(b)
+		want := int64(8)
+		if name == "MaxMessageBits" {
+			want = 5
+		}
+		if got := reflect.ValueOf(a).Field(i).Int(); got != want {
+			t.Errorf("Add: %s = %d, want %d", name, got, want)
+		}
+		var zero Counters
+		zero.Add(b)
+		if zero != b {
+			t.Errorf("Add into zero counters lost %s: %+v", name, zero)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package congest
 
-import (
-	"fmt"
-
-	"distmwis/internal/graph"
-)
+import "distmwis/internal/graph"
 
 // NodeState describes a node's availability in one round, as reported by a
 // DeliveryHook. A node that is not up neither executes its Round step nor
@@ -45,23 +41,3 @@ type DeliveryHook interface {
 	State(round, v int) NodeState
 	Deliver(round, from, to int, m *Message) (out *Message, dup bool)
 }
-
-// TruncationError reports that a protocol exceeded the round limit set by
-// Config.MaxRounds. It wraps ErrRoundLimit, so errors.Is(err, ErrRoundLimit)
-// continues to hold, and carries the partial Result — Outputs is fully
-// populated from every node's state at the moment the limit fired — so
-// callers that can use a best-effort answer are not left empty-handed.
-type TruncationError struct {
-	// Limit is the round limit that fired.
-	Limit int
-	// Partial is the truncated execution's Result. Outputs is always
-	// populated (never nil entries beyond what Output() itself returns)
-	// and Truncated is set.
-	Partial *Result
-}
-
-func (e *TruncationError) Error() string {
-	return fmt.Sprintf("%v: %d rounds", ErrRoundLimit, e.Limit)
-}
-
-func (e *TruncationError) Unwrap() error { return ErrRoundLimit }

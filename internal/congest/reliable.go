@@ -19,25 +19,10 @@ type Reliability interface {
 	// are still told Bandwidth = B. Header bits are counted in all traffic
 	// totals, so the overhead is measurable, not hidden.
 	HeaderBits() int
-	// Counters reports the transport's running totals. The simulator reads
-	// it between rounds, on the round loop's goroutine; implementations
-	// must make it safe against concurrent node steps (atomics).
-	Counters() ReliabilityCounters
-}
-
-// ReliabilityCounters are the transport's cumulative event counts.
-type ReliabilityCounters struct {
-	// Retransmits counts data frames sent beyond their first transmission.
-	Retransmits int64
-	// AckFrames counts pure control frames (no data payload): standalone
-	// cumulative ACKs and keep-alive pokes.
-	AckFrames int64
-	// Recoveries counts crash recoveries completed by checkpoint restore.
-	Recoveries int64
-	// ReplayedRounds counts logical rounds re-executed from the receive log
-	// during recoveries.
-	ReplayedRounds int64
-	// DeadPorts counts ports whose failure detector declared the far end
-	// dead (crash-stop neighbours, or false positives under extreme loss).
-	DeadPorts int64
+	// Counters reports the transport's cumulative totals in the five
+	// transport fields of Counters (Retransmits, TransportAcks, Recoveries,
+	// ReplayedRounds, DeadPorts), the rest zero. The simulator reads it
+	// between rounds, on the round loop's goroutine; implementations must
+	// make it safe against concurrent node steps (atomics).
+	Counters() Counters
 }

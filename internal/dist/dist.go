@@ -4,10 +4,11 @@
 // Algorithms 1 and 6 of the paper run a black-box protocol A repeatedly on
 // derived graphs (residual positive-weight subgraphs, bounded-degree
 // subgraphs) and account the total round complexity as the sum over phases.
-// Package dist mirrors that structure: an Accumulator sums the metrics of
-// successive congest runs plus the constant-round bookkeeping steps (flag
-// and weight exchanges between phases) that the distributed implementation
-// would perform, so reported round counts are honest end-to-end figures.
+// Package dist mirrors that structure: an Accumulator sums the
+// congest.Counters of successive runs plus the constant-round bookkeeping
+// steps (flag and weight exchanges between phases) that the distributed
+// implementation would perform, so reported round counts are honest
+// end-to-end figures.
 package dist
 
 import (
@@ -17,56 +18,25 @@ import (
 	"distmwis/internal/graph"
 )
 
-// Accumulator aggregates execution metrics across protocol phases.
+// Accumulator sums the counters of a pipeline's congest runs — rounds,
+// traffic, fault interventions and transport work — with Counters.Add, and
+// counts the runs and the truncated ones among them.
 type Accumulator struct {
-	// Rounds is the total synchronous rounds across all phases, including
-	// bookkeeping rounds added via AddRounds.
-	Rounds int
-	// Messages and Bits total the traffic of all phases.
-	Messages int64
-	Bits     int64
-	// MaxMessageBits is the largest message across phases.
-	MaxMessageBits int
+	congest.Counters
 	// Phases counts congest runs absorbed.
 	Phases int
 	// Truncations counts phases cut off by a hard stop before all nodes
 	// halted (under fault injection, blocked protocols are truncated).
 	Truncations int
-	// FaultLost, FaultCorrupted and FaultDuplicated total the fault
-	// layer's interventions across phases (zero without an injector).
-	FaultLost       int64
-	FaultCorrupted  int64
-	FaultDuplicated int64
-	// Retransmits, TransportAcks, Recoveries, ReplayedRounds and DeadPorts
-	// total the reliable transport's work across phases (zero when the
-	// transport is not installed).
-	Retransmits    int64
-	TransportAcks  int64
-	Recoveries     int64
-	ReplayedRounds int64
-	DeadPorts      int64
 }
 
-// Absorb adds one congest execution's metrics.
+// Absorb adds one congest execution's counters.
 func (a *Accumulator) Absorb(res *congest.Result) {
-	a.Rounds += res.Rounds
-	a.Messages += res.Messages
-	a.Bits += res.Bits
-	if res.MaxMessageBits > a.MaxMessageBits {
-		a.MaxMessageBits = res.MaxMessageBits
-	}
+	a.Counters.Add(res.Counters)
 	a.Phases++
 	if res.Truncated {
 		a.Truncations++
 	}
-	a.FaultLost += res.FaultLost
-	a.FaultCorrupted += res.FaultCorrupted
-	a.FaultDuplicated += res.FaultDuplicated
-	a.Retransmits += res.Retransmits
-	a.TransportAcks += res.TransportAcks
-	a.Recoveries += res.Recoveries
-	a.ReplayedRounds += res.ReplayedRounds
-	a.DeadPorts += res.DeadPorts
 }
 
 // AddRounds accounts constant-round bookkeeping (e.g. a one-round exchange
@@ -76,22 +46,9 @@ func (a *Accumulator) AddRounds(r int) { a.Rounds += r }
 
 // Add merges another accumulator (e.g. a nested algorithm's total).
 func (a *Accumulator) Add(b Accumulator) {
-	a.Rounds += b.Rounds
-	a.Messages += b.Messages
-	a.Bits += b.Bits
-	if b.MaxMessageBits > a.MaxMessageBits {
-		a.MaxMessageBits = b.MaxMessageBits
-	}
+	a.Counters.Add(b.Counters)
 	a.Phases += b.Phases
 	a.Truncations += b.Truncations
-	a.FaultLost += b.FaultLost
-	a.FaultCorrupted += b.FaultCorrupted
-	a.FaultDuplicated += b.FaultDuplicated
-	a.Retransmits += b.Retransmits
-	a.TransportAcks += b.TransportAcks
-	a.Recoveries += b.Recoveries
-	a.ReplayedRounds += b.ReplayedRounds
-	a.DeadPorts += b.DeadPorts
 }
 
 func (a Accumulator) String() string {

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"distmwis/internal/congest"
@@ -13,9 +14,9 @@ import (
 
 func TestAccumulatorAbsorbAndAdd(t *testing.T) {
 	var a Accumulator
-	a.Absorb(&congest.Result{Rounds: 5, Messages: 10, Bits: 100, MaxMessageBits: 12,
-		Retransmits: 7, TransportAcks: 4, Recoveries: 1, ReplayedRounds: 3, DeadPorts: 2})
-	a.Absorb(&congest.Result{Rounds: 3, Messages: 2, Bits: 20, MaxMessageBits: 30})
+	a.Absorb(&congest.Result{Counters: congest.Counters{Rounds: 5, Messages: 10, Bits: 100, MaxMessageBits: 12,
+		Retransmits: 7, TransportAcks: 4, Recoveries: 1, ReplayedRounds: 3, DeadPorts: 2}})
+	a.Absorb(&congest.Result{Counters: congest.Counters{Rounds: 3, Messages: 2, Bits: 20, MaxMessageBits: 30}})
 	a.AddRounds(2)
 	if a.Rounds != 10 || a.Messages != 12 || a.Bits != 120 || a.MaxMessageBits != 30 || a.Phases != 2 {
 		t.Errorf("accumulator wrong: %+v", a)
@@ -34,6 +35,28 @@ func TestAccumulatorAbsorbAndAdd(t *testing.T) {
 	}
 	if b.String() == "" {
 		t.Error("empty String()")
+	}
+
+	// A Result with every counter non-zero arrives whole, and a truncated
+	// run counts as a truncation.
+	whole := congest.Counters{Rounds: 1, Messages: 2, Bits: 3, MaxMessageBits: 4,
+		FaultLost: 5, FaultCorrupted: 6, FaultDuplicated: 7, Retransmits: 8,
+		TransportAcks: 9, Recoveries: 10, ReplayedRounds: 11, DeadPorts: 12}
+	v := reflect.ValueOf(whole)
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			t.Fatalf("test result leaves %s zero", v.Type().Field(i).Name)
+		}
+	}
+	var c Accumulator
+	c.Absorb(&congest.Result{Counters: whole, Truncated: true})
+	if want := (Accumulator{Counters: whole, Phases: 1, Truncations: 1}); c != want {
+		t.Errorf("Absorb: %#v, want %#v", c, want)
+	}
+	var d Accumulator
+	d.Add(c)
+	if d != c {
+		t.Errorf("Add: %#v, want %#v", d, c)
 	}
 }
 
@@ -137,14 +160,14 @@ func TestAccumulatorEmptyAbsorb(t *testing.T) {
 func TestAccumulatorOverflowAdjacentSums(t *testing.T) {
 	const half = math.MaxInt64 / 2 // 2^62 - 1
 	var a Accumulator
-	a.Absorb(&congest.Result{Messages: half, Bits: half, FaultLost: half, Retransmits: half})
-	a.Absorb(&congest.Result{Messages: half, Bits: half, FaultLost: half, Retransmits: half})
+	a.Absorb(&congest.Result{Counters: congest.Counters{Messages: half, Bits: half, FaultLost: half, Retransmits: half}})
+	a.Absorb(&congest.Result{Counters: congest.Counters{Messages: half, Bits: half, FaultLost: half, Retransmits: half}})
 	want := int64(2 * half) // MaxInt64 - 1: the largest even sum below overflow
 	if a.Messages != want || a.Bits != want || a.FaultLost != want || a.Retransmits != want {
 		t.Fatalf("overflow-adjacent absorb lost precision: %+v", a)
 	}
 	// One more unit lands exactly on MaxInt64.
-	a.Add(Accumulator{Messages: 1, Bits: 1, FaultLost: 1, Retransmits: 1})
+	a.Add(Accumulator{Counters: congest.Counters{Messages: 1, Bits: 1, FaultLost: 1, Retransmits: 1}})
 	if a.Messages != math.MaxInt64 || a.Bits != math.MaxInt64 ||
 		a.FaultLost != math.MaxInt64 || a.Retransmits != math.MaxInt64 {
 		t.Fatalf("sum to MaxInt64 wrong: %+v", a)
@@ -159,9 +182,9 @@ func TestAccumulatorOverflowAdjacentSums(t *testing.T) {
 // contract.
 func TestAccumulatorMaxMessageBitsIsMaxNotSum(t *testing.T) {
 	var a Accumulator
-	a.Absorb(&congest.Result{MaxMessageBits: 40})
-	a.Absorb(&congest.Result{MaxMessageBits: 8})
-	a.Add(Accumulator{MaxMessageBits: 25})
+	a.Absorb(&congest.Result{Counters: congest.Counters{MaxMessageBits: 40}})
+	a.Absorb(&congest.Result{Counters: congest.Counters{MaxMessageBits: 8}})
+	a.Add(Accumulator{Counters: congest.Counters{MaxMessageBits: 25}})
 	if a.MaxMessageBits != 40 {
 		t.Errorf("MaxMessageBits = %d, want 40", a.MaxMessageBits)
 	}

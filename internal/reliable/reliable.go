@@ -158,10 +158,10 @@ func (t *Transport) Wrap(p congest.Process) congest.Process {
 func (t *Transport) HeaderBits() int { return 3*t.w + 4 }
 
 // Counters implements congest.Reliability.
-func (t *Transport) Counters() congest.ReliabilityCounters {
-	return congest.ReliabilityCounters{
+func (t *Transport) Counters() congest.Counters {
+	return congest.Counters{
 		Retransmits:    t.retransmits.Load(),
-		AckFrames:      t.ackFrames.Load(),
+		TransportAcks:  t.ackFrames.Load(),
 		Recoveries:     t.recoveries.Load(),
 		ReplayedRounds: t.replayedRounds.Load(),
 		DeadPorts:      t.deadPorts.Load(),

@@ -113,17 +113,7 @@ var _ Tracer = (*Ring)(nil)
 // to time an execution.
 type Totals struct {
 	mu sync.Mutex
-	// Runs counts BeginRun calls; Rounds, Messages and Bits total the
-	// per-round records.
-	Runs     int
-	Rounds   int
-	Messages int64
-	Bits     int64
-	// Retransmits totals the reliable transport's re-sent data frames.
-	Retransmits int64
-	// ComputeNanos and DeliveryNanos total the two wall-clock phases.
-	ComputeNanos  int64
-	DeliveryNanos int64
+	TotalsSnapshot
 }
 
 // BeginRun implements Tracer.
@@ -149,13 +139,17 @@ func (t *Totals) OnRound(r Round) {
 // EndRun implements Tracer.
 func (t *Totals) EndRun(Summary) {}
 
-// TotalsSnapshot is a point-in-time copy of a Totals' counters.
+// TotalsSnapshot holds a Totals' counters; Snapshot returns a copy.
 type TotalsSnapshot struct {
-	Runs          int
-	Rounds        int
-	Messages      int64
-	Bits          int64
-	Retransmits   int64
+	// Runs counts BeginRun calls; Rounds, Messages and Bits total the
+	// per-round records.
+	Runs     int
+	Rounds   int
+	Messages int64
+	Bits     int64
+	// Retransmits totals the reliable transport's re-sent data frames.
+	Retransmits int64
+	// ComputeNanos and DeliveryNanos total the two wall-clock phases.
 	ComputeNanos  int64
 	DeliveryNanos int64
 }
@@ -165,15 +159,7 @@ type TotalsSnapshot struct {
 func (t *Totals) Snapshot() TotalsSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return TotalsSnapshot{
-		Runs:          t.Runs,
-		Rounds:        t.Rounds,
-		Messages:      t.Messages,
-		Bits:          t.Bits,
-		Retransmits:   t.Retransmits,
-		ComputeNanos:  t.ComputeNanos,
-		DeliveryNanos: t.DeliveryNanos,
-	}
+	return t.TotalsSnapshot
 }
 
 var _ Tracer = (*Totals)(nil)
