@@ -110,11 +110,13 @@ bench-patch:
 # one uncached Theorem 2 solve of graphs of 150 × 16 and 16 × 150
 # components through SolveComponents and through Solve; then the same
 # solve on gnp graphs of degree 8 with 20,000 and 200,000 nodes (about a
-# minute).
+# minute). Last, one whole cold request of the cold-solve shape through
+# the HTTP handler: its B/op is the cold request's allocation budget.
 bench-solve:
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkTheorem2Cold$$' ./internal/maxis/
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkSolveComponents$$' ./internal/maxis/
 	$(GO) test -run='^$$' -benchmem -count=3 -benchtime=3x -bench='^BenchmarkTheorem2Scale$$' ./internal/maxis/
+	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkColdRequest$$' ./internal/server/
 
 # Benchmark smoke: one second of every perfbench workload, built from
 # this checkout. Fails unless every run's result line reports

@@ -299,10 +299,10 @@ func BenchmarkTableE3(b *testing.B) {
 
 // benchSeamRun executes Luby's MIS on g with a hard stop bounding the work,
 // under the base benchmark seed plus the seam's configuration c.
-func benchSeamRun(b *testing.B, g *graph.Graph, c congest.Config) *congest.Result {
+func benchSeamRun(b *testing.B, g *graph.Graph, c congest.Config) *misOutput {
 	b.Helper()
 	c.Seed, c.HardStop = 11, 9
-	res, err := mis.Luby{}.Run(g, c)
+	res, err := runMIS(mis.Luby{}, g, c)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -375,16 +375,11 @@ func BenchmarkRoundLoop10M(b *testing.B) {
 	b.ResetTimer()
 	inSet := 0
 	for i := 0; i < b.N; i++ {
-		res, err := mis.Luby{}.Run(g, congest.Config{Seed: uint64(i + 1), HardStop: 9, Workers: 4})
+		res, err := runMIS(mis.Luby{}, g, congest.Config{Seed: uint64(i + 1), HardStop: 9, Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
-		inSet = 0
-		for _, out := range res.Outputs {
-			if joined, ok := out.(bool); ok && joined {
-				inSet++
-			}
-		}
+		inSet = graph.SetSize(res.Outputs)
 		if inSet == 0 {
 			b.Fatal("no node joined the MIS in 9 rounds on a 10M-node graph")
 		}
@@ -474,4 +469,20 @@ func BenchmarkServeSchedulerDepth1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSolve(b, h, raw)
 	}
+}
+
+// misOutput is an MIS run's Result with its membership vector.
+type misOutput struct {
+	*congest.Result
+	Outputs []bool
+}
+
+// runMIS runs an MIS box on g, collecting its membership vector.
+func runMIS(alg mis.Algorithm, g *graph.Graph, c congest.Config) (*misOutput, error) {
+	set := make([]bool, g.N())
+	res, err := alg.Run(g, c, set)
+	if err != nil {
+		return nil, err
+	}
+	return &misOutput{Result: res, Outputs: set}, nil
 }

@@ -72,17 +72,17 @@ func BuildBFSTree(g *graph.Graph, root int) (*Tree, error) {
 // an independent set (colour classes of proper colourings are independent).
 func MaxWeightClass(g *graph.Graph, col *Result, tree *Tree, c congest.Config) ([]bool, int, *congest.Result, error) {
 	k := col.NumColors
+	winners := make([]int, g.N())
 	res, err := congest.Run(g, func(p *classAggregate) {
 		p.colors, p.k, p.tree = col.Colors, k, tree
-	}, c)
+	}, c, func(v int, p *classAggregate) { winners[v] = p.winner })
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("coloring: aggregation: %w", err)
 	}
 	winner := -1
 	set := make([]bool, g.N())
-	for v, out := range res.Outputs {
-		w, ok := out.(int)
-		if !ok || w < 0 {
+	for v, w := range winners {
+		if w < 0 {
 			return nil, 0, nil, fmt.Errorf("coloring: node %d never learned the winner", v)
 		}
 		if winner == -1 {
@@ -211,8 +211,6 @@ func (p *classAggregate) forwardWinner() []*congest.Message {
 	}
 	return out
 }
-
-func (p *classAggregate) Output() any { return p.winner }
 
 // ColorClassApprox is the end-to-end Section 8 pipeline: (Δ+1)-colour the
 // graph, elect a root and build a BFS tree by flooding (a genuine CONGEST

@@ -24,10 +24,6 @@ func DistributedBFSTree(g *graph.Graph, budget int, c congest.Config) (*Tree, *c
 	if g.N() == 0 {
 		return &Tree{}, &congest.Result{}, nil
 	}
-	res, err := congest.Run(g, func(p *bfsBuild) { p.budget = budget }, c)
-	if err != nil {
-		return nil, nil, fmt.Errorf("coloring: distributed BFS: %w", err)
-	}
 	// Assemble the tree from per-node (rootID, dist, parentPort) outputs.
 	type nodeOut struct {
 		rootID     uint64
@@ -35,16 +31,15 @@ func DistributedBFSTree(g *graph.Graph, budget int, c congest.Config) (*Tree, *c
 		parentPort int
 	}
 	outs := make([]nodeOut, g.N())
+	res, err := congest.Run(g, func(p *bfsBuild) { p.budget = budget }, c, func(v int, p *bfsBuild) {
+		outs[v] = nodeOut{rootID: p.rootID, dist: p.dist, parentPort: p.parentPort}
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("coloring: distributed BFS: %w", err)
+	}
 	var rootID uint64
-	for v, o := range res.Outputs {
-		bo, ok := o.(bfsOutput)
-		if !ok {
-			return nil, nil, fmt.Errorf("coloring: node %d produced no BFS state", v)
-		}
-		outs[v] = nodeOut{rootID: bo.RootID, dist: bo.Dist, parentPort: bo.ParentPort}
-		if bo.RootID > rootID {
-			rootID = bo.RootID
-		}
+	for _, o := range outs {
+		rootID = max(rootID, o.rootID)
 	}
 	tree := &Tree{ParentPort: make([]int, g.N()), ChildPorts: make([][]int, g.N())}
 	for v := 0; v < g.N(); v++ {
@@ -72,13 +67,6 @@ func DistributedBFSTree(g *graph.Graph, budget int, c congest.Config) (*Tree, *c
 		}
 	}
 	return tree, res, nil
-}
-
-// bfsOutput is a node's final BFS state.
-type bfsOutput struct {
-	RootID     uint64
-	Dist       int
-	ParentPort int
 }
 
 // bfsBuild floods (rootID, dist) pairs; each node keeps the
@@ -129,8 +117,4 @@ func (p *bfsBuild) Round(round int, recv []*congest.Message) ([]*congest.Message
 	w.WriteUint(p.rootID, p.info.MaxID)
 	w.WriteUint(uint64(p.dist), uint64(p.info.NUpper))
 	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), done
-}
-
-func (p *bfsBuild) Output() any {
-	return bfsOutput{RootID: p.rootID, Dist: p.dist, ParentPort: p.parentPort}
 }

@@ -50,11 +50,13 @@ func ColeVishkinRing(g *graph.Graph, succPort []int, c congest.Config) (*Result,
 			return nil, fmt.Errorf("coloring: bad successor port for node %d", v)
 		}
 	}
-	res, err := congest.Run(g, func(p *coleVishkin) { p.succPorts = succPort }, c)
+	colors := make([]int, g.N())
+	res, err := congest.Run(g, func(p *coleVishkin) { p.succPorts = succPort }, c,
+		func(v int, p *coleVishkin) { colors[v] = int(p.colour) })
 	if err != nil {
 		return nil, fmt.Errorf("coloring: cole-vishkin: %w", err)
 	}
-	return collect(g, res)
+	return collect(colors, res), nil
 }
 
 // cvReductionRounds computes how many bit-index reductions shrink a colour
@@ -184,8 +186,6 @@ func (p *coleVishkin) applyReduction(pred uint64) {
 	bitsNeeded := uint64(wire.BitsFor(p.space - 1))
 	p.space = 2 * bitsNeeded
 }
-
-func (p *coleVishkin) Output() any { return int(p.colour) }
 
 // RingMIS composes Cole–Vishkin with the colouring→MIS conversion: a
 // deterministic MIS of an oriented ring in O(log* n) rounds, matching

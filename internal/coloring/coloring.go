@@ -34,7 +34,13 @@ func init() {
 	// call (ColeVishkinRing).
 	protocol.RegisterProcess(protocol.KindColoring, "randomgreedy",
 		"randomized (Δ+1)-colouring by conflict-free proposals; O(log n) rounds w.h.p.",
-		congest.Bind[greedyColour](nil))
+		func(g *graph.Graph, c congest.Config) (*congest.Result, []int, error) {
+			col, err := RandomGreedy(g, c)
+			if err != nil {
+				return nil, nil, err
+			}
+			return col.Exec, col.Colors, nil
+		})
 }
 
 // Result is a computed colouring.
@@ -76,27 +82,21 @@ func Verify(g *graph.Graph, colors []int, limit int) error {
 // Terminates in O(log n) rounds with high probability; each node uses at
 // most deg(v)+1 ≤ Δ+1 colours.
 func RandomGreedy(g *graph.Graph, c congest.Config) (*Result, error) {
-	res, err := congest.Run[greedyColour](g, nil, c)
+	colors := make([]int, g.N())
+	res, err := congest.Run(g, nil, c, func(v int, p *greedyColour) { colors[v] = p.colour })
 	if err != nil {
 		return nil, fmt.Errorf("coloring: random greedy: %w", err)
 	}
-	return collect(g, res)
+	return collect(colors, res), nil
 }
 
-func collect(g *graph.Graph, res *congest.Result) (*Result, error) {
-	colors := make([]int, g.N())
+// collect wraps a run's colours as a Result.
+func collect(colors []int, res *congest.Result) *Result {
 	numColors := 0
-	for v, out := range res.Outputs {
-		c, ok := out.(int)
-		if !ok {
-			return nil, fmt.Errorf("coloring: node %d produced no colour", v)
-		}
-		colors[v] = c
-		if c+1 > numColors {
-			numColors = c + 1
-		}
+	for _, c := range colors {
+		numColors = max(numColors, c+1)
 	}
-	return &Result{Colors: colors, NumColors: numColors, Exec: res}, nil
+	return &Result{Colors: colors, NumColors: numColors, Exec: res}
 }
 
 // greedyColour is one node's state in RandomGreedy. Iterations take two
@@ -192,8 +192,6 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), true
 }
 
-func (p *greedyColour) Output() any { return p.colour }
-
 // TracePhase labels the two-round trial cadence for tracers.
 func (p *greedyColour) TracePhase(round int) string {
 	if round%2 == 1 {
@@ -208,13 +206,14 @@ func (p *greedyColour) TracePhase(round int) string {
 func MISFromColoring(g *graph.Graph, col *Result, c congest.Config) ([]bool, *congest.Result, error) {
 	colors := col.Colors
 	k := col.NumColors
+	set := make([]bool, g.N())
 	res, err := congest.Run(g, func(p *colourClassMIS) {
 		p.colors, p.k = colors, k
-	}, c)
+	}, c, func(v int, p *colourClassMIS) { set[v] = p.joined })
 	if err != nil {
 		return nil, nil, fmt.Errorf("coloring: MIS conversion: %w", err)
 	}
-	return congest.BoolOutputs(res), res, nil
+	return set, res, nil
 }
 
 // colourClassMIS joins colour class r-1 in round r. Independence of the
@@ -310,5 +309,3 @@ func (p *colourClassMIS) faultyRound(round int, recv []*congest.Message) ([]*con
 	w.WriteUint(p.info.ID, p.info.MaxID)
 	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), false
 }
-
-func (p *colourClassMIS) Output() any { return p.joined }

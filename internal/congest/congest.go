@@ -40,11 +40,13 @@
 //
 // A run allocates in proportion to itself, not to n (see slots.go). Run
 // takes a process type and hands node v element v of a recycled, zeroed
-// []T; NodeInfo.Message builds a node's message in a per-node slot that
-// the simulator reuses every round. Messages are valid only until the step
-// that handles them returns: a slot message until its sender's step
-// returns, a received message until its receiver's. A process that keeps
-// or forwards a payload past that builds it with NewMessage.
+// []T, from which the caller reads the outputs when the run ends;
+// NodeInfo.Message builds a node's message in a per-node slot that the
+// simulator reuses every round, and a chain of runs shares one Scratch.
+// Messages are valid only until the step that handles them returns: a
+// slot message until its sender's step returns, a received message until
+// its receiver's. A process that keeps or forwards a payload past that
+// builds it with NewMessage.
 package congest
 
 import (
@@ -53,7 +55,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
-	"sync"
 	"time"
 
 	"distmwis/internal/graph"
@@ -179,8 +180,7 @@ type NodeInfo struct {
 	// after delivery.
 	//
 	// Rand and Out belong to the simulator's per-run state, which the next
-	// Run reuses: both are valid only while the run lasts, and a process
-	// must not use them once Output has been called.
+	// Run reuses: both are valid only while the run lasts.
 	Out []*Message
 	// slots backs Message; nil when the run has slots off.
 	slots *slotTable
@@ -192,8 +192,8 @@ type NodeInfo struct {
 // run ends: per-port state, typically, with n a multiple of Degree. It
 // may only be called from Init. The words come from memory the simulator
 // recycles across runs, so a protocol with per-port state allocates
-// nothing per node; like Rand and Out they must not be used once Output
-// has been called.
+// nothing per node; like Rand and Out they are valid only while the run
+// lasts.
 func (info *NodeInfo) Words(n int) []uint64 {
 	if info.words == nil {
 		return make([]uint64, n)
@@ -227,7 +227,9 @@ func Broadcast(out []*Message, m *Message) []*Message {
 	return out
 }
 
-// Process is one node's state machine.
+// Process is one node's state machine. Its output — a membership flag, a
+// colour — is state of its concrete type, which the caller of Run reads
+// when the run ends.
 type Process interface {
 	// Init is called once before the first round.
 	Init(info NodeInfo)
@@ -239,15 +241,11 @@ type Process interface {
 	// NodeInfo.Out. Returning done halts the node after its outgoing
 	// messages are delivered.
 	Round(round int, recv []*Message) (send []*Message, done bool)
-	// Output returns the node's final (or current, if truncated) output.
-	Output() any
 }
 
 // Result summarises a protocol execution.
 type Result struct {
 	Counters
-	// Outputs holds each node's Output(), indexed by node.
-	Outputs []any
 	// Truncated reports that the run was stopped by Config.HardStop before
 	// all nodes halted.
 	Truncated bool
@@ -354,6 +352,10 @@ type Config struct {
 	// enable defensive message formats whose cost is only justified under
 	// faults, and the run steps on one worker.
 	Hook DeliveryHook
+	// Scratch, when non-nil, is the memory the run works in (see Scratch):
+	// a chain of runs, one at a time, shares it. Nil borrows one for the
+	// run alone.
+	Scratch *Scratch
 	// Reliable, when non-nil, is a reliable-delivery transport. Every
 	// process is wrapped via Reliable.Wrap, the physical bandwidth check is
 	// widened by Reliable.HeaderBits(), and the transport's counters are
@@ -387,48 +389,67 @@ func Bandwidth(nUpper, factor int) int {
 	return factor * bits.Len(uint(nUpper-1))
 }
 
-// Runner runs one protocol on g: a process type bound to its per-run
+// Runner runs one protocol on g whose output is one flag per node —
+// membership in the set it computes — and stores node v's flag in out[v];
+// len(out) must be g.N(). It is a process type bound to its per-run
 // constants (see Bind). The phase-composition layers and the protocol
 // registry take protocols in this form.
-type Runner func(g *graph.Graph, c Config) (*Result, error)
+type Runner func(g *graph.Graph, c Config, out []bool) (*Result, error)
 
-// Bind returns the Runner that calls Run for process type T with set.
+// Bind returns the Runner that calls Run for process type T with set and
+// reads each node's flag from its Output method.
 func Bind[T any, P interface {
 	*T
 	Process
+	Output() bool
 }](set func(P)) Runner {
-	return func(g *graph.Graph, c Config) (*Result, error) { return Run(g, set, c) }
+	return func(g *graph.Graph, c Config, out []bool) (*Result, error) {
+		return Run(g, set, c, func(v int, p P) { out[v] = p.Output() })
+	}
 }
 
 // Run executes one protocol instance per node of g until every node halts.
 // Node v's process is element v of a recycled []T (see slots.go), zeroed,
 // so it starts exactly as &T{} would; set, when non-nil, then applies the
-// per-run constants to each process before Init.
+// per-run constants to each process before Init. When the run ends —
+// every node halted, or Config.HardStop cut it off — collect, when
+// non-nil, is called with every node's process in index order: the one
+// place a caller reads outputs, before the array is recycled.
 func Run[T any, P interface {
 	*T
 	Process
-}](g *graph.Graph, set func(P), c Config) (*Result, error) {
-	sim, err := newSimulator(g, c)
+}](g *graph.Graph, set func(P), c Config, collect func(v int, p P)) (*Result, error) {
+	sc := c.Scratch
+	if sc == nil {
+		sc = NewScratch()
+		defer sc.Release()
+	}
+	sim, err := newSimulator(g, c, &sc.state)
 	if err != nil {
 		return nil, err
 	}
 	defer sim.release()
-	procs := borrowProcs[T](g.N())
-	defer returnProcs(procs)
-	for v := range *procs {
-		p := P(&(*procs)[v])
+	procs := scratchProcs[T](sc, g.N())
+	defer clear(procs)
+	for v := range procs {
+		p := P(&procs[v])
 		if set != nil {
 			set(p)
 		}
 		sim.procs[v] = p
 	}
-	return sim.run()
+	res, err := sim.run()
+	if err == nil && collect != nil {
+		for v := range procs {
+			collect(v, P(&procs[v]))
+		}
+	}
+	return res, err
 }
 
 // newSimulator fills in c's defaults, validates it for g and prepares a
-// simulator on a borrowed runState; the caller fills procs, then calls run
-// and release.
-func newSimulator(g *graph.Graph, c Config) (*simulator, error) {
+// simulator on st; the caller fills procs, then calls run and release.
+func newSimulator(g *graph.Graph, c Config, st *runState) (*simulator, error) {
 	if c.BandwidthFactor <= 0 {
 		c.BandwidthFactor = 8
 	}
@@ -481,7 +502,7 @@ func newSimulator(g *graph.Graph, c Config) (*simulator, error) {
 		c.Workers = 1
 	}
 
-	sim := &simulator{g: g, cfg: c, bandwidth: bandwidth, physBandwidth: bandwidth, rev: g.ReverseArcs()}
+	sim := &simulator{g: g, cfg: c, bandwidth: bandwidth, physBandwidth: bandwidth}
 	if c.Reliable != nil && bandwidth > 0 {
 		// Transport framing (seq/ack headers) rides above the CONGEST bound:
 		// inner processes still budget against B, physical frames may carry
@@ -492,7 +513,7 @@ func newSimulator(g *graph.Graph, c Config) (*simulator, error) {
 	// force them). Sender slots are off there, and with the reliable
 	// transport, which keeps inner messages for retransmission.
 	heap := sim.physBandwidth == 0 || forceHeapSlots
-	sim.runState = statePool.Get().(*runState)
+	sim.runState = st
 	sim.reset(g, sim.physBandwidth, heap, !heap && c.Reliable == nil, c.MaxRounds)
 	return sim, nil
 }
@@ -543,21 +564,22 @@ type simulator struct {
 	// physBandwidth is the enforced per-frame limit: bandwidth plus the
 	// reliable transport's header headroom (equal to bandwidth without one).
 	physBandwidth int
-	// rev is g's reverse-arc table: a message on arc a lands in slot rev[a].
-	rev []int32
 	*runState
 	res Result
 }
 
 // runState is every per-run buffer of a simulation whose size follows the
 // graph. A solve chains many short protocols (the Theorem 2 pipeline makes
-// about ten Run calls per request), so Run borrows the buffers from
-// statePool instead of building them per call, and gives them back when
-// the run ends however it ends. Nothing a caller keeps points into it:
-// Result.Outputs is allocated fresh.
+// about ten Run calls per request), so the buffers live in the solve's
+// Scratch instead of being built per call, and are cleared of references
+// when the run ends however it ends. Nothing a caller keeps points into
+// it: outputs are read off the process array before it is recycled.
 type runState struct {
 	procs []Process
-	done  graph.Bitset
+	// rev is g's reverse-arc table (graph.FillReverseArcs): a message on arc a
+	// lands in slot rev[a]. revCur is the scratch that builds it.
+	rev, revCur []int32
+	done        graph.Bitset
 	// live lists the nodes not done, ascending: the nodes a round steps.
 	live []int32
 	// inbox holds every arc's receive slot, one slab per round parity
@@ -582,8 +604,6 @@ type runState struct {
 	pendingDups []pendingDup
 	dupBuf      []byte
 }
-
-var statePool = sync.Pool{New: func() any { return new(runState) }}
 
 // resize returns s with length n and every element zero, reusing its
 // backing array when the capacity allows.
@@ -610,6 +630,8 @@ func grow[S ~[]E, E any](s S, n int) S {
 func (st *runState) reset(g *graph.Graph, physBandwidth int, heap, slotsOn bool, maxRounds int) {
 	n, ports := g.N(), 2*g.M()
 	st.procs = resize(st.procs, n)
+	st.rev, st.revCur = grow(st.rev, ports), grow(st.revCur, n)
+	g.FillReverseArcs(st.rev, st.revCur)
 	st.done = resize(st.done, (n+63)/64) // the words of graph.NewBitset(n)
 	st.live = grow(st.live, n)
 	for v := range st.live {
@@ -626,8 +648,8 @@ func (st *runState) reset(g *graph.Graph, physBandwidth int, heap, slotsOn bool,
 }
 
 // release is the one exit of every run — normal end, round limit, hard
-// stop, node error or panic. It retires the run's stamps, drops every
-// reference the run left behind and puts the state back into statePool.
+// stop, node error or panic. It retires the run's stamps and drops every
+// reference the run left behind, readying the state for the next run.
 func (s *simulator) release() {
 	st := s.runState
 	st.inbox.retire(s.res.Rounds)
@@ -637,7 +659,6 @@ func (s *simulator) release() {
 		st.ws[i].release()
 	}
 	st.pendingDups, st.dupBuf = st.pendingDups[:0], st.dupBuf[:0]
-	statePool.Put(st)
 }
 
 // worker is one executor worker's view of a round: the tallies its node
@@ -968,10 +989,6 @@ func (s *simulator) run() (*Result, error) {
 		s.res.ReplayedRounds = now.ReplayedRounds - relBase.ReplayedRounds
 		s.res.DeadPorts = now.DeadPorts - relBase.DeadPorts
 	}
-	s.res.Outputs = make([]any, n)
-	for v := range n {
-		s.res.Outputs[v] = s.procs[v].Output()
-	}
 	out := s.res
 	return &out, nil
 }
@@ -1034,16 +1051,4 @@ func (s *simulator) applyDups(round int) {
 	}
 	s.pendingDups = s.pendingDups[:0]
 	s.dupBuf = s.dupBuf[:0]
-}
-
-// BoolOutputs converts a Result's outputs to a []bool membership vector;
-// nodes whose output is not a bool are treated as false.
-func BoolOutputs(res *Result) []bool {
-	out := make([]bool, len(res.Outputs))
-	for i, o := range res.Outputs {
-		if b, ok := o.(bool); ok {
-			out[i] = b
-		}
-	}
-	return out
 }

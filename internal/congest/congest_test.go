@@ -49,7 +49,7 @@ func (p *idExchange) Output() any { return p.heard }
 
 func TestIDExchangeLearnsNeighbors(t *testing.T) {
 	g := gen.Cycle(8)
-	res, err := Run[idExchange](g, nil, Config{})
+	res, err := RunOutputs[idExchange](g, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func (p *floodMax) Output() any { return p.best }
 func TestFloodMaxConverges(t *testing.T) {
 	const n = 20
 	g := gen.Path(n)
-	res, err := Run(g, func(p *floodMax) { p.rounds = n }, Config{})
+	res, err := RunOutputs(g, func(p *floodMax) { p.rounds = n }, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFloodMaxTruncated(t *testing.T) {
 	const n = 30
 	g := gen.Path(n)
 	// After 3 rounds, node 0 cannot know IDs further than distance ~3.
-	res, err := Run(g, func(p *floodMax) { p.rounds = n }, Config{HardStop: 3})
+	res, err := RunOutputs(g, func(p *floodMax) { p.rounds = n }, Config{HardStop: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func (p *bigTalker) Output() any { return nil }
 
 func TestBandwidthEnforced(t *testing.T) {
 	g := gen.Cycle(16)
-	if _, err := Run[bigTalker](g, nil, Config{}); err == nil {
+	if _, err := RunOutputs[bigTalker](g, nil, Config{}); err == nil {
 		t.Fatal("expected bandwidth violation in CONGEST")
 	}
 	// The same protocol is legal in LOCAL.
-	if _, err := Run[bigTalker](g, nil, Config{Local: true}); err != nil {
+	if _, err := RunOutputs[bigTalker](g, nil, Config{Local: true}); err != nil {
 		t.Fatalf("LOCAL run failed: %v", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestBandwidthValue(t *testing.T) {
 func TestSeedChangesRandomness(t *testing.T) {
 	g := gen.Cycle(64)
 	run := func(seed uint64) []any {
-		res, err := Run[coinFlipper](g, nil, Config{Seed: seed})
+		res, err := RunOutputs[coinFlipper](g, nil, Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,14 +238,14 @@ func (p *coinFlipper) Output() any { return p.coin }
 
 func TestNUpperValidation(t *testing.T) {
 	g := gen.Cycle(10)
-	if _, err := Run[coinFlipper](g, nil, Config{NUpper: 5}); err == nil {
+	if _, err := RunOutputs[coinFlipper](g, nil, Config{NUpper: 5}); err == nil {
 		t.Error("expected error for NUpper < n")
 	}
 }
 
 func TestRoundLimit(t *testing.T) {
 	g := gen.Cycle(4)
-	_, err := Run[neverDone](g, nil, Config{MaxRounds: 10})
+	_, err := RunOutputs[neverDone](g, nil, Config{MaxRounds: 10})
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Errorf("err = %v, want ErrRoundLimit", err)
 	}
@@ -259,7 +259,7 @@ func (p *neverDone) Output() any                              { return nil }
 
 func TestTooManyPortsRejected(t *testing.T) {
 	g := gen.Path(3)
-	_, err := Run[overSender](g, nil, Config{})
+	_, err := RunOutputs[overSender](g, nil, Config{})
 	if err == nil {
 		t.Error("expected error for sending on more ports than degree")
 	}
@@ -285,7 +285,7 @@ func TestMessagesToHaltedNodesDropped(t *testing.T) {
 	// Node 0 halts immediately; node 1 keeps sending to it for 3 rounds.
 	// The run must terminate cleanly with correct message accounting.
 	g := gen.Path(2)
-	res, err := Run[stubbornSender](g, nil, Config{Seed: 1})
+	res, err := RunOutputs[stubbornSender](g, nil, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,15 +314,6 @@ func (p *stubbornSender) Round(round int, recv []*Message) ([]*Message, bool) {
 }
 
 func (p *stubbornSender) Output() any { return nil }
-
-func TestBoolOutputs(t *testing.T) {
-	res := &Result{Outputs: []any{true, false, nil, "x", true}}
-	got := BoolOutputs(res)
-	want := []bool{true, false, false, false, true}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("BoolOutputs = %v, want %v", got, want)
-	}
-}
 
 // portConsistency checks that messages are delivered on the correct reverse
 // ports: each node sends its ID tagged with the port it used, and the
@@ -373,7 +364,7 @@ func TestPortConsistency(t *testing.T) {
 		{name: "tree", g: gen.RandomTree(80, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.g, func(p *portConsistency) { p.g = tc.g }, Config{})
+			res, err := RunOutputs(tc.g, func(p *portConsistency) { p.g = tc.g }, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +380,7 @@ func TestPortConsistency(t *testing.T) {
 func TestRoundLimitError(t *testing.T) {
 	const n = 30
 	g := gen.Path(n)
-	res, err := Run(g, func(p *floodMax) { p.rounds = n }, Config{MaxRounds: 3})
+	res, err := RunOutputs(g, func(p *floodMax) { p.rounds = n }, Config{MaxRounds: 3})
 	if err == nil {
 		t.Fatal("expected round-limit error")
 	}
@@ -459,7 +450,7 @@ func TestHookDropsAndCrashes(t *testing.T) {
 	g := gen.Path(n)
 	// Drop everything node 0 sends: its ID never propagates, so the flood
 	// converges to the max over nodes 1..n-1 for every other node.
-	res, err := Run(g, func(p *floodMax) { p.rounds = n },
+	res, err := RunOutputs(g, func(p *floodMax) { p.rounds = n },
 		Config{Hook: &stubHook{dropFrom: 0, crashNode: -1}})
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +468,7 @@ func TestHookDropsAndCrashes(t *testing.T) {
 	// Crash-stop the middle node at round 1: it freezes on its initial
 	// state and partitions the path, so IDs cannot cross it.
 	mid := n / 2
-	res, err = Run(g, func(p *floodMax) { p.rounds = n },
+	res, err = RunOutputs(g, func(p *floodMax) { p.rounds = n },
 		Config{Hook: &stubHook{dropFrom: -1, crashNode: mid, crashAt: 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -52,11 +52,11 @@ func TestDeliveryPathsAgree(t *testing.T) {
 		for _, p := range protocol.Protos() {
 			t.Run(fmt.Sprintf("%s/proto/%s", name, p.Name()), func(t *testing.T) {
 				requireAgree(t, func(workers int) any {
-					res, err := p.Run(weighted, congest.Config{Seed: 9, Workers: workers})
+					res, outs, err := p.Run(weighted, congest.Config{Seed: 9, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res
+					return [2]any{res, outs}
 				})
 			})
 		}
@@ -108,7 +108,7 @@ func TestDeliveryFullWidthPayload(t *testing.T) {
 	for _, n := range []int{256, 2000} {
 		g := gen.GNP(n, 8/float64(n), 4)
 		for _, workers := range []int{1, 2} {
-			value, heap := bothPaths(func() *congest.Result { return probeRun(t, g, "full", workers, congest.Config{}) })
+			value, heap := bothPaths(func() *congest.OutputResult { return probeRun(t, g, "full", workers, congest.Config{}) })
 			if value.MaxMessageBits != value.Bandwidth {
 				t.Fatalf("n=%d: largest message %d bits, bandwidth %d; test vacuous", n, value.MaxMessageBits, value.Bandwidth)
 			}
@@ -130,7 +130,7 @@ func TestDeliveryProbeModes(t *testing.T) {
 	g := gen.GNP(96, 0.06, 2)
 	for _, mode := range []string{"ports", "rotate"} {
 		for _, workers := range []int{1, 2} {
-			value, heap := bothPaths(func() *congest.Result { return probeRun(t, g, mode, workers, congest.Config{}) })
+			value, heap := bothPaths(func() *congest.OutputResult { return probeRun(t, g, mode, workers, congest.Config{}) })
 			checkProbe(t, g, value, 1)
 			checkProbe(t, g, heap, 1)
 			if !reflect.DeepEqual(value, heap) {
@@ -176,8 +176,8 @@ func (p *haltSender) Output() any { return p.heard }
 func TestDeliveryHaltingSender(t *testing.T) {
 	g := gen.GNP(150, 0.05, 8)
 	for _, workers := range []int{1, 2} {
-		value, heap := bothPaths(func() *congest.Result {
-			res, err := congest.Run[haltSender](g, nil, congest.Config{Workers: workers})
+		value, heap := bothPaths(func() *congest.OutputResult {
+			res, err := congest.RunOutputs[haltSender](g, nil, congest.Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func (p *overSender) Output() any { return nil }
 func TestDeliveryLowestIndexError(t *testing.T) {
 	g := gen.Cycle(200)
 	value, heap := bothPaths(func() error {
-		_, err := congest.Run(g, func(p *overSender) { p.from = 57 }, congest.Config{Workers: 2})
+		_, err := congest.RunOutputs(g, func(p *overSender) { p.from = 57 }, congest.Config{Workers: 2})
 		return err
 	})
 	for path, err := range map[string]error{"value": value, "heap": heap} {
@@ -249,7 +249,7 @@ func (dupFirstRound) Deliver(round, _, _ int, m *congest.Message) (*congest.Mess
 func TestDeliveryDuplicateOverwritten(t *testing.T) {
 	g := gen.GNP(96, 0.06, 5)
 	for _, workers := range []int{1, 2} {
-		value, heap := bothPaths(func() *congest.Result {
+		value, heap := bothPaths(func() *congest.OutputResult {
 			return probeRun(t, g, "broadcast", workers, congest.Config{Hook: dupFirstRound{}})
 		})
 		if value.FaultDuplicated == 0 {
@@ -311,8 +311,8 @@ func (p *relay) Output() any { return p.heard }
 func TestDeliveryForwardedViews(t *testing.T) {
 	g := gen.GNP(150, 0.05, 9)
 	for _, workers := range []int{1, 2} {
-		value, heap := bothPaths(func() *congest.Result {
-			res, err := congest.Run[relay](g, nil, congest.Config{Workers: workers})
+		value, heap := bothPaths(func() *congest.OutputResult {
+			res, err := congest.RunOutputs[relay](g, nil, congest.Config{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -136,11 +136,11 @@ func (p *poolSeqProcess) Output() any { return p.heard }
 func TestPooledMessagesBitIdentical(t *testing.T) {
 	g := gen.GNP(96, 0.07, 9)
 	newProc := func(p *poolSeqProcess) { p.rounds = 9 }
-	ref, err := Run(g, newProc, Config{Seed: 3, Workers: 1})
+	ref, err := RunOutputs(g, newProc, Config{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, newProc, Config{Seed: 3, Workers: 4})
+	res, err := RunOutputs(g, newProc, Config{Seed: 3, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPooledMessagesBitIdentical(t *testing.T) {
 // this kind were impossible by construction — now they must be tested).
 func TestPoolEngineManyRounds(t *testing.T) {
 	g := gen.Cycle(256)
-	res, err := Run(g, func(p *poolSeqProcess) { p.rounds = 300 },
+	res, err := RunOutputs(g, func(p *poolSeqProcess) { p.rounds = 300 },
 		Config{Seed: 1, Workers: 6})
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,11 @@ package congest
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"distmwis/internal/graph"
 	"distmwis/internal/graph/gen"
@@ -67,12 +69,12 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 		for _, mode := range []string{"ports", "bandwidth"} {
 			t.Run(fmt.Sprintf("%s/%s", exec.name, mode), func(t *testing.T) {
 				c := Config{Seed: 9, Workers: exec.workers}
-				normal := func() (*Result, *Result) {
-					seq, err := Run(g, func(p *poolSeqProcess) { p.rounds = 7 }, c)
+				normal := func() (*OutputResult, *OutputResult) {
+					seq, err := RunOutputs(g, func(p *poolSeqProcess) { p.rounds = 7 }, c)
 					if err != nil {
 						t.Fatal(err)
 					}
-					coins, err := Run[coinFlipper](g, nil, c)
+					coins, err := RunOutputs[coinFlipper](g, nil, c)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,12 +85,12 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 				bad := func(p *misbehaver) {
 					*p = misbehaver{poolSeqProcess: poolSeqProcess{rounds: 7}, failAt: 4, culprit: culprit, mode: mode}
 				}
-				if _, err := Run(g, bad, c); err == nil {
+				if _, err := RunOutputs(g, bad, c); err == nil {
 					t.Fatal("rule violation went unreported")
 				}
 				stop := c
 				stop.HardStop = 3
-				cut, err := Run(g, bad, stop)
+				cut, err := RunOutputs(g, bad, stop)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,10 +119,10 @@ func TestConcurrentRunsShareRunState(t *testing.T) {
 	const runs = 8
 	newProc := func(p *poolSeqProcess) { p.rounds = 6 }
 	gs := make([]*graph.Graph, runs)
-	refs := make([]*Result, runs)
+	refs := make([]*OutputResult, runs)
 	for i := range gs {
 		gs[i] = gen.GNP(120+10*i, 0.06, uint64(i+1))
-		res, err := Run(gs[i], newProc, Config{Seed: uint64(i + 1), Workers: 1})
+		res, err := RunOutputs(gs[i], newProc, Config{Seed: uint64(i + 1), Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +139,7 @@ func TestConcurrentRunsShareRunState(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for _, workers := range []int{2, 1} {
-				res, err := Run(gs[i], newProc, Config{Seed: uint64(i + 1), Workers: workers})
+				res, err := RunOutputs(gs[i], newProc, Config{Seed: uint64(i + 1), Workers: workers})
 				if err != nil {
 					t.Errorf("run %d, %d workers: %v", i, workers, err)
 					return
@@ -198,16 +200,16 @@ func (p *xorFlood) Output() any { return p.acc&1 == 1 }
 // processes come from a recycled array and messages from the nodes'
 // slots. Per-node processes, outboxes, writer buffers or message objects
 // would each add O(n) allocations per run or per round. The garbage
-// collector is off while counting, because a collection empties sync.Pool
-// and the refill would be charged to whichever run it lands in.
+// collector is off while counting, because collections age the scratch
+// free list and a refill would be charged to whichever run it lands in.
 func TestRoundLoopAllocsFlat(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
+		t.Skip("allocation counts mean nothing under the race detector")
 	}
 	g := gen.GNP(2000, 0.004, 1)
 	allocs := func(rounds int) float64 {
 		run := func() {
-			if _, err := Run(g, func(p *xorFlood) { p.rounds = rounds }, Config{Workers: 1}); err != nil {
+			if _, err := RunOutputs(g, func(p *xorFlood) { p.rounds = rounds }, Config{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -221,5 +223,32 @@ func TestRoundLoopAllocsFlat(t *testing.T) {
 	}
 	if long-short > 64 {
 		t.Errorf("36 extra rounds cost %.0f allocations (4 rounds: %.0f, 40 rounds: %.0f), want ≤ 64", long-short, short, long)
+	}
+}
+
+// TestScratchesAgeWithTheCollector pins the free list's reclamation rule:
+// a released scratch is handed out again, and one left idle through two
+// garbage collections is dropped, as a sync.Pool drops its items.
+func TestScratchesAgeWithTheCollector(t *testing.T) {
+	s := NewScratch()
+	s.Release()
+	if again := NewScratch(); again != s {
+		t.Fatal("a released scratch was not handed out again")
+	} else {
+		again.Release()
+	}
+	idle := func() int {
+		scratches.mu.Lock()
+		defer scratches.mu.Unlock()
+		return len(scratches.free) + len(scratches.old)
+	}
+	// Cleanups run after a collection, on their own goroutine: collect
+	// until the list has aged out, within a bound.
+	for i := 0; i < 100 && idle() > 0; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := idle(); n > 0 {
+		t.Errorf("%d idle scratches survived 100 collections", n)
 	}
 }

@@ -3,13 +3,15 @@ package congest
 import (
 	"encoding/binary"
 	"math"
+	"runtime"
 	"sync"
 
+	"distmwis/internal/graph"
 	"distmwis/internal/wire"
 )
 
-// Delivery memory and per-run recycling: inbox slots, sender slots and
-// process arrays.
+// Delivery memory and its recycling: inbox slots, sender slots, process
+// arrays and the Scratch that holds them.
 //
 // A solve chains many short protocols, so a run's allocations must not
 // grow with n, and a round's cost should be its messages: node processes
@@ -18,7 +20,7 @@ import (
 //
 // Inbox slots. Every arc a = lo(v)+p, from v to its p-th neighbour u, has
 // one receive slot at rev[a] = lo(u)+q, the arc from u back to v
-// (graph.ReverseArcs), in each of two slabs, one per round parity. A slot
+// (graph.FillReverseArcs), in each of two slabs, one per round parity. A slot
 // is ⌈physBandwidth/64⌉ payload words followed by one header word holding
 // the round stamp and the bit length:
 //
@@ -60,10 +62,16 @@ import (
 //     transport keeps inner messages for retransmission and replay.
 //
 // Process arrays. Run takes a process type: node v's process is element v
-// of a []T borrowed from one sync.Pool per type and zeroed when it is
-// returned, so a process starts exactly as &T{} does and needs no reset
-// method. The arrays and runState live in sync.Pools, never pinned free
-// lists, so the garbage collector reclaims them when the server goes idle.
+// of a []T kept in the run's Scratch and zeroed when the run ends, so a
+// process starts exactly as &T{} does and needs no reset method.
+//
+// Scratch. The run state, the process arrays and the induced-subgraph
+// buffers of a chain of runs live in one Scratch, which a solve borrows
+// once and hands to every run through Config.Scratch. Only whole
+// scratches return to one process-wide free list that the garbage
+// collector ages like a sync.Pool (see scratches), so an idle server's
+// scratches are reclaimed, and a solve finds a scratch whatever P it runs
+// on.
 
 // headerBytes is the size of a slot's header word.
 const headerBytes = 8
@@ -315,36 +323,112 @@ func (a *wordArena) take(n int) []uint64 {
 	return w
 }
 
-// procPools maps a process type, keyed by its nil *T, to the sync.Pool of
-// its recycled arrays. Pooled arrays are all zero through their capacity.
-var procPools sync.Map
-
-func procPool[T any]() *sync.Pool {
-	key := any((*T)(nil))
-	if p, ok := procPools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := procPools.LoadOrStore(key, new(sync.Pool))
-	return p.(*sync.Pool)
+// Scratch is the recycled memory of a chain of runs on one goroutine: the
+// run state, one process array per process type, and a stack of buffers
+// for the induced subgraphs the chain runs on. A solve borrows one with
+// NewScratch, passes it to every run in Config.Scratch and to Induce, and
+// gives it back with Release. The nil *Scratch is valid: its Induce
+// allocates and its Pop and Release do nothing.
+type Scratch struct {
+	state runState
+	// procs holds one *[]T per process type used, each zero through its
+	// capacity between runs.
+	procs []any
+	// subs are the subgraph buffers; the first depth of them are in use.
+	subs  []*graph.SubgraphBuffer
+	depth int
 }
 
-// borrowProcs returns a zeroed []T of length n.
-func borrowProcs[T any](n int) *[]T {
-	a, _ := procPool[T]().Get().(*[]T)
-	if a == nil {
-		a = new([]T)
+// scratches is the free list of whole scratches. It is one list for the
+// whole process, so a solve that ends on another P than it began on still
+// finds its scratch, which a sync.Pool's per-P private slot would hide;
+// and it is aged by the garbage collector as a sync.Pool is: a scratch
+// left idle through two collections is dropped, so an idle server's
+// scratches are reclaimed.
+var scratches struct {
+	mu sync.Mutex
+	// free holds the scratches released since the last collection, old
+	// those released before it.
+	free, old []*Scratch
+}
+
+func init() { ageScratches() }
+
+// ageScratches runs once per garbage collection: it drops the scratches
+// that sat in old through a whole cycle, moves free to old, and arms
+// itself for the next collection with a finalizer on a fresh unreachable
+// object.
+func ageScratches() {
+	scratches.mu.Lock()
+	clear(scratches.old)
+	scratches.old, scratches.free = scratches.free, scratches.old[:0]
+	scratches.mu.Unlock()
+	runtime.SetFinalizer(new(*byte), func(**byte) { ageScratches() })
+}
+
+// NewScratch takes a scratch from the free list, or makes one.
+func NewScratch() *Scratch {
+	scratches.mu.Lock()
+	defer scratches.mu.Unlock()
+	for _, list := range []*[]*Scratch{&scratches.free, &scratches.old} {
+		if k := len(*list); k > 0 {
+			s := (*list)[k-1]
+			(*list)[k-1] = nil
+			*list = (*list)[:k-1]
+			return s
+		}
 	}
-	if cap(*a) < n {
-		*a = make([]T, n)
-	} else {
-		*a = (*a)[:n]
+	return new(Scratch)
+}
+
+// Release drops every subgraph the scratch holds and returns it to the
+// free list. Nothing it handed out may be used afterwards.
+func (s *Scratch) Release() {
+	if s == nil {
+		return
 	}
+	for s.depth > 0 {
+		s.Pop()
+	}
+	scratches.mu.Lock()
+	scratches.free = append(scratches.free, s)
+	scratches.mu.Unlock()
+}
+
+// Induce returns g's subgraph induced by keep, carrying weights (indexed
+// by g's nodes; nil keeps g's) — graph.InduceInto in the scratch's next
+// free buffer. The subgraph is valid until the matching Pop: buffers are
+// a stack, so the innermost subgraph is popped first.
+func (s *Scratch) Induce(g *graph.Graph, keep []bool, weights []int64) *graph.Subgraph {
+	if s == nil {
+		return g.InduceInto(new(graph.SubgraphBuffer), keep, weights)
+	}
+	if s.depth == len(s.subs) {
+		s.subs = append(s.subs, new(graph.SubgraphBuffer))
+	}
+	s.depth++
+	return g.InduceInto(s.subs[s.depth-1], keep, weights)
+}
+
+// Pop releases the subgraph of the latest Induce.
+func (s *Scratch) Pop() {
+	if s == nil {
+		return
+	}
+	s.depth--
+	s.subs[s.depth].Reset()
+}
+
+// scratchProcs returns s's []T of length n. The arrays are zero through
+// their capacity between runs (Run clears what it used), so it is zeroed.
+func scratchProcs[T any](s *Scratch, n int) []T {
+	for _, a := range s.procs {
+		if a, ok := a.(*[]T); ok {
+			*a = grow(*a, n)
+			return *a
+		}
+	}
+	a := make([]T, n)
+	s.procs = append(s.procs, &a)
 	return a
-}
-
-// returnProcs zeroes the array, dropping every reference its processes
-// held, and gives it back to its pool.
-func returnProcs[T any](a *[]T) {
-	clear(*a)
-	procPool[T]().Put(a)
 }

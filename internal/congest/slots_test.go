@@ -133,7 +133,7 @@ func (p *slotProbe) Output() any { return p.log }
 // checkProbe verifies every receipt against its sender's log and returns
 // how many receipts were read lag rounds after their stamp, by lag. Any
 // lag outside allowed fails the test.
-func checkProbe(t *testing.T, g *graph.Graph, res *congest.Result, allowed ...int) map[int]int {
+func checkProbe(t *testing.T, g *graph.Graph, res *congest.OutputResult, allowed ...int) map[int]int {
 	t.Helper()
 	lags := map[int]int{}
 	for u := 0; u < g.N(); u++ {
@@ -159,7 +159,7 @@ func checkProbe(t *testing.T, g *graph.Graph, res *congest.Result, allowed ...in
 }
 
 // received counts every receipt in a run.
-func received(res *congest.Result) int64 {
+func received(res *congest.OutputResult) int64 {
 	var n int64
 	for _, out := range res.Outputs {
 		n += int64(len(out.(probeLog).got))
@@ -167,10 +167,10 @@ func received(res *congest.Result) int64 {
 	return n
 }
 
-func probeRun(t *testing.T, g *graph.Graph, mode string, workers int, c congest.Config) *congest.Result {
+func probeRun(t *testing.T, g *graph.Graph, mode string, workers int, c congest.Config) *congest.OutputResult {
 	t.Helper()
 	c.Seed, c.Workers = 3, workers
-	res, err := congest.Run(g, func(p *slotProbe) { p.rounds, p.mode = 9, mode }, c)
+	res, err := congest.RunOutputs(g, func(p *slotProbe) { p.rounds, p.mode = 9, mode }, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func (p *labeledFlood) TracePhase(round int) string {
 func TestTraceMatchesResultAggregates(t *testing.T) {
 	g := gen.GNP(200, 0.05, 7)
 	ring := trace.NewRing(0)
-	res, err := Run(g, func(p *labeledFlood) { p.rounds = 12 },
+	res, err := RunOutputs(g, func(p *labeledFlood) { p.rounds = 12 },
 		Config{Seed: 3, Tracer: ring, TraceLabel: "flood-test"})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestTraceEngineParity(t *testing.T) {
 	g := gen.GNP(300, 0.03, 5)
 	record := func(workers int) ([]trace.Round, int) {
 		ring := trace.NewRing(0)
-		_, err := Run(g, func(p *labeledFlood) { p.rounds = 8 },
+		_, err := RunOutputs(g, func(p *labeledFlood) { p.rounds = 8 },
 			Config{Seed: 9, Workers: workers, Tracer: ring})
 		if err != nil {
 			t.Fatal(err)
@@ -132,11 +132,11 @@ func TestTraceEngineParity(t *testing.T) {
 
 func TestTracerAbsentIsBitIdentical(t *testing.T) {
 	g := gen.GNP(150, 0.05, 11)
-	plain, err := Run(g, func(p *floodMax) { p.rounds = 6 }, Config{Seed: 4})
+	plain, err := RunOutputs(g, func(p *floodMax) { p.rounds = 6 }, Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Run(g, func(p *floodMax) { p.rounds = 6 }, Config{Seed: 4, Tracer: trace.NewRing(0)})
+	traced, err := RunOutputs(g, func(p *floodMax) { p.rounds = 6 }, Config{Seed: 4, Tracer: trace.NewRing(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTracerAbsentIsBitIdentical(t *testing.T) {
 func TestTraceEndRunOnTruncation(t *testing.T) {
 	ring := trace.NewRing(0)
 	g := gen.Path(20)
-	res, err := Run(g, func(p *floodMax) { p.rounds = 50 },
+	res, err := RunOutputs(g, func(p *floodMax) { p.rounds = 50 },
 		Config{HardStop: 5, Tracer: ring})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestTraceEndRunOnTruncation(t *testing.T) {
 
 func TestTraceRecordsFaultDrops(t *testing.T) {
 	ring := trace.NewRing(0)
-	res, err := Run(gen.Path(10), func(p *floodMax) { p.rounds = 10 },
+	res, err := RunOutputs(gen.Path(10), func(p *floodMax) { p.rounds = 10 },
 		Config{Hook: &stubHook{dropFrom: 0, crashNode: -1}, Tracer: ring})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestWithMaxWeight(t *testing.T) {
 
 	// A sweep bound at least the true maximum is handed to every node
 	// verbatim, decoupling wire sizing from the realized maximum.
-	res, err := Run[maxWeightProbe](g, nil, Config{MaxWeight: 1 << 20})
+	res, err := RunOutputs[maxWeightProbe](g, nil, Config{MaxWeight: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +206,15 @@ func TestWithMaxWeight(t *testing.T) {
 
 	// A bound below the true maximum is a misconfiguration, not a silent
 	// re-derivation.
-	if _, err := Run[maxWeightProbe](g, nil, Config{MaxWeight: trueMax - 1}); err == nil {
+	if _, err := RunOutputs[maxWeightProbe](g, nil, Config{MaxWeight: trueMax - 1}); err == nil {
 		t.Error("expected error for MaxWeight below the true maximum")
 	}
-	if _, err := Run[maxWeightProbe](g, nil, Config{MaxWeight: -5}); err == nil {
+	if _, err := RunOutputs[maxWeightProbe](g, nil, Config{MaxWeight: -5}); err == nil {
 		t.Error("expected error for negative MaxWeight")
 	}
 
 	// Default: the scan result.
-	res, err = Run[maxWeightProbe](g, nil, Config{})
+	res, err = RunOutputs[maxWeightProbe](g, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +229,9 @@ func TestWithMaxWeight(t *testing.T) {
 // resolved count matches the one-worker run.
 func TestPoolEngineClampsWorkers(t *testing.T) {
 	g := gen.Cycle(96)
-	run := func(workers int) (*Result, int) {
+	run := func(workers int) (*OutputResult, int) {
 		ring := trace.NewRing(0)
-		res, err := Run(g, func(p *floodMax) { p.rounds = 4 },
+		res, err := RunOutputs(g, func(p *floodMax) { p.rounds = 4 },
 			Config{Workers: workers, Seed: 2, Tracer: ring})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -290,7 +290,7 @@ func TestDeterministicErrorSelection(t *testing.T) {
 		{name: "pool", c: Config{Workers: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(g, func(p *badAbove) { p.from = firstBad }, tc.c)
+			_, err := RunOutputs(g, func(p *badAbove) { p.from = firstBad }, tc.c)
 			if err == nil {
 				t.Fatal("expected bandwidth violation")
 			}
@@ -310,7 +310,7 @@ func BenchmarkRun(b *testing.B) {
 	bench := func(b *testing.B, c Config) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, func(p *floodMax) { p.rounds = 8 }, c); err != nil {
+			if _, err := RunOutputs(g, func(p *floodMax) { p.rounds = 8 }, c); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -56,29 +56,32 @@ func (a Accumulator) String() string {
 }
 
 // RunPhase executes one protocol on g, absorbs its metrics into acc, and
-// returns the result.
-func RunPhase(g *graph.Graph, run congest.Runner, acc *Accumulator, c congest.Config) (*congest.Result, error) {
-	res, err := run(g, c)
+// returns every node's output flag.
+func RunPhase(g *graph.Graph, run congest.Runner, acc *Accumulator, c congest.Config) ([]bool, error) {
+	out := make([]bool, g.N())
+	res, err := run(g, c, out)
 	if err != nil {
 		return nil, fmt.Errorf("dist: phase %d: %w", acc.Phases+1, err)
 	}
 	acc.Absorb(res)
-	return res, nil
+	return out, nil
 }
 
 // RunOnInduced runs a protocol on the subgraph induced by active and lifts
 // the boolean outputs back to the parent index space. One bookkeeping round
 // is charged for the activity-flag exchange that lets every node learn which
-// of its neighbours participate in the phase.
-func RunOnInduced(g *graph.Graph, active []bool, run congest.Runner, acc *Accumulator, c congest.Config) ([]bool, *graph.Subgraph, error) {
-	sub := g.Induce(active)
+// of its neighbours participate in the phase. The subgraph is built in
+// c.Scratch's buffers when it has one, and released before the return.
+func RunOnInduced(g *graph.Graph, active []bool, run congest.Runner, acc *Accumulator, c congest.Config) ([]bool, error) {
+	sub := c.Scratch.Induce(g, active, nil)
+	defer c.Scratch.Pop()
 	acc.AddRounds(1) // neighbours exchange active flags
 	if sub.G.N() == 0 {
-		return make([]bool, g.N()), sub, nil
+		return make([]bool, g.N()), nil
 	}
-	res, err := RunPhase(sub.G, run, acc, c)
+	set, err := RunPhase(sub.G, run, acc, c)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return sub.LiftSet(congest.BoolOutputs(res)), sub, nil
+	return sub.LiftSet(set), nil
 }

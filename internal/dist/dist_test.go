@@ -63,12 +63,20 @@ func TestAccumulatorAbsorbAndAdd(t *testing.T) {
 func TestRunPhase(t *testing.T) {
 	g := gen.Cycle(16)
 	var acc Accumulator
-	res, err := RunPhase(g, mis.Luby{}.Run, &acc, congest.Config{Seed: 3})
+	set, err := RunPhase(g, mis.Luby{}.Run, &acc, congest.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]bool, g.N())
+	res, err := mis.Luby{}.Run(g, congest.Config{Seed: 3}, want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if acc.Rounds != res.Rounds || acc.Phases != 1 {
 		t.Errorf("metrics not absorbed: %+v vs %d", acc, res.Rounds)
+	}
+	if !reflect.DeepEqual(set, want) {
+		t.Errorf("RunPhase set %v, want the run's outputs %v", set, want)
 	}
 }
 
@@ -88,10 +96,21 @@ func TestRunOnInduced(t *testing.T) {
 		active[v] = true
 	}
 	var acc Accumulator
-	set, sub, err := RunOnInduced(g, active, mis.Luby{}.Run, &acc, congest.Config{Seed: 1})
+	set, err := RunOnInduced(g, active, mis.Luby{}.Run, &acc, congest.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A scratch changes where the subgraph is built, not the answer.
+	scratch := congest.NewScratch()
+	defer scratch.Release()
+	inScratch, err := RunOnInduced(g, active, mis.Luby{}.Run, &Accumulator{}, congest.Config{Seed: 1, Scratch: scratch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(set, inScratch) {
+		t.Errorf("set %v in a scratch, want %v", inScratch, set)
+	}
+	sub := g.Induce(active)
 	if sub.G.N() != 6 {
 		t.Fatalf("induced size %d, want 6", sub.G.N())
 	}
@@ -119,7 +138,7 @@ func TestRunOnInduced(t *testing.T) {
 func TestRunOnInducedEmptyActive(t *testing.T) {
 	g := gen.Cycle(8)
 	var acc Accumulator
-	set, _, err := RunOnInduced(g, make([]bool, 8), mis.Luby{}.Run, &acc, congest.Config{})
+	set, err := RunOnInduced(g, make([]bool, 8), mis.Luby{}.Run, &acc, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

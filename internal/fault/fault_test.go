@@ -10,6 +10,7 @@ import (
 
 	"distmwis/internal/congest"
 	. "distmwis/internal/fault"
+	"distmwis/internal/graph"
 	"distmwis/internal/graph/gen"
 	"distmwis/internal/mis"
 	"distmwis/internal/wire"
@@ -54,7 +55,21 @@ func (p *floodMax) Round(round int, recv []*congest.Message) ([]*congest.Message
 	return out, false
 }
 
-func (p *floodMax) Output() any { return p.best }
+// floodOutput is a floodMax run's Result with every node's best ID.
+type floodOutput struct {
+	*congest.Result
+	Outputs []uint64
+}
+
+// runFlood runs floodMax on g, collecting every node's best ID.
+func runFlood(g *graph.Graph, set func(*floodMax), c congest.Config) (*floodOutput, error) {
+	best := make([]uint64, g.N())
+	res, err := congest.Run(g, set, c, func(v int, p *floodMax) { best[v] = p.best })
+	if err != nil {
+		return nil, err
+	}
+	return &floodOutput{Result: res, Outputs: best}, nil
+}
 
 // TestZeroScheduleIdentity is the acceptance criterion for the delivery
 // hook: installing an injector with an empty schedule must leave protocol
@@ -63,7 +78,7 @@ func (p *floodMax) Output() any { return p.best }
 func TestZeroScheduleIdentity(t *testing.T) {
 	g := gen.GNP(200, 0.04, 11)
 	newProc := func(p *floodMax) { p.rounds = 12 }
-	clean, err := congest.Run(g, newProc, congest.Config{Seed: 5, Workers: 1})
+	clean, err := runFlood(g, newProc, congest.Config{Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +91,7 @@ func TestZeroScheduleIdentity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := NewInjector(Schedule{Seed: 99})
-			res, err := congest.Run(g, newProc, congest.Config{Seed: 5, Workers: tc.workers, Hook: inj})
+			res, err := runFlood(g, newProc, congest.Config{Seed: 5, Workers: tc.workers, Hook: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,9 +110,9 @@ func TestZeroScheduleIdentity(t *testing.T) {
 func TestReplayDeterminism(t *testing.T) {
 	g := gen.GNP(150, 0.05, 3)
 	sched := Schedule{Seed: 42, Loss: 0.2, Dup: 0.1, Corrupt: 0.1, CrashFrac: 0.1, CrashAt: 2}
-	run := func(workers int) (*congest.Result, Stats) {
+	run := func(workers int) (*floodOutput, Stats) {
 		inj := NewInjector(sched)
-		res, err := congest.Run(g, func(p *floodMax) { p.rounds = 10 },
+		res, err := runFlood(g, func(p *floodMax) { p.rounds = 10 },
 			congest.Config{Seed: 7, Hook: inj, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -134,11 +149,11 @@ func TestMISIndependenceUnderFaults(t *testing.T) {
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Ghaffari{}, mis.Rank{}, mis.GreedyByID{}} {
 		for i, sched := range scheds {
 			inj := NewInjector(sched)
-			res, err := alg.Run(g, congest.Config{Seed: 23, Hook: inj, HardStop: sched.HardStop(g.N())})
+			res, err := runMIS(alg, g, congest.Config{Seed: 23, Hook: inj, HardStop: sched.HardStop(g.N())})
 			if err != nil {
 				t.Fatalf("%s schedule %d: %v", alg.Name(), i, err)
 			}
-			set := congest.BoolOutputs(res)
+			set := res.Outputs
 			if rep := CheckIndependence(g, set); !rep.Independent {
 				t.Errorf("%s schedule %d: %v", alg.Name(), i, rep.Err())
 			}
@@ -319,4 +334,20 @@ func TestSpecSchedule(t *testing.T) {
 	if s := (Spec{Seed: 9}).Schedule(5); s.Seed != 9 {
 		t.Errorf("explicit adversary seed replaced: %d", s.Seed)
 	}
+}
+
+// misOutput is an MIS run's Result with its membership vector.
+type misOutput struct {
+	*congest.Result
+	Outputs []bool
+}
+
+// runMIS runs an MIS box on g, collecting its membership vector.
+func runMIS(alg mis.Algorithm, g *graph.Graph, c congest.Config) (*misOutput, error) {
+	set := make([]bool, g.N())
+	res, err := alg.Run(g, c, set)
+	if err != nil {
+		return nil, err
+	}
+	return &misOutput{Result: res, Outputs: set}, nil
 }

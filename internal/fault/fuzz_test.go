@@ -36,12 +36,12 @@ func FuzzEngineFaultDeterminism(f *testing.F) {
 			t.Skip(err)
 		}
 		type outcome struct {
-			res   *congest.Result
+			res   *misOutput
 			stats Stats
 		}
 		run := func(workers int) outcome {
 			inj := NewInjector(sched)
-			res, err := mis.Luby{}.Run(g, congest.Config{Seed: 21, Workers: workers, Hook: inj, HardStop: 400})
+			res, err := runMIS(mis.Luby{}, g, congest.Config{Seed: 21, Workers: workers, Hook: inj, HardStop: 400})
 			if err != nil {
 				t.Fatalf("%d workers: %v", workers, err)
 			}

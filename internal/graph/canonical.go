@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -46,10 +48,15 @@ func (g *Graph) CanonicalForm() *CanonicalForm {
 }
 
 // encode is the one canonical encoder. It fills runs, the run index, when
-// it is non-nil.
+// it is non-nil. The buffer is sized exactly, so a form kept by a caller
+// holds no spare capacity.
 func (g *Graph) encode(runs []int) CanonicalForm {
 	n := g.N()
-	buf := make([]byte, 0, len(canonicalMagic)+binary.MaxVarintLen64*(2+2*n)+8*len(g.adj))
+	size := headerLen(n, g.M()) + weightsLen(g.weights)
+	for v := 0; v < n; v++ {
+		size += uvarintLen(g.ids[v]) + g.runLen(v)
+	}
+	buf := make([]byte, 0, size)
 	buf = appendHeader(buf, n, g.M())
 	f := CanonicalForm{IDs: len(buf), Runs: runs}
 	for v := 0; v < n; v++ {
@@ -69,6 +76,80 @@ func (g *Graph) encode(runs []int) CanonicalForm {
 	}
 	f.Bytes = buf
 	return f
+}
+
+// canonicalChunk is the size of the buffer WriteCanonical streams
+// through; a node whose run alone is longer grows it.
+const canonicalChunk = 256
+
+// WriteCanonical streams Canonical() into every writer in ws without
+// materialising it: the bytes pass through one small buffer, so hashing a
+// graph costs the hash states, not a copy of the graph. Writers must not
+// fail (hash.Hash never does); their errors are ignored.
+func (g *Graph) WriteCanonical(ws ...io.Writer) {
+	buf := make([]byte, 0, canonicalChunk)
+	// flush hands buf on once it is half full (every call when last), so
+	// a varint appended after it always fits.
+	flush := func(last bool) {
+		if last || len(buf) >= canonicalChunk/2 {
+			for _, w := range ws {
+				_, _ = w.Write(buf)
+			}
+			buf = buf[:0]
+		}
+	}
+	n := g.N()
+	buf = appendHeader(buf, n, g.M())
+	for _, id := range g.ids {
+		buf = binary.AppendUvarint(buf, id)
+		flush(false)
+	}
+	for _, w := range g.weights {
+		buf = binary.AppendVarint(buf, w)
+		flush(false)
+	}
+	for v := 0; v < n; v++ {
+		buf = g.appendRun(buf, v)
+		flush(false)
+	}
+	flush(true)
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's encoding of x.
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
+}
+
+// headerLen is the length of appendHeader's output.
+func headerLen(n, m int) int {
+	return len(canonicalMagic) + uvarintLen(uint64(n)) + uvarintLen(uint64(m))
+}
+
+// weightsLen is the length of appendWeights's output.
+func weightsLen(weights []int64) int {
+	size := 0
+	for _, w := range weights {
+		size += varintLen(w)
+	}
+	return size
+}
+
+// runLen is the length of appendRun's output for node v.
+func (g *Graph) runLen(v int) int {
+	size, vLen := 0, uvarintLen(uint64(v))
+	for _, u := range g.Neighbors(v) {
+		if int(u) > v {
+			size += vLen + uvarintLen(uint64(u))
+		}
+	}
+	return size
 }
 
 func appendHeader(buf []byte, n, m int) []byte {
@@ -107,7 +188,7 @@ func (g *Graph) appendRun(buf []byte, v int) []byte {
 func (g *Graph) SpliceCanonical(prev *CanonicalForm, rep EditReport) *CanonicalForm {
 	n := g.N()
 	old := prev.Bytes
-	buf := make([]byte, 0, len(old)+binary.MaxVarintLen64*(1+rep.WeightsSet+2*rep.EdgesAdded))
+	buf := make([]byte, 0, g.spliceLen(prev, rep))
 	buf = appendHeader(buf, n, g.M())
 	f := &CanonicalForm{IDs: len(buf), Runs: prev.Runs}
 	buf = append(buf, old[prev.IDs:prev.Weights]...)
@@ -147,18 +228,44 @@ func (g *Graph) SpliceCanonical(prev *CanonicalForm, rep EditReport) *CanonicalF
 	return f
 }
 
+// spliceLen is the exact length of the form SpliceCanonical derives from
+// prev: prev's sections, with the header, the weight section when rep sets
+// weights and the touched nodes' runs measured anew.
+func (g *Graph) spliceLen(prev *CanonicalForm, rep EditReport) int {
+	size := headerLen(g.N(), g.M()) + prev.Weights - prev.IDs
+	if rep.WeightsSet > 0 {
+		size += weightsLen(g.weights)
+	} else {
+		size += prev.Edges - prev.Weights
+	}
+	size += len(prev.Bytes) - prev.Edges
+	if rep.EdgesAdded+rep.EdgesRemoved > 0 {
+		for v, touched := range rep.Touched {
+			if touched {
+				size += g.runLen(v) - (prev.Runs[v+1] - prev.Runs[v])
+			}
+		}
+	}
+	return size
+}
+
 // Hash returns the SHA-256 content hash of Canonical(). Equal hashes mean
 // (up to SHA-256 collisions) equal labelled graphs; isomorphic graphs with
 // different labellings hash differently by design, because every algorithm
 // in this repository is identifier- and index-sensitive.
 func (g *Graph) Hash() [sha256.Size]byte {
-	return sha256.Sum256(g.Canonical())
+	h := sha256.New()
+	g.WriteCanonical(h)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // HashString returns Hash as lowercase hex, the form used in cache keys,
 // logs and the HTTP API.
 func (g *Graph) HashString() string {
-	return HashCanonical(g.Canonical())
+	sum := g.Hash()
+	return hex.EncodeToString(sum[:])
 }
 
 // HashCanonical returns the lowercase hex SHA-256 of a canonical form: for
@@ -191,7 +298,7 @@ func FromCanonical(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("graph: canonical: n=%d m=%d do not fit in the %d bytes that follow", nU, mU, left)
 	}
 	n, m := int(nU), int(mU)
-	g := &Graph{ids: make([]uint64, n), weights: make([]int64, n), off: make([]int32, n+1), rev: new(reverseArcs)}
+	g := &Graph{ids: make([]uint64, n), weights: make([]int64, n), off: make([]int32, n+1)}
 	for v := range g.ids {
 		g.ids[v] = r.uvarint("identifier")
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"math/rand/v2"
 	"runtime"
@@ -296,10 +297,58 @@ func TestSpliceCanonicalChain(t *testing.T) {
 		if !bytes.Equal(next.Bytes, ng.Canonical()) {
 			t.Fatalf("step %d: edit %+v: spliced bytes differ from Canonical()", step, e)
 		}
+		if cap(next.Bytes) != len(next.Bytes) {
+			t.Fatalf("step %d: edit %+v: spliced form has capacity %d for %d bytes", step, e, cap(next.Bytes), len(next.Bytes))
+		}
 		if full := ng.CanonicalForm(); next.IDs != full.IDs || next.Weights != full.Weights ||
 			next.Edges != full.Edges || !slices.Equal(next.Runs, full.Runs) {
 			t.Fatalf("step %d: edit %+v: spliced layout differs from CanonicalForm()", step, e)
 		}
 		g, form = ng, next
+	}
+}
+
+// TestWriteCanonicalMatchesCanonical streams random graphs — with 64-bit
+// identifiers and with negative weights among them — and requires the
+// stream to be exactly Canonical(), whose buffer holds no spare capacity,
+// and Hash to be the SHA-256 of those bytes.
+func TestWriteCanonicalMatchesCanonical(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 7))
+	for trial := 0; trial < 60; trial++ {
+		g := randomGraph(t, r, r.IntN(90))
+		if trial%3 == 1 {
+			b := NewBuilder(g.N())
+			for v := 0; v < g.N(); v++ {
+				b.SetID(v, 1<<63+uint64(v)*1_000_003)
+				for _, u := range g.Neighbors(v) {
+					if int(u) > v {
+						b.AddEdge(v, int(u))
+					}
+				}
+			}
+			g = b.MustBuild()
+		}
+		if trial%3 == 2 {
+			w := g.Weights()
+			for v := range w {
+				w[v] -= int64(r.IntN(2000))
+			}
+			g = g.WithWeights(w)
+		}
+		canon := g.Canonical()
+		if cap(canon) != len(canon) {
+			t.Fatalf("trial %d: Canonical has capacity %d for %d bytes", trial, cap(canon), len(canon))
+		}
+		if form := g.CanonicalForm(); !bytes.Equal(form.Bytes, canon) || cap(form.Bytes) != len(form.Bytes) {
+			t.Fatalf("trial %d: CanonicalForm bytes differ from Canonical or carry spare capacity", trial)
+		}
+		var streamed bytes.Buffer
+		g.WriteCanonical(&streamed)
+		if !bytes.Equal(streamed.Bytes(), canon) {
+			t.Fatalf("trial %d: WriteCanonical streamed %d bytes unlike Canonical's %d", trial, streamed.Len(), len(canon))
+		}
+		if sum := g.Hash(); sum != sha256.Sum256(canon) || g.HashString() != HashCanonical(canon) {
+			t.Fatalf("trial %d: streamed hash differs from the hash of Canonical()", trial)
+		}
 	}
 }

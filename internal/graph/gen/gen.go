@@ -11,6 +11,7 @@ package gen
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -120,13 +121,26 @@ func Hypercube(d int) *graph.Graph {
 
 // GNP returns an Erdős–Rényi G(n, p) graph.
 func GNP(n int, p float64, seed uint64) *graph.Graph {
-	r := rng(seed)
-	b := graph.NewBuilder(n)
 	if p >= 1 {
 		return Clique(n)
 	}
-	if p > 0 {
-		// Geometric skipping for sparse p.
+	g, err := graph.FromOrderedEdges(n, gnpEdges(n, p, seed))
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// gnpEdges yields the edges of the G(n, p) graph of seed, p < 1, by
+// geometric skip sampling, which emits them ordered by their larger
+// endpoint and then by their smaller one, as graph.FromOrderedEdges takes
+// them.
+func gnpEdges(n int, p float64, seed uint64) iter.Seq2[int, int] {
+	return func(yield func(u, v int) bool) {
+		if p <= 0 {
+			return
+		}
+		r := rng(seed)
 		logq := math.Log1p(-p)
 		v, u := 1, -1
 		for v < n {
@@ -136,12 +150,11 @@ func GNP(n int, p float64, seed uint64) *graph.Graph {
 				u -= v
 				v++
 			}
-			if v < n {
-				b.AddEdge(u, v)
+			if v < n && !yield(u, v) {
+				return
 			}
 		}
 	}
-	return b.MustBuild()
 }
 
 // RandomRegular returns a random d-regular simple graph on n nodes. It

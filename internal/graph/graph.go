@@ -14,9 +14,10 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Graph is an immutable undirected node-weighted graph. The zero value is an
@@ -27,15 +28,6 @@ type Graph struct {
 	weights []int64 // node weights, len n
 	ids     []uint64
 	maxDeg  int
-	// rev caches ReverseArcs. Graphs that share off and adj share it;
-	// every constructor of a new CSR gives it a fresh one.
-	rev *reverseArcs
-}
-
-// reverseArcs is the lazily built reverse-arc table of one CSR.
-type reverseArcs struct {
-	once sync.Once
-	arcs []int32
 }
 
 // Builder accumulates edges for a Graph. Builders are single-use: Build may
@@ -123,7 +115,7 @@ func (b *Builder) Build() (*Graph, error) {
 		fill[v]++
 	}
 	// Sort neighbour lists and drop duplicate parallel edges.
-	g := &Graph{weights: b.weights, ids: b.ids, rev: new(reverseArcs)}
+	g := &Graph{weights: b.weights, ids: b.ids}
 	g.off = make([]int32, b.n+1)
 	g.adj = adj[:0]
 	for v := 0; v < b.n; v++ {
@@ -140,6 +132,70 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.setMaxDegree()
 	return g, nil
+}
+
+// FromOrderedEdges builds the graph on n nodes whose edges the sequence
+// yields as pairs (u, v), u < v, ordered by v and then by u. Filling each
+// node's row as its edges arrive in that order leaves every row sorted —
+// a node's lower neighbours arrive, ascending, before its upper ones — so
+// the graph needs no edge list and no sort. The sequence is iterated
+// twice, once to count degrees and once to fill the rows, and must yield
+// the same pairs both times. Nodes get unit weights and identifiers 1..n,
+// as NewBuilder gives them.
+func FromOrderedEdges(n int, edges iter.Seq2[int, int]) (*Graph, error) {
+	// off[v+1] counts v's degree, then becomes v's row start: the fill
+	// advances off[v+1] to v's row end, where row v+1 starts.
+	off := make([]int32, n+1)
+	m, err := orderedPass(n, edges, math.MaxInt32/2, func(u, v int) {
+		off[u+1]++
+		off[v+1]++
+	})
+	if err != nil {
+		return nil, err
+	}
+	start := int32(0)
+	for v := 1; v <= n; v++ {
+		off[v], start = start, start+off[v]
+	}
+	adj := make([]int32, start)
+	again, err := orderedPass(n, edges, m, func(u, v int) {
+		adj[off[u+1]] = int32(v)
+		off[u+1]++
+		adj[off[v+1]] = int32(u)
+		off[v+1]++
+	})
+	if err == nil && again != m {
+		err = fmt.Errorf("graph: the edge sequence yielded %d edges, then %d", m, again)
+	}
+	if err != nil {
+		return nil, err
+	}
+	g := &Graph{off: off, adj: adj, weights: make([]int64, n), ids: make([]uint64, n)}
+	for v := range g.weights {
+		g.weights[v] = 1
+		g.ids[v] = uint64(v + 1)
+	}
+	g.setMaxDegree()
+	return g, nil
+}
+
+// orderedPass calls edge for every pair of edges, FromOrderedEdges's
+// sequence, and returns their count, or an error at the first pair that
+// is out of range, out of order or past the first limit pairs.
+func orderedPass(n int, edges iter.Seq2[int, int], limit int, edge func(u, v int)) (int, error) {
+	m, pu, pv := 0, -1, -1
+	for u, v := range edges {
+		if u < 0 || u >= v || v >= n || v < pv || (v == pv && u <= pu) {
+			return 0, fmt.Errorf("graph: edge {%d,%d} after {%d,%d} is out of range [0,%d) or out of order", u, v, pu, pv, n)
+		}
+		if m == limit {
+			return 0, fmt.Errorf("graph: the edge sequence yields more than %d edges", limit)
+		}
+		pu, pv = u, v
+		edge(u, v)
+		m++
+	}
+	return m, nil
 }
 
 // checkIDs is the identifier rule of Build: identifiers are unique.
@@ -219,31 +275,18 @@ func (g *Graph) MaxDegree() int { return g.maxDeg }
 // nodes number 0..2m-1.
 func (g *Graph) Arcs(v int) (lo, hi int) { return int(g.off[v]), int(g.off[v+1]) }
 
-// ReverseArcs returns, for every arc a = lo+p from v to its p-th neighbour
-// u, the index of the arc from u back to v. It is built once per CSR, on
-// first use, and shared by every Graph over the same CSR (WithWeights, an
-// all-true Induce, a weight-only edit); callers must not modify it.
-func (g *Graph) ReverseArcs() []int32 {
-	if g.rev == nil {
-		return g.buildReverseArcs()
-	}
-	g.rev.once.Do(func() { g.rev.arcs = g.buildReverseArcs() })
-	return g.rev.arcs
-}
-
-// buildReverseArcs fills the reverse-arc table in one O(n + m) pass.
-// Neighbour lists are sorted ascending, so scanning v in ascending order
-// means each u sees its neighbours arrive in exactly port order, and a
-// per-node cursor assigns the reverse arcs without a search.
-func (g *Graph) buildReverseArcs() []int32 {
-	rev := make([]int32, len(g.adj))
-	cur := make([]int32, g.N())
+// FillReverseArcs fills rev, of length 2m, with g's reverse-arc table: for
+// every arc a = lo+p from v to its p-th neighbour u, rev[a] is the index
+// of the arc from u back to v. cur, of length n, is scratch. It is one
+// O(n + m) pass: neighbour lists are sorted ascending, so scanning v in
+// ascending order means each u sees its neighbours arrive in exactly port
+// order, and a per-node cursor assigns the reverse arcs without a search.
+func (g *Graph) FillReverseArcs(rev, cur []int32) {
 	copy(cur, g.off)
 	for a, u := range g.adj {
 		rev[a] = cur[u]
 		cur[u]++
 	}
-	return rev
 }
 
 // Neighbors returns v's sorted neighbour list. The slice aliases internal
@@ -312,7 +355,7 @@ func (g *Graph) WithWeights(w []int64) *Graph {
 	}
 	weights := make([]int64, len(w))
 	copy(weights, w)
-	return &Graph{off: g.off, adj: g.adj, weights: weights, ids: g.ids, maxDeg: g.maxDeg, rev: g.rev}
+	return &Graph{off: g.off, adj: g.adj, weights: weights, ids: g.ids, maxDeg: g.maxDeg}
 }
 
 // IsUnitWeight reports whether every node has weight exactly one.
@@ -341,21 +384,59 @@ type Subgraph struct {
 // subgraph shares g's CSR, weights and identifiers, as WithWeights does;
 // only the identity maps are allocated.
 func (g *Graph) Induce(keep []bool) *Subgraph {
-	if len(keep) != g.N() {
-		panic(fmt.Sprintf("graph: Induce got %d flags for %d nodes", len(keep), g.N()))
+	return g.InduceInto(new(SubgraphBuffer), keep, nil)
+}
+
+// SubgraphBuffer is reusable memory for induced subgraphs: InduceInto
+// builds a subgraph in the buffer's arrays, growing them only past their
+// capacity. The subgraph stays valid until the next InduceInto or Reset on
+// the buffer.
+type SubgraphBuffer struct {
+	sub Subgraph
+	g   Graph
+	// The arrays subgraphs are built in.
+	off, adj, toParent, fromParent []int32
+	weights                        []int64
+	ids                            []uint64
+}
+
+// Reset drops the buffer's subgraph, and with it every reference to the
+// graph it was induced from; the arrays stay for the next InduceInto.
+func (b *SubgraphBuffer) Reset() { b.sub, b.g = Subgraph{}, Graph{} }
+
+// InduceInto is Induce built in b. weights, indexed by g's nodes,
+// replaces g's weights in the subgraph (nil keeps them); like WithWeights
+// it admits zero and negative weights. When keep selects every node the
+// subgraph shares g's CSR and identifiers.
+func (g *Graph) InduceInto(b *SubgraphBuffer, keep []bool, weights []int64) *Subgraph {
+	n := g.N()
+	if len(keep) != n {
+		panic(fmt.Sprintf("graph: Induce got %d flags for %d nodes", len(keep), n))
 	}
-	if g.N() > 0 && !slices.Contains(keep, false) {
-		toParent, fromParent := make([]int32, g.N()), make([]int32, g.N())
-		for v := range toParent {
-			toParent[v] = int32(v)
-			fromParent[v] = int32(v)
+	if weights != nil && len(weights) != n {
+		panic(fmt.Sprintf("graph: Induce got %d weights for %d nodes", len(weights), n))
+	}
+	b.sub.G = &b.g
+	if n > 0 && !slices.Contains(keep, false) {
+		b.toParent, b.fromParent = fit(b.toParent, n), fit(b.fromParent, n)
+		for v := range b.toParent {
+			b.toParent[v] = int32(v)
+			b.fromParent[v] = int32(v)
 		}
-		sub := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg, rev: g.rev}
-		return &Subgraph{G: sub, ToParent: toParent, FromParent: fromParent}
+		b.g = Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg}
+		if weights != nil {
+			b.weights = fit(b.weights, n)
+			copy(b.weights, weights)
+			b.g.weights = b.weights
+		}
+		b.sub.ToParent, b.sub.FromParent = b.toParent, b.fromParent
+		return &b.sub
 	}
-	// Count the kept nodes and arcs first, so every slice is allocated
-	// once at its final size (an empty one stays nil).
-	fromParent := make([]int32, g.N())
+	if weights == nil {
+		weights = g.weights
+	}
+	// Count the kept nodes and arcs first, so every slice is sized once.
+	fromParent := fit(b.fromParent, n)
 	k, arcs := 0, 0
 	for v, in := range keep {
 		if !in {
@@ -370,38 +451,42 @@ func (g *Graph) Induce(keep []bool) *Subgraph {
 			}
 		}
 	}
-	var toParent []int32
-	if k > 0 {
-		toParent = make([]int32, 0, k)
-	}
-	sub := &Graph{
-		off:     make([]int32, k+1),
-		weights: make([]int64, k),
-		ids:     make([]uint64, k),
-		rev:     new(reverseArcs),
-	}
-	if arcs > 0 {
-		sub.adj = make([]int32, 0, arcs)
-	}
+	b.fromParent = fromParent
+	b.toParent, b.off, b.adj = fit(b.toParent, k), fit(b.off, k+1), fit(b.adj, arcs)
+	b.weights, b.ids = fit(b.weights, k), fit(b.ids, k)
+	sub := Graph{off: b.off, adj: b.adj, weights: b.weights, ids: b.ids}
+	sub.off[0] = 0
+	i, a := 0, int32(0)
 	for v, in := range keep {
 		if !in {
 			continue
 		}
-		i := len(toParent)
-		toParent = append(toParent, int32(v))
-		sub.weights[i] = g.weights[v]
+		b.toParent[i] = int32(v)
+		sub.weights[i] = weights[v]
 		sub.ids[i] = g.ids[v]
 		for _, u := range g.Neighbors(v) {
 			if keep[u] {
-				sub.adj = append(sub.adj, fromParent[u])
+				sub.adj[a] = fromParent[u]
+				a++
 			}
 		}
-		sub.off[i+1] = int32(len(sub.adj))
-		if d := int(sub.off[i+1] - sub.off[i]); d > sub.maxDeg {
-			sub.maxDeg = d
-		}
+		sub.off[i+1] = a
+		sub.maxDeg = max(sub.maxDeg, int(sub.off[i+1]-sub.off[i]))
+		i++
 	}
-	return &Subgraph{G: sub, ToParent: toParent, FromParent: fromParent}
+	b.g = sub
+	b.sub.ToParent, b.sub.FromParent = b.toParent, b.fromParent
+	return &b.sub
+}
+
+// fit returns s with length n, reusing its backing array when the
+// capacity allows; elements are not cleared. An empty result of a nil s
+// stays nil.
+func fit[S ~[]E, E any](s S, n int) S {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make(S, n)
 }
 
 // LiftSet maps a node-membership vector on the subgraph back to the parent

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -444,7 +445,8 @@ func TestQuickDegeneracyBoundsArboricity(t *testing.T) {
 // from u back to v, and that reversing twice is the identity.
 func checkReverseArcs(t *testing.T, g *Graph) {
 	t.Helper()
-	rev := g.ReverseArcs()
+	rev := make([]int32, 2*g.M())
+	g.FillReverseArcs(rev, make([]int32, g.N()))
 	if len(rev) != 2*g.M() {
 		t.Fatalf("%d reverse arcs for %d edges", len(rev), g.M())
 	}
@@ -461,30 +463,18 @@ func checkReverseArcs(t *testing.T, g *Graph) {
 	}
 }
 
-// TestReverseArcsSharedPerCSR checks the table and that it is built once
-// per CSR: graphs over the same CSR share it, and an edit that changes
-// edges gets a table of its own.
-func TestReverseArcsSharedPerCSR(t *testing.T) {
+// TestReverseArcs checks the table on every kind of graph construction:
+// Build, weight-only and edge edits, Induce, FromCanonical and component
+// splits.
+func TestReverseArcs(t *testing.T) {
 	g := buildTriangleWithTail(t)
 	checkReverseArcs(t, g)
-	same := func(a, b *Graph) bool { return &a.ReverseArcs()[0] == &b.ReverseArcs()[0] }
-	if !same(g, g) {
-		t.Error("a second call rebuilt the table")
-	}
-	all := []bool{true, true, true, true, true}
 	weighted, _, err := g.ApplyEdit(Edit{Weights: []WeightUpdate{{V: 1, W: 7}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, h := range map[string]*Graph{
-		"WithWeights":      g.WithWeights([]int64{5, 4, 3, 2, 1}),
-		"all-true Induce":  g.Induce(all).G,
-		"weight-only edit": weighted,
-	} {
-		if !same(g, h) {
-			t.Errorf("%s: the graph does not share its CSR's table", name)
-		}
-	}
+	checkReverseArcs(t, weighted)
+	checkReverseArcs(t, g.Induce([]bool{true, true, true, true, true}).G)
 	edited, _, err := g.ApplyEdit(Edit{AddEdges: [][2]int32{{0, 4}}})
 	if err != nil {
 		t.Fatal(err)
@@ -499,5 +489,58 @@ func TestReverseArcsSharedPerCSR(t *testing.T) {
 	checkReverseArcs(t, canon)
 	for _, c := range g.SplitComponents() {
 		checkReverseArcs(t, c.G)
+	}
+}
+
+// TestFromOrderedEdges builds a graph from its edges in (larger, smaller)
+// endpoint order and requires the Builder's graph; sequences out of order,
+// out of range, with a loop or a duplicate, or that change between the two
+// passes are refused.
+func TestFromOrderedEdges(t *testing.T) {
+	seq := func(edges ...[2]int) func(yield func(u, v int) bool) {
+		return func(yield func(u, v int) bool) {
+			for _, e := range edges {
+				if !yield(e[0], e[1]) {
+					return
+				}
+			}
+		}
+	}
+	edges := [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 4}, {1, 5}}
+	g, err := FromOrderedEdges(6, seq(edges...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(6)
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	if want := b.MustBuild(); !bytes.Equal(g.Canonical(), want.Canonical()) || g.MaxDegree() != want.MaxDegree() {
+		t.Errorf("FromOrderedEdges built %v, want the Builder's graph", g.Canonical())
+	}
+	if err := g.Validate(); err != nil {
+		t.Error(err)
+	}
+	for name, bad := range map[string][][2]int{
+		"out of order": {{0, 2}, {0, 1}},
+		"out of range": {{0, 6}},
+		"loop":         {{1, 1}},
+		"duplicate":    {{0, 1}, {0, 1}},
+	} {
+		if _, err := FromOrderedEdges(6, seq(bad...)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	passes := 0
+	growing := func(yield func(u, v int) bool) {
+		passes++
+		for v := 1; v <= passes; v++ {
+			if !yield(0, v) {
+				return
+			}
+		}
+	}
+	if _, err := FromOrderedEdges(6, growing); err == nil {
+		t.Error("a sequence that changed between the passes was accepted")
 	}
 }

@@ -147,10 +147,9 @@ func (g *Graph) ApplyEdit(e Edit) (*Graph, EditReport, error) {
 			arcs = append(arcs, arc{key[0], key[1], true}, arc{key[1], key[0], true})
 		}
 	}
-	ng := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg, rev: g.rev}
+	ng := &Graph{off: g.off, adj: g.adj, weights: g.weights, ids: g.ids, maxDeg: g.maxDeg}
 	if len(arcs) > 0 {
 		ng.off, ng.adj = g.splice(arcs)
-		ng.rev = new(reverseArcs)
 		ng.maxDeg = 0
 		ng.setMaxDegree()
 	}

@@ -51,11 +51,12 @@ func RankingAlgorithm(c int) ApproxAlgorithm {
 // the plain cycle.
 func TruncatedLuby(rounds int) ApproxAlgorithm {
 	return func(g *graph.Graph, seed uint64) ([]bool, int, error) {
-		res, err := mis.Luby{}.Run(g, congest.Config{Seed: seed, HardStop: rounds})
+		set := make([]bool, g.N())
+		res, err := mis.Luby{}.Run(g, congest.Config{Seed: seed, HardStop: rounds}, set)
 		if err != nil {
 			return nil, 0, err
 		}
-		return congest.BoolOutputs(res), res.Rounds, nil
+		return set, res.Rounds, nil
 	}
 }
 

@@ -116,7 +116,7 @@ func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Messa
 	return nil, true
 }
 
-func (p *bhrProcess) Output() any { return p.joined }
+func (p *bhrProcess) Output() bool { return p.joined }
 
 // BHROneRound is the single-phase weighted race: one communication round,
 // E[w(I)] ≥ w(V)/(Δ+1).
@@ -156,7 +156,7 @@ func BHR(g *graph.Graph, phases int, cfg Config) (*Result, error) {
 			break
 		}
 		ran++
-		set, _, err := dist.RunOnInduced(g, active, congest.Bind[bhrProcess](nil), &acc, cfg.Phase("race").Sim(seeds.Next()))
+		set, err := dist.RunOnInduced(g, active, congest.Bind[bhrProcess](nil), &acc, cfg.Phase("race").Sim(seeds.Next()))
 		if err != nil {
 			return nil, fmt.Errorf("maxis: bhr phase %d: %w", ph+1, err)
 		}

@@ -36,7 +36,8 @@ func Boost(g *graph.Graph, eps float64, inner Inner, cfg Config) (*BoostResult, 
 	if eps <= 0 {
 		return nil, fmt.Errorf("maxis: Boost needs ε > 0, got %v", eps)
 	}
-	cfg = cfg.Normalized(g)
+	cfg, scratch := cfg.Normalized(g).WithScratch()
+	defer scratch.Release()
 	seeds := protocol.NewSeedSeq(cfg.Seed)
 	var acc dist.Accumulator
 	set, stackValue, phases, err := boostRun(g, eps, inner, cfg, seeds, &acc)
@@ -91,20 +92,21 @@ func boostPush(g *graph.Graph, t int, inner Inner, cfg Config, seeds *protocol.S
 		if !anyActive {
 			break
 		}
-		sub := g.Induce(active)
+		// The residual graph carries the residual weights.
+		sub := cfg.Scratch().Induce(g, active, cur)
 		acc.AddRounds(1) // active-flag exchange
-		subW := make([]int64, sub.G.N())
-		for j, pv := range sub.ToParent {
-			subW[j] = cur[pv]
-		}
 		// Push phases share the unindexed "push" label so a Timeline
 		// aggregates all t of them into one stage (the per-round records
 		// still separate them by run index).
-		inSet, err := inner.Run(sub.G.WithWeights(subW), cfg.Phase("push"), phaseSeeds, acc)
+		inSet, err := inner.Run(sub.G, cfg.Phase("push"), phaseSeeds, acc)
+		var set []bool
+		if err == nil {
+			set = sub.LiftSet(inSet)
+		}
+		cfg.Scratch().Pop()
 		if err != nil {
 			return nil, 0, fmt.Errorf("maxis: boost phase %d: %w", i, err)
 		}
-		set := sub.LiftSet(inSet)
 		if !g.IsIndependentSet(set) {
 			return nil, 0, fmt.Errorf("maxis: boost phase %d: inner %s returned dependent set", i, inner.Name())
 		}

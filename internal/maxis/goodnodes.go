@@ -33,15 +33,14 @@ func goodNodesRun(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *dist
 		return nil, nil, nil
 	}
 	// Phase 1: two-round good-node detection protocol.
-	res, err := dist.RunPhase(g, congest.Bind[goodDetect](nil), acc, cfg.Phase("goodnodes/detect").Sim(seeds.Next()))
+	good, err = dist.RunPhase(g, congest.Bind[goodDetect](nil), acc, cfg.Phase("goodnodes/detect").Sim(seeds.Next()))
 	if err != nil {
 		return nil, nil, err
 	}
-	good = congest.BoolOutputs(res)
 
 	// Phase 2: MIS over the good-node subgraph (Lemma 2: black-box MIS with
 	// the original NUpper works on any subgraph).
-	set, _, err = dist.RunOnInduced(g, good, cfg.MISAlg().Run, acc, cfg.Phase("goodnodes/mis").Sim(seeds.Next()))
+	set, err = dist.RunOnInduced(g, good, cfg.MISAlg().Run, acc, cfg.Phase("goodnodes/mis").Sim(seeds.Next()))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,7 +90,7 @@ func (p *goodDetect) Round(round int, recv []*congest.Message) ([]*congest.Messa
 	}
 }
 
-func (p *goodDetect) Output() any { return p.good }
+func (p *goodDetect) Output() bool { return p.good }
 
 // goodNodesInner adapts GoodNodes as a boosting black box with c = 8:
 // w(V)/(4(Δ+1)) ≥ w(V)/(8Δ) whenever Δ ≥ 1.

@@ -131,7 +131,7 @@ func localRatioRun(g *graph.Graph, cur []int64, top, unit int64, cfg Config, alg
 			break
 		}
 		phases++
-		set, _, err := dist.RunOnInduced(g, active, cfg.MISAlg().Run, &acc, cfg.Phase(stage).Sim(seed))
+		set, err := dist.RunOnInduced(g, active, cfg.MISAlg().Run, &acc, cfg.Phase(stage).Sim(seed))
 		if err != nil {
 			return nil, fmt.Errorf("maxis: %s phase %d: %w", alg, phases, err)
 		}

@@ -63,15 +63,15 @@ func EstimateDegeneracy(g *graph.Graph, cfg Config) (*DegeneracyEstimate, error)
 		est.Estimate = threshold
 		sub := g.Induce(alive)
 		est.Metrics.AddRounds(1) // survivors exchange liveness flags
-		res, err := dist.RunPhase(sub.G, congest.Bind(func(p *peelProcess) {
+		kept, err := dist.RunPhase(sub.G, congest.Bind(func(p *peelProcess) {
 			p.threshold, p.budget = threshold, peelRounds
 		}), &est.Metrics, cfg.Phase("peel").Sim(seeds.Next()))
 		if err != nil {
 			return nil, fmt.Errorf("maxis: peel threshold %d: %w", threshold, err)
 		}
 		survivors := 0
-		for i, out := range res.Outputs {
-			if alive2, ok := out.(bool); ok && alive2 {
+		for i, in := range kept {
+			if in {
 				survivors++
 			} else {
 				alive[sub.ToParent[i]] = false
@@ -133,7 +133,7 @@ func (p *peelProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 	return nil, round >= p.budget
 }
 
-func (p *peelProcess) Output() any { return !p.removed }
+func (p *peelProcess) Output() bool { return !p.removed }
 
 // Theorem3Auto is Theorem 3 without the known-α assumption: it first runs
 // EstimateDegeneracy to obtain T̂ ∈ [degeneracy, 8·degeneracy] and then

@@ -39,11 +39,10 @@ func PlanarConstantRound(g *graph.Graph, cfg Config) (*Result, error) {
 
 	// One round to learn which neighbours are low-degree (each node
 	// broadcasts a single bit).
-	res, err := dist.RunPhase(g, congest.Bind(func(p *degreeCapFlag) { p.cap = planarDegreeCap }), &acc, cfg.Phase("lowdeg-flag").Sim(seeds.Next()))
+	low, err := dist.RunPhase(g, congest.Bind(func(p *degreeCapFlag) { p.cap = planarDegreeCap }), &acc, cfg.Phase("lowdeg-flag").Sim(seeds.Next()))
 	if err != nil {
 		return nil, err
 	}
-	low := congest.BoolOutputs(res)
 	sub := g.Induce(low)
 	acc.AddRounds(1)
 	if sub.G.N() == 0 {
@@ -76,4 +75,4 @@ func (p *degreeCapFlag) Round(round int, recv []*congest.Message) ([]*congest.Me
 	return congest.Broadcast(p.info.Out, p.info.Message(&w)), true
 }
 
-func (p *degreeCapFlag) Output() any { return p.info.Degree <= p.cap }
+func (p *degreeCapFlag) Output() bool { return p.info.Degree <= p.cap }

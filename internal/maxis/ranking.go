@@ -64,11 +64,7 @@ func rankingRun(g *graph.Graph, c int, cfg Config, seeds *protocol.SeedSeq, acc 
 		return nil, nil
 	}
 	space := rankSpace(cfg.NUpper, c)
-	res, err := dist.RunPhase(g, congest.Bind(func(p *rankingProcess) { p.space = space }), acc, cfg.Phase("ranking").Sim(seeds.Next()))
-	if err != nil {
-		return nil, err
-	}
-	return congest.BoolOutputs(res), nil
+	return dist.RunPhase(g, congest.Bind(func(p *rankingProcess) { p.space = space }), acc, cfg.Phase("ranking").Sim(seeds.Next()))
 }
 
 // rankingProcess ships its rank in B-bit chunks and joins when strictly
@@ -220,7 +216,7 @@ func (p *rankingProcess) absorbTagged(port int, r *wire.Reader) {
 	p.nbrRanks[port] |= chunkVal << uint(lo)
 }
 
-func (p *rankingProcess) Output() any { return p.joined }
+func (p *rankingProcess) Output() bool { return p.joined }
 
 // SeqBoppanna is Algorithm 3: the sequential view of the ranking algorithm.
 // Nodes are drawn uniformly at random without replacement; a drawn node

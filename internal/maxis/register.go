@@ -36,7 +36,10 @@ func (e *solverEntry) Normalize(p protocol.Params) (protocol.Params, error) {
 	return e.normalize(p)
 }
 
+// Run runs the pipeline with one scratch for all of its phases.
 func (e *solverEntry) Run(g *graph.Graph, p protocol.Params, cfg Config) (*Result, error) {
+	cfg, scratch := cfg.WithScratch()
+	defer scratch.Release()
 	return e.run(g, p, cfg)
 }
 

@@ -42,7 +42,8 @@ func sparsifiedRun(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *dis
 	if err != nil {
 		return nil, nil, err
 	}
-	sub := g.Induce(inH)
+	sub := cfg.Scratch().Induce(g, inH, nil)
+	defer cfg.Scratch().Pop()
 	acc.AddRounds(1) // membership-flag exchange
 	ext := map[string]float64{
 		"sparsifier_nodes":     float64(sub.G.N()),
@@ -72,11 +73,7 @@ func SampleSparsifier(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *
 		acc = &dist.Accumulator{}
 	}
 	lam := cfg.LambdaOrDefault()
-	res, err := dist.RunPhase(g, congest.Bind(func(p *sparsifySample) { p.lambda = lam }), acc, cfg.Phase("sparsify/sample").Sim(seeds.Next()))
-	if err != nil {
-		return nil, err
-	}
-	return congest.BoolOutputs(res), nil
+	return dist.RunPhase(g, congest.Bind(func(p *sparsifySample) { p.lambda = lam }), acc, cfg.Phase("sparsify/sample").Sim(seeds.Next()))
 }
 
 // sparsifySample is the sampling protocol:
@@ -181,7 +178,7 @@ func (p *sparsifySample) draw(wmax int64) bool {
 	return p.info.Rand.Float64() < prob
 }
 
-func (p *sparsifySample) Output() any { return p.inH }
+func (p *sparsifySample) Output() bool { return p.inH }
 
 // sparsifiedInner adapts Sparsified as a boosting black box. The constant
 // follows the Theorem 9 chain: H keeps a Θ(min{1, log n/Δ}) weight fraction

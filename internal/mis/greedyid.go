@@ -21,8 +21,8 @@ type GreedyByID struct{}
 func (GreedyByID) Name() string { return "greedy-id" }
 
 // Run implements Algorithm.
-func (GreedyByID) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
-	return congest.Run[greedyIDProcess](g, nil, c)
+func (GreedyByID) Run(g *graph.Graph, c congest.Config, out []bool) (*congest.Result, error) {
+	return congest.Bind[greedyIDProcess](nil)(g, c, out)
 }
 
 // RoundBudget implements Algorithm: the deterministic chain bound.
@@ -148,4 +148,4 @@ func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.
 	return broadcastAlive(p.info.Out, p.nbrActive, p.info.Message(&p.w)), done
 }
 
-func (p *greedyIDProcess) Output() any { return p.joined }
+func (p *greedyIDProcess) Output() bool { return p.joined }

@@ -71,11 +71,12 @@ type Result struct {
 
 // Compute runs alg on g and returns the membership vector plus metrics.
 func Compute(alg Algorithm, g *graph.Graph, c congest.Config) (*Result, error) {
-	res, err := alg.Run(g, c)
+	set := make([]bool, g.N())
+	res, err := alg.Run(g, c, set)
 	if err != nil {
 		return nil, fmt.Errorf("mis: %s: %w", alg.Name(), err)
 	}
-	return &Result{Set: congest.BoolOutputs(res), Exec: res}, nil
+	return &Result{Set: set, Exec: res}, nil
 }
 
 // Verify returns an error unless set is a maximal independent set of g.
@@ -96,8 +97,8 @@ type Luby struct{}
 func (Luby) Name() string { return "luby" }
 
 // Run implements Algorithm.
-func (Luby) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
-	return congest.Run[lubyProcess](g, nil, c)
+func (Luby) Run(g *graph.Graph, c congest.Config, out []bool) (*congest.Result, error) {
+	return congest.Bind[lubyProcess](nil)(g, c, out)
 }
 
 // RoundBudget implements Algorithm: Luby terminates in O(log n) iterations
@@ -317,7 +318,7 @@ func (p *lubyProcess) absorbRetirements(round int, recv []*congest.Message) {
 	}
 }
 
-func (p *lubyProcess) Output() any { return p.joined }
+func (p *lubyProcess) Output() bool { return p.joined }
 
 // TracePhase implements congest.PhaseLabeler.
 func (p *lubyProcess) TracePhase(round int) string { return phaseName(round) }
@@ -329,8 +330,8 @@ type Ghaffari struct{}
 func (Ghaffari) Name() string { return "ghaffari" }
 
 // Run implements Algorithm.
-func (Ghaffari) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
-	return congest.Run[ghaffariProcess](g, nil, c)
+func (Ghaffari) Run(g *graph.Graph, c congest.Config, out []bool) (*congest.Result, error) {
+	return congest.Bind[ghaffariProcess](nil)(g, c, out)
 }
 
 // RoundBudget implements Algorithm: O(log Δ) + poly(log log n) iterations
@@ -477,7 +478,7 @@ func pow2neg(exp int) float64 {
 	return v
 }
 
-func (p *ghaffariProcess) Output() any { return p.joined }
+func (p *ghaffariProcess) Output() bool { return p.joined }
 
 // TracePhase implements congest.PhaseLabeler.
 func (p *ghaffariProcess) TracePhase(round int) string { return phaseName(round) }
@@ -490,8 +491,8 @@ type Rank struct{}
 func (Rank) Name() string { return "rank" }
 
 // Run implements Algorithm.
-func (Rank) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
-	return congest.Run[rankProcess](g, nil, c)
+func (Rank) Run(g *graph.Graph, c congest.Config, out []bool) (*congest.Result, error) {
+	return congest.Bind[rankProcess](nil)(g, c, out)
 }
 
 // RoundBudget implements Algorithm: like Luby, O(log n) iterations w.h.p.
@@ -595,7 +596,7 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 	}
 }
 
-func (p *rankProcess) Output() any { return p.joined }
+func (p *rankProcess) Output() bool { return p.joined }
 
 // TracePhase implements congest.PhaseLabeler.
 func (p *rankProcess) TracePhase(round int) string { return phaseName(round) }

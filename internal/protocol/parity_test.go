@@ -72,17 +72,17 @@ func TestProtoEngineParity(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			run := func(workers int) *congest.Result {
-				res, err := p.Run(g, congest.Config{Seed: 9, Workers: workers})
+			run := func(workers int) (*congest.Result, []int) {
+				res, outs, err := p.Run(g, congest.Config{Seed: 9, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res
+				return res, outs
 			}
-			seq := run(1)
+			seq, seqOuts := run(1)
 			for _, workers := range parallelWorkers {
-				got := run(workers)
-				if !reflect.DeepEqual(seq.Outputs, got.Outputs) {
+				got, outs := run(workers)
+				if !reflect.DeepEqual(seqOuts, outs) {
 					t.Errorf("%d workers: outputs diverge from 1 worker", workers)
 				}
 				if seq.Rounds != got.Rounds || seq.Messages != got.Messages ||

@@ -57,9 +57,9 @@ type Result struct {
 type MIS interface {
 	// Name identifies the algorithm in experiment tables.
 	Name() string
-	// Run runs the protocol on g (it is a congest.Runner). Every node's
-	// Output() is a bool: membership in the computed MIS.
-	Run(g *graph.Graph, c congest.Config) (*congest.Result, error)
+	// Run runs the protocol on g (it is a congest.Runner): out[v] becomes
+	// node v's membership in the computed MIS.
+	Run(g *graph.Graph, c congest.Config, out []bool) (*congest.Result, error)
 	// RoundBudget returns the declared with-high-probability round budget
 	// MIS(n, Δ) for graphs with ≤ nUpper nodes and maximum degree ≤ maxDeg.
 	RoundBudget(nUpper, maxDeg int) int
@@ -137,7 +137,25 @@ type Config struct {
 	// TraceLabel prefixes every phase label this config emits; algorithms
 	// descend from it via Config.Phase. Ignored without a Tracer.
 	TraceLabel string
+	// scratch is the solve's memory, handed to every phase (see
+	// WithScratch); nil lets each run borrow its own.
+	scratch *congest.Scratch
 }
+
+// WithScratch returns c carrying a scratch for every phase of one solve
+// (congest.Scratch), and the scratch the caller releases when the solve
+// ends — nil when c already carries one, which its borrower releases. The
+// returned Config must stay on one goroutine.
+func (c Config) WithScratch() (Config, *congest.Scratch) {
+	if c.scratch != nil {
+		return c, nil
+	}
+	c.scratch = congest.NewScratch()
+	return c, c.scratch
+}
+
+// Scratch returns the solve scratch c carries, or nil.
+func (c Config) Scratch() *congest.Scratch { return c.scratch }
 
 // MISAlg resolves the configured MIS black box, falling back to the
 // registry's default (Luby's algorithm, registered by internal/mis).
@@ -240,6 +258,7 @@ func (c Config) Sim(phaseSeed uint64) congest.Config {
 		MaxID:           c.maxID,
 		Tracer:          c.Tracer,
 		TraceLabel:      c.TraceLabel,
+		Scratch:         c.scratch,
 	}
 	if c.Faults.Enabled() {
 		inj := fault.NewInjector(c.Faults.WithSeed(phaseSeed))

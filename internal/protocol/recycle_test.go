@@ -37,12 +37,12 @@ func recycleRunners(t *testing.T) []recycleRunner {
 	var out []recycleRunner
 	for _, p := range protocol.Protos() {
 		out = append(out, recycleRunner{"proto/" + p.Name(), func(g *graph.Graph) (string, error) {
-			res, err := p.Run(g, congest.Config{Seed: 9})
+			res, outs, err := p.Run(g, congest.Config{Seed: 9})
 			if err != nil {
 				return "", err
 			}
 			return fmt.Sprintf("rounds=%d messages=%d bits=%d maxbits=%d outputs=%v",
-				res.Rounds, res.Messages, res.Bits, res.MaxMessageBits, res.Outputs), nil
+				res.Rounds, res.Messages, res.Bits, res.MaxMessageBits, outs), nil
 		}})
 	}
 	for _, s := range protocol.Solvers() {

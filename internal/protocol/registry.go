@@ -101,9 +101,13 @@ type Solver interface {
 // processes the runner builds, made by the layers that use them.
 type Proto interface {
 	Algorithm
-	// Run runs the protocol on g (it is a congest.Runner).
-	Run(g *graph.Graph, c congest.Config) (*congest.Result, error)
+	// Run runs the protocol on g and returns every node's output as an
+	// integer: a membership flag as 0 or 1, a colour as itself.
+	Run(g *graph.Graph, c congest.Config) (*congest.Result, []int, error)
 }
+
+// ProtoRunner is the runner of a registered single protocol (Proto.Run).
+type ProtoRunner func(g *graph.Graph, c congest.Config) (*congest.Result, []int, error)
 
 // protoEntry adapts a runner (plus metadata) to Proto; MIS entries
 // additionally carry the black-box implementation.
@@ -111,14 +115,14 @@ type protoEntry struct {
 	name     string
 	kind     Kind
 	describe string
-	run      congest.Runner
+	run      ProtoRunner
 	mis      MIS
 }
 
 func (e *protoEntry) Name() string     { return e.name }
 func (e *protoEntry) Kind() Kind       { return e.kind }
 func (e *protoEntry) Describe() string { return e.describe }
-func (e *protoEntry) Run(g *graph.Graph, c congest.Config) (*congest.Result, error) {
+func (e *protoEntry) Run(g *graph.Graph, c congest.Config) (*congest.Result, []int, error) {
 	return e.run(g, c)
 }
 
@@ -165,7 +169,18 @@ func Register(a Algorithm) {
 // registered box becomes the Config.MIS default unless SetDefaultMIS
 // overrides it.
 func RegisterMIS(m MIS, describe string) {
-	Register(&protoEntry{name: m.Name(), kind: KindMIS, describe: describe, run: m.Run, mis: m})
+	run := func(g *graph.Graph, c congest.Config) (*congest.Result, []int, error) {
+		set := make([]bool, g.N())
+		res, err := m.Run(g, c, set)
+		out := make([]int, len(set))
+		for v, in := range set {
+			if in {
+				out[v] = 1
+			}
+		}
+		return res, out, err
+	}
+	Register(&protoEntry{name: m.Name(), kind: KindMIS, describe: describe, run: run, mis: m})
 	mu.Lock()
 	if defaultMIS == "" {
 		defaultMIS = m.Name()
@@ -197,9 +212,8 @@ func DefaultMIS() MIS {
 }
 
 // RegisterProcess registers a single-protocol algorithm (KindColoring or
-// KindMIS-shaped entries that are not full MIS boxes) by its runner,
-// typically congest.Bind of its process type.
-func RegisterProcess(kind Kind, name, describe string, run congest.Runner) {
+// KindMIS-shaped entries that are not full MIS boxes) by its runner.
+func RegisterProcess(kind Kind, name, describe string, run ProtoRunner) {
 	Register(&protoEntry{name: name, kind: kind, describe: describe, run: run})
 }
 

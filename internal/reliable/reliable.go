@@ -326,9 +326,6 @@ func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bo
 	return send, false
 }
 
-// Output implements congest.Process.
-func (p *proc) Output() any { return p.inner.Output() }
-
 // TracePhase implements congest.PhaseLabeler: the inner protocol's own
 // stage label while logical rounds advance, and an "arq:..." annotation for
 // physical rounds the transport spends on recovery work (retransmissions,

@@ -24,11 +24,11 @@ func testGraph(seed uint64) *graph.Graph {
 func TestTransparentNoFaults(t *testing.T) {
 	g := testGraph(7)
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Rank{}} {
-		plain, err := alg.Run(g, congest.Config{Seed: 5})
+		plain, err := runMIS(alg, g, congest.Config{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := alg.Run(g, congest.Config{Seed: 5, Reliable: reliable.New(reliable.Options{})})
+		rel, err := runMIS(alg, g, congest.Config{Seed: 5, Reliable: reliable.New(reliable.Options{})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,13 +57,13 @@ func TestExactRecoveryUnderFaults(t *testing.T) {
 		{Seed: 4, Dup: 0.5},
 	}
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Rank{}} {
-		plain, err := alg.Run(g, congest.Config{Seed: 9})
+		plain, err := runMIS(alg, g, congest.Config{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, sched := range scheds {
 			inj := fault.NewInjector(sched)
-			rel, err := alg.Run(g, congest.Config{Seed: 9, Hook: inj, Reliable: reliable.New(reliable.Options{})})
+			rel, err := runMIS(alg, g, congest.Config{Seed: 9, Hook: inj, Reliable: reliable.New(reliable.Options{})})
 			if err != nil {
 				t.Fatalf("%s schedule %d: %v", alg.Name(), i, err)
 			}
@@ -89,12 +89,12 @@ func TestExactRecoveryUnderFaults(t *testing.T) {
 // still match the fault-free run.
 func TestCrashRecoveryWithoutCheckpoint(t *testing.T) {
 	g := testGraph(13)
-	plain, err := mis.Luby{}.Run(g, congest.Config{Seed: 3})
+	plain, err := runMIS(mis.Luby{}, g, congest.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(fault.Schedule{Seed: 8, Loss: 0.1, CrashFrac: 0.2, CrashAt: 3, CrashBack: 9})
-	rel, err := mis.Luby{}.Run(g, congest.Config{Seed: 3, Hook: inj, Reliable: reliable.New(reliable.Options{})})
+	rel, err := runMIS(mis.Luby{}, g, congest.Config{Seed: 3, Hook: inj, Reliable: reliable.New(reliable.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,12 @@ func TestCheckpointRestore(t *testing.T) {
 	g := testGraph(17)
 	for _, alg := range []mis.Algorithm{mis.Luby{}, mis.Ghaffari{}, mis.Rank{}} {
 		opts := reliable.Options{CheckpointEvery: 4}
-		base, err := alg.Run(g, congest.Config{Seed: 21, Reliable: reliable.New(opts)})
+		base, err := runMIS(alg, g, congest.Config{Seed: 21, Reliable: reliable.New(opts)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		inj := fault.NewInjector(fault.Schedule{Seed: 6, Loss: 0.15, CrashFrac: 0.25, CrashAt: 4, CrashBack: 11})
-		rel, err := alg.Run(g, congest.Config{Seed: 21, Hook: inj, Reliable: reliable.New(opts)})
+		rel, err := runMIS(alg, g, congest.Config{Seed: 21, Hook: inj, Reliable: reliable.New(opts)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestCheckpointRestore(t *testing.T) {
 		if rel.Recoveries == 0 {
 			t.Errorf("%s: crash-recovery schedule but no checkpoint recoveries", alg.Name())
 		}
-		set := congest.BoolOutputs(rel)
+		set := rel.Outputs
 		if rep := fault.CheckIndependence(g, set); !rep.Independent {
 			t.Errorf("%s: %v", alg.Name(), rep.Err())
 		}
@@ -142,9 +142,9 @@ func TestCheckpointRestore(t *testing.T) {
 func TestEngineAgreement(t *testing.T) {
 	g := testGraph(19)
 	sched := fault.Schedule{Seed: 5, Loss: 0.25, Dup: 0.1, Corrupt: 0.1, CrashFrac: 0.1, CrashAt: 3, CrashBack: 8}
-	run := func(workers int) *congest.Result {
+	run := func(workers int) *misOutput {
 		inj := fault.NewInjector(sched)
-		res, err := mis.Rank{}.Run(g, congest.Config{Seed: 31, Hook: inj, Workers: workers, Reliable: reliable.New(reliable.Options{CheckpointEvery: 5})})
+		res, err := runMIS(mis.Rank{}, g, congest.Config{Seed: 31, Hook: inj, Workers: workers, Reliable: reliable.New(reliable.Options{CheckpointEvery: 5})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,14 +171,14 @@ func TestEngineAgreement(t *testing.T) {
 func TestCrashStopRepair(t *testing.T) {
 	g := testGraph(23)
 	inj := fault.NewInjector(fault.Schedule{Seed: 9, Loss: 0.2, CrashFrac: 0.25, CrashAt: 2})
-	rel, err := mis.Luby{}.Run(g, congest.Config{Seed: 41, Hook: inj, Reliable: reliable.New(reliable.Options{}), HardStop: 1500})
+	rel, err := runMIS(mis.Luby{}, g, congest.Config{Seed: 41, Hook: inj, Reliable: reliable.New(reliable.Options{}), HardStop: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.DeadPorts == 0 {
 		t.Error("crash-stop schedule but no ports declared dead")
 	}
-	set := congest.BoolOutputs(rel)
+	set := rel.Outputs
 	reliable.Repair(g, set)
 	if rep := fault.CheckIndependence(g, set); !rep.Independent {
 		t.Errorf("after repair: %v", rep.Err())
@@ -231,12 +231,12 @@ func TestIsolatedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := mis.Luby{}.Run(g, congest.Config{Seed: 2})
+	plain, err := runMIS(mis.Luby{}, g, congest.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(fault.Schedule{Seed: 3, Loss: 0.3})
-	rel, err := mis.Luby{}.Run(g, congest.Config{Seed: 2, Hook: inj, Reliable: reliable.New(reliable.Options{})})
+	rel, err := runMIS(mis.Luby{}, g, congest.Config{Seed: 2, Hook: inj, Reliable: reliable.New(reliable.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestTraceReconciliation(t *testing.T) {
 	ring := trace.NewRing(0)
 	tot := &trace.Totals{}
 	inj := fault.NewInjector(fault.Schedule{Seed: 12, Loss: 0.25, Dup: 0.1, Corrupt: 0.1})
-	res, err := mis.Rank{}.Run(g, congest.Config{Seed: 14, Hook: inj, Reliable: reliable.New(reliable.Options{}), Tracer: trace.Tee{ring, tot}})
+	res, err := runMIS(mis.Rank{}, g, congest.Config{Seed: 14, Hook: inj, Reliable: reliable.New(reliable.Options{}), Tracer: trace.Tee{ring, tot}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTraceReconciliation(t *testing.T) {
 func TestHeaderHeadroom(t *testing.T) {
 	g := testGraph(31)
 	tr := reliable.New(reliable.Options{})
-	res, err := mis.Rank{}.Run(g, congest.Config{Seed: 4, Reliable: tr})
+	res, err := runMIS(mis.Rank{}, g, congest.Config{Seed: 4, Reliable: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func benchRun(b *testing.B, c congest.Config) {
 	b.ReportAllocs()
 	c.Seed = 6
 	for i := 0; i < b.N; i++ {
-		if _, err := (mis.Luby{}).Run(g, c); err != nil {
+		if _, err := runMIS(mis.Luby{}, g, c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -332,4 +332,20 @@ func BenchmarkPlain(b *testing.B)       { benchRun(b, congest.Config{}) }
 func BenchmarkReliableOff(b *testing.B) { benchRun(b, congest.Config{Reliable: nil}) }
 func BenchmarkReliableOn(b *testing.B) {
 	benchRun(b, congest.Config{Reliable: reliable.New(reliable.Options{})})
+}
+
+// misOutput is an MIS run's Result with its membership vector.
+type misOutput struct {
+	*congest.Result
+	Outputs []bool
+}
+
+// runMIS runs an MIS box on g, collecting its membership vector.
+func runMIS(alg mis.Algorithm, g *graph.Graph, c congest.Config) (*misOutput, error) {
+	set := make([]bool, g.N())
+	res, err := alg.Run(g, c, set)
+	if err != nil {
+		return nil, err
+	}
+	return &misOutput{Result: res, Outputs: set}, nil
 }

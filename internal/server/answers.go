@@ -127,9 +127,9 @@ func (s *Server) publishUpgrade(key string, a repair.Answer) {
 }
 
 // refCacheKey is the content-addressed key of a graph_ref solve: it equals
-// cacheKey(ver.g.Canonical(), fingerprint), the key of an inline solve of
-// the same content (the two paths return the same set), resumed from the
-// version's saved digest state instead of encoding the graph again.
+// the key cacheKey gives an inline solve of ver.g, the same content (the
+// two paths return the same set), resumed from the version's saved digest
+// state instead of encoding the graph again.
 func refCacheKey(ver *graphVersion, req *SolveRequest) string {
 	h := sha256.New()
 	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ver.digest); err != nil {

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"distmwis/internal/graph"
@@ -72,6 +75,37 @@ func BenchmarkPatchRefSolve(b *testing.B) {
 		}
 		if code, resp := postSolve(b, ts, SolveRequest{GraphRef: put.Hash, Alg: "theorem2"}); code != http.StatusOK {
 			b.Fatalf("ref solve: %d %+v", code, resp)
+		}
+	}
+}
+
+// BenchmarkColdRequest is one cold-solve request through the HTTP handler:
+// a fresh gnp(2000, 0.004, poly2) generator spec per iteration, so every
+// request misses the cache and pays for the whole cold path — decode, gen,
+// canonical hash and cache key, plan, the Theorem 2 solve and the encoded
+// answer. Its B/op is the cold request's allocation budget.
+func BenchmarkColdRequest(b *testing.B) {
+	s := New(Options{Workers: 4, SolveWorkers: 1, QueueDepth: 256, CacheBytes: 64 << 20})
+	b.Cleanup(func() { _ = s.Drain() })
+	h := s.Handler()
+	body := func(seed int) []byte {
+		raw, err := json.Marshal(SolveRequest{
+			Gen: &GenSpec{Kind: "gnp", N: 2000, P: 0.004, Weights: "poly2", Seed: uint64(seed)},
+			Alg: "theorem2",
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return raw
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		raw := body(i + 1)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(raw)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("cold solve: %d %s", rec.Code, rec.Body)
 		}
 	}
 }

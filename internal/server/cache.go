@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+
+	"distmwis/internal/graph"
 )
 
 // cacheEntry is one stored solve outcome. Entries store the member indices
@@ -79,13 +81,27 @@ func newResultCache(budget int64) *resultCache {
 	}
 }
 
-// cacheKey combines the canonical graph bytes with the config fingerprint.
-func cacheKey(canonical []byte, fingerprint string) string {
-	h := sha256.New()
-	h.Write(canonical)
-	h.Write([]byte{0})
-	h.Write([]byte(fingerprint))
-	return hex.EncodeToString(h.Sum(nil))
+// cacheKey returns the result-cache key of a solve of g under a config
+// fingerprint — the SHA-256 of g's canonical bytes, a zero byte and the
+// fingerprint — together with g's content hash, both from one pass over
+// the bytes. canon is g's canonical form when the request carried it; nil
+// streams the form from g without materialising it.
+func cacheKey(g *graph.Graph, canon []byte, fingerprint string) (key, hash string) {
+	content, keyed := sha256.New(), sha256.New()
+	if canon != nil {
+		content.Write(canon)
+		keyed.Write(canon)
+	} else {
+		g.WriteCanonical(content, keyed)
+	}
+	keyed.Write([]byte{0})
+	keyed.Write([]byte(fingerprint))
+	var sum [sha256.Size]byte
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], keyed.Sum(sum[:0]))
+	key = string(text[:])
+	hex.Encode(text[:], content.Sum(sum[:0]))
+	return key, string(text[:])
 }
 
 // get returns the cached entry for key, refreshing its recency.

@@ -372,9 +372,7 @@ func (s *Server) prepare(req *SolveRequest) (prepared, error) {
 	if p.ver != nil {
 		p.key = refCacheKey(p.ver, req)
 	} else {
-		canon := req.CanonicalForm(p.g)
-		p.key = cacheKey(canon, req.Fingerprint())
-		p.hash = graph.HashCanonical(canon)
+		p.key, p.hash = cacheKey(p.g, req.Canonical, req.Fingerprint())
 	}
 	return p, nil
 }
