@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-solve bench-smoke bench-json bench-diff bench-scale clean
+.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-solve bench-once bench-smoke bench-json bench-diff bench-scale clean
 
 all: vet build test
 
@@ -117,6 +117,12 @@ bench-solve:
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkSolveComponents$$' ./internal/maxis/
 	$(GO) test -run='^$$' -benchmem -count=3 -benchtime=3x -bench='^BenchmarkTheorem2Scale$$' ./internal/maxis/
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkColdRequest$$' ./internal/server/
+
+# Every Go benchmark once, one iteration each: `go test ./...` compiles the
+# benchmarks but never runs them, so a change that breaks one (a process
+# type it drives, a fixture it builds) fails here. Used by CI.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Benchmark smoke: one second of every perfbench workload, built from
 # this checkout. Fails unless every run's result line reports

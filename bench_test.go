@@ -317,7 +317,7 @@ func benchSeamRun(b *testing.B, g *graph.Graph, c congest.Config) *misOutput {
 // first computes a one-worker reference outside the timed region, then
 // times four workers and requires their outputs bit-identical to that
 // reference on every iteration, so the numbers double as a standing proof
-// that message slots and batched delivery are invisible to protocol
+// that inbox slots and call-time delivery are invisible to protocol
 // semantics at scale.
 func BenchmarkPowerLawSeams1M(b *testing.B) {
 	if testing.Short() {
@@ -360,8 +360,8 @@ func BenchmarkPowerLawSeams1M(b *testing.B) {
 }
 
 // BenchmarkRoundLoop10M is the ROADMAP scale target: ten million nodes
-// through the full round loop — message slots, flat inbox slabs, batched
-// delivery, persistent pool workers — on a sparse GNP graph (mean degree
+// through the full round loop — send calls, flat inbox slabs, persistent
+// pool workers — on a sparse GNP graph (mean degree
 // 2.5, so ~12.5M edges). The hard stop bounds the run at nine simulator
 // rounds of Luby's MIS; completing at all is the acceptance criterion, the
 // ns/op figure is the trend to watch. Run with -benchtime=1x unless you

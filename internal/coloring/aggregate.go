@@ -131,7 +131,7 @@ func (p *classAggregate) colourComplete(c int) bool {
 	return p.childDone[c] == len(p.children())
 }
 
-func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *classAggregate) Round(round int, recv []*congest.Message) bool {
 	// Absorb: child pairs move sums up; a parent message announces the
 	// winner.
 	for port, m := range recv {
@@ -157,7 +157,8 @@ func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.M
 
 	// Downward phase: forward the winner once and stop.
 	if p.winner >= 0 {
-		return p.forwardWinner(), true
+		p.forwardWinner()
+		return true
 	}
 
 	// Root argmax once everything arrived.
@@ -177,9 +178,10 @@ func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.M
 				}
 			}
 			p.winner = best
-			return p.forwardWinner(), true
+			p.forwardWinner()
+			return true
 		}
-		return nil, false
+		return false
 	}
 
 	// Upward pipeline: send the next complete colour to the parent.
@@ -189,27 +191,19 @@ func (p *classAggregate) Round(round int, recv []*congest.Message) ([]*congest.M
 		w.WriteBool(false)
 		w.WriteUint(uint64(next), uint64(p.k-1))
 		w.WriteInt(p.sums[next], p.maxSum)
-		out := p.info.Out
-		out[p.tree.ParentPort[p.info.Index]] = congest.NewMessage(&w)
-		return out, false
+		p.info.Send(p.tree.ParentPort[p.info.Index], &w)
 	}
-	return nil, false
+	return false
 }
 
-func (p *classAggregate) forwardWinner() []*congest.Message {
-	out := p.info.Out
-	if len(p.children()) == 0 {
-		return out
-	}
+func (p *classAggregate) forwardWinner() {
 	var w wire.Writer
 	w.WriteBool(true)
 	w.WriteUint(uint64(p.winner), uint64(p.k-1))
 	w.WriteInt(0, p.maxSum)
-	m := congest.NewMessage(&w)
 	for _, port := range p.children() {
-		out[port] = m
+		p.info.Send(port, &w)
 	}
-	return out
 }
 
 // ColorClassApprox is the end-to-end Section 8 pipeline: (Δ+1)-colour the

@@ -89,7 +89,7 @@ func (p *bfsBuild) Init(info congest.NodeInfo) {
 	p.changed = true
 }
 
-func (p *bfsBuild) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *bfsBuild) Round(round int, recv []*congest.Message) bool {
 	for port, m := range recv {
 		if m == nil {
 			continue
@@ -110,11 +110,12 @@ func (p *bfsBuild) Round(round int, recv []*congest.Message) ([]*congest.Message
 	}
 	done := round >= p.budget
 	if !p.changed {
-		return nil, done
+		return done
 	}
 	p.changed = false
 	var w wire.Writer
 	w.WriteUint(p.rootID, p.info.MaxID)
 	w.WriteUint(uint64(p.dist), uint64(p.info.NUpper))
-	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), done
+	p.info.Broadcast(&w)
+	return done
 }

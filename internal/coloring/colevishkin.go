@@ -97,21 +97,19 @@ func (p *coleVishkin) Init(info congest.NodeInfo) {
 }
 
 // sendColour emits the current colour on the given ports.
-func (p *coleVishkin) sendColour(ports ...int) []*congest.Message {
+func (p *coleVishkin) sendColour(ports ...int) {
 	var w wire.Writer
 	w.WriteUint(p.colour, p.space-1)
-	m := congest.NewMessage(&w)
-	out := p.info.Out
 	for _, port := range ports {
-		out[port] = m
+		p.info.Send(port, &w)
 	}
-	return out
 }
 
-func (p *coleVishkin) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *coleVishkin) Round(round int, recv []*congest.Message) bool {
 	if p.needSeed {
 		p.needSeed = false
-		return p.sendColour(0, 1), false
+		p.sendColour(0, 1)
+		return false
 	}
 	if p.reduce > 0 {
 		// Phase 1. Round 1 just seeds the pipeline; afterwards each round
@@ -133,10 +131,12 @@ func (p *coleVishkin) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			if p.reduce == 0 {
 				p.space = 6
 				// Fall through to phase 2 seeding: announce to both sides.
-				return p.sendColour(0, 1), false
+				p.sendColour(0, 1)
+				return false
 			}
 		}
-		return p.sendColour(p.succPort), false
+		p.sendColour(p.succPort)
+		return false
 	}
 
 	// Phase 2: three sub-phases of (hear both neighbours, recolour if mine
@@ -167,9 +167,10 @@ func (p *coleVishkin) Round(round int, recv []*congest.Message) ([]*congest.Mess
 	}
 	p.phase2++
 	if p.phase2 == 3 {
-		return nil, true
+		return true
 	}
-	return p.sendColour(0, 1), false
+	p.sendColour(0, 1)
+	return false
 }
 
 // applyReduction is the Cole–Vishkin step: find the lowest bit where the

@@ -120,7 +120,7 @@ func (p *greedyColour) Init(info congest.NodeInfo) {
 // colourField sizes the wire field: colours < deg+1 ≤ n.
 func (p *greedyColour) colourField() uint64 { return uint64(p.info.NUpper) }
 
-func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *greedyColour) Round(round int, recv []*congest.Message) bool {
 	// Absorb everything first: finals update the palette; proposals are
 	// only meaningful on resolve rounds.
 	type prop struct {
@@ -152,7 +152,7 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 	if round%2 == 1 { // propose round
 		if p.info.Degree == 0 {
 			p.colour = 0
-			return nil, true
+			return true
 		}
 		free := make([]int, 0, len(p.taken))
 		for c, t := range p.taken {
@@ -166,7 +166,8 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 		w.WriteBool(false)
 		w.WriteUint(uint64(p.proposal), p.colourField())
 		w.WriteUint(p.info.ID, p.info.MaxID)
-		return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), false
+		p.info.Broadcast(&w)
+		return false
 	}
 
 	// resolve round
@@ -181,7 +182,7 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 	}
 	if !win {
 		p.proposal = -1
-		return nil, false
+		return false
 	}
 	p.colour = p.proposal
 	p.fixed = true
@@ -189,7 +190,8 @@ func (p *greedyColour) Round(round int, recv []*congest.Message) ([]*congest.Mes
 	w.WriteBool(true)
 	w.WriteUint(uint64(p.colour), p.colourField())
 	w.WriteUint(p.info.ID, p.info.MaxID)
-	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), true
+	p.info.Broadcast(&w)
+	return true
 }
 
 // TracePhase labels the two-round trial cadence for tracers.
@@ -235,7 +237,7 @@ func (p *colourClassMIS) Init(info congest.NodeInfo) {
 	p.myColor = p.colors[info.Index]
 }
 
-func (p *colourClassMIS) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *colourClassMIS) Round(round int, recv []*congest.Message) bool {
 	if p.info.Faulty {
 		return p.faultyRound(round, recv)
 	}
@@ -252,12 +254,10 @@ func (p *colourClassMIS) Round(round int, recv []*congest.Message) ([]*congest.M
 		p.joined = true
 		var w wire.Writer
 		w.WriteBool(true)
-		return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), true
+		p.info.Broadcast(&w)
+		return true
 	}
-	if p.dominated || round > p.k {
-		return nil, true
-	}
-	return nil, false
+	return p.dominated || round > p.k
 }
 
 // faultyRound is the defensive conversion used under fault injection.
@@ -272,7 +272,7 @@ func (p *colourClassMIS) Round(round int, recv []*congest.Message) ([]*congest.M
 // re-broadcast every round, the current round's messages carry all the
 // state a join decision needs — missing or garbled information always
 // means "do not join": safety is unconditional, weight degrades instead.
-func (p *colourClassMIS) faultyRound(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *colourClassMIS) faultyRound(round int, recv []*congest.Message) bool {
 	informed := true
 	blocked := false
 	for _, m := range recv {
@@ -301,11 +301,12 @@ func (p *colourClassMIS) faultyRound(round int, recv []*congest.Message) ([]*con
 		p.joined = true
 	}
 	if round > p.k+1 {
-		return nil, true
+		return true
 	}
 	var w wire.Writer
 	w.WriteBool(p.joined)
 	w.WriteUint(uint64(p.myColor+1), uint64(p.info.NUpper))
 	w.WriteUint(p.info.ID, p.info.MaxID)
-	return congest.Broadcast(p.info.Out, congest.NewMessage(&w)), false
+	p.info.Broadcast(&w)
+	return false
 }

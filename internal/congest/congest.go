@@ -23,11 +23,12 @@
 // (see pool.go) whose only scheduling choice is a worker count: with one
 // worker it steps nodes in index order on the calling goroutine, with more
 // it fans node steps out over persistent workers and joins them at a round
-// barrier. A node's step is its whole round: it reads the node's inbox,
-// runs Round, and delivers each sent message by value into the receiver's
-// inbox slot for the next round (see slots.go). Every slot has one sender
-// and a round's reads and writes go to different slabs, so no node can
-// observe another node's mid-round state. Per-node randomness is
+// barrier. A node's step is its whole round: it reads the node's inbox and
+// runs Round, whose sends are calls that copy each message by value into
+// the receivers' inbox slots for the next round (see send.go and
+// slots.go). Every slot has one sender and a round's reads and writes go
+// to different slabs, so no node can observe another node's mid-round
+// state. Per-node randomness is
 // pre-seeded and per-worker tallies are merged at the barrier in a fixed
 // order, so every worker count yields bit-identical executions: scheduling
 // changes no round, message or bit. Runs with a fault hook step on one
@@ -40,13 +41,11 @@
 //
 // A run allocates in proportion to itself, not to n (see slots.go). Run
 // takes a process type and hands node v element v of a recycled, zeroed
-// []T, from which the caller reads the outputs when the run ends;
-// NodeInfo.Message builds a node's message in a per-node slot that the
-// simulator reuses every round, and a chain of runs shares one Scratch.
-// Messages are valid only until the step that handles them returns: a
-// slot message until its sender's step returns, a received message until
-// its receiver's. A process that keeps or forwards a payload past that
-// builds it with NewMessage.
+// []T, from which the caller reads the outputs when the run ends; a send
+// copies a wire.Writer's bytes into the receivers' slots, so a message
+// costs no allocation; and a chain of runs shares one Scratch. A received
+// message is valid only until its receiver's step returns; a process that
+// keeps a payload past that copies it (NewMessage, AppendData).
 package congest
 
 import (
@@ -84,9 +83,7 @@ type Message struct {
 func (m *Message) data() []byte { return m.buf[m.lo:m.hi] }
 
 // NewMessage freezes the contents of w into a heap Message. The writer can
-// be reused afterwards. A process that retains or forwards a message must
-// build it here; NodeInfo.Message is the allocation-free path for the
-// common send-once case.
+// be reused afterwards. A process that retains a payload builds it here.
 func NewMessage(w *wire.Writer) *Message {
 	// Capacity in whole words lets a send load the payload word-wise.
 	n := len(w.Bytes())
@@ -172,18 +169,14 @@ type NodeInfo struct {
 	// would be wasted bandwidth in a reliable network; with Faulty false
 	// their executions must be bit-for-bit what they were without the hook.
 	Faulty bool
-	// Rand is the node's private randomness stream.
+	// Rand is the node's private randomness stream. It belongs to the
+	// simulator's per-run state, which the next Run reuses: it is valid
+	// only while the run lasts, as are the send methods (send.go).
 	Rand *rand.Rand
-	// Out is the node's outbox: Degree slots, one per port, all nil when
-	// Round is called. A process fills the ports it sends on and returns
-	// Out from Round (Broadcast fills every port); the simulator clears it
-	// after delivery.
-	//
-	// Rand and Out belong to the simulator's per-run state, which the next
-	// Run reuses: both are valid only while the run lasts.
-	Out []*Message
-	// slots backs Message; nil when the run has slots off.
-	slots *slotTable
+	// net delivers the node's sends; capture, when non-nil, collects them
+	// instead (CaptureSends).
+	net     *simulator
+	capture []*Message
 	// words backs Words.
 	words *wordArena
 }
@@ -192,39 +185,12 @@ type NodeInfo struct {
 // run ends: per-port state, typically, with n a multiple of Degree. It
 // may only be called from Init. The words come from memory the simulator
 // recycles across runs, so a protocol with per-port state allocates
-// nothing per node; like Rand and Out they are valid only while the run
-// lasts.
+// nothing per node; like Rand they are valid only while the run lasts.
 func (info *NodeInfo) Words(n int) []uint64 {
 	if info.words == nil {
 		return make([]uint64, n)
 	}
 	return info.words.take(n)
-}
-
-// Message freezes the contents of w into this node's message slot and
-// returns it; the writer can be reused afterwards. It is NewMessage without
-// the allocation, under the ownership rule of slots.go: the message is
-// valid until the node's step returns, so it may only be returned from
-// this round's Round, never retained or forwarded. When no slot can take
-// the payload — slots are off for the run, the node already filled its
-// slot this round, or the payload exceeds wire.CongestBytes — it falls
-// back to NewMessage.
-func (info *NodeInfo) Message(w *wire.Writer) *Message {
-	if info.slots != nil {
-		if m := info.slots.fill(info.Index, w); m != nil {
-			return m
-		}
-	}
-	return NewMessage(w)
-}
-
-// Broadcast puts m on every port of out and returns out, the send of a
-// node that tells all its neighbours the same thing.
-func Broadcast(out []*Message, m *Message) []*Message {
-	for i := range out {
-		out[i] = m
-	}
-	return out
 }
 
 // Process is one node's state machine. Its output — a membership flag, a
@@ -235,12 +201,12 @@ type Process interface {
 	Init(info NodeInfo)
 	// Round runs one synchronous round. recv[p] is the message received on
 	// port p this round (nil if none); recv and its messages are valid only
-	// until Round returns. The returned slice assigns outgoing
-	// messages to ports: send[p] goes to port p (nil sends nothing; a short
-	// or nil slice sends nothing on the remaining ports). It is normally
-	// NodeInfo.Out. Returning done halts the node after its outgoing
-	// messages are delivered.
-	Round(round int, recv []*Message) (send []*Message, done bool)
+	// until Round returns. The node sends by calling its NodeInfo's
+	// Broadcast, BroadcastTo or Send, at most once per port, and each call
+	// delivers at once into the receivers' slots for the next round.
+	// Returning done halts the node; what it sent this round is still
+	// delivered.
+	Round(round int, recv []*Message) (done bool)
 }
 
 // Result summarises a protocol execution.
@@ -497,8 +463,8 @@ func newSimulator(g *graph.Graph, c Config, st *runState) (*simulator, error) {
 		return nil, fmt.Errorf("congest: MaxID %d below the largest identifier %d", c.MaxID, g.MaxID())
 	}
 	if c.Hook != nil {
-		// DeliveryHook.Deliver sees messages one at a time, in (sender,
-		// port) order, and senders deliver in their own steps.
+		// DeliveryHook.Deliver sees messages one at a time, in the order
+		// the senders, stepped by index, make their sends.
 		c.Workers = 1
 	}
 
@@ -510,21 +476,16 @@ func newSimulator(g *graph.Graph, c Config, st *runState) (*simulator, error) {
 		sim.physBandwidth = bandwidth + c.Reliable.HeaderBits()
 	}
 	// Heap slots when no bound fixes a stride: LOCAL runs (and tests that
-	// force them). Sender slots are off there, and with the reliable
-	// transport, which keeps inner messages for retransmission.
+	// force them).
 	heap := sim.physBandwidth == 0 || forceHeapSlots
 	sim.runState = st
-	sim.reset(g, sim.physBandwidth, heap, !heap && c.Reliable == nil, c.MaxRounds)
+	sim.reset(g, sim.physBandwidth, heap, heap || c.Hook != nil, c.MaxRounds)
 	return sim, nil
 }
 
 // initProcs wraps every process in the reliable transport, if any, seeds
 // its randomness and calls Init.
 func (s *simulator) initProcs() {
-	var slots *slotTable
-	if s.slotsOn {
-		slots = &s.slots
-	}
 	s.words.open()
 	defer s.words.close()
 	for v := range s.procs {
@@ -535,11 +496,10 @@ func (s *simulator) initProcs() {
 		// allocates nothing.
 		s.pcgs[v] = *rand.NewPCG(s.cfg.Seed, 0x6a09e667f3bcc908^s.g.ID(v))
 		s.rnds[v] = *rand.New(&s.pcgs[v])
-		lo, hi := s.g.Arcs(v)
 		s.procs[v].Init(NodeInfo{
 			Index:     v,
 			ID:        s.g.ID(v),
-			Degree:    hi - lo,
+			Degree:    s.g.Degree(v),
 			Weight:    s.g.Weight(v),
 			NUpper:    s.cfg.NUpper,
 			MaxID:     s.cfg.MaxID,
@@ -547,8 +507,7 @@ func (s *simulator) initProcs() {
 			Bandwidth: s.bandwidth,
 			Faulty:    s.cfg.Hook != nil,
 			Rand:      &s.rnds[v],
-			Out:       s.outSlab[lo:hi:hi],
-			slots:     slots,
+			net:       s,
 			words:     &s.words,
 		})
 	}
@@ -564,6 +523,11 @@ type simulator struct {
 	// physBandwidth is the enforced per-frame limit: bandwidth plus the
 	// reliable transport's header headroom (equal to bandwidth without one).
 	physBandwidth int
+	// round is the round being stepped; its sends land in slab par with
+	// stamp stamp. The round loop sets them between rounds.
+	round int
+	par   int
+	stamp uint32
 	*runState
 	res Result
 }
@@ -585,12 +549,9 @@ type runState struct {
 	// inbox holds every arc's receive slot, one slab per round parity
 	// (slots.go).
 	inbox inboxes
-	// slots are the nodes' sender slots (slots.go); slotsOn reports
-	// whether NodeInfo.Message hands them out this run.
-	slots   slotTable
-	slotsOn bool
-	// outSlab backs the nodes' NodeInfo.Out windows, arc-indexed.
-	outSlab []*Message
+	// stepper is, per node, the worker stepping it this round, whose
+	// tallies its sends add to.
+	stepper []int32
 	// Per-node randomness: value slabs, so seeding n streams allocates
 	// nothing.
 	pcgs []rand.PCG
@@ -627,7 +588,7 @@ func grow[S ~[]E, E any](s S, n int) S {
 
 // reset sizes the state for g and a run whose frames carry at most
 // physBandwidth bits.
-func (st *runState) reset(g *graph.Graph, physBandwidth int, heap, slotsOn bool, maxRounds int) {
+func (st *runState) reset(g *graph.Graph, physBandwidth int, heap, each bool, maxRounds int) {
 	n, ports := g.N(), 2*g.M()
 	st.procs = resize(st.procs, n)
 	st.rev, st.revCur = grow(st.rev, ports), grow(st.revCur, n)
@@ -637,14 +598,10 @@ func (st *runState) reset(g *graph.Graph, physBandwidth int, heap, slotsOn bool,
 	for v := range st.live {
 		st.live[v] = int32(v)
 	}
-	st.outSlab = grow(st.outSlab, ports) // all nil: release clears it
-	st.pcgs = grow(st.pcgs, n)           // initProcs overwrites both
+	st.stepper = grow(st.stepper, n) // each step sets its node's
+	st.pcgs = grow(st.pcgs, n)       // initProcs overwrites both
 	st.rnds = grow(st.rnds, n)
-	st.inbox.reset(ports, physBandwidth, heap, maxRounds)
-	st.slotsOn = slotsOn
-	if slotsOn {
-		st.slots.reset(n)
-	}
+	st.inbox.reset(ports, physBandwidth, heap, each, maxRounds)
 }
 
 // release is the one exit of every run — normal end, round limit, hard
@@ -654,7 +611,6 @@ func (s *simulator) release() {
 	st := s.runState
 	st.inbox.retire(s.res.Rounds)
 	clear(st.procs)
-	clear(st.outSlab)
 	for i := range st.ws {
 		st.ws[i].release()
 	}
@@ -668,6 +624,8 @@ type worker struct {
 	messages, bits int64
 	maxBits        int
 	halted         []int32
+	// calls counts the send calls of the node being stepped.
+	calls int
 	// errV is the lowest index of a node whose step failed this round, and
 	// err its error.
 	errV int
@@ -719,22 +677,13 @@ type pendingDup struct {
 }
 
 // steps runs the round of every node in nodes on worker wi. A node's step
-// fills its receive window from the inbox, calls Round, checks the sends
-// against the port count and the bandwidth, and delivers each one into its
-// receiver's slot. The first failing node is recorded with the worker and
-// ends the call: the round is doomed, and stopping makes the error the
-// lowest-index one of the nodes the call was given.
+// fills its receive window from the inbox and calls Round, whose sends
+// deliver as they are made (send.go). The first failing node is recorded
+// with the worker and ends the call: the round is doomed, and stopping
+// makes the error the lowest-index one of the nodes the call was given.
 func (s *simulator) steps(wi int, nodes []int32, round int) {
-	var (
-		w          = &s.ws[wi]
-		hook       = s.cfg.Hook
-		phys       = s.physBandwidth
-		ib         = &s.inbox
-		par, stamp = ib.target(round + 1)
-		slab       = ib.slab[par]
-		stride     = ib.stride
-		pl         payload
-	)
+	w := &s.ws[wi]
+	hook := s.cfg.Hook
 	for _, v32 := range nodes {
 		v := int(v32)
 		if hook != nil && hook.State(round, v) != NodeUp {
@@ -742,57 +691,12 @@ func (s *simulator) steps(wi int, nodes []int32, round int) {
 		}
 		lo, hi := s.g.Arcs(v)
 		recv := w.recv[:hi-lo]
-		ib.receive(recv, &w.msgs, lo, round)
-		send, fin := s.procs[v].Round(round, recv)
-		if len(send) > hi-lo {
-			w.fail(v, fmt.Errorf("congest: node %d sent on %d ports but has degree %d", v, len(send), hi-lo))
+		s.inbox.receive(recv, &w.msgs, lo, round)
+		s.stepper[v] = int32(wi)
+		w.calls = 0
+		fin := s.procs[v].Round(round, recv)
+		if w.err != nil {
 			return
-		}
-		// Out is all nil when Round is called. A send that is Out itself
-		// (a Broadcast, say) is cleared as it is delivered, the rest of Out
-		// after.
-		out := s.outSlab[lo:hi]
-		aliased := len(send) > 0 && &send[0] == &out[0]
-		rest := out
-		if aliased {
-			rest = out[len(send):]
-		}
-		rev := s.rev[lo:hi]
-		pl.m = nil // a forwarded receive view is reused by the next node
-		for p, m := range send {
-			if m == nil {
-				continue
-			}
-			if aliased {
-				send[p] = nil
-			}
-			// A send over the bandwidth fails the run, so the messages of
-			// the lower ports delivered before the check are never read.
-			if phys > 0 && m.bitN > phys {
-				w.fail(v, fmt.Errorf("congest: node %d port %d message of %d bits exceeds bandwidth %d: %w", v, p, m.bitN, phys, ErrBandwidth))
-				return
-			}
-			w.messages++
-			w.bits += int64(m.bitN)
-			w.maxBits = max(w.maxBits, m.bitN)
-			if hook != nil {
-				if m = s.deliverFaulty(round, v, p, rev[p], m); m == nil {
-					continue
-				}
-			}
-			if ib.heap {
-				ib.putPointer(par, rev[p], stamp, m)
-				continue
-			}
-			if pl.m != m {
-				pl.load(m)
-			}
-			pl.store(valueSlot(slab, stride, rev[p]), header(stamp, m.bitN))
-		}
-		for p, m := range rest {
-			if m != nil {
-				rest[p] = nil
-			}
 		}
 		if fin {
 			w.halted = append(w.halted, v32)
@@ -925,7 +829,8 @@ func (s *simulator) run() (*Result, error) {
 		if len(s.pendingDups) > 0 {
 			s.applyDups(round)
 		}
-		s.slots.round = round
+		s.round = round
+		s.par, s.stamp = s.inbox.target(round + 1)
 		exec.runRound(round, s.live)
 
 		if tr != nil {
@@ -1039,14 +944,7 @@ func (s *simulator) applyDups(round int) {
 		if s.cfg.Hook.State(round+1, int(d.to)) != NodeUp {
 			continue
 		}
-		data := s.dupBuf[d.lo : d.lo+(d.bits+7)>>3]
-		if s.inbox.heap {
-			s.inbox.putPointer(par, d.arc, stamp, NewRawMessage(data, d.bits))
-		} else {
-			var pl payload
-			pl.load(&Message{buf: data, hi: len(data), bitN: d.bits})
-			pl.store(valueSlot(s.inbox.slab[par], s.inbox.stride, d.arc), header(stamp, d.bits))
-		}
+		s.inbox.put(par, d.arc, stamp, NewRawMessage(s.dupBuf[d.lo:d.lo+(d.bits+7)>>3], d.bits))
 		s.res.FaultDuplicated++
 	}
 	s.pendingDups = s.pendingDups[:0]

@@ -19,17 +19,13 @@ type idExchange struct {
 
 func (p *idExchange) Init(info NodeInfo) { p.info = info }
 
-func (p *idExchange) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *idExchange) Round(round int, recv []*Message) bool {
 	switch round {
 	case 1:
 		var w wire.Writer
 		w.WriteUint(p.info.ID, p.info.MaxID)
-		m := NewMessage(&w)
-		out := make([]*Message, p.info.Degree)
-		for i := range out {
-			out[i] = m
-		}
-		return out, false
+		p.info.Broadcast(&w)
+		return false
 	default:
 		for _, m := range recv {
 			if m == nil {
@@ -41,7 +37,7 @@ func (p *idExchange) Round(round int, recv []*Message) ([]*Message, bool) {
 			}
 			p.heard = append(p.heard, id)
 		}
-		return nil, true
+		return true
 	}
 }
 
@@ -89,7 +85,7 @@ type floodMax struct {
 
 func (p *floodMax) Init(info NodeInfo) { p.best = info.ID; p.info = info }
 
-func (p *floodMax) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *floodMax) Round(round int, recv []*Message) bool {
 	for _, m := range recv {
 		if m == nil {
 			continue
@@ -103,16 +99,12 @@ func (p *floodMax) Round(round int, recv []*Message) ([]*Message, bool) {
 		}
 	}
 	if round > p.rounds {
-		return nil, true
+		return true
 	}
 	var w wire.Writer
 	w.WriteUint(p.best, p.info.MaxID)
-	m := NewMessage(&w)
-	out := make([]*Message, p.info.Degree)
-	for i := range out {
-		out[i] = m
-	}
-	return out, false
+	p.info.Broadcast(&w)
+	return false
 }
 
 func (p *floodMax) Output() any { return p.best }
@@ -158,17 +150,13 @@ type bigTalker struct{ info NodeInfo }
 
 func (p *bigTalker) Init(info NodeInfo) { p.info = info }
 
-func (p *bigTalker) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *bigTalker) Round(round int, recv []*Message) bool {
 	var w wire.Writer
 	for i := 0; i < 100; i++ {
 		w.WriteBits(0xFFFF, 16) // 1600 bits, far over any log-n budget here
 	}
-	out := make([]*Message, p.info.Degree)
-	m := NewMessage(&w)
-	for i := range out {
-		out[i] = m
-	}
-	return out, true
+	p.info.Broadcast(&w)
+	return true
 }
 
 func (p *bigTalker) Output() any { return nil }
@@ -229,9 +217,9 @@ type coinFlipper struct {
 
 func (p *coinFlipper) Init(info NodeInfo) { p.info = info }
 
-func (p *coinFlipper) Round(int, []*Message) ([]*Message, bool) {
+func (p *coinFlipper) Round(int, []*Message) bool {
 	p.coin = p.info.Rand.Uint64()
-	return nil, true
+	return true
 }
 
 func (p *coinFlipper) Output() any { return p.coin }
@@ -253,9 +241,9 @@ func TestRoundLimit(t *testing.T) {
 
 type neverDone struct{}
 
-func (p *neverDone) Init(NodeInfo)                            {}
-func (p *neverDone) Round(int, []*Message) ([]*Message, bool) { return nil, false }
-func (p *neverDone) Output() any                              { return nil }
+func (p *neverDone) Init(NodeInfo)              {}
+func (p *neverDone) Round(int, []*Message) bool { return false }
+func (p *neverDone) Output() any                { return nil }
 
 func TestTooManyPortsRejected(t *testing.T) {
 	g := gen.Path(3)
@@ -269,14 +257,13 @@ type overSender struct{ info NodeInfo }
 
 func (p *overSender) Init(info NodeInfo) { p.info = info }
 
-func (p *overSender) Round(int, []*Message) ([]*Message, bool) {
+func (p *overSender) Round(int, []*Message) bool {
 	var w wire.Writer
 	w.WriteBool(true)
-	out := make([]*Message, p.info.Degree+1)
-	for i := range out {
-		out[i] = NewMessage(&w)
+	for port := 0; port <= p.info.Degree; port++ {
+		p.info.Send(port, &w)
 	}
-	return out, true
+	return true
 }
 
 func (p *overSender) Output() any { return nil }
@@ -300,17 +287,14 @@ type stubbornSender struct{ info NodeInfo }
 
 func (p *stubbornSender) Init(info NodeInfo) { p.info = info }
 
-func (p *stubbornSender) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *stubbornSender) Round(round int, recv []*Message) bool {
 	if p.info.ID == 1 {
-		return nil, true // halts immediately, will receive dropped messages
+		return true // halts immediately, will receive dropped messages
 	}
 	var w wire.Writer
 	w.WriteBool(true)
-	out := make([]*Message, p.info.Degree)
-	for i := range out {
-		out[i] = NewMessage(&w)
-	}
-	return out, round >= 4
+	p.info.Broadcast(&w)
+	return round >= 4
 }
 
 func (p *stubbornSender) Output() any { return nil }
@@ -327,15 +311,14 @@ type portConsistency struct {
 
 func (p *portConsistency) Init(info NodeInfo) { p.info = info; p.ok = true }
 
-func (p *portConsistency) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *portConsistency) Round(round int, recv []*Message) bool {
 	if round == 1 {
-		out := make([]*Message, p.info.Degree)
-		for i := range out {
+		for port := 0; port < p.info.Degree; port++ {
 			var w wire.Writer
 			w.WriteUint(p.info.ID, p.info.MaxID)
-			out[i] = NewMessage(&w)
+			p.info.Send(port, &w)
 		}
-		return out, false
+		return false
 	}
 	for port, m := range recv {
 		if m == nil {
@@ -348,7 +331,7 @@ func (p *portConsistency) Round(round int, recv []*Message) ([]*Message, bool) {
 			p.ok = false
 		}
 	}
-	return nil, true
+	return true
 }
 
 func (p *portConsistency) Output() any { return p.ok }

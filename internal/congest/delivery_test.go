@@ -1,6 +1,7 @@
 package congest_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -121,10 +122,9 @@ func TestDeliveryFullWidthPayload(t *testing.T) {
 	}
 }
 
-// TestDeliveryProbeModes sends a distinct message on every port, so all
-// but the first of a node's messages in a round are heap messages, and one
-// message per round on a rotating port, so a slot not written this round
-// must read as empty. Every receipt must be read the round after it was
+// TestDeliveryProbeModes sends a distinct message on every port, one send
+// call each, and one message per round on a rotating port, so a slot not
+// written this round must read as empty. Every receipt must be read the round after it was
 // sent, through either slot kind.
 func TestDeliveryProbeModes(t *testing.T) {
 	g := gen.GNP(96, 0.06, 2)
@@ -150,11 +150,12 @@ type haltSender struct {
 
 func (p *haltSender) Init(info congest.NodeInfo) { p.info = info }
 
-func (p *haltSender) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *haltSender) Round(round int, recv []*congest.Message) bool {
 	if round == 1 {
 		p.w.Reset()
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), p.info.ID%2 == 0
+		p.info.Broadcast(&p.w)
+		return p.info.ID%2 == 0
 	}
 	for _, m := range recv {
 		if m != nil {
@@ -165,7 +166,7 @@ func (p *haltSender) Round(round int, recv []*congest.Message) ([]*congest.Messa
 			p.heard = append(p.heard, id)
 		}
 	}
-	return nil, true
+	return true
 }
 
 func (p *haltSender) Output() any { return p.heard }
@@ -204,7 +205,7 @@ type overSender struct {
 
 func (p *overSender) Init(info congest.NodeInfo) { p.info = info }
 
-func (p *overSender) Round(round int, _ []*congest.Message) ([]*congest.Message, bool) {
+func (p *overSender) Round(round int, _ []*congest.Message) bool {
 	p.w.Reset()
 	p.w.WriteBool(true)
 	if round == 2 && p.info.Index >= p.from {
@@ -212,7 +213,8 @@ func (p *overSender) Round(round int, _ []*congest.Message) ([]*congest.Message,
 			p.w.WriteBits(0xff, 8)
 		}
 	}
-	return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), round == 3
+	p.info.Broadcast(&p.w)
+	return round == 3
 }
 
 func (p *overSender) Output() any { return nil }
@@ -265,8 +267,9 @@ func TestDeliveryDuplicateOverwritten(t *testing.T) {
 
 // relay broadcasts its ID in round 1, forwards each message it receives in
 // round 2 to the next port, and records in round 3 the IDs it hears, by
-// port. Forwarded messages are receive views, which the next node stepped
-// by the same worker reuses.
+// port. A forwarded payload is read from a receive view, which the next
+// node stepped by the same worker reuses, and sent from one reused
+// writer.
 type relay struct {
 	info  congest.NodeInfo
 	w     wire.Writer
@@ -278,18 +281,31 @@ func (p *relay) Init(info congest.NodeInfo) {
 	p.heard = make([]uint64, info.Degree)
 }
 
-func (p *relay) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
-	out := p.info.Out
+func (p *relay) Round(round int, recv []*congest.Message) bool {
 	switch round {
 	case 1:
 		p.w.Reset()
 		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return congest.Broadcast(out, p.info.Message(&p.w)), false
+		p.info.Broadcast(&p.w)
+		return false
 	case 2:
 		for port, m := range recv {
-			out[(port+1)%len(out)] = m
+			if m == nil {
+				continue
+			}
+			p.w.Reset()
+			r := m.Reader()
+			for r.Remaining() > 0 {
+				k := min(r.Remaining(), 64)
+				v, err := r.ReadBits(k)
+				if err != nil {
+					panic(err)
+				}
+				p.w.WriteBits(v, k)
+			}
+			p.info.Send((port+1)%len(recv), &p.w)
 		}
-		return out, false
+		return false
 	}
 	for port, m := range recv {
 		if m != nil {
@@ -300,7 +316,7 @@ func (p *relay) Round(round int, recv []*congest.Message) ([]*congest.Message, b
 			p.heard[port] = id
 		}
 	}
-	return nil, true
+	return true
 }
 
 func (p *relay) Output() any { return p.heard }
@@ -330,6 +346,149 @@ func TestDeliveryForwardedViews(t *testing.T) {
 		}
 		if !reflect.DeepEqual(value, heap) {
 			t.Errorf("workers %d: heap slots deliver differently", workers)
+		}
+	}
+}
+
+// actor runs act in round 1 on every node and halts.
+type actor struct {
+	info congest.NodeInfo
+	act  func(info *congest.NodeInfo)
+}
+
+func (p *actor) Init(info congest.NodeInfo) { p.info = info }
+
+func (p *actor) Round(int, []*congest.Message) bool {
+	p.act(&p.info)
+	return true
+}
+
+func (p *actor) Output() any { return nil }
+
+// runActor runs act on g through value slots and heap slots, with c, and
+// returns the two errors.
+func runActor(g *graph.Graph, act func(info *congest.NodeInfo), c congest.Config) (value, heap error) {
+	return bothPaths(func() error {
+		_, err := congest.RunOutputs(g, func(p *actor) { p.act = act }, c)
+		return err
+	})
+}
+
+// oneBit is a writer holding a single set bit.
+func oneBit() *wire.Writer {
+	w := new(wire.Writer)
+	w.WriteBool(true)
+	return w
+}
+
+// TestSendTwiceOnPortFails has node 57 send on port 1 after its broadcast:
+// the run fails with an error naming the node and the port, with and
+// without a delivery hook, on one and two workers. A fault duplicate
+// already in a slot is not a send: broadcasting every round under a hook
+// that duplicates every message runs clean.
+func TestSendTwiceOnPortFails(t *testing.T) {
+	g := gen.Cycle(200)
+	twice := func(info *congest.NodeInfo) {
+		info.Broadcast(oneBit())
+		if info.Index == 57 {
+			info.Send(1, oneBit())
+		}
+	}
+	for _, c := range []congest.Config{{Workers: 1}, {Workers: 2}, {Hook: dupAll{}}} {
+		value, heap := runActor(g, twice, c)
+		for path, err := range map[string]error{"value": value, "heap": heap} {
+			if err == nil || !strings.Contains(err.Error(), "node 57 sent twice on port 1") {
+				t.Errorf("%s slots, %d workers, hook %v: error %v, want one naming node 57 and port 1", path, c.Workers, c.Hook != nil, err)
+			}
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		value, heap := bothPaths(func() *congest.OutputResult {
+			return probeRun(t, g, "broadcast", workers, congest.Config{Hook: dupAll{}})
+		})
+		if value.FaultDuplicated == 0 || heap.FaultDuplicated == 0 {
+			t.Fatal("no duplicates; test vacuous")
+		}
+	}
+}
+
+// TestSendPortOutOfRange sends on port -1 and on port Degree: both fail
+// the run, naming the node and the port.
+func TestSendPortOutOfRange(t *testing.T) {
+	g := gen.Cycle(100)
+	for _, port := range []int{-1, 2} {
+		value, heap := runActor(g, func(info *congest.NodeInfo) {
+			if info.Index == 40 {
+				info.Send(port, oneBit())
+			}
+		}, congest.Config{Workers: 2})
+		want := fmt.Sprintf("congest: node 40 sent on port %d but has degree 2", port)
+		for path, err := range map[string]error{"value": value, "heap": heap} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s slots, port %d: error %v, want %q", path, port, err, want)
+			}
+		}
+	}
+}
+
+// TestBroadcastOverBandwidth checks the error of an over-bandwidth send: it
+// wraps ErrBandwidth and names the first port the send would have used,
+// port 0 for a Broadcast and the lowest port in the set for a
+// BroadcastTo.
+func TestBroadcastOverBandwidth(t *testing.T) {
+	g := gen.Cycle(100)
+	var over wire.Writer
+	for i := 0; i < 4; i++ {
+		over.WriteBits(0xffff, 16)
+	}
+	mask := graph.NewBitset(2)
+	mask.Set(1)
+	for name, act := range map[string]func(info *congest.NodeInfo){
+		"broadcast":   func(info *congest.NodeInfo) { info.Broadcast(&over) },
+		"broadcastTo": func(info *congest.NodeInfo) { info.BroadcastTo(mask, &over) },
+	} {
+		first := 0
+		if name == "broadcastTo" {
+			first = 1
+		}
+		bw := congest.Bandwidth(100, 8)
+		want := fmt.Sprintf("congest: node 0 port %d message of 64 bits exceeds bandwidth %d: %v", first, bw, congest.ErrBandwidth)
+		value, heap := runActor(g, act, congest.Config{BandwidthFactor: 8})
+		for path, err := range map[string]error{"value": value, "heap": heap} {
+			if !errors.Is(err, congest.ErrBandwidth) || err.Error() != want {
+				t.Errorf("%s, %s slots: error %v, want %q", name, path, err, want)
+			}
+		}
+	}
+}
+
+// TestBroadcastToEmptySet sends to an empty and a nil port set, once with
+// a payload over the bandwidth: nothing is sent, counted or refused.
+func TestBroadcastToEmptySet(t *testing.T) {
+	g := gen.GNP(150, 0.05, 7)
+	var over wire.Writer
+	for over.Len() <= congest.Bandwidth(g.N(), 8) {
+		over.WriteBits(0xff, 8)
+	}
+	for _, w := range []*wire.Writer{oneBit(), &over} {
+		for _, workers := range []int{1, 2} {
+			value, heap := bothPaths(func() *congest.OutputResult {
+				res, err := congest.RunOutputs(g, func(p *actor) {
+					p.act = func(info *congest.NodeInfo) {
+						info.BroadcastTo(graph.NewBitset(info.Degree), w)
+						info.BroadcastTo(nil, w)
+					}
+				}, congest.Config{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			})
+			for path, res := range map[string]*congest.OutputResult{"value": value, "heap": heap} {
+				if res.Messages != 0 || res.Bits != 0 || res.MaxMessageBits != 0 {
+					t.Errorf("%s slots, %d workers: %d messages, %d bits, largest %d; want none", path, workers, res.Messages, res.Bits, res.MaxMessageBits)
+				}
+			}
 		}
 	}
 }

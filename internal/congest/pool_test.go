@@ -88,11 +88,11 @@ func TestParallelForSkewRebalances(t *testing.T) {
 	}
 }
 
-// poolSeqProcess broadcasts round-stamped payloads through its message
-// slot and records every (round, value) pair heard per port. It exists to
-// pin slot integrity: if a slot were refilled while its previous message
-// was still readable through an inbox, the recorded sequences would show a
-// value from the wrong round.
+// poolSeqProcess broadcasts round-stamped payloads from one reused writer
+// and records every (round, value) pair heard per port. It exists to pin
+// slot integrity: if an inbox slot were refilled while its previous
+// message was still readable, the recorded sequences would show a value
+// from the wrong round.
 type poolSeqProcess struct {
 	info   NodeInfo
 	rounds int
@@ -102,7 +102,7 @@ type poolSeqProcess struct {
 
 func (p *poolSeqProcess) Init(info NodeInfo) { p.info = info }
 
-func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *poolSeqProcess) Round(round int, recv []*Message) bool {
 	for _, m := range recv {
 		if m == nil {
 			continue
@@ -111,7 +111,7 @@ func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
 		rd, e1 := r.ReadUint(uint64(p.rounds))
 		id, e2 := r.ReadUint(p.info.MaxID)
 		if e1 != nil || e2 != nil {
-			panic("garbled payload from slot message")
+			panic("garbled payload")
 		}
 		if int(rd) != round-1 {
 			panic(fmt.Sprintf("node %d round %d: payload stamped %d (slot refilled too early?)", p.info.Index, round, rd))
@@ -119,20 +119,21 @@ func (p *poolSeqProcess) Round(round int, recv []*Message) ([]*Message, bool) {
 		p.heard = append(p.heard, id)
 	}
 	if round > p.rounds {
-		return nil, true
+		return true
 	}
 	p.w.Reset()
 	p.w.WriteUint(uint64(round), uint64(p.rounds))
 	p.w.WriteUint(p.info.ID, p.info.MaxID)
-	return Broadcast(p.info.Out, p.info.Message(&p.w)), false
+	p.info.Broadcast(&p.w)
+	return false
 }
 
 func (p *poolSeqProcess) Output() any { return p.heard }
 
-// TestPooledMessagesBitIdentical runs the slot-broadcast protocol with one
-// and with four workers and checks (a) payload integrity via the
-// in-process round stamps and (b) equality of the full received sequences,
-// proving message slots are invisible to protocol semantics.
+// TestPooledMessagesBitIdentical runs the stamped broadcast with one and
+// with four workers and checks (a) payload integrity via the in-process
+// round stamps and (b) equality of the full received sequences, proving
+// inbox slots are invisible to protocol semantics.
 func TestPooledMessagesBitIdentical(t *testing.T) {
 	g := gen.GNP(96, 0.07, 9)
 	newProc := func(p *poolSeqProcess) { p.rounds = 9 }

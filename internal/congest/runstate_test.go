@@ -14,11 +14,11 @@ import (
 	"distmwis/internal/wire"
 )
 
-// misbehaver runs the slot broadcast of poolSeqProcess and, in round
-// failAt, makes node culprit break a rule the simulator enforces while the
-// other nodes' slot messages are in flight: it sends on one port more
-// than it has ("ports"), or sends a message far over the bandwidth
-// ("bandwidth").
+// misbehaver runs the broadcast of poolSeqProcess and, in round failAt,
+// makes node culprit break a rule the simulator enforces while the other
+// nodes' messages are in flight: after its broadcast it sends on one port
+// more than it has ("ports") or a second time on port 0 ("twice"), or it
+// broadcasts a message far over the bandwidth instead ("bandwidth").
 type misbehaver struct {
 	poolSeqProcess
 	failAt  int
@@ -26,22 +26,27 @@ type misbehaver struct {
 	mode    string
 }
 
-func (p *misbehaver) Round(round int, recv []*Message) ([]*Message, bool) {
-	send, done := p.poolSeqProcess.Round(round, recv)
+func (p *misbehaver) Round(round int, recv []*Message) bool {
 	if round != p.failAt || p.info.Index != p.culprit {
-		return send, done
+		return p.poolSeqProcess.Round(round, recv)
 	}
+	var w wire.Writer
 	switch p.mode {
 	case "ports":
-		return append(send, nil), false
+		p.poolSeqProcess.Round(round, recv)
+		w.WriteBool(true)
+		p.info.Send(p.info.Degree, &w)
+	case "twice":
+		p.poolSeqProcess.Round(round, recv)
+		w.WriteBool(true)
+		p.info.Send(0, &w)
 	default:
-		var w wire.Writer
 		for i := 0; i < 64; i++ {
-			w.WriteBits(uint64(i), 64)
+			w.WriteBits(uint64(i), 64) // over wire.CongestBytes: a spilled writer
 		}
-		send[0] = p.info.Message(&w) // over CongestBytes: a heap message
-		return send, false
+		p.info.Broadcast(&w)
 	}
+	return false
 }
 
 // lastWithNeighbours is the highest-index node of g with degree ≥ 1.
@@ -56,7 +61,8 @@ func lastWithNeighbours(t *testing.T, g *graph.Graph) int {
 }
 
 // TestEveryExitLeavesRunStateClean pins the one-cleanup rule: a run that
-// fails mid-flight (port-count or bandwidth violation) and a run cut off by
+// fails mid-flight (a port out of range, a second send on a port, or a
+// bandwidth violation) and a run cut off by
 // Config.HardStop must both hand their pooled state back clean, so the next
 // run on it is exactly the run made before them.
 func TestEveryExitLeavesRunStateClean(t *testing.T) {
@@ -66,7 +72,7 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 		name    string
 		workers int
 	}{{"sequential", 1}, {"pool", 2}} {
-		for _, mode := range []string{"ports", "bandwidth"} {
+		for _, mode := range []string{"ports", "twice", "bandwidth"} {
 			t.Run(fmt.Sprintf("%s/%s", exec.name, mode), func(t *testing.T) {
 				c := Config{Seed: 9, Workers: exec.workers}
 				normal := func() (*OutputResult, *OutputResult) {
@@ -100,7 +106,7 @@ func TestEveryExitLeavesRunStateClean(t *testing.T) {
 
 				seq, coins := normal()
 				if !reflect.DeepEqual(seq, refSeq) {
-					t.Error("slot broadcast run differs after a failed and a truncated run")
+					t.Error("broadcast run differs after a failed and a truncated run")
 				}
 				if !reflect.DeepEqual(coins, refCoins) {
 					t.Error("randomness differs after a failed and a truncated run")
@@ -156,7 +162,7 @@ func TestConcurrentRunsShareRunState(t *testing.T) {
 	}
 }
 
-// xorFlood broadcasts one slot (round, ID, coin) message per round and
+// xorFlood broadcasts one (round, ID, coin) message per round and
 // folds everything it hears into one word, so its own per-round work
 // allocates nothing: any per-round allocation in a run of it is the round
 // loop's.
@@ -168,7 +174,7 @@ type xorFlood struct {
 
 func (p *xorFlood) Init(info NodeInfo) { p.info = info }
 
-func (p *xorFlood) Round(round int, recv []*Message) ([]*Message, bool) {
+func (p *xorFlood) Round(round int, recv []*Message) bool {
 	for _, m := range recv {
 		if m == nil {
 			continue
@@ -180,13 +186,14 @@ func (p *xorFlood) Round(round int, recv []*Message) ([]*Message, bool) {
 		p.acc ^= v
 	}
 	if round > p.rounds {
-		return nil, true
+		return true
 	}
 	var w wire.Writer
 	w.WriteUint(uint64(round), uint64(p.rounds))
 	w.WriteUint(p.info.ID, p.info.MaxID)
 	w.WriteBits(p.info.Rand.Uint64(), 16)
-	return Broadcast(p.info.Out, p.info.Message(&w)), false
+	p.info.Broadcast(&w)
+	return false
 }
 
 // Output is a bool, which converts to any without allocating, so a run's
@@ -195,11 +202,12 @@ func (p *xorFlood) Output() any { return p.acc&1 == 1 }
 
 // TestRoundLoopAllocsFlat pins the allocation-free round loop: on gnp
 // n = 2000 (which has an isolated node, whose Broadcast goes nowhere), a
-// 40-round run of a slot broadcast may allocate at most a small constant
-// more than a 4-round run, and the 4-round run itself only a constant:
-// processes come from a recycled array and messages from the nodes'
-// slots. Per-node processes, outboxes, writer buffers or message objects
-// would each add O(n) allocations per run or per round. The garbage
+// 40-round run of a broadcast may allocate at most a small constant more
+// than a 4-round run, and the 4-round run itself only a constant:
+// processes come from a recycled array and a send copies a stack writer
+// into the receivers' slots. Per-node processes, outboxes, writer buffers
+// or message objects would each add O(n) allocations per run or per
+// round. The garbage
 // collector is off while counting, because collections age the scratch
 // free list and a refill would be charged to whichever run it lands in.
 func TestRoundLoopAllocsFlat(t *testing.T) {

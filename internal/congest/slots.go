@@ -10,13 +10,13 @@ import (
 	"distmwis/internal/wire"
 )
 
-// Delivery memory and its recycling: inbox slots, sender slots, process
-// arrays and the Scratch that holds them.
+// Delivery memory and its recycling: inbox slots, process arrays and the
+// Scratch that holds them.
 //
 // A solve chains many short protocols, so a run's allocations must not
 // grow with n, and a round's cost should be its messages: node processes
-// and messages live in memory that is recycled across runs, and a message
-// is moved once, by value, by the node that sends it.
+// live in memory that is recycled across runs, and a message is moved
+// once, by value, by the send call that makes it (send.go).
 //
 // Inbox slots. Every arc a = lo(v)+p, from v to its p-th neighbour u, has
 // one receive slot at rev[a] = lo(u)+q, the arc from u back to v
@@ -24,9 +24,9 @@ import (
 // is ⌈physBandwidth/64⌉ payload words followed by one header word holding
 // the round stamp and the bit length:
 //
-//	round r   step of v    Round returns send; each message is checked
-//	                       and copied into slab (r+1)&1 at rev[a],
-//	                       stamped r+1
+//	round r   step of v    each send call checks its payload once and
+//	                       copies it from the writer into slab (r+1)&1
+//	                       at rev[a] for each of its ports, stamped r+1
 //	round r+1 step of u    u's slots lo(u)..hi(u) in slab (r+1)&1 whose
 //	                       stamp is r+1 become u's recv window
 //
@@ -35,31 +35,19 @@ import (
 // meet its writes (the other). The slabs hold no pointers and are never
 // cleared between rounds: a stamp names the one round its slot is valid
 // in, and stamps keep counting up across the runs that reuse the state.
-// The header after the payload guarantees eight addressable bytes from
-// any payload byte, so wire.Reader reads a slot word by word.
+// The same stamp tells a second send on a port: a slot already stamped
+// for the next round was written this round (only a node's second send
+// call in a round looks). The header after the payload guarantees eight
+// addressable bytes from any payload byte, so wire.Reader reads a slot
+// word by word.
 //
 // A received message is a view of its slot, valid only until the
 // receiver's step returns: the slot is rewritten in round r+2. A process
 // that keeps a received payload copies it (NewMessage, AppendData).
 //
 // LOCAL runs have no bound and so no stride. They keep heap slots: the
-// header word alone in the slab, and the sender's *Message in a pointer
-// slab beside it.
-//
-// Sender slots. Every node owns one simulator-owned message with a payload
-// buffer of wire.CongestBytes. NodeInfo.Message fills it; its step copies
-// it into the receivers' slots, so it is dead once the step returns, and
-// the next step refills it. The ownership rule for protocol code follows:
-// a slot message may only be returned from the Round that built it, never
-// retained or forwarded later — a process that keeps a message across
-// rounds builds it with NewMessage. NodeInfo.Message falls back to
-// NewMessage when
-//   - the node has already filled its slot this round (a second distinct
-//     message in one round);
-//   - the payload exceeds wire.CongestBytes;
-//   - slots are off for the run: in LOCAL runs, whose heap slots keep the
-//     sender's message until it is read, and with Config.Reliable, whose
-//     transport keeps inner messages for retransmission and replay.
+// header word alone in the slab, and a heap copy of the sent payload in a
+// pointer slab beside it, one per send call.
 //
 // Process arrays. Run takes a process type: node v's process is element v
 // of a []T kept in the run's Scratch and zeroed when the run ends, so a
@@ -89,15 +77,20 @@ type inboxes struct {
 	heap bool
 	slab [2][]byte
 	ptrs [2][]*Message
+	// each marks the runs that send a message at a time (heap slots or a
+	// delivery hook); sentAt holds there, per arc, the stamp its sender
+	// last sent with.
+	each   bool
+	sentAt []uint32
 	// epoch is the stamp of round 0 of the current run.
 	epoch uint32
 }
 
 // reset lays the slabs out for a run over ports arcs whose frames carry at
-// most physBandwidth bits. Stamps stay valid across runs of one stride, so
-// the slabs are cleared only when the stride changes or the run's stamps
-// could pass the 32-bit range.
-func (ib *inboxes) reset(ports, physBandwidth int, heap bool, maxRounds int) {
+// most physBandwidth bits, sending a message at a time when each. Stamps
+// stay valid across runs of one stride, so the slabs are cleared only when
+// the stride changes or the run's stamps could pass the 32-bit range.
+func (ib *inboxes) reset(ports, physBandwidth int, heap, each bool, maxRounds int) {
 	stride := headerBytes
 	if !heap {
 		stride += 8 * ((physBandwidth + 63) / 64)
@@ -113,9 +106,13 @@ func (ib *inboxes) reset(ports, physBandwidth int, heap bool, maxRounds int) {
 		}
 	}
 	if fresh {
+		clear(ib.sentAt[:cap(ib.sentAt)])
 		ib.epoch = 0
 	}
-	ib.stride, ib.heap = stride, heap
+	if each {
+		ib.sentAt = grow(ib.sentAt, ports)
+	}
+	ib.stride, ib.heap, ib.each = stride, heap, each
 }
 
 // retire moves the epoch past every stamp a run of rounds rounds wrote
@@ -144,41 +141,47 @@ func valueSlot(slab []byte, stride int, arc int32) []byte {
 	return slab[lo : lo+stride : lo+stride]
 }
 
-// putPointer delivers m into heap slot arc of slab par, stamped stamp.
-func (ib *inboxes) putPointer(par int, arc int32, stamp uint32, m *Message) {
-	ib.ptrs[par][arc] = m
-	binary.LittleEndian.PutUint64(ib.slab[par][int(arc)*headerBytes:], header(stamp, m.bitN))
+// put delivers m into slot arc of slab par, stamped stamp: its payload
+// into a value slot, m itself into a heap slot.
+func (ib *inboxes) put(par int, arc int32, stamp uint32, m *Message) {
+	if ib.heap {
+		ib.ptrs[par][arc] = m
+		binary.LittleEndian.PutUint64(ib.slab[par][int(arc)*headerBytes:], header(stamp, m.bitN))
+		return
+	}
+	var pl payload
+	pl.load(m.data(), m.bitN)
+	pl.store(valueSlot(ib.slab[par], ib.stride, arc), header(stamp, m.bitN), m.data())
 }
 
-// payloadWords bounds the payload a send holds in registers: the largest
-// sender slot. Wider payloads are copied byte-wise.
+// payloadWords bounds the payload a send holds in registers:
+// wire.CongestBytes, the largest payload a wire.Writer keeps inline. Wider
+// payloads are copied byte-wise.
 const payloadWords = wire.CongestBytes / 8
 
-// payload is one message's payload as little-endian words: a value slot
-// is filled by load, when the message differs from the last one loaded (a
-// broadcast loads once), and then store, so the message is free again as
-// soon as store returns.
+// payload is one send's payload as little-endian words: a send call loads
+// it once and stores it into each of its receivers' value slots.
 type payload struct {
-	m *Message
+	// n is the payload's length in bytes.
+	n int
 	// words is the number of valid words in w, -1 for a payload wider
 	// than w. Bytes past the payload's length in the last word are
-	// whatever follows it in the message's buffer: a received message's
-	// data is sliced to the payload length, so they are never read.
+	// whatever follows it in the loaded buffer; the receiver reads only
+	// the payload's bits.
 	words int
 	w     [payloadWords]uint64
 }
 
-// load reads m's payload, a word at a time where its buffer's capacity
-// allows.
-func (pl *payload) load(m *Message) {
-	pl.m = m
-	n := (m.bitN + 7) >> 3
+// load reads the payload of bits bits in d, a word at a time where d's
+// capacity allows.
+func (pl *payload) load(d []byte, bits int) {
+	n := (bits + 7) >> 3
+	pl.n = n
 	pl.words = (n + 7) >> 3
 	if pl.words > payloadWords {
 		pl.words = -1
 		return
 	}
-	d := m.data()
 	if cap(d) >= 8*pl.words {
 		d = d[:8*pl.words]
 		for i := range pl.w[:pl.words] {
@@ -193,21 +196,22 @@ func (pl *payload) load(m *Message) {
 }
 
 // store writes the payload into the front of value slot, and hdr into its
-// last word.
-func (pl *payload) store(slot []byte, hdr uint64) {
+// last word. d is the buffer the payload was loaded from, which a payload
+// wider than payloadWords is copied from.
+func (pl *payload) store(slot []byte, hdr uint64, d []byte) {
 	if pl.words == 1 {
 		binary.LittleEndian.PutUint64(slot, pl.w[0])
 	} else {
-		pl.storeWide(slot)
+		pl.storeWide(slot, d)
 	}
 	binary.LittleEndian.PutUint64(slot[len(slot)-headerBytes:], hdr)
 }
 
 // storeWide is store for any other payload: word by word, or, past
 // payloadWords, byte by byte.
-func (pl *payload) storeWide(slot []byte) {
+func (pl *payload) storeWide(slot, d []byte) {
 	if pl.words < 0 {
-		copy(slot, pl.m.data()[:(pl.m.bitN+7)>>3])
+		copy(slot, d[:pl.n])
 		return
 	}
 	for i, w := range pl.w[:pl.words] {
@@ -249,49 +253,6 @@ func (ib *inboxes) receive(recv []*Message, msgs *[2][]Message, lo, round int) {
 		recv[p] = m
 		off = end
 	}
-}
-
-// slotTable holds the sender slots of one run.
-type slotTable struct {
-	// round is the round being computed. The round loop writes it between
-	// compute phases; node steps only read it.
-	round int
-	// last is, per node, the round in which it last filled its slot.
-	last []int
-	// msgs holds one slot per node. Each payload is a window of capacity
-	// wire.CongestBytes over buf, laid out once when the table grows;
-	// windows beyond the current n stay laid out.
-	msgs []Message
-	buf  []byte
-}
-
-// reset prepares the table for an n-node run.
-func (t *slotTable) reset(n int) {
-	t.round = 0
-	t.last = resize(t.last, n)
-	if len(t.msgs) >= n {
-		return
-	}
-	t.msgs = make([]Message, n)
-	t.buf = make([]byte, n*wire.CongestBytes)
-	for i := range t.msgs {
-		lo := i * wire.CongestBytes
-		t.msgs[i].buf = t.buf[lo : lo+wire.CongestBytes : lo+wire.CongestBytes]
-	}
-}
-
-// fill freezes w into node v's slot, or returns nil when the slot cannot
-// take it (already filled this round, or too large).
-func (t *slotTable) fill(v int, w *wire.Writer) *Message {
-	b := w.Bytes()
-	if t.last[v] == t.round || len(b) > wire.CongestBytes {
-		return nil
-	}
-	t.last[v] = t.round
-	m := &t.msgs[v]
-	m.hi = copy(m.buf, b)
-	m.bitN = w.Len()
-	return m
 }
 
 // wordArena hands out NodeInfo.Words: windows of one recycled buffer,

@@ -14,12 +14,14 @@ import (
 	"distmwis/internal/wire"
 )
 
-// Tests for every case in which NodeInfo.Message must fall back to a heap
-// message. Each runs slotProbe and checks that every payload a node
-// received is, bit for bit, the payload its neighbour sent on that edge in
-// the round the payload is stamped with. A slot refilled while a copy of
-// its message was still to be read would show up as a payload stamped with
-// a later round, or as bytes that differ from the logged send.
+// Tests that every shape of send reaches its receivers' inbox slots
+// intact: one send per port, payloads wider than a wire.Writer keeps
+// inline, fault duplicates and the reliable transport's captured sends.
+// Each runs slotProbe and checks that every payload a node received is,
+// bit for bit, the payload its neighbour sent on that edge in the round
+// the payload is stamped with. A slot refilled while a copy of its message
+// was still to be read would show up as a payload stamped with a later
+// round, or as bytes that differ from the logged send.
 
 // probeSent is one logged send: the payload bytes and bit length.
 type probeSent struct {
@@ -44,8 +46,7 @@ type probeLog struct {
 // slotProbe sends round-stamped payloads for rounds rounds and halts one
 // round later, after reading the last of them. mode picks the send shape:
 //
-//	"ports"     a distinct message on every port: all but the first of a
-//	            round's messages are second messages in one round
+//	"ports"     a distinct message on every port, one Send call each
 //	"local"     one broadcast of a 48-byte payload, over wire.CongestBytes
 //	"rotate"    one message per round on port round mod degree
 //	"full"      one broadcast padded to exactly the bandwidth
@@ -71,7 +72,7 @@ func (p *slotProbe) write(round, tag int) {
 	p.w.WriteUint(uint64(tag), uint64(p.info.NUpper))
 }
 
-func (p *slotProbe) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *slotProbe) Round(round int, recv []*congest.Message) bool {
 	for port, m := range recv {
 		if m == nil {
 			continue
@@ -83,12 +84,12 @@ func (p *slotProbe) Round(round int, recv []*congest.Message) ([]*congest.Messag
 		p.log.got = append(p.log.got, probeGot{round, port, int(stamp), probeSent{m.AppendData(nil), m.Bits()}})
 	}
 	if round > p.rounds {
-		return nil, true
+		return true
 	}
-	out := p.info.Out
+	deg := p.info.Degree
 	switch p.mode {
 	case "ports":
-		for port := range out {
+		for port := range deg {
 			p.write(round, port)
 			p.send(round, port)
 		}
@@ -99,9 +100,9 @@ func (p *slotProbe) Round(round int, recv []*congest.Message) ([]*congest.Messag
 		}
 		p.send(round, -1)
 	case "rotate":
-		if len(out) > 0 {
+		if deg > 0 {
 			p.write(round, 0)
-			p.send(round, round%len(out))
+			p.send(round, round%deg)
 		}
 	case "full":
 		p.write(round, 0)
@@ -113,16 +114,19 @@ func (p *slotProbe) Round(round int, recv []*congest.Message) ([]*congest.Messag
 		p.write(round, 0)
 		p.send(round, -1)
 	}
-	return out, false
+	return false
 }
 
-// send puts the writer's payload on port, or on every port for -1, and
-// logs it as written, not as read back from the message.
+// send sends the writer's payload on port, or on every port for -1, and
+// logs it as written, not as read back from a message.
 func (p *slotProbe) send(round, port int) {
-	m := p.info.Message(&p.w)
-	for q := range p.info.Out {
+	if port < 0 {
+		p.info.Broadcast(&p.w)
+	} else {
+		p.info.Send(port, &p.w)
+	}
+	for q := range p.info.Degree {
 		if port < 0 || q == port {
-			p.info.Out[q] = m
 			p.log.sent[[2]int{round, q}] = probeSent{slices.Clone(p.w.Bytes()), p.w.Len()}
 		}
 	}
@@ -178,7 +182,9 @@ func probeRun(t *testing.T, g *graph.Graph, mode string, workers int, c congest.
 }
 
 // TestSlotSecondMessageInRound sends a distinct message on every port each
-// round, so every node fills its slot once and builds the rest on the heap.
+// round, one Send call per port from one reused writer, so every message
+// after a node's first in a round overwrites the writer the first was
+// sent from.
 func TestSlotSecondMessageInRound(t *testing.T) {
 	g := gen.GNP(96, 0.06, 2)
 	for _, workers := range []int{1, 2} {
@@ -191,7 +197,7 @@ func TestSlotSecondMessageInRound(t *testing.T) {
 }
 
 // TestSlotOversizedLocalPayload broadcasts a LOCAL-model payload larger
-// than a slot's buffer.
+// than a wire.Writer keeps inline, so the writer spills to the heap.
 func TestSlotOversizedLocalPayload(t *testing.T) {
 	g := gen.GNP(96, 0.06, 3)
 	for _, workers := range []int{1, 2} {
@@ -232,8 +238,8 @@ func TestSlotFaultDuplicate(t *testing.T) {
 }
 
 // TestSlotReliableTransport runs the probe under the reliable transport,
-// which keeps inner messages for retransmission, alone and over a lossy
-// link that forces retransmissions.
+// which captures the inner sends and keeps them for retransmission, alone
+// and over a lossy link that forces retransmissions.
 func TestSlotReliableTransport(t *testing.T) {
 	g := gen.GNP(96, 0.06, 4)
 	for _, lossy := range []bool{false, true} {

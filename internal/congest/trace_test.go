@@ -184,9 +184,9 @@ func TestTraceRecordsFaultDrops(t *testing.T) {
 // maxWeightProbe reports the MaxWeight bound it was told.
 type maxWeightProbe struct{ info NodeInfo }
 
-func (p *maxWeightProbe) Init(info NodeInfo)                       { p.info = info }
-func (p *maxWeightProbe) Round(int, []*Message) ([]*Message, bool) { return nil, true }
-func (p *maxWeightProbe) Output() any                              { return p.info.MaxWeight }
+func (p *maxWeightProbe) Init(info NodeInfo)         { p.info = info }
+func (p *maxWeightProbe) Round(int, []*Message) bool { return true }
+func (p *maxWeightProbe) Output() any                { return p.info.MaxWeight }
 
 func TestWithMaxWeight(t *testing.T) {
 	g := gen.Weighted(gen.Cycle(8), gen.UniformWeights(100), 3)
@@ -260,7 +260,7 @@ type badAbove struct {
 
 func (p *badAbove) Init(info NodeInfo) { p.info = info }
 
-func (p *badAbove) Round(int, []*Message) ([]*Message, bool) {
+func (p *badAbove) Round(int, []*Message) bool {
 	var w wire.Writer
 	if p.info.Index >= p.from {
 		for i := 0; i < 100; i++ {
@@ -269,12 +269,8 @@ func (p *badAbove) Round(int, []*Message) ([]*Message, bool) {
 	} else {
 		w.WriteBool(true)
 	}
-	out := make([]*Message, p.info.Degree)
-	m := NewMessage(&w)
-	for i := range out {
-		out[i] = m
-	}
-	return out, true
+	p.info.Broadcast(&w)
+	return true
 }
 
 func (p *badAbove) Output() any { return nil }

@@ -29,7 +29,7 @@ func (p *floodMax) Init(info congest.NodeInfo) {
 	p.best = info.ID
 }
 
-func (p *floodMax) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *floodMax) Round(round int, recv []*congest.Message) bool {
 	for _, m := range recv {
 		if m == nil {
 			continue
@@ -43,16 +43,12 @@ func (p *floodMax) Round(round int, recv []*congest.Message) ([]*congest.Message
 		}
 	}
 	if round > p.rounds {
-		return nil, true
+		return true
 	}
 	var w wire.Writer
 	w.WriteUint(p.best, p.info.MaxID)
-	m := congest.NewMessage(&w)
-	out := make([]*congest.Message, p.info.Degree)
-	for i := range out {
-		out[i] = m
-	}
-	return out, false
+	p.info.Broadcast(&w)
+	return false
 }
 
 // floodOutput is a floodMax run's Result with every node's best ID.

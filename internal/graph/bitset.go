@@ -68,14 +68,3 @@ func (b Bitset) Count() int {
 	}
 	return c
 }
-
-// ForEach calls fn for every index in the set, in ascending order.
-func (b Bitset) ForEach(fn func(i int)) {
-	for wi, w := range b {
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}

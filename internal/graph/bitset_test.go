@@ -32,6 +32,26 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Count() != 0 {
 		t.Fatal("Reset left bits")
 	}
+
+	r := rand.New(rand.NewPCG(7, 7))
+	ref := make([]bool, 517)
+	b = NewBitset(len(ref))
+	count := 0
+	for i := range ref {
+		if r.Uint64()&1 == 1 {
+			ref[i] = true
+			b.Set(i)
+			count++
+		}
+	}
+	for i := range ref {
+		if b.Get(i) != ref[i] {
+			t.Fatalf("Get(%d) = %v, want %v", i, b.Get(i), ref[i])
+		}
+	}
+	if b.Count() != count {
+		t.Fatalf("Count = %d, want %d", b.Count(), count)
+	}
 }
 
 func TestBitsetSetFirst(t *testing.T) {
@@ -46,39 +66,6 @@ func TestBitsetSetFirst(t *testing.T) {
 			if b.Get(i) != (i < n) {
 				t.Fatalf("SetFirst(%d): Get(%d) = %v", n, i, b.Get(i))
 			}
-		}
-	}
-}
-
-func TestBitsetForEachMatchesBools(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 7))
-	ref := make([]bool, 517)
-	b := NewBitset(len(ref))
-	for i := range ref {
-		if r.Uint64()&1 == 1 {
-			ref[i] = true
-			b.Set(i)
-		}
-	}
-	var got []int
-	b.ForEach(func(i int) { got = append(got, i) })
-	var want []int
-	for i, in := range ref {
-		if in {
-			want = append(want, i)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d indices, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach[%d] = %d, want %d (ascending order)", i, got[i], want[i])
-		}
-	}
-	for i := range ref {
-		if b.Get(i) != ref[i] {
-			t.Fatalf("Get(%d) = %v, want %v", i, b.Get(i), ref[i])
 		}
 	}
 }

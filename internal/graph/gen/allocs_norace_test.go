@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// TestGNPBytes guards what GNP allocates on the cold-solve shape: the CSR
-// is filled directly from the skip sampler, so the graph's own arrays —
-// offsets, adjacency, weights and identifiers — are nearly all of it. An
-// edge list or a Builder regrown per edge doubles it.
+// TestGNPBytes guards what GNP allocates on the cold-solve shape: the
+// sampler's edge list is recycled across graphs, so the graph's own
+// arrays — offsets, adjacency, weights and identifiers — are nearly all
+// of it. A fresh edge list per graph, or a Builder regrown per edge, adds
+// half as much again or doubles it.
 func TestGNPBytes(t *testing.T) {
 	const n, p = 2000, 0.004
 	seed := uint64(0)

@@ -11,10 +11,10 @@ package gen
 
 import (
 	"fmt"
-	"iter"
 	"math"
 	"math/rand/v2"
 	"slices"
+	"sync"
 
 	"distmwis/internal/graph"
 )
@@ -124,37 +124,45 @@ func GNP(n int, p float64, seed uint64) *graph.Graph {
 	if p >= 1 {
 		return Clique(n)
 	}
-	g, err := graph.FromOrderedEdges(n, gnpEdges(n, p, seed))
+	// The sampler runs once, into a recycled buffer sized for the expected
+	// edge count.
+	buf := gnpBufs.Get().(*[]int32)
+	defer gnpBufs.Put(buf)
+	*buf = appendGNPEdges(slices.Grow((*buf)[:0], 2*int(p*float64(n)*float64(n-1)/2*1.05+64)), n, p, seed)
+	g, err := graph.FromOrderedEdges(n, *buf)
 	if err != nil {
 		panic(err)
 	}
 	return g
 }
 
-// gnpEdges yields the edges of the G(n, p) graph of seed, p < 1, by
-// geometric skip sampling, which emits them ordered by their larger
-// endpoint and then by their smaller one, as graph.FromOrderedEdges takes
-// them.
-func gnpEdges(n int, p float64, seed uint64) iter.Seq2[int, int] {
-	return func(yield func(u, v int) bool) {
-		if p <= 0 {
-			return
+// gnpBufs recycles GNP's edge buffers: *[]int32 holding each edge's two
+// endpoints in turn.
+var gnpBufs = sync.Pool{New: func() any { return new([]int32) }}
+
+// appendGNPEdges appends the edges of the G(n, p) graph of seed, p < 1, to
+// edges as (u, v) pairs, by geometric skip sampling, which emits them
+// ordered by their larger endpoint and then by their smaller one, as
+// graph.FromOrderedEdges takes them.
+func appendGNPEdges(edges []int32, n int, p float64, seed uint64) []int32 {
+	if p <= 0 {
+		return edges
+	}
+	r := rng(seed)
+	logq := math.Log1p(-p)
+	v, u := 1, -1
+	for v < n {
+		skip := int(math.Floor(math.Log(1-r.Float64()) / logq))
+		u += 1 + skip
+		for u >= v && v < n {
+			u -= v
+			v++
 		}
-		r := rng(seed)
-		logq := math.Log1p(-p)
-		v, u := 1, -1
-		for v < n {
-			skip := int(math.Floor(math.Log(1-r.Float64()) / logq))
-			u += 1 + skip
-			for u >= v && v < n {
-				u -= v
-				v++
-			}
-			if v < n && !yield(u, v) {
-				return
-			}
+		if v < n {
+			edges = append(edges, int32(u), int32(v))
 		}
 	}
+	return edges
 }
 
 // RandomRegular returns a random d-regular simple graph on n nodes. It

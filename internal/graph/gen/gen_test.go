@@ -102,6 +102,38 @@ func TestGNP(t *testing.T) {
 	}
 }
 
+// TestGNPPinned pins the graph GNP builds for a handful of (n, p, seed)
+// triples by its edge count and graph hash: the benchmark's cold-solve
+// (n = 2000, p = 0.004), cluster-fanout (n = 1500, p = 8/n), hot-inline
+// (n = 4000, p = 0.0015) and mutate-ref component (n = 150, p = 0.04)
+// shapes, a dense graph and the empty edge cases. A rewrite of the sampler
+// or of the CSR fill that changes any graph fails here, not only in the
+// goldens built on top of it.
+func TestGNPPinned(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		p    float64
+		seed uint64
+		m    int
+		hash string
+	}{
+		{2000, 0.004, 1, 8037, "b3673a55b1b4deaa1e0e7857ad53887d177de6afede7df7acf6c712c939f39a8"},
+		{2000, 0.004, 987654, 8131, "2dbea5435b8a418d6d1be1192afeea11f694a6d2b49868250222c75f6542dd69"},
+		{1500, 8.0 / 1500, 3, 6025, "57d4d35a874ef05c6599ab2a00862bea28e38d742c4a55c927aa8cb3e7758414"},
+		{4000, 0.0015, 5, 11950, "b0e85fe7dbd4267d18804b2e3d8fbde046be23243366f5f3a3d49c87e7e40295"},
+		{150, 0.04, 2, 474, "01d08e1996b3f4290d153b765c6de5d1dcd266045e30c4e7638233e902faacdf"},
+		{96, 0.06, 2, 300, "55db341112ff74758472f7e5b423cc83272824cce1a15d37317f67fc34ca30f3"},
+		{64, 0.5, 9, 997, "f1940385e21c45e620838e349e072941fefc702053c2b71c3d3169f955f7721b"},
+		{1, 0.3, 1, 0, "d04570fd551dfd19c02f2e5201b66ecec9570ca9d0318e0128a02bb5707c3634"},
+		{50, 0, 4, 0, "54f5705335627347fff08e428000f6590002f79a36036ebfb7da143941d146de"},
+	} {
+		g := GNP(c.n, c.p, c.seed)
+		if g.M() != c.m || g.HashString() != c.hash {
+			t.Errorf("GNP(%d, %v, %d): %d edges, hash %s; want %d edges, hash %s", c.n, c.p, c.seed, g.M(), g.HashString(), c.m, c.hash)
+		}
+	}
+}
+
 func TestRandomRegular(t *testing.T) {
 	g, err := RandomRegular(100, 4, 7)
 	if err != nil {

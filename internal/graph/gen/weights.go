@@ -80,9 +80,10 @@ func SkewedWeights(heavyFrac float64, heavy int64) WeightFn {
 	}
 }
 
-// Weighted applies fn to g and returns a reweighted copy.
+// Weighted applies fn to g and returns a reweighted copy, which keeps the
+// fresh vector fn returns.
 func Weighted(g *graph.Graph, fn WeightFn, seed uint64) *graph.Graph {
-	return g.WithWeights(fn(g.N(), seed))
+	return g.WithOwnedWeights(fn(g.N(), seed))
 }
 
 // RandomIDs relabels the graph's identifiers with distinct random values in

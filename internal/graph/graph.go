@@ -14,7 +14,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -134,41 +133,40 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
-// FromOrderedEdges builds the graph on n nodes whose edges the sequence
-// yields as pairs (u, v), u < v, ordered by v and then by u. Filling each
-// node's row as its edges arrive in that order leaves every row sorted —
-// a node's lower neighbours arrive, ascending, before its upper ones — so
-// the graph needs no edge list and no sort. The sequence is iterated
-// twice, once to count degrees and once to fill the rows, and must yield
-// the same pairs both times. Nodes get unit weights and identifiers 1..n,
-// as NewBuilder gives them.
-func FromOrderedEdges(n int, edges iter.Seq2[int, int]) (*Graph, error) {
+// FromOrderedEdges builds the graph on n nodes whose edges are the pairs
+// (u, v) = (edges[2i], edges[2i+1]), u < v, ordered by v and then by u.
+// Filling each node's row as its edges arrive in that order leaves every
+// row sorted — a node's lower neighbours arrive, ascending, before its
+// upper ones — so the graph needs no sort. Nodes get unit weights and
+// identifiers 1..n, as NewBuilder gives them.
+func FromOrderedEdges(n int, edges []int32) (*Graph, error) {
+	if len(edges)%2 != 0 || len(edges) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edge endpoints are not a list of at most %d pairs", len(edges), math.MaxInt32/2)
+	}
 	// off[v+1] counts v's degree, then becomes v's row start: the fill
 	// advances off[v+1] to v's row end, where row v+1 starts.
 	off := make([]int32, n+1)
-	m, err := orderedPass(n, edges, math.MaxInt32/2, func(u, v int) {
+	pu, pv := int32(-1), int32(-1)
+	for i := 0; i < len(edges); i += 2 {
+		u, v := edges[i], edges[i+1]
+		if u < 0 || u >= v || int(v) >= n || v < pv || (v == pv && u <= pu) {
+			return nil, fmt.Errorf("graph: edge {%d,%d} after {%d,%d} is out of range [0,%d) or out of order", u, v, pu, pv, n)
+		}
+		pu, pv = u, v
 		off[u+1]++
 		off[v+1]++
-	})
-	if err != nil {
-		return nil, err
 	}
 	start := int32(0)
 	for v := 1; v <= n; v++ {
 		off[v], start = start, start+off[v]
 	}
-	adj := make([]int32, start)
-	again, err := orderedPass(n, edges, m, func(u, v int) {
-		adj[off[u+1]] = int32(v)
+	adj := make([]int32, len(edges))
+	for i := 0; i < len(edges); i += 2 {
+		u, v := edges[i], edges[i+1]
+		adj[off[u+1]] = v
 		off[u+1]++
-		adj[off[v+1]] = int32(u)
+		adj[off[v+1]] = u
 		off[v+1]++
-	})
-	if err == nil && again != m {
-		err = fmt.Errorf("graph: the edge sequence yielded %d edges, then %d", m, again)
-	}
-	if err != nil {
-		return nil, err
 	}
 	g := &Graph{off: off, adj: adj, weights: make([]int64, n), ids: make([]uint64, n)}
 	for v := range g.weights {
@@ -177,25 +175,6 @@ func FromOrderedEdges(n int, edges iter.Seq2[int, int]) (*Graph, error) {
 	}
 	g.setMaxDegree()
 	return g, nil
-}
-
-// orderedPass calls edge for every pair of edges, FromOrderedEdges's
-// sequence, and returns their count, or an error at the first pair that
-// is out of range, out of order or past the first limit pairs.
-func orderedPass(n int, edges iter.Seq2[int, int], limit int, edge func(u, v int)) (int, error) {
-	m, pu, pv := 0, -1, -1
-	for u, v := range edges {
-		if u < 0 || u >= v || v >= n || v < pv || (v == pv && u <= pu) {
-			return 0, fmt.Errorf("graph: edge {%d,%d} after {%d,%d} is out of range [0,%d) or out of order", u, v, pu, pv, n)
-		}
-		if m == limit {
-			return 0, fmt.Errorf("graph: the edge sequence yields more than %d edges", limit)
-		}
-		pu, pv = u, v
-		edge(u, v)
-		m++
-	}
-	return m, nil
 }
 
 // checkIDs is the identifier rule of Build: identifiers are unique.
@@ -350,12 +329,16 @@ func (g *Graph) MaxID() uint64 {
 // local-ratio reductions (Section 4.3 of the paper) legitimately produce
 // them on derived graphs.
 func (g *Graph) WithWeights(w []int64) *Graph {
+	return g.WithOwnedWeights(slices.Clone(w))
+}
+
+// WithOwnedWeights is WithWeights without the copy: the graph keeps w
+// itself, so the caller hands it over and must not change it afterwards.
+func (g *Graph) WithOwnedWeights(w []int64) *Graph {
 	if len(w) != g.N() {
 		panic(fmt.Sprintf("graph: WithWeights got %d weights for %d nodes", len(w), g.N()))
 	}
-	weights := make([]int64, len(w))
-	copy(weights, w)
-	return &Graph{off: g.off, adj: g.adj, weights: weights, ids: g.ids, maxDeg: g.maxDeg}
+	return &Graph{off: g.off, adj: g.adj, weights: w, ids: g.ids, maxDeg: g.maxDeg}
 }
 
 // IsUnitWeight reports whether every node has weight exactly one.

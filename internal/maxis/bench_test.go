@@ -23,7 +23,7 @@ func coldSolveGraphs(k int) []*graph.Graph {
 // cold-solve shape, per worker count: the round loop's rung of the
 // benchmark ladder. Each iteration solves a different graph, as every cold
 // request does, so the simulator's recycled state, process arrays and
-// message slots are exercised across phase and graph boundaries.
+// inbox slots are exercised across phase and graph boundaries.
 func BenchmarkTheorem2Cold(b *testing.B) {
 	gs := coldSolveGraphs(8)
 	for _, workers := range []int{1, 2} {

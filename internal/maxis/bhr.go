@@ -74,7 +74,6 @@ type bhrProcess struct {
 	key    uint64
 	bits   int
 	joined bool
-	w      wire.Writer
 }
 
 var _ congest.Process = (*bhrProcess)(nil)
@@ -89,11 +88,12 @@ func (p *bhrProcess) Init(info congest.NodeInfo) {
 	p.key = bhrKey(info.Rand, tie, info.Weight, p.bits)
 }
 
-func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *bhrProcess) Round(round int, recv []*congest.Message) bool {
 	if round == 1 {
-		p.w.Reset()
-		p.w.WriteBits(p.key, p.bits)
-		return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), false
+		var w wire.Writer
+		w.WriteBits(p.key, p.bits)
+		p.info.Broadcast(&w)
+		return false
 	}
 	// Round 2: join iff every port delivered a well-formed key strictly
 	// above ours. An unknown or non-greater neighbour key could collide.
@@ -113,7 +113,7 @@ func (p *bhrProcess) Round(round int, recv []*congest.Message) ([]*congest.Messa
 			break
 		}
 	}
-	return nil, true
+	return true
 }
 
 func (p *bhrProcess) Output() bool { return p.joined }

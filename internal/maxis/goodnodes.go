@@ -57,13 +57,14 @@ type goodDetect struct {
 
 func (p *goodDetect) Init(info congest.NodeInfo) { p.info = info }
 
-func (p *goodDetect) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *goodDetect) Round(round int, recv []*congest.Message) bool {
 	switch round {
 	case 1:
 		var w wire.Writer
 		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
 		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		return congest.Broadcast(p.info.Out, p.info.Message(&w)), false
+		p.info.Broadcast(&w)
+		return false
 	default:
 		maxDeg := p.info.Degree
 		sumW := p.info.Weight
@@ -86,7 +87,7 @@ func (p *goodDetect) Round(round int, recv []*congest.Message) ([]*congest.Messa
 		}
 		// good ⇔ w(v) ≥ w(N⁺(v)) / (2(δ(v)+1)), in overflow-safe integers.
 		p.good = 2*int64(maxDeg+1)*p.info.Weight >= sumW
-		return nil, true
+		return true
 	}
 }
 

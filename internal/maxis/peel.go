@@ -110,7 +110,7 @@ func (p *peelProcess) Init(info congest.NodeInfo) {
 	p.alivePort.SetFirst(info.Degree)
 }
 
-func (p *peelProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *peelProcess) Round(round int, recv []*congest.Message) bool {
 	for port, m := range recv {
 		if m == nil || !p.alivePort.Get(port) {
 			continue
@@ -125,12 +125,10 @@ func (p *peelProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		p.removed = true
 		var w wire.Writer
 		w.WriteBool(true)
-		out := p.info.Out
-		m := p.info.Message(&w)
-		p.alivePort.ForEach(func(port int) { out[port] = m })
-		return out, true
+		p.info.BroadcastTo(p.alivePort, &w)
+		return true
 	}
-	return nil, round >= p.budget
+	return round >= p.budget
 }
 
 func (p *peelProcess) Output() bool { return !p.removed }

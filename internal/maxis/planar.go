@@ -69,10 +69,11 @@ type degreeCapFlag struct {
 
 func (p *degreeCapFlag) Init(info congest.NodeInfo) { p.info = info }
 
-func (p *degreeCapFlag) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *degreeCapFlag) Round(round int, recv []*congest.Message) bool {
 	var w wire.Writer
 	w.WriteBool(p.info.Degree <= p.cap)
-	return congest.Broadcast(p.info.Out, p.info.Message(&w)), true
+	p.info.Broadcast(&w)
+	return true
 }
 
 func (p *degreeCapFlag) Output() bool { return p.info.Degree <= p.cap }

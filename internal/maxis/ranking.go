@@ -87,7 +87,6 @@ type rankingProcess struct {
 	nbrRanks []uint64 // per port, the rank bits received so far
 	nbrSeen  []uint64 // fault mode: bitmask of chunks received per port
 	joined   bool
-	w        wire.Writer // per-round scratch, reset before each use
 }
 
 func (p *rankingProcess) Init(info congest.NodeInfo) {
@@ -132,7 +131,7 @@ func (p *rankingProcess) initChunkTags() {
 	p.seqBits = 0
 }
 
-func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *rankingProcess) Round(round int, recv []*congest.Message) bool {
 	// Absorb chunks sent in the previous round. Without faults every
 	// neighbour sends chunk round-2 in round-1, so it lands at bit
 	// (round-2)·chunk.
@@ -151,17 +150,18 @@ func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.M
 		}
 	}
 	if round <= p.rounds {
+		var w wire.Writer
 		lo := (round - 1) * p.chunk
 		hi := lo + p.chunk
 		if hi > p.bits {
 			hi = p.bits
 		}
-		p.w.Reset()
 		if p.info.Faulty && p.seqBits > 0 {
-			p.w.WriteBits(uint64(round-1), p.seqBits)
+			w.WriteBits(uint64(round-1), p.seqBits)
 		}
-		p.w.WriteBits(p.rank>>uint(lo), hi-lo)
-		return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), false
+		w.WriteBits(p.rank>>uint(lo), hi-lo)
+		p.info.Broadcast(&w)
+		return false
 	}
 	// round == rounds+1: all chunks received; decide.
 	p.joined = true
@@ -179,7 +179,7 @@ func (p *rankingProcess) Round(round int, recv []*congest.Message) ([]*congest.M
 			break
 		}
 	}
-	return nil, true
+	return true
 }
 
 // absorbTagged places one sequence-tagged chunk at its true offset,

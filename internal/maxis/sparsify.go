@@ -109,13 +109,14 @@ func saturatingMul(a, b int64) int64 {
 	return a * b
 }
 
-func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *sparsifySample) Round(round int, recv []*congest.Message) bool {
 	switch round {
 	case 1:
 		var w wire.Writer
 		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
 		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		return congest.Broadcast(p.info.Out, p.info.Message(&w)), false
+		p.info.Broadcast(&w)
+		return false
 
 	case 2:
 		p.deltaV = p.info.Degree
@@ -136,7 +137,8 @@ func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.M
 		}
 		var w wire.Writer
 		w.WriteInt(p.wDeg, p.maxSumW)
-		return congest.Broadcast(p.info.Out, p.info.Message(&w)), false
+		p.info.Broadcast(&w)
+		return false
 
 	default: // round 3
 		wmax := p.wDeg
@@ -153,7 +155,7 @@ func (p *sparsifySample) Round(round int, recv []*congest.Message) ([]*congest.M
 			}
 		}
 		p.inH = p.draw(wmax)
-		return nil, true
+		return true
 	}
 }
 

@@ -1,26 +1,20 @@
 package mis
 
-import (
-	"distmwis/internal/graph"
-	"distmwis/internal/wire"
-)
+import "distmwis/internal/graph"
 
 // Checkpoint/Restore implement the reliable transport's Checkpointer
 // interface (internal/reliable) for every MIS process: a snapshot is a
 // value copy of the process struct with its slices deep-copied, and Restore
 // copies back out of the snapshot so the same snapshot can serve repeated
-// crashes. The embedded NodeInfo is copied by value too; its Rand and Out
-// stay shared — the transport snapshots and restores the underlying
+// crashes. The embedded NodeInfo is copied by value too; its Rand and its
+// sends stay shared — the transport snapshots and restores the underlying
 // randomness stream itself (it substitutes a serializable PCG when
-// checkpointing is on), and Out is the outbox the transport gave the node
-// for the whole run.
+// checkpointing is on), and the sends go to the outbox the transport gave
+// the node for the whole run.
 
 func (p *lubyProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	// The scratch writer is reset before every use and never part of the
-	// snapshot.
-	s.w = wire.Writer{}
 	return &s
 }
 
@@ -34,7 +28,6 @@ func (p *lubyProcess) Restore(state any) {
 func (p *ghaffariProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	s.w = wire.Writer{}
 	return &s
 }
 
@@ -48,7 +41,6 @@ func (p *ghaffariProcess) Restore(state any) {
 func (p *rankProcess) Checkpoint() any {
 	s := *p
 	s.alive = append(graph.Bitset(nil), p.alive...)
-	s.w = wire.Writer{}
 	return &s
 }
 
@@ -64,7 +56,6 @@ func (p *greedyIDProcess) Checkpoint() any {
 	s.nbrID = append([]uint64(nil), p.nbrID...)
 	s.nbrKnown = append(graph.Bitset(nil), p.nbrKnown...)
 	s.nbrActive = append(graph.Bitset(nil), p.nbrActive...)
-	s.w = wire.Writer{}
 	return &s
 }
 

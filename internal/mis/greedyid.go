@@ -44,7 +44,6 @@ type greedyIDProcess struct {
 	nbrActive graph.Bitset
 	joined    bool
 	dominated bool
-	w         wire.Writer // per-round scratch, reset before each use
 }
 
 func (p *greedyIDProcess) Init(info congest.NodeInfo) {
@@ -65,15 +64,16 @@ const (
 	frameStatus = true
 )
 
-func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *greedyIDProcess) Round(round int, recv []*congest.Message) bool {
+	var w wire.Writer
 	if round == 1 {
 		// Identifier exchange.
-		p.w.Reset()
 		if p.info.Faulty {
-			p.w.WriteBool(frameID)
+			w.WriteBool(frameID)
 		}
-		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return congest.Broadcast(p.info.Out, p.info.Message(&p.w)), false
+		w.WriteUint(p.info.ID, p.info.MaxID)
+		p.info.Broadcast(&w)
+		return false
 	}
 	if round == 2 {
 		for port, m := range recv {
@@ -140,12 +140,12 @@ func (p *greedyIDProcess) Round(round int, recv []*congest.Message) ([]*congest.
 			done = true
 		}
 	}
-	p.w.Reset()
 	if p.info.Faulty {
-		p.w.WriteBool(frameStatus)
+		w.WriteBool(frameStatus)
 	}
-	p.w.WriteUint(status, 2)
-	return broadcastAlive(p.info.Out, p.nbrActive, p.info.Message(&p.w)), done
+	w.WriteUint(status, 2)
+	p.info.BroadcastTo(p.nbrActive, &w)
+	return done
 }
 
 func (p *greedyIDProcess) Output() bool { return p.joined }

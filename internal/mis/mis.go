@@ -153,15 +153,15 @@ func parseRetire(faulty bool, m *congest.Message) (retired, dominated bool) {
 	return true, joined || err != nil
 }
 
-// retireMsg builds the retirement announcement parseRetire expects in the
-// node's message slot, using the caller's scratch writer.
-func retireMsg(info *congest.NodeInfo, w *wire.Writer, retiring, joined bool) *congest.Message {
-	w.Reset()
+// sendRetire sends the retirement announcement parseRetire expects to the
+// ports in alive.
+func sendRetire(info *congest.NodeInfo, alive graph.Bitset, retiring, joined bool) {
+	var w wire.Writer
 	w.WriteBool(retiring)
 	if info.Faulty {
 		w.WriteBool(joined)
 	}
-	return info.Message(w)
+	info.BroadcastTo(alive, &w)
 }
 
 // portSet returns a bitset with the first degree ports set. For degree at
@@ -176,17 +176,6 @@ func portSet(word *[1]uint64, degree int) graph.Bitset {
 	return b
 }
 
-// broadcastAlive puts m on the ports whose neighbour is still active (out
-// arrives all nil, so the other ports send nothing) and returns out.
-func broadcastAlive(out []*congest.Message, alive graph.Bitset, m *congest.Message) []*congest.Message {
-	for port := range out {
-		if alive.Get(port) {
-			out[port] = m
-		}
-	}
-	return out
-}
-
 // lubyProcess holds one node's Luby state.
 type lubyProcess struct {
 	info      congest.NodeInfo
@@ -199,9 +188,6 @@ type lubyProcess struct {
 	// scratch from phaseMark messages: which alive neighbours are marked and
 	// their (degree, id) priority.
 	loseToNeighbor bool
-	// w is per-round scratch: slot messages are owned by the simulator the
-	// moment they are returned.
-	w wire.Writer
 	// aliveWord backs alive for degree ≤ 64 (portSet).
 	aliveWord [1]uint64
 }
@@ -220,7 +206,8 @@ func beats(d1 int, id1 uint64, d2 int, id2 uint64) bool {
 	return id1 > id2
 }
 
-func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *lubyProcess) Round(round int, recv []*congest.Message) bool {
+	var w wire.Writer
 	// A round-number gap means the node was crashed and recovered: the
 	// per-iteration scratch is stale relative to the current phase. Rounds
 	// are consecutive in fault-free runs, so this never fires there.
@@ -245,11 +232,11 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		case p.info.Rand.Float64() < 1/(2*float64(p.aliveN)):
 			p.marked = true
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.marked)
-		p.w.WriteUint(uint64(p.aliveN), uint64(p.info.NUpper))
-		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
+		w.WriteBool(p.marked)
+		w.WriteUint(uint64(p.aliveN), uint64(p.info.NUpper))
+		w.WriteUint(p.info.ID, p.info.MaxID)
+		p.info.BroadcastTo(p.alive, &w)
+		return false
 
 	case phaseJoin:
 		if p.marked && !p.dominated {
@@ -280,9 +267,9 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 				p.joined = true
 			}
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.joined)
-		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
+		w.WriteBool(p.joined)
+		p.info.BroadcastTo(p.alive, &w)
+		return false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -295,7 +282,8 @@ func (p *lubyProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			}
 		}
 		retiring := p.joined || p.dominated
-		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.info, &p.w, retiring, p.joined)), retiring
+		sendRetire(&p.info, p.alive, retiring, p.joined)
+		return retiring
 	}
 }
 
@@ -360,7 +348,6 @@ type ghaffariProcess struct {
 	lastRound int
 	// maxExp caps the exponent so the wire field stays bounded.
 	maxExp    int
-	w         wire.Writer
 	aliveWord [1]uint64
 }
 
@@ -372,7 +359,8 @@ func (p *ghaffariProcess) Init(info congest.NodeInfo) {
 	p.maxExp = 2 * wire.BitsFor(uint64(info.NUpper)) // p never below n^-2
 }
 
-func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *ghaffariProcess) Round(round int, recv []*congest.Message) bool {
+	var w wire.Writer
 	if p.lastRound != 0 && round != p.lastRound+1 {
 		p.marked = false // stale across a crash window
 	}
@@ -407,11 +395,11 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 				}
 			}
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.marked)
-		p.w.WriteUint(uint64(p.pExp), uint64(p.maxExp))
-		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
+		w.WriteBool(p.marked)
+		w.WriteUint(uint64(p.pExp), uint64(p.maxExp))
+		w.WriteUint(p.info.ID, p.info.MaxID)
+		p.info.BroadcastTo(p.alive, &w)
+		return false
 
 	case phaseJoin:
 		var effDeg float64
@@ -451,9 +439,9 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 		} else if p.pExp > 1 {
 			p.pExp--
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.joined)
-		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
+		w.WriteBool(p.joined)
+		p.info.BroadcastTo(p.alive, &w)
+		return false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -466,7 +454,8 @@ func (p *ghaffariProcess) Round(round int, recv []*congest.Message) ([]*congest.
 			}
 		}
 		retiring := p.joined || p.dominated
-		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.info, &p.w, retiring, p.joined)), retiring
+		sendRetire(&p.info, p.alive, retiring, p.joined)
+		return retiring
 	}
 }
 
@@ -512,7 +501,6 @@ type rankProcess struct {
 	dominated bool
 	wins      bool
 	lastRound int
-	w         wire.Writer
 	aliveWord [1]uint64
 }
 
@@ -524,7 +512,8 @@ func (p *rankProcess) Init(info congest.NodeInfo) {
 	p.rankSpace = n * n // collisions broken by ID
 }
 
-func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *rankProcess) Round(round int, recv []*congest.Message) bool {
+	var w wire.Writer
 	if p.lastRound != 0 && round != p.lastRound+1 {
 		p.rank = 0 // stale across a crash window; 0 never wins a comparison
 		p.wins = false
@@ -546,10 +535,10 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			}
 		}
 		p.rank = 1 + p.info.Rand.Uint64N(p.rankSpace)
-		p.w.Reset()
-		p.w.WriteUint(p.rank, p.rankSpace)
-		p.w.WriteUint(p.info.ID, p.info.MaxID)
-		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
+		w.WriteUint(p.rank, p.rankSpace)
+		w.WriteUint(p.info.ID, p.info.MaxID)
+		p.info.BroadcastTo(p.alive, &w)
+		return false
 
 	case phaseJoin:
 		p.wins = true
@@ -577,9 +566,9 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 		if p.wins && !p.dominated {
 			p.joined = true
 		}
-		p.w.Reset()
-		p.w.WriteBool(p.joined)
-		return broadcastAlive(p.info.Out, p.alive, p.info.Message(&p.w)), false
+		w.WriteBool(p.joined)
+		p.info.BroadcastTo(p.alive, &w)
+		return false
 
 	default: // phaseRetire
 		for port, m := range recv {
@@ -592,7 +581,8 @@ func (p *rankProcess) Round(round int, recv []*congest.Message) ([]*congest.Mess
 			}
 		}
 		retiring := p.joined || p.dominated
-		return broadcastAlive(p.info.Out, p.alive, retireMsg(&p.info, &p.w, retiring, p.joined)), retiring
+		sendRetire(&p.info, p.alive, retiring, p.joined)
+		return retiring
 	}
 }
 

@@ -62,7 +62,7 @@ func recycleRunners(t *testing.T) []recycleRunner {
 }
 
 // TestRecycledStateMatchesFreshProcess pins that no state survives from
-// one run to the next through the recycled process arrays, message slots
+// one run to the next through the recycled process arrays, inbox slots
 // and run state. Every registered protocol and solver runs on graphs A, B
 // and A again, interleaved with the next algorithm in the list on the
 // other graph, and each run must equal the first run of that algorithm on

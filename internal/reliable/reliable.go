@@ -204,7 +204,7 @@ type proc struct {
 	inner congest.Process
 	info  congest.NodeInfo
 	ports []portState
-	// innerOut is the inner process's NodeInfo.Out.
+	// innerOut collects the inner process's sends (congest.CaptureSends).
 	innerOut []*congest.Message
 
 	logical    int  // completed inner rounds
@@ -234,13 +234,12 @@ func (p *proc) Init(info congest.NodeInfo) {
 		p.ports[i].finRound = -1
 		p.ports[i].win = make(map[int]inSlot, 2)
 	}
-	inner := info
-	inner.Faulty = false
-	// The node's Out window carries this endpoint's frames; the inner
-	// process gets an outbox of its own, cleared after every logical round
-	// as the simulator clears Out.
+	// The node's sends carry this endpoint's frames; the inner process's
+	// sends go to an outbox of its own, which becomes data frames and is
+	// cleared after every logical round.
 	p.innerOut = make([]*congest.Message, info.Degree)
-	inner.Out = p.innerOut
+	inner := congest.CaptureSends(info, p.innerOut)
+	inner.Faulty = false
 	if p.t.opts.CheckpointEvery > 0 {
 		if cp, ok := p.inner.(Checkpointer); ok {
 			// Substitute a snapshottable randomness stream, seeded from the
@@ -260,7 +259,7 @@ func (p *proc) Init(info congest.NodeInfo) {
 }
 
 // Round implements congest.Process: one physical round of the transport.
-func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bool) {
+func (p *proc) Round(round int, recv []*congest.Message) bool {
 	if p.cp != nil && round > p.lastPhys+1 && p.lastPhys > 0 {
 		// The simulator skipped us for one or more rounds: a crash-recovery
 		// fault. Simulate the full amnesia crash the checkpoint layer is
@@ -294,12 +293,9 @@ func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bo
 
 	p.detectFailures(round)
 
-	send := p.info.Out
 	retransmitted := false
 	for port := range p.ports {
-		var wasRe bool
-		send[port], wasRe = p.buildFrame(port, round)
-		retransmitted = retransmitted || wasRe
+		retransmitted = p.sendFrame(port, round) || retransmitted
 	}
 
 	switch {
@@ -318,12 +314,12 @@ func (p *proc) Round(round int, recv []*congest.Message) ([]*congest.Message, bo
 			p.quiesceAt = round
 		}
 		if len(p.ports) == 0 || round-p.quiesceAt >= p.t.opts.Linger {
-			return send, true
+			return true
 		}
 	} else {
 		p.quiesceAt = 0
 	}
-	return send, false
+	return false
 }
 
 // TracePhase implements congest.PhaseLabeler: the inner protocol's own
@@ -482,7 +478,7 @@ func (p *proc) advanceInner() {
 			delete(ps.win, p.logical)
 		}
 	}
-	send, done := p.inner.Round(next, recv)
+	done := p.inner.Round(next, recv)
 	p.logical = next
 	if p.cp != nil {
 		p.log = append(p.log, recv)
@@ -498,10 +494,7 @@ func (p *proc) advanceInner() {
 			// one looks at), and a dead one never reads anything.
 			continue
 		}
-		var m *congest.Message
-		if port < len(send) {
-			m = send[port]
-		}
+		m := p.innerOut[port]
 		if m != nil && p.info.Bandwidth > 0 && m.Bits() > p.info.Bandwidth {
 			panic(fmt.Sprintf("reliable: node %d port %d inner message of %d bits exceeds bandwidth %d", p.info.Index, port, m.Bits(), p.info.Bandwidth))
 		}
@@ -556,15 +549,15 @@ func (p *proc) detectFailures(round int) {
 	}
 }
 
-// buildFrame assembles the port's outgoing frame for this physical round:
-// the due data frame with the lowest sequence number if any, otherwise a
-// pure ACK when one is owed, otherwise a keep-alive poke when the node has
-// been waiting silently too long, otherwise nothing. Reports whether the
-// frame was a retransmission.
-func (p *proc) buildFrame(port, round int) (*congest.Message, bool) {
+// sendFrame sends the port's frame for this physical round: the due data
+// frame with the lowest sequence number if any, otherwise a pure ACK when
+// one is owed, otherwise a keep-alive poke when the node has been waiting
+// silently too long, otherwise nothing. Reports whether the frame was a
+// retransmission.
+func (p *proc) sendFrame(port, round int) bool {
 	ps := &p.ports[port]
 	if ps.dead {
-		return nil, false
+		return false
 	}
 	var of *outFrame
 	for i := range ps.out {
@@ -581,7 +574,7 @@ func (p *proc) buildFrame(port, round int) (*congest.Message, bool) {
 	// ~DeclareDeadAfter consecutive one-per-round exchanges all failed.
 	poke := p.waitingOn(ps) && ps.silence(round) >= p.t.opts.PokeEvery
 	if of == nil && !ps.ackDirty && !poke {
-		return nil, false
+		return false
 	}
 
 	var w wire.Writer
@@ -619,7 +612,8 @@ func (p *proc) buildFrame(port, round int) (*congest.Message, bool) {
 	}
 	ps.ackDirty = false
 	ps.lastSent = round
-	return congest.NewMessage(&w), retransmit
+	p.info.Send(port, &w)
+	return retransmit
 }
 
 // quiesced reports whether this endpoint has nothing left to do: the inner
