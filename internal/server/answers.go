@@ -167,7 +167,6 @@ func (s *Server) componentCache(prefix string) maxis.ComponentCache {
 // only when every component missed and that run was the whole-graph run.
 // It is tagged with the version hash, so a PATCH evicts it.
 func (s *Server) solveRef(req *SolveRequest, g *graph.Graph, parts []graph.Component, cfg maxis.Config, key, hash string) (*cacheEntry, error) {
-	cfg = s.traced(req, cfg)
 	scope, err := maxis.ComponentScope(req.Alg, g, req.Eps, req.Alpha, cfg)
 	if err != nil {
 		return nil, err
@@ -177,7 +176,7 @@ func (s *Server) solveRef(req *SolveRequest, g *graph.Graph, parts []graph.Compo
 	if err != nil {
 		return nil, err
 	}
-	e := newEntry(req, g, key, res)
+	e := s.newEntry(req, g, key, res)
 	e.tag = hash
 	if stats.Reused == 0 && !req.NoCache {
 		s.cache.put(e)

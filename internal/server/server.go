@@ -640,26 +640,23 @@ func (s *Server) solve(req *SolveRequest, p prepared) (*cacheEntry, error) {
 	if p.ver != nil {
 		return s.solveRef(req, p.g, p.ver.parts, p.cfg, p.key, p.hash)
 	}
-	res, err := maxis.Solve(req.Alg, p.g, req.Eps, req.Alpha, s.traced(req, p.cfg))
+	res, err := maxis.Solve(req.Alg, p.g, req.Eps, req.Alpha, p.cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := newEntry(req, p.g, p.key, res)
+	e := s.newEntry(req, p.g, p.key, res)
 	if !req.NoCache {
 		s.cache.put(e)
 	}
 	return e, nil
 }
 
-// traced attaches the engine tracer to a solve's config.
-func (s *Server) traced(req *SolveRequest, cfg maxis.Config) maxis.Config {
-	cfg.Tracer = s.metrics.engine
-	cfg.TraceLabel = req.Alg
-	return cfg
-}
-
-// newEntry renders a solve result as the cache entry key names.
-func newEntry(req *SolveRequest, g *graph.Graph, key string, res *maxis.Result) *cacheEntry {
+// newEntry renders an executed solve's result as the cache entry key names
+// and adds its metrics to the engine totals. Every executed solve passes
+// here: the inline one (solve) and the component-wise one (solveRef, which
+// the repair tier's Full runs too).
+func (s *Server) newEntry(req *SolveRequest, g *graph.Graph, key string, res *maxis.Result) *cacheEntry {
+	s.metrics.addSolve(res.Metrics)
 	return &cacheEntry{
 		key:       key,
 		set:       graph.Members(res.Set),

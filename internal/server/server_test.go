@@ -444,6 +444,40 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 	}
 }
 
+// TestEngineMetricsCountResponses: the engine totals add up what executed
+// solves' responses report, so after one cold solve and one cache hit they
+// equal the cold response's rounds, messages and bits.
+func TestEngineMetricsCountResponses(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	req := SolveRequest{Gen: &GenSpec{Kind: "gnp", N: 80, P: 0.08, Seed: 3}, Alg: "theorem2", Eps: 0.5, Seed: 3}
+	_, cold := postSolve(t, ts, req)
+	if _, hit := postSolve(t, ts, req); !hit.Cached {
+		t.Fatal("second solve was not a cache hit")
+	}
+	if cold.Rounds == 0 || cold.Messages == 0 || cold.Bits == 0 {
+		t.Fatalf("cold response reports no traffic: %+v", cold)
+	}
+	httpResp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	body, err := io.ReadAll(httpResp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"maxisd_engine_rounds_total":   int64(cold.Rounds),
+		"maxisd_engine_messages_total": cold.Messages,
+		"maxisd_engine_bits_total":     cold.Bits,
+	} {
+		line := fmt.Sprintf("\n%s %d\n", name, want)
+		if !strings.Contains(string(body), line) {
+			t.Errorf("metrics output lacks %q", strings.TrimSpace(line))
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	req := SolveRequest{Gen: &GenSpec{Kind: "gnp", N: 60, P: 0.1, Seed: 2}, Alg: "goodnodes", Seed: 2}
