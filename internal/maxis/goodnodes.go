@@ -58,37 +58,45 @@ type goodDetect struct {
 func (p *goodDetect) Init(info congest.NodeInfo) { p.info = info }
 
 func (p *goodDetect) Round(round int, recv []*congest.Message) bool {
-	switch round {
-	case 1:
-		var w wire.Writer
-		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
-		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		p.info.Broadcast(&w)
+	if round == 1 {
+		sendDegreeWeight(&p.info)
 		return false
-	default:
-		maxDeg := p.info.Degree
-		sumW := p.info.Weight
-		for _, m := range recv {
-			if m == nil {
-				continue
-			}
-			r := m.Reader()
-			deg, e1 := r.ReadUint(uint64(p.info.NUpper))
-			nw, e2 := r.ReadInt(p.info.MaxWeight)
-			if e1 != nil || e2 != nil {
-				// Garbled neighbour announcement (fault injection): treat
-				// as missing; the good test degrades but stays well-formed.
-				continue
-			}
-			if int(deg) > maxDeg {
-				maxDeg = int(deg)
-			}
-			sumW += nw
-		}
-		// good ⇔ w(v) ≥ w(N⁺(v)) / (2(δ(v)+1)), in overflow-safe integers.
-		p.good = 2*int64(maxDeg+1)*p.info.Weight >= sumW
-		return true
 	}
+	maxDeg, nbrW := readDegreeWeight(&p.info, recv)
+	// good ⇔ w(v) ≥ w(N⁺(v)) / (2(δ(v)+1)), in overflow-safe integers.
+	p.good = 2*int64(maxDeg+1)*p.info.Weight >= p.info.Weight+nbrW
+	return true
+}
+
+// sendDegreeWeight broadcasts the node's (degree, weight): round 1 of
+// goodDetect and of sparsifySample.
+func sendDegreeWeight(info *congest.NodeInfo) {
+	var w wire.Writer
+	w.WriteUint(uint64(info.Degree), uint64(info.NUpper))
+	w.WriteInt(info.Weight, info.MaxWeight)
+	info.Broadcast(&w)
+}
+
+// readDegreeWeight reads the neighbours' sendDegreeWeight messages and
+// returns δ(v), the maximum degree over N⁺(v), and w(N(v)), the sum of the
+// neighbours' weights. A garbled announcement (fault injection) counts as
+// missing: the figures degrade but stay well-formed.
+func readDegreeWeight(info *congest.NodeInfo, recv []*congest.Message) (maxDeg int, nbrW int64) {
+	maxDeg = info.Degree
+	for _, m := range recv {
+		if m == nil {
+			continue
+		}
+		r := m.Reader()
+		deg, e1 := r.ReadUint(uint64(info.NUpper))
+		nw, e2 := r.ReadInt(info.MaxWeight)
+		if e1 != nil || e2 != nil {
+			continue
+		}
+		maxDeg = max(maxDeg, int(deg))
+		nbrW += nw
+	}
+	return maxDeg, nbrW
 }
 
 func (p *goodDetect) Output() bool { return p.good }

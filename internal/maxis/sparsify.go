@@ -112,29 +112,11 @@ func saturatingMul(a, b int64) int64 {
 func (p *sparsifySample) Round(round int, recv []*congest.Message) bool {
 	switch round {
 	case 1:
-		var w wire.Writer
-		w.WriteUint(uint64(p.info.Degree), uint64(p.info.NUpper))
-		w.WriteInt(p.info.Weight, p.info.MaxWeight)
-		p.info.Broadcast(&w)
+		sendDegreeWeight(&p.info)
 		return false
 
 	case 2:
-		p.deltaV = p.info.Degree
-		for _, m := range recv {
-			if m == nil {
-				continue
-			}
-			r := m.Reader()
-			deg, e1 := r.ReadUint(uint64(p.info.NUpper))
-			nw, e2 := r.ReadInt(p.info.MaxWeight)
-			if e1 != nil || e2 != nil {
-				continue // garbled under faults: treat as missing
-			}
-			if int(deg) > p.deltaV {
-				p.deltaV = int(deg)
-			}
-			p.wDeg += nw
-		}
+		p.deltaV, p.wDeg = readDegreeWeight(&p.info, recv)
 		var w wire.Writer
 		w.WriteInt(p.wDeg, p.maxSumW)
 		p.info.Broadcast(&w)
