@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-solve bench-once bench-smoke bench-json bench-diff bench-scale clean
+.PHONY: all vet lint build build-cmds test race fuzz experiments recovery-sweep serve loadtest smoke chaos-soak mutate-soak cluster-soak bench-serve bench-patch bench-solve bench-once bench-smoke bench-json bench-diff bench-scale loc clean
 
 all: vet build test
 
@@ -167,6 +167,14 @@ bench-diff:
 bench-scale:
 	$(GO) test -run='^$$' -benchtime=1x -benchmem \
 		-bench='^(BenchmarkPowerLawSeams1M|BenchmarkRoundLoop10M)$$' .
+
+# Non-test and test Go line counts of the tracked files outside perfbench/
+# (git ls-files, so untracked build trees such as .bench_build/ never
+# count): the figures a simplification's net line count is read from.
+loc:
+	@git ls-files -z '*.go' ':!:perfbench/' | xargs -0 wc -l | awk \
+		'$$2 != "total" { if ($$2 ~ /_test\.go$$/) t += $$1; else n += $$1 } \
+		END { printf "non-test Go lines: %d\ntest Go lines: %d\n", n, t }'
 
 experiments:
 	$(GO) run ./cmd/experiments -o EXPERIMENTS.md
