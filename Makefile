@@ -106,7 +106,8 @@ bench-patch:
 	$(GO) test -run='^$$' -benchmem -count=3 -bench='^BenchmarkPatchRefSolve$$' ./internal/server/
 
 # The round loop per worker count: one cold Theorem 2 solve of the
-# cold-solve shape (gnp n = 2000, poly2, eps 0.5) with one and two workers;
+# cold-solve shape (gnp n = 2000, poly2, eps 0.5) with one and two workers,
+# and one cold Theorem 3 solve (Algorithm 6) of that shape on one worker;
 # one uncached Theorem 2 solve of graphs of 150 × 16 and 16 × 150
 # components through SolveComponents and through Solve; then the same
 # solve on gnp graphs of degree 8 with 20,000 and 200,000 nodes (about a
@@ -114,6 +115,7 @@ bench-patch:
 # the HTTP handler: its B/op is the cold request's allocation budget.
 bench-solve:
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkTheorem2Cold$$' ./internal/maxis/
+	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkTheorem3Cold$$' ./internal/maxis/
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkSolveComponents$$' ./internal/maxis/
 	$(GO) test -run='^$$' -benchmem -count=3 -benchtime=3x -bench='^BenchmarkTheorem2Scale$$' ./internal/maxis/
 	$(GO) test -run='^$$' -benchmem -count=5 -bench='^BenchmarkColdRequest$$' ./internal/server/

@@ -38,6 +38,22 @@ func BenchmarkTheorem2Cold(b *testing.B) {
 	}
 }
 
+// BenchmarkTheorem3Cold is one uncached Theorem 3 solve (Algorithm 6 over
+// the Theorem 2 pipeline, ε = 0.5, α the degeneracy bound) of the
+// cold-solve shape on one worker, a new graph each iteration as in
+// BenchmarkTheorem2Cold.
+func BenchmarkTheorem3Cold(b *testing.B) {
+	gs := coldSolveGraphs(8)
+	b.Run("workers=1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Theorem3(gs[i%len(gs)], 0, 0.5, Config{Seed: uint64(i + 1), Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkTheorem2Scale is one Theorem 2 solve (ε = 0.5) of gnp graphs of
 // average degree 8 with 20,000 and 200,000 nodes, per worker count: the
 // round loop's rung at sizes where a second worker can pay for its round
