@@ -67,19 +67,21 @@ func RunPhase(g *graph.Graph, run congest.Runner, acc *Accumulator, c congest.Co
 	return out, nil
 }
 
-// RunOnInduced runs a protocol on the subgraph induced by active and lifts
-// the boolean outputs back to the parent index space. One bookkeeping round
-// is charged for the activity-flag exchange that lets every node learn which
-// of its neighbours participate in the phase. The subgraph is built in
-// c.Scratch's buffers when it has one, and released before the return.
-func RunOnInduced(g *graph.Graph, active []bool, run congest.Runner, acc *Accumulator, c congest.Config) ([]bool, error) {
-	sub := c.Scratch.Induce(g, active, nil)
-	defer c.Scratch.Pop()
-	acc.AddRounds(1) // neighbours exchange active flags
+// RunOnInduced is one induced phase: it builds g's subgraph induced by
+// keep in s (nil allocates), carrying weights (indexed by g's nodes; nil
+// keeps g's), charges one bookkeeping round for the flag exchange that
+// lets every node learn which of its neighbours take part, runs phase on
+// the subgraph and lifts its set back to g's indices. An empty subgraph
+// runs nothing and yields an all-false set. The subgraph is popped from s
+// before the return, on the error path too.
+func RunOnInduced(g *graph.Graph, keep []bool, weights []int64, s *congest.Scratch, acc *Accumulator, phase func(sub *graph.Graph) ([]bool, error)) ([]bool, error) {
+	sub := s.Induce(g, keep, weights)
+	defer s.Pop()
+	acc.AddRounds(1) // neighbours exchange flags
 	if sub.G.N() == 0 {
 		return make([]bool, g.N()), nil
 	}
-	set, err := RunPhase(sub.G, run, acc, c)
+	set, err := phase(sub.G)
 	if err != nil {
 		return nil, err
 	}

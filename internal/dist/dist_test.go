@@ -8,6 +8,7 @@ import (
 
 	"distmwis/internal/congest"
 	. "distmwis/internal/dist"
+	"distmwis/internal/graph"
 	"distmwis/internal/graph/gen"
 	"distmwis/internal/mis"
 )
@@ -89,6 +90,11 @@ func TestRunPhaseErrorWrapped(t *testing.T) {
 	}
 }
 
+// runLuby is a phase that runs Luby's MIS on the subgraph.
+func runLuby(acc *Accumulator, c congest.Config) func(*graph.Graph) ([]bool, error) {
+	return func(sub *graph.Graph) ([]bool, error) { return RunPhase(sub, mis.Luby{}.Run, acc, c) }
+}
+
 func TestRunOnInduced(t *testing.T) {
 	g := gen.Path(10)
 	active := make([]bool, 10)
@@ -96,19 +102,20 @@ func TestRunOnInduced(t *testing.T) {
 		active[v] = true
 	}
 	var acc Accumulator
-	set, err := RunOnInduced(g, active, mis.Luby{}.Run, &acc, congest.Config{Seed: 1})
+	set, err := RunOnInduced(g, active, nil, nil, &acc, runLuby(&acc, congest.Config{Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A scratch changes where the subgraph is built, not the answer.
 	scratch := congest.NewScratch()
 	defer scratch.Release()
-	inScratch, err := RunOnInduced(g, active, mis.Luby{}.Run, &Accumulator{}, congest.Config{Seed: 1, Scratch: scratch})
+	var inAcc Accumulator
+	inScratch, err := RunOnInduced(g, active, nil, scratch, &inAcc, runLuby(&inAcc, congest.Config{Seed: 1, Scratch: scratch}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(set, inScratch) {
-		t.Errorf("set %v in a scratch, want %v", inScratch, set)
+	if !reflect.DeepEqual(set, inScratch) || inAcc != acc {
+		t.Errorf("set %v, %v in a scratch, want %v, %v", inScratch, inAcc, set, acc)
 	}
 	sub := g.Induce(active)
 	if sub.G.N() != 6 {
@@ -130,25 +137,87 @@ func TestRunOnInduced(t *testing.T) {
 		t.Error(err)
 	}
 	// One bookkeeping round charged on top of the protocol.
-	if acc.Rounds < 2 {
-		t.Errorf("rounds %d too low", acc.Rounds)
+	if acc.Rounds < 2 || acc.Phases != 1 {
+		t.Errorf("rounds %d, phases %d: want the flag round plus one run", acc.Rounds, acc.Phases)
 	}
 }
 
 func TestRunOnInducedEmptyActive(t *testing.T) {
 	g := gen.Cycle(8)
 	var acc Accumulator
-	set, err := RunOnInduced(g, make([]bool, 8), mis.Luby{}.Run, &acc, congest.Config{})
+	ran := false
+	set, err := RunOnInduced(g, make([]bool, 8), nil, nil, &acc, func(*graph.Graph) ([]bool, error) {
+		ran = true
+		return nil, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, in := range set {
-		if in {
-			t.Errorf("node %d selected from empty active set", v)
-		}
+	if ran {
+		t.Error("the phase ran on an empty subgraph")
 	}
-	if acc.Rounds != 1 {
-		t.Errorf("empty phase should charge exactly the flag round, got %d", acc.Rounds)
+	if len(set) != g.N() || graph.SetSize(set) != 0 {
+		t.Errorf("set %v, want %d false flags", set, g.N())
+	}
+	if acc != (Accumulator{Counters: congest.Counters{Rounds: 1}}) {
+		t.Errorf("empty phase should charge exactly the flag round, got %+v", acc)
+	}
+}
+
+// TestRunOnInducedCarriesWeightsAndLifts: the phase sees the kept nodes
+// with the carried weights, and the set it returns lands on the parent
+// indices of the subgraph nodes it names.
+func TestRunOnInducedCarriesWeightsAndLifts(t *testing.T) {
+	g := gen.Path(6)
+	keep := []bool{false, true, false, true, true, false}
+	weights := []int64{10, 11, 12, 13, 14, 15}
+	set, err := RunOnInduced(g, keep, weights, nil, &Accumulator{}, func(sub *graph.Graph) ([]bool, error) {
+		got := []int64{}
+		for v := range sub.N() {
+			got = append(got, sub.Weight(v))
+		}
+		if want := []int64{11, 13, 14}; !reflect.DeepEqual(got, want) {
+			t.Errorf("phase saw weights %v, want %v", got, want)
+		}
+		return []bool{false, false, true}, nil // subgraph node 2 is g's node 4
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{false, false, false, false, true, false}; !reflect.DeepEqual(set, want) {
+		t.Errorf("lifted set %v, want %v", set, want)
+	}
+	if g.Weight(1) != 1 {
+		t.Errorf("carried weights leaked into g: w(1) = %d", g.Weight(1))
+	}
+}
+
+// TestRunOnInducedErrorPops: a phase error comes back unchanged, and the
+// subgraph is popped on that path too, so the next phase is built in the
+// same scratch buffer.
+func TestRunOnInducedErrorPops(t *testing.T) {
+	g := gen.Cycle(8)
+	keep := make([]bool, 8)
+	keep[0], keep[1] = true, true
+	scratch := congest.NewScratch()
+	defer scratch.Release()
+	boom := errors.New("boom")
+	var failed, next *graph.Graph
+	_, err := RunOnInduced(g, keep, nil, scratch, &Accumulator{}, func(sub *graph.Graph) ([]bool, error) {
+		failed = sub
+		return nil, boom
+	})
+	if err != boom {
+		t.Fatalf("error %v, want the phase's own", err)
+	}
+	if _, err := RunOnInduced(g, keep, nil, scratch, &Accumulator{}, func(sub *graph.Graph) ([]bool, error) {
+		next = sub
+		return make([]bool, sub.N()), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if next != failed {
+		t.Error("the failed phase's subgraph was not popped: the next phase got a deeper buffer")
 	}
 }
 

@@ -38,7 +38,8 @@ func Arboricity(g *graph.Graph, alpha int, eps float64, inner Inner, cfg Config)
 	if eps <= 0 {
 		return nil, fmt.Errorf("maxis: Arboricity needs ε > 0, got %v", eps)
 	}
-	cfg = cfg.Normalized(g)
+	cfg, scratch := cfg.Normalized(g).WithScratch()
+	defer scratch.Release()
 	if alpha <= 0 {
 		alpha = g.ArboricityUpperBound()
 		if alpha == 0 {
@@ -50,87 +51,58 @@ func Arboricity(g *graph.Graph, alpha int, eps float64, inner Inner, cfg Config)
 	n := g.N()
 	cur := g.Weights()
 	maxPhases := bits.Len(uint(cfg.NUpper)) + 2 // log n + 1 plus slack for the V1 phase
-	var stack [][]bool
-	var stackValue int64
-	phases := 0
+	stack := lrStack{g: g, acc: &acc, unit: 1}
+	low := make([]bool, n) // reused across phases; fully rewritten below
 
 	for i := 1; i <= maxPhases; i++ {
-		// Each phase boosts on a seed sequence of its own (see boostPush).
+		// Each phase boosts on a seed sequence of its own (see boostRun).
 		phaseSeeds := protocol.NewSeedSeq(seeds.Next())
-		active := make([]bool, n)
-		activeN := 0
-		for v := 0; v < n; v++ {
-			if cur[v] > 0 {
-				active[v] = true
-				activeN++
+		// V4α: active (positive-residual) nodes with at most 4α active
+		// neighbours.
+		activeN, lowN := 0, 0
+		for v := range low {
+			low[v] = false
+			if cur[v] <= 0 {
+				continue
+			}
+			activeN++
+			deg := 0
+			for _, u := range g.Neighbors(v) {
+				if cur[u] > 0 {
+					deg++
+				}
+			}
+			if deg <= 4*alpha {
+				low[v] = true
+				lowN++
 			}
 		}
 		if activeN == 0 {
 			break
 		}
-		sub := g.Induce(active)
-		acc.AddRounds(1) // active flags
-		// V4α: active nodes whose degree within the active subgraph is ≤4α.
-		lowDeg := make([]bool, sub.G.N())
-		lowCount := 0
-		for j := 0; j < sub.G.N(); j++ {
-			if sub.G.Degree(j) <= 4*alpha {
-				lowDeg[j] = true
-				lowCount++
-			}
+		acc.AddRounds(2) // active flags, then degrees within the active subgraph
+		if 2*lowN < activeN {
+			return nil, fmt.Errorf("maxis: only %d of %d active nodes have degree ≤ 4α=%d; alpha=%d is below the true arboricity", lowN, activeN, 4*alpha, alpha)
 		}
-		acc.AddRounds(1) // degree exchange within the active subgraph
-		if 2*lowCount < activeN {
-			return nil, fmt.Errorf("maxis: only %d of %d active nodes have degree ≤ 4α=%d; alpha=%d is below the true arboricity", lowCount, activeN, 4*alpha, alpha)
-		}
-		low := sub.G.Induce(lowDeg)
-		acc.AddRounds(1)
-		subW := make([]int64, low.G.N())
-		for j, pv := range low.ToParent {
-			subW[j] = cur[sub.ToParent[pv]]
-		}
-		inSet, _, _, err := boostRun(low.G.WithWeights(subW), eps, inner, cfg, phaseSeeds, &acc)
+		set, err := dist.RunOnInduced(g, low, cur, cfg.Scratch(), &acc, func(sub *graph.Graph) ([]bool, error) {
+			set, _, _, err := boostRun(sub, eps, inner, cfg, phaseSeeds, &acc)
+			return set, err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("maxis: arboricity phase %d: %w", i, err)
 		}
-		set := sub.LiftSet(low.LiftSet(inSet))
 		if !g.IsIndependentSet(set) {
 			return nil, fmt.Errorf("maxis: arboricity phase %d: inner returned dependent set", i)
 		}
-		for v := 0; v < n; v++ {
-			if set[v] {
-				stackValue += cur[v]
-			}
-		}
-		stack = append(stack, set)
-		phases++
-		// Weight update (Algorithm 6): every ≤4α-degree active node drops to
-		// zero; other nodes lose the weight of their set neighbours.
-		reduce := make([]int64, n)
-		zero := make([]bool, n)
-		for j := 0; j < sub.G.N(); j++ {
-			if lowDeg[j] {
-				zero[sub.ToParent[j]] = true
-			}
-		}
-		for v := 0; v < n; v++ {
-			if zero[v] {
-				continue
-			}
-			for _, u := range g.Neighbors(v) {
-				if set[u] {
-					reduce[v] += cur[u]
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if zero[v] {
+		// Weight update (Algorithm 6): other nodes lose the weight of their
+		// set neighbours (the push's reduction; every member is a ≤4α
+		// node), and every ≤4α node drops to zero.
+		stack.push(cur, set)
+		for v, in := range low {
+			if in {
 				cur[v] = 0
-			} else {
-				cur[v] -= reduce[v]
 			}
 		}
-		acc.AddRounds(1) // members announce residual weight
 	}
 	// Any active node left means the halving argument failed, which cannot
 	// happen when alpha is a true arboricity bound.
@@ -139,20 +111,21 @@ func Arboricity(g *graph.Graph, alpha int, eps float64, inner Inner, cfg Config)
 			return nil, fmt.Errorf("maxis: active nodes remain after %d phases; alpha=%d is below the true arboricity", maxPhases, alpha)
 		}
 	}
-	set := PopStack(g, stack, &acc)
+	set, err := stack.pop()
+	if err != nil {
+		return nil, fmt.Errorf("maxis: arboricity: %w", err)
+	}
+	phases := len(stack.sets)
 	res, err := finish(g, set, cfg, acc, "arboricity", map[string]float64{
 		"alpha":       float64(alpha),
 		"phases":      float64(phases),
-		"stack_value": float64(stackValue),
+		"stack_value": float64(stack.value),
 		"guarantee":   8 * (1 + eps) * float64(alpha),
 	})
 	if err != nil {
 		return nil, err
 	}
-	if res.Weight < stackValue {
-		return nil, fmt.Errorf("maxis: stack property violated in arboricity run (bug)")
-	}
-	return &ArboricityResult{Result: *res, Phases: phases, StackValue: stackValue}, nil
+	return &ArboricityResult{Result: *res, Phases: phases, StackValue: stack.value}, nil
 }
 
 // Theorem3 is the paper's headline low-arboricity result: Arboricity with

@@ -156,7 +156,10 @@ func BHR(g *graph.Graph, phases int, cfg Config) (*Result, error) {
 			break
 		}
 		ran++
-		set, err := dist.RunOnInduced(g, active, congest.Bind[bhrProcess](nil), &acc, cfg.Phase("race").Sim(seeds.Next()))
+		seed := seeds.Next()
+		set, err := dist.RunOnInduced(g, active, nil, cfg.Scratch(), &acc, func(sub *graph.Graph) ([]bool, error) {
+			return dist.RunPhase(sub, congest.Bind[bhrProcess](nil), &acc, cfg.Phase("race").Sim(seed))
+		})
 		if err != nil {
 			return nil, fmt.Errorf("maxis: bhr phase %d: %w", ph+1, err)
 		}

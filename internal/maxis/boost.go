@@ -55,85 +55,80 @@ func Boost(g *graph.Graph, eps float64, inner Inner, cfg Config) (*BoostResult, 
 }
 
 // boostRun is the reusable core of Algorithm 1, shared with Algorithm 6
-// (which boosts on its bounded-degree subgraphs).
+// (which boosts on its bounded-degree subgraphs). It runs the t push
+// phases and pops the stack. Phase i draws the i-th seed of seeds and
+// hands the inner algorithm a sequence of its own rooted there, so how
+// many seeds an inner run consumes on its graph never shifts a later
+// phase's seeds.
 func boostRun(g *graph.Graph, eps float64, inner Inner, cfg Config, seeds *protocol.SeedSeq, acc *dist.Accumulator) ([]bool, int64, int, error) {
 	t := int(math.Ceil(float64(inner.FactorC()) / eps))
-	stack, stackValue, err := boostPush(g, t, inner, cfg, seeds, acc)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	set := PopStack(g, stack, acc)
-	// Proposition 2 (stack property): w(I) ≥ Σᵢ wᵢ(Iᵢ). A violation means
-	// the local-ratio machinery is broken, so fail loudly.
-	if w := g.SetWeight(set); w < stackValue {
-		return nil, 0, 0, fmt.Errorf("maxis: stack property violated: w(I)=%d < stack value %d (bug)", w, stackValue)
-	}
-	return set, stackValue, len(stack), nil
-}
-
-// boostPush runs the t push phases and returns the stack of independent
-// sets plus Σᵢ wᵢ(Iᵢ). Phase i draws the i-th seed of seeds and hands the
-// inner algorithm a sequence of its own rooted there, so how many seeds an
-// inner run consumes on its graph never shifts a later phase's seeds.
-func boostPush(g *graph.Graph, t int, inner Inner, cfg Config, seeds *protocol.SeedSeq, acc *dist.Accumulator) ([][]bool, int64, error) {
-	n := g.N()
 	cur := g.Weights()
-	var stack [][]bool
-	var stackValue int64
-
-	active := make([]bool, n) // reused across phases; fully rewritten below
+	stack := lrStack{g: g, acc: acc, unit: 1}
+	active := make([]bool, g.N()) // reused across phases; fully rewritten below
 	for i := 1; i <= t; i++ {
 		phaseSeeds := protocol.NewSeedSeq(seeds.Next())
 		anyActive := false
-		for v := 0; v < n; v++ {
+		for v := range active {
 			active[v] = cur[v] > 0
 			anyActive = anyActive || active[v]
 		}
 		if !anyActive {
 			break
 		}
-		// The residual graph carries the residual weights.
-		sub := cfg.Scratch().Induce(g, active, cur)
-		acc.AddRounds(1) // active-flag exchange
-		// Push phases share the unindexed "push" label so a Timeline
-		// aggregates all t of them into one stage (the per-round records
-		// still separate them by run index).
-		inSet, err := inner.Run(sub.G, cfg.Phase("push"), phaseSeeds, acc)
-		var set []bool
-		if err == nil {
-			set = sub.LiftSet(inSet)
-		}
-		cfg.Scratch().Pop()
+		// The residual graph carries the residual weights. Push phases
+		// share the unindexed "push" label so a Timeline aggregates all t
+		// of them into one stage (the per-round records still separate
+		// them by run index).
+		set, err := dist.RunOnInduced(g, active, cur, cfg.Scratch(), acc, func(sub *graph.Graph) ([]bool, error) {
+			return inner.Run(sub, cfg.Phase("push"), phaseSeeds, acc)
+		})
 		if err != nil {
-			return nil, 0, fmt.Errorf("maxis: boost phase %d: %w", i, err)
+			return nil, 0, 0, fmt.Errorf("maxis: boost phase %d: %w", i, err)
 		}
 		if !g.IsIndependentSet(set) {
-			return nil, 0, fmt.Errorf("maxis: boost phase %d: inner %s returned dependent set", i, inner.Name())
+			return nil, 0, 0, fmt.Errorf("maxis: boost phase %d: inner %s returned dependent set", i, inner.Name())
 		}
-		// Push and record the residual value wᵢ(Iᵢ).
-		for v := 0; v < n; v++ {
-			if set[v] {
-				stackValue += cur[v]
-			}
-		}
-		stack = append(stack, set)
-		// Local-ratio weight reduction; one round for members to announce
-		// their residual weight to neighbours.
-		applyReduction(g, cur, set)
-		acc.AddRounds(1)
+		stack.push(cur, set)
 	}
-	return stack, stackValue, nil
+	set, err := stack.pop()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return set, stack.value, len(stack.sets), nil
 }
 
-// applyReduction performs w_{i+1}(v) = wᵢ(v) − wᵢ(N⁺(v) ∩ Iᵢ) in place.
+// lrStack is the local-ratio stack of Algorithms 1 and 6 and of the
+// Bar-Yehuda et al. family (localRatioRun): push records a phase's set
+// and reduces the residual weights, pop greedily unwinds the stack into
+// the answer and checks Proposition 2 on it.
+type lrStack struct {
+	g   *graph.Graph
+	acc *dist.Accumulator
+	// unit scales residual weights back to g's weights (LocalRatioEps
+	// quantises them; 1 elsewhere).
+	unit int64
+	sets [][]bool
+	// value is Σᵢ wᵢ(Iᵢ)·unit, the residual value of the pushed sets.
+	value int64
+}
+
+// push adds set's residual value to the stack, pushes set and performs
+// w_{i+1}(v) = wᵢ(v) − wᵢ(N⁺(v) ∩ Iᵢ) on cur in place. One round is
+// charged for members to announce their residual weight to neighbours.
 // Non-members read only members' weights, which stay wᵢ until the second
 // pass zeroes them (a member's reduction is its own weight).
-func applyReduction(g *graph.Graph, cur []int64, set []bool) {
+func (s *lrStack) push(cur []int64, set []bool) {
+	for v, in := range set {
+		if in {
+			s.value += cur[v] * s.unit
+		}
+	}
+	s.sets = append(s.sets, set)
 	for v, in := range set {
 		if in {
 			continue
 		}
-		for _, u := range g.Neighbors(v) {
+		for _, u := range s.g.Neighbors(v) {
 			if set[u] {
 				cur[v] -= cur[u]
 			}
@@ -144,29 +139,34 @@ func applyReduction(g *graph.Graph, cur []int64, set []bool) {
 			cur[v] = 0
 		}
 	}
+	s.acc.AddRounds(1)
 }
 
-// PopStack performs the greedy reverse pop (stage 2 of Algorithms 1 and 6):
-// iterate the stacked sets from last pushed to first, adding each node
-// whose neighbourhood is still untouched. One round per popped phase is
-// charged for the membership exchange. Exported for the baseline, which
-// shares this stage.
-func PopStack(g *graph.Graph, stack [][]bool, acc *dist.Accumulator) []bool {
-	n := g.N()
+// pop is the greedy reverse pop (stage 2 of Algorithms 1 and 6): iterate
+// the pushed sets from last to first, adding each node whose
+// neighbourhood is still untouched. One round per popped set is charged
+// for the membership exchange. The result is always independent, and
+// Proposition 2 (the stack property) guarantees w(I) ≥ Σᵢ wᵢ(Iᵢ); a
+// violation means the local-ratio machinery is broken, so it fails loudly.
+func (s *lrStack) pop() ([]bool, error) {
+	n := s.g.N()
 	out := make([]bool, n)
 	blocked := make([]bool, n)
-	for i := len(stack) - 1; i >= 0; i-- {
-		for v := 0; v < n; v++ {
-			if stack[i][v] && !blocked[v] {
+	for i := len(s.sets) - 1; i >= 0; i-- {
+		for v, in := range s.sets[i] {
+			if in && !blocked[v] {
 				out[v] = true
-				for _, u := range g.Neighbors(v) {
+				for _, u := range s.g.Neighbors(v) {
 					blocked[u] = true
 				}
 			}
 		}
-		acc.AddRounds(1)
+		s.acc.AddRounds(1)
 	}
-	return out
+	if w := s.g.SetWeight(out); w < s.value {
+		return nil, fmt.Errorf("maxis: stack property violated: w(I)=%d < stack value %d (bug)", w, s.value)
+	}
+	return out, nil
 }
 
 // Theorem1 is the deterministic-capable pipeline of Theorem 1:

@@ -40,7 +40,10 @@ func goodNodesRun(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *dist
 
 	// Phase 2: MIS over the good-node subgraph (Lemma 2: black-box MIS with
 	// the original NUpper works on any subgraph).
-	set, err = dist.RunOnInduced(g, good, cfg.MISAlg().Run, acc, cfg.Phase("goodnodes/mis").Sim(seeds.Next()))
+	seed := seeds.Next()
+	set, err = dist.RunOnInduced(g, good, nil, cfg.Scratch(), acc, func(sub *graph.Graph) ([]bool, error) {
+		return dist.RunPhase(sub, cfg.MISAlg().Run, acc, cfg.Phase("goodnodes/mis").Sim(seed))
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -24,8 +24,9 @@ import (
 //     quantised weights. A (1−ε)·OPT/Δ guarantee in O(MIS·log(n/ε))
 //     rounds, independent of W and of Δ.
 //
-// Both reuse the applyReduction/PopStack machinery shared with baseline.go
-// and boost.go, so the Proposition 2 stack property carries over verbatim.
+// Both push, reduce and pop through the local-ratio stack (lrStack) of
+// Algorithms 1 and 6, so the Proposition 2 stack property carries over
+// verbatim and is checked by the same pop.
 
 // LocalRatio is the unscaled local-ratio Δ-approximation. Each phase runs
 // the MIS black box on the subgraph induced by positive-residual nodes,
@@ -96,9 +97,7 @@ func localRatioRun(g *graph.Graph, cur []int64, top, unit int64, cfg Config, alg
 	seeds := protocol.NewSeedSeq(cfg.Seed)
 	var acc dist.Accumulator
 	n := g.N()
-	var stack [][]bool
-	var stackValue int64
-	phases := 0
+	stack := lrStack{g: g, acc: &acc, unit: unit}
 	// The phase schedule: scaled mode iterates thresholds, plain mode
 	// iterates until the residual is gone. Node v takes part in at most
 	// deg(v)+1 plain phases: in each, v or an active neighbour joins the
@@ -130,19 +129,13 @@ func localRatioRun(g *graph.Graph, cur []int64, top, unit int64, cfg Config, alg
 			}
 			break
 		}
-		phases++
-		set, err := dist.RunOnInduced(g, active, cfg.MISAlg().Run, &acc, cfg.Phase(stage).Sim(seed))
+		set, err := dist.RunOnInduced(g, active, nil, cfg.Scratch(), &acc, func(sub *graph.Graph) ([]bool, error) {
+			return dist.RunPhase(sub, cfg.MISAlg().Run, &acc, cfg.Phase(stage).Sim(seed))
+		})
 		if err != nil {
-			return nil, fmt.Errorf("maxis: %s phase %d: %w", alg, phases, err)
+			return nil, fmt.Errorf("maxis: %s phase %d: %w", alg, len(stack.sets)+1, err)
 		}
-		for v := 0; v < n; v++ {
-			if set[v] {
-				stackValue += cur[v] * unit
-			}
-		}
-		stack = append(stack, set)
-		applyReduction(g, cur, set)
-		acc.AddRounds(1)
+		stack.push(cur, set)
 	}
 	// Residual positivity relies on MIS maximality, which fault injection
 	// legitimately breaks; without faults leftovers are a real bug.
@@ -153,20 +146,16 @@ func localRatioRun(g *graph.Graph, cur []int64, top, unit int64, cfg Config, alg
 			}
 		}
 	}
-	set := PopStack(g, stack, &acc)
+	set, err := stack.pop()
+	if err != nil {
+		return nil, fmt.Errorf("maxis: %s: %w", alg, err)
+	}
 	if extra == nil {
 		extra = map[string]float64{}
 	}
-	extra["phases"] = float64(phases)
-	extra["stack_value"] = float64(stackValue)
-	res, err := finish(g, set, cfg, acc, alg, extra)
-	if err != nil {
-		return nil, err
-	}
-	if res.Weight < stackValue {
-		return nil, fmt.Errorf("maxis: stack property violated in %s (bug)", alg)
-	}
-	return res, nil
+	extra["phases"] = float64(len(stack.sets))
+	extra["stack_value"] = float64(stack.value)
+	return finish(g, set, cfg, acc, alg, extra)
 }
 
 // minWeight returns the smallest node weight (0 for the empty graph).

@@ -42,42 +42,29 @@ func EstimateDegeneracy(g *graph.Graph, cfg Config) (*DegeneracyEstimate, error)
 	cfg = cfg.Normalized(g)
 	seeds := protocol.NewSeedSeq(cfg.Seed)
 	est := &DegeneracyEstimate{}
-	n := g.N()
-	if n == 0 {
-		return est, nil
+	if g.MaxDegree() == 0 {
+		return est, nil // edgeless: degeneracy 0
 	}
 	peelRounds := bits.Len(uint(cfg.NUpper)) + 2
-	alive := make([]bool, n)
-	aliveN := 0
-	for v := 0; v < n; v++ {
-		if g.Degree(v) > 0 {
-			alive[v] = true
-			aliveN++
-		}
-	}
-	if aliveN == 0 {
-		return est, nil // edgeless: degeneracy 0
+	alive := make([]bool, g.N())
+	for v := range alive {
+		alive[v] = g.Degree(v) > 0
 	}
 	for threshold := 1; ; threshold *= 2 {
 		est.Phases++
 		est.Estimate = threshold
-		sub := g.Induce(alive)
-		est.Metrics.AddRounds(1) // survivors exchange liveness flags
-		kept, err := dist.RunPhase(sub.G, congest.Bind(func(p *peelProcess) {
-			p.threshold, p.budget = threshold, peelRounds
-		}), &est.Metrics, cfg.Phase("peel").Sim(seeds.Next()))
+		// The survivors' subgraph; its flag round is their liveness exchange.
+		seed := seeds.Next()
+		var err error
+		alive, err = dist.RunOnInduced(g, alive, nil, cfg.Scratch(), &est.Metrics, func(sub *graph.Graph) ([]bool, error) {
+			return dist.RunPhase(sub, congest.Bind(func(p *peelProcess) {
+				p.threshold, p.budget = threshold, peelRounds
+			}), &est.Metrics, cfg.Phase("peel").Sim(seed))
+		})
 		if err != nil {
 			return nil, fmt.Errorf("maxis: peel threshold %d: %w", threshold, err)
 		}
-		survivors := 0
-		for i, in := range kept {
-			if in {
-				survivors++
-			} else {
-				alive[sub.ToParent[i]] = false
-			}
-		}
-		if survivors == 0 {
+		if graph.SetSize(alive) == 0 {
 			return est, nil
 		}
 		if threshold > cfg.NUpper {

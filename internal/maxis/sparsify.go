@@ -42,23 +42,24 @@ func sparsifiedRun(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *dis
 	if err != nil {
 		return nil, nil, err
 	}
-	sub := cfg.Scratch().Induce(g, inH, nil)
-	defer cfg.Scratch().Pop()
-	acc.AddRounds(1) // membership-flag exchange
+	// An empty H keeps the keys, at zero.
 	ext := map[string]float64{
-		"sparsifier_nodes":     float64(sub.G.N()),
-		"sparsifier_max_deg":   float64(sub.G.MaxDegree()),
-		"sparsifier_weight":    float64(sub.G.TotalWeight()),
+		"sparsifier_nodes":     0,
+		"sparsifier_max_deg":   0,
+		"sparsifier_weight":    0,
 		"sparsifier_weight_in": float64(g.TotalWeight()),
 	}
-	if sub.G.N() == 0 {
-		return make([]bool, g.N()), ext, nil
-	}
-	set, _, err := goodNodesRun(sub.G, cfg, seeds, acc)
+	set, err := dist.RunOnInduced(g, inH, nil, cfg.Scratch(), acc, func(h *graph.Graph) ([]bool, error) {
+		ext["sparsifier_nodes"] = float64(h.N())
+		ext["sparsifier_max_deg"] = float64(h.MaxDegree())
+		ext["sparsifier_weight"] = float64(h.TotalWeight())
+		set, _, err := goodNodesRun(h, cfg, seeds, acc)
+		return set, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return sub.LiftSet(set), ext, nil
+	return set, ext, nil
 }
 
 // SampleSparsifier runs the three-round sampling protocol of Section 4.2
