@@ -90,9 +90,13 @@ func (g *Graph) Withdraw(set []bool, u, v int) int {
 }
 
 // Members lists the indices of set's members in ascending order (nil when
-// set is empty).
+// set is empty), allocated once at exactly the member count.
 func Members(set []bool) []int32 {
-	var out []int32
+	n := SetSize(set)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int32, 0, n)
 	for v, in := range set {
 		if in {
 			out = append(out, int32(v))

@@ -27,39 +27,48 @@ func Sparsified(g *graph.Graph, cfg Config) (*Result, error) {
 	cfg = cfg.Normalized(g)
 	seeds := protocol.NewSeedSeq(cfg.Seed)
 	var acc dist.Accumulator
-	set, ext, err := sparsifiedRun(g, cfg, seeds, &acc)
+	set, h, err := sparsifiedRun(g, cfg, seeds, &acc)
 	if err != nil {
 		return nil, err
+	}
+	var ext map[string]float64
+	if g.N() > 0 {
+		// An empty H keeps the keys, at zero.
+		ext = map[string]float64{
+			"sparsifier_nodes":     float64(h.nodes),
+			"sparsifier_max_deg":   float64(h.maxDeg),
+			"sparsifier_weight":    float64(h.weight),
+			"sparsifier_weight_in": float64(g.TotalWeight()),
+		}
 	}
 	return finish(g, set, cfg, acc, "sparsified", ext)
 }
 
-func sparsifiedRun(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *dist.Accumulator) ([]bool, map[string]float64, error) {
+// sparsifierStats describes the H a sparsifiedRun sampled; only Sparsified
+// reports it, so runs inside Theorem 2's boost build no Extra map.
+type sparsifierStats struct {
+	nodes, maxDeg int
+	weight        int64
+}
+
+func sparsifiedRun(g *graph.Graph, cfg Config, seeds *protocol.SeedSeq, acc *dist.Accumulator) ([]bool, sparsifierStats, error) {
+	var h sparsifierStats
 	if g.N() == 0 {
-		return nil, nil, nil
+		return nil, h, nil
 	}
 	inH, err := SampleSparsifier(g, cfg, seeds, acc)
 	if err != nil {
-		return nil, nil, err
+		return nil, h, err
 	}
-	// An empty H keeps the keys, at zero.
-	ext := map[string]float64{
-		"sparsifier_nodes":     0,
-		"sparsifier_max_deg":   0,
-		"sparsifier_weight":    0,
-		"sparsifier_weight_in": float64(g.TotalWeight()),
-	}
-	set, err := dist.RunOnInduced(g, inH, nil, cfg.Scratch(), acc, func(h *graph.Graph) ([]bool, error) {
-		ext["sparsifier_nodes"] = float64(h.N())
-		ext["sparsifier_max_deg"] = float64(h.MaxDegree())
-		ext["sparsifier_weight"] = float64(h.TotalWeight())
-		set, _, err := goodNodesRun(h, cfg, seeds, acc)
+	set, err := dist.RunOnInduced(g, inH, nil, cfg.Scratch(), acc, func(sub *graph.Graph) ([]bool, error) {
+		h = sparsifierStats{nodes: sub.N(), maxDeg: sub.MaxDegree(), weight: sub.TotalWeight()}
+		set, _, err := goodNodesRun(sub, cfg, seeds, acc)
 		return set, err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, h, err
 	}
-	return set, ext, nil
+	return set, h, nil
 }
 
 // SampleSparsifier runs the three-round sampling protocol of Section 4.2

@@ -39,6 +39,8 @@ func qualityRank(q string) int {
 }
 
 // storedAnswer is one published answer; GET /v1/answers/{key} returns it.
+// The registry keeps the set only packed, in members; Set is decoded from
+// it into the copy a GET serves.
 type storedAnswer struct {
 	Key       string  `json:"key"`
 	GraphHash string  `json:"graph_hash"`
@@ -53,6 +55,8 @@ type storedAnswer struct {
 	Alg     string    `json:"alg,omitempty"`
 	Updated time.Time `json:"updated"`
 	Error   string    `json:"error,omitempty"`
+
+	members graph.PackedSet
 }
 
 // answerRegistry keeps the last N published answers keyed by answer key,
@@ -72,7 +76,7 @@ func newAnswerRegistry(capacity int) *answerRegistry {
 // put inserts or upgrades an answer. Publishes that would lower the
 // quality of an existing entry are dropped.
 func (ar *answerRegistry) put(a *storedAnswer) {
-	a.Size = len(a.Set)
+	a.Size = a.members.Len()
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
 	if el, ok := ar.byKey[a.Key]; ok {
@@ -106,7 +110,9 @@ func (s *Server) handleGetAnswer(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, storedAnswer{Error: "unknown answer key"})
 		return
 	}
-	writeJSON(w, http.StatusOK, *a)
+	served := *a
+	served.Set = a.members.Members()
+	writeJSON(w, http.StatusOK, served)
 }
 
 // publishUpgrade is the repair tier's publish callback: it upgrades the
@@ -118,7 +124,7 @@ func (s *Server) publishUpgrade(key string, a repair.Answer) {
 	s.answers.put(&storedAnswer{
 		Key:       key,
 		GraphHash: a.GraphHash,
-		Set:       graph.Members(a.Set),
+		members:   graph.PackSet(a.Set),
 		Weight:    a.Weight,
 		Quality:   a.Quality,
 		Alg:       a.Alg,
@@ -151,10 +157,10 @@ func (s *Server) componentCache(prefix string) maxis.ComponentCache {
 			if !ok {
 				return nil, false
 			}
-			return e.set, true
+			return e.set.Members(), true
 		},
 		Store: func(hash string, set []int32, weight int64) {
-			s.cache.put(&cacheEntry{key: prefix + hash, set: set, weight: weight, tag: hash})
+			s.cache.put(&cacheEntry{key: prefix + hash, set: graph.PackMembers(set), weight: weight, tag: hash})
 		},
 	}
 }
@@ -166,22 +172,22 @@ func (s *Server) componentCache(prefix string) maxis.ComponentCache {
 // goes under key, the line an inline solve of the same content shares,
 // only when every component missed and that run was the whole-graph run.
 // It is tagged with the version hash, so a PATCH evicts it.
-func (s *Server) solveRef(req *SolveRequest, g *graph.Graph, parts []graph.Component, cfg maxis.Config, key, hash string) (*cacheEntry, error) {
+func (s *Server) solveRef(req *SolveRequest, g *graph.Graph, parts []graph.Component, cfg maxis.Config, key, hash string) (solved, error) {
 	scope, err := maxis.ComponentScope(req.Alg, g, req.Eps, req.Alpha, cfg)
 	if err != nil {
-		return nil, err
+		return solved{}, err
 	}
 	cache := s.componentCache("comp|" + req.Fingerprint() + "|" + scope + "|")
 	res, stats, err := maxis.SolveComponents(req.Alg, g, parts, req.Eps, req.Alpha, cfg, cache)
 	if err != nil {
-		return nil, err
+		return solved{}, err
 	}
-	e := s.newEntry(req, g, key, res)
-	e.tag = hash
+	out := s.newEntry(req, g, key, res)
+	out.entry.tag = hash
 	if stats.Reused == 0 && !req.NoCache {
-		s.cache.put(e)
+		s.cache.put(out.entry)
 	}
-	return e, nil
+	return out, nil
 }
 
 // publishDegraded is execute's graph_ref hook on the degraded tier. Unlike
@@ -192,7 +198,7 @@ func (s *Server) publishDegraded(req *SolveRequest, p prepared, set []bool, weig
 	s.answers.put(&storedAnswer{
 		Key:       p.key,
 		GraphHash: p.hash,
-		Set:       graph.Members(set),
+		members:   graph.PackSet(set),
 		Weight:    weight,
 		Quality:   qualityDegraded,
 		Alg:       alg,
@@ -203,17 +209,17 @@ func (s *Server) publishDegraded(req *SolveRequest, p prepared, set []bool, weig
 
 // publishFull is execute's graph_ref hook after a fresh full solve: publish
 // the answer, and remember it as the seed the handle's next PATCH heals.
-func (s *Server) publishFull(req *SolveRequest, p prepared, e *cacheEntry) {
+func (s *Server) publishFull(req *SolveRequest, p prepared, res solved) {
 	s.answers.put(&storedAnswer{
 		Key:       p.key,
 		GraphHash: p.hash,
-		Set:       e.set,
-		Weight:    e.weight,
+		members:   res.entry.set,
+		Weight:    res.entry.weight,
 		Quality:   qualityFull,
-		Alg:       e.alg,
+		Alg:       res.entry.alg,
 		Updated:   time.Now().UTC(),
 	})
-	s.graphs.recordFull(p.hash, req, e.set, p.g.N())
+	s.graphs.recordFull(p.hash, req, res.set, p.g.N())
 }
 
 // recordFull remembers a handle's latest full answer and the request that

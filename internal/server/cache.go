@@ -10,12 +10,12 @@ import (
 	"distmwis/internal/graph"
 )
 
-// cacheEntry is one stored solve outcome. Entries store the member indices
-// rather than the full bool vector: independent sets returned by the Δ-ish
-// approximations are small, and the byte budget should reflect reality.
+// cacheEntry is one stored solve outcome. The set is kept packed (uvarint
+// gaps, about a byte a member on the approximation tiers' answers), so the
+// cache holds no []int32: a hit decodes it once for its response.
 type cacheEntry struct {
 	key      string
-	set      []int32
+	set      graph.PackedSet
 	weight   int64
 	rounds   int
 	messages int64
@@ -32,21 +32,30 @@ type cacheEntry struct {
 	tag string
 }
 
-// bytes approximates the resident cost of the entry for budgeting. The
-// "sets are small" assumption above holds for the approximation tiers but
-// NOT for the degraded tier: greedy answers on sparse graphs have Θ(n)
-// members, so the accounting must charge the real backing array — cap, not
-// len, since put keeps whatever the solver allocated — plus the headers and
-// bookkeeping a resident entry drags along (string header 16 B, slice
-// header 24 B, the remaining fixed fields, the map cell and the LRU
-// list.Element ≈ 96 B). Undercounting here let used drift past budget
-// exactly when entries were largest.
+// bytes approximates the resident cost of the entry for budgeting: the
+// packed set's bytes, which its constructors allocate at exactly that
+// length, the strings' bytes, and the headers and bookkeeping a resident
+// entry drags along (string headers 16 B, the packed set's count and slice
+// header 32 B, the remaining fixed fields, the map cell and the LRU
+// list.Element ≈ 96 B). The set is charged by its real size because the
+// degraded tier's greedy answers have Θ(n) members: undercounting them let
+// used drift past budget exactly when entries were largest.
 func (e *cacheEntry) bytes() int64 {
-	const fixed = 16 + 16 + 16 + 16 + 24 + // key, tag, alg, guarantee and set headers
-		8 + 8 + 8 + 8 + 8 + // weight, rounds, messages, bits, degraded (padded)
-		96 // map entry + list.Element overhead
 	return int64(len(e.key)) + int64(len(e.tag)) + int64(len(e.alg)) + int64(len(e.guarantee)) +
-		int64(4*cap(e.set)) + fixed
+		int64(e.set.Size()) + entryOverhead
+}
+
+// entryOverhead is the part of bytes() that is the same for every entry.
+const entryOverhead = 16 + 16 + 16 + 16 + 32 + // key, tag, alg, guarantee and set headers
+	8 + 8 + 8 + 8 + 8 + // weight, rounds, messages, bits, degraded (padded)
+	96 // map entry + list.Element overhead
+
+// solved is one executed solve: the entry the cache keeps and the member
+// indices the entry was packed from. The solve's own response, and those
+// of the single-flight followers sharing it, carry set as it is.
+type solved struct {
+	entry *cacheEntry
+	set   []int32
 }
 
 // resultCache is a content-addressed LRU with a byte budget and
@@ -67,9 +76,9 @@ type resultCache struct {
 // flight is one in-progress solve other requests can attach to.
 type flight struct {
 	done chan struct{}
-	// entry/err are valid once done is closed.
-	entry *cacheEntry
-	err   error
+	// res/err are valid once done is closed.
+	res solved
+	err error
 }
 
 func newResultCache(budget int64) *resultCache {
@@ -178,28 +187,28 @@ func (c *resultCache) invalidateTag(tag string) int {
 // leader finishes (or their own ctx expires) and share its outcome. The
 // bool result reports whether this caller was a follower (the solve was
 // shared).
-func (c *resultCache) do(ctx context.Context, key string, solve func() (*cacheEntry, error)) (*cacheEntry, bool, error) {
+func (c *resultCache) do(ctx context.Context, key string, solve func() (solved, error)) (solved, bool, error) {
 	c.mu.Lock()
 	if f, ok := c.inflight[key]; ok {
 		c.dedups++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.entry, true, f.err
+			return f.res, true, f.err
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
+			return solved{}, true, ctx.Err()
 		}
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	f.entry, f.err = solve()
+	f.res, f.err = solve()
 	c.mu.Lock()
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(f.done)
-	return f.entry, false, f.err
+	return f.res, false, f.err
 }
 
 // stats returns a snapshot of the counters for /metrics.

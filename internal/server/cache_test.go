@@ -3,18 +3,27 @@ package server
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"distmwis/internal/graph"
 )
 
 func entryOf(key string, n int) *cacheEntry {
-	e := &cacheEntry{key: key}
-	for i := 0; i < n; i++ {
-		e.set = append(e.set, int32(i))
+	return &cacheEntry{key: key, set: graph.PackMembers(firstMembers(n))}
+}
+
+// firstMembers returns the members 0, 1, …, n−1.
+func firstMembers(n int) []int32 {
+	set := make([]int32, n)
+	for i := range set {
+		set[i] = int32(i)
 	}
-	return e
+	return set
 }
 
 func TestCacheLRUEvictionByBytes(t *testing.T) {
@@ -70,28 +79,29 @@ func TestCacheRejectsOversizedEntry(t *testing.T) {
 
 // TestCacheBudgetHoldsUnderDegradedEntries is the regression test for the
 // old "independent sets are small" accounting: degraded-tier greedy answers
-// on sparse graphs have Θ(n) members, and their slices arrive with whatever
-// capacity the solver's append-doubling left behind. The old bytes()
-// charged 4·len + 64 flat, so a stream of such entries drove used past the
-// budget by orders of magnitude. This pins the two halves of the fix: cap
-// is charged (not len) and used never exceeds budget at any point of an
-// adversarial insertion stream.
+// on sparse graphs have Θ(n) members, and the old bytes() charged a flat
+// size, so a stream of such entries drove used past the budget by orders
+// of magnitude. This pins the two halves of the fix: the packed set's
+// bytes are charged in full, and used never exceeds budget at any point of
+// an adversarial insertion stream.
 func TestCacheBudgetHoldsUnderDegradedEntries(t *testing.T) {
-	// A degraded-tier-shaped entry: Θ(n) members, slack capacity from
-	// append growth, sha256-hex-length key.
+	// A degraded-tier-shaped entry: Θ(n) members spread over a graph of
+	// 300 nodes a member, so every gap takes two bytes, and a
+	// sha256-hex-length key.
 	degraded := func(i, members int) *cacheEntry {
-		set := make([]int32, members, 2*members) // adversarial slack: cap = 2·len
+		set := make([]int32, members)
 		for j := range set {
-			set[j] = int32(j)
+			set[j] = int32(300 * j)
 		}
 		return &cacheEntry{
 			key:      fmt.Sprintf("%064d", i),
-			set:      set,
+			set:      graph.PackMembers(set),
 			degraded: true,
 		}
 	}
-	if small, big := degraded(0, 100).bytes(), degraded(0, 100); small < int64(4*cap(big.set)) {
-		t.Fatalf("bytes()=%d does not cover the %d-byte backing array (len-based undercount)", small, 4*cap(big.set))
+	if e := degraded(0, 100); e.set.Size() != 2*100-1 || e.bytes() != int64(len(e.key)+e.set.Size())+entryOverhead {
+		t.Fatalf("bytes()=%d for a %d-byte packed set under a %d-byte key, want the two plus %d",
+			e.bytes(), e.set.Size(), len(e.key), entryOverhead)
 	}
 
 	const budget = 1 << 16 // 64 KiB: a handful of large entries
@@ -125,13 +135,54 @@ func TestCacheBudgetHoldsUnderDegradedEntries(t *testing.T) {
 	}
 }
 
+// TestColdShapeEntryBytes pins what a cached cold-shape answer costs:
+// theorem2 on gnp(2000, 0.004) with poly2 weights, the cold-solve
+// workload's shape, answers with about 560 members, which as an []int32
+// took 3,788 accounted bytes an entry. Packed, an entry must stay within
+// 1,200 bytes, bytes() must be exactly the packed set's length plus the
+// strings and the fixed overhead, and a cache hit must answer with the
+// set the fresh solve did.
+func TestColdShapeEntryBytes(t *testing.T) {
+	const ceiling = 1200
+	s, ts := newTestServer(t, Options{Workers: 1})
+	const seeds = 4
+	for seed := uint64(1); seed <= seeds; seed++ {
+		req := SolveRequest{Gen: &GenSpec{Kind: "gnp", N: 2000, P: 0.004, Weights: "poly2", Seed: seed}, Alg: "theorem2"}
+		code, fresh := postSolve(t, ts, req)
+		if code != http.StatusOK || fresh.Cached || len(fresh.Set) < 400 {
+			t.Fatalf("seed %d: cold solve %d cached=%t |set|=%d", seed, code, fresh.Cached, len(fresh.Set))
+		}
+		code, hit := postSolve(t, ts, req)
+		if code != http.StatusOK || !hit.Cached || !slices.Equal(hit.Set, fresh.Set) || hit.Size != fresh.Size {
+			t.Fatalf("seed %d: cache hit %d cached=%t answers %d members, the fresh solve %d", seed, code, hit.Cached, hit.Size, fresh.Size)
+		}
+	}
+	_, _, _, _, _, used, entries := s.cache.stats()
+	if entries != seeds {
+		t.Fatalf("%d cache entries after %d cold solves", entries, seeds)
+	}
+	t.Logf("%d accounted bytes an entry", used/seeds)
+	if used > ceiling*seeds {
+		t.Errorf("%d accounted bytes an entry, want at most %d", used/seeds, ceiling)
+	}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	for _, el := range s.cache.entries {
+		e := el.Value.(*cacheEntry)
+		strs := len(e.key) + len(e.tag) + len(e.alg) + len(e.guarantee)
+		if want := int64(strs+e.set.Size()) + entryOverhead; e.bytes() != want {
+			t.Errorf("bytes() = %d, want %d: %d packed bytes, %d of strings and %d fixed", e.bytes(), want, e.set.Size(), strs, entryOverhead)
+		}
+	}
+}
+
 func TestCacheOverwriteSameKey(t *testing.T) {
 	c := newResultCache(1 << 20)
 	c.put(entryOf("same", 10))
 	c.put(entryOf("same", 20))
 	e, ok := c.get("same")
-	if !ok || len(e.set) != 20 {
-		t.Fatalf("overwrite failed: ok=%t len=%d", ok, len(e.set))
+	if !ok || e.set.Len() != 20 {
+		t.Fatalf("overwrite failed: ok=%t len=%d", ok, e.set.Len())
 	}
 	_, _, _, _, _, used, entries := c.stats()
 	if entries != 1 {
@@ -155,16 +206,16 @@ func TestSingleFlightDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, shared, err := c.do(context.Background(), "dup", func() (*cacheEntry, error) {
+			res, shared, err := c.do(context.Background(), "dup", func() (solved, error) {
 				solves.Add(1)
 				<-release
-				return entryOf("dup", 5), nil
+				return solved{entryOf("dup", 5), firstMembers(5)}, nil
 			})
 			if err != nil {
 				t.Errorf("do: %v", err)
 				return
 			}
-			if len(e.set) != 5 {
+			if res.entry.set.Len() != 5 || len(res.set) != 5 {
 				t.Errorf("wrong entry shared")
 			}
 			if !shared {
@@ -192,18 +243,18 @@ func TestSingleFlightFollowerDeadline(t *testing.T) {
 	defer close(release)
 	started := make(chan struct{})
 	go func() {
-		_, _, _ = c.do(context.Background(), "slow", func() (*cacheEntry, error) {
+		_, _, _ = c.do(context.Background(), "slow", func() (solved, error) {
 			close(started)
 			<-release
-			return entryOf("slow", 1), nil
+			return solved{entry: entryOf("slow", 1)}, nil
 		})
 	}()
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, shared, err := c.do(ctx, "slow", func() (*cacheEntry, error) {
+	_, shared, err := c.do(ctx, "slow", func() (solved, error) {
 		t.Error("follower must not start its own solve")
-		return nil, nil
+		return solved{}, nil
 	})
 	if !shared || err == nil {
 		t.Fatalf("follower should time out waiting: shared=%t err=%v", shared, err)

@@ -524,11 +524,11 @@ func (s *Server) enqueueUpgrade(key, hash string, g *graph.Graph, set []bool, re
 		},
 		FullAlg: req.Alg,
 		Full: func() ([]bool, int64, error) {
-			e, err := s.solveRef(req, g, g.SplitComponents(), cfg, key, hash)
+			res, err := s.solveRef(req, g, g.SplitComponents(), cfg, key, hash)
 			if err != nil {
 				return nil, 0, err
 			}
-			return graph.FromMembers(e.set, g.N()), e.weight, nil
+			return graph.FromMembers(res.set, g.N()), res.entry.weight, nil
 		},
 	})
 }

@@ -397,6 +397,31 @@ func TestDegradedRefSolveSelfHeals(t *testing.T) {
 	}
 }
 
+// TestAnswerRegistryServesPublishedSet requires GET /v1/answers/{key} to
+// decode the registry's packed set back to the set that was published:
+// the members a full graph_ref solve answered with, and a set published
+// directly whose gaps need multi-byte encodings.
+func TestAnswerRegistryServesPublishedSet(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	g := gen.Weighted(gen.GNP(300, 0.02, 4), gen.PolyWeights(2), 4)
+	put := putGraph(t, ts, g)
+	code, resp := postSolve(t, ts, SolveRequest{GraphRef: put.Hash, Alg: "theorem2", Seed: 2})
+	if code != http.StatusOK || resp.Quality != "full" || len(resp.Set) == 0 {
+		t.Fatalf("ref solve: %d %+v", code, resp)
+	}
+	code, a := getAnswer(t, ts, resp.AnswerKey)
+	if code != http.StatusOK || !slices.Equal(a.Set, resp.Set) || a.Size != resp.Size ||
+		a.Weight != resp.Weight || a.Alg != resp.Alg || a.GraphHash != put.Hash {
+		t.Fatalf("GET /v1/answers: %d %+v, want the set, size, weight and alg of %+v", code, a, resp)
+	}
+
+	wide := []int32{0, 127, 128, 1 << 14, 1<<21 + 3, 1<<27 + 9}
+	s.answers.put(&storedAnswer{Key: "wide", members: graph.PackMembers(wide), Quality: qualityFull})
+	if code, a := getAnswer(t, ts, "wide"); code != http.StatusOK || !slices.Equal(a.Set, wide) || a.Size != len(wide) {
+		t.Fatalf("GET /v1/answers/wide: %d set %v size %d, want %v", code, a.Set, a.Size, wide)
+	}
+}
+
 // A PATCH confined to one component invalidates exactly that component,
 // and the untouched component's cached answer is reused by the next solve.
 func TestComponentGranularInvalidation(t *testing.T) {

@@ -413,7 +413,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				if e, ok := s.cache.get(t.key); ok {
 					s.metrics.requests.Add(1)
 					s.metrics.latency.observe("cache_hit", time.Since(start).Seconds())
-					resp := entryResponse(e, true, false)
+					resp := entryResponse(e, e.set.Members(), true, false)
 					resp.ID = fmt.Sprintf("job-%d", s.jobSeq.Add(1))
 					resp.GraphHash = t.hash
 					resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -527,7 +527,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 	}
 	cacheHit := func(e *cacheEntry) SolveResponse {
 		s.metrics.latency.observe("cache_hit", time.Since(start).Seconds())
-		return finish(entryResponse(e, true, false))
+		return finish(entryResponse(e, e.set.Members(), true, false))
 	}
 
 	if !req.NoCache && !req.Degraded {
@@ -560,7 +560,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 	}
 
 	for {
-		entry, shared, err := s.cache.do(ctx, p.key, func() (*cacheEntry, error) {
+		res, shared, err := s.cache.do(ctx, p.key, func() (solved, error) {
 			return s.runScheduled(ctx, req, p)
 		})
 		if err != nil {
@@ -590,9 +590,9 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 		}
 		s.metrics.latency.observe(req.Alg, time.Since(start).Seconds())
 		if p.ver != nil {
-			s.publishFull(req, p, entry)
+			s.publishFull(req, p, res)
 		}
-		return finish(entryResponse(entry, false, shared))
+		return finish(entryResponse(res.entry, res.set, false, shared))
 	}
 }
 
@@ -601,10 +601,10 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, p prepared, id 
 // worker-side, so even if this waiter times out the completed work is
 // kept. A worker panic fails this job only: the typed error surfaces here
 // while the worker restarts.
-func (s *Server) runScheduled(ctx context.Context, req *SolveRequest, p prepared) (*cacheEntry, error) {
+func (s *Server) runScheduled(ctx context.Context, req *SolveRequest, p prepared) (solved, error) {
 	type outcome struct {
-		entry *cacheEntry
-		err   error
+		res solved
+		err error
 	}
 	ch := make(chan outcome, 1)
 	j := &job{
@@ -614,66 +614,68 @@ func (s *Server) runScheduled(ctx context.Context, req *SolveRequest, p prepared
 		skipped:  make(chan struct{}),
 		failed:   make(chan error, 1),
 		run: func(context.Context) {
-			entry, err := s.solve(req, p)
-			ch <- outcome{entry, err}
+			res, err := s.solve(req, p)
+			ch <- outcome{res, err}
 		},
 	}
 	if err := s.sched.submit(j); err != nil {
-		return nil, err
+		return solved{}, err
 	}
 	select {
 	case out := <-ch:
-		return out.entry, out.err
+		return out.res, out.err
 	case err := <-j.failed:
-		return nil, err
+		return solved{}, err
 	case <-j.skipped:
-		return nil, context.DeadlineExceeded
+		return solved{}, context.DeadlineExceeded
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return solved{}, ctx.Err()
 	}
 }
 
 // solve performs the actual algorithm run; it executes on a scheduler
 // worker and caches the entry under p.key unless the request opted out. A
 // graph_ref solve runs component-wise (solveRef).
-func (s *Server) solve(req *SolveRequest, p prepared) (*cacheEntry, error) {
+func (s *Server) solve(req *SolveRequest, p prepared) (solved, error) {
 	if p.ver != nil {
 		return s.solveRef(req, p.g, p.ver.parts, p.cfg, p.key, p.hash)
 	}
 	res, err := maxis.Solve(req.Alg, p.g, req.Eps, req.Alpha, p.cfg)
 	if err != nil {
-		return nil, err
+		return solved{}, err
 	}
-	e := s.newEntry(req, p.g, p.key, res)
+	out := s.newEntry(req, p.g, p.key, res)
 	if !req.NoCache {
-		s.cache.put(e)
+		s.cache.put(out.entry)
 	}
-	return e, nil
+	return out, nil
 }
 
-// newEntry renders an executed solve's result as the cache entry key names
-// and adds its metrics to the engine totals. Every executed solve passes
-// here: the inline one (solve) and the component-wise one (solveRef, which
-// the repair tier's Full runs too).
-func (s *Server) newEntry(req *SolveRequest, g *graph.Graph, key string, res *maxis.Result) *cacheEntry {
+// newEntry renders an executed solve's result as the cache entry key names,
+// with the member indices it packs, and adds its metrics to the engine
+// totals. Every executed solve passes here: the inline one (solve) and the
+// component-wise one (solveRef, which the repair tier's Full runs too).
+func (s *Server) newEntry(req *SolveRequest, g *graph.Graph, key string, res *maxis.Result) solved {
 	s.metrics.addSolve(res.Metrics)
-	return &cacheEntry{
+	set := graph.Members(res.Set)
+	return solved{set: set, entry: &cacheEntry{
 		key:       key,
-		set:       graph.Members(res.Set),
+		set:       graph.PackMembers(set),
 		weight:    res.Weight,
 		rounds:    res.Metrics.Rounds,
 		messages:  res.Metrics.Messages,
 		bits:      res.Metrics.Bits,
 		alg:       req.Alg,
 		guarantee: maxis.GuaranteeString(req.Alg, g, req.Eps, req.Alpha, res),
-	}
+	}}
 }
 
-func entryResponse(e *cacheEntry, cached, shared bool) SolveResponse {
+// entryResponse renders e as a response carrying set, e's members.
+func entryResponse(e *cacheEntry, set []int32, cached, shared bool) SolveResponse {
 	return SolveResponse{
 		Status:    "done",
-		Set:       e.set,
-		Size:      len(e.set),
+		Set:       set,
+		Size:      e.set.Len(),
 		Weight:    e.weight,
 		Rounds:    e.rounds,
 		Messages:  e.messages,
